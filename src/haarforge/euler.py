@@ -22,6 +22,14 @@ placements):
 * Sp(2N): the same shape with 2x2 blocks promoted to unit quaternions;
   see ``quaternion_block``.
 
+Batched composition runs on one kernel, ``_plane_product``: it keeps the
+product batch-last, ``w[col, row, b]``, so a block on columns (c, c+1)
+updates two contiguous (rows, B) slabs in place, and by the active-block
+invariant (before coset E_{k-1}, E_1 ... E_{k-2} is a (k-1) x (k-1) block
+(+) identity) coset E_{k-1} touches only the leading k rows (2k for Sp).
+Each entry gets the arithmetic of the all-rows column rotation in the same
+order, so output is bit for bit the same (up to the sign of a zero entry).
+
 The invariant-measure densities in these coordinates are ``density_so``,
 ``density_u`` and ``density_sp``; all parametrizing angles are independent
 under Haar measure.
@@ -190,72 +198,90 @@ def quaternion_block(rho: float, q_triple, big_q_triple) -> SquareMatrix:
     """
     if not 0.0 <= rho <= HALF_PI:
         raise ValueError("rho out of [0, pi/2]")
-    q = su2_block(*q_triple)
-    big = su2_block(*big_q_triple)
-    c, s = np.cos(rho), np.sin(rho)
-    blk = np.empty((4, 4), dtype=complex)
-    blk[0:2, 0:2] = c * q
-    blk[0:2, 2:4] = s * (q @ big @ q.conj().T)
-    blk[2:4, 0:2] = -s * big.conj().T
-    blk[2:4, 2:4] = c * q.conj().T
+    blk = _quat_factor_batch(rho, su2_block(*q_triple), su2_block(*big_q_triple))
     return SquareMatrix(dim=4, entries=blk, kind="complex")
 
 
-# --- batched composition kernels ------------------------------------------
-#
-# All batch kernels take per-angle arrays of shape (B,) keyed like the
-# angle records and return a (B, d, d) stack.  Single-matrix composition
-# wraps the kernels with B = 1.
+# --- batched composition ----------------------------------------------------
 
 
-def _rot_cols(v: np.ndarray, l: int, c: np.ndarray, s: np.ndarray) -> None:
-    """In-place right-multiplication of the stack v by R_l(theta)."""
-    a = v[:, :, l - 1].copy()
-    b = v[:, :, l]
-    v[:, :, l - 1] = c[:, None] * a - s[:, None] * b
-    v[:, :, l] = s[:, None] * a + c[:, None] * b
+def _plane_product(d: int, batch: int, dtype, blocks) -> np.ndarray:
+    """(B, d, d) stack of the identity right-multiplied by plane blocks.
+
+    The batch runs in chunks ``sl`` of at most 1 MiB of work array, or 1/8
+    of the batch, so the copy out adds little memory beside the output and
+    the per-chunk cost is paid at most 8 times.  ``blocks(sl)`` yields the
+    chunk's blocks (c, rows, m): m is batch-last (s, s, len(sl)), s = 2 or
+    4, on columns c..c+s-1 of rows 0..rows-1 (the columns are zero below);
+    2x2 blocks are in-place multiply-adds a m00 + b m10, a m01 + b m11;
+    4x4 blocks go through einsum.
+    """
+    out = np.empty((batch, d, d), dtype=dtype)
+    step = max(1, -(-batch // 8), (1 << 20) // (d * d * out.itemsize))
+    buf = np.empty((d + 2, d, min(step, batch)), dtype=dtype)  # w and 2 scratch slabs
+    for start in range(0, batch, step):
+        sl = slice(start, min(start + step, batch))
+        w, t = buf[:d, :, :sl.stop - start], buf[d:, :, :sl.stop - start]
+        w[...] = np.eye(d, dtype=dtype)[:, :, None]
+        for c, rows, m in blocks(sl):
+            if len(m) == 2:
+                a, b = w[c, :rows], w[c + 1, :rows]
+                s1, s2 = t[:, :rows]
+                np.multiply(a, m[0, 0], out=s1)
+                np.multiply(a, m[0, 1], out=s2)
+                np.multiply(b, m[1, 0], out=a)
+                np.add(s1, a, out=a)
+                np.multiply(b, m[1, 1], out=b)
+                np.add(s2, b, out=b)
+            else:
+                cols = w[c:c + 4, :rows]
+                cols[...] = np.einsum("krb,kmb->mrb", cols, m)
+        out[sl] = w.transpose(2, 1, 0)
+    return out
 
 
-def _block2_cols(v: np.ndarray, l: int, blk: np.ndarray) -> None:
-    """In-place right-multiplication of the stack v by a (B,2,2) block at (l, l+1)."""
-    a = v[:, :, l - 1].copy()
-    b = v[:, :, l]
-    v[:, :, l - 1] = a * blk[:, None, 0, 0] + b * blk[:, None, 1, 0]
-    v[:, :, l] = a * blk[:, None, 0, 1] + b * blk[:, None, 1, 1]
+def _rotation_blocks(thetas: np.ndarray) -> np.ndarray:
+    """(P, 2, 2, B) cores [[cos, sin], [-sin, cos]] of R_l for (P, B) angles."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.array([[c, s], [-s, c]]).transpose(2, 0, 1, 3)
+
+
+def _so_coset(theta: dict, k: int, rows: int, sl: slice) -> list:
+    """Blocks of E_{k-1} = R_{k-1} ... R_1 acting on the leading ``rows`` rows."""
+    ls = range(k - 1, 0, -1)
+    m = _rotation_blocks(np.array([theta[(l, k)][sl] for l in ls], dtype=float))
+    return [(l - 1, rows, blk) for l, blk in zip(ls, m)]
+
+
+def _u_coset(phi: dict, psi: dict, alpha_k, k: int, rows: int, sl: slice) -> list:
+    """Blocks of the U coset E_{k-1}, psi slotted as in the module docstring."""
+    ls = range(k - 1, 0, -1)
+    m = su2_block(np.array([phi[(l, k)][sl] for l in ls], dtype=float),
+                  np.array([np.zeros_like(alpha_k)] * (k - 2) + [psi[(1, k)][sl]], dtype=float),
+                  np.array([psi[(l, k)][sl] for l in ls[:-1]] + [alpha_k], dtype=float))
+    m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
+    return [(l - 1, rows, blk) for l, blk in zip(ls, m)]
 
 
 def compose_so_batch(theta: dict, n: int) -> np.ndarray:
     """Stack of E_1 E_2 ... E_{n-1} from per-angle arrays theta[(j,k)] of shape (B,)."""
-    if theta:
-        batch = np.atleast_1d(np.asarray(next(iter(theta.values())))).shape[0]
-    else:
-        batch = 1
-    v = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    for k in range(2, n + 1):
-        for l in range(k - 1, 0, -1):
-            t = np.atleast_1d(np.asarray(theta[(l, k)], dtype=float))
-            _rot_cols(v, l, np.cos(t), np.sin(t))
-    return v
+    return _plane_product(n, np.size(next(iter(theta.values()), 0)), float,
+                          lambda sl: (b for k in range(2, n + 1)
+                                      for b in _so_coset(theta, k, k, sl)))
 
 
 def compose_u_batch(phi: dict, psi: dict, alpha: np.ndarray, n: int) -> np.ndarray:
     """Stack of e^{i alpha_1} E_1 ... E_{n-1}; alpha has shape (B, n)."""
     alpha = np.asarray(alpha, dtype=float)
-    batch = alpha.shape[0]
-    v = np.broadcast_to(np.eye(n, dtype=complex), (batch, n, n)).copy()
-    for k in range(2, n + 1):
-        for l in range(k - 1, 0, -1):
-            if l == 1:
-                blk = su2_block(phi[(1, k)], psi[(1, k)], alpha[:, k - 1])
-            else:
-                blk = su2_block(phi[(l, k)], 0.0, psi[(l, k)])
-            _block2_cols(v, l, blk)
+    v = _plane_product(n, alpha.shape[0], complex,
+                       lambda sl: (b for k in range(2, n + 1)
+                                   for b in _u_coset(phi, psi, alpha[sl, k - 1], k, k, sl)))
     v *= np.exp(1j * alpha[:, 0])[:, None, None]
     return v
 
 
 def _quat_factor_batch(rho, q_blk, big_blk) -> np.ndarray:
-    """(B,4,4) symplectic factor; q_blk/big_blk are (B,2,2) SU(2) stacks."""
+    """(..., 4, 4) blocks of ``quaternion_block`` from (..., 2, 2) SU(2) stacks."""
     rho = np.asarray(rho, dtype=float)
     c, s = np.cos(rho), np.sin(rho)
     qdag = np.conj(np.swapaxes(q_blk, -1, -2))
@@ -267,10 +293,15 @@ def _quat_factor_batch(rho, q_blk, big_blk) -> np.ndarray:
     return out
 
 
-def _block4_cols(v: np.ndarray, l: int, blk: np.ndarray) -> None:
-    """Right-multiply the stack by a (B,4,4) block at quaternion plane (l, l+1)."""
-    c0 = 2 * (l - 1)
-    v[:, :, c0:c0 + 4] = np.einsum("bnk,bkm->bnm", v[:, :, c0:c0 + 4], blk)
+def _sp_coset(rho: dict, quat_blk: dict, lead_k, k: int, rows: int, sl: slice) -> list:
+    """Blocks of the Sp coset E_{k-1}; only its l = 1 factor has Q != identity."""
+    ls = range(k - 1, 0, -1)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), lead_k.shape)
+    m = _quat_factor_batch(np.array([rho[(l, k)][sl] for l in ls], dtype=float),
+                           np.array([quat_blk[(l, k)][sl] for l in ls[:-1]] + [lead_k]),
+                           np.array([eye] * (k - 2) + [quat_blk[(1, k)][sl]]))
+    m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
+    return [(2 * (l - 1), rows, blk) for l, blk in zip(ls, m)]
 
 
 def compose_sp_batch(rho: dict, quat_blk: dict, lead_blk: np.ndarray, n: int) -> np.ndarray:
@@ -279,39 +310,34 @@ def compose_sp_batch(rho: dict, quat_blk: dict, lead_blk: np.ndarray, n: int) ->
     quat_blk[(j,k)] are (B,2,2) SU(2) stacks for Q_{j,k}; lead_blk is
     (B,n,2,2) for q_1..q_n.
     """
-    batch = lead_blk.shape[0]
-    v = np.broadcast_to(np.eye(2 * n, dtype=complex), (batch, 2 * n, 2 * n)).copy()
-    v[:, :, 0:2] = np.einsum("bnk,bkm->bnm", v[:, :, 0:2], lead_blk[:, 0])
-    eye2 = np.broadcast_to(np.eye(2, dtype=complex), (batch, 2, 2))
-    for k in range(2, n + 1):
-        for l in range(k - 1, 0, -1):
-            if l == 1:
-                blk = _quat_factor_batch(rho[(1, k)], lead_blk[:, k - 1],
-                                         quat_blk[(1, k)])
-            else:
-                blk = _quat_factor_batch(rho[(l, k)], quat_blk[(l, k)], eye2)
-            _block4_cols(v, l, blk)
-    return v
+    def blocks(sl):
+        yield 0, 2, lead_blk[sl, 0].transpose(1, 2, 0)
+        for k in range(2, n + 1):
+            yield from _sp_coset(rho, quat_blk, lead_blk[sl, k - 1], k, 2 * k, sl)
+
+    return _plane_product(2 * n, lead_blk.shape[0], complex, blocks)
 
 
 # --- record-level composition ---------------------------------------------
+
+
+def _one(values: dict) -> dict:
+    """Record values as (1,) arrays, a batch of one."""
+    return {key: np.array([val]) for key, val in values.items()}
 
 
 def coset_E_so(angles: EulerAnglesSO, j: int) -> SquareMatrix:
     """E_j = R_j(theta_{j,j+1}) ... R_1(theta_{1,j+1})."""
     if not 1 <= j <= angles.n - 1:
         raise ValueError(f"coset index {j} out of range")
-    m = SquareMatrix.identity(angles.n)
-    acc = m.entries.copy()
-    for l in range(j, 0, -1):
-        acc = acc @ rotation_R(l, angles.theta[(l, j + 1)], angles.n).entries
-    return SquareMatrix(dim=angles.n, entries=acc.real.astype(complex), kind="real")
+    theta = _one(angles.theta)
+    v = _plane_product(angles.n, 1, float, lambda sl: _so_coset(theta, j + 1, j + 1, sl))[0]
+    return SquareMatrix(dim=angles.n, entries=v.astype(complex), kind="real")
 
 
 def compose_so(angles: EulerAnglesSO) -> SquareMatrix:
     """V = E_1 E_2 ... E_{n-1} in SO(n)."""
-    theta = {key: np.array([val]) for key, val in angles.theta.items()}
-    v = compose_so_batch(theta, angles.n)[0]
+    v = compose_so_batch(_one(angles.theta), angles.n)[0]
     return SquareMatrix(dim=angles.n, entries=v.astype(complex), kind="real")
 
 
@@ -319,35 +345,24 @@ def coset_E_u(angles: EulerAnglesU, j: int) -> SquareMatrix:
     """E_j, carrying (phi, psi)_{l,j+1} and the coset phase alpha_{j+1}."""
     if not 1 <= j <= angles.n - 1:
         raise ValueError(f"coset index {j} out of range")
-    acc = np.eye(angles.n, dtype=complex)
-    for l in range(j, 0, -1):
-        if l == 1:
-            f = unitary_U(1, angles.phi[(1, j + 1)], angles.psi[(1, j + 1)],
-                          angles.alpha[j], angles.n)
-        else:
-            f = unitary_U(l, angles.phi[(l, j + 1)], 0.0,
-                          angles.psi[(l, j + 1)], angles.n)
-        acc = acc @ f.entries
-    return SquareMatrix(dim=angles.n, entries=acc, kind="complex")
+    phi, psi, alpha_k = _one(angles.phi), _one(angles.psi), np.array([angles.alpha[j]])
+    v = _plane_product(angles.n, 1, complex,
+                       lambda sl: _u_coset(phi, psi, alpha_k, j + 1, j + 1, sl))[0]
+    return SquareMatrix(dim=angles.n, entries=v, kind="complex")
 
 
 def compose_u(angles: EulerAnglesU) -> SquareMatrix:
     """V = e^{i alpha_1} E_1 ... E_{n-1} in U(n)."""
-    phi = {key: np.array([val]) for key, val in angles.phi.items()}
-    psi = {key: np.array([val]) for key, val in angles.psi.items()}
-    alpha = np.array([angles.alpha])
-    v = compose_u_batch(phi, psi, alpha, angles.n)[0]
+    v = compose_u_batch(_one(angles.phi), _one(angles.psi), np.array([angles.alpha]), angles.n)[0]
     return SquareMatrix(dim=angles.n, entries=v, kind="complex")
 
 
 def compose_sp(angles: EulerAnglesSp) -> SquareMatrix:
     """V in Sp(2n) as a 2n x 2n complex matrix."""
-    n = angles.n
-    rho = {key: np.array([val]) for key, val in angles.rho.items()}
     quat_blk = {key: su2_block(*val)[None] for key, val in angles.quat.items()}
     lead_blk = np.stack([su2_block(*t) for t in angles.lead])[None]
-    v = compose_sp_batch(rho, quat_blk, lead_blk, n)[0]
-    return SquareMatrix(dim=2 * n, entries=v, kind="complex")
+    v = compose_sp_batch(_one(angles.rho), quat_blk, lead_blk, angles.n)[0]
+    return SquareMatrix(dim=2 * angles.n, entries=v, kind="complex")
 
 
 # --- extraction ------------------------------------------------------------

@@ -5,7 +5,9 @@ round-trips a double exactly), so write-then-read reproduces entries bit
 for bit.  JSON matrices are lists of rows of [re, im] pairs regardless of
 kind; CSV uses plain columns for real matrices and interleaved re/im
 columns for complex ones, one blank-line-separated block per matrix, with
-one leading comment line of metadata.
+one leading comment line of metadata.  Permutations are one one-line
+word per row (JSON ``"permutations"``, CSV ``kind=permutation``); both
+readers return them as a list of tuples.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ def csv_to_matrices(text: str):
         key, _, val = token.partition("=")
         meta[key] = val
     kind = meta.get("kind", "complex")
+    if kind == "permutation":
+        return meta, [tuple(int(tok) for tok in line.split(","))
+                      for line in lines[1:] if line.strip()]
     blocks, cur = [], []
     for line in lines[1:]:
         if not line.strip():

@@ -14,6 +14,8 @@ tasks; create siblings with distinct ``stream_id`` instead.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -70,7 +72,7 @@ class RandomStream:
         """Standard normal variates."""
         if size is None:
             return float(self._gaussian_block(1)[0])
-        n = int(np.prod(size))
+        n = _count(size)
         return self._gaussian_block(n).reshape(size)
 
     # -- angle laws --------------------------------------------------------
@@ -84,7 +86,7 @@ class RandomStream:
         if j < 1:
             raise ValueError("j >= 1 required")
         scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
+        n = 1 if scalar else _count(size)
         g = self.gaussian((n, j + 1))
         norm = np.sqrt((g * g).sum(axis=1))
         while np.any(norm == 0.0):
@@ -109,7 +111,7 @@ class RandomStream:
         if j < 1:
             raise ValueError("j >= 1 required")
         scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
+        n = 1 if scalar else _count(size)
         u = self._gen.random((n, 2 * j + 1))
         second_largest = np.partition(u, 2 * j - 1, axis=1)[:, 2 * j - 1]
         rho = np.arcsin(np.sqrt(second_largest))
@@ -118,6 +120,11 @@ class RandomStream:
     def sin2phi_quaternion(self, size=None):
         """phi = arcsin(sqrt(xi)) on [0, pi/2]: density ~ sin(2 phi)."""
         return sin2phi_from_xi(self._gen.random(size))
+
+
+def _count(size) -> int:
+    """Number of variates in an int or tuple ``size`` (np.prod costs a call)."""
+    return int(size) if isinstance(size, (int, np.integer)) else int(math.prod(size))
 
 
 def phi_from_xi(xi, j: int):

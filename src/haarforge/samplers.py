@@ -422,7 +422,7 @@ def sample_batch(group, n: int, count: int, method: str | None = None,
                         else householder_batch(s, n, lane_count, "complex"))
         elif tag == "sp":
             outs.append(sp_euler_batch(s, n, lane_count))
+    arr = np.concatenate(outs, axis=0)
     if tag == "sn":
-        arr = np.concatenate(outs, axis=0)
-        return [tuple(int(x) + 1 for x in row) for row in arr]
-    return np.concatenate(outs, axis=0)
+        return [tuple(row) for row in (arr + 1).tolist()]
+    return arr

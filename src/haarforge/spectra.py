@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from haarforge.euler import _plane_product, _rotation_blocks
 from haarforge.linalg import SquareMatrix
 from haarforge.randstream import RandomStream
 
@@ -73,16 +74,9 @@ def rotation_product_batch(thetas: np.ndarray, order, n: int) -> np.ndarray:
     product is taken left to right, i.e. order[0] is the leftmost factor.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    batch = thetas.shape[0]
-    v = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    for l in order:
-        t = thetas[:, l - 1]
-        c, s = np.cos(t), np.sin(t)
-        a = v[:, :, l - 1].copy()
-        b = v[:, :, l]
-        v[:, :, l - 1] = c[:, None] * a - s[:, None] * b
-        v[:, :, l] = s[:, None] * a + c[:, None] * b
-    return v
+    m, planes = _rotation_blocks(thetas.T), [l - 1 for l in order]
+    return _plane_product(n, thetas.shape[0], float,
+                          lambda sl: ((c, n, m[c, ..., sl]) for c in planes))
 
 
 def _spectral_thetas(stream: RandomStream, n: int, count: int) -> np.ndarray:
@@ -217,11 +211,6 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
     return out
 
 
-def trace_series_so(stream: RandomStream, terms: int,
-                    finite_trace: bool = False) -> float:
-    return float(trace_series_so_batch(stream, terms, 1, finite_trace)[0])
-
-
 def trace_series_perm_batch(stream: RandomStream, terms: int,
                             count: int) -> np.ndarray:
     """Y_1 Y_2 + Y_2 Y_3 + ... with Y_i = 1 with probability 1/i, else 0."""
@@ -234,10 +223,6 @@ def trace_series_perm_batch(stream: RandomStream, terms: int,
         acc += prev & cur
         prev = cur
     return acc
-
-
-def trace_series_perm(stream: RandomStream, terms: int) -> int:
-    return int(trace_series_perm_batch(stream, terms, 1)[0])
 
 
 # --- batched eigenphase summaries -------------------------------------------

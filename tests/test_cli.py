@@ -10,7 +10,7 @@ import pytest
 from haarforge import fileio
 from haarforge.cli import main
 from haarforge.randstream import RandomStream
-from haarforge.samplers import qr_batch, so_euler_batch
+from haarforge.samplers import qr_batch, sample_batch, so_euler_batch
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -44,6 +44,16 @@ class TestFileFormats:
         _, back = fileio.csv_to_matrices(text)
         assert np.array_equal(back.real, mats)
         assert np.all(back.imag == 0.0)
+
+    def test_csv_roundtrip_permutations(self, tmp_path):
+        out = tmp_path / "perms.csv"
+        assert main(["sample", "--group", "sn", "--n", "7", "--count", "5",
+                     "--seed", "9", "--streams", "2", "--format", "csv",
+                     "--out", str(out)]) == 0
+        meta, words = fileio.csv_to_matrices(out.read_text())
+        assert meta["kind"] == "permutation" and int(meta["count"]) == 5
+        assert words == sample_batch("sn", 7, 5, seed=9, streams=2)
+        assert all(type(x) is int for w in words for x in w)
 
     def test_csv_header_required(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,188 @@
+"""The batched composition kernel against the column-rotation oracle, and
+pinned digests of sample_batch output.
+
+The kernel reorders memory (batch-last, active rows only) but not
+arithmetic, so every comparison here is on raw bytes.  The digests were
+taken from the all-rows (B, d, d) loop before the kernel replaced it.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from haarforge import euler, samplers, spectra
+from haarforge.euler import angle_pairs
+from haarforge.randstream import RandomStream
+
+import oracles
+
+TWO_PI = 2.0 * np.pi
+SIZES = [(n, batch) for n in (1, 2, 3, 8, 16) for batch in (1, 7, 64)]
+
+
+def _rng(n, batch):
+    return np.random.default_rng(1000 * n + batch)
+
+
+def _su2_dict(rng, n, batch):
+    return {key: oracles.su2(rng.uniform(0.0, 0.5 * np.pi, batch),
+                             rng.uniform(0.0, TWO_PI, batch),
+                             rng.uniform(0.0, TWO_PI, batch))
+            for key in angle_pairs(n)}
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n,batch", SIZES)
+def test_compose_so_batch_matches_oracle(n, batch):
+    rng = _rng(n, batch)
+    theta = {(j, k): rng.uniform(0.0, TWO_PI if j == 1 else np.pi, batch)
+             for j, k in angle_pairs(n)}
+    want = oracles.column_rotation_so(theta, n, batch if theta else 1)
+    _same_bytes(euler.compose_so_batch(theta, n), want)
+
+
+@pytest.mark.parametrize("n,batch", SIZES)
+def test_compose_u_batch_matches_oracle(n, batch):
+    rng = _rng(n, batch)
+    phi = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
+    psi = {key: rng.uniform(0.0, TWO_PI, batch) for key in angle_pairs(n)}
+    alpha = rng.uniform(0.0, TWO_PI, (batch, n))
+    want = oracles.column_rotation_u(phi, psi, alpha, n)
+    _same_bytes(euler.compose_u_batch(phi, psi, alpha, n), want)
+
+
+@pytest.mark.parametrize("n,batch", SIZES)
+def test_compose_sp_batch_matches_oracle(n, batch):
+    rng = _rng(n, batch)
+    rho = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
+    quat = _su2_dict(rng, n, batch)
+    lead = np.stack([oracles.su2(rng.uniform(0.0, 0.5 * np.pi, batch),
+                                 rng.uniform(0.0, TWO_PI, batch),
+                                 rng.uniform(0.0, TWO_PI, batch))
+                     for _ in range(n)], axis=1)
+    want = oracles.column_rotation_sp(rho, quat, lead, n)
+    _same_bytes(euler.compose_sp_batch(rho, quat, lead, n), want)
+
+
+ORDERS = ([(n, name) for n in (1, 2, 3, 8, 16) for name in ("hessenberg", "cmv")]
+          + [(n, "shuffle") for n in (6, 8, 16)])
+
+
+@pytest.mark.parametrize("batch", (1, 7, 64))
+@pytest.mark.parametrize("n,name", ORDERS)
+def test_rotation_product_batch_matches_oracle(n, name, batch):
+    order = {"hessenberg": spectra.hessenberg_order, "cmv": spectra.cmv_order,
+             "shuffle": lambda n: [2, 4, 1, 5, 3]}[name](n)
+    thetas = _rng(n, batch).uniform(0.0, np.pi, (batch, n - 1))
+    want = oracles.rotation_product(thetas, order, n)
+    _same_bytes(spectra.rotation_product_batch(thetas, order, n), want)
+
+
+def test_batches_split_into_work_chunks_match_oracle():
+    # work arrays over 1 MiB run in chunks, the last one short
+    rng = np.random.default_rng(7)
+    n, batch = 64, 130
+    theta = {(j, k): rng.uniform(0.0, TWO_PI if j == 1 else np.pi, batch)
+             for j, k in angle_pairs(n)}
+    _same_bytes(euler.compose_so_batch(theta, n),
+                oracles.column_rotation_so(theta, n, batch))
+    thetas = rng.uniform(0.0, np.pi, (batch, n - 1))
+    _same_bytes(spectra.rotation_product_batch(thetas, spectra.cmv_order(n), n),
+                oracles.rotation_product(thetas, spectra.cmv_order(n), n))
+    n, batch = 32, 260
+    phi = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
+    psi = {key: rng.uniform(0.0, TWO_PI, batch) for key in angle_pairs(n)}
+    alpha = rng.uniform(0.0, TWO_PI, (batch, n))
+    _same_bytes(euler.compose_u_batch(phi, psi, alpha, n),
+                oracles.column_rotation_u(phi, psi, alpha, n))
+    n = 16
+    rho = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
+    quat = _su2_dict(rng, n, batch)
+    lead = np.stack([oracles.su2(rng.uniform(0.0, 0.5 * np.pi, batch),
+                                 rng.uniform(0.0, TWO_PI, batch),
+                                 rng.uniform(0.0, TWO_PI, batch))
+                     for _ in range(n)], axis=1)
+    _same_bytes(euler.compose_sp_batch(rho, quat, lead, n),
+                oracles.column_rotation_sp(rho, quat, lead, n))
+
+
+def test_compose_so_batch_values_at_boundary_angles():
+    # angles 0, pi/2, pi make exact zeros, where only the sign of a zero
+    # may differ from the all-rows loop; the values must not
+    n, batch = 5, 27
+    grid = np.array([0.0, 0.5 * np.pi, np.pi])
+    theta = {key: grid[(np.arange(batch) // 3 ** (i % 3)) % 3]
+             for i, key in enumerate(angle_pairs(n))}
+    got = euler.compose_so_batch(theta, n)
+    assert np.array_equal(got, oracles.column_rotation_so(theta, n, batch))
+
+
+PAIRS = [("so", "euler"), ("o", "euler"), ("o", "qr"), ("o", "householder"),
+         ("u", "euler"), ("u", "qr"), ("u", "householder"), ("sp", "euler"),
+         ("sn", "bubble")]
+CASES = [(1, 3, 5, 1), (4, 9, 21, 2), (9, 12, 3, 3)]  # (n, count, seed, streams)
+
+SAMPLE_DIGESTS = {
+    ("so", "euler", (1, 3, 5, 1)): "682d0a00615399fceddd97f5f958fd56b7c530d5832a0c0df08dc3b92b666017",
+    ("so", "euler", (4, 9, 21, 2)): "8f8b6a35fa5f204ae478cee8763e66a93eb5f47db2ba0a95e7db3f2f3ad4552a",
+    ("so", "euler", (9, 12, 3, 3)): "71d2ad0ffe3781891f64fde57b6fd0169b595bd97be753c391e5f6a545e73a92",
+    ("o", "euler", (1, 3, 5, 1)): "b8da42c6cfe523fdf5931894a511aa575dba2c5912458b40fba005e9e65e0937",
+    ("o", "euler", (4, 9, 21, 2)): "a26b8f6d45e01cf4f38bcc685e41bae7b7871ed196d6a5171354db944ed363de",
+    ("o", "euler", (9, 12, 3, 3)): "0a94bff7752b00d7f5cd6b2e402dec14c7b8b31f52c15ed3e06d29328e2a8a6f",
+    ("o", "qr", (1, 3, 5, 1)): "b8da42c6cfe523fdf5931894a511aa575dba2c5912458b40fba005e9e65e0937",
+    ("o", "qr", (4, 9, 21, 2)): "5477679abf71f11a8e846d59fc8ba74dcc5ed54ed40b26c6f38e231140c95dd2",
+    ("o", "qr", (9, 12, 3, 3)): "d04f80d240642757fe4b18128543ff3770e9c79962c38af956c44ea4fa6cb942",
+    ("o", "householder", (1, 3, 5, 1)): "b8da42c6cfe523fdf5931894a511aa575dba2c5912458b40fba005e9e65e0937",
+    ("o", "householder", (4, 9, 21, 2)): "2d586cdb77395d52bacc757b5ae830442297c79760b4d050af694261f81ea0fe",
+    ("o", "householder", (9, 12, 3, 3)): "3ace151cb3ff5aee69036fb2a8db0892e05867eaebf1334f6f04977b62d25b91",
+    ("u", "euler", (1, 3, 5, 1)): "d431f67cd7e899fc57ca6b356f0443342eee50894097bff173f7392d0aeaf994",
+    ("u", "euler", (4, 9, 21, 2)): "7f55679a81abc3af6bbbe11c1809c13463600888e3f8f68517df0d63bbed83f0",
+    ("u", "euler", (9, 12, 3, 3)): "82583ee91cfcc1eb573bac22cc0e06dfe9004bec5ba3e7e8bba04a3f31ad4ce0",
+    ("u", "qr", (1, 3, 5, 1)): "51087708044c24c5276af7ee326624ae4651674ac90d507184ec08be4a5ca318",
+    ("u", "qr", (4, 9, 21, 2)): "2eb1c8835058119e91357b830f2c4286f991901249ddccab5b2636dc2842dd57",
+    ("u", "qr", (9, 12, 3, 3)): "c14904d6ec5575b4a6d1513b6035041fa0120b189fe72a97e46073fa461ca99f",
+    ("u", "householder", (1, 3, 5, 1)): "d5dfccb7cac2b91cea462b4f5e9930a5e2c44181769d2f054c78b25e2d0e5266",
+    ("u", "householder", (4, 9, 21, 2)): "4e93deef190437c7f728a080d20fb0d7d5fe70e519ddc404617e10d1464a9eea",
+    ("u", "householder", (9, 12, 3, 3)): "464d3c37699f89f4cb6b92aeafa3678329786e846d38969f8fdf97776c662483",
+    ("sp", "euler", (1, 3, 5, 1)): "a23072f6c058e10f4e79ac6bb98e844ea6b8bdcf58db9f63cf97c5f648c00bf6",
+    ("sp", "euler", (4, 9, 21, 2)): "15a087df810737c2d1b44ffbc3683987ff48abdd103dca71dfa78b891a10eac5",
+    ("sp", "euler", (9, 12, 3, 3)): "95ee8f9935e650ecf78e5f53ab038035913d94cb0705c6406c7c79720d0806e0",
+    ("sn", "bubble", (1, 3, 5, 1)): "5113184a56a77e49c66c160ac904565ce527d3072f48851dfa4721916d64546b",
+    ("sn", "bubble", (4, 9, 21, 2)): "7cd338e71f3f9ad5cff350d71d6f5f1ade2d5547cf5af23b9374ab0d9c4058ba",
+    ("sn", "bubble", (9, 12, 3, 3)): "2dc04bd09550e15d861b250fb0a483bb13bf4aea4a5588cf8a38e76f0163bc9a",
+}
+
+SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
+    ("hessenberg_batch", 2, 3, 5): "9753699de23f7c980199a2fc9b60011924e67cc57c56f2c511d5ced58121f3cb",
+    ("hessenberg_batch", 7, 10, 8): "e1e88e3c138d7da2232649e5798d2d043f7256d09c7664b1f7b23403e721ff8c",
+    ("hessenberg_batch", 16, 6, 2): "8cddec71bf9403d85a47be9ffb1e241dd82ff4b4b63cfbd9118d9707de07532e",
+    ("cmv_batch", 2, 3, 5): "9753699de23f7c980199a2fc9b60011924e67cc57c56f2c511d5ced58121f3cb",
+    ("cmv_batch", 7, 10, 8): "b9119d6ebc0bf03e4044539f77c06e8b17fb33d51fc51edf87403fbf25da771f",
+    ("cmv_batch", 16, 6, 2): "2b1a7294b956615cc397b5e46148405e2d52b2c7f5a7cebae72cd3d1e5f53b3d",
+}
+
+
+def _digest(out) -> str:
+    """SHA-256 of dtype, shape and raw bytes; permutation lists as int64."""
+    a = np.ascontiguousarray(np.asarray(out, dtype=np.int64) if isinstance(out, list) else out)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("group,method", PAIRS)
+def test_sample_batch_digest_pinned(group, method, case):
+    n, count, seed, streams = case
+    out = samplers.sample_batch(group, n, count, method=method, seed=seed, streams=streams)
+    assert _digest(out) == SAMPLE_DIGESTS[(group, method, case)]
+
+
+@pytest.mark.parametrize("key", sorted(SPECTRA_DIGESTS))
+def test_spectral_batch_digest_pinned(key):
+    fn, n, count, seed = key
+    out = getattr(spectra, fn)(RandomStream(seed, 0), n, count)
+    assert _digest(out) == SPECTRA_DIGESTS[key]
