@@ -4,7 +4,8 @@ Subcommands: sample (matrices to JSON/CSV), moments (closed form vs Monte
 Carlo), volumes (closed forms plus quadrature cross-checks), spectra
 (eigenphase dumps), verify (the full acceptance battery).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+4 internal error (a numerical precondition or certificate failed).
 Every command is deterministic given (--seed, --streams).
 """
 
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from haarforge import analytics, fileio, samplers, spectra, verify
-from haarforge.linalg import SquareMatrix, eigenphases
+from haarforge import analytics, fileio, linalg, samplers, spectra, verify
 from haarforge.randstream import RandomStream
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -158,15 +159,10 @@ def cmd_spectra(cfg: RunConfig) -> int:
            "hessenberg": spectra.hessenberg_batch,
            "cmv": spectra.cmv_batch}[method]
     phases = []
-    base, rem = divmod(cfg.count, max(1, min(cfg.streams, cfg.count)))
-    for lane in range(max(1, min(cfg.streams, cfg.count))):
-        lane_count = base + (1 if lane < rem else 0)
-        if lane_count == 0:
-            continue
+    lanes = samplers._lane_counts(cfg.count, min(cfg.streams, cfg.count))
+    for lane, lane_count in enumerate(lanes):
         mats = gen(RandomStream(cfg.seed, lane), cfg.n, lane_count)
-        for m in mats:
-            ph = eigenphases(SquareMatrix.from_array(m, kind="real"))
-            phases.extend(ph.phases)
+        phases.extend(linalg.eigenphases_batch(mats).ravel().tolist())
     if cfg.format == "json":
         text = json.dumps({"n": cfg.n, "method": method, "seed": cfg.seed,
                            "count": cfg.count, "phases": phases})
@@ -262,6 +258,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (linalg.NotUnitaryError, linalg.ConvergenceError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -144,115 +144,110 @@ def symplectic_residual(m: SquareMatrix) -> float:
 
 # --- eigenphases of a unitary-class matrix -------------------------------
 #
-# The matrix is mapped through the Cayley transform anchored at a point
-# e^{ia} kept away from the spectrum:
+# Each matrix is mapped through the Cayley transform anchored at a point
+# e^{ia} kept away from its spectrum:
 #
-#     M(a) = i (I + e^{-ia} m)(I - e^{-ia} m)^{-1}
+#     M(a) = i (I - e^{-ia} m)^{-1} (I + e^{-ia} m)
 #
-# M(a) is Hermitian with eigenvalues -cot((theta_k - a)/2), a strictly
-# increasing function of theta_k on (a, a + 2*pi).  Householder
-# tridiagonalization plus Sturm pivot counts then give an exact eigenvalue
-# counting function, and each phase is located by index bisection to 1e-12
-# in theta.  Multiple eigenphases (e.g. the doubly degenerate spectra of
-# self-dual quaternion unitaries) fall out with the correct multiplicity
-# because consecutive index searches converge to the same point.
+# M(a) is Hermitian with eigenvalues lambda_k = -cot((theta_k - a)/2), a
+# strictly increasing function of theta_k on (a, a + 2*pi), so one batched
+# Hermitian eigensolve (np.linalg.eigvalsh) gives every phase as
+# theta_k = a + pi + 2*arctan(lambda_k), already in order; no nonsymmetric
+# eigensolver is needed.  The anchor is the one of 17 golden-ratio points
+# with the largest |det(e^{ia} I - m)|, which keeps M(a) well conditioned.
+# Phases within 1e-9 of the first member of their run are replaced by the
+# run's mean, so exactly degenerate roots (the doubly degenerate spectra of
+# self-dual quaternion unitaries) come out exactly equal.
+#
+# The returned phases are certified against the matrix itself: the power
+# sums sum_k e^{i j theta_k} must match tr(m^j) for j = 1, 2, 3 within
+# 64*N*eps, a bound that means the same at every N.
 
 _GOLDEN = 0.6180339887498949
+_ANCHORS = TWO_PI * ((np.arange(17) * _GOLDEN) % 1.0)
+_ANCHOR_POINTS = np.exp(1j * _ANCHORS)
+_MERGE = 1e-9
+_CERT_C = 64.0
 
 
-def _tridiagonalize_hermitian(mat: np.ndarray):
-    """Reduce a Hermitian matrix to real symmetric tridiagonal (d, e)."""
-    a = mat.astype(complex).copy()
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        nx = np.linalg.norm(x)
-        if nx < 1e-300:
-            continue
-        v = x.copy()
-        v[0] += (x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0) * nx
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        v /= nv
-        a[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ a[k + 1:, k:])
-        a[k:, k + 1:] -= 2.0 * np.outer(a[k:, k + 1:] @ v, v.conj())
-    d = np.real(np.diagonal(a)).copy()
-    e = np.abs(np.diagonal(a, 1)).copy()  # off-diagonal phases are immaterial
-    return d, e
+def _merge_clusters(raw: np.ndarray) -> None:
+    """In place, per row of ascending phases: each run of phases within
+    _MERGE of its first member becomes the run's mean."""
+    rows = np.flatnonzero((np.diff(raw, axis=1) < _MERGE).any(axis=1))
+    if rows.size == 0:
+        return
+    sub = raw[rows]
+    label = np.zeros(sub.shape, dtype=np.intp)
+    first = sub[:, 0]
+    for j in range(1, sub.shape[1]):
+        new = sub[:, j] - first >= _MERGE
+        first = np.where(new, sub[:, j], first)
+        label[:, j] = label[:, j - 1] + new
+    label += sub.shape[1] * np.arange(rows.size)[:, None]
+    _, run, size = np.unique(label.ravel(), return_inverse=True, return_counts=True)
+    mean = np.bincount(run, weights=sub.ravel()) / size
+    raw[rows] = mean[run].reshape(sub.shape)
 
 
-def _count_leq(d: np.ndarray, e: np.ndarray, s: float) -> int:
-    """# eigenvalues of tridiag(d, e) that are <= s (Sturm pivot count)."""
-    count = 0
-    q = d[0] - s
-    if q <= 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        denom = q if q != 0.0 else -1e-300
-        q = d[i] - s - e[i - 1] * e[i - 1] / denom
-        if q <= 0.0:
-            count += 1
-    return count
+def trace_certificate(stack: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per matrix, max over j = 1, 2, 3 of |tr(m^j) - sum_k e^{i j theta_k}|
+    divided by the tolerance 64*N*eps; a value <= 1 certifies the phases."""
+    u = np.asarray(stack)
+    z = np.exp(1j * np.asarray(phases))
+    u2 = u @ u
+    err = np.stack([
+        np.trace(u, axis1=1, axis2=2) - z.sum(axis=1),
+        np.einsum("bij,bji->b", u, u) - (z * z).sum(axis=1),
+        np.einsum("bij,bji->b", u2, u) - (z * z * z).sum(axis=1),
+    ])
+    return np.abs(err).max(axis=0) / (_CERT_C * u.shape[-1] * np.finfo(float).eps)
 
 
-def _pick_anchor(m: SquareMatrix) -> float:
-    best_a, best_v = 0.0, -1.0
-    for t in range(17):
-        a = TWO_PI * ((t * _GOLDEN) % 1.0)
-        v = abs(charpoly_eval(m, np.exp(1j * a)))
-        if v > best_v:
-            best_a, best_v = a, v
-    if best_v <= 0.0:
-        raise ConvergenceError("no anchor point off the unit-circle spectrum")
-    return best_a
+def eigenphases_batch(stack) -> np.ndarray:
+    """Phases of a (B, N, N) stack of unitary-class matrices, as a (B, N)
+    array; each row sorted, every entry in [0, 2*pi).
 
-
-def eigenphases(m: SquareMatrix, theta_tol: float = 1e-12) -> EigenPhaseList:
-    """Phases of the unit-circle eigenvalues of a unitary-class matrix.
-
-    Raises NotUnitaryError if the input fails its orthogonality/unitarity
-    precondition, ConvergenceError if the located roots do not satisfy the
-    characteristic-polynomial residual check.
+    Raises NotUnitaryError if any matrix fails its orthogonality/unitarity
+    precondition (max |m^dagger m - I| <= 1e-8*N), ConvergenceError if the
+    phases of any matrix fail the trace certificate.
     """
-    n = m.dim
-    if adjoint_residual(m) > 1e-8 * n:
-        raise NotUnitaryError("input is not unitary within 1e-8*N")
-    a = _pick_anchor(m)
-    w = np.exp(-1j * a) * m.entries
+    u = np.asarray(stack, dtype=complex)
+    if u.ndim != 3 or u.shape[1] != u.shape[2]:
+        raise ValueError(f"expected a (B, N, N) stack, got shape {u.shape}")
+    n = u.shape[-1]
     eye = np.eye(n)
-    herm = 1j * np.linalg.solve(eye - w, eye + w)
-    herm = 0.5 * (herm + herm.conj().T)
-    d, e = _tridiagonalize_hermitian(herm)
+    gram = u.conj().swapaxes(1, 2) @ u
+    gram -= eye
+    if not np.all(np.abs(gram).max(axis=(1, 2)) <= 1e-8 * n):
+        raise NotUnitaryError("input is not unitary within 1e-8*N")
+    del gram
 
-    raw = []
-    for k in range(1, n + 1):
-        lo, hi = 0.0, TWO_PI
-        while hi - lo > theta_tol:
-            mid = 0.5 * (lo + hi)
-            s = -1.0 / np.tan(0.5 * mid)
-            if _count_leq(d, e, s) >= k:
-                hi = mid
-            else:
-                lo = mid
-        raw.append(a + 0.5 * (lo + hi))
+    logdet = np.array([np.linalg.slogdet(z * eye - u)[1] for z in _ANCHOR_POINTS])
+    best = logdet.argmax(axis=0)
+    if not np.all(np.isfinite(logdet[best, np.arange(len(u))])):
+        raise ConvergenceError("no anchor point off the unit-circle spectrum")
+    a = _ANCHORS[best]
 
-    # cluster within 1e-9 so exactly-degenerate roots share one representative
-    raw.sort()
-    phases, i = [], 0
-    while i < len(raw):
-        j = i
-        while j + 1 < len(raw) and raw[j + 1] - raw[i] < 1e-9:
-            j += 1
-        rep = sum(raw[i:j + 1]) / (j - i + 1)
-        phases.extend([rep] * (j - i + 1))
-        i = j + 1
-    phases = [p % TWO_PI for p in phases]
-    phases = [0.0 if p > TWO_PI - 1e-9 else p for p in phases]
-    phases.sort()
+    w = np.exp(-1j * a)[:, None, None] * u
+    herm = np.linalg.solve(eye - w, eye + w)
+    del w
+    herm *= 1j
+    herm += herm.conj().swapaxes(1, 2)
+    herm *= 0.5
+    raw = a[:, None] + np.pi + 2.0 * np.arctan(np.linalg.eigvalsh(herm))
+    del herm
 
-    residual_bound = 1e-8 * (2.0 ** n)
-    for p in phases:
-        if abs(charpoly_eval(m, np.exp(1j * p))) > residual_bound:
-            raise ConvergenceError("eigenphase residual above tolerance")
-    return EigenPhaseList(dim=n, phases=tuple(phases))
+    _merge_clusters(raw)
+    phases = np.remainder(raw, TWO_PI, out=raw)
+    phases[phases > TWO_PI - _MERGE] = 0.0
+    phases.sort(axis=1)
+    if not np.all(trace_certificate(u, phases) <= 1.0):
+        raise ConvergenceError("eigenphases fail the trace certificate")
+    return phases
+
+
+def eigenphases(m: SquareMatrix) -> EigenPhaseList:
+    """Phases of the unit-circle eigenvalues of one unitary-class matrix;
+    see eigenphases_batch for the method and the errors raised."""
+    return EigenPhaseList(dim=m.dim,
+                          phases=tuple(eigenphases_batch(m.entries[None])[0].tolist()))

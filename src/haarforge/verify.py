@@ -34,7 +34,7 @@ from haarforge.linalg import (
     SquareMatrix,
     adjoint_residual,
     charpoly_eval,
-    eigenphases,
+    eigenphases_batch,
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
@@ -425,11 +425,8 @@ def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     z = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
     dual = np.einsum("ij,bkj,kl->bil", -z, cse, z)  # Z^{-1} S^T Z
     self_dual = float(np.abs(dual - cse).max())
-    pair_ok = True
-    for m in cse[:10]:
-        ph = np.array(eigenphases(SquareMatrix.from_array(m, kind="complex")).phases)
-        gaps = ph[1::2] - ph[0::2]
-        pair_ok = pair_ok and bool(np.all(np.abs(gaps) <= 1e-8))
+    ph = eigenphases_batch(cse[:10])
+    pair_ok = bool(np.all(np.abs(ph[:, 1::2] - ph[:, 0::2]) <= 1e-8))
     checks.append(_check("cse n=2: self-duality <= 1e-12, phases doubly degenerate",
                          self_dual <= 1e-12 and pair_ok,
                          f"self-duality {self_dual:.2e}, pairing {'ok' if pair_ok else 'BROKEN'}"))

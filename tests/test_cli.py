@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from haarforge import fileio
-from haarforge.cli import main
+from haarforge import fileio, linalg
+from haarforge.cli import EXIT_INTERNAL, main
 from haarforge.randstream import RandomStream
 from haarforge.samplers import qr_batch, sample_batch, so_euler_batch
 
@@ -168,6 +168,28 @@ class TestSpectraCommand:
         code, out, _ = run_cli("spectra", "--n", "3", "--method", "full",
                                "--count", "5", "--seed", "6")
         assert code == 0 and json.loads(out)["method"] == "euler"
+
+    @pytest.mark.parametrize("error", [linalg.NotUnitaryError, linalg.ConvergenceError])
+    def test_numerical_failure_exits_internal(self, monkeypatch, capsys, error):
+        def fail(stack):
+            raise error("injected")
+
+        monkeypatch.setattr(linalg, "eigenphases_batch", fail)
+        assert main(["spectra", "--n", "4", "--count", "2"]) == EXIT_INTERNAL == 4
+        assert "internal error: injected" in capsys.readouterr().err
+
+    def test_one_batch_per_lane(self, monkeypatch, capsys):
+        calls = []
+        batch = linalg.eigenphases_batch
+
+        def spy(stack):
+            calls.append(len(stack))
+            return batch(stack)
+
+        monkeypatch.setattr(linalg, "eigenphases_batch", spy)
+        assert main(["spectra", "--n", "5", "--count", "7", "--streams", "3"]) == 0
+        assert calls == [3, 2, 2]
+        assert len(json.loads(capsys.readouterr().out)["phases"]) == 35
 
 
 class TestVerifyPlumbing:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from haarforge import linalg, samplers, spectra
 from haarforge.euler import rotation_R
 from haarforge.linalg import (
     ConvergenceError,
@@ -11,9 +14,11 @@ from haarforge.linalg import (
     charpoly_eval,
     determinant,
     eigenphases,
+    eigenphases_batch,
     multiply,
     symplectic_form,
     symplectic_residual,
+    trace_certificate,
 )
 from haarforge.randstream import RandomStream
 from haarforge.samplers import GroupId, haar_qr
@@ -159,6 +164,105 @@ class TestEigenphases:
         ph = np.array(eigenphases(m).phases)
         neg = np.sort((-ph) % TWO_PI)
         assert np.abs(np.sort(ph) - neg).max() <= 1e-8
+
+
+def _cse_stack(stream, n, count):
+    """Self-dual Z^{-1} U^T Z U from Haar U(2n), by plain matmuls."""
+    u = samplers.qr_batch(stream, 2 * n, count, "complex")
+    z = symplectic_form(2 * n).entries.real
+    return (-z @ np.swapaxes(u, 1, 2) @ z) @ u
+
+
+STACKS = {
+    "so-euler": (samplers.so_euler_batch, "real"),
+    "u-qr": (lambda s, n, b: samplers.qr_batch(s, n, b, "complex"), "complex"),
+    "sp-euler": (samplers.sp_euler_batch, "complex"),
+    "hessenberg": (spectra.hessenberg_batch, "real"),
+    "cmv": (spectra.cmv_batch, "real"),
+    "cse": (_cse_stack, "complex"),
+}
+
+
+def circular_distance(phases, reference):
+    """Per row, the largest circular distance after pairing the two sorted
+    phase lists up to a rotation (phases near 0 may sort to either end)."""
+    p = np.sort(np.mod(phases, TWO_PI), axis=1)
+    r = np.sort(np.mod(reference, TWO_PI), axis=1)
+    return np.min([np.abs(np.angle(np.exp(1j * (p - np.roll(r, k, axis=1))))).max(axis=1)
+                   for k in (-1, 0, 1)], axis=0)
+
+
+class TestEigenphasesBatch:
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 50])
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_matches_eigvals(self, name, n, batch):
+        stack = STACKS[name][0](RandomStream(20, n), n, batch)
+        got = eigenphases_batch(stack)
+        assert got.shape == (batch, stack.shape[-1])
+        assert np.all((got >= 0.0) & (got < TWO_PI))
+        assert np.all(np.diff(got, axis=1) >= 0.0)
+        ref = np.angle(np.linalg.eigvals(stack))
+        assert circular_distance(got, ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_equals_single_matrix_wrapper(self, name, n):
+        fn, kind = STACKS[name]
+        stack = fn(RandomStream(21, n), n, 7)
+        one = np.array([eigenphases(SquareMatrix.from_array(m, kind=kind)).phases
+                        for m in stack])
+        assert eigenphases_batch(stack).tobytes() == one.tobytes()
+
+    def test_degenerate_pairs_exactly_equal(self):
+        ph = eigenphases_batch(_cse_stack(RandomStream(22), 4, 16))
+        assert np.array_equal(ph[:, 0::2], ph[:, 1::2])
+
+    def test_one_non_unitary_matrix_in_stack(self):
+        stack = samplers.qr_batch(RandomStream(23), 4, 7, "complex")
+        stack[5, 1, 2] += 1e-6
+        with pytest.raises(NotUnitaryError):
+            eigenphases_batch(stack)
+        stack[5, 1, 2] = np.nan
+        with pytest.raises(NotUnitaryError):
+            eigenphases_batch(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            eigenphases_batch(np.eye(3))
+
+    def test_certificate_rejects_shifted_phase(self):
+        stack = samplers.qr_batch(RandomStream(24), 16, 7, "complex")
+        ph = eigenphases_batch(stack)
+        assert np.all(trace_certificate(stack, ph) <= 1.0)
+        ph[3, 5] += 1e-10
+        cert = trace_certificate(stack, ph)
+        assert cert[3] > 1.0 and np.all(np.delete(cert, 3) <= 1.0)
+
+    def test_certificate_failure_raises(self, monkeypatch):
+        stack = samplers.qr_batch(RandomStream(25), 8, 3, "complex")
+        eigvalsh = np.linalg.eigvalsh
+
+        def off(h):
+            lam = eigvalsh(h)
+            lam[1, 4] += 1e-6
+            return lam
+
+        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", off)
+        with pytest.raises(ConvergenceError):
+            eigenphases_batch(stack)
+
+    def test_peak_memory_bounded(self):
+        stack = samplers.qr_batch(RandomStream(26), 16, 512, "complex")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            eigenphases_batch(stack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * stack.nbytes
 
 
 class TestSymplecticResidual:
