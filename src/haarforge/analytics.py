@@ -256,37 +256,24 @@ def reynolds_average(f, group, stream: RandomStream, samples: int, x=None,
     n = group.n if hasattr(group, "n") else None
     if n is None:
         raise ValueError("group must carry its dimension (use GroupId)")
-    if tag == "sn" and exact:
+    if tag not in _samplers.DEFAULT_METHOD:
+        raise ValueError(f"unknown group tag {tag!r}")
+    sampler = _samplers.SAMPLERS[(tag, _samplers.DEFAULT_METHOD[tag])]
+    perm = sampler.kind == "permutation"
+    if perm and exact:
         if n > 8:
             raise ValueError("exact enumeration supported for n <= 8")
-        total = 0.0
-        count = 0
-        for perm in itertools.permutations(range(n)):
-            m = np.zeros((n, n))
-            for src, dst in enumerate(perm):
-                m[dst, src] = 1.0
-            total += f(m, x)
-            count += 1
-        return total / count, 0.0
+        mats = _samplers.permutation_matrices(
+            np.array(list(itertools.permutations(range(n)))))
+        return sum(f(m, x) for m in mats) / len(mats), 0.0
     if samples < 2:
         raise ValueError("samples >= 2 required")
-    if tag == "sn":
-        _, lines = _samplers.permutation_batch(stream, n, samples, keep_bits=False)
-        mats = np.zeros((samples, n, n))
-        mats[np.arange(samples)[:, None], lines, np.arange(n)[None, :]] = 1.0
-    elif tag == "so":
-        mats = _samplers.so_euler_batch(stream, n, samples)
-    elif tag == "o":
-        mats = _samplers.o_euler_batch(stream, n, samples)
-    elif tag == "u":
-        mats = _samplers.u_euler_batch(stream, n, samples)
-    elif tag == "sp":
-        mats = _samplers.sp_euler_batch(stream, n, samples)
-    else:
-        raise ValueError(f"unknown group tag {tag!r}")
-    vals = np.array([f(mats[i], x) for i in range(samples)], dtype=float)
+    mats = sampler.draw(stream, n, samples)
+    if perm:
+        mats = _samplers.permutation_matrices(mats)
+    vals = np.array([f(m, x) for m in mats], dtype=float)
     mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    se = float(vals.std(ddof=1) / np.sqrt(samples))
     return mean, se
 
 

@@ -72,20 +72,20 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_sample(cfg: RunConfig) -> int:
     group = cfg.group
     method = cfg.method or samplers.DEFAULT_METHOD.get(group)
-    if method not in samplers.VALID_METHODS.get(group, ()):
+    sampler = samplers.SAMPLERS.get((group, method))
+    if sampler is None:
         raise UsageError(f"method {method!r} is not valid for group {group!r}")
     result = samplers.sample_batch(group, cfg.n, cfg.count, method=method,
                                    seed=cfg.seed, streams=cfg.streams)
-    if group == "sn":
+    if sampler.kind == "permutation":
         text = (fileio.permutations_to_json(cfg.n, method, cfg.seed, result)
                 if cfg.format == "json"
                 else fileio.permutations_to_csv(cfg.n, method, cfg.seed, result))
     else:
-        kind = "real" if group in ("so", "o") else "complex"
         text = (fileio.matrices_to_json(group, cfg.n, method, cfg.seed, result)
                 if cfg.format == "json"
                 else fileio.matrices_to_csv(group, cfg.n, method, cfg.seed,
-                                            result, kind))
+                                            result, sampler.kind))
     _write_out(text, cfg.out)
     return EXIT_OK
 
@@ -94,6 +94,8 @@ def cmd_moments(cfg: RunConfig) -> int:
     if cfg.group != "so":
         raise UsageError("moment formulas cover the special orthogonal group; "
                          "use --group so")
+    if cfg.count < 2:
+        raise UsageError("moments need --count >= 2 for a standard error")
     try:
         spec = analytics.MomentSpec(n=cfg.n, p=cfg.p, q=cfg.q)
     except ValueError as exc:
@@ -108,7 +110,7 @@ def cmd_moments(cfg: RunConfig) -> int:
         prev = np.abs(mats[:, cfg.n - 2, cfg.n - 2])
         vals = last ** (2.0 * spec.p) * prev ** (2.0 * spec.q)
     est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(cfg.count)) if cfg.count > 1 else 0.0
+    se = float(vals.std(ddof=1) / math.sqrt(cfg.count))
     z = 0.0 if se == 0.0 and est == exact else abs(est - exact) / max(se, 1e-300)
     report = {
         "group": cfg.group, "n": cfg.n, "p": cfg.p, "q": cfg.q,
@@ -210,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw group elements to JSON/CSV")
     p.add_argument("--group", required=True, choices=samplers.GROUP_TAGS)
     p.add_argument("--method", default=None,
-                   choices=["euler", "qr", "householder", "bubble"])
+                   choices=list(dict.fromkeys(m for _, m in samplers.SAMPLERS)),
+                   help="construction; valid (group, method) pairs: "
+                        + ", ".join(f"{t} {m}" for t, m in samplers.SAMPLERS)
+                        + " (the first listed for a group is its default)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     _add_common(p)
     p.set_defaults(fn=cmd_sample)

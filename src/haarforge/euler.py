@@ -380,7 +380,7 @@ def extract_angles_so(v: SquareMatrix) -> EulerAnglesSO:
     n = v.dim
     if v.kind != "real":
         raise NotUnitaryError("extraction requires a real orthogonal matrix")
-    if adjoint_residual(v) > 1e-10 * n:
+    if adjoint_residual(v.entries) > 1e-10 * n:
         raise NotUnitaryError("input is not orthogonal within 1e-10*N")
     det = determinant(v).real
     if abs(det - 1.0) > 1e-8:
@@ -424,7 +424,7 @@ def extract_angles_u(v: SquareMatrix) -> EulerAnglesU:
     alpha_1 = Arg(det V)/n.
     """
     n = v.dim
-    if adjoint_residual(v) > 1e-10 * n:
+    if adjoint_residual(v.entries) > 1e-10 * n:
         raise NotUnitaryError("input is not unitary within 1e-10*N")
     if n == 1:
         return EulerAnglesU(n=1, phi={}, psi={},

@@ -94,11 +94,11 @@ def multiply(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     return SquareMatrix(dim=a.dim, entries=prod, kind=kind)
 
 
-def adjoint_residual(m: SquareMatrix) -> float:
-    """max |m^dagger m - I| (transpose instead of dagger for real kind)."""
-    a = m.entries
-    at = a.T if m.kind == "real" else a.conj().T
-    return float(np.abs(at @ a - np.eye(m.dim)).max())
+def adjoint_residual(a: np.ndarray):
+    """max |a^dagger a - I| of each matrix of a (..., d, d) array."""
+    a = np.asarray(a)
+    gram = np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1])
+    return np.abs(gram).max(axis=(-2, -1))
 
 
 def determinant(m: SquareMatrix) -> complex:
@@ -134,12 +134,14 @@ def symplectic_form(two_n: int) -> SquareMatrix:
     return SquareMatrix(dim=two_n, entries=z.astype(complex), kind="real")
 
 
-def symplectic_residual(m: SquareMatrix) -> float:
-    """max |m^T Z m - Z|; ~0 together with adjoint_residual ~0 certifies Sp."""
-    if m.dim % 2:
+def symplectic_residual(a: np.ndarray):
+    """max |a^T Z a - Z| of each matrix of a (..., 2n, 2n) array; ~0
+    together with adjoint_residual ~0 certifies Sp."""
+    a = np.asarray(a)
+    if a.shape[-1] % 2:
         raise ValueError("odd dimension has no symplectic structure")
-    z = symplectic_form(m.dim).entries
-    return float(np.abs(m.entries.T @ z @ m.entries - z).max())
+    z = symplectic_form(a.shape[-1]).entries
+    return np.abs(np.swapaxes(a, -1, -2) @ z @ a - z).max(axis=(-2, -1))
 
 
 # --- eigenphases of a unitary-class matrix -------------------------------
@@ -216,11 +218,8 @@ def eigenphases_batch(stack) -> np.ndarray:
         raise ValueError(f"expected a (B, N, N) stack, got shape {u.shape}")
     n = u.shape[-1]
     eye = np.eye(n)
-    gram = u.conj().swapaxes(1, 2) @ u
-    gram -= eye
-    if not np.all(np.abs(gram).max(axis=(1, 2)) <= 1e-8 * n):
+    if not np.all(adjoint_residual(u) <= 1e-8 * n):
         raise NotUnitaryError("input is not unitary within 1e-8*N")
-    del gram
 
     logdet = np.array([np.linalg.slogdet(z * eye - u)[1] for z in _ANCHOR_POINTS])
     best = logdet.argmax(axis=0)

@@ -5,92 +5,26 @@ Three independent constructions are provided for the continuous groups
 reflector chains), plus the weighted bubble-sort factorization for
 permutations and the symmetric / self-dual-quaternion circular ensembles.
 
-Every sampler has a single-draw form taking a RandomStream and a batched
-form; ``sample_batch`` splits a batch across sibling streams (one stream
-per lane) so results are reproducible independent of execution order.
-Within a lane the draw order is fixed and documented in the angle
-generators below.
+Every sampler is batched: it takes a RandomStream, n and a count and
+returns an ndarray stack.  ``SAMPLERS`` maps each (group tag, method) pair
+to its sampler; ``sample_batch`` looks the pair up and splits a batch across
+sibling streams (one stream per lane) so results are reproducible
+independent of execution order.  Within a lane the draw order is fixed and
+documented in the angle generators below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import SquareMatrix, symplectic_form
+from haarforge.linalg import symplectic_form
 from haarforge.randstream import RandomStream
 
 TWO_PI = 2.0 * np.pi
-
-GROUP_TAGS = ("so", "o", "u", "sp", "sn")
-
-VALID_METHODS = {
-    "so": ("euler",),
-    "o": ("euler", "qr", "householder"),
-    "u": ("euler", "qr", "householder"),
-    "sp": ("euler",),
-    "sn": ("bubble",),
-}
-
-DEFAULT_METHOD = {"so": "euler", "o": "euler", "u": "euler",
-                  "sp": "euler", "sn": "bubble"}
-
-
-@dataclass(frozen=True)
-class GroupId:
-    """A group tag plus its dimension parameter (matrix size 2n for sp)."""
-
-    tag: str
-    n: int
-
-    def __post_init__(self):
-        if self.tag not in GROUP_TAGS:
-            raise ValueError(f"unknown group tag {self.tag!r}")
-        if self.n < 1:
-            raise ValueError("n >= 1 required")
-
-    @property
-    def matrix_dim(self) -> int:
-        return 2 * self.n if self.tag == "sp" else self.n
-
-    @property
-    def kind(self) -> str:
-        return "real" if self.tag in ("so", "o", "sn") else "complex"
-
-
-@dataclass(frozen=True)
-class PermutationWord:
-    """Bubble-sort decision bits and the permutation they compose to.
-
-    ``bits[(i, j)]`` for 1 <= i <= j <= n-1 is the swap decision of factor
-    T_i inside coset j; ``one_line`` is sigma(1), ..., sigma(n), 1-based.
-    """
-
-    n: int
-    bits: dict
-    one_line: tuple
-
-    def __post_init__(self):
-        want = {(i, j) for j in range(1, self.n) for i in range(1, j + 1)}
-        if set(self.bits) != want:
-            raise ValueError("bit keys must be {(i,j): 1<=i<=j<=n-1}")
-        if sorted(self.one_line) != list(range(1, self.n + 1)):
-            raise ValueError("one_line is not a permutation of 1..n")
-        if self.one_line != _compose_word(self.n, self.bits):
-            raise ValueError("one_line does not match the bits")
-        object.__setattr__(self, "bits", dict(self.bits))
-        object.__setattr__(self, "one_line", tuple(int(x) for x in self.one_line))
-
-    def to_matrix(self) -> SquareMatrix:
-        m = np.zeros((self.n, self.n))
-        for x, y in enumerate(self.one_line):
-            m[y - 1, x] = 1.0
-        return SquareMatrix(dim=self.n, entries=m.astype(complex), kind="real")
-
-    def fixed_points(self) -> int:
-        return sum(1 for x, y in enumerate(self.one_line, start=1) if x == y)
 
 
 def _compose_word(n: int, bits: dict) -> tuple:
@@ -306,6 +240,15 @@ def permutation_batch(stream: RandomStream, n: int, count: int,
     return bits, sigma
 
 
+def permutation_matrices(lines: np.ndarray) -> np.ndarray:
+    """(B, n, n) 0/1 matrices of (B, n) 0-based one-lines: column x holds
+    its 1 in row sigma(x)."""
+    count, n = lines.shape
+    mats = np.zeros((count, n, n))
+    mats[np.arange(count)[:, None], lines, np.arange(n)[None, :]] = 1.0
+    return mats
+
+
 def coe_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """S = U^T U with U Haar on U(n): symmetric unitary (COE)."""
     u = qr_batch(stream, n, count, "complex")
@@ -316,66 +259,63 @@ def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """S~ = U^D U with U Haar on U(2n), U^D = Z^{-1} U^T Z: self-dual (CSE)."""
     u = qr_batch(stream, 2 * n, count, "complex")
     z = symplectic_form(2 * n).entries.real
-    ud = np.einsum("ij,bkj,kl->bil", -z, u, z)   # Z^{-1} = -Z
+    ud = -z @ np.swapaxes(u, 1, 2) @ z   # Z^{-1} = -Z
     return np.einsum("bij,bjk->bik", ud, u)
 
 
-# --- single draws -----------------------------------------------------------
+# --- the (group, method) table and the batch front end ---------------------
 
 
-def haar_so_euler(stream: RandomStream, n: int) -> SquareMatrix:
-    """One Haar SO(n) matrix from the Euler-angle construction."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    return SquareMatrix.from_array(so_euler_batch(stream, n, 1)[0], kind="real")
+class Sampler(NamedTuple):
+    """``draw(stream, n, count)`` returns a (count, d, d) stack of ``kind``
+    "real" or "complex" with d = ``matrix_dim(n)``, or for kind
+    "permutation" a (count, n) array of 0-based one-line permutations."""
+
+    draw: Callable
+    kind: str
+    matrix_dim: Callable
 
 
-def haar_u_euler(stream: RandomStream, n: int) -> SquareMatrix:
-    """One Haar U(n) matrix from the Euler-angle construction."""
-    return SquareMatrix.from_array(u_euler_batch(stream, n, 1)[0], kind="complex")
+def _dim_n(n: int) -> int:
+    return n
 
 
-def haar_sp_euler(stream: RandomStream, n: int) -> SquareMatrix:
-    """One Haar Sp(2n) matrix (size 2n) from the quaternion Euler construction."""
-    return SquareMatrix.from_array(sp_euler_batch(stream, n, 1)[0], kind="complex")
+# The first method listed for a tag is its default.  Each entry calls its
+# batch function by module-global name when it runs, so a rebound name (a
+# profiler's wrapper, a test's fake) is the one called.
+SAMPLERS = {
+    ("so", "euler"): Sampler(lambda s, n, c: so_euler_batch(s, n, c), "real", _dim_n),
+    ("o", "euler"): Sampler(lambda s, n, c: o_euler_batch(s, n, c), "real", _dim_n),
+    ("o", "qr"): Sampler(lambda s, n, c: qr_batch(s, n, c, "real"), "real", _dim_n),
+    ("o", "householder"): Sampler(
+        lambda s, n, c: householder_batch(s, n, c, "real"), "real", _dim_n),
+    ("u", "euler"): Sampler(lambda s, n, c: u_euler_batch(s, n, c), "complex", _dim_n),
+    ("u", "qr"): Sampler(lambda s, n, c: qr_batch(s, n, c, "complex"), "complex", _dim_n),
+    ("u", "householder"): Sampler(
+        lambda s, n, c: householder_batch(s, n, c, "complex"), "complex", _dim_n),
+    ("sp", "euler"): Sampler(
+        lambda s, n, c: sp_euler_batch(s, n, c), "complex", lambda n: 2 * n),
+    ("sn", "bubble"): Sampler(
+        lambda s, n, c: permutation_batch(s, n, c, keep_bits=False)[1],
+        "permutation", _dim_n),
+}
+
+GROUP_TAGS = tuple(dict.fromkeys(tag for tag, _ in SAMPLERS))
+DEFAULT_METHOD = {tag: next(m for t, m in SAMPLERS if t == tag) for tag in GROUP_TAGS}
 
 
-def haar_qr(stream: RandomStream, group: GroupId) -> SquareMatrix:
-    """One Haar O(n) / U(n) matrix from the Gaussian QR construction."""
-    if group.tag not in ("o", "u"):
-        raise ValueError("QR sampler covers O(n) and U(n) only")
-    kind = "real" if group.tag == "o" else "complex"
-    return SquareMatrix.from_array(qr_batch(stream, group.n, 1, kind)[0], kind=kind)
+@dataclass(frozen=True)
+class GroupId:
+    """A group tag plus its dimension parameter (matrix size 2n for sp)."""
 
+    tag: str
+    n: int
 
-def haar_householder(stream: RandomStream, group: GroupId) -> SquareMatrix:
-    """One Haar O(n) / U(n) matrix from the reflector-chain construction."""
-    if group.tag not in ("o", "u"):
-        raise ValueError("Householder sampler covers O(n) and U(n) only")
-    kind = "real" if group.tag == "o" else "complex"
-    return SquareMatrix.from_array(
-        householder_batch(stream, group.n, 1, kind)[0], kind=kind)
-
-
-def sample_permutation(stream: RandomStream, n: int) -> PermutationWord:
-    """One uniform permutation from the weighted bubble-sort factorization."""
-    bits, arr = permutation_batch(stream, n, 1)
-    word_bits = {key: int(val[0]) for key, val in bits.items()}
-    return PermutationWord(n=n, bits=word_bits,
-                           one_line=tuple(int(x) + 1 for x in arr[0]))
-
-
-def coe_sample(stream: RandomStream, n: int) -> SquareMatrix:
-    """One symmetric unitary S = U^T U (circular orthogonal ensemble)."""
-    return SquareMatrix.from_array(coe_batch(stream, n, 1)[0], kind="complex")
-
-
-def cse_sample(stream: RandomStream, n: int) -> SquareMatrix:
-    """One self-dual quaternion unitary of size 2n (circular symplectic ensemble)."""
-    return SquareMatrix.from_array(cse_batch(stream, n, 1)[0], kind="complex")
-
-
-# --- batch front end --------------------------------------------------------
+    def __post_init__(self):
+        if self.tag not in GROUP_TAGS:
+            raise ValueError(f"unknown group tag {self.tag!r}")
+        if self.n < 1:
+            raise ValueError("n >= 1 required")
 
 
 def _lane_counts(count: int, streams: int):
@@ -393,36 +333,17 @@ def sample_batch(group, n: int, count: int, method: str | None = None,
     (seed, streams) regardless of how lanes are scheduled.
     """
     tag = group.tag if isinstance(group, GroupId) else str(group)
-    gid = GroupId(tag=tag, n=n)
+    GroupId(tag=tag, n=n)
     method = method or DEFAULT_METHOD[tag]
-    if method not in VALID_METHODS[tag]:
-        raise ValueError(f"method {method!r} not valid for group {tag!r}")
+    sampler = SAMPLERS.get((tag, method))
+    if sampler is None:
+        raise ValueError(f"method {method!r} is not valid for group {tag!r}")
     if count < 1:
         raise ValueError("count >= 1 required")
-    if streams < 1 or streams > count:
-        streams = max(1, min(streams, count))
-
-    outs = []
-    for lane, lane_count in enumerate(_lane_counts(count, streams)):
-        if lane_count == 0:
-            continue
-        s = RandomStream(seed, stream_id=lane)
-        if tag == "sn":
-            _, arr = permutation_batch(s, n, lane_count, keep_bits=False)
-            outs.append(arr)
-        elif tag == "so":
-            outs.append(so_euler_batch(s, n, lane_count))
-        elif tag == "o":
-            outs.append(o_euler_batch(s, n, lane_count) if method == "euler"
-                        else qr_batch(s, n, lane_count, "real") if method == "qr"
-                        else householder_batch(s, n, lane_count, "real"))
-        elif tag == "u":
-            outs.append(u_euler_batch(s, n, lane_count) if method == "euler"
-                        else qr_batch(s, n, lane_count, "complex") if method == "qr"
-                        else householder_batch(s, n, lane_count, "complex"))
-        elif tag == "sp":
-            outs.append(sp_euler_batch(s, n, lane_count))
-    arr = np.concatenate(outs, axis=0)
-    if tag == "sn":
+    streams = max(1, min(streams, count))
+    arr = np.concatenate([sampler.draw(RandomStream(seed, stream_id=lane), n, c)
+                          for lane, c in enumerate(_lane_counts(count, streams))],
+                         axis=0)
+    if sampler.kind == "permutation":
         return [tuple(row) for row in (arr + 1).tolist()]
     return arr

@@ -99,27 +99,15 @@ def cmv_order(n: int):
 
 
 def hessenberg_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
+    """Lower-Hessenberg orthogonal matrices with the Haar SO(n) spectrum."""
     return rotation_product_batch(
         _spectral_thetas(stream, n, count), hessenberg_order(n), n)
 
 
 def cmv_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
+    """Five-diagonal orthogonal matrices with the Haar SO(n) spectrum."""
     return rotation_product_batch(
         _spectral_thetas(stream, n, count), cmv_order(n), n)
-
-
-def hessenberg_E(stream: RandomStream, n: int) -> SquareMatrix:
-    """One lower-Hessenberg orthogonal matrix with the Haar SO(n) spectrum."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    return SquareMatrix.from_array(hessenberg_batch(stream, n, 1)[0], kind="real")
-
-
-def cmv_matrix(stream: RandomStream, n: int) -> SquareMatrix:
-    """One five-diagonal orthogonal matrix with the Haar SO(n) spectrum."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    return SquareMatrix.from_array(cmv_batch(stream, n, 1)[0], kind="real")
 
 
 # --- closed-form entries and the characteristic-polynomial recurrence ------

@@ -31,14 +31,13 @@ from haarforge.analytics import (
     moment_check,
 )
 from haarforge.linalg import (
-    SquareMatrix,
     adjoint_residual,
     charpoly_eval,
     eigenphases_batch,
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
-from haarforge.samplers import GroupId
+from haarforge.samplers import SAMPLERS, GroupId
 
 TWO_PI = 2.0 * np.pi
 
@@ -199,13 +198,13 @@ def criterion_4(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
 # --- criterion 5: cross-sampler equivalence on SO(6) --------------------------
 
 
-def _so_conditioned(kind_method, seed, sid, n, count):
-    """count det=+1 samples from the qr / householder O(n) samplers."""
+def _so_conditioned(method, seed, sid, n, count):
+    """count det=+1 samples from the O(n) sampler of ``method``."""
     s = RandomStream(seed, sid)
     out = []
     have = 0
     while have < count:
-        draw = kind_method(s, n, int(count * 1.2) + 64)
+        draw = SAMPLERS[("o", method)].draw(s, n, int(count * 1.2) + 64)
         sign, _ = np.linalg.slogdet(draw)
         keep = draw[sign > 0]
         out.append(keep)
@@ -216,18 +215,14 @@ def _so_conditioned(kind_method, seed, sid, n, count):
 def criterion_5(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     t0 = time.perf_counter()
     n, count = 6, 10_000
-    euler_m = samplers.so_euler_batch(RandomStream(seed, _SID["c5"]), n, count)
-    qr_m = _so_conditioned(
-        lambda s, nn, c: samplers.qr_batch(s, nn, c, "real"),
-        seed, _SID["c5"] + 1, n, count)
-    hh_m = _so_conditioned(
-        lambda s, nn, c: samplers.householder_batch(s, nn, c, "real"),
-        seed, _SID["c5"] + 2, n, count)
+    sets = [("euler", SAMPLERS[("so", "euler")].draw(
+        RandomStream(seed, _SID["c5"]), n, count))]
+    for sid, method in enumerate(("qr", "householder"), start=_SID["c5"] + 1):
+        sets.append((method, _so_conditioned(method, seed, sid, n, count)))
     stats = {
         "tr": lambda m: np.einsum("bii->b", m).real,
         "entry11": lambda m: m[:, 0, 0].real,
     }
-    sets = [("euler", euler_m), ("qr", qr_m), ("householder", hh_m)]
     checks = []
     for sname, fn in stats.items():
         for (la, ma), (lb, mb) in itertools.combinations(sets, 2):
@@ -377,34 +372,21 @@ def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
     count = 50
-    batteries = [
-        ("so euler N=3", samplers.so_euler_batch, 3, "real", 3),
-        ("so euler N=8", samplers.so_euler_batch, 8, "real", 8),
-        ("o qr N=6", lambda s, n, c: samplers.qr_batch(s, n, c, "real"), 6, "real", 6),
-        ("o householder N=6",
-         lambda s, n, c: samplers.householder_batch(s, n, c, "real"), 6, "real", 6),
-        ("u euler N=5", samplers.u_euler_batch, 5, "complex", 5),
-        ("u qr N=5", lambda s, n, c: samplers.qr_batch(s, n, c, "complex"),
-         5, "complex", 5),
-        ("u householder N=5",
-         lambda s, n, c: samplers.householder_batch(s, n, c, "complex"),
-         5, "complex", 5),
-    ]
+    batteries = [("so", "euler", 3), ("so", "euler", 8), ("o", "qr", 6),
+                 ("o", "householder", 6), ("u", "euler", 5), ("u", "qr", 5),
+                 ("u", "householder", 5)]
     sid = _SID["c10"]
-    for label, fn, n, kind, scale in batteries:
+    for tag, method, n in batteries:
         sid += 1
-        mats = fn(RandomStream(seed, sid), n, count)
-        worst = max(adjoint_residual(SquareMatrix.from_array(m, kind=kind))
-                    for m in mats)
-        checks.append(_check(f"{label}: unitarity <= 1e-13*N", worst <= 1e-13 * scale,
-                             f"max residual {worst:.2e}"))
+        mats = SAMPLERS[(tag, method)].draw(RandomStream(seed, sid), n, count)
+        worst = float(adjoint_residual(mats).max())
+        checks.append(_check(f"{tag} {method} N={n}: unitarity <= 1e-13*N",
+                             worst <= 1e-13 * n, f"max residual {worst:.2e}"))
     for n in (1, 2, 3):
         sid += 1
         mats = samplers.sp_euler_batch(RandomStream(seed, sid), n, count)
-        wu = max(adjoint_residual(SquareMatrix.from_array(m, kind="complex"))
-                 for m in mats)
-        ws = max(symplectic_residual(SquareMatrix.from_array(m, kind="complex"))
-                 for m in mats)
+        wu = float(adjoint_residual(mats).max())
+        ws = float(symplectic_residual(mats).max())
         ok = wu <= 1e-13 * 2 * n and ws <= 1e-12 * n
         checks.append(_check(f"sp euler n={n}: unitary + symplectic residuals",
                              ok, f"unitary {wu:.2e}, symplectic {ws:.2e}"))
@@ -415,8 +397,7 @@ def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     sid += 1
     coe = samplers.coe_batch(RandomStream(seed, sid), 4, count)
     sym = float(np.abs(coe - np.swapaxes(coe, 1, 2)).max())
-    wu = max(adjoint_residual(SquareMatrix.from_array(m, kind="complex"))
-             for m in coe)
+    wu = float(adjoint_residual(coe).max())
     checks.append(_check("coe N=4: symmetry <= 1e-13, unitary <= 1e-13*N",
                          sym <= 1e-13 and wu <= 1e-13 * 4,
                          f"symmetry {sym:.2e}, unitary {wu:.2e}"))
@@ -460,28 +441,18 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
                             level=level, label=label)
         checks.append(_from_report(rep))
 
-    plans = [
-        ("so euler", lambda s: samplers.so_euler_batch(s, 5, count), "so"),
-        ("o qr", lambda s: samplers.qr_batch(s, 5, count, "real"), "o"),
-        ("o householder",
-         lambda s: samplers.householder_batch(s, 5, count, "real"), "o"),
-        ("u euler", lambda s: samplers.u_euler_batch(s, 5, count), "u"),
-        ("u qr", lambda s: samplers.qr_batch(s, 5, count, "complex"), "u"),
-        ("u householder",
-         lambda s: samplers.householder_batch(s, 5, count, "complex"), "u"),
-        ("sp euler", lambda s: samplers.sp_euler_batch(s, 5, count), "sp"),
-    ]
-    for label, gen, fkey in plans:
+    plans = [("so", "euler"), ("o", "qr"), ("o", "householder"), ("u", "euler"),
+             ("u", "qr"), ("u", "householder"), ("sp", "euler")]
+    for tag, method in plans:
         sid += 1
-        mats = gen(RandomStream(seed, sid))
-        moved = np.einsum("ij,bjk->bik", fixed[fkey], mats)
-        compare(f"left-invariance: {label}", mats, moved)
+        mats = SAMPLERS[(tag, method)].draw(RandomStream(seed, sid), 5, count)
+        moved = np.einsum("ij,bjk->bik", fixed[tag], mats)
+        compare(f"left-invariance: {tag} {method}", mats, moved)
 
     sid += 1
     _, lines = samplers.permutation_batch(RandomStream(seed, sid), 5, count,
                                            keep_bits=False)
-    mats = np.zeros((count, 5, 5))
-    mats[np.arange(count)[:, None], lines, np.arange(5)[None, :]] = 1.0
+    mats = samplers.permutation_matrices(lines)
     moved = np.einsum("ij,bjk->bik", fixed["sn"], mats)
     # binary entries: compare the (1,1) hit frequencies directly at 5 sigma
     pa, pb = mats[:, 0, 0].mean(), moved[:, 0, 0].mean()

@@ -10,7 +10,7 @@ import pytest
 from haarforge import fileio, linalg
 from haarforge.cli import EXIT_INTERNAL, main
 from haarforge.randstream import RandomStream
-from haarforge.samplers import qr_batch, sample_batch, so_euler_batch
+from haarforge.samplers import SAMPLERS, qr_batch, sample_batch, so_euler_batch
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -96,6 +96,19 @@ class TestSampleCommand:
                                "--method", "qr")
         assert code == 2 and "not valid" in err
 
+    def test_accepts_exactly_the_table_pairs(self, capsys):
+        tags = dict.fromkeys(tag for tag, _ in SAMPLERS)
+        methods = dict.fromkeys(method for _, method in SAMPLERS)
+        for tag in tags:
+            for method in methods:
+                code = main(["sample", "--group", tag, "--method", method,
+                             "--n", "2", "--count", "2", "--seed", "5"])
+                out, err = capsys.readouterr()
+                if (tag, method) in SAMPLERS:
+                    assert code == 0 and json.loads(out)["seed"] == 5
+                else:
+                    assert code == 2 and "not valid" in err
+
     def test_io_failure_exits_3(self):
         code, _, _ = run_cli("sample", "--group", "so", "--n", "3",
                              "--out", "/nonexistent-dir/x.json")
@@ -134,6 +147,12 @@ class TestMomentsCommand:
     def test_wrong_group_exits_2(self):
         code, _, _ = run_cli("moments", "--group", "u", "--n", "3", "--p", "1")
         assert code == 2
+
+    def test_single_sample_exits_2(self, capsys):
+        code = main(["moments", "--group", "so", "--n", "3", "--p", "1",
+                     "--count", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "--count >= 2" in err
 
 
 class TestVolumesCommand:

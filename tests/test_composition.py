@@ -2,8 +2,10 @@
 pinned digests of sample_batch output.
 
 The kernel reorders memory (batch-last, active rows only) but not
-arithmetic, so every comparison here is on raw bytes.  The digests were
-taken from the all-rows (B, d, d) loop before the kernel replaced it.
+arithmetic, so every comparison here is on raw bytes.  The sample_batch and
+spectral digests were taken from the all-rows (B, d, d) loop before the
+kernel replaced it; the COE/CSE digests from the three-operand einsum
+that CSE's Z^{-1} U^T Z product used before it became two matmuls.
 """
 
 import hashlib
@@ -157,6 +159,21 @@ SAMPLE_DIGESTS = {
     ("sn", "bubble", (9, 12, 3, 3)): "2dc04bd09550e15d861b250fb0a483bb13bf4aea4a5588cf8a38e76f0163bc9a",
 }
 
+CIRCULAR_DIGESTS = {  # (fn, n, count, seed), stream_id 0
+    ("coe_batch", 1, 3, 5): "3ffef5f7f9d1c616b9cb2da2383b710108f6b8a715a2e8d4ee09ca4cf3f0e01d",
+    ("coe_batch", 2, 7, 11): "bdc118bf15581943a3a181921ab6fc45b8de35e3690415826a14a3018f04cf10",
+    ("coe_batch", 4, 2, 8): "7215b5e01a8ab081dea5dc222b113fe5cdeb1458b521cfa33b7c9ec7931a54cc",
+    ("coe_batch", 5, 9, 21): "08b3ff210fe025f9c5ec811bdb1aaec5b2b8aabd6d18c7d93a060d373c9c2170",
+    ("coe_batch", 8, 128, 3): "549f04c61eacf14ff2337c0c3e1227ebbe5056c6871fa283bc7e644e0ea4265f",
+    ("coe_batch", 16, 6, 2): "fcb8efd0515879a8f7928c83f33d30f695f7eadc138165d18acec648e981ff42",
+    ("cse_batch", 1, 3, 5): "420f1e836f4e8f39ebf9c9a90786bfd4aec3a27280c322a2442d7d0a55b771f0",
+    ("cse_batch", 2, 7, 11): "f7dee7a0acbbd79b4bb5dbad9ac0d99f5b5fe1248cec88b5b163191363b43f3d",
+    ("cse_batch", 4, 2, 8): "a6f4a667a1e4908ed4b7dd75052e0c606349b9c4f899d460a857c0dc085658ec",
+    ("cse_batch", 5, 9, 21): "dc55ea8ed7d70a55541c549f8703007fd6dfffbb6c07e52faa58b57ecd7dcf0a",
+    ("cse_batch", 8, 128, 3): "ab1f38b6ae7d757e4271b942fe6baa9f0cb15cc4a7c10a0849f425d73f58432d",
+    ("cse_batch", 16, 6, 2): "a27255766f83a03fb56af78206c2f399d2b8d456ae7c7f684c63d5bf51ad6fe9",
+}
+
 SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
     ("hessenberg_batch", 2, 3, 5): "9753699de23f7c980199a2fc9b60011924e67cc57c56f2c511d5ced58121f3cb",
     ("hessenberg_batch", 7, 10, 8): "e1e88e3c138d7da2232649e5798d2d043f7256d09c7664b1f7b23403e721ff8c",
@@ -186,3 +203,10 @@ def test_spectral_batch_digest_pinned(key):
     fn, n, count, seed = key
     out = getattr(spectra, fn)(RandomStream(seed, 0), n, count)
     assert _digest(out) == SPECTRA_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(CIRCULAR_DIGESTS))
+def test_circular_batch_digest_pinned(key):
+    fn, n, count, seed = key
+    out = getattr(samplers, fn)(RandomStream(seed, 0), n, count)
+    assert _digest(out) == CIRCULAR_DIGESTS[key]

@@ -21,11 +21,15 @@ from haarforge.linalg import (
     trace_certificate,
 )
 from haarforge.randstream import RandomStream
-from haarforge.samplers import GroupId, haar_qr
 
 from oracles import cofactor_det, triple_loop_multiply
 
 TWO_PI = 2.0 * np.pi
+
+
+def _qr(stream, n, kind):
+    """One Haar O(n) ("real") or U(n) ("complex") matrix from the QR sampler."""
+    return SquareMatrix.from_array(samplers.qr_batch(stream, n, 1, kind)[0], kind=kind)
 
 
 def rand_matrix(rng, n, cplx=False):
@@ -67,15 +71,23 @@ class TestMultiply:
 
 class TestAdjointResidual:
     def test_identity_is_zero(self):
-        assert adjoint_residual(SquareMatrix.identity(4)) == 0.0
+        assert adjoint_residual(SquareMatrix.identity(4).entries) == 0.0
 
     def test_rotation_is_orthogonal(self):
         for theta in (0.3, 1.7, 5.9):
-            assert adjoint_residual(rotation_R(1, theta, 2)) <= 1e-15
+            assert adjoint_residual(rotation_R(1, theta, 2).entries) <= 1e-15
 
     def test_diag_2_1(self):
         m = SquareMatrix.from_array(np.diag([2.0, 1.0]))
-        assert adjoint_residual(m) == pytest.approx(3.0)
+        assert adjoint_residual(m.entries) == pytest.approx(3.0)
+
+    def test_stack_gives_one_residual_per_matrix(self):
+        stack = np.stack([np.eye(3), np.diag([2.0, 1.0, 1.0]),
+                          rotation_R(2, 0.4, 3).entries.real])
+        got = adjoint_residual(stack)
+        assert got.shape == (3,)
+        assert got.tolist() == [adjoint_residual(m) for m in stack]
+        assert adjoint_residual(stack.reshape(1, 3, 3, 3)).shape == (1, 3)
 
 
 class TestDeterminant:
@@ -115,7 +127,7 @@ class TestCharpolyEval:
         assert charpoly_eval(z, lam) == pytest.approx(lam * lam)
 
     def test_matches_cofactor_oracle(self):
-        q = haar_qr(RandomStream(11), GroupId("o", 4))
+        q = _qr(RandomStream(11), 4, "real")
         lam = 2.0
         want = cofactor_det(lam * np.eye(4) - q.entries)
         assert abs(charpoly_eval(q, lam) - want) <= 1e-10
@@ -142,8 +154,8 @@ class TestEigenphases:
 
     def test_similarity_invariance(self):
         s = RandomStream(12)
-        m = haar_qr(s, GroupId("u", 5))
-        q = haar_qr(s, GroupId("u", 5))
+        m = _qr(s, 5, "complex")
+        q = _qr(s, 5, "complex")
         conj = SquareMatrix.from_array(
             q.entries @ m.entries @ q.entries.conj().T, kind="complex")
         a = np.array(eigenphases(m).phases)
@@ -153,14 +165,14 @@ class TestEigenphases:
     def test_charpoly_product_identity(self):
         s = RandomStream(13)
         for n in (2, 4, 8):
-            m = haar_qr(s, GroupId("u", n))
+            m = _qr(s, n, "complex")
             ph = np.array(eigenphases(m).phases)
             for lam in (0.3 + 0.1j, -1.2 + 0.8j, 2.0):
                 prod = np.prod(lam - np.exp(1j * ph))
                 assert abs(charpoly_eval(m, lam) - prod) <= 1e-8 * (1 + abs(lam)) ** n
 
     def test_real_kind_phases_closed_under_negation(self):
-        m = haar_qr(RandomStream(14), GroupId("o", 6))
+        m = _qr(RandomStream(14), 6, "real")
         ph = np.array(eigenphases(m).phases)
         neg = np.sort((-ph) % TWO_PI)
         assert np.abs(np.sort(ph) - neg).max() <= 1e-8
@@ -268,18 +280,26 @@ class TestEigenphasesBatch:
 class TestSymplecticResidual:
     def test_z_itself(self):
         z = symplectic_form(2)
-        assert symplectic_residual(z) <= 1e-15
+        assert symplectic_residual(z.entries) <= 1e-15
 
     def test_identity(self):
-        assert symplectic_residual(SquareMatrix.identity(6)) <= 1e-15
+        assert symplectic_residual(SquareMatrix.identity(6).entries) <= 1e-15
 
     def test_generic_unitary_is_not_symplectic(self):
-        u = haar_qr(RandomStream(15), GroupId("u", 4))
+        u = samplers.qr_batch(RandomStream(15), 4, 1, "complex")[0]
         assert symplectic_residual(u) > 1e-3
+
+    def test_stack_gives_one_residual_per_matrix(self):
+        z = symplectic_form(4).entries
+        stack = np.stack([z, np.eye(4), 2.0 * np.eye(4)])
+        got = symplectic_residual(stack)
+        assert got.shape == (3,)
+        assert got.tolist() == [symplectic_residual(m) for m in stack]
+        assert got[0] <= 1e-15 and got[2] == 3.0
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            symplectic_residual(SquareMatrix.identity(3))
+            symplectic_residual(SquareMatrix.identity(3).entries)
 
 
 class TestInvariants:

@@ -10,24 +10,12 @@ from haarforge.linalg import (
     SquareMatrix,
     adjoint_residual,
     determinant,
-    eigenphases,
+    eigenphases_batch,
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
 from haarforge import samplers
-from haarforge.samplers import (
-    GroupId,
-    PermutationWord,
-    coe_sample,
-    cse_sample,
-    haar_householder,
-    haar_qr,
-    haar_so_euler,
-    haar_sp_euler,
-    haar_u_euler,
-    sample_batch,
-    sample_permutation,
-)
+from haarforge.samplers import SAMPLERS, GroupId, sample_batch
 
 from oracles import bin_probabilities
 
@@ -58,11 +46,9 @@ class TestSOEuler:
         assert rep.passed
 
     def test_single_draw_contract(self):
-        m = haar_so_euler(RandomStream(212), 4)
-        assert m.kind == "real" and adjoint_residual(m) <= 1e-13 * 4
-        assert determinant(m).real == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            haar_so_euler(RandomStream(212), 1)
+        m = samplers.so_euler_batch(RandomStream(212), 4, 1)[0]
+        assert m.dtype == np.float64 and adjoint_residual(m) <= 1e-13 * 4
+        assert determinant(SquareMatrix.from_array(m)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUEuler:
@@ -93,18 +79,16 @@ class TestUEuler:
         assert ks_test(phases, lambda v: np.asarray(v) / TWO_PI).passed
 
     def test_single_draw_contract(self):
-        m = haar_u_euler(RandomStream(224), 3)
-        assert m.kind == "complex" and adjoint_residual(m) <= 1e-13 * 3
+        m = samplers.u_euler_batch(RandomStream(224), 3, 1)[0]
+        assert m.dtype == np.complex128 and adjoint_residual(m) <= 1e-13 * 3
 
 
 class TestSpEuler:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_residuals(self, n):
         mats = samplers.sp_euler_batch(RandomStream(230 + n), n, 1000)
-        for m in mats[:200]:
-            sm = SquareMatrix.from_array(m, kind="complex")
-            assert adjoint_residual(sm) <= 1e-12 * n
-            assert symplectic_residual(sm) <= 1e-12 * n
+        assert adjoint_residual(mats[:200]).max() <= 1e-12 * n
+        assert symplectic_residual(mats[:200]).max() <= 1e-12 * n
 
     def test_n1_entry_mean(self):
         mats = samplers.sp_euler_batch(RandomStream(235), 1, 100_000)
@@ -113,8 +97,7 @@ class TestSpEuler:
         assert abs(sq.mean() - 0.5) <= 5 * se
 
     def test_eigenphases_closed_under_negation(self):
-        m = haar_sp_euler(RandomStream(236), 3)
-        ph = np.array(eigenphases(m).phases)
+        ph = eigenphases_batch(samplers.sp_euler_batch(RandomStream(236), 3, 1))[0]
         neg = np.sort((-ph) % TWO_PI)
         assert np.abs(np.sort(ph) - neg).max() <= 1e-8
 
@@ -123,9 +106,7 @@ class TestQR:
     @pytest.mark.parametrize("kind,n", [("real", 5), ("complex", 4)])
     def test_residuals(self, kind, n):
         mats = samplers.qr_batch(RandomStream(240), n, 300, kind)
-        for m in mats:
-            sm = SquareMatrix.from_array(m, kind=kind)
-            assert adjoint_residual(sm) <= 1e-13 * n
+        assert adjoint_residual(mats).max() <= 1e-13 * n
 
     def test_real_det_signs_balanced(self):
         mats = samplers.qr_batch(RandomStream(241), 4, 100_000, "real")
@@ -146,7 +127,7 @@ class TestQR:
 
     def test_group_guard(self):
         with pytest.raises(ValueError):
-            haar_qr(RandomStream(244), GroupId("so", 3))
+            sample_batch(GroupId("so", 3), 3, 1, method="qr", seed=244)
 
 
 class TestHouseholder:
@@ -172,8 +153,7 @@ class TestHouseholder:
 
     def test_residuals(self):
         mats = samplers.householder_batch(RandomStream(253), 6, 200, "complex")
-        for m in mats:
-            assert adjoint_residual(SquareMatrix.from_array(m, "complex")) <= 1e-13 * 6
+        assert adjoint_residual(mats).max() <= 1e-13 * 6
 
     def test_cross_sampler_ks_entry_modulus(self):
         n, count = 6, 10_000
@@ -183,8 +163,8 @@ class TestHouseholder:
         assert rep.passed
 
     def test_single_draw(self):
-        m = haar_householder(RandomStream(256), GroupId("o", 4))
-        assert m.kind == "real" and adjoint_residual(m) <= 1e-13 * 4
+        m = samplers.householder_batch(RandomStream(256), 4, 1, "real")[0]
+        assert m.dtype == np.float64 and adjoint_residual(m) <= 1e-13 * 4
 
 
 def exact_word_distribution(n):
@@ -215,13 +195,13 @@ class TestPermutations:
         assert len(dist) == math.factorial(n)
         assert all(p == Fraction(1, math.factorial(n)) for p in dist.values())
 
-    def test_word_object(self):
-        w = sample_permutation(RandomStream(261), 5)
-        assert isinstance(w, PermutationWord)
-        assert sorted(w.one_line) == [1, 2, 3, 4, 5]
-        m = w.to_matrix()
-        assert adjoint_residual(m) == 0.0
-        assert w.fixed_points() == sum(1 for i, v in enumerate(w.one_line, 1) if i == v)
+    def test_bits_compose_to_one_line(self):
+        for n in (1, 2, 5, 8):
+            bits, lines = samplers.permutation_batch(RandomStream(261), n, 50)
+            assert lines.shape == (50, n)
+            assert (lines == samplers._compose_word_batch(n, bits)).all()
+            assert all(sorted(row) == list(range(n)) for row in lines.tolist())
+            assert adjoint_residual(samplers.permutation_matrices(lines)).max() == 0.0
 
     def test_fixed_points_near_poisson(self):
         _, lines = samplers.permutation_batch(RandomStream(262), 50, 40_000,
@@ -240,12 +220,11 @@ class TestCircularEnsembles:
         n = 4
         mats = samplers.coe_batch(RandomStream(270), n, 200)
         assert np.abs(mats - np.swapaxes(mats, 1, 2)).max() <= 1e-13
-        for m in mats[:50]:
-            assert adjoint_residual(SquareMatrix.from_array(m, "complex")) <= 1e-13 * n
+        assert adjoint_residual(mats[:50]).max() <= 1e-13 * n
 
     def test_coe_n1_is_phase(self):
-        m = coe_sample(RandomStream(271), 1)
-        assert abs(abs(m.entries[0, 0]) - 1.0) <= 1e-14
+        m = samplers.coe_batch(RandomStream(271), 1, 1)[0]
+        assert abs(abs(m[0, 0]) - 1.0) <= 1e-14
 
     def test_coe_gap_density_n2(self):
         # eigenphase gap of the 2x2 symmetric unitary ensemble has density
@@ -269,16 +248,15 @@ class TestCircularEnsembles:
         z = np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
         dual = np.einsum("ij,bkj,kl->bil", -z, mats, z)
         assert np.abs(dual - mats).max() <= 1e-12
-        for m in mats[:10]:
-            ph = np.array(eigenphases(SquareMatrix.from_array(m, "complex")).phases)
-            assert np.abs(ph[1::2] - ph[0::2]).max() <= 1e-8
+        ph = eigenphases_batch(mats[:10])
+        assert np.abs(ph[:, 1::2] - ph[:, 0::2]).max() <= 1e-8
 
     def test_cse_n1_is_det_times_identity(self):
         # replay the internal unitary: S~ = Z^{-1} U^T Z U = det(U) I for 2x2
-        s = cse_sample(RandomStream(274), 1)
+        s = samplers.cse_batch(RandomStream(274), 1, 1)[0]
         u = samplers.qr_batch(RandomStream(274), 2, 1, "complex")[0]
         want = np.linalg.det(u) * np.eye(2)
-        assert np.abs(s.entries - want).max() <= 1e-13
+        assert np.abs(s - want).max() <= 1e-13
 
 
 class TestBatchFrontEnd:
@@ -300,6 +278,35 @@ class TestBatchFrontEnd:
         words = sample_batch("sn", 5, 6, seed=9, streams=2)
         assert len(words) == 6
         assert all(sorted(w) == [1, 2, 3, 4, 5] for w in words)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("tag,method", list(SAMPLERS))
+    def test_table_entry_shape_and_dtype(self, tag, method, n):
+        entry = SAMPLERS[(tag, method)]
+        out = sample_batch(tag, n, 4, method=method, seed=3, streams=2)
+        d = entry.matrix_dim(n)
+        if entry.kind == "permutation":
+            assert len(out) == 4 and all(len(w) == d for w in out)
+        else:
+            assert out.shape == (4, d, d)
+            assert out.dtype == (np.float64 if entry.kind == "real" else np.complex128)
+
+    def test_table_defaults_are_first_listed(self):
+        assert samplers.DEFAULT_METHOD == {"so": "euler", "o": "euler", "u": "euler",
+                                           "sp": "euler", "sn": "bubble"}
+        assert samplers.GROUP_TAGS == ("so", "o", "u", "sp", "sn")
+
+    def test_table_calls_rebound_batch_function(self, monkeypatch):
+        calls = []
+
+        def fake(stream, n, count, kind):
+            calls.append((n, count, kind))
+            return np.zeros((count, n, n))
+
+        monkeypatch.setattr(samplers, "qr_batch", fake)
+        out = sample_batch("o", 3, 5, method="qr", seed=1, streams=2)
+        assert calls == [(3, 3, "real"), (3, 2, "real")]
+        assert out.shape == (5, 3, 3) and not out.any()
 
     def test_o_euler_det_balanced(self):
         mats = samplers.o_euler_batch(RandomStream(280), 3, 60_000)
