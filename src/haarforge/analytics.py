@@ -16,7 +16,7 @@ from math import exp, lgamma, log, pi
 import numpy as np
 from scipy.special import chdtri, kolmogi
 
-from haarforge.euler import EulerAnglesSO, EulerAnglesU, density_so, density_u
+from haarforge.euler import angle_pairs, density_so, density_u
 from haarforge.randstream import RandomStream
 
 DEFAULT_LEVEL = 0.001
@@ -184,7 +184,9 @@ def cue_normalization(n: int) -> float:
 
 
 def _tensor_gl(dims, fn, nodes: int) -> float:
-    """Tensor-product Gauss-Legendre integral of fn over boxes ``dims``."""
+    """Tensor-product Gauss-Legendre integral of fn over boxes ``dims``;
+    ``fn(*columns)`` gets one flat coordinate array per axis, once per grid,
+    and returns the integrand at every node (a scalar is broadcast)."""
     pts, wts = [], []
     for lo, hi in dims:
         x, w = np.polynomial.legendre.leggauss(nodes)
@@ -196,8 +198,7 @@ def _tensor_gl(dims, fn, nodes: int) -> float:
         shape = [1] * len(dims)
         shape[axis] = -1
         weight = weight * w.reshape(shape)
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    vals = np.fromiter((fn(row) for row in flat), dtype=float, count=flat.shape[0])
+    vals = np.broadcast_to(fn(*(g.ravel() for g in grids)), (weight.size,))
     return float((vals * weight.ravel()).sum())
 
 
@@ -209,28 +210,17 @@ def volume_quadrature(tag: str, n: int, nodes: int = 24):
     certificate for the tensor Gauss-Legendre rule.
     """
     if tag == "so" and 2 <= n <= 3:
-        pairs = [(j, k) for k in range(2, n + 1) for j in range(1, k)]
+        pairs = angle_pairs(n)
         dims = [(0.0, TWO_PI) if j == 1 else (0.0, pi) for (j, k) in pairs]
 
-        def fn(row):
-            ang = EulerAnglesSO(n=n, theta=dict(zip(pairs, row)))
-            return density_so(ang)
+        def fn(*theta):
+            return density_so(n, dict(zip(pairs, theta)))
     elif tag == "u" and 1 <= n <= 2:
-        if n == 1:
-            dims = [(0.0, TWO_PI)]
+        # U(2) axes: phi_{1,2}, psi_{1,2}, alpha_1, alpha_2; only phi enters
+        dims = [(0.0, TWO_PI)] if n == 1 else [(0.0, pi / 2.0)] + [(0.0, TWO_PI)] * 3
 
-            def fn(row):
-                return density_u(EulerAnglesU(n=1, phi={}, psi={},
-                                              alpha=(row[0] % TWO_PI,)))
-        else:
-            dims = [(0.0, pi / 2.0), (0.0, TWO_PI), (0.0, TWO_PI),
-                    (0.0, TWO_PI)]
-
-            def fn(row):
-                ang = EulerAnglesU(n=2, phi={(1, 2): row[0]},
-                                   psi={(1, 2): row[1] % TWO_PI},
-                                   alpha=(row[2] % TWO_PI, row[3] % TWO_PI))
-                return density_u(ang)
+        def fn(*angles):
+            return density_u(n, {(1, 2): angles[0]} if n == 2 else {})
     else:
         raise ValueError("quadrature cross-check supports so (n<=3), u (n<=2)")
     coarse = _tensor_gl(dims, fn, nodes)
@@ -245,10 +235,12 @@ def reynolds_average(f, group, stream: RandomStream, samples: int, x=None,
                      exact: bool = False):
     """Monte Carlo group average (1/S) sum_k f(M_k, x) with standard error.
 
-    ``f`` takes (matrix ndarray, x).  For the permutation group with
-    n <= 8, ``exact=True`` replaces sampling by full enumeration (standard
-    error 0).  Averaging any f produces an invariant of the group action;
-    constants are reproduced exactly.
+    ``f(stack, x)`` maps the (S, d, d) stack of sampled matrices to its S
+    values, e.g. ``lambda m, v: (m @ v)[:, 0]`` (a scalar is broadcast; any
+    other shape raises ValueError).  For the permutation group with n <= 8,
+    ``exact=True`` replaces sampling by the stack of all n! matrices
+    (standard error 0).  Averaging any f produces an invariant of the group
+    action; constants are reproduced exactly.
     """
     from haarforge import samplers as _samplers
 
@@ -260,21 +252,23 @@ def reynolds_average(f, group, stream: RandomStream, samples: int, x=None,
         raise ValueError(f"unknown group tag {tag!r}")
     sampler = _samplers.SAMPLERS[(tag, _samplers.DEFAULT_METHOD[tag])]
     perm = sampler.kind == "permutation"
-    if perm and exact:
+    exact = exact and perm
+    if exact:
         if n > 8:
             raise ValueError("exact enumeration supported for n <= 8")
-        mats = _samplers.permutation_matrices(
-            np.array(list(itertools.permutations(range(n)))))
-        return sum(f(m, x) for m in mats) / len(mats), 0.0
-    if samples < 2:
+        mats = np.array(list(itertools.permutations(range(n))))
+    elif samples < 2:
         raise ValueError("samples >= 2 required")
-    mats = sampler.draw(stream, n, samples)
+    else:
+        mats = sampler.draw(stream, n, samples)
     if perm:
         mats = _samplers.permutation_matrices(mats)
-    vals = np.array([f(m, x) for m in mats], dtype=float)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(samples))
-    return mean, se
+    vals = np.asarray(f(mats, x), dtype=float)
+    if vals.ndim and vals.shape != (len(mats),):
+        raise ValueError(f"f must return a scalar or shape ({len(mats)},), not {vals.shape}")
+    vals = np.broadcast_to(vals, (len(mats),))
+    se = 0.0 if exact else float(vals.std(ddof=1) / np.sqrt(samples))
+    return float(vals.mean()), se
 
 
 # --- statistical test primitives ---------------------------------------------

@@ -30,9 +30,10 @@ invariant (before coset E_{k-1}, E_1 ... E_{k-2} is a (k-1) x (k-1) block
 Each entry gets the arithmetic of the all-rows column rotation in the same
 order, so output is bit for bit the same (up to the sign of a zero entry).
 
-The invariant-measure densities in these coordinates are ``density_so``,
-``density_u`` and ``density_sp``; all parametrizing angles are independent
-under Haar measure.
+The invariant-measure densities in these coordinates, ``density_so``,
+``density_u`` and ``density_sp``, map angle dicts of floats or same-shape
+arrays to their broadcast product (a float64 when no array angle enters);
+all parametrizing angles are independent under Haar measure.
 """
 
 from __future__ import annotations
@@ -471,33 +472,30 @@ def extract_angles_u(v: SquareMatrix) -> EulerAnglesU:
 # --- invariant-measure densities -------------------------------------------
 
 
-def density_so(angles: EulerAnglesSO) -> float:
+def density_so(n: int, theta: dict):
     """2^{n(n-1)/4} prod sin(theta_{j,k})^{j-1}."""
-    n = angles.n
-    val = 2.0 ** (n * (n - 1) / 4.0)
-    for (j, k), t in angles.theta.items():
+    val = np.float64(2.0 ** (n * (n - 1) / 4.0))
+    for (j, k), t in theta.items():
         if j >= 2:
-            val *= np.sin(t) ** (j - 1)
-    return float(val)
+            val = val * np.sin(t) ** (j - 1)
+    return val
 
 
-def density_u(angles: EulerAnglesU) -> float:
+def density_u(n: int, phi: dict):
     """2^{n(n-1)/2} prod cos(phi_{j,k}) sin(phi_{j,k})^{2j-1}."""
-    n = angles.n
-    val = 2.0 ** (n * (n - 1) / 2.0)
-    for (j, k), p in angles.phi.items():
-        val *= np.cos(p) * np.sin(p) ** (2 * j - 1)
-    return float(val)
+    val = np.float64(2.0 ** (n * (n - 1) / 2.0))
+    for (j, k), p in phi.items():
+        val = val * (np.cos(p) * np.sin(p) ** (2 * j - 1))
+    return val
 
 
-def density_sp(angles: EulerAnglesSp) -> float:
+def density_sp(n: int, rho: dict, quat_phi: dict, lead_phi):
     """2^{n(n-1)} prod cos^3(rho) sin(rho)^{4j-1} (1/2) sin(2 phi_{j,k})
-    times prod_j (1/2) sin(2 phi_j) over the leading quaternions."""
-    n = angles.n
-    val = 2.0 ** (n * (n - 1))
-    for (j, k), r in angles.rho.items():
-        val *= np.cos(r) ** 3 * np.sin(r) ** (4 * j - 1)
-        val *= 0.5 * np.sin(2.0 * angles.quat[(j, k)][0])
-    for trip in angles.lead:
-        val *= 0.5 * np.sin(2.0 * trip[0])
-    return float(val)
+    times prod_j (1/2) sin(2 phi_j) over the leading quaternions' phi angles."""
+    val = np.float64(2.0 ** (n * (n - 1)))
+    for (j, k), r in rho.items():
+        val = val * (np.cos(r) ** 3 * np.sin(r) ** (4 * j - 1))
+        val = val * (0.5 * np.sin(2.0 * quat_phi[(j, k)]))
+    for p in lead_phi:
+        val = val * (0.5 * np.sin(2.0 * p))
+    return val

@@ -436,9 +436,10 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     checks = []
     sid = _SID["c11"]
 
-    def compare(label, mats, moved):
-        rep = ks_two_sample(mats[:, 0, 0].real, moved[:, 0, 0].real,
-                            level=level, label=label)
+    # only the (1,1) entry is tested, so only that entry of each moved
+    # matrix is formed: (A M B)_{11} = A[0] @ M @ B[:, 0]
+    def compare(label, mats, moved11):
+        rep = ks_two_sample(mats[:, 0, 0].real, moved11.real, level=level, label=label)
         checks.append(_from_report(rep))
 
     plans = [("so", "euler"), ("o", "qr"), ("o", "householder"), ("u", "euler"),
@@ -446,16 +447,14 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     for tag, method in plans:
         sid += 1
         mats = SAMPLERS[(tag, method)].draw(RandomStream(seed, sid), 5, count)
-        moved = np.einsum("ij,bjk->bik", fixed[tag], mats)
-        compare(f"left-invariance: {tag} {method}", mats, moved)
+        compare(f"left-invariance: {tag} {method}", mats, mats[:, :, 0] @ fixed[tag][0])
 
     sid += 1
     _, lines = samplers.permutation_batch(RandomStream(seed, sid), 5, count,
                                            keep_bits=False)
     mats = samplers.permutation_matrices(lines)
-    moved = np.einsum("ij,bjk->bik", fixed["sn"], mats)
     # binary entries: compare the (1,1) hit frequencies directly at 5 sigma
-    pa, pb = mats[:, 0, 0].mean(), moved[:, 0, 0].mean()
+    pa, pb = mats[:, 0, 0].mean(), (mats[:, :, 0] @ fixed["sn"][0]).mean()
     se = math.sqrt(2 * 0.2 * 0.8 / count)
     checks.append(_check("left-invariance: sn (entry frequency, 5 sigma)",
                          abs(pa - pb) <= 5 * se, f"|{pa:.4f} - {pb:.4f}|"))
@@ -465,15 +464,13 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     sid += 1
     coe = samplers.coe_batch(RandomStream(seed, sid), 5, count)
     w = fixed["u"]
-    moved = np.einsum("ji,bjk,kl->bil", w, coe, w)
-    compare("congruence-invariance: coe", coe, moved)
+    compare("congruence-invariance: coe", coe, (w[:, 0] @ coe) @ w[:, 0])
     sid += 1
     cse = samplers.cse_batch(RandomStream(seed, sid), 5, count)
     w = fixed["u10"]
     z10 = np.kron(np.eye(5), np.array([[0.0, -1.0], [1.0, 0.0]]))
     wd = -z10 @ w.T @ z10
-    moved = np.einsum("ij,bjk,kl->bil", wd, cse, w)
-    compare("congruence-invariance: cse", cse, moved)
+    compare("congruence-invariance: cse", cse, (wd[0] @ cse) @ w[:, 0])
     return _finish("11 Haar invariance under fixed elements", checks, t0)
 
 
@@ -487,7 +484,7 @@ def criterion_12(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     x = np.array([1.0, 0.0, 0.0])
 
     def f(m, v):
-        return float((m @ v)[0]) ** 4
+        return (m[:, 0, :] @ v) ** 4
 
     mean1, se1 = analytics.reynolds_average(
         f, GroupId("o", 3), RandomStream(seed, _SID["c12"]), samples, x)

@@ -26,7 +26,7 @@ from haarforge.analytics import (
     volume_quadrature,
 )
 from haarforge.randstream import RandomStream
-from haarforge.samplers import GroupId
+from haarforge.samplers import DEFAULT_METHOD, SAMPLERS, GroupId
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,6 +111,19 @@ class TestVolumes:
             assert got == pytest.approx(volume(tag, n), rel=1e-6)
             assert refine <= 1e-6 * volume(tag, n)
 
+    def test_quadrature_calls_density_once_per_grid(self, monkeypatch):
+        for tag, n, name in (("so", 3, "density_so"), ("u", 2, "density_u")):
+            calls = []
+            real = getattr(analytics, name)
+
+            def counting(*args, real=real):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(analytics, name, counting)
+            volume_quadrature(tag, n)
+            assert len(calls) == 2  # the coarse grid and the 3/2-refined one
+
     def test_quotient_relations(self):
         for n in range(1, 15):
             assert volume("o", n) == pytest.approx(2.0 * volume("so", n), rel=1e-12)
@@ -188,7 +201,7 @@ class TestReynolds:
 
     def test_exact_permutation_enumeration(self):
         x = np.array([0.3, 1.4, -2.0, 0.7])
-        mean, se = reynolds_average(lambda m, v: float((m @ v)[0]),
+        mean, se = reynolds_average(lambda m, v: (m @ v)[:, 0],
                                     GroupId("sn", 4), RandomStream(411), 2,
                                     x, exact=True)
         assert se == 0.0
@@ -196,7 +209,7 @@ class TestReynolds:
 
     def test_fourth_power_over_o3(self):
         x = np.array([0.0, 1.0, 0.0])
-        mean, se = reynolds_average(lambda m, v: float((m @ v)[0]) ** 4,
+        mean, se = reynolds_average(lambda m, v: (m @ v)[:, 0] ** 4,
                                     GroupId("o", 3), RandomStream(412),
                                     60_000, x)
         assert abs(mean - 0.2) <= 5 * se
@@ -205,6 +218,27 @@ class TestReynolds:
         with pytest.raises(ValueError):
             reynolds_average(lambda m, x: 0.0, GroupId("o", 3),
                              RandomStream(413), 1, None)
+
+    def test_stack_matches_per_matrix_loop(self):
+        cases = [(GroupId("o", 3), np.array([0.6, 0.0, 0.8]),
+                  lambda m, v: (m @ v)[:, 0] ** 4, lambda m, v: float((m @ v)[0]) ** 4),
+                 (GroupId("u", 2), np.array([1.0, 1.0j]) / math.sqrt(2.0),
+                  lambda m, v: np.abs((m @ v)[:, 1]) ** 2, lambda m, v: abs((m @ v)[1]) ** 2)]
+        for seed, (group, x, f_stack, f_one) in enumerate(cases, start=414):
+            samples = 2_000
+            mean, se = reynolds_average(f_stack, group, RandomStream(seed), samples, x)
+            mats = SAMPLERS[(group.tag, DEFAULT_METHOD[group.tag])].draw(
+                RandomStream(seed), group.n, samples)
+            vals = [f_one(m, x) for m in mats]
+            want = sum(vals) / samples
+            var = sum((v - want) ** 2 for v in vals) / (samples - 1)
+            assert mean == pytest.approx(want, rel=1e-13)
+            assert se == pytest.approx(math.sqrt(var / samples), rel=1e-13)
+
+    def test_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="scalar or shape"):
+            reynolds_average(lambda m, v: m[:, 0, :2], GroupId("o", 3),
+                             RandomStream(416), 50, None)
 
 
 class TestStatPrimitives:

@@ -322,18 +322,17 @@ class TestExtraction:
 class TestDensities:
     def test_so_n2_constant(self):
         for t in (0.1, 3.0, 6.0):
-            ang = EulerAnglesSO(n=2, theta={(1, 2): t})
-            assert density_so(ang) == pytest.approx(math.sqrt(2.0))
+            assert density_so(2, {(1, 2): t}) == pytest.approx(math.sqrt(2.0))
 
     def test_so_vanishes_at_degenerate_angles(self):
         rng = np.random.default_rng(11)
         ang = so_record(rng, 4)
         theta = dict(ang.theta)
         theta[(2, 4)] = 0.0
-        assert density_so(EulerAnglesSO(n=4, theta=theta)) == 0.0
+        assert density_so(4, theta) == 0.0
         theta[(2, 4)] = np.pi  # sin(pi) is ~1e-16 in floats
-        assert density_so(EulerAnglesSO(n=4, theta=theta)) <= 1e-15
-        assert density_so(ang) > 0.0
+        assert density_so(4, theta) <= 1e-15
+        assert density_so(ang.n, ang.theta) > 0.0
 
     def test_so_independent_of_first_row_angles(self):
         rng = np.random.default_rng(12)
@@ -341,26 +340,103 @@ class TestDensities:
         shifted = dict(ang.theta)
         for k in (2, 3, 4):
             shifted[(1, k)] = (shifted[(1, k)] + np.pi) % TWO_PI
-        assert density_so(EulerAnglesSO(n=4, theta=shifted)) == \
-            pytest.approx(density_so(ang))
+        assert density_so(4, shifted) == pytest.approx(density_so(ang.n, ang.theta))
 
     def test_u_densities(self):
-        one = EulerAnglesU(n=1, phi={}, psi={}, alpha=(0.3,))
-        assert density_u(one) == 1.0
+        assert density_u(1, {}) == 1.0
         rng = np.random.default_rng(13)
         ang = u_record(rng, 3)
         phi = dict(ang.phi)
         phi[(1, 3)] = np.pi / 2.0
-        zeroed = EulerAnglesU(n=3, phi=phi, psi=ang.psi, alpha=ang.alpha)
-        assert density_u(zeroed) == pytest.approx(0.0, abs=1e-15)
+        assert density_u(3, phi) == pytest.approx(0.0, abs=1e-15)
 
     def test_sp_densities(self):
-        ang1 = EulerAnglesSp(n=1, rho={}, quat={}, lead=((0.5, 1.0, 2.0),))
-        assert density_sp(ang1) == pytest.approx(0.5 * math.sin(1.0))
+        assert density_sp(1, {}, {}, (0.5,)) == pytest.approx(0.5 * math.sin(1.0))
         rng = np.random.default_rng(14)
         ang = sp_record(rng, 3)
+        quat_phi = {key: t[0] for key, t in ang.quat.items()}
+        lead_phi = [t[0] for t in ang.lead]
         rho = dict(ang.rho)
         rho[(1, 2)] = 0.0
-        zeroed = EulerAnglesSp(n=3, rho=rho, quat=ang.quat, lead=ang.lead)
-        assert density_sp(zeroed) == 0.0
-        assert density_sp(ang) >= 0.0
+        assert density_sp(3, rho, quat_phi, lead_phi) == 0.0
+        assert density_sp(3, ang.rho, quat_phi, lead_phi) >= 0.0
+
+
+def _oracle_so(n, theta):
+    val = 2.0 ** (n * (n - 1) / 4.0)
+    for (j, k), t in theta.items():
+        val *= math.sin(t) ** (j - 1)
+    return val
+
+
+def _oracle_u(n, phi):
+    val = 2.0 ** (n * (n - 1) / 2.0)
+    for (j, k), p in phi.items():
+        val *= math.cos(p) * math.sin(p) ** (2 * j - 1)
+    return val
+
+
+def _oracle_sp(n, rho, quat_phi, lead_phi):
+    # (1/2) sin(2 phi) written as sin(phi) cos(phi)
+    val = 2.0 ** (n * (n - 1))
+    for (j, k), r in rho.items():
+        p = quat_phi[(j, k)]
+        val *= math.cos(r) ** 3 * math.sin(r) ** (4 * j - 1) * math.sin(p) * math.cos(p)
+    for p in lead_phi:
+        val *= math.sin(p) * math.cos(p)
+    return val
+
+
+class TestArrayDensities:
+    """Array angles give, point by point, a scalar math-module product."""
+
+    POINTS = 100
+
+    @staticmethod
+    def _angles(rng, pairs, hi):
+        return {p: rng.uniform(0.0, hi(p), size=TestArrayDensities.POINTS) for p in pairs}
+
+    @staticmethod
+    def _at(angles, i):
+        return {key: float(v[i]) for key, v in angles.items()}
+
+    def _check(self, got, want_at):
+        assert got.shape == (self.POINTS,)
+        for i in range(self.POINTS):
+            assert got[i] == pytest.approx(want_at(i), rel=1e-14, abs=0.0)
+
+    def test_so(self):
+        rng = np.random.default_rng(15)
+        for n in range(2, 6):
+            theta = self._angles(rng, angle_pairs(n),
+                                 lambda p: TWO_PI if p[0] == 1 else np.pi)
+            got = np.broadcast_to(density_so(n, theta), (self.POINTS,))
+            self._check(got, lambda i: _oracle_so(n, self._at(theta, i)))
+            scalar = density_so(n, self._at(theta, 0))
+            assert isinstance(scalar, float)
+            assert scalar == got[0]
+
+    def test_u(self):
+        rng = np.random.default_rng(16)
+        for n in range(1, 5):
+            phi = self._angles(rng, angle_pairs(n), lambda p: np.pi / 2.0)
+            got = np.broadcast_to(density_u(n, phi), (self.POINTS,))
+            self._check(got, lambda i: _oracle_u(n, self._at(phi, i)))
+            scalar = density_u(n, self._at(phi, 0))
+            assert isinstance(scalar, float)
+            assert scalar == got[0]
+
+    def test_sp(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 4):
+            pairs = angle_pairs(n)
+            rho = self._angles(rng, pairs, lambda p: np.pi / 2.0)
+            quat_phi = self._angles(rng, pairs, lambda p: np.pi / 2.0)
+            lead_phi = rng.uniform(0.0, np.pi / 2.0, size=(n, self.POINTS))
+            got = density_sp(n, rho, quat_phi, list(lead_phi))
+            self._check(got, lambda i: _oracle_sp(n, self._at(rho, i), self._at(quat_phi, i),
+                                                  [float(p) for p in lead_phi[:, i]]))
+            scalar = density_sp(n, self._at(rho, 0), self._at(quat_phi, 0),
+                                [float(p) for p in lead_phi[:, 0]])
+            assert isinstance(scalar, float)
+            assert scalar == got[0]
