@@ -6,7 +6,8 @@ Subpackages
 -----------
 linalg      dense matrix helpers: residuals, determinants, eigenphases
 randstream  seeded counter-based randomness and the special angle laws
-euler       Euler-angle factorizations of SO(N), U(N), Sp(2N) and densities
+euler       Euler-angle composition (SO(N), U(N), Sp(2N)) and extraction
+            (SO(N), U(N)) on (B, n, n) stacks, and the invariant densities
 samplers    Haar samplers (Euler / QR / Householder), permutations, COE/CSE,
             and the (group, method) table SAMPLERS
 spectra     eigenvalue-only models: Hessenberg, CMV, trace series
@@ -14,9 +15,8 @@ analytics   closed-form moments, volumes, normalizations, statistical tests
 cli         the ``haar-forge`` command line front end
 """
 
-from haarforge.linalg import SquareMatrix, EigenPhaseList
 from haarforge.randstream import RandomStream
 
 __version__ = "0.1.0"
 
-__all__ = ["SquareMatrix", "EigenPhaseList", "RandomStream", "__version__"]
+__all__ = ["RandomStream", "__version__"]

@@ -4,8 +4,9 @@ Subcommands: sample (matrices to JSON/CSV), moments (closed form vs Monte
 Carlo), volumes (closed forms plus quadrature cross-checks), spectra
 (eigenphase dumps), verify (the full acceptance battery).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
-4 internal error (a numerical precondition or certificate failed).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a
+UsageError, raised for every invalid input), 3 I/O error, 4 internal error
+(a numerical precondition or certificate failed, or any other ValueError).
 Every command is deterministic given (--seed, --streams).
 """
 
@@ -263,12 +264,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (linalg.NotUnitaryError, linalg.ConvergenceError) as exc:
+    except (ValueError, linalg.ConvergenceError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

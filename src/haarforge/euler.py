@@ -20,7 +20,7 @@ placements):
   unitaries, and round-trips on matrices such as diag(e^{i b}, 1, ..., 1)
   are impossible.
 * Sp(2N): the same shape with 2x2 blocks promoted to unit quaternions;
-  see ``quaternion_block``.
+  see ``_quat_factor_batch``.
 
 Batched composition runs on one kernel, ``_plane_product``: it keeps the
 product batch-last, ``w[col, row, b]``, so a block on columns (c, c+1)
@@ -29,6 +29,9 @@ invariant (before coset E_{k-1}, E_1 ... E_{k-2} is a (k-1) x (k-1) block
 (+) identity) coset E_{k-1} touches only the leading k rows (2k for Sp).
 Each entry gets the arithmetic of the all-rows column rotation in the same
 order, so output is bit for bit the same (up to the sign of a zero entry).
+Extraction, ``extract_angles_so`` and ``extract_angles_u``, inverts
+composition on (B, n, n) stacks in the same batch-last layout and returns
+the angle layout the compose kernels consume; one matrix is a batch of one.
 
 The invariant-measure densities in these coordinates, ``density_so``,
 ``density_u`` and ``density_sp``, map angle dicts of floats or same-shape
@@ -38,19 +41,11 @@ all parametrizing angles are independent under Haar measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from haarforge.linalg import (
-    SquareMatrix,
-    NotUnitaryError,
-    adjoint_residual,
-    determinant,
-)
+from haarforge.linalg import NotUnitaryError, adjoint_residual
 
 TWO_PI = 2.0 * np.pi
-HALF_PI = 0.5 * np.pi
 
 
 class ReflectionError(ValueError):
@@ -60,88 +55,6 @@ class ReflectionError(ValueError):
 def angle_pairs(n: int):
     """Index pairs (j, k), 1 <= j < k <= n, in coset-major order."""
     return [(j, k) for k in range(2, n + 1) for j in range(1, k)]
-
-
-# --- angle records --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EulerAnglesSO:
-    """theta_{j,k} for 1 <= j < k <= n."""
-
-    n: int
-    theta: dict
-
-    def __post_init__(self):
-        want = set(angle_pairs(self.n))
-        if set(self.theta) != want:
-            raise ValueError("angle keys must be exactly {(j,k): 1<=j<k<=n}")
-        for (j, k), t in self.theta.items():
-            hi = TWO_PI if j == 1 else np.pi
-            if not (0.0 <= t <= hi) or (j == 1 and t >= TWO_PI):
-                raise ValueError(f"theta[{j},{k}]={t} out of range")
-        object.__setattr__(self, "theta", dict(self.theta))
-
-
-@dataclass(frozen=True)
-class EulerAnglesU:
-    """phi_{j,k} in [0, pi/2], psi_{j,k} in [0, 2*pi), phases alpha_1..alpha_n."""
-
-    n: int
-    phi: dict
-    psi: dict
-    alpha: tuple
-
-    def __post_init__(self):
-        want = set(angle_pairs(self.n))
-        if set(self.phi) != want or set(self.psi) != want:
-            raise ValueError("phi/psi keys must be exactly {(j,k): 1<=j<k<=n}")
-        if len(self.alpha) != self.n:
-            raise ValueError("need n alpha phases")
-        if any(not 0.0 <= p <= HALF_PI for p in self.phi.values()):
-            raise ValueError("phi out of [0, pi/2]")
-        if any(not 0.0 <= p < TWO_PI for p in self.psi.values()):
-            raise ValueError("psi out of [0, 2*pi)")
-        if any(not 0.0 <= a < TWO_PI for a in self.alpha):
-            raise ValueError("alpha out of [0, 2*pi)")
-        object.__setattr__(self, "phi", dict(self.phi))
-        object.__setattr__(self, "psi", dict(self.psi))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-
-    def parameter_count(self) -> int:
-        return len(self.phi) + len(self.psi) + len(self.alpha)
-
-
-@dataclass(frozen=True)
-class EulerAnglesSp:
-    """rho_{j,k} plus unit-quaternion triples; matrix size is 2n.
-
-    ``quat[(j,k)]`` and ``lead[j-1]`` are (phi, psi, alpha) triples defining
-    unit quaternions through the SU(2) block; ``lead`` holds q_1..q_n, with
-    q_{j+1} consumed by coset E_j and q_1 the global leading factor.
-    """
-
-    n: int
-    rho: dict
-    quat: dict
-    lead: tuple
-
-    def __post_init__(self):
-        want = set(angle_pairs(self.n))
-        if set(self.rho) != want or set(self.quat) != want:
-            raise ValueError("rho/quat keys must be exactly {(j,k): 1<=j<k<=n}")
-        if len(self.lead) != self.n:
-            raise ValueError("need n leading quaternion triples")
-        if any(not 0.0 <= r <= HALF_PI for r in self.rho.values()):
-            raise ValueError("rho out of [0, pi/2]")
-        for trip in list(self.quat.values()) + list(self.lead):
-            phi, psi, alpha = trip
-            if not (0.0 <= phi <= HALF_PI and 0.0 <= psi < TWO_PI
-                    and 0.0 <= alpha < TWO_PI):
-                raise ValueError("quaternion triple out of range")
-        object.__setattr__(self, "rho", dict(self.rho))
-        object.__setattr__(self, "quat", {k: tuple(v) for k, v in self.quat.items()})
-        object.__setattr__(self, "lead", tuple(tuple(t) for t in self.lead))
 
 
 # --- elementary blocks ----------------------------------------------------
@@ -159,48 +72,6 @@ def su2_block(phi, psi, alpha) -> np.ndarray:
     blk[..., 1, 0] = -s * np.exp(-1j * psi)
     blk[..., 1, 1] = c * np.exp(-1j * alpha)
     return blk
-
-
-def rotation_R(j: int, theta: float, n: int) -> SquareMatrix:
-    """Planar rotation in coordinates (j, j+1); identity elsewhere."""
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"plane index {j} out of range for dimension {n}")
-    m = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    m[j - 1, j - 1] = c
-    m[j - 1, j] = s
-    m[j, j - 1] = -s
-    m[j, j] = c
-    return SquareMatrix(dim=n, entries=m.astype(complex), kind="real")
-
-
-def unitary_U(j: int, phi: float, psi: float, alpha: float, n: int) -> SquareMatrix:
-    """Elementary SU(2) factor in coordinates (j, j+1)."""
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"plane index {j} out of range for dimension {n}")
-    m = np.eye(n, dtype=complex)
-    m[j - 1:j + 1, j - 1:j + 1] = su2_block(phi, psi, alpha)
-    return SquareMatrix(dim=n, entries=m, kind="complex")
-
-
-def quaternion_block(rho: float, q_triple, big_q_triple) -> SquareMatrix:
-    """4x4 unitary symplectic block from an angle and two unit quaternions.
-
-    With c = cos(rho), s = sin(rho) and q, Q the SU(2) embeddings of the
-    triples, the block is
-
-        [[c q,    s q Q q^dagger],
-         [-s Q^dagger,  c q^dagger]].
-
-    The off-diagonal conjugation is what keeps the block unitary for
-    noncommuting q and Q; it reduces to [[c q, s Q], [-s Q^dag, c q^dag]]
-    whenever q is the identity, and the distribution of q Q q^dagger equals
-    that of Q for Haar-distributed Q.
-    """
-    if not 0.0 <= rho <= HALF_PI:
-        raise ValueError("rho out of [0, pi/2]")
-    blk = _quat_factor_batch(rho, su2_block(*q_triple), su2_block(*big_q_triple))
-    return SquareMatrix(dim=4, entries=blk, kind="complex")
 
 
 # --- batched composition ----------------------------------------------------
@@ -282,7 +153,19 @@ def compose_u_batch(phi: dict, psi: dict, alpha: np.ndarray, n: int) -> np.ndarr
 
 
 def _quat_factor_batch(rho, q_blk, big_blk) -> np.ndarray:
-    """(..., 4, 4) blocks of ``quaternion_block`` from (..., 2, 2) SU(2) stacks."""
+    """(..., 4, 4) unitary symplectic blocks from an angle and two (..., 2, 2)
+    SU(2) stacks q and Q.
+
+    With c = cos(rho) and s = sin(rho) the block is
+
+        [[c q,    s q Q q^dagger],
+         [-s Q^dagger,  c q^dagger]].
+
+    The off-diagonal conjugation is what keeps the block unitary for
+    noncommuting q and Q; it reduces to [[c q, s Q], [-s Q^dag, c q^dag]]
+    whenever q is the identity, and the distribution of q Q q^dagger equals
+    that of Q for Haar-distributed Q.
+    """
     rho = np.asarray(rho, dtype=float)
     c, s = np.cos(rho), np.sin(rho)
     qdag = np.conj(np.swapaxes(q_blk, -1, -2))
@@ -319,154 +202,126 @@ def compose_sp_batch(rho: dict, quat_blk: dict, lead_blk: np.ndarray, n: int) ->
     return _plane_product(2 * n, lead_blk.shape[0], complex, blocks)
 
 
-# --- record-level composition ---------------------------------------------
-
-
-def _one(values: dict) -> dict:
-    """Record values as (1,) arrays, a batch of one."""
-    return {key: np.array([val]) for key, val in values.items()}
-
-
-def coset_E_so(angles: EulerAnglesSO, j: int) -> SquareMatrix:
-    """E_j = R_j(theta_{j,j+1}) ... R_1(theta_{1,j+1})."""
-    if not 1 <= j <= angles.n - 1:
-        raise ValueError(f"coset index {j} out of range")
-    theta = _one(angles.theta)
-    v = _plane_product(angles.n, 1, float, lambda sl: _so_coset(theta, j + 1, j + 1, sl))[0]
-    return SquareMatrix(dim=angles.n, entries=v.astype(complex), kind="real")
-
-
-def compose_so(angles: EulerAnglesSO) -> SquareMatrix:
-    """V = E_1 E_2 ... E_{n-1} in SO(n)."""
-    v = compose_so_batch(_one(angles.theta), angles.n)[0]
-    return SquareMatrix(dim=angles.n, entries=v.astype(complex), kind="real")
-
-
-def coset_E_u(angles: EulerAnglesU, j: int) -> SquareMatrix:
-    """E_j, carrying (phi, psi)_{l,j+1} and the coset phase alpha_{j+1}."""
-    if not 1 <= j <= angles.n - 1:
-        raise ValueError(f"coset index {j} out of range")
-    phi, psi, alpha_k = _one(angles.phi), _one(angles.psi), np.array([angles.alpha[j]])
-    v = _plane_product(angles.n, 1, complex,
-                       lambda sl: _u_coset(phi, psi, alpha_k, j + 1, j + 1, sl))[0]
-    return SquareMatrix(dim=angles.n, entries=v, kind="complex")
-
-
-def compose_u(angles: EulerAnglesU) -> SquareMatrix:
-    """V = e^{i alpha_1} E_1 ... E_{n-1} in U(n)."""
-    v = compose_u_batch(_one(angles.phi), _one(angles.psi), np.array([angles.alpha]), angles.n)[0]
-    return SquareMatrix(dim=angles.n, entries=v, kind="complex")
-
-
-def compose_sp(angles: EulerAnglesSp) -> SquareMatrix:
-    """V in Sp(2n) as a 2n x 2n complex matrix."""
-    quat_blk = {key: su2_block(*val)[None] for key, val in angles.quat.items()}
-    lead_blk = np.stack([su2_block(*t) for t in angles.lead])[None]
-    v = compose_sp_batch(_one(angles.rho), quat_blk, lead_blk, angles.n)[0]
-    return SquareMatrix(dim=2 * angles.n, entries=v, kind="complex")
-
-
 # --- extraction ------------------------------------------------------------
 
 
-def extract_angles_so(v: SquareMatrix) -> EulerAnglesSO:
-    """Euler angles of an SO(n) matrix by the column-sweep reduction.
+def _wrap(t):
+    """t mod 2*pi in [0, 2*pi); a remainder that rounds up to 2*pi is 0."""
+    t = np.remainder(t, TWO_PI)
+    return np.where(t < TWO_PI, t, 0.0)
 
-    Rows are cleared bottom-up; within row j+1 the entries 1..j are zeroed
-    in order by right-multiplying with R_l(theta)^T, choosing each theta so
-    that the propagated pivot carries the sign that lands the final diagonal
-    entry on +1.  Zero pivots take the canonical representative (remaining
-    angles 0).
+
+def _turn(w, l, m00, m01, m10, m11):
+    """w <- w [[m00, m10], [m01, m11]] on columns (l-1, l) of a batch-last
+    w[col, ..., b]; the (B,) factors broadcast over the middle axes."""
+    a, b = w[l - 1].copy(), w[l]
+    w[l - 1] = a * m00 + b * m01
+    w[l] = a * m10 + b * m11
+
+
+def _unitary_stack(v, what: str) -> np.ndarray:
+    """v as a (B, n, n) array; NotUnitaryError unless every matrix passes
+    max |v^dagger v - I| <= 1e-10*n."""
+    v = np.asarray(v)
+    if v.ndim != 3 or v.shape[1] != v.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack, got shape {v.shape}")
+    if not np.all(adjoint_residual(v) <= 1e-10 * v.shape[-1]):
+        raise NotUnitaryError(f"input is not {what} within 1e-10*N")
+    return v
+
+
+def extract_angles_so(v) -> dict:
+    """Euler angles of a real (B, n, n) stack of SO(n) matrices, as the
+    dict of (B,) arrays theta[(j,k)] that compose_so_batch consumes.
+
+    The column-sweep reduction: rows are cleared bottom-up; within row j+1
+    the entries 1..j are zeroed in order by right-multiplying with
+    R_l(theta)^T, choosing each theta so that the propagated pivot carries
+    the sign that lands the final diagonal entry on +1.  Zero pivots take
+    the canonical representative (remaining angles 0).  Raises
+    NotUnitaryError or ReflectionError if any matrix is not in SO(n).
     """
-    n = v.dim
-    if v.kind != "real":
-        raise NotUnitaryError("extraction requires a real orthogonal matrix")
-    if adjoint_residual(v.entries) > 1e-10 * n:
-        raise NotUnitaryError("input is not orthogonal within 1e-10*N")
-    det = determinant(v).real
-    if abs(det - 1.0) > 1e-8:
-        if abs(det + 1.0) <= 1e-8:
+    v = np.asarray(v)
+    if np.iscomplexobj(v) and np.any(v.imag != 0.0):
+        raise NotUnitaryError("extraction requires real orthogonal matrices")
+    v = _unitary_stack(v.real, "orthogonal")
+    det = np.linalg.det(v)
+    off = np.abs(det - 1.0) > 1e-8
+    if np.any(off):
+        if np.all(np.abs(det[off] + 1.0) <= 1e-8):
             raise ReflectionError("determinant -1: reflections carry no Euler angles")
         raise NotUnitaryError("determinant is not +-1")
 
-    w = v.entries.real.copy()
+    n = v.shape[-1]
+    w = np.array(v.transpose(2, 1, 0), dtype=float, order="C")  # w[col, row, b]
     theta = {}
     for j in range(n - 1, 0, -1):
-        x = w[j, :]
         for l in range(1, j + 1):
             want = -1.0 if (j - l) % 2 else 1.0  # sign propagated into slot l+1
-            r = float(np.hypot(x[l - 1], x[l]))
-            if r == 0.0:
-                c, s = 1.0, 0.0
-            else:
-                c = want * x[l] / r
-                s = -want * x[l - 1] / r
+            a, b = w[l - 1, j], w[l, j]
+            r = np.hypot(a, b)
+            zero = r == 0.0
+            r[zero] = 1.0
+            c = np.where(zero, 1.0, want * b / r)
+            s = np.where(zero, 0.0, -want * a / r)
             if l == 1:
-                t = float(np.arctan2(s, c)) % TWO_PI
+                theta[(l, j + 1)] = _wrap(np.arctan2(s, c))
             else:
-                # s >= 0 by construction; clear a signed zero so that
-                # atan2 lands in [0, pi] rather than at -pi
-                t = float(np.arctan2(max(s, 0.0), c))
-                t = min(max(t, 0.0), np.pi)
-            theta[(l, j + 1)] = t
-            a = w[:, l - 1].copy()
-            b = w[:, l]
-            w[:, l - 1] = c * a + s * b
-            w[:, l] = -s * a + c * b
-    return EulerAnglesSO(n=n, theta=theta)
+                # s >= 0 by construction; a zero of either sign or a rounding
+                # negative becomes +0, so atan2 lands in [0, pi], not at -pi
+                theta[(l, j + 1)] = np.arctan2(np.where(s > 0.0, s, 0.0), c)
+            # rows below j are never read again
+            _turn(w[:, :j + 1], l, c, s, -s, c)
+    return theta
 
 
-def extract_angles_u(v: SquareMatrix) -> EulerAnglesU:
-    """Euler angles of a U(n) matrix; the alpha phases absorb the determinant.
+def _turn_u(w, l: int, phi, psi, alpha):
+    """w <- w U_l^dagger on columns (l-1, l); U_l carries psi off the
+    diagonal only for l = 1 (module docstring)."""
+    m = (su2_block(phi, psi, alpha) if l == 1 else su2_block(phi, 0.0, psi)).conj()
+    _turn(w, l, m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
+
+
+def extract_angles_u(v):
+    """Euler angles (phi, psi, alpha) of a (B, n, n) stack of U(n) matrices,
+    as compose_u_batch consumes them: dicts of (B,) arrays and a (B, n)
+    array of phases, which absorb the determinant.
 
     The sweep mirrors extract_angles_so; each coset's one free joint phase
     shift (psi_1, alpha, psi_2, ..., psi_j) -> +t is fixed at the end of the
     row so the propagated diagonal entry equals e^{i alpha_1}, with
-    alpha_1 = Arg(det V)/n.
+    alpha_1 = Arg(det V)/n.  Raises NotUnitaryError if any matrix is not
+    unitary.
     """
-    n = v.dim
-    if adjoint_residual(v.entries) > 1e-10 * n:
-        raise NotUnitaryError("input is not unitary within 1e-10*N")
-    if n == 1:
-        return EulerAnglesU(n=1, phi={}, psi={},
-                            alpha=(float(np.angle(v.entries[0, 0]) % TWO_PI),))
-
-    alpha1 = float(np.angle(determinant(v))) / n
-    w = v.entries.copy()
+    v = _unitary_stack(v, "unitary")
+    n = v.shape[-1]
+    alpha1 = np.angle(np.linalg.det(v)) / n
+    alpha = np.zeros((v.shape[0], n))
+    alpha[:, 0] = _wrap(alpha1)
     phi, psi = {}, {}
-    alpha = [alpha1 % TWO_PI] + [0.0] * (n - 1)
-
+    w = np.array(v.transpose(2, 1, 0), dtype=complex, order="C")  # w[col, row, b]
     for j in range(n - 1, 0, -1):
-        x = w[j, :j + 1].copy()
-        params = []
+        x = w[:j + 1, j].copy()
+        ph, ps = [], []
         # pass A on a row copy: canonical phases, track the residual phase
         for l in range(1, j + 1):
-            a, b = x[l - 1], x[l]
-            ph = float(np.arctan2(abs(a), abs(b)))
-            if abs(a) == 0.0 or abs(b) == 0.0:
-                ps = 0.0
-            elif l == 1:
-                ps = float(np.pi + np.angle(b) - np.angle(a))
+            a, b = np.abs(x[l - 1]), np.abs(x[l])
+            ph.append(np.arctan2(a, b))
+            if l == 1:
+                p = np.pi + np.angle(x[l]) - np.angle(x[l - 1])
             else:
-                ps = float(np.angle(a) - np.angle(b) - np.pi)
-            params.append([ph, ps, 0.0])
-            blk = su2_block(ph, ps, 0.0) if l == 1 else su2_block(ph, 0.0, ps)
-            x[l - 1:l + 1] = x[l - 1:l + 1] @ blk.conj().T
-        t = alpha1 - float(np.angle(x[j]))
-        params[0][1] += t
-        params[0][2] += t
-        for rec in params[1:]:
-            rec[1] += t
-        # pass B: apply the adjusted factors to the full matrix
+                p = np.angle(x[l - 1]) - np.angle(x[l]) - np.pi
+            ps.append(np.where((a == 0.0) | (b == 0.0), 0.0, p))
+            _turn_u(x, l, ph[-1], ps[-1], 0.0)
+        t = alpha1 - np.angle(x[j])
+        ps = [p + t for p in ps]
+        # pass B: the adjusted factors on the rows still to be swept
         for l in range(1, j + 1):
-            ph, ps, al = params[l - 1]
-            blk = su2_block(ph, ps, al) if l == 1 else su2_block(ph, 0.0, ps)
-            w[:, l - 1:l + 1] = w[:, l - 1:l + 1] @ blk.conj().T
-        for l in range(1, j + 1):
-            phi[(l, j + 1)] = params[l - 1][0]
-            psi[(l, j + 1)] = params[l - 1][1] % TWO_PI
-        alpha[j] = params[0][2] % TWO_PI
-    return EulerAnglesU(n=n, phi=phi, psi=psi, alpha=tuple(alpha))
+            _turn_u(w[:, :j], l, ph[l - 1], ps[l - 1], t)
+            phi[(l, j + 1)] = ph[l - 1]
+            psi[(l, j + 1)] = _wrap(ps[l - 1])
+        alpha[:, j] = _wrap(t)
+    return phi, psi, alpha
 
 
 # --- invariant-measure densities -------------------------------------------

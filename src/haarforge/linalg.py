@@ -1,12 +1,11 @@
 """Minimal dense matrix arithmetic for unitary-class matrices.
 
-Everything here is plain double precision.  Matrices are immutable value
-objects; operations are pure functions, safe to call from multiple threads.
+Everything here is plain double precision on ndarrays, single matrices or
+(B, N, N) stacks; operations are pure functions, safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,79 +20,6 @@ class ConvergenceError(RuntimeError):
     """Root finding failed to meet its residual target."""
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
-    """An N x N matrix with a real/complex tag.
-
-    ``entries`` is always stored as complex128; for ``kind == "real"`` every
-    imaginary part is exactly zero.
-    """
-
-    dim: int
-    entries: np.ndarray
-    kind: str  # "real" | "complex"
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"expected shape {(self.dim, self.dim)}, got {a.shape}")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("non-finite entries")
-        if self.kind not in ("real", "complex"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "real" and np.any(a.imag != 0.0):
-            raise ValueError("real-kind matrix has nonzero imaginary parts")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @classmethod
-    def from_array(cls, a, kind=None):
-        a = np.asarray(a)
-        if kind is None:
-            kind = "real" if not np.iscomplexobj(a) or np.all(a.imag == 0.0) else "complex"
-        a = a.astype(complex)
-        if kind == "real":
-            a = a.real.astype(complex)
-        return cls(dim=a.shape[0], entries=a, kind=kind)
-
-    @classmethod
-    def identity(cls, n, kind="real"):
-        return cls(dim=n, entries=np.eye(n, dtype=complex), kind=kind)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.entries
-
-
-@dataclass(frozen=True)
-class EigenPhaseList:
-    """Sorted phases theta_1 <= ... <= theta_N, each in [0, 2*pi)."""
-
-    dim: int
-    phases: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.phases)
-        if len(p) != self.dim:
-            raise ValueError("phase count != dim")
-        if any(x < 0.0 or x >= TWO_PI for x in p):
-            raise ValueError("phase outside [0, 2*pi)")
-        if any(p[i] > p[i + 1] for i in range(len(p) - 1)):
-            raise ValueError("phases not sorted")
-        object.__setattr__(self, "phases", p)
-
-
-def multiply(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Matrix product; result is real-kind iff both factors are."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    kind = "real" if (a.kind == "real" and b.kind == "real") else "complex"
-    prod = a.entries @ b.entries
-    if kind == "real":
-        prod = prod.real.astype(complex)
-    return SquareMatrix(dim=a.dim, entries=prod, kind=kind)
-
-
 def adjoint_residual(a: np.ndarray):
     """max |a^dagger a - I| of each matrix of a (..., d, d) array."""
     a = np.asarray(a)
@@ -101,10 +27,10 @@ def adjoint_residual(a: np.ndarray):
     return np.abs(gram).max(axis=(-2, -1))
 
 
-def determinant(m: SquareMatrix) -> complex:
-    """Determinant by partially pivoted Gaussian elimination."""
-    a = m.entries.copy()
-    n = m.dim
+def determinant(m) -> complex:
+    """Determinant of one square matrix by partially pivoted Gaussian elimination."""
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
     det = 1.0 + 0.0j
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
@@ -118,20 +44,17 @@ def determinant(m: SquareMatrix) -> complex:
     return complex(det)
 
 
-def charpoly_eval(m: SquareMatrix, lam: complex) -> complex:
+def charpoly_eval(m, lam: complex) -> complex:
     """det(lam*I - m) by elimination."""
-    shifted = SquareMatrix(
-        dim=m.dim, entries=lam * np.eye(m.dim) - m.entries, kind="complex"
-    )
-    return determinant(shifted)
+    m = np.asarray(m)
+    return determinant(lam * np.eye(m.shape[0]) - m)
 
 
-def symplectic_form(two_n: int) -> SquareMatrix:
+def symplectic_form(two_n: int) -> np.ndarray:
     """The dual-involution matrix Z = I_N (x) [[0, -1], [1, 0]], size 2N."""
     if two_n % 2:
         raise ValueError("symplectic form needs even dimension")
-    z = np.kron(np.eye(two_n // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    return SquareMatrix(dim=two_n, entries=z.astype(complex), kind="real")
+    return np.kron(np.eye(two_n // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def symplectic_residual(a: np.ndarray):
@@ -140,7 +63,7 @@ def symplectic_residual(a: np.ndarray):
     a = np.asarray(a)
     if a.shape[-1] % 2:
         raise ValueError("odd dimension has no symplectic structure")
-    z = symplectic_form(a.shape[-1]).entries
+    z = symplectic_form(a.shape[-1])
     return np.abs(np.swapaxes(a, -1, -2) @ z @ a - z).max(axis=(-2, -1))
 
 
@@ -243,10 +166,3 @@ def eigenphases_batch(stack) -> np.ndarray:
     if not np.all(trace_certificate(u, phases) <= 1.0):
         raise ConvergenceError("eigenphases fail the trace certificate")
     return phases
-
-
-def eigenphases(m: SquareMatrix) -> EigenPhaseList:
-    """Phases of the unit-circle eigenvalues of one unitary-class matrix;
-    see eigenphases_batch for the method and the errors raised."""
-    return EigenPhaseList(dim=m.dim,
-                          phases=tuple(eigenphases_batch(m.entries[None])[0].tolist()))

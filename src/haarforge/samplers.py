@@ -258,7 +258,7 @@ def coe_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """S~ = U^D U with U Haar on U(2n), U^D = Z^{-1} U^T Z: self-dual (CSE)."""
     u = qr_batch(stream, 2 * n, count, "complex")
-    z = symplectic_form(2 * n).entries.real
+    z = symplectic_form(2 * n)
     ud = -z @ np.swapaxes(u, 1, 2) @ z   # Z^{-1} = -Z
     return np.einsum("bij,bjk->bik", ud, u)
 

@@ -13,55 +13,14 @@ choice does not affect any spectral law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from haarforge.euler import _plane_product, _rotation_blocks
-from haarforge.linalg import SquareMatrix
 from haarforge.randstream import RandomStream
-
-TWO_PI = 2.0 * np.pi
 
 
 class ClosedFormMismatch(RuntimeError):
     """The Hessenberg entry formula disagreed with the rotation product."""
-
-
-@dataclass(frozen=True)
-class HessenbergCoeffs:
-    """Cosines c_i = cos(theta_{i,N}) and the derived alpha/rho sequences.
-
-    alpha_{i-1} = (-1)^{i-1} c_i for i = 1..n-1, with the boundary values
-    alpha_{-1} = -1 and alpha_{n-1} = (-1)^{n-1}; rho_i = sqrt(1 - alpha_i^2).
-    """
-
-    n: int
-    c: tuple
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.c)
-        if len(c) != self.n - 1:
-            raise ValueError("need n-1 cosines")
-        if any(abs(x) > 1.0 for x in c):
-            raise ValueError("cosines must lie in [-1, 1]")
-        object.__setattr__(self, "c", c)
-
-    def alpha(self, i: int) -> float:
-        """alpha_i for -1 <= i <= n-1."""
-        if i == -1:
-            return -1.0
-        if i == self.n - 1:
-            return float((-1.0) ** (self.n - 1))
-        return float((-1.0) ** i * self.c[i])
-
-    def rho(self, i: int) -> float:
-        """rho_i = (1 - alpha_i^2)^{1/2} for 0 <= i <= n-2."""
-        a = self.alpha(i)
-        return float(np.sqrt(max(0.0, 1.0 - a * a)))
-
-    def thetas(self) -> np.ndarray:
-        return np.arccos(np.clip(np.asarray(self.c), -1.0, 1.0))
 
 
 # --- rotation products ------------------------------------------------------
@@ -113,8 +72,22 @@ def cmv_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 # --- closed-form entries and the characteristic-polynomial recurrence ------
 
 
-def hessenberg_entries(coeffs: HessenbergCoeffs) -> SquareMatrix:
-    """The Hessenberg matrix written directly in terms of alpha/rho.
+def _alpha_rho(c):
+    """Dicts alpha[i] and rho[i] = (1 - alpha_i^2)^{1/2}, -1 <= i <= n-1, of
+    the n-1 cosines c_i = cos(theta_{i,N}): alpha_{i-1} = (-1)^{i-1} c_i,
+    with boundary values alpha_{-1} = -1 and alpha_{n-1} = (-1)^{n-1}.
+    ValueError unless c is 1-d with every |c_i| <= 1."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or np.any(np.abs(c) > 1.0):
+        raise ValueError("cosines must be a 1-d array with entries in [-1, 1]")
+    vals = [-1.0] + [float((-1.0) ** i * x) for i, x in enumerate(c)] + [float((-1.0) ** len(c))]
+    alpha = dict(enumerate(vals, start=-1))
+    return alpha, {i: float(np.sqrt(max(0.0, 1.0 - a * a))) for i, a in alpha.items()}
+
+
+def hessenberg_entries(c) -> np.ndarray:
+    """The n x n Hessenberg matrix of the n-1 cosines c, written directly
+    in terms of alpha/rho.
 
     Entry formula (one unified expression; the diagonal is the i = j case):
 
@@ -127,27 +100,29 @@ def hessenberg_entries(coeffs: HessenbergCoeffs) -> SquareMatrix:
     source of truth, and this function cross-checks against it on every
     call, raising ClosedFormMismatch on disagreement.
     """
-    n = coeffs.n
+    alpha, rho = _alpha_rho(c)
+    n = len(alpha) - 1
     m = np.zeros((n, n))
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             prod = 1.0
             for l in range(j - 1, i - 1):
-                prod *= coeffs.rho(l)
-            m[i - 1, j - 1] = -coeffs.alpha(j - 2) * coeffs.alpha(i - 1) * prod
+                prod *= rho[l]
+            m[i - 1, j - 1] = -alpha[j - 2] * alpha[i - 1] * prod
         if i <= n - 1:
-            m[i - 1, i] = coeffs.rho(i - 1)
-    ref = rotation_product_batch(coeffs.thetas()[None, :],
-                                 hessenberg_order(n), n)[0]
+            m[i - 1, i] = rho[i - 1]
+    thetas = np.arccos(np.asarray(c, dtype=float))
+    ref = rotation_product_batch(thetas[None, :], hessenberg_order(n), n)[0]
     err = float(np.abs(m - ref).max())
     if err > 1e-12:
         raise ClosedFormMismatch(
             f"closed form deviates from the rotation product by {err:.3e}")
-    return SquareMatrix.from_array(m, kind="real")
+    return m
 
 
-def recurrence_sequences(coeffs: HessenbergCoeffs, lam: complex):
-    """All chi_k(lam), chi~_k(lam), k = 0..n, from the coupled recurrence
+def recurrence_sequences(c, lam: complex):
+    """All chi_k(lam), chi~_k(lam), k = 0..n, for the n-1 cosines c, from
+    the coupled recurrence
 
         chi_k  = lam * chi_{k-1} - alpha_{k-1} * chi~_{k-1}
         chi~_k = chi~_{k-1} - lam * alpha_{k-1} * chi_{k-1}
@@ -155,18 +130,19 @@ def recurrence_sequences(coeffs: HessenbergCoeffs, lam: complex):
     started from chi_0 = chi~_0 = 1.  chi_k is the characteristic
     polynomial of the leading k x k block of the Hessenberg matrix.
     """
+    alpha, _ = _alpha_rho(c)
     chi, chit = [1.0 + 0.0j], [1.0 + 0.0j]
     lam = complex(lam)
-    for k in range(1, coeffs.n + 1):
-        a = coeffs.alpha(k - 1)
+    for k in range(1, len(alpha)):
+        a = alpha[k - 1]
         chi.append(lam * chi[k - 1] - a * chit[k - 1])
         chit.append(chit[k - 1] - lam * a * chi[k - 1])
     return chi, chit
 
 
-def charpoly_recurrence(coeffs: HessenbergCoeffs, lam: complex) -> complex:
-    """chi_n(lam) = det(lam I - E) for the Hessenberg matrix E."""
-    chi, _ = recurrence_sequences(coeffs, lam)
+def charpoly_recurrence(c, lam: complex) -> complex:
+    """chi_n(lam) = det(lam I - E) for the Hessenberg matrix E of cosines c."""
+    chi, _ = recurrence_sequences(c, lam)
     return chi[-1]
 
 

@@ -269,11 +269,10 @@ def criterion_7(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     for trial in range(100):
         n = 2 + trial % 9  # n in 2..10
         c = s.uniform(-1.0, 1.0, size=n - 1)
-        coeffs = spectra.HessenbergCoeffs(n=n, c=tuple(c))
-        mat = spectra.hessenberg_entries(coeffs)
+        mat = spectra.hessenberg_entries(c)
         for _ in range(20):
             lam = complex(s.uniform(-2.0, 2.0), s.uniform(-2.0, 2.0))
-            chi = spectra.charpoly_recurrence(coeffs, lam)
+            chi = spectra.charpoly_recurrence(c, lam)
             det = charpoly_eval(mat, lam)
             bound = 1e-10 * (1.0 + abs(lam)) ** n
             worst_ratio = max(worst_ratio, abs(chi - det) / bound)

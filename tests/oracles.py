@@ -33,6 +33,15 @@ def cofactor_det(m: np.ndarray) -> complex:
     return total
 
 
+def rotation(j: int, theta: float, n: int) -> np.ndarray:
+    """R_j(theta) written out: [[c, s], [-s, c]] in coordinates (j, j+1) of
+    the n x n identity."""
+    m = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    m[j - 1:j + 1, j - 1:j + 1] = [[c, s], [-s, c]]
+    return m
+
+
 def so_coset_bottom_row(thetas) -> np.ndarray:
     """Row j+1 of E_j = R_j ... R_1 by expanding the recursion
     e_{l+1}^T R_l = -sin(t_l) e_l^T + cos(t_l) e_{l+1}^T symbolically:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from haarforge import fileio, linalg
+from haarforge import fileio, linalg, samplers
 from haarforge.cli import EXIT_INTERNAL, main
 from haarforge.randstream import RandomStream
 from haarforge.samplers import SAMPLERS, qr_batch, sample_batch, so_euler_batch
@@ -117,6 +117,15 @@ class TestSampleCommand:
     def test_usage_error_exits_2(self):
         code, _, _ = run_cli("sample", "--group", "nope", "--n", "3")
         assert code == 2
+
+    def test_plain_value_error_exits_internal(self, monkeypatch, capsys):
+        # only UsageError means bad input; any other ValueError is a bug
+        def fail(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(samplers, "sample_batch", fail)
+        assert main(["sample", "--group", "so", "--n", "3"]) == EXIT_INTERNAL == 4
+        assert "internal error: injected" in capsys.readouterr().err
 
 
 class TestMomentsCommand:

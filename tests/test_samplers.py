@@ -7,7 +7,6 @@ import pytest
 
 from haarforge.analytics import chi_square, ks_two_sample
 from haarforge.linalg import (
-    SquareMatrix,
     adjoint_residual,
     determinant,
     eigenphases_batch,
@@ -48,7 +47,7 @@ class TestSOEuler:
     def test_single_draw_contract(self):
         m = samplers.so_euler_batch(RandomStream(212), 4, 1)[0]
         assert m.dtype == np.float64 and adjoint_residual(m) <= 1e-13 * 4
-        assert determinant(SquareMatrix.from_array(m)).real == pytest.approx(1.0, abs=1e-12)
+        assert determinant(m).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUEuler:

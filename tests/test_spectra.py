@@ -5,15 +5,13 @@ import pytest
 
 from haarforge import samplers, spectra
 from haarforge.linalg import (
-    SquareMatrix,
     adjoint_residual,
     charpoly_eval,
-    eigenphases,
+    eigenphases_batch,
 )
 from haarforge.randstream import RandomStream
 from haarforge.analytics import chi_square, ks_test, ks_two_sample
 from haarforge.spectra import (
-    HessenbergCoeffs,
     charpoly_recurrence,
     cmv_batch,
     cmv_order,
@@ -29,8 +27,8 @@ from haarforge.spectra import (
 TWO_PI = 2.0 * np.pi
 
 
-def random_coeffs(stream, n):
-    return HessenbergCoeffs(n=n, c=tuple(stream.uniform(-1.0, 1.0, size=n - 1)))
+def random_cosines(stream, n):
+    return stream.uniform(-1.0, 1.0, size=n - 1)
 
 
 class TestHessenberg:
@@ -63,8 +61,7 @@ class TestHessenberg:
 class TestHessenbergEntries:
     def test_n2_closed_form(self):
         theta = 1.234
-        coeffs = HessenbergCoeffs(n=2, c=(math.cos(theta),))
-        m = hessenberg_entries(coeffs).entries.real
+        m = hessenberg_entries([math.cos(theta)])
         # oracle: the 2x2 rotation product directly
         assert m[0, 0] == pytest.approx(math.cos(theta), abs=1e-15)
         assert m[1, 1] == pytest.approx(math.cos(theta), abs=1e-15)
@@ -72,8 +69,7 @@ class TestHessenbergEntries:
         assert m[1, 0] == pytest.approx(-math.sin(theta), abs=1e-15)
 
     def test_degenerate_all_cos_one(self):
-        coeffs = HessenbergCoeffs(n=4, c=(1.0, 1.0, 1.0))
-        m = hessenberg_entries(coeffs).entries.real
+        m = hessenberg_entries([1.0, 1.0, 1.0])
         assert np.all(np.abs(np.diag(m, 1)) == 0.0)  # rho = 0 throughout
         assert np.abs(np.abs(np.diag(m)) - 1.0).max() <= 1e-15
 
@@ -81,59 +77,60 @@ class TestHessenbergEntries:
     def test_matches_rotation_product(self, n):
         s = RandomStream(310 + n)
         for _ in range(10):
-            coeffs = random_coeffs(s, n)
-            m = hessenberg_entries(coeffs).entries.real
-            ref = rotation_product_batch(coeffs.thetas()[None, :],
+            c = random_cosines(s, n)
+            m = hessenberg_entries(c)
+            ref = rotation_product_batch(np.arccos(c)[None, :],
                                          spectra.hessenberg_order(n), n)[0]
             assert np.abs(m - ref).max() <= 1e-13
 
     def test_alpha_rho_pythagoras_exact(self):
-        coeffs = random_coeffs(RandomStream(311), 6)
+        alpha, rho = spectra._alpha_rho(random_cosines(RandomStream(311), 6))
         for i in range(0, 5):
-            a, r = coeffs.alpha(i), coeffs.rho(i)
+            a, r = alpha[i], rho[i]
             assert abs(a * a + r * r - 1.0) <= 1e-15
 
     def test_coefficient_validation(self):
-        with pytest.raises(ValueError):
-            HessenbergCoeffs(n=3, c=(0.5, 1.5))
+        for call in (hessenberg_entries, lambda c: recurrence_sequences(c, 0.5)):
+            with pytest.raises(ValueError):
+                call([0.5, 1.5])
 
 
 class TestRecurrence:
     def test_first_step(self):
-        coeffs = HessenbergCoeffs(n=3, c=(0.4, -0.7))
+        c = [0.4, -0.7]
         lam = 0.9 + 0.3j
-        chi, _ = recurrence_sequences(coeffs, lam)
-        assert chi[1] == pytest.approx(lam - coeffs.alpha(0))
+        chi, _ = recurrence_sequences(c, lam)
+        assert chi[1] == pytest.approx(lam - spectra._alpha_rho(c)[0][0])
 
     def test_lambda_zero_vs_determinant_oracle(self):
         s = RandomStream(320)
         for n in (2, 4, 6):
-            coeffs = random_coeffs(s, n)
-            m = hessenberg_entries(coeffs)
-            assert abs(charpoly_recurrence(coeffs, 0.0)
+            c = random_cosines(s, n)
+            m = hessenberg_entries(c)
+            assert abs(charpoly_recurrence(c, 0.0)
                        - charpoly_eval(m, 0.0)) <= 1e-12
 
     def test_matches_determinant_over_random_inputs(self):
         s = RandomStream(321)
         for trial in range(20):
             n = 2 + trial % 9
-            coeffs = random_coeffs(s, n)
-            m = hessenberg_entries(coeffs)
+            c = random_cosines(s, n)
+            m = hessenberg_entries(c)
             for _ in range(20):
                 lam = complex(s.uniform(-2, 2), s.uniform(-2, 2))
-                err = abs(charpoly_recurrence(coeffs, lam) - charpoly_eval(m, lam))
+                err = abs(charpoly_recurrence(c, lam) - charpoly_eval(m, lam))
                 assert err <= 1e-10 * (1.0 + abs(lam)) ** n
 
     def test_reversed_polynomial_identity(self):
         s = RandomStream(322)
-        coeffs = random_coeffs(s, 7)
+        c = random_cosines(s, 7)
         for _ in range(20):
             lam = complex(s.uniform(-2, 2), s.uniform(-2, 2))
             if abs(lam) < 1e-3:
                 continue
-            chi, chit = recurrence_sequences(coeffs, lam)
-            chi_inv, _ = recurrence_sequences(coeffs, 1.0 / lam)
-            for k in range(coeffs.n + 1):
+            chi, chit = recurrence_sequences(c, lam)
+            chi_inv, _ = recurrence_sequences(c, 1.0 / lam)
+            for k in range(7 + 1):
                 want = lam ** k * chi_inv[k]
                 assert abs(chit[k] - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -148,12 +145,11 @@ class TestCMV:
 
     def test_n3_explicit_product(self):
         # symbolic oracle: R_odd R_even = R_1 R_2 built from explicit matrices
-        from haarforge.euler import rotation_R
+        from oracles import rotation
         s = RandomStream(331)
         thetas = np.array([[s.uniform(0, np.pi), s.uniform(0, np.pi)]])
         got = rotation_product_batch(thetas, cmv_order(3), 3)[0]
-        want = rotation_R(1, thetas[0, 0], 3).entries.real \
-            @ rotation_R(2, thetas[0, 1], 3).entries.real
+        want = rotation(1, thetas[0, 0], 3) @ rotation(2, thetas[0, 1], 3)
         assert np.abs(got - want).max() <= 1e-15
 
     def test_eigenphase_ks_vs_hessenberg(self):
@@ -243,8 +239,7 @@ class TestMinEigenphase:
         mats = samplers.so_euler_batch(RandomStream(360), 6, 20)
         fast = so_min_eigenphase_batch(mats)
         for i in range(20):
-            ph = np.array(eigenphases(
-                SquareMatrix.from_array(mats[i], "real")).phases)
+            ph = eigenphases_batch(mats[i:i + 1])[0]
             ph = ph[(ph > 1e-9) & (ph < TWO_PI - 1e-9)]
             assert abs(fast[i] - ph.min()) <= 1e-8
 
