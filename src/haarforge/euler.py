@@ -135,9 +135,10 @@ def _u_coset(phi: dict, psi: dict, alpha_k, k: int, rows: int, sl: slice) -> lis
     return [(l - 1, rows, blk) for l, blk in zip(ls, m)]
 
 
-def compose_so_batch(theta: dict, n: int) -> np.ndarray:
-    """Stack of E_1 E_2 ... E_{n-1} from per-angle arrays theta[(j,k)] of shape (B,)."""
-    return _plane_product(n, np.size(next(iter(theta.values()), 0)), float,
+def compose_so_batch(theta: dict, n: int, count: int) -> np.ndarray:
+    """(count, n, n) stack of E_1 E_2 ... E_{n-1} from per-angle arrays
+    theta[(j,k)] of shape (count,); for n = 1 (no angles) count identities."""
+    return _plane_product(n, count, float,
                           lambda sl: (b for k in range(2, n + 1)
                                       for b in _so_coset(theta, k, k, sl)))
 

@@ -17,7 +17,7 @@ class NotUnitaryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Root finding failed to meet its residual target."""
+    """A numerical procedure (root finding, a redraw loop) did not converge."""
 
 
 def adjoint_residual(a: np.ndarray):

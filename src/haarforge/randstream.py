@@ -4,8 +4,9 @@ The bit source is the counter-based Philox generator keyed by
 ``(seed, stream_id)``, so sibling streams are statistically independent and
 a batch split across streams is reproducible regardless of execution order.
 Gaussians use the polar (Marsaglia) form of the Box-Muller transform; angle
-laws are exact inverse-CDF or order-statistic constructions, documented on
-each method.  Replaying an identical call sequence on an identical
+laws are exact inverse-CDF, order-statistic or chi-square constructions,
+documented on each method (the SO law takes one Gaussian and one gamma
+variate per angle).  Replaying an identical call sequence on an identical
 ``(seed, stream_id)`` reproduces every output bit for bit.
 
 A stream is single-owner: do not share one instance across concurrent
@@ -77,24 +78,36 @@ class RandomStream:
 
     # -- angle laws --------------------------------------------------------
 
-    def cos_theta_so(self, j: int, size=None):
-        """g_{j+1} / sqrt(g_1^2 + ... + g_{j+1}^2) for j+1 fresh Gaussians.
+    def cos_theta_so(self, j, size=None):
+        """cos(theta) of an SO Euler angle: g / sqrt(g^2 + 2 G).
 
-        Marginal density on (-1, 1) proportional to (1 - s^2)^((j-2)/2);
-        a zero denominator (probability zero) triggers a redraw.
+        g is one standard Gaussian and G ~ standard_gamma(j/2), so 2 G ~
+        chi^2_j stands for g_1^2 + ... + g_j^2 and the ratio is
+        g_{j+1} / |(g_1, ..., g_{j+1})|: the density on (-1, 1) is
+        proportional to (1 - s^2)^((j-2)/2), i.e. (1 + s)/2 ~ Beta(j/2, j/2).
+        ``j`` is an int or an int array that broadcasts against ``size``
+        (``size`` None with a scalar j returns a float).  Draw order: all
+        Gaussians of the block, then all gamma variates; a zero denominator
+        (probability zero) redraws both for the affected entries.
         """
-        if j < 1:
+        j = np.asarray(j)
+        if np.any(j < 1):
             raise ValueError("j >= 1 required")
-        scalar = size is None
-        n = 1 if scalar else _count(size)
-        g = self.gaussian((n, j + 1))
-        norm = np.sqrt((g * g).sum(axis=1))
-        while np.any(norm == 0.0):
-            bad = norm == 0.0
-            g[bad] = self.gaussian((int(bad.sum()), j + 1))
-            norm = np.sqrt((g * g).sum(axis=1))
-        val = g[:, j] / norm
-        return float(val[0]) if scalar else val.reshape(size)
+        shape = j.shape if size is None else (
+            (int(size),) if np.ndim(size) == 0 else tuple(size))
+        if np.broadcast_shapes(j.shape, shape) != shape:
+            raise ValueError(f"j of shape {j.shape} does not broadcast to {shape}")
+        g = self.gaussian(shape)
+        den = self._gen.standard_gamma(0.5 * j, size=shape)
+        den *= 2.0
+        den += g * g
+        while np.any(den == 0.0):
+            bad = den == 0.0
+            g[bad] = self.gaussian(int(bad.sum()))
+            den[bad] = g[bad] ** 2 + 2.0 * self._gen.standard_gamma(
+                np.broadcast_to(0.5 * j, shape)[bad])
+        g /= np.sqrt(den)
+        return float(g) if size is None and j.ndim == 0 else g
 
     def phi_unitary(self, j: int, size=None):
         """phi = arcsin(xi^(1/(2j))) on [0, pi/2]: density ~ cos(phi) sin(phi)^(2j-1)."""

@@ -60,14 +60,21 @@ def _compose_word_batch(n: int, bits: dict) -> np.ndarray:
 
 
 def _so_angles(stream: RandomStream, n: int, count: int) -> dict:
-    """theta_{1,k} uniform on [0, 2*pi); arccos of the Gaussian-ratio law
-    for j >= 2.  Draw order: k = 2..n, then j = 1..k-1 within each coset."""
-    theta = {}
-    for k in range(2, n + 1):
-        theta[(1, k)] = stream.uniform(0.0, TWO_PI, size=count)
-        for j in range(2, k):
-            theta[(j, k)] = np.arccos(
-                np.clip(stream.cos_theta_so(j, size=count), -1.0, 1.0))
+    """theta_{1,k} uniform on [0, 2*pi); arccos of cos_theta_so(j) for j >= 2.
+
+    Draw order: one (n-1, count) uniform block, row k-2 holding
+    theta_{1,k}; then one cos_theta_so block over the pairs with j >= 2
+    in coset-major order (k = 3..n, j = 2..k-1 within each coset), one row
+    per pair.  Each angle is a contiguous row of one of the two blocks.
+    """
+    first = stream.uniform(0.0, TWO_PI, size=(n - 1, count))
+    pairs = [(j, k) for j, k in euler.angle_pairs(n) if j >= 2]
+    rest = stream.cos_theta_so(np.array([j for j, _ in pairs])[:, None],
+                               size=(len(pairs), count))
+    np.clip(rest, -1.0, 1.0, out=rest)
+    np.arccos(rest, out=rest)
+    theta = {(1, k): first[k - 2] for k in range(2, n + 1)}
+    theta.update(zip(pairs, rest))
     return theta
 
 
@@ -107,9 +114,7 @@ def _sp_angles(stream: RandomStream, n: int, count: int):
 def so_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n == 1:
-        return np.ones((count, 1, 1))
-    return euler.compose_so_batch(_so_angles(stream, n, count), n)
+    return euler.compose_so_batch(_so_angles(stream, n, count), n, count)
 
 
 def o_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:

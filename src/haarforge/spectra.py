@@ -1,7 +1,7 @@
 """Eigenvalue-only random matrix models for SO(N).
 
 The single coset factor E_{N-1} = R_{N-1}(theta_{N-1}) ... R_1(theta_1),
-with cos(theta_j) following the normalized-Gaussian-ratio law, shares the
+with (1 + cos(theta_j))/2 ~ Beta(j/2, j/2) (``cos_theta_so``), shares the
 eigenvalue distribution of a full Haar SO(N) matrix, and so does any
 reordering of its factors.  Two orderings are of special interest: the
 descending product is lower Hessenberg, and the odd/even split
@@ -39,12 +39,14 @@ def rotation_product_batch(thetas: np.ndarray, order, n: int) -> np.ndarray:
 
 
 def _spectral_thetas(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    """(B, n-1) angles: theta_j = arccos of the Gaussian-ratio law."""
-    out = np.empty((count, n - 1))
-    for j in range(1, n):
-        out[:, j - 1] = np.arccos(
-            np.clip(stream.cos_theta_so(j, size=count), -1.0, 1.0))
-    return out
+    """(B, n-1) angles theta_j = arccos(cos_theta_so(j)), j = 1..n-1.
+
+    Draw order: one (n-1, count) cos_theta_so block, row j-1 holding
+    theta_j; the result is its transpose.
+    """
+    c = stream.cos_theta_so(np.arange(1, n)[:, None], size=(n - 1, count))
+    np.clip(c, -1.0, 1.0, out=c)
+    return np.arccos(c, out=c).T
 
 
 def hessenberg_order(n: int):

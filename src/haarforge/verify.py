@@ -31,6 +31,7 @@ from haarforge.analytics import (
     moment_check,
 )
 from haarforge.linalg import (
+    ConvergenceError,
     adjoint_residual,
     charpoly_eval,
     eigenphases_batch,
@@ -199,7 +200,11 @@ def criterion_4(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
 
 
 def _so_conditioned(method, seed, sid, n, count):
-    """count det=+1 samples from the O(n) sampler of ``method``."""
+    """count det=+1 samples from the O(n) sampler of ``method``.
+
+    Raises ConvergenceError when a round of 1.2*count + 64 draws keeps no
+    det=+1 matrix (probability 2^-64 for a Haar sampler).
+    """
     s = RandomStream(seed, sid)
     out = []
     have = 0
@@ -207,6 +212,9 @@ def _so_conditioned(method, seed, sid, n, count):
         draw = SAMPLERS[("o", method)].draw(s, n, int(count * 1.2) + 64)
         sign, _ = np.linalg.slogdet(draw)
         keep = draw[sign > 0]
+        if not len(keep):
+            raise ConvergenceError(
+                f"O({n}) {method} sampler gave {len(draw)} draws without det = +1")
         out.append(keep)
         have += len(keep)
     return np.concatenate(out, axis=0)[:count]

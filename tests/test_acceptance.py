@@ -5,9 +5,10 @@ this module are the same code path.  Each test prints its pass/fail line
 (visible under ``pytest -s`` / ``-v``).
 """
 
+import numpy as np
 import pytest
 
-from haarforge import verify
+from haarforge import linalg, samplers, verify
 
 SEED = 1
 
@@ -24,3 +25,21 @@ def test_criterion(criterion):
     assert result.passed, (
         f"criterion {result.name}: "
         + "; ".join(f"{c['label']} -> {c['detail']}" for c in failing))
+
+
+def test_so_conditioning_stops_on_a_sampler_without_rotations(monkeypatch):
+    # a sampler that returns only reflections must end in an error; the
+    # fake fails the test itself rather than let a missing bound hang
+    calls = []
+
+    def reflections(stream, n, count):
+        calls.append(count)
+        if len(calls) > 3:
+            pytest.fail("_so_conditioned kept drawing from a sampler with no rotations")
+        return np.broadcast_to(np.diag([-1.0] + [1.0] * (n - 1)), (count, n, n)).copy()
+
+    monkeypatch.setitem(samplers.SAMPLERS, ("o", "qr"),
+                        samplers.Sampler(reflections, "real", lambda n: n))
+    with pytest.raises(linalg.ConvergenceError):
+        verify._so_conditioned("qr", SEED, 0, 4, 100)
+    assert calls == [184]

@@ -2,10 +2,14 @@
 pinned digests of sample_batch output.
 
 The kernel reorders memory (batch-last, active rows only) but not
-arithmetic, so every comparison here is on raw bytes.  The sample_batch and
-spectral digests were taken from the all-rows (B, d, d) loop before the
-kernel replaced it; the COE/CSE digests from the three-operand einsum
-that CSE's Z^{-1} U^T Z product used before it became two matmuls.
+arithmetic, so every comparison here is on raw bytes.  The sample_batch
+digests were taken from the all-rows (B, d, d) loop before the kernel
+replaced it, except where the SO angle law changed its draw: the so/o
+Euler pins for n >= 2 and the Hessenberg/CMV pins were retaken when
+cos_theta_so moved from j + 1 Gaussians to one Gaussian and one gamma
+variate per angle (the n = 1 pins draw no angle and stayed).  The COE/CSE
+digests come from the three-operand einsum that CSE's Z^{-1} U^T Z
+product used before it became two matmuls.
 """
 
 import hashlib
@@ -44,8 +48,8 @@ def test_compose_so_batch_matches_oracle(n, batch):
     rng = _rng(n, batch)
     theta = {(j, k): rng.uniform(0.0, TWO_PI if j == 1 else np.pi, batch)
              for j, k in angle_pairs(n)}
-    want = oracles.column_rotation_so(theta, n, batch if theta else 1)
-    _same_bytes(euler.compose_so_batch(theta, n), want)
+    want = oracles.column_rotation_so(theta, n, batch)
+    _same_bytes(euler.compose_so_batch(theta, n, batch), want)
 
 
 @pytest.mark.parametrize("n,batch", SIZES)
@@ -91,7 +95,7 @@ def test_batches_split_into_work_chunks_match_oracle():
     n, batch = 64, 130
     theta = {(j, k): rng.uniform(0.0, TWO_PI if j == 1 else np.pi, batch)
              for j, k in angle_pairs(n)}
-    _same_bytes(euler.compose_so_batch(theta, n),
+    _same_bytes(euler.compose_so_batch(theta, n, batch),
                 oracles.column_rotation_so(theta, n, batch))
     thetas = rng.uniform(0.0, np.pi, (batch, n - 1))
     _same_bytes(spectra.rotation_product_batch(thetas, spectra.cmv_order(n), n),
@@ -120,7 +124,7 @@ def test_compose_so_batch_values_at_boundary_angles():
     grid = np.array([0.0, 0.5 * np.pi, np.pi])
     theta = {key: grid[(np.arange(batch) // 3 ** (i % 3)) % 3]
              for i, key in enumerate(angle_pairs(n))}
-    got = euler.compose_so_batch(theta, n)
+    got = euler.compose_so_batch(theta, n, batch)
     assert np.array_equal(got, oracles.column_rotation_so(theta, n, batch))
 
 
@@ -131,11 +135,11 @@ CASES = [(1, 3, 5, 1), (4, 9, 21, 2), (9, 12, 3, 3)]  # (n, count, seed, streams
 
 SAMPLE_DIGESTS = {
     ("so", "euler", (1, 3, 5, 1)): "682d0a00615399fceddd97f5f958fd56b7c530d5832a0c0df08dc3b92b666017",
-    ("so", "euler", (4, 9, 21, 2)): "8f8b6a35fa5f204ae478cee8763e66a93eb5f47db2ba0a95e7db3f2f3ad4552a",
-    ("so", "euler", (9, 12, 3, 3)): "71d2ad0ffe3781891f64fde57b6fd0169b595bd97be753c391e5f6a545e73a92",
+    ("so", "euler", (4, 9, 21, 2)): "591329de0505a573e38d77e0163fa3b39cac7927d1c9655e54283b7da6342635",
+    ("so", "euler", (9, 12, 3, 3)): "b8a2c9a38bee55f4e298d47c40ea27b2954ff44baaef06cd455faff42dccafe6",
     ("o", "euler", (1, 3, 5, 1)): "b8da42c6cfe523fdf5931894a511aa575dba2c5912458b40fba005e9e65e0937",
-    ("o", "euler", (4, 9, 21, 2)): "a26b8f6d45e01cf4f38bcc685e41bae7b7871ed196d6a5171354db944ed363de",
-    ("o", "euler", (9, 12, 3, 3)): "0a94bff7752b00d7f5cd6b2e402dec14c7b8b31f52c15ed3e06d29328e2a8a6f",
+    ("o", "euler", (4, 9, 21, 2)): "6c233ef12f79f82291320941cc8faedeb41b9f904857ef14f1d8612edde4ec2a",
+    ("o", "euler", (9, 12, 3, 3)): "c7e0132a1187533bae78b78f7ac06737559024096cdb2fa4e794350d4d7f2cb1",
     ("o", "qr", (1, 3, 5, 1)): "b8da42c6cfe523fdf5931894a511aa575dba2c5912458b40fba005e9e65e0937",
     ("o", "qr", (4, 9, 21, 2)): "5477679abf71f11a8e846d59fc8ba74dcc5ed54ed40b26c6f38e231140c95dd2",
     ("o", "qr", (9, 12, 3, 3)): "d04f80d240642757fe4b18128543ff3770e9c79962c38af956c44ea4fa6cb942",
@@ -175,12 +179,12 @@ CIRCULAR_DIGESTS = {  # (fn, n, count, seed), stream_id 0
 }
 
 SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
-    ("hessenberg_batch", 2, 3, 5): "9753699de23f7c980199a2fc9b60011924e67cc57c56f2c511d5ced58121f3cb",
-    ("hessenberg_batch", 7, 10, 8): "e1e88e3c138d7da2232649e5798d2d043f7256d09c7664b1f7b23403e721ff8c",
-    ("hessenberg_batch", 16, 6, 2): "8cddec71bf9403d85a47be9ffb1e241dd82ff4b4b63cfbd9118d9707de07532e",
-    ("cmv_batch", 2, 3, 5): "9753699de23f7c980199a2fc9b60011924e67cc57c56f2c511d5ced58121f3cb",
-    ("cmv_batch", 7, 10, 8): "b9119d6ebc0bf03e4044539f77c06e8b17fb33d51fc51edf87403fbf25da771f",
-    ("cmv_batch", 16, 6, 2): "2b1a7294b956615cc397b5e46148405e2d52b2c7f5a7cebae72cd3d1e5f53b3d",
+    ("hessenberg_batch", 2, 3, 5): "6e9f1fe4e07bb94f4bc7a8ca894b9936f342047a66b3c6fcbd45e0229d6d8537",
+    ("hessenberg_batch", 7, 10, 8): "1616c165203361db7c37f0a10635131e27d13ba82bfea05b702d5a6ce85670cb",
+    ("hessenberg_batch", 16, 6, 2): "e1e6b3717bcaa7471dc6dde00a74646dba1ff0f7011b1b90d587f6a66fdbae18",
+    ("cmv_batch", 2, 3, 5): "6e9f1fe4e07bb94f4bc7a8ca894b9936f342047a66b3c6fcbd45e0229d6d8537",
+    ("cmv_batch", 7, 10, 8): "2e17e09b05c8c640a1df9e983de0d36bf677cd427c7facdd72c7c6dd085b51c5",
+    ("cmv_batch", 16, 6, 2): "a432cc01d068898bbc651a37bf01df2dfca108ed117feb6d70d0296f07df240a",
 }
 
 

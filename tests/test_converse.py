@@ -22,6 +22,11 @@ The design is fixed here, seeds included, and was not tuned to the data:
   set and 120 for U.
 * Level: family-wise 1e-3, Bonferroni over all 376 tests (15 + 105 per SO
   set, 16 + 120 for U), so every p-value must exceed 1e-3 / 376.
+
+A separate family checks the forward half as the sampler realizes it:
+SO(6) x 20,000 from ``so_euler_batch`` (stream 4), composed and then
+re-extracted, must carry the same 15 marginal laws; family-wise 1e-3,
+Bonferroni over those 15 KS tests.
 """
 
 import numpy as np
@@ -42,7 +47,12 @@ THRESHOLD = FAMILY_LEVEL / TESTS
 
 def _so_variables(method, sid, n=6):
     """(label, x, cdf) per angle: x ~ cdf under the converse."""
-    theta = extract_angles_so(verify._so_conditioned(method, SEED, sid, n, COUNT))
+    return _so_angle_laws(extract_angles_so(
+        verify._so_conditioned(method, SEED, sid, n, COUNT)))
+
+
+def _so_angle_laws(theta):
+    """(label, x, cdf) per SO Euler angle in ``theta``."""
     out = []
     for (j, k), t in theta.items():
         if j == 1:
@@ -106,3 +116,13 @@ def test_pairwise_independence(pvalues, name):
     assert len(pairs) == SETS[name][2]
     worst = min(pairs, key=pairs.get)
     assert pairs[worst] > THRESHOLD, f"{worst}: Spearman p = {pairs[worst]:.3g}"
+
+
+def test_euler_sampler_angles_carry_hurwitz_laws():
+    variables = _so_angle_laws(extract_angles_so(
+        samplers.so_euler_batch(RandomStream(SEED, 4), 6, COUNT)))
+    assert len(variables) == 15
+    marginal = {label: stats.kstest(x, law).pvalue for label, x, law in variables}
+    worst = min(marginal, key=marginal.get)
+    assert marginal[worst] > FAMILY_LEVEL / len(marginal), (
+        f"{worst}: KS p = {marginal[worst]:.3g}")

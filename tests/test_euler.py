@@ -81,7 +81,7 @@ def only_column(angles, k):
 def coset_so(theta, j, n):
     """E_j = R_j(theta_{j,j+1}) ... R_1(theta_{1,j+1}): compose_so_batch with
     only column j+1's angles nonzero."""
-    return compose_so_batch(only_column(theta, j + 1), n)[0]
+    return compose_so_batch(only_column(theta, j + 1), n, 1)[0]
 
 
 def plane(j, theta, n):
@@ -179,10 +179,10 @@ class TestCosetsAndComposition:
 
     def test_compose_so_zero_and_n2(self):
         zero = {p: np.zeros(1) for p in angle_pairs(3)}
-        assert np.array_equal(compose_so_batch(zero, 3)[0], np.eye(3))
+        assert np.array_equal(compose_so_batch(zero, 3, 1)[0], np.eye(3))
         rng = np.random.default_rng(5)
         a2 = so_angles(rng, 2)
-        assert np.abs(compose_so_batch(a2, 2)[0]
+        assert np.abs(compose_so_batch(a2, 2, 1)[0]
                       - rotation(1, a2[(1, 2)][0], 2)).max() == 0.0
 
     def test_compose_so_matches_displayed_three_factor_form(self):
@@ -198,7 +198,7 @@ class TestCosetsAndComposition:
                        [0.0, math.cos(theta), math.sin(theta)],
                        [0.0, -math.sin(theta), math.cos(theta)]])
         want = rz(phi) @ rx @ rz(psi)
-        assert np.abs(compose_so_batch(angles, 3)[0] - want).max() <= 1e-14
+        assert np.abs(compose_so_batch(angles, 3, 1)[0] - want).max() <= 1e-14
 
     def test_compose_so_residuals_over_batch(self):
         # 10^4 random records across sizes up to 16
@@ -208,7 +208,7 @@ class TestCosetsAndComposition:
             for (j, k) in angle_pairs(n):
                 theta[(j, k)] = (s.uniform(0.0, TWO_PI, size=count) if j == 1
                                  else s.uniform(0.0, np.pi, size=count))
-            v = euler.compose_so_batch(theta, n)
+            v = euler.compose_so_batch(theta, n, count)
             gram = np.einsum("bji,bjk->bik", v, v) - np.eye(n)
             assert np.abs(gram).max() <= 1e-13 * n
             sign, logdet = np.linalg.slogdet(v)
@@ -272,15 +272,15 @@ class TestExtraction:
     def test_roundtrip_idempotent_on_image(self):
         rng = np.random.default_rng(9)
         for n in (2, 3, 5, 7):
-            v = compose_so_batch(so_angles(rng, n), n)
-            v2 = compose_so_batch(extract_angles_so(v), n)
+            v = compose_so_batch(so_angles(rng, n), n, 1)
+            v2 = compose_so_batch(extract_angles_so(v), n, 1)
             assert np.abs(v - v2).max() <= 1e-10
 
     def test_angle_level_roundtrip_away_from_degeneracies(self):
         rng = np.random.default_rng(10)
         for n in (3, 5, 8):
             theta = so_angles(rng, n, margin=1e-3)
-            back = extract_angles_so(compose_so_batch(theta, n))
+            back = extract_angles_so(compose_so_batch(theta, n, 1))
             for key in theta:
                 diff = abs(back[key][0] - theta[key][0])
                 if key[0] == 1:
@@ -293,15 +293,20 @@ class TestExtraction:
             q = samplers.qr_batch(s, 3, 1, "real")[0]
             if determinant(q).real < 0.0:
                 q[0, :] *= -1.0
-            back = compose_so_batch(extract_angles_so(q[None]), 3)[0]
+            back = compose_so_batch(extract_angles_so(q[None]), 3, 1)[0]
             assert np.abs(back - q).max() <= 1e-10
 
     def test_signed_zero_pivots_roundtrip(self):
         # a zero pivot of negative sign is a half turn, not theta = 0
         for d in ([1, -1, -1], [-1, 1, -1], [1, 1, -1, -1], [-1, -1, -1, -1]):
             v = np.diag(np.array(d, dtype=float))[None]
-            back = compose_so_batch(extract_angles_so(v), len(d))
+            back = compose_so_batch(extract_angles_so(v), len(d), 1)
             assert np.abs(back - v).max() <= 1e-15
+
+    def test_so1_stack_roundtrips(self):
+        # no angles at n = 1: the batch comes from count, not from theta
+        back = compose_so_batch(extract_angles_so(np.ones((5, 1, 1))), 1, 5)
+        assert back.shape == (5, 1, 1) and np.all(back == 1.0)
 
     def test_reflection_reported_not_fixed(self):
         with pytest.raises(ReflectionError):

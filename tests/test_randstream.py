@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from haarforge.analytics import ks_test
 from haarforge.randstream import RandomStream, phi_from_xi, sin2phi_from_xi
@@ -91,6 +91,61 @@ class TestCosThetaSO:
         draws = RandomStream(115).cos_theta_so(j, size=100_000)
         cdf = grid_cdf(lambda t: (1.0 - t * t) ** ((j - 2) / 2.0), -1.0, 1.0)
         assert ks_test(draws, cdf).passed
+
+    def test_array_j_rows_follow_beta_laws(self):
+        # fixed design: seed 170, 50,000 per row, family-wise 1e-3
+        # Bonferroni over the 8 rows
+        js = np.arange(1, 9)
+        draws = RandomStream(170).cos_theta_so(js[:, None], size=(8, 50_000))
+        p = [stats.kstest(0.5 * (1.0 + row), stats.beta(j / 2.0, j / 2.0).cdf).pvalue
+             for j, row in zip(js, draws)]
+        assert min(p) > 1e-3 / len(js), p
+
+    def test_array_j_broadcasts_against_size(self):
+        s = RandomStream(171)
+        got = s.cos_theta_so(np.array([[1], [4], [9]]), size=(3, 5))
+        assert got.shape == (3, 5) and np.all(np.abs(got) <= 1.0)
+        assert s.cos_theta_so(np.array([2, 3]), size=(4, 2)).shape == (4, 2)
+        assert s.cos_theta_so(np.array([2, 3])).shape == (2,)
+        with pytest.raises(ValueError):
+            s.cos_theta_so(np.array([2, 3, 4]), size=(4, 2))
+
+    def test_scalar_call_returns_float(self):
+        s = RandomStream(172)
+        assert type(s.cos_theta_so(3)) is float
+        assert isinstance(s.cos_theta_so(3, size=1), np.ndarray)
+
+    def test_zero_denominator_is_redrawn(self):
+        # force g = 0 and G = 0 at one entry of the first block: that entry
+        # must be redrawn, not returned as 0/0
+        s = RandomStream(174)
+        gen, gaussian = s._gen, s.gaussian
+        first = {"g", "G"}
+
+        def zero_first(out, key):
+            if key in first:
+                first.discard(key)
+                out[0, 1] = 0.0
+            return out
+
+        class Gen:
+            def __getattr__(self, name):
+                return getattr(gen, name)
+
+            def standard_gamma(self, shape, size=None):
+                return zero_first(gen.standard_gamma(shape, size=size), "G")
+
+        s.gaussian = lambda size=None: zero_first(gaussian(size), "g")
+        s._gen = Gen()
+        got = s.cos_theta_so(np.array([[1], [3]]), size=(2, 4))
+        assert not first and np.all(np.isfinite(got)) and got[0, 1] != 0.0
+
+    def test_j_below_one_rejected(self):
+        s = RandomStream(173)
+        with pytest.raises(ValueError):
+            s.cos_theta_so(0)
+        with pytest.raises(ValueError):
+            s.cos_theta_so(np.array([[3], [0]]), size=(2, 4))
 
 
 class TestPhiUnitary:
