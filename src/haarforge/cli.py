@@ -6,7 +6,8 @@ Carlo), volumes (closed forms plus quadrature cross-checks), spectra
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
 UsageError, raised for every invalid input), 3 I/O error, 4 internal error
-(a numerical precondition or certificate failed, or any other ValueError).
+(a numerical precondition or certificate failed, a redraw loop gave up, any
+other ValueError, or a MemoryError, reported as "out of memory").
 Every command is deterministic given (--seed, --streams).
 """
 
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, linalg.ConvergenceError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

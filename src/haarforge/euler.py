@@ -153,9 +153,10 @@ def compose_u_batch(phi: dict, psi: dict, alpha: np.ndarray, n: int) -> np.ndarr
     return v
 
 
-def _quat_factor_batch(rho, q_blk, big_blk) -> np.ndarray:
+def _quat_factor_batch(rho, q_blk, big_blk, twisted=None) -> np.ndarray:
     """(..., 4, 4) unitary symplectic blocks from an angle and two (..., 2, 2)
-    SU(2) stacks q and Q.
+    SU(2) stacks q and Q; ``twisted`` is q Q q^dagger when the caller has
+    formed it.
 
     With c = cos(rho) and s = sin(rho) the block is
 
@@ -172,19 +173,30 @@ def _quat_factor_batch(rho, q_blk, big_blk) -> np.ndarray:
     qdag = np.conj(np.swapaxes(q_blk, -1, -2))
     out = np.empty(rho.shape + (4, 4), dtype=complex)
     out[..., 0:2, 0:2] = c[..., None, None] * q_blk
-    out[..., 0:2, 2:4] = s[..., None, None] * (q_blk @ big_blk @ qdag)
+    if twisted is None:
+        twisted = q_blk @ big_blk @ qdag
+    out[..., 0:2, 2:4] = s[..., None, None] * twisted
     out[..., 2:4, 0:2] = -s[..., None, None] * np.conj(np.swapaxes(big_blk, -1, -2))
     out[..., 2:4, 2:4] = c[..., None, None] * qdag
     return out
 
 
 def _sp_coset(rho: dict, quat_blk: dict, lead_k, k: int, rows: int, sl: slice) -> list:
-    """Blocks of the Sp coset E_{k-1}; only its l = 1 factor has Q != identity."""
+    """Blocks of the Sp coset E_{k-1}; only its l = 1 factor has Q != identity.
+
+    The other k - 2 factors get q Q q^dagger as q q^dagger: q @ I is exact,
+    so the product is the same bit for bit without the identity matmul.
+    """
     ls = range(k - 1, 0, -1)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), lead_k.shape)
+    q = np.array([quat_blk[(l, k)][sl] for l in ls[:-1]] + [lead_k])
+    big = np.array([np.broadcast_to(np.eye(2, dtype=complex), lead_k.shape)] * (k - 2)
+                   + [quat_blk[(1, k)][sl]])
+    qdag = np.conj(np.swapaxes(q, -1, -2))
+    twisted = np.empty_like(q)
+    np.matmul(q[:-1], qdag[:-1], out=twisted[:-1])
+    np.matmul(lead_k @ big[-1], qdag[-1], out=twisted[-1])
     m = _quat_factor_batch(np.array([rho[(l, k)][sl] for l in ls], dtype=float),
-                           np.array([quat_blk[(l, k)][sl] for l in ls[:-1]] + [lead_k]),
-                           np.array([eye] * (k - 2) + [quat_blk[(1, k)][sl]]))
+                           q, big, twisted)
     m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
     return [(2 * (l - 1), rows, blk) for l, blk in zip(ls, m)]
 

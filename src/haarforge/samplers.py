@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import symplectic_form
+from haarforge.linalg import ConvergenceError, symplectic_form
 from haarforge.randstream import RandomStream
 
 TWO_PI = 2.0 * np.pi
@@ -159,6 +159,38 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     return q.real.copy() if kind == "real" else q
 
 
+HOUSEHOLDER_REDRAW_ROUNDS = 8  # a Gaussian vector is zero with probability 0
+HOUSEHOLDER_CHUNK_BYTES = 1 << 19  # a chunk of the k x k block and its scratch fit L2
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Row norms of a (B, k) array, computed as ``np.linalg.norm(z, axis=1)``
+    computes them, without its per-call checks."""
+    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=1))
+
+
+def _gaussian_vectors(stream: RandomStream, count: int, k: int, cplx: bool):
+    """(count, k) Gaussian vectors (real, or re + i im) with nonzero norms,
+    and those norms.  A zero vector is redrawn in place; ConvergenceError
+    after HOUSEHOLDER_REDRAW_ROUNDS rounds that leave one."""
+    def draw(m):
+        g = stream.gaussian(size=(m, k))
+        return g + 1j * stream.gaussian(size=(m, k)) if cplx else g
+
+    z = draw(count)
+    nz = _norms(z)
+    for _ in range(HOUSEHOLDER_REDRAW_ROUNDS):
+        if nz.all():
+            break
+        bad = nz == 0.0
+        z[bad] = draw(int(bad.sum()))
+        nz = _norms(z)
+    if not nz.all():
+        raise ConvergenceError(f"{HOUSEHOLDER_REDRAW_ROUNDS} redraws left a zero "
+                               f"Gaussian vector of length {k}")
+    return z, nz
+
+
 def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     """Chain of coset reflectors built from shrinking Gaussian vectors.
 
@@ -168,25 +200,28 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
     B_n (B_{n-1} (+) I_1) ... (B_1 (+) I_{n-1}) is Haar; the trailing
     one-dimensional factor supplies the random phase / sign of the
     remaining U(1) (O(1)) subgroup.
+
+    Draw order: for k = 1..n, one (count, k) Gaussian block (two, real
+    then imaginary, when complex), then the redraws of its zero rows.
+
+    Before step k the accumulated product is a (k-1)x(k-1) block plus the
+    identity, so B_k acts on the leading k x k block ``top`` alone.  Its
+    update, t = (2w) (w^dag top), top - t, then -e^{i theta} t, runs in
+    place through one reused scratch array, with the operands in the order
+    of the full-width update, so the bits are the same.  It runs in batch
+    chunks of at most HOUSEHOLDER_CHUNK_BYTES of block (or an eighth of the
+    batch), so each chunk's passes stay in cache.
     """
     cplx = kind == "complex"
-    dtype = complex if cplx else float
-    acc = None
+    acc = np.zeros((count, n, n), dtype=complex if cplx else float)
+    acc.reshape(count, n * n)[:, ::n + 1] = 1.0
+    # room for the largest chunk: an eighth of the batch at k = n, or the chunk bytes
+    scratch = np.empty(min(count * n * n, max(-(-count // 8) * n * n,
+                                              HOUSEHOLDER_CHUNK_BYTES // acc.itemsize)),
+                       dtype=acc.dtype)
     for k in range(1, n + 1):
-        if cplx:
-            z = (stream.gaussian(size=(count, k))
-                 + 1j * stream.gaussian(size=(count, k)))
-        else:
-            z = stream.gaussian(size=(count, k))
-        nz = np.linalg.norm(z, axis=1)
-        while np.any(nz == 0.0):
-            bad = nz == 0.0
-            pats = (stream.gaussian(size=(int(bad.sum()), k)) if not cplx else
-                    stream.gaussian(size=(int(bad.sum()), k))
-                    + 1j * stream.gaussian(size=(int(bad.sum()), k)))
-            z[bad] = pats
-            nz = np.linalg.norm(z, axis=1)
-        z = z / nz[:, None]
+        z, nz = _gaussian_vectors(stream, count, k, cplx)
+        z /= nz[:, None]
         last = z[:, k - 1]
         if cplx:
             a = np.abs(last)
@@ -195,17 +230,27 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
                              last / np.where(a == 0.0, 1.0, a))
         else:
             phase = np.where(last >= 0.0, 1.0, -1.0)
-        v = z.copy()
-        v[:, k - 1] += phase
-        w = v / np.linalg.norm(v, axis=1)[:, None]
-        if acc is None:
-            acc = np.broadcast_to(np.eye(n, dtype=dtype), (count, n, n)).copy()
-            acc[:, 0, 0] = -phase * (1.0 - 2.0 * np.abs(w[:, 0]) ** 2)
+        last += phase
+        z /= _norms(z)[:, None]  # z is now w
+        if k == 1:
+            acc[:, 0, 0] = -phase * (1.0 - 2.0 * np.abs(z[:, 0]) ** 2)
             continue
-        top = acc[:, :k, :]
-        wx = np.einsum("bk,bkm->bm", w.conj(), top)
-        acc[:, :k, :] = -phase[:, None, None] * (top - 2.0 * w[:, :, None] * wx[:, None, :])
+        wc, w2, nph = z.conj(), (2.0 * z)[:, :, None], (-phase)[:, None, None]
+        step = max(1, -(-count // 8), HOUSEHOLDER_CHUNK_BYTES // (k * k * acc.itemsize))
+        for start in range(0, count, step):
+            sl = slice(start, start + step)
+            top = acc[sl, :k, :k]
+            t = scratch[:top.size].reshape(top.shape)
+            wx = np.einsum("bk,bkm->bm", wc[sl], top)
+            np.multiply(w2[sl], wx[:, None, :], out=t)
+            np.subtract(top, t, out=t)
+            np.multiply(nph[sl], t, out=top)
     return acc
+
+
+def _index_dtype(n: int):
+    """The narrowest signed integer type, int16 at least, that holds n."""
+    return np.int16 if n <= 0x7FFF else np.int32 if n <= 0x7FFFFFFF else np.int64
 
 
 def permutation_batch(stream: RandomStream, n: int, count: int,
@@ -217,32 +262,40 @@ def permutation_batch(stream: RandomStream, n: int, count: int,
     (large batches need not retain the O(n^2 count) bit record).  Draw
     order: one uniform block of shape (count, j) per coset j = 1..n-1,
     column i holding the T_i decisions.
+
+    sigma <- sigma o E_j touches only the prefix 0..j that E_j moves.  In
+    closed form, E_j = T_j o ... o T_1 right-rotates each segment [a, b]
+    of 0..j, a run of set bits a..b-1 closed by the clear bit b or by j:
+    position a takes the value at b, every other position the value at
+    its left neighbour.  So the prefix shifts right by one and the
+    segment ends, gathered in row order, are scattered to the segment
+    starts; a row has as many of one as of the other, so the two boolean
+    masks pair them up.  The work runs in ``_index_dtype(n)`` (int16 up to
+    n = 32767) and is cast to int64 once.
     """
     bits = {} if keep_bits else None
-    sigma = np.broadcast_to(np.arange(n), (count, n)).copy()
-    if n == 1:
-        return bits, sigma
-    e = np.empty((count, n), dtype=np.int64)
-    cols = np.arange(n)
+    itype = _index_dtype(n)
+    sigma = np.empty((count, n), dtype=itype)
+    sigma[:] = np.arange(n, dtype=itype)
+    probs = np.arange(1, n) / np.arange(2, n + 1)
+    # bound[:, x + 1] holds "bit x is clear"; with bound[:, 0] and
+    # bound[:, j + 1] set, bound[:, :j + 1] marks the segment starts of
+    # 0..j and bound[:, 1:j + 2] the segment ends.
+    bound = np.empty((count, n + 1), dtype=bool)
+    bound[:, 0] = True
     for j in range(1, n):
-        probs = np.arange(1, j + 1) / np.arange(2, j + 2)
-        coset = stream.uniform(size=(count, j)) < probs[None, :]
+        clear = bound[:, 1:j + 1]
+        np.greater_equal(stream.uniform(size=(count, j)), probs[:j], out=clear)
         if keep_bits:
+            coset = ~clear
             for i in range(1, j + 1):
                 bits[(i, j)] = coset[:, i - 1].astype(np.int8)
-        # closed form of E_j = T_j o ... o T_1: a value rides up through the
-        # run of set bits ahead of it, or steps down one when its own bit is
-        # set.  R[l] = length of the 1-run starting at bit l.
-        idx = np.where(~coset, cols[:j], j)
-        next_zero = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
-        run = next_zero - cols[:j]
-        e[:] = cols
-        e[:, 0] = run[:, 0]
-        e[:, 1:j] = np.where(coset[:, :j - 1], cols[:j - 1],
-                             cols[1:j] + run[:, 1:])
-        e[:, j] = np.where(coset[:, j - 1], j - 1, j)
-        sigma = np.take_along_axis(sigma, e, axis=1)
-    return bits, sigma
+        bound[:, j + 1] = True
+        head = sigma[:, :j + 1]
+        ends = head[bound[:, 1:j + 2]]
+        head[:, 1:] = head[:, :-1]
+        head[bound[:, :j + 1]] = ends
+    return bits, sigma.astype(np.int64)
 
 
 def permutation_matrices(lines: np.ndarray) -> np.ndarray:

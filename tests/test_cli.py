@@ -206,6 +206,15 @@ class TestSpectraCommand:
         assert main(["spectra", "--n", "4", "--count", "2"]) == EXIT_INTERNAL == 4
         assert "internal error: injected" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_internal(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(samplers, "sample_batch", fail)
+        assert main(["sample", "--group", "so", "--n", "3"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error: out of memory" in err and "Traceback" not in err
+
     def test_one_batch_per_lane(self, monkeypatch, capsys):
         calls = []
         batch = linalg.eigenphases_batch

@@ -9,7 +9,11 @@ Euler pins for n >= 2 and the Hessenberg/CMV pins were retaken when
 cos_theta_so moved from j + 1 Gaussians to one Gaussian and one gamma
 variate per angle (the n = 1 pins draw no angle and stayed).  The COE/CSE
 digests come from the three-operand einsum that CSE's Z^{-1} U^T Z
-product used before it became two matmuls.
+product used before it became two matmuls.  The draw-shape digests were
+taken from the full-width Householder update and the running-minimum
+bubble-sort composition, before either was restricted to the block or
+prefix its factor moves, and from the Sp cosets that still multiplied
+q I q^dagger.
 """
 
 import hashlib
@@ -188,6 +192,20 @@ SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
 }
 
 
+DRAW_SHAPE_DIGESTS = {  # (group, method, n, count, seed, streams)
+    ("o", "householder", 64, 224, 13, 2): "9a357ca9fe2fcdacf4b2f321ea4cd8aea89e2a3ce69e30fd9385fbd0b4784cc1",
+    ("u", "householder", 32, 384, 17, 1): "8c1b93fea8e63f794c3f718e11849333b9e3f6f294f5ea661984d4b6ef0a2801",
+    ("sn", "bubble", 64, 4096, 19, 2): "592c108ddb5634c1b0033a92cf524e450ee3dfecb90f02937479f3ff765464d4",
+    ("sp", "euler", 8, 1536, 23, 2): "39861490736c91d31531b82835640eb8415d2977947fe0839291bec5e734b86d",
+    ("sp", "euler", 16, 16, 29, 1): "fd8abb694d1f9b8c9e5ed0878a9ca1910a93fc95861eccb1e79b57aced7b1ee0",
+}
+
+PERMUTATION_DIGESTS = {  # permutation_batch(RandomStream(31, 0), 500, 50, keep_bits=True)
+    "lines": "f4c77e7c2157f772d6989da10188be5ccc84b6bd2f063e3b99b1cf754b9ac659",
+    "bits": "e884d63d548bd3e9a6988dda2ccf7b723ca45c1820cbb4d2c1056a198ed41f8f",
+}
+
+
 def _digest(out) -> str:
     """SHA-256 of dtype, shape and raw bytes; permutation lists as int64."""
     a = np.ascontiguousarray(np.asarray(out, dtype=np.int64) if isinstance(out, list) else out)
@@ -214,3 +232,18 @@ def test_circular_batch_digest_pinned(key):
     fn, n, count, seed = key
     out = getattr(samplers, fn)(RandomStream(seed, 0), n, count)
     assert _digest(out) == CIRCULAR_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(DRAW_SHAPE_DIGESTS))
+def test_draw_shape_digest_pinned(key):
+    group, method, n, count, seed, streams = key
+    out = samplers.sample_batch(group, n, count, method=method, seed=seed, streams=streams)
+    assert _digest(out) == DRAW_SHAPE_DIGESTS[key]
+
+
+def test_permutation_lines_and_bits_digest_pinned():
+    # bits as a (count, n(n-1)/2) int8 array, columns in sorted (i, j) order
+    bits, lines = samplers.permutation_batch(RandomStream(31, 0), 500, 50, keep_bits=True)
+    assert _digest(lines) == PERMUTATION_DIGESTS["lines"]
+    table = np.stack([bits[key] for key in sorted(bits)], axis=1)
+    assert _digest(table) == PERMUTATION_DIGESTS["bits"]

@@ -7,6 +7,7 @@ import pytest
 
 from haarforge.analytics import chi_square, ks_two_sample
 from haarforge.linalg import (
+    ConvergenceError,
     adjoint_residual,
     determinant,
     eigenphases_batch,
@@ -165,6 +166,22 @@ class TestHouseholder:
         m = samplers.householder_batch(RandomStream(256), 4, 1, "real")[0]
         assert m.dtype == np.float64 and adjoint_residual(m) <= 1e-13 * 4
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_zero_vectors_redraw_is_bounded(self, kind):
+        class ZeroStream:
+            calls = 0
+
+            def gaussian(self, size):
+                self.calls += 1
+                assert self.calls <= 64, "the zero-norm redraw does not stop"
+                return np.zeros(size)
+
+        stream = ZeroStream()
+        with pytest.raises(ConvergenceError):
+            samplers.householder_batch(stream, 3, 2, kind)
+        rounds = 1 + samplers.HOUSEHOLDER_REDRAW_ROUNDS
+        assert stream.calls == rounds * (2 if kind == "complex" else 1)
+
 
 def exact_word_distribution(n):
     keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
@@ -195,12 +212,19 @@ class TestPermutations:
         assert all(p == Fraction(1, math.factorial(n)) for p in dist.values())
 
     def test_bits_compose_to_one_line(self):
-        for n in (1, 2, 5, 8):
+        for n in (1, 2, 5, 8, 64, 500):
             bits, lines = samplers.permutation_batch(RandomStream(261), n, 50)
             assert lines.shape == (50, n)
             assert (lines == samplers._compose_word_batch(n, bits)).all()
             assert all(sorted(row) == list(range(n)) for row in lines.tolist())
             assert adjoint_residual(samplers.permutation_matrices(lines)).max() == 0.0
+
+    def test_index_type_is_the_narrowest_that_holds_n(self):
+        assert samplers._index_dtype(2) is np.int16
+        assert samplers._index_dtype(32767) is np.int16
+        assert samplers._index_dtype(32768) is np.int32
+        assert samplers._index_dtype(2 ** 31 - 1) is np.int32
+        assert samplers._index_dtype(2 ** 31) is np.int64
 
     def test_fixed_points_near_poisson(self):
         _, lines = samplers.permutation_batch(RandomStream(262), 50, 40_000,
