@@ -12,6 +12,9 @@ samplers    Haar samplers (Euler / QR / Householder), permutations, COE/CSE,
             and the (group, method) table SAMPLERS
 spectra     eigenvalue-only models: Hessenberg, CMV, trace series
 analytics   closed-form moments, volumes, normalizations, statistical tests
+verify      the 12-criterion acceptance battery behind ``haar-forge verify``
+fileio      JSON and CSV serialization, each format one float view of the
+            (B, n, n) sample stack
 cli         the ``haar-forge`` command line front end
 """
 

@@ -27,36 +27,6 @@ TWO_PI = 2.0 * pi
 # --- moments ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Exponent specification for entry moments: <|X|^{2p}> or
-    <|X_NN|^{2p} |X_{N-1,N-1}|^{2q}>.
-
-    The joint closed form is derived for n >= 4; smaller n evaluates the
-    same expression but should be treated as outside the derivation range
-    (reports carry a flag, Monte Carlo decides trust).
-    """
-
-    n: int
-    p: float
-    q: float | None = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
-        if self.p < 0 or (self.q is not None and self.q < 0):
-            raise ValueError("exponents must be nonnegative")
-
-    @property
-    def outside_derivation_range(self) -> bool:
-        return self.q is not None and self.n < 4
-
-    def exact(self) -> float:
-        if self.q is None:
-            return moment_single(self.n, self.p)
-        return moment_joint(self.n, self.p, self.q)
-
-
 def moment_single(n: int, p: float) -> float:
     """<|X_{NN}|^{2p}> over Haar SO(n):
     Gamma(p + 1/2) Gamma(n/2) / (Gamma(1/2) Gamma(p + n/2))."""
@@ -92,9 +62,6 @@ def beta_integral_T(alpha: float, beta: float) -> float:
 
 
 # --- volumes and normalizations ---------------------------------------------
-
-VOLUME_TAGS = ("so", "o", "o/o1", "u", "u/u1", "u/o")
-
 
 def log_volume(tag: str, n: int) -> float:
     """Natural log of the group / quotient volume for the supported tags."""

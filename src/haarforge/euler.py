@@ -153,10 +153,9 @@ def compose_u_batch(phi: dict, psi: dict, alpha: np.ndarray, n: int) -> np.ndarr
     return v
 
 
-def _quat_factor_batch(rho, q_blk, big_blk, twisted=None) -> np.ndarray:
-    """(..., 4, 4) unitary symplectic blocks from an angle and two (..., 2, 2)
-    SU(2) stacks q and Q; ``twisted`` is q Q q^dagger when the caller has
-    formed it.
+def _quat_factor_batch(rho, q_blk, big_blk, twisted) -> np.ndarray:
+    """(..., 4, 4) unitary symplectic blocks from an angle, two (..., 2, 2)
+    SU(2) stacks q and Q, and ``twisted`` = q Q q^dagger.
 
     With c = cos(rho) and s = sin(rho) the block is
 
@@ -173,8 +172,6 @@ def _quat_factor_batch(rho, q_blk, big_blk, twisted=None) -> np.ndarray:
     qdag = np.conj(np.swapaxes(q_blk, -1, -2))
     out = np.empty(rho.shape + (4, 4), dtype=complex)
     out[..., 0:2, 0:2] = c[..., None, None] * q_blk
-    if twisted is None:
-        twisted = q_blk @ big_blk @ qdag
     out[..., 0:2, 2:4] = s[..., None, None] * twisted
     out[..., 2:4, 0:2] = -s[..., None, None] * np.conj(np.swapaxes(big_blk, -1, -2))
     out[..., 2:4, 2:4] = c[..., None, None] * qdag

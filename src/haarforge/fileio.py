@@ -1,77 +1,67 @@
 """Stable matrix serialization for the CLI: JSON and CSV.
 
-Floating-point values are written with ``repr`` (shortest decimal that
-round-trips a double exactly), so write-then-read reproduces entries bit
-for bit.  JSON matrices are lists of rows of [re, im] pairs regardless of
-kind; CSV uses plain columns for real matrices and interleaved re/im
-columns for complex ones, one blank-line-separated block per matrix, with
-one leading comment line of metadata.  Permutations are one one-line
-word per row (JSON ``"permutations"``, CSV ``kind=permutation``); both
-readers return them as a list of tuples.
+Each matrix format is one float view of the (B, n, n) sample stack, so the
+real/complex choice is made once per array, never per entry:
+
+* JSON ``"matrices"`` is the (B, n, n, 2) view of the stack as complex,
+  i.e. lists of rows of [re, im] pairs whatever the kind;
+* CSV holds one blank-line-separated block per matrix, one leading comment
+  line of metadata, and the rows of the (B, n, n) real part (real kind) or
+  of the (B, n, 2n) view with interleaved re/im columns (complex kind).
+
+Floats are written with ``repr`` (the shortest decimal that round-trips a
+double) and read back into the same views, so write-then-read reproduces
+every entry bit for bit, signed zeros included; malformed matrix input
+raises ValueError.  Permutations are one one-line word per row (JSON
+``"permutations"``, CSV ``kind=permutation``), read back as tuples.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import groupby
 
 import numpy as np
 
 
+def _float_view(mats) -> np.ndarray:
+    """(..., 2) float view of a stack taken as complex: [re, im] last."""
+    c = np.ascontiguousarray(mats, dtype=complex)
+    return c.view(float).reshape(c.shape + (2,))
+
+
 def matrices_to_json(group: str, n: int, method: str, seed: int,
                      mats: np.ndarray) -> str:
-    mats = np.asarray(mats)
-    payload = {
-        "group": group,
-        "n": n,
-        "method": method,
-        "seed": seed,
-        "matrices": [
-            [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in m]
-            for m in mats
-        ],
-    }
-    return json.dumps(payload)
+    return json.dumps({"group": group, "n": n, "method": method, "seed": seed,
+                       "matrices": _float_view(mats).tolist()})
 
 
 def json_to_matrices(text: str):
     payload = json.loads(text)
     if "permutations" in payload:
         return payload, [tuple(p) for p in payload["permutations"]]
-    mats = np.array(
-        [[[complex(re, im) for re, im in row] for row in m]
-         for m in payload["matrices"]],
-        dtype=complex,
-    )
-    return payload, mats
+    pairs = np.array(payload["matrices"], dtype=float)
+    if pairs.size and (pairs.ndim != 4 or pairs.shape[-1] != 2):
+        raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
+    return payload, pairs.view(complex).reshape(pairs.shape[:3])
 
 
 def permutations_to_json(n: int, method: str, seed: int, words) -> str:
-    return json.dumps({
-        "group": "sn",
-        "n": n,
-        "method": method,
-        "seed": seed,
-        "permutations": [list(w) for w in words],
-    })
+    return json.dumps({"group": "sn", "n": n, "method": method, "seed": seed,
+                       "permutations": [list(w) for w in words]})
 
 
 def matrices_to_csv(group: str, n: int, method: str, seed: int,
                     mats: np.ndarray, kind: str) -> str:
     mats = np.asarray(mats)
+    cols = mats.real if kind == "real" else _float_view(mats).reshape(
+        mats.shape[:-1] + (-1,))
     lines = [f"# haar-forge group={group} n={n} method={method} seed={seed} "
              f"kind={kind} count={len(mats)}"]
-    for idx, m in enumerate(mats):
+    for idx, m in enumerate(cols):
         if idx:
             lines.append("")
-        for row in m:
-            if kind == "real":
-                lines.append(",".join(repr(float(np.real(x))) for x in row))
-            else:
-                cells = []
-                for x in row:
-                    cells.append(repr(float(np.real(x))))
-                    cells.append(repr(float(np.imag(x))))
-                lines.append(",".join(cells))
+        lines.extend(",".join(map(repr, row)) for row in m.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -79,40 +69,20 @@ def csv_to_matrices(text: str):
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# haar-forge"):
         raise ValueError("missing haar-forge CSV header")
-    meta = {}
-    for token in lines[0].removeprefix("# haar-forge").split():
-        key, _, val = token.partition("=")
-        meta[key] = val
+    meta = dict(tok.partition("=")[::2]
+                for tok in lines[0].removeprefix("# haar-forge").split())
     kind = meta.get("kind", "complex")
     if kind == "permutation":
-        return meta, [tuple(int(tok) for tok in line.split(","))
+        return meta, [tuple(map(int, line.split(",")))
                       for line in lines[1:] if line.strip()]
-    blocks, cur = [], []
-    for line in lines[1:]:
-        if not line.strip():
-            if cur:
-                blocks.append(cur)
-                cur = []
-            continue
-        cur.append([float(tok) for tok in line.split(",")])
-    if cur:
-        blocks.append(cur)
-    mats = []
-    for block in blocks:
-        rows = []
-        for vals in block:
-            if kind == "real":
-                rows.append([complex(v, 0.0) for v in vals])
-            else:
-                rows.append([complex(vals[i], vals[i + 1])
-                             for i in range(0, len(vals), 2)])
-        mats.append(rows)
-    return meta, np.array(mats, dtype=complex)
+    cols = np.array([[line.split(",") for line in block] for blank, block
+                     in groupby(lines[1:], lambda line: not line.strip()) if not blank],
+                    dtype=float)
+    return meta, cols.astype(complex) if kind == "real" else cols.view(complex)
 
 
 def permutations_to_csv(n: int, method: str, seed: int, words) -> str:
     lines = [f"# haar-forge group=sn n={n} method={method} seed={seed} "
              f"kind=permutation count={len(words)}"]
-    for w in words:
-        lines.append(",".join(str(int(x)) for x in w))
+    lines.extend(",".join(map(str, w)) for w in words)
     return "\n".join(lines) + "\n"

@@ -20,6 +20,11 @@ class ConvergenceError(RuntimeError):
     """A numerical procedure (root finding, a redraw loop) did not converge."""
 
 
+# Redraw rounds after which a probability-zero rejection (a zero Gaussian
+# vector, a rank-deficient matrix, a 0/0 angle) raises ConvergenceError.
+REDRAW_ROUNDS = 8
+
+
 def adjoint_residual(a: np.ndarray):
     """max |a^dagger a - I| of each matrix of a (..., d, d) array."""
     a = np.asarray(a)

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
+
 
 class RandomStream:
     """Deterministic stream of uniforms, Gaussians and angle variates."""
@@ -88,7 +90,8 @@ class RandomStream:
         ``j`` is an int or an int array that broadcasts against ``size``
         (``size`` None with a scalar j returns a float).  Draw order: all
         Gaussians of the block, then all gamma variates; a zero denominator
-        (probability zero) redraws both for the affected entries.
+        (probability zero) redraws both for the affected entries, and
+        ConvergenceError follows REDRAW_ROUNDS rounds that leave one.
         """
         j = np.asarray(j)
         if np.any(j < 1):
@@ -101,11 +104,16 @@ class RandomStream:
         den = self._gen.standard_gamma(0.5 * j, size=shape)
         den *= 2.0
         den += g * g
-        while np.any(den == 0.0):
-            bad = den == 0.0
+        bad = den == 0.0
+        for _ in range(REDRAW_ROUNDS):
+            if not bad.any():
+                break
             g[bad] = self.gaussian(int(bad.sum()))
             den[bad] = g[bad] ** 2 + 2.0 * self._gen.standard_gamma(
                 np.broadcast_to(0.5 * j, shape)[bad])
+            bad = den == 0.0
+        if bad.any():
+            raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a zero SO angle denominator")
         g /= np.sqrt(den)
         return float(g) if size is None and j.ndim == 0 else g
 

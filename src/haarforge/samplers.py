@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import ConvergenceError, symplectic_form
+from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError, symplectic_form
 from haarforge.randstream import RandomStream
 
 TWO_PI = 2.0 * np.pi
@@ -126,9 +126,6 @@ def o_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 
 def u_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    if n == 1:
-        alpha = stream.uniform(0.0, TWO_PI, size=(count, 1))
-        return np.exp(1j * alpha)[:, :, None] * np.eye(1, dtype=complex)
     phi, psi, alpha = _u_angles(stream, n, count)
     return euler.compose_u_batch(phi, psi, alpha, n)
 
@@ -142,24 +139,35 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     """Gaussian matrix orthonormalized with the positive-diagonal-R convention.
 
     Equals in distribution the polar factor (G^dag G)^{-1/2} G, i.e. Haar on
-    O(n) (real) or U(n) (complex).  Rank-deficient draws are redrawn.
+    O(n) (real) or U(n) (complex).  Rank-deficient draws are redrawn, in
+    order, after the whole batch; ConvergenceError after REDRAW_ROUNDS
+    rounds that leave one.
     """
-    if kind == "real":
-        g = stream.gaussian(size=(count, n, n))
-    else:
-        g = (stream.gaussian(size=(count, n, n))
-             + 1j * stream.gaussian(size=(count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    absd = np.abs(d)
-    bad = absd.min(axis=1) < 1e-12
-    q = q * (d / np.where(absd == 0.0, 1.0, absd))[:, None, :]
-    if np.any(bad):
-        q[bad] = qr_batch(stream, n, int(bad.sum()), kind)
+    def draw(m):
+        if kind == "real":
+            g = stream.gaussian(size=(m, n, n))
+        else:
+            g = (stream.gaussian(size=(m, n, n))
+                 + 1j * stream.gaussian(size=(m, n, n))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        absd = np.abs(d)
+        return (q * (d / np.where(absd == 0.0, 1.0, absd))[:, None, :],
+                absd.min(axis=1) < 1e-12)
+
+    q, bad = draw(count)
+    redo = np.flatnonzero(bad)
+    for _ in range(REDRAW_ROUNDS):
+        if not redo.size:
+            break
+        q[redo], bad = draw(redo.size)
+        redo = redo[bad]
+    if redo.size:
+        raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a rank-deficient "
+                               f"{n} x {n} Gaussian matrix")
     return q.real.copy() if kind == "real" else q
 
 
-HOUSEHOLDER_REDRAW_ROUNDS = 8  # a Gaussian vector is zero with probability 0
 HOUSEHOLDER_CHUNK_BYTES = 1 << 19  # a chunk of the k x k block and its scratch fit L2
 
 
@@ -172,21 +180,21 @@ def _norms(z: np.ndarray) -> np.ndarray:
 def _gaussian_vectors(stream: RandomStream, count: int, k: int, cplx: bool):
     """(count, k) Gaussian vectors (real, or re + i im) with nonzero norms,
     and those norms.  A zero vector is redrawn in place; ConvergenceError
-    after HOUSEHOLDER_REDRAW_ROUNDS rounds that leave one."""
+    after REDRAW_ROUNDS rounds that leave one."""
     def draw(m):
         g = stream.gaussian(size=(m, k))
         return g + 1j * stream.gaussian(size=(m, k)) if cplx else g
 
     z = draw(count)
     nz = _norms(z)
-    for _ in range(HOUSEHOLDER_REDRAW_ROUNDS):
+    for _ in range(REDRAW_ROUNDS):
         if nz.all():
             break
         bad = nz == 0.0
         z[bad] = draw(int(bad.sum()))
         nz = _norms(z)
     if not nz.all():
-        raise ConvergenceError(f"{HOUSEHOLDER_REDRAW_ROUNDS} redraws left a zero "
+        raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a zero "
                                f"Gaussian vector of length {k}")
     return z, nz
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from haarforge.euler import _plane_product, _rotation_blocks
+from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
 from haarforge.randstream import RandomStream
 
 
@@ -154,7 +155,9 @@ def charpoly_recurrence(c, lam: complex) -> complex:
 def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
                           finite_trace: bool = False) -> np.ndarray:
     """Y_1 Y_2 + ... + Y_{T-1} Y_T (+ Y_T for the finite-trace form), with
-    Y_i = Z_i / sqrt(Z_1^2 + ... + Z_i^2) from independent standard normals."""
+    Y_i = Z_i / sqrt(Z_1^2 + ... + Z_i^2) from independent standard normals.
+    A draw with Z_1 = 0 is redrawn whole; ConvergenceError after
+    REDRAW_ROUNDS rounds that leave one."""
     if terms < 2:
         raise ValueError("terms >= 2 required")
     out = np.empty(count)
@@ -164,10 +167,15 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
         b = min(chunk, count - done)
         z = stream.gaussian(size=(b, terms))
         norms = np.sqrt(np.cumsum(z * z, axis=1))
-        while np.any(norms[:, 0] == 0.0):
-            bad = norms[:, 0] == 0.0
+        bad = norms[:, 0] == 0.0
+        for _ in range(REDRAW_ROUNDS):
+            if not bad.any():
+                break
             z[bad] = stream.gaussian(size=(int(bad.sum()), terms))
             norms = np.sqrt(np.cumsum(z * z, axis=1))
+            bad = norms[:, 0] == 0.0
+        if bad.any():
+            raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a zero first term")
         y = z / norms
         s = (y[:, :-1] * y[:, 1:]).sum(axis=1)
         if finite_trace:

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from haarforge import analytics
 from haarforge.analytics import (
-    MomentSpec,
     TestReport,
     beta_integral_T,
     chi_square,
@@ -64,16 +63,12 @@ class TestMoments:
             assert moment_joint(n, 1.5, 0.5) == pytest.approx(
                 moment_joint(n, 0.5, 1.5), rel=1e-14)
 
-    def test_moment_spec(self):
-        spec = MomentSpec(n=3, p=1.0, q=1.0)
-        assert spec.outside_derivation_range
-        assert spec.exact() == pytest.approx(2.0 / 15.0, rel=1e-13)
-        assert not MomentSpec(n=5, p=2.0).outside_derivation_range
-        assert MomentSpec(n=5, p=2.0).exact() == moment_single(5, 2.0)
-        with pytest.raises(ValueError):
-            MomentSpec(n=1, p=1.0)
-        with pytest.raises(ValueError):
-            MomentSpec(n=4, p=-1.0)
+    def test_out_of_range_arguments_rejected(self):
+        for call in (lambda: moment_single(1, 1.0), lambda: moment_single(4, -1.0),
+                     lambda: moment_joint(1, 1.0, 1.0), lambda: moment_joint(4, -1.0, 1.0),
+                     lambda: moment_joint(4, 1.0, -0.5)):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestBetaIntegral:

@@ -163,6 +163,36 @@ class TestMomentsCommand:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "--count >= 2" in err
 
+    @pytest.mark.parametrize("args,report", [
+        (["--n", "5", "--p", "1", "--count", "200", "--seed", "3"],
+         '{"group": "so", "n": 5, "p": 1.0, "q": null, "count": 200, "seed": 3, '
+         '"exact": 0.20000000000000007, "estimate": 0.18625199715822233, '
+         '"std_error": 0.014019696127068715, "z_score": 0.9806206009867504, '
+         '"pass": true}'),
+        (["--n", "3", "--p", "1", "--q", "0.5", "--count", "300", "--seed", "4",
+          "--streams", "2"],
+         '{"group": "so", "n": 3, "p": 1.0, "q": 0.5, "count": 300, "seed": 4, '
+         '"exact": 0.1875, "estimate": 0.17150387251964744, '
+         '"std_error": 0.0128636726860449, "z_score": 1.243511699244796, '
+         '"pass": true, "outside_derivation_range": true}'),
+        (["--n", "6", "--p", "0.5", "--q", "1.5", "--count", "500", "--seed", "5"],
+         '{"group": "so", "n": 6, "p": 0.5, "q": 1.5, "count": 500, "seed": 5, '
+         '"exact": 0.03417968750000003, "estimate": 0.03133765785903242, '
+         '"std_error": 0.002956509437957063, "z_score": 0.9612787310875085, '
+         '"pass": true}'),
+    ], ids=["single", "joint-small-n", "joint"])
+    def test_report_bytes_pinned(self, capsys, args, report):
+        assert main(["moments", "--group", "so", *args]) == 0
+        assert capsys.readouterr().out == report + "\n"
+
+    @pytest.mark.parametrize("args", [["--n", "1", "--p", "1"],
+                                      ["--n", "4", "--p", "-1"],
+                                      ["--n", "4", "--p", "1", "--q", "-0.5"]])
+    def test_out_of_range_exponents_exit_2(self, capsys, args):
+        code = main(["moments", "--group", "so", "--count", "10", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "need n >= 2" in err
+
 
 class TestVolumesCommand:
     def test_so3_with_quadrature(self):

@@ -122,12 +122,13 @@ class TestElementaryBlocks:
 
     def test_quaternion_block_identity(self):
         ident = su2_block(0.0, 0.0, 0.0)
-        blk = _quat_factor_batch(0.0, ident, ident)
+        blk = _quat_factor_batch(0.0, ident, ident, ident)
         assert np.array_equal(blk, np.eye(4))
 
     def test_quaternion_block_quarter(self):
-        blk = _quat_factor_batch(np.pi / 2.0, su2_block(0.4, 1.0, 2.0),
-                                 su2_block(0.0, 0.0, 0.0))
+        q = su2_block(0.4, 1.0, 2.0)
+        blk = _quat_factor_batch(np.pi / 2.0, q, su2_block(0.0, 0.0, 0.0),
+                                 q @ q.conj().T)
         want = np.block([[np.zeros((2, 2)), np.eye(2)],
                          [-np.eye(2), np.zeros((2, 2))]])
         assert np.abs(blk - want).max() <= 1e-15
@@ -137,8 +138,9 @@ class TestElementaryBlocks:
         for _ in range(10):
             trip = lambda: (rng.uniform(0, np.pi / 2), rng.uniform(0, TWO_PI),
                             rng.uniform(0, TWO_PI))
-            blk = _quat_factor_batch(rng.uniform(0, np.pi / 2), su2_block(*trip()),
-                                     su2_block(*trip()))
+            rho = rng.uniform(0, np.pi / 2)
+            q, big = su2_block(*trip()), su2_block(*trip())
+            blk = _quat_factor_batch(rho, q, big, q @ big @ q.conj().T)
             # oracle: direct multiplication
             prod = triple_loop_multiply(blk.conj().T, blk)
             assert np.abs(prod - np.eye(4)).max() <= 1e-14

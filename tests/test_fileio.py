@@ -1,0 +1,141 @@
+"""Byte pins and malformed-input checks for the JSON and CSV formats.
+
+The digests were taken from the per-entry writers that preceded the
+stack-view ones; read-back must reproduce the written stack bit for bit as
+a complex array (imaginary parts +0.0 for the real kinds).
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from haarforge import fileio
+from haarforge.samplers import SAMPLERS, sample_batch
+
+CASES = [(2, 3, 41, 1), (5, 4, 43, 2)]  # (n, count, seed, streams)
+
+TEXT_DIGESTS = {  # SHA-256 of the writer's text
+    ("so", "euler", (2, 3, 41, 1), "json"): "52f5264a5e86f5827608769117a3d427fd88d76f02b76239984d92c9314d619e",
+    ("so", "euler", (2, 3, 41, 1), "csv"): "bdac9ffd9f5ba5ed34a34e1b354da9ca66a5a7356c0f2bb5dd3f547c34c8ad60",
+    ("so", "euler", (5, 4, 43, 2), "json"): "300df5420af25b3df294ef9cc6531727b2d2e38bab4a5ac1f4f6e8bff455932e",
+    ("so", "euler", (5, 4, 43, 2), "csv"): "58a4435d2703aaaacca5af7e7955c3baa55071963f1473d8724467221a028218",
+    ("o", "euler", (2, 3, 41, 1), "json"): "eb656fe1b7cd6644aff9abf0689ff9c9e99cdebd3ac24eee1e932abf02f66c66",
+    ("o", "euler", (2, 3, 41, 1), "csv"): "e64075373ac2eca8e405df9afafb85102c42b9fbdb9b509f5bd7584da2196a4a",
+    ("o", "euler", (5, 4, 43, 2), "json"): "d6fc6e80c38d4e0b59d87f707250dd6c3262298dfe7b29440fbd96e325db7848",
+    ("o", "euler", (5, 4, 43, 2), "csv"): "8b3b5157f1aa668c9c4ecd640ba402a2ef88407bf82a634f8e591a8cebacf3a9",
+    ("o", "qr", (2, 3, 41, 1), "json"): "9b9c964ac7edf3d57b8547a13a5b198e30ab01063c7a2ddedf5259bb309fb35d",
+    ("o", "qr", (2, 3, 41, 1), "csv"): "9d99f1f51fd4eed2bd44182a630fba76655ebe5bd51c22453a703a4539a21a24",
+    ("o", "qr", (5, 4, 43, 2), "json"): "1925bca877bdb698a4b32e824cb871b74493321900c0bec42ad91c170a35cb57",
+    ("o", "qr", (5, 4, 43, 2), "csv"): "b1b1112f8f9f7859f59c00369c9076ab2199c2de1f2bf69ee91a6c0e89cadbf3",
+    ("o", "householder", (2, 3, 41, 1), "json"): "919034569c6878a7fa6e5e970d2d8ffb9fbe0ad0ea36ce452438d84727e13154",
+    ("o", "householder", (2, 3, 41, 1), "csv"): "791a0bc7b388a75e6d5f9ef5a56daac0e29368be35526bf1140154810c8a5ddb",
+    ("o", "householder", (5, 4, 43, 2), "json"): "08c868061d1721512eabccfcefba0bb428c868054397076569a5403ef3ee5934",
+    ("o", "householder", (5, 4, 43, 2), "csv"): "90463e9a53e4de94758e253f2b90fe93ac57544ccd925cd701b5fc899f9d6786",
+    ("u", "euler", (2, 3, 41, 1), "json"): "0bb0fa4b0254fd7f15eac547a6888660211b8094e2dc46cdbe881e6a46fe75a9",
+    ("u", "euler", (2, 3, 41, 1), "csv"): "c4def9c99240974549c3b8a78828e44e5f7284a40bc6b70de7bf143a2419ec20",
+    ("u", "euler", (5, 4, 43, 2), "json"): "61160bc72c635b274ea49fdf35de0cb2eea1d8eb124fd87b16ed9bdd666fe7a0",
+    ("u", "euler", (5, 4, 43, 2), "csv"): "2f1add571fe234392839a7b1f12bacd083f4dca9be54ac365c7acbca34dcac72",
+    ("u", "qr", (2, 3, 41, 1), "json"): "1df32ab5d847f7c0cd3f0e5eb78c6bfdd5ed16f157865f22e67400d172876bbf",
+    ("u", "qr", (2, 3, 41, 1), "csv"): "a67bd3a7d574e82d08e776b045a160fab11cec166f0c2b4a0901cde4537bec03",
+    ("u", "qr", (5, 4, 43, 2), "json"): "a6d508aec0246bf3a19dc16857177461ad2b2d7bf6728e763d71c290e3f60231",
+    ("u", "qr", (5, 4, 43, 2), "csv"): "f34fa9aaf973601a13ba61c1ced9ab5e2f8b436992a678e0571691b7117edb33",
+    ("u", "householder", (2, 3, 41, 1), "json"): "30490ec1721194020b36280d5d08b2154413bb0d51dec2ab87b42014655b2d1d",
+    ("u", "householder", (2, 3, 41, 1), "csv"): "bd95c82fd7c0412e068e1713370ec51901de2d67e42c0839714659c3692f1675",
+    ("u", "householder", (5, 4, 43, 2), "json"): "f43074a60f310c91747430c017a4a11059a87fe62295a451a850d95f55eccc1a",
+    ("u", "householder", (5, 4, 43, 2), "csv"): "f3bce191ee4a26e07f0f478a9afd74e727a6170ac2cd4d3cb02032e482e24e09",
+    ("sp", "euler", (2, 3, 41, 1), "json"): "76ad2c5eec1544599219d3693693267f20271c65b4a8d4e2dec35e95f2336ac2",
+    ("sp", "euler", (2, 3, 41, 1), "csv"): "aa4a557f4de37edef4d5d2f4a94ef33a008f3403c71dda946f14c3f9d8b66496",
+    ("sp", "euler", (5, 4, 43, 2), "json"): "d7f19ff14343b07da88158a786e4d3c519ce4a79fe63b14674e69891a70bb9a2",
+    ("sp", "euler", (5, 4, 43, 2), "csv"): "6cac9237fc5fdd222f163c18d26205ad063872404876f7ca5493fc57e4f3c3af",
+    ("sn", "bubble", (2, 3, 41, 1), "json"): "c69480d3548ede7f9a06e5015549236a8efac20fbbe2023282dfcd1aa0285fc9",
+    ("sn", "bubble", (2, 3, 41, 1), "csv"): "c4889ed9be6ca4578ab4588dcfc03d9375ed0145eb065c78d60079f20e977754",
+    ("sn", "bubble", (5, 4, 43, 2), "json"): "0c0c2e662486788a5da7dc0f8ad8d732dad9b85946ddfe9736755246c6a5a11f",
+    ("sn", "bubble", (5, 4, 43, 2), "csv"): "0348c360e92c4c917fefd10e3b7e51ad1e1a04c94fd4d3573698b5361546f893",
+}
+
+
+def _write(group, method, case, fmt):
+    n, count, seed, streams = case
+    got = sample_batch(group, n, count, method=method, seed=seed, streams=streams)
+    kind = SAMPLERS[(group, method)].kind
+    if kind == "permutation":
+        text = (fileio.permutations_to_json(n, method, seed, got) if fmt == "json"
+                else fileio.permutations_to_csv(n, method, seed, got))
+    else:
+        text = (fileio.matrices_to_json(group, n, method, seed, got) if fmt == "json"
+                else fileio.matrices_to_csv(group, n, method, seed, got, kind))
+    return got, kind, text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c[0]}-count{c[1]}")
+@pytest.mark.parametrize("pair", list(SAMPLERS), ids="/".join)
+def test_text_pinned_and_read_back_bit_exact(pair, case, fmt):
+    got, kind, text = _write(*pair, case, fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_DIGESTS[(*pair, case, fmt)]
+    reader = fileio.json_to_matrices if fmt == "json" else fileio.csv_to_matrices
+    _, back = reader(text)
+    if kind == "permutation":
+        assert back == got
+    else:
+        assert back.dtype == complex and back.shape == got.shape
+        assert back.tobytes() == np.asarray(got, dtype=complex).tobytes()
+
+
+REAL_ZEROS = np.array([[[-0.0, 0.0], [1.5, -0.0]]])
+COMPLEX_ZEROS = np.array([[[complex(-0.0, -0.0), complex(0.0, -0.0)],
+                           [complex(-0.0, 0.0), complex(-1.0, -0.0)]]])
+SIGNED_ZERO_TEXT = {
+    ("real", "json"): '{"group": "so", "n": 2, "method": "euler", "seed": 0, "matrices": '
+                      '[[[[-0.0, 0.0], [0.0, 0.0]], [[1.5, 0.0], [-0.0, 0.0]]]]}',
+    ("real", "csv"): "# haar-forge group=so n=2 method=euler seed=0 kind=real count=1\n"
+                     "-0.0,0.0\n1.5,-0.0\n",
+    ("complex", "json"): '{"group": "u", "n": 2, "method": "qr", "seed": 0, "matrices": '
+                         '[[[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [-1.0, -0.0]]]]}',
+    ("complex", "csv"): "# haar-forge group=u n=2 method=qr seed=0 kind=complex count=1\n"
+                        "-0.0,-0.0,0.0,-0.0\n-0.0,0.0,-1.0,-0.0\n",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", list(SIGNED_ZERO_TEXT))
+def test_signed_zeros_survive_write_and_read(kind, fmt):
+    mats, group, method = ((REAL_ZEROS, "so", "euler") if kind == "real"
+                           else (COMPLEX_ZEROS, "u", "qr"))
+    if fmt == "json":
+        text = fileio.matrices_to_json(group, 2, method, 0, mats)
+        _, back = fileio.json_to_matrices(text)
+    else:
+        text = fileio.matrices_to_csv(group, 2, method, 0, mats, kind)
+        _, back = fileio.csv_to_matrices(text)
+    assert text == SIGNED_ZERO_TEXT[(kind, fmt)]
+    assert back.tobytes() == np.asarray(mats, dtype=complex).tobytes()
+
+
+HEADER = "# haar-forge group=u n=2 method=qr seed=0 kind={} count=2\n"
+
+
+@pytest.mark.parametrize("text", [
+    HEADER.format("complex") + "1.0,0.0,2.0\n3.0,0.0,4.0\n",
+    HEADER.format("real") + "1.0,2.0\n3.0\n",
+    HEADER.format("real") + "1.0,2.0\n3.0,4.0\n\n1.0,2.0\n",
+    HEADER.format("real") + "1.0,x\n3.0,4.0\n",
+], ids=["odd-columns", "ragged-rows", "ragged-blocks", "not-a-number"])
+def test_malformed_csv_raises_value_error(text):
+    with pytest.raises(ValueError):
+        fileio.csv_to_matrices(text)
+
+
+@pytest.mark.parametrize("matrices", [
+    [[[1.0, 2.0], [3.0, 4.0]]],
+    [[[[1.0, 0.0], [2.0, 0.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
+    [[[[1.0, 0.0, 5.0], [2.0, 0.0, 6.0]], [[3.0, 0.0, 7.0], [4.0, 0.0, 8.0]]]],
+    [[[[1.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
+    [[[[1.0, 0.0]]], [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
+], ids=["bare-floats", "one-triple", "all-triples", "ragged-rows", "ragged-matrices"])
+def test_malformed_json_raises_value_error(matrices):
+    text = json.dumps({"group": "u", "n": 2, "method": "qr", "seed": 0,
+                       "matrices": matrices})
+    with pytest.raises(ValueError):
+        fileio.json_to_matrices(text)

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from haarforge.analytics import ks_test
+from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
 from haarforge.randstream import RandomStream, phi_from_xi, sin2phi_from_xi
 
 from oracles import bin_probabilities, grid_cdf
@@ -139,6 +140,24 @@ class TestCosThetaSO:
         s._gen = Gen()
         got = s.cos_theta_so(np.array([[1], [3]]), size=(2, 4))
         assert not first and np.all(np.isfinite(got)) and got[0, 1] != 0.0
+
+    def test_zero_denominator_redraw_is_bounded(self):
+        s = RandomStream(175)
+        calls = []
+
+        def zero_gaussians(size=None):
+            calls.append(size)
+            assert len(calls) <= 64, "the zero-denominator redraw does not stop"
+            return np.zeros(size)
+
+        class Gen:
+            def standard_gamma(self, shape, size=None):
+                return np.zeros(np.shape(shape) if size is None else size)
+
+        s.gaussian, s._gen = zero_gaussians, Gen()
+        with pytest.raises(ConvergenceError):
+            s.cos_theta_so(np.array([[1], [3]]), size=(2, 4))
+        assert len(calls) == 1 + REDRAW_ROUNDS
 
     def test_j_below_one_rejected(self):
         s = RandomStream(173)

@@ -7,6 +7,7 @@ import pytest
 
 from haarforge.analytics import chi_square, ks_two_sample
 from haarforge.linalg import (
+    REDRAW_ROUNDS,
     ConvergenceError,
     adjoint_residual,
     determinant,
@@ -20,6 +21,17 @@ from haarforge.samplers import SAMPLERS, GroupId, sample_batch
 from oracles import bin_probabilities
 
 TWO_PI = 2.0 * np.pi
+
+
+class ZeroStream:
+    """Gaussians that are all zero; fails the test instead of hanging."""
+
+    calls = 0
+
+    def gaussian(self, size):
+        self.calls += 1
+        assert self.calls <= 64, "the zero-draw redraw does not stop"
+        return np.zeros(size)
 
 
 class TestSOEuler:
@@ -129,6 +141,34 @@ class TestQR:
         with pytest.raises(ValueError):
             sample_batch(GroupId("so", 3), 3, 1, method="qr", seed=244)
 
+    def test_rank_deficient_draw_is_redrawn_after_the_batch(self):
+        n, seed = 4, 245
+        stream = RandomStream(seed)
+        gaussian = stream.gaussian
+        first = []
+
+        def zero_second_matrix(size):
+            g = gaussian(size)
+            if not first:
+                first.append(size)
+                g[1] = 0.0
+            return g
+
+        stream.gaussian = zero_second_matrix
+        got = samplers.qr_batch(stream, n, 3, "real")
+        clean = samplers.qr_batch(RandomStream(seed), n, 3, "real")
+        assert np.array_equal(got[[0, 2]], clean[[0, 2]])
+        replay = RandomStream(seed)
+        replay.gaussian(size=(3, n, n))
+        assert np.array_equal(got[1], samplers.qr_batch(replay, n, 1, "real")[0])
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_rank_deficient_redraw_is_bounded(self, kind):
+        stream = ZeroStream()
+        with pytest.raises(ConvergenceError):
+            samplers.qr_batch(stream, 3, 2, kind)
+        assert stream.calls == (1 + REDRAW_ROUNDS) * (2 if kind == "complex" else 1)
+
 
 class TestHouseholder:
     def test_n1_is_phase_or_sign(self):
@@ -168,19 +208,10 @@ class TestHouseholder:
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_zero_vectors_redraw_is_bounded(self, kind):
-        class ZeroStream:
-            calls = 0
-
-            def gaussian(self, size):
-                self.calls += 1
-                assert self.calls <= 64, "the zero-norm redraw does not stop"
-                return np.zeros(size)
-
         stream = ZeroStream()
         with pytest.raises(ConvergenceError):
             samplers.householder_batch(stream, 3, 2, kind)
-        rounds = 1 + samplers.HOUSEHOLDER_REDRAW_ROUNDS
-        assert stream.calls == rounds * (2 if kind == "complex" else 1)
+        assert stream.calls == (1 + REDRAW_ROUNDS) * (2 if kind == "complex" else 1)
 
 
 def exact_word_distribution(n):

@@ -5,6 +5,8 @@ import pytest
 
 from haarforge import samplers, spectra
 from haarforge.linalg import (
+    REDRAW_ROUNDS,
+    ConvergenceError,
     adjoint_residual,
     charpoly_eval,
     eigenphases_batch,
@@ -200,6 +202,20 @@ class TestTraceSeries:
     def test_terms_guard(self):
         with pytest.raises(ValueError):
             trace_series_so_batch(RandomStream(344), 1, 10)
+
+    def test_zero_first_term_redraw_is_bounded(self):
+        class ZeroStream:
+            calls = 0
+
+            def gaussian(self, size):
+                self.calls += 1
+                assert self.calls <= 64, "the zero-draw redraw does not stop"
+                return np.zeros(size)
+
+        stream = ZeroStream()
+        with pytest.raises(ConvergenceError):
+            trace_series_so_batch(stream, 5, 3)
+        assert stream.calls == 1 + REDRAW_ROUNDS
 
 
 class TestPermSeries:
