@@ -16,12 +16,15 @@ from math import exp, lgamma, log, pi
 import numpy as np
 from scipy.special import chdtri, kolmogi
 
+from haarforge import samplers
 from haarforge.euler import angle_pairs, density_so, density_u
 from haarforge.randstream import RandomStream
 
 DEFAULT_LEVEL = 0.001
 
 TWO_PI = 2.0 * pi
+
+QUADRATURE_DOMAIN = {"so": range(2, 4), "u": range(1, 3)}  # volume_quadrature's (tag, n)
 
 
 # --- moments ---------------------------------------------------------------
@@ -172,24 +175,24 @@ def _tensor_gl(dims, fn, nodes: int) -> float:
 def volume_quadrature(tag: str, n: int, nodes: int = 24):
     """Integrate the implemented Euler density over its angle ranges.
 
-    Supported: ("so", n <= 3) and ("u", n <= 2).  Returns (value, refine)
-    where refine is the change under a 3/2 node refinement, a convergence
-    certificate for the tensor Gauss-Legendre rule.
+    Supported: QUADRATURE_DOMAIN (so with n = 2, 3; u with n = 1, 2).  Returns
+    (value, refine) where refine is the change under a 3/2 node refinement,
+    a convergence certificate for the tensor Gauss-Legendre rule.
     """
-    if tag == "so" and 2 <= n <= 3:
+    if n not in QUADRATURE_DOMAIN.get(tag, ()):
+        raise ValueError("quadrature cross-check supports so (2<=n<=3), u (n<=2)")
+    if tag == "so":
         pairs = angle_pairs(n)
         dims = [(0.0, TWO_PI) if j == 1 else (0.0, pi) for (j, k) in pairs]
 
         def fn(*theta):
             return density_so(n, dict(zip(pairs, theta)))
-    elif tag == "u" and 1 <= n <= 2:
+    else:
         # U(2) axes: phi_{1,2}, psi_{1,2}, alpha_1, alpha_2; only phi enters
         dims = [(0.0, TWO_PI)] if n == 1 else [(0.0, pi / 2.0)] + [(0.0, TWO_PI)] * 3
 
         def fn(*angles):
             return density_u(n, {(1, 2): angles[0]} if n == 2 else {})
-    else:
-        raise ValueError("quadrature cross-check supports so (n<=3), u (n<=2)")
     coarse = _tensor_gl(dims, fn, nodes)
     fine = _tensor_gl(dims, fn, nodes + nodes // 2)
     return fine, abs(fine - coarse)
@@ -198,8 +201,8 @@ def volume_quadrature(tag: str, n: int, nodes: int = 24):
 # --- the group-averaging (Reynolds) operator ---------------------------------
 
 
-def reynolds_average(f, group, stream: RandomStream, samples: int, x=None,
-                     exact: bool = False):
+def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
+                     samples: int, x=None, exact: bool = False):
     """Monte Carlo group average (1/S) sum_k f(M_k, x) with standard error.
 
     ``f(stack, x)`` maps the (S, d, d) stack of sampled matrices to its S
@@ -209,27 +212,19 @@ def reynolds_average(f, group, stream: RandomStream, samples: int, x=None,
     (standard error 0).  Averaging any f produces an invariant of the group
     action; constants are reproduced exactly.
     """
-    from haarforge import samplers as _samplers
-
-    tag = group.tag if hasattr(group, "tag") else str(group)
-    n = group.n if hasattr(group, "n") else None
-    if n is None:
-        raise ValueError("group must carry its dimension (use GroupId)")
-    if tag not in _samplers.DEFAULT_METHOD:
-        raise ValueError(f"unknown group tag {tag!r}")
-    sampler = _samplers.SAMPLERS[(tag, _samplers.DEFAULT_METHOD[tag])]
+    sampler = samplers.SAMPLERS[(group.tag, samplers.DEFAULT_METHOD[group.tag])]
     perm = sampler.kind == "permutation"
     exact = exact and perm
     if exact:
-        if n > 8:
+        if group.n > 8:
             raise ValueError("exact enumeration supported for n <= 8")
-        mats = np.array(list(itertools.permutations(range(n))))
+        mats = np.array(list(itertools.permutations(range(group.n))))
     elif samples < 2:
         raise ValueError("samples >= 2 required")
     else:
-        mats = sampler.draw(stream, n, samples)
+        mats = sampler.draw(stream, group.n, samples)
     if perm:
-        mats = _samplers.permutation_matrices(mats)
+        mats = samplers.permutation_matrices(mats)
     vals = np.asarray(f(mats, x), dtype=float)
     if vals.ndim and vals.shape != (len(mats),):
         raise ValueError(f"f must return a scalar or shape ({len(mats)},), not {vals.shape}")

@@ -134,8 +134,7 @@ def cmd_volumes(cfg: RunConfig) -> int:
     if cfg.group == "u":
         report["quotients"] = {"u/u1": analytics.volume("u/u1", n),
                                "u/o": analytics.volume("u/o", n)}
-    checkable = (cfg.group == "so" and 2 <= n <= 3) or (cfg.group == "u" and n <= 2)
-    if checkable:
+    if n in analytics.QUADRATURE_DOMAIN.get(cfg.group, ()):
         got, refine = analytics.volume_quadrature(cfg.group, n)
         rel = abs(got - report["closed_form"]) / report["closed_form"]
         report["quadrature"] = got

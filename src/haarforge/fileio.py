@@ -23,11 +23,22 @@ from itertools import groupby
 
 import numpy as np
 
+from haarforge.samplers import DEFAULT_METHOD, SAMPLERS, GroupId
+
 
 def _float_view(mats) -> np.ndarray:
     """(..., 2) float view of a stack taken as complex: [re, im] last."""
     c = np.ascontiguousarray(mats, dtype=complex)
     return c.view(float).reshape(c.shape + (2,))
+
+
+def _stack(meta, mats: np.ndarray) -> np.ndarray:
+    """mats, or if it is empty the (0, d, d) stack of the header's group and n."""
+    if mats.size:
+        return mats
+    g = GroupId(meta.get("group"), int(meta.get("n") or 0))  # ValueError if either is missing
+    d = SAMPLERS[(g.tag, DEFAULT_METHOD[g.tag])].matrix_dim(g.n)
+    return np.empty((0, d, d), dtype=complex)
 
 
 def matrices_to_json(group: str, n: int, method: str, seed: int,
@@ -43,7 +54,7 @@ def json_to_matrices(text: str):
     pairs = np.array(payload["matrices"], dtype=float)
     if pairs.size and (pairs.ndim != 4 or pairs.shape[-1] != 2):
         raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
-    return payload, pairs.view(complex).reshape(pairs.shape[:3])
+    return payload, _stack(payload, pairs.view(complex).reshape(pairs.shape[:3]))
 
 
 def permutations_to_json(n: int, method: str, seed: int, words) -> str:
@@ -55,7 +66,7 @@ def matrices_to_csv(group: str, n: int, method: str, seed: int,
                     mats: np.ndarray, kind: str) -> str:
     mats = np.asarray(mats)
     cols = mats.real if kind == "real" else _float_view(mats).reshape(
-        mats.shape[:-1] + (-1,))
+        mats.shape[:-1] + (2 * mats.shape[-1],))
     lines = [f"# haar-forge group={group} n={n} method={method} seed={seed} "
              f"kind={kind} count={len(mats)}"]
     for idx, m in enumerate(cols):
@@ -78,7 +89,7 @@ def csv_to_matrices(text: str):
     cols = np.array([[line.split(",") for line in block] for blank, block
                      in groupby(lines[1:], lambda line: not line.strip()) if not blank],
                     dtype=float)
-    return meta, cols.astype(complex) if kind == "real" else cols.view(complex)
+    return meta, _stack(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
 
 
 def permutations_to_csv(n: int, method: str, seed: int, words) -> str:

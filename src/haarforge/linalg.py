@@ -25,6 +25,18 @@ class ConvergenceError(RuntimeError):
 REDRAW_ROUNDS = 8
 
 
+def _redraw(rejected, redo, what: str) -> None:
+    """While the mask ``rejected()`` flags an entry, ``redo(mask)`` redraws those
+    entries in place; REDRAW_ROUNDS rounds that leave one raise ConvergenceError."""
+    for _ in range(REDRAW_ROUNDS):
+        bad = rejected()
+        if not bad.any():
+            return
+        redo(bad)
+    if rejected().any():
+        raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left {what}")
+
+
 def adjoint_residual(a: np.ndarray):
     """max |a^dagger a - I| of each matrix of a (..., d, d) array."""
     a = np.asarray(a)

@@ -6,8 +6,10 @@ a batch split across streams is reproducible regardless of execution order.
 Gaussians use the polar (Marsaglia) form of the Box-Muller transform; angle
 laws are exact inverse-CDF, order-statistic or chi-square constructions,
 documented on each method (the SO law takes one Gaussian and one gamma
-variate per angle).  Replaying an identical call sequence on an identical
-``(seed, stream_id)`` reproduces every output bit for bit.
+variate per angle).  Every draw takes its array shape ``size``; only
+``uniform`` also has a scalar form (``size`` None returns a float).
+Replaying an identical call sequence on an identical ``(seed, stream_id)``
+reproduces every output bit for bit.
 
 A stream is single-owner: do not share one instance across concurrent
 tasks; create siblings with distinct ``stream_id`` instead.
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
+from haarforge.linalg import _redraw
 
 
 class RandomStream:
@@ -47,10 +49,12 @@ class RandomStream:
 
     _CHUNK = 1 << 20  # bound temporary sizes; large allocations fault slowly
 
-    def _gaussian_block(self, k: int) -> np.ndarray:
+    def gaussian(self, size):
+        """Standard normal variates of shape ``size``."""
         # polar Box-Muller: draw (u, v) uniform on (-1, 1)^2, accept when
         # s = u^2 + v^2 lies in (0, 1), emit u*sqrt(-2 ln s / s) followed by
         # the matching v-components, chunk by chunk.
+        k = _count(size)
         out = np.empty(k)
         filled = 0
         while filled < k:
@@ -69,61 +73,49 @@ class RandomStream:
                 take_v = min(len(s), k - filled)
                 out[filled:filled + take_v] = (v * f)[:take_v]
                 filled += take_v
-        return out
-
-    def gaussian(self, size=None):
-        """Standard normal variates."""
-        if size is None:
-            return float(self._gaussian_block(1)[0])
-        n = _count(size)
-        return self._gaussian_block(n).reshape(size)
+        return out.reshape(size)
 
     # -- angle laws --------------------------------------------------------
 
-    def cos_theta_so(self, j, size=None):
+    def cos_theta_so(self, j, size):
         """cos(theta) of an SO Euler angle: g / sqrt(g^2 + 2 G).
 
         g is one standard Gaussian and G ~ standard_gamma(j/2), so 2 G ~
         chi^2_j stands for g_1^2 + ... + g_j^2 and the ratio is
         g_{j+1} / |(g_1, ..., g_{j+1})|: the density on (-1, 1) is
         proportional to (1 - s^2)^((j-2)/2), i.e. (1 + s)/2 ~ Beta(j/2, j/2).
-        ``j`` is an int or an int array that broadcasts against ``size``
-        (``size`` None with a scalar j returns a float).  Draw order: all
-        Gaussians of the block, then all gamma variates; a zero denominator
-        (probability zero) redraws both for the affected entries, and
-        ConvergenceError follows REDRAW_ROUNDS rounds that leave one.
+        ``j`` is an int or an int array that broadcasts against ``size``.  Draw
+        order: all Gaussians of the block, then all gamma variates; a zero
+        denominator (probability zero) redraws both for the affected entries,
+        and ConvergenceError follows REDRAW_ROUNDS rounds that leave one.
         """
         j = np.asarray(j)
         if np.any(j < 1):
             raise ValueError("j >= 1 required")
-        shape = j.shape if size is None else (
-            (int(size),) if np.ndim(size) == 0 else tuple(size))
+        shape = (int(size),) if np.ndim(size) == 0 else tuple(size)
         if np.broadcast_shapes(j.shape, shape) != shape:
             raise ValueError(f"j of shape {j.shape} does not broadcast to {shape}")
         g = self.gaussian(shape)
         den = self._gen.standard_gamma(0.5 * j, size=shape)
         den *= 2.0
         den += g * g
-        bad = den == 0.0
-        for _ in range(REDRAW_ROUNDS):
-            if not bad.any():
-                break
+
+        def redo(bad):
             g[bad] = self.gaussian(int(bad.sum()))
             den[bad] = g[bad] ** 2 + 2.0 * self._gen.standard_gamma(
                 np.broadcast_to(0.5 * j, shape)[bad])
-            bad = den == 0.0
-        if bad.any():
-            raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a zero SO angle denominator")
-        g /= np.sqrt(den)
-        return float(g) if size is None and j.ndim == 0 else g
 
-    def phi_unitary(self, j: int, size=None):
+        _redraw(lambda: den == 0.0, redo, "a zero SO angle denominator")
+        g /= np.sqrt(den)
+        return g
+
+    def phi_unitary(self, j: int, size):
         """phi = arcsin(xi^(1/(2j))) on [0, pi/2]: density ~ cos(phi) sin(phi)^(2j-1)."""
         if j < 1:
             raise ValueError("j >= 1 required")
-        return phi_from_xi(self._gen.random(size), j)
+        return np.arcsin(self._gen.random(size) ** (1.0 / (2.0 * j)))
 
-    def rho_symplectic(self, j: int, size=None):
+    def rho_symplectic(self, j: int, size):
         """rho on [0, pi/2] with density ~ cos^3(rho) sin(rho)^(4j-1).
 
         Equivalently sin^2(rho) ~ Beta(2j, 2), realized exactly as the
@@ -131,29 +123,15 @@ class RandomStream:
         """
         if j < 1:
             raise ValueError("j >= 1 required")
-        scalar = size is None
-        n = 1 if scalar else _count(size)
-        u = self._gen.random((n, 2 * j + 1))
+        u = self._gen.random((_count(size), 2 * j + 1))
         second_largest = np.partition(u, 2 * j - 1, axis=1)[:, 2 * j - 1]
-        rho = np.arcsin(np.sqrt(second_largest))
-        return float(rho[0]) if scalar else rho.reshape(size)
+        return np.arcsin(np.sqrt(second_largest)).reshape(size)
 
-    def sin2phi_quaternion(self, size=None):
+    def sin2phi_quaternion(self, size):
         """phi = arcsin(sqrt(xi)) on [0, pi/2]: density ~ sin(2 phi)."""
-        return sin2phi_from_xi(self._gen.random(size))
+        return np.arcsin(np.sqrt(self._gen.random(size)))
 
 
 def _count(size) -> int:
     """Number of variates in an int or tuple ``size`` (np.prod costs a call)."""
     return int(size) if isinstance(size, (int, np.integer)) else int(math.prod(size))
-
-
-def phi_from_xi(xi, j: int):
-    """The pure transform behind phi_unitary (exposed for boundary tests)."""
-    return np.arcsin(np.asarray(xi) ** (1.0 / (2.0 * j))) if np.ndim(xi) else float(
-        np.arcsin(xi ** (1.0 / (2.0 * j))))
-
-
-def sin2phi_from_xi(xi):
-    """The pure transform behind sin2phi_quaternion."""
-    return np.arcsin(np.sqrt(xi)) if np.ndim(xi) else float(np.arcsin(np.sqrt(xi)))

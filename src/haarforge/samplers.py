@@ -21,17 +21,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError, symplectic_form
+from haarforge.linalg import _redraw, symplectic_form
 from haarforge.randstream import RandomStream
 
 TWO_PI = 2.0 * np.pi
-
-
-def _compose_word(n: int, bits: dict) -> tuple:
-    """sigma = E_1 o E_2 o ... o E_{n-1} with E_j = T_j o ... o T_1."""
-    arr = _compose_word_batch(
-        n, {key: np.array([v]) for key, v in bits.items()})[0]
-    return tuple(int(x) + 1 for x in arr)
 
 
 def _compose_word_batch(n: int, bits: dict) -> np.ndarray:
@@ -42,13 +35,13 @@ def _compose_word_batch(n: int, bits: dict) -> np.ndarray:
     appending factors on the right, where appending T_l swaps *positions*
     (l-1, l), done arithmetically to avoid fancy-index copies.
     """
-    batch = np.atleast_1d(next(iter(bits.values()))).shape[0] if bits else 1
+    batch = len(next(iter(bits.values()))) if bits else 1
     sigma = np.broadcast_to(np.arange(n), (batch, n)).copy()
     e = np.empty((batch, n), dtype=np.int64)
     for j in range(1, n):
         e[:] = np.arange(n)
         for l in range(j, 0, -1):
-            swap = np.atleast_1d(bits[(l, j)]).astype(np.int64)
+            swap = bits[(l, j)].astype(np.int64)
             delta = (e[:, l] - e[:, l - 1]) * swap
             e[:, l - 1] += delta
             e[:, l] -= delta
@@ -155,16 +148,11 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
         return (q * (d / np.where(absd == 0.0, 1.0, absd))[:, None, :],
                 absd.min(axis=1) < 1e-12)
 
+    def redo(mask):
+        q[mask], bad[mask] = draw(int(mask.sum()))
+
     q, bad = draw(count)
-    redo = np.flatnonzero(bad)
-    for _ in range(REDRAW_ROUNDS):
-        if not redo.size:
-            break
-        q[redo], bad = draw(redo.size)
-        redo = redo[bad]
-    if redo.size:
-        raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a rank-deficient "
-                               f"{n} x {n} Gaussian matrix")
+    _redraw(lambda: bad, redo, f"a rank-deficient {n} x {n} Gaussian matrix")
     return q.real.copy() if kind == "real" else q
 
 
@@ -185,17 +173,13 @@ def _gaussian_vectors(stream: RandomStream, count: int, k: int, cplx: bool):
         g = stream.gaussian(size=(m, k))
         return g + 1j * stream.gaussian(size=(m, k)) if cplx else g
 
+    def redo(bad):
+        z[bad] = draw(int(bad.sum()))
+        nz[bad] = _norms(z[bad])
+
     z = draw(count)
     nz = _norms(z)
-    for _ in range(REDRAW_ROUNDS):
-        if nz.all():
-            break
-        bad = nz == 0.0
-        z[bad] = draw(int(bad.sum()))
-        nz = _norms(z)
-    if not nz.all():
-        raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a zero "
-                               f"Gaussian vector of length {k}")
+    _redraw(lambda: nz == 0.0, redo, f"a zero Gaussian vector of length {k}")
     return z, nz
 
 
@@ -389,16 +373,15 @@ def _lane_counts(count: int, streams: int):
     return [base + (1 if i < rem else 0) for i in range(streams)]
 
 
-def sample_batch(group, n: int, count: int, method: str | None = None,
+def sample_batch(tag: str, n: int, count: int, method: str | None = None,
                  seed: int = 0, streams: int = 1):
-    """Draw ``count`` elements, split across ``streams`` sibling streams.
+    """Draw ``count`` elements of group ``tag``, split across ``streams`` sibling streams.
 
     Returns a (count, d, d) array for matrix groups, or a list of 1-based
     one-line permutation tuples for sn.  Lane i uses
     RandomStream(seed, stream_id=i), so output is reproducible for fixed
     (seed, streams) regardless of how lanes are scheduled.
     """
-    tag = group.tag if isinstance(group, GroupId) else str(group)
     GroupId(tag=tag, n=n)
     method = method or DEFAULT_METHOD[tag]
     sampler = SAMPLERS.get((tag, method))

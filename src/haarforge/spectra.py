@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from haarforge.euler import _plane_product, _rotation_blocks
-from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
+from haarforge.linalg import _redraw
 from haarforge.randstream import RandomStream
 
 
@@ -76,16 +76,16 @@ def cmv_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 
 def _alpha_rho(c):
-    """Dicts alpha[i] and rho[i] = (1 - alpha_i^2)^{1/2}, -1 <= i <= n-1, of
-    the n-1 cosines c_i = cos(theta_{i,N}): alpha_{i-1} = (-1)^{i-1} c_i,
-    with boundary values alpha_{-1} = -1 and alpha_{n-1} = (-1)^{n-1}.
+    """Arrays alpha, rho = (1 - alpha^2)^{1/2} of the n-1 cosines c_i =
+    cos(theta_{i,N}), alpha[i] = alpha_i for i = -1..n-1 (the last slot is
+    alpha_{-1} = -1): alpha_{i-1} = (-1)^{i-1} c_i, alpha_{n-1} = (-1)^{n-1}.
     ValueError unless c is 1-d with every |c_i| <= 1."""
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or np.any(np.abs(c) > 1.0):
+    if c.ndim != 1 or not np.all(np.abs(c) <= 1.0):  # NaN fails too
         raise ValueError("cosines must be a 1-d array with entries in [-1, 1]")
-    vals = [-1.0] + [float((-1.0) ** i * x) for i, x in enumerate(c)] + [float((-1.0) ** len(c))]
-    alpha = dict(enumerate(vals, start=-1))
-    return alpha, {i: float(np.sqrt(max(0.0, 1.0 - a * a))) for i, a in alpha.items()}
+    alpha = np.concatenate([np.where(np.arange(len(c)) % 2, -c, c),
+                            [(-1.0) ** len(c), -1.0]])
+    return alpha, np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
 
 
 def hessenberg_entries(c) -> np.ndarray:
@@ -106,14 +106,10 @@ def hessenberg_entries(c) -> np.ndarray:
     alpha, rho = _alpha_rho(c)
     n = len(alpha) - 1
     m = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            prod = 1.0
-            for l in range(j - 1, i - 1):
-                prod *= rho[l]
-            m[i - 1, j - 1] = -alpha[j - 2] * alpha[i - 1] * prod
-        if i <= n - 1:
-            m[i - 1, i] = rho[i - 1]
+    for j in range(1, n + 1):  # column j: rows i = j..n, one running product
+        prod = np.cumprod(np.concatenate([[1.0], rho[j - 1:n - 1]]))
+        m[j - 1:, j - 1] = -alpha[j - 2] * alpha[j - 1:n] * prod
+    m[np.arange(n - 1), np.arange(1, n)] = rho[:n - 1]
     thetas = np.arccos(np.asarray(c, dtype=float))
     ref = rotation_product_batch(thetas[None, :], hessenberg_order(n), n)[0]
     err = float(np.abs(m - ref).max())
@@ -156,8 +152,8 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
                           finite_trace: bool = False) -> np.ndarray:
     """Y_1 Y_2 + ... + Y_{T-1} Y_T (+ Y_T for the finite-trace form), with
     Y_i = Z_i / sqrt(Z_1^2 + ... + Z_i^2) from independent standard normals.
-    A draw with Z_1 = 0 is redrawn whole; ConvergenceError after
-    REDRAW_ROUNDS rounds that leave one."""
+    A draw with Z_1^2 = 0 (a zero first norm) is redrawn whole;
+    ConvergenceError after REDRAW_ROUNDS rounds that leave one."""
     if terms < 2:
         raise ValueError("terms >= 2 required")
     out = np.empty(count)
@@ -166,17 +162,12 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
     while done < count:
         b = min(chunk, count - done)
         z = stream.gaussian(size=(b, terms))
-        norms = np.sqrt(np.cumsum(z * z, axis=1))
-        bad = norms[:, 0] == 0.0
-        for _ in range(REDRAW_ROUNDS):
-            if not bad.any():
-                break
+
+        def redo(bad):
             z[bad] = stream.gaussian(size=(int(bad.sum()), terms))
-            norms = np.sqrt(np.cumsum(z * z, axis=1))
-            bad = norms[:, 0] == 0.0
-        if bad.any():
-            raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left a zero first term")
-        y = z / norms
+
+        _redraw(lambda: z[:, 0] ** 2 == 0.0, redo, "a zero first term")
+        y = z / np.sqrt(np.cumsum(z * z, axis=1))
         s = (y[:, :-1] * y[:, 1:]).sum(axis=1)
         if finite_trace:
             s = s + y[:, -1]
@@ -202,18 +193,18 @@ def trace_series_perm_batch(stream: RandomStream, terms: int,
 # --- batched eigenphase summaries -------------------------------------------
 
 
-def so_min_eigenphase_batch(mats: np.ndarray, drop_forced: bool = True) -> np.ndarray:
+def so_min_eigenphase_batch(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenphase in (0, pi] of each real orthogonal matrix.
 
     Phases come from the symmetric part (m + m^T)/2, whose spectrum is
     {cos(theta_k)}; the largest cosine gives the smallest phase.  For odd
-    dimension an SO matrix has a forced +1 eigenvalue (phase 0); with
-    ``drop_forced`` it is excluded so spacing statistics are not polluted
-    by a deterministic point mass.
+    dimension an SO matrix has a forced +1 eigenvalue (phase 0); it is
+    excluded so spacing statistics are not polluted by a deterministic
+    point mass.
     """
     mats = np.asarray(mats)
     n = mats.shape[-1]
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2)).real
     eig = np.linalg.eigvalsh(sym)  # ascending
-    col = -2 if (n % 2 == 1 and drop_forced) else -1
+    col = -2 if n % 2 == 1 else -1
     return np.arccos(np.clip(eig[:, col], -1.0, 1.0))

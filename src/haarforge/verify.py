@@ -329,16 +329,14 @@ def criterion_8(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
 def _exact_word_distribution(n: int):
     """Probability of each permutation under the weighted bit tree, exactly."""
     keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
+    patterns = np.array(list(itertools.product((0, 1), repeat=len(keys))))
+    lines = samplers._compose_word_batch(n, dict(zip(keys, patterns.T)))
     dist = {}
-    for pattern in itertools.product((0, 1), repeat=len(keys)):
+    for pattern, line in zip(patterns.tolist(), map(tuple, lines.tolist())):
         prob = Fraction(1)
-        bits = {}
-        for key, bit in zip(keys, pattern):
-            i = key[0]
+        for (i, _), bit in zip(keys, pattern):
             p1 = Fraction(i, i + 1)
             prob *= p1 if bit else (1 - p1)
-            bits[key] = bit
-        line = samplers._compose_word(n, bits)
         dist[line] = dist.get(line, Fraction(0)) + prob
     return dist
 

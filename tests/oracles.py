@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: multiplication by
 triple loop, determinants by cofactor expansion, the coset bottom row by
-symbolic expansion of the rotation recursion, and distribution functions
-by black-box numerical quadrature on a dense grid.
+symbolic expansion of the rotation recursion, the Hessenberg closed form
+entry by entry, and distribution functions by black-box numerical
+quadrature on a dense grid.
 """
 
 import numpy as np
@@ -57,6 +58,33 @@ def so_coset_bottom_row(thetas) -> np.ndarray:
         tail = np.prod(np.sin(t[kp - 1:]))
         row[kp - 1] = (-1.0) ** (j - kp + 1) * tail * np.cos(t[kp - 2])
     return row
+
+
+def hessenberg_entries_triple_loop(c) -> np.ndarray:
+    """The n x n Hessenberg matrix of the n-1 cosines c, entry by entry:
+
+        E[i, j] = -alpha_{j-2} alpha_{i-1} * prod_{l=j-1}^{i-2} rho_l   (j <= i)
+        E[i, i+1] = rho_{i-1}
+
+    with alpha_{i-1} = (-1)^{i-1} c_i, alpha_{-1} = -1, alpha_{n-1} =
+    (-1)^{n-1} and rho_i = (1 - alpha_i^2)^{1/2}, each product taken as a
+    running product from 1.0 in increasing l.
+    """
+    c = np.asarray(c, dtype=float)
+    vals = [-1.0] + [float((-1.0) ** i * x) for i, x in enumerate(c)] + [float((-1.0) ** len(c))]
+    alpha = dict(enumerate(vals, start=-1))
+    rho = {i: float(np.sqrt(max(0.0, 1.0 - a * a))) for i, a in alpha.items()}
+    n = len(alpha) - 1
+    m = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            prod = 1.0
+            for l in range(j - 1, i - 1):
+                prod *= rho[l]
+            m[i - 1, j - 1] = -alpha[j - 2] * alpha[i - 1] * prod
+        if i <= n - 1:
+            m[i - 1, i] = rho[i - 1]
+    return m
 
 
 def grid_cdf(pdf, lo: float, hi: float, nodes: int = 8192):

@@ -43,3 +43,38 @@ def test_so_conditioning_stops_on_a_sampler_without_rotations(monkeypatch):
     with pytest.raises(linalg.ConvergenceError):
         verify._so_conditioned("qr", SEED, 0, 4, 100)
     assert calls == [184]
+
+
+# Criteria 7 and 9 as they read on the triple-loop Hessenberg entries and
+# the one-word bit enumeration that the array forms replaced: name, pass
+# flag and every check line (label and detail string) at seeds 1-3.
+CRITERION_LINES = {
+    ("criterion_7", 1): ("7 Hessenberg charpoly recurrence", True, [
+        "    [pass] recurrence matches elimination determinant: worst |chi - det| / bound = 3.39e-06",
+    ]),
+    ("criterion_7", 2): ("7 Hessenberg charpoly recurrence", True, [
+        "    [pass] recurrence matches elimination determinant: worst |chi - det| / bound = 3.52e-06",
+    ]),
+    ("criterion_7", 3): ("7 Hessenberg charpoly recurrence", True, [
+        "    [pass] recurrence matches elimination determinant: worst |chi - det| / bound = 2.47e-06",
+    ]),
+    ("criterion_9", 1): ("9 permutation uniformity", True, [
+        "    [pass] exact enumeration N=4: each sigma has mass 1/24: 24 permutations, max dev 0.0e+00",
+        "    [pass] empirical uniformity N=6: chi-square stat=791.9 crit=841.9",
+    ]),
+    ("criterion_9", 2): ("9 permutation uniformity", True, [
+        "    [pass] exact enumeration N=4: each sigma has mass 1/24: 24 permutations, max dev 0.0e+00",
+        "    [pass] empirical uniformity N=6: chi-square stat=717.6 crit=841.9",
+    ]),
+    ("criterion_9", 3): ("9 permutation uniformity", True, [
+        "    [pass] exact enumeration N=4: each sigma has mass 1/24: 24 permutations, max dev 0.0e+00",
+        "    [pass] empirical uniformity N=6: chi-square stat=733.8 crit=841.9",
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", list(CRITERION_LINES), ids=lambda k: f"{k[0]}-seed{k[1]}")
+def test_criterion_lines_pinned(key):
+    name, seed = key
+    result = getattr(verify, name)(seed)
+    assert (result.name, result.passed, result.lines()) == CRITERION_LINES[key]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -211,6 +212,32 @@ class TestVolumesCommand:
     def test_sp_rejected(self):
         code, _, _ = run_cli("volumes", "--group", "sp", "--n", "2")
         assert code == 2
+
+    # SHA-256 of the report text, taken when cmd_volumes kept its own copy
+    # of the quadrature domain
+    REPORT_DIGESTS = {
+    ("so", 1): "6f5c6b361952c10b58e71fc98f1ab2ff7e5736d4469f7901a03f7ba2adfb3a5a",
+    ("so", 2): "c9882170e0c2eaeae27a68a451608c8e9c1db23c7472b9bec063e7cc9e9505bf",
+    ("so", 3): "4c37add44b88a0a00e70783358ab26e5abf2b0b442cb8e44f46f664c80cb62dd",
+    ("so", 4): "7e53f4e9e60872f3ae9e93250e985b522df2a5cba6fb10907254a3625a2499d4",
+    ("o", 1): "cd4cf3763eb3db19854f80865e4fd69c69c269cb8770b28e61f40cd3bd59630a",
+    ("o", 2): "0b4467fa911c218e4ea84377b68691c34749de92e14bf6c0889ffa00464da9a5",
+    ("o", 3): "76a5bafef76920d0292acf57992ffd73317c222172062053ceb10f161804d911",
+    ("o", 4): "b5758dd2fa76eed2295c56de7504252b644987660a28c2a3ddad767d599a3a8e",
+    ("u", 1): "5bcf5b8a604ccd7aae9e2ac7091344cc46979bd0542b8e05e88a9d097f337c7d",
+    ("u", 2): "9a548c856816501f94a6d33973de4adfbd6ea4bb4a8767a045b99314e3cf0a2b",
+    ("u", 3): "9dcb709f1ff8dfdb889febed84e1357f51e352152afb5fce735d985d8f24136e",
+    ("u", 4): "bc76271e6176d10d3453b65ef28393209fc045ae399a40586b58ea66fd609833",
+    }
+
+    @pytest.mark.parametrize("group,n", list(REPORT_DIGESTS))
+    def test_checked_exactly_where_quadrature_runs(self, group, n, capsys):
+        assert main(["volumes", "--group", group, "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        rep = json.loads(out)
+        quadrature = (group, n) in {("so", 2), ("so", 3), ("u", 1), ("u", 2)}
+        assert (rep["checked"] is not None) == quadrature == ("quadrature" in rep)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_DIGESTS[(group, n)]
 
 
 class TestSpectraCommand:

@@ -113,6 +113,32 @@ def test_signed_zeros_survive_write_and_read(kind, fmt):
     assert back.tobytes() == np.asarray(mats, dtype=complex).tobytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("group,method,n,d,kind", [
+    ("so", "euler", 3, 3, "real"), ("u", "qr", 2, 2, "complex"), ("sp", "euler", 2, 4, "complex"),
+])
+def test_empty_stack_keeps_its_shape(group, method, n, d, kind, fmt):
+    mats = np.empty((0, d, d), dtype=float if kind == "real" else complex)
+    if fmt == "json":
+        _, back = fileio.json_to_matrices(fileio.matrices_to_json(group, n, method, 0, mats))
+    else:
+        _, back = fileio.csv_to_matrices(
+            fileio.matrices_to_csv(group, n, method, 0, mats, kind))
+    assert back.shape == (0, d, d) and back.dtype == complex
+
+
+@pytest.mark.parametrize("read,text", [
+    (fileio.json_to_matrices, '{"group": "so", "method": "euler", "seed": 0, "matrices": []}'),
+    (fileio.json_to_matrices, '{"n": 2, "method": "euler", "seed": 0, "matrices": []}'),
+    (fileio.json_to_matrices, '{"group": "so", "n": null, "method": "euler", "matrices": []}'),
+    (fileio.csv_to_matrices, "# haar-forge group=so method=euler seed=0 kind=real count=0\n"),
+    (fileio.csv_to_matrices, "# haar-forge n=2 method=euler seed=0 kind=real count=0\n"),
+], ids=["json-no-n", "json-no-group", "json-null-n", "csv-no-n", "csv-no-group"])
+def test_empty_stack_without_group_or_n_raises_value_error(read, text):
+    with pytest.raises(ValueError):
+        read(text)
+
+
 HEADER = "# haar-forge group=u n=2 method=qr seed=0 kind={} count=2\n"
 
 

@@ -6,11 +6,28 @@ from scipy import integrate, stats
 
 from haarforge.analytics import ks_test
 from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
-from haarforge.randstream import RandomStream, phi_from_xi, sin2phi_from_xi
+from haarforge.randstream import RandomStream
 
 from oracles import bin_probabilities, grid_cdf
 
 TWO_PI = 2.0 * np.pi
+
+
+def xi_stream(xi):
+    """A stream whose uniforms are the fixed values ``xi`` (for the
+    transforms' boundaries); every other draw is the real one."""
+    s = RandomStream(0)
+    gen = s._gen
+
+    class Gen:
+        def __getattr__(self, name):
+            return getattr(gen, name)
+
+        def random(self, size=None):
+            return np.asarray(xi, dtype=float).reshape(size)
+
+    s._gen = Gen()
+    return s
 
 
 def test_uniform_mean():
@@ -64,9 +81,15 @@ class TestGaussian:
         z = RandomStream(103).gaussian(size=1_000_000)
         assert abs((z ** 4).mean() - target) <= 0.05
 
-    def test_scalar_matches_replay(self):
+    def test_size_one_calls_replay(self):
         s1, s2 = RandomStream(5, 9), RandomStream(5, 9)
-        assert [s1.gaussian() for _ in range(10)] == [s2.gaussian() for _ in range(10)]
+        a = [s1.gaussian(1)[0] for _ in range(10)]
+        assert a == [s2.gaussian(1)[0] for _ in range(10)]
+        assert RandomStream(5, 9).gaussian((2, 3)).shape == (2, 3)
+
+    def test_size_is_required(self):
+        with pytest.raises(TypeError):
+            RandomStream(5).gaussian()
 
 
 class TestCosThetaSO:
@@ -107,14 +130,9 @@ class TestCosThetaSO:
         got = s.cos_theta_so(np.array([[1], [4], [9]]), size=(3, 5))
         assert got.shape == (3, 5) and np.all(np.abs(got) <= 1.0)
         assert s.cos_theta_so(np.array([2, 3]), size=(4, 2)).shape == (4, 2)
-        assert s.cos_theta_so(np.array([2, 3])).shape == (2,)
+        assert s.cos_theta_so(np.array([2, 3]), size=2).shape == (2,)
         with pytest.raises(ValueError):
             s.cos_theta_so(np.array([2, 3, 4]), size=(4, 2))
-
-    def test_scalar_call_returns_float(self):
-        s = RandomStream(172)
-        assert type(s.cos_theta_so(3)) is float
-        assert isinstance(s.cos_theta_so(3, size=1), np.ndarray)
 
     def test_zero_denominator_is_redrawn(self):
         # force g = 0 and G = 0 at one entry of the first block: that entry
@@ -162,7 +180,7 @@ class TestCosThetaSO:
     def test_j_below_one_rejected(self):
         s = RandomStream(173)
         with pytest.raises(ValueError):
-            s.cos_theta_so(0)
+            s.cos_theta_so(0, size=1)
         with pytest.raises(ValueError):
             s.cos_theta_so(np.array([[3], [0]]), size=(2, 4))
 
@@ -183,8 +201,9 @@ class TestPhiUnitary:
         assert abs(sq.mean() - j / (j + 1.0)) <= 5 * se
 
     def test_boundary_transform(self):
-        assert phi_from_xi(1.0, 3) == pytest.approx(np.pi / 2.0)
-        assert phi_from_xi(0.0, 3) == 0.0
+        phi = xi_stream([1.0, 0.0]).phi_unitary(3, size=2)
+        assert phi[0] == pytest.approx(np.pi / 2.0)
+        assert phi[1] == 0.0
 
     def test_ks_against_quadrature_cdf(self):
         j = 2
@@ -234,8 +253,9 @@ class TestSin2Phi:
         assert abs(sq.mean() - 0.5) <= 5 * se
 
     def test_boundary(self):
-        assert sin2phi_from_xi(0.0) == 0.0
-        assert sin2phi_from_xi(1.0) == pytest.approx(np.pi / 2.0)
+        phi = xi_stream([0.0, 1.0]).sin2phi_quaternion(size=2)
+        assert phi[0] == 0.0
+        assert phi[1] == pytest.approx(np.pi / 2.0)
 
     def test_histogram_chi_square(self):
         from haarforge.analytics import chi_square
@@ -254,7 +274,7 @@ class TestSin2Phi:
 
 def test_every_sampler_is_reproducible():
     def consume(s):
-        return (list(s.uniform(size=3)) + [s.gaussian()]
-                + list(s.cos_theta_so(2, size=2))
-                + [s.phi_unitary(3), s.rho_symplectic(2), s.sin2phi_quaternion()])
+        return (list(s.uniform(size=3)) + list(s.gaussian(1))
+                + list(s.cos_theta_so(2, size=2)) + list(s.phi_unitary(3, size=1))
+                + list(s.rho_symplectic(2, size=1)) + list(s.sin2phi_quaternion(size=1)))
     assert consume(RandomStream(42, 17)) == consume(RandomStream(42, 17))

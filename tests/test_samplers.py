@@ -139,7 +139,12 @@ class TestQR:
 
     def test_group_guard(self):
         with pytest.raises(ValueError):
-            sample_batch(GroupId("so", 3), 3, 1, method="qr", seed=244)
+            sample_batch("so", 3, 1, method="qr", seed=244)
+
+    def test_group_id_is_not_a_tag(self):
+        # a GroupId carries its own n, which sample_batch would ignore
+        with pytest.raises(ValueError, match="unknown group tag"):
+            sample_batch(GroupId("so", 5), 3, 2)
 
     def test_rank_deficient_draw_is_redrawn_after_the_batch(self):
         n, seed = 4, 245
@@ -216,15 +221,14 @@ class TestHouseholder:
 
 def exact_word_distribution(n):
     keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
+    patterns = np.array(list(product((0, 1), repeat=len(keys))))
+    lines = samplers._compose_word_batch(n, dict(zip(keys, patterns.T)))
     dist = {}
-    for pattern in product((0, 1), repeat=len(keys)):
+    for pattern, line in zip(patterns.tolist(), map(tuple, lines.tolist())):
         prob = Fraction(1)
-        bits = {}
         for key, bit in zip(keys, pattern):
             p1 = Fraction(key[0], key[0] + 1)
             prob *= p1 if bit else 1 - p1
-            bits[key] = bit
-        line = samplers._compose_word(n, bits)
         dist[line] = dist.get(line, Fraction(0)) + prob
     return dist
 

@@ -26,6 +26,8 @@ from haarforge.spectra import (
     trace_series_so_batch,
 )
 
+from oracles import hessenberg_entries_triple_loop
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -85,6 +87,19 @@ class TestHessenbergEntries:
                                          spectra.hessenberg_order(n), n)[0]
             assert np.abs(m - ref).max() <= 1e-13
 
+    def test_bit_identical_to_triple_loop_oracle(self):
+        # 1,000 cosine vectors at n = 2..40; a fifth of the entries are set
+        # to exactly -1, 0 or 1 (alpha = 0 or rho = 0)
+        s = RandomStream(312)
+        for trial in range(1000):
+            n = 2 + trial % 39
+            c = random_cosines(s, n)
+            pick = s.uniform(size=n - 1)
+            edge = pick < 0.2
+            c[edge] = np.array([-1.0, 0.0, 1.0])[(pick[edge] * 15).astype(int)]
+            got = hessenberg_entries(c)
+            assert got.tobytes() == hessenberg_entries_triple_loop(c).tobytes(), (n, c)
+
     def test_alpha_rho_pythagoras_exact(self):
         alpha, rho = spectra._alpha_rho(random_cosines(RandomStream(311), 6))
         for i in range(0, 5):
@@ -95,6 +110,8 @@ class TestHessenbergEntries:
         for call in (hessenberg_entries, lambda c: recurrence_sequences(c, 0.5)):
             with pytest.raises(ValueError):
                 call([0.5, 1.5])
+            with pytest.raises(ValueError):
+                call([0.5, float("nan")])
 
 
 class TestRecurrence:
@@ -261,7 +278,8 @@ class TestMinEigenphase:
 
     def test_odd_dimension_forced_eigenvalue(self):
         mats = samplers.so_euler_batch(RandomStream(361), 5, 50)
-        kept = so_min_eigenphase_batch(mats, drop_forced=True)
-        raw = so_min_eigenphase_batch(mats, drop_forced=False)
-        assert np.abs(raw).max() <= 1e-7  # the forced +1 dominates
+        kept = so_min_eigenphase_batch(mats)
+        # the largest cosine of the symmetric part is the forced +1
+        top = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))[:, -1]
+        assert np.abs(np.arccos(np.clip(top, -1.0, 1.0))).max() <= 1e-7
         assert kept.min() > 1e-4
