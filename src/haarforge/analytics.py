@@ -5,6 +5,11 @@ overflow naive products near N ~ 30).  The statistical helpers return
 TestReport records with asymptotic critical values at a configurable
 level; the library-wide default level is 0.001 so a suite of many tests
 keeps a small false-failure probability.
+
+The KS and chi-square tests take their critical values from
+scipy.special (kolmogi, chdtri), imported inside ks_test, ks_two_sample and
+chi_square: importing this module loads no scipy, and the first such call
+in a process pays the one-time import.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from math import exp, lgamma, log, pi
 
 import numpy as np
-from scipy.special import chdtri, kolmogi
 
 from haarforge import samplers
 from haarforge.euler import angle_pairs, density_so, density_u
@@ -263,6 +267,7 @@ def _report(stat, crit, n, method, label, **details):
 
 def ks_test(samples, cdf, level: float = DEFAULT_LEVEL, label: str = "") -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a black-box CDF."""
+    from scipy.special import kolmogi
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 50:
@@ -281,6 +286,7 @@ def ks_test(samples, cdf, level: float = DEFAULT_LEVEL, label: str = "") -> Test
 
 def ks_two_sample(a, b, level: float = DEFAULT_LEVEL, label: str = "") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test."""
+    from scipy.special import kolmogi
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     na, nb = len(a), len(b)
@@ -297,6 +303,7 @@ def ks_two_sample(a, b, level: float = DEFAULT_LEVEL, label: str = "") -> TestRe
 def chi_square(counts, expected, level: float = DEFAULT_LEVEL,
                label: str = "") -> TestReport:
     """Chi-square goodness of fit against fully specified expected counts."""
+    from scipy.special import chdtri
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if counts.shape != expected.shape or counts.ndim != 1:

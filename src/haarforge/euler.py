@@ -65,13 +65,43 @@ def su2_block(phi, psi, alpha) -> np.ndarray:
         [-sin(phi) e^{-i psi}, cos(phi) e^{-i alpha}]], broadcasting."""
     phi, psi, alpha = np.broadcast_arrays(
         np.asarray(phi, float), np.asarray(psi, float), np.asarray(alpha, float))
-    c, s = np.cos(phi), np.sin(phi)
     blk = np.empty(phi.shape + (2, 2), dtype=complex)
-    blk[..., 0, 0] = c * np.exp(1j * alpha)
-    blk[..., 0, 1] = s * np.exp(1j * psi)
-    blk[..., 1, 0] = -s * np.exp(-1j * psi)
-    blk[..., 1, 1] = c * np.exp(-1j * alpha)
+    _su2_fill(np.moveaxis(blk, (-2, -1), (0, 1)), phi, alpha, psi)
     return blk
+
+
+def _su2_fill(e, phi, alpha, psi=None) -> None:
+    """Write su2_block(phi, psi, alpha) into a complex view e whose first two
+    axes are the block's, through its real and imaginary parts; psi=None is
+    the off-diagonal phase +0, with no cos or sin evaluated for it.
+
+    Each entry p e^{+-it} gets the floats of the complex product
+    (p + 0i)(cos t +- i sin t) that multiplying by np.exp(+-1j t) gives,
+    signed zeros included: p cos t - 0 sin t and +-p sin t + 0 cos t.  On
+    the diagonal p cos t never vanishes for finite angles and a vanishing
+    p sin t has cos t > 0, so only the off-diagonal entries keep the zero
+    terms.  (A nonzero product that underflows to zero, which takes angles
+    of about 1e-160 or less, may get the other sign: numpy's complex
+    product rounds such a zero one way or the other depending on the array.)
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    re, im = e.real, e.imag
+    np.multiply(c, np.cos(alpha), out=re[0, 0, ...])
+    re[1, 1] = re[0, 0]
+    cs = c * np.sin(alpha)
+    np.add(cs, 0.0, out=im[0, 0, ...])
+    np.subtract(0.0, cs, out=im[1, 1, ...])
+    if psi is None:
+        re[0, 1] = s
+        np.subtract(0.0, s, out=re[1, 0, ...])
+        im[0, 1] = im[1, 0] = 0.0
+        return
+    cp, sp = np.cos(psi), np.sin(psi)
+    x = s * cp
+    np.subtract(x, 0.0 * (sp + 0.0), out=re[0, 1, ...])  # exp(1j psi) takes sin(psi + 0)
+    np.subtract(0.0 * sp, x, out=re[1, 0, ...])
+    np.add(s * sp, 0.0 * cp, out=im[0, 1, ...])
+    im[1, 0] = im[0, 1]
 
 
 # --- batched composition ----------------------------------------------------
@@ -128,10 +158,12 @@ def _so_coset(theta: dict, k: int, rows: int, sl: slice) -> list:
 def _u_coset(phi: dict, psi: dict, alpha_k, k: int, rows: int, sl: slice) -> list:
     """Blocks of the U coset E_{k-1}, psi slotted as in the module docstring."""
     ls = range(k - 1, 0, -1)
-    m = su2_block(np.array([phi[(l, k)][sl] for l in ls], dtype=float),
-                  np.array([np.zeros_like(alpha_k)] * (k - 2) + [psi[(1, k)][sl]], dtype=float),
-                  np.array([psi[(l, k)][sl] for l in ls[:-1]] + [alpha_k], dtype=float))
-    m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
+    m = np.empty((k - 1, 2, 2, sl.stop - sl.start), dtype=complex)  # batch-last
+    if k > 2:
+        _su2_fill(m[:-1].transpose(1, 2, 0, 3),
+                  np.array([phi[(l, k)][sl] for l in ls[:-1]], dtype=float),
+                  np.array([psi[(l, k)][sl] for l in ls[:-1]], dtype=float))
+    _su2_fill(m[-1], phi[(1, k)][sl], alpha_k, psi[(1, k)][sl])
     return [(l - 1, rows, blk) for l, blk in zip(ls, m)]
 
 

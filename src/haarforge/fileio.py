@@ -11,9 +11,11 @@ real/complex choice is made once per array, never per entry:
 
 Floats are written with ``repr`` (the shortest decimal that round-trips a
 double) and read back into the same views, so write-then-read reproduces
-every entry bit for bit, signed zeros included; malformed matrix input
-raises ValueError.  Permutations are one one-line word per row (JSON
-``"permutations"``, CSV ``kind=permutation``), read back as tuples.
+every entry bit for bit, signed zeros included; malformed matrix input,
+and a JSON document that is not an object with "matrices" or
+"permutations", raises ValueError.  Permutations are one one-line word per
+row (JSON ``"permutations"``, CSV ``kind=permutation``), read back as
+tuples.
 """
 
 from __future__ import annotations
@@ -49,9 +51,14 @@ def matrices_to_json(group: str, n: int, method: str, seed: int,
 
 def json_to_matrices(text: str):
     payload = json.loads(text)
-    if "permutations" in payload:
-        return payload, [tuple(p) for p in payload["permutations"]]
-    pairs = np.array(payload["matrices"], dtype=float)
+    if not isinstance(payload, dict) or not payload.keys() & {"matrices", "permutations"}:
+        raise ValueError('JSON input must be an object with "matrices" or "permutations"')
+    try:
+        if "permutations" in payload:
+            return payload, [tuple(p) for p in payload["permutations"]]
+        pairs = np.array(payload["matrices"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed JSON matrices or permutations: {exc}") from None
     if pairs.size and (pairs.ndim != 4 or pairs.shape[-1] != 2):
         raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
     return payload, _stack(payload, pairs.view(complex).reshape(pairs.shape[:3]))

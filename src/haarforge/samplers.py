@@ -200,13 +200,17 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
     identity, so B_k acts on the leading k x k block ``top`` alone.  Its
     update, t = (2w) (w^dag top), top - t, then -e^{i theta} t, runs in
     place through one reused scratch array, with the operands in the order
-    of the full-width update, so the bits are the same.  It runs in batch
-    chunks of at most HOUSEHOLDER_CHUNK_BYTES of block (or an eighth of the
-    batch), so each chunk's passes stay in cache.
+    of the full-width update, so the bits are the same.  In the real case
+    -e^{i theta} = +-1 is not applied: the stack holds the product divided
+    by a per-matrix sign ``sgn``, which is multiplied in once at the end
+    (negation is exact and rounding symmetric, so the bits stay the same).
+    It runs in batch chunks of at most HOUSEHOLDER_CHUNK_BYTES of block (or
+    an eighth of the batch), so each chunk's passes stay in cache.
     """
     cplx = kind == "complex"
     acc = np.zeros((count, n, n), dtype=complex if cplx else float)
     acc.reshape(count, n * n)[:, ::n + 1] = 1.0
+    sgn = np.ones(count)
     # room for the largest chunk: an eighth of the batch at k = n, or the chunk bytes
     scratch = np.empty(min(count * n * n, max(-(-count // 8) * n * n,
                                               HOUSEHOLDER_CHUNK_BYTES // acc.itemsize)),
@@ -227,16 +231,25 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
         if k == 1:
             acc[:, 0, 0] = -phase * (1.0 - 2.0 * np.abs(z[:, 0]) ** 2)
             continue
-        wc, w2, nph = z.conj(), (2.0 * z)[:, :, None], (-phase)[:, None, None]
+        if not cplx:
+            acc[:, k - 1, k - 1] = sgn  # the identity entry, divided by sgn
+            sgn *= -phase
+        wc, w2, nph = z.conj(), 2.0 * z, (-phase)[:, None, None]
         step = max(1, -(-count // 8), HOUSEHOLDER_CHUNK_BYTES // (k * k * acc.itemsize))
         for start in range(0, count, step):
             sl = slice(start, start + step)
             top = acc[sl, :k, :k]
             t = scratch[:top.size].reshape(top.shape)
             wx = np.einsum("bk,bkm->bm", wc[sl], top)
-            np.multiply(w2[sl], wx[:, None, :], out=t)
-            np.subtract(top, t, out=t)
-            np.multiply(nph[sl], t, out=top)
+            if cplx:
+                np.multiply(w2[sl, :, None], wx[:, None, :], out=t)
+                np.subtract(top, t, out=t)
+                np.multiply(nph[sl], t, out=top)
+            else:
+                np.einsum("bk,bm->bkm", w2[sl], wx, out=t)
+                np.subtract(top, t, out=top)
+    if not cplx:
+        acc *= sgn[:, None, None]
     return acc
 
 

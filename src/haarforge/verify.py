@@ -8,6 +8,12 @@ Oracles used here are independent of the construction they check:
 adaptive quadrature for integrals, elimination determinants for the
 recurrence, exact probability-tree enumeration for permutations, and
 cross-sampler / cross-construction two-sample tests elsewhere.
+
+scipy is imported only where a check needs it: scipy.integrate inside
+criterion 4's quadrature (_abs_diff_integral), scipy.special inside the KS
+and chi-square tests of analytics.  The first criterion of a process that
+needs it, criterion 4 in run_all, includes the one-time import in its
+reported seconds.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from haarforge import analytics, samplers, spectra
 from haarforge.analytics import (
@@ -164,6 +169,8 @@ def criterion_3(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
 
 def _abs_diff_integral(beta: float) -> float:
     """int over [0,2pi)^2 of |e^{i a} - e^{i b}|^beta by nested quadrature."""
+    from scipy import integrate
+
     def inner(b):
         val, _ = integrate.quad(
             lambda a: (2.0 * abs(math.sin(0.5 * (a - b)))) ** beta,

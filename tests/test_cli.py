@@ -24,6 +24,43 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+IMPORT_CONTRACT = """
+import contextlib, importlib, io, json, pkgutil, sys
+import haarforge
+from haarforge import cli, verify
+
+for mod in pkgutil.iter_modules(haarforge.__path__):
+    if mod.name != "__main__":
+        importlib.import_module("haarforge." + mod.name)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["sample", "--group", "u", "--n", "3", "--count", "2"],
+        ["spectra", "--n", "4", "--count", "2"],
+        ["volumes", "--group", "so", "--n", "3"],
+        ["moments", "--group", "so", "--n", "3", "--p", "1", "--count", "50"],
+    )]
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+verify.criterion_9(1)
+print(json.dumps({"codes": codes, "before": before,
+                  "after": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_scipy_loads_only_for_a_test_statistic():
+    # the library and the sample/spectra/volumes/moments commands load no
+    # scipy module; criterion 9's chi-square loads scipy.special, and only
+    # criterion 4's quadrature would load scipy.integrate
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT],
+                          capture_output=True, text=True, env=env, check=True)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["before"] == []
+    assert "scipy.special" in got["after"]
+    assert "scipy.integrate" not in got["after"]
+
+
 class TestFileFormats:
     def test_json_roundtrip_bit_exact(self):
         mats = qr_batch(RandomStream(500), 3, 4, "complex")

@@ -12,8 +12,9 @@ digests come from the three-operand einsum that CSE's Z^{-1} U^T Z
 product used before it became two matmuls.  The draw-shape digests were
 taken from the full-width Householder update and the running-minimum
 bubble-sort composition, before either was restricted to the block or
-prefix its factor moves, and from the Sp cosets that still multiplied
-q I q^dagger.
+prefix its factor moves, from the Sp cosets that still multiplied
+q I q^dagger, and from the np.exp form of su2_block (oracles.su2) and the
+Householder chain that applied the real reflector's sign at every step.
 """
 
 import hashlib
@@ -132,6 +133,45 @@ def test_compose_so_batch_values_at_boundary_angles():
     assert np.array_equal(got, oracles.column_rotation_so(theta, n, batch))
 
 
+# exact zeros of either sign, quarter and half turns, the doubles next to
+# pi and 2 pi, and tiny angles whose products stay above the underflow
+# (not angles so small that a product underflows to zero: there numpy's
+# complex product picks the zero's sign by the array it runs on)
+SPECIAL_ANGLES = np.array([
+    0.0, -0.0, 0.5 * np.pi, -0.5 * np.pi, np.pi, -np.pi, 1.5 * np.pi, TWO_PI,
+    np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0), np.nextafter(np.pi, 0.0),
+    1.0, 1e-150, -1e-150])
+
+
+def _special_mix(rng, shape):
+    """Uniform angles on (-2 pi, 4 pi), a fifth of them SPECIAL_ANGLES."""
+    return np.where(rng.random(shape) < 0.2, rng.choice(SPECIAL_ANGLES, shape),
+                    rng.uniform(-TWO_PI, 2.0 * TWO_PI, shape))
+
+
+def test_su2_block_matches_exp_form_bytes():
+    # every SPECIAL_ANGLES triple, then 10^5 mixed triples
+    grid = np.array(np.meshgrid(SPECIAL_ANGLES, SPECIAL_ANGLES, SPECIAL_ANGLES)).reshape(3, -1)
+    mixed = _special_mix(np.random.default_rng(11), (3, 100_000))
+    for phi, psi, alpha in (grid, mixed):
+        _same_bytes(euler.su2_block(phi, psi, alpha), oracles.su2(phi, psi, alpha))
+
+
+def test_u_coset_blocks_match_exp_form_bytes():
+    # inner factors have off-diagonal phase 0, the l = 1 factor psi and alpha_k
+    rng = np.random.default_rng(12)
+    k, batch = 6, 5000
+    phi = {(l, k): _special_mix(rng, batch) for l in range(1, k)}
+    psi = {(l, k): _special_mix(rng, batch) for l in range(1, k)}
+    alpha_k = _special_mix(rng, batch)
+    blocks = euler._u_coset(phi, psi, alpha_k, k, k, slice(0, batch))
+    for l, (col, rows, m) in zip(range(k - 1, 0, -1), blocks):
+        want = (oracles.su2(phi[(1, k)], psi[(1, k)], alpha_k) if l == 1
+                else oracles.su2(phi[(l, k)], 0.0, psi[(l, k)]))
+        assert (col, rows) == (l - 1, k)
+        _same_bytes(m.transpose(2, 0, 1), want)
+
+
 PAIRS = [("so", "euler"), ("o", "euler"), ("o", "qr"), ("o", "householder"),
          ("u", "euler"), ("u", "qr"), ("u", "householder"), ("sp", "euler"),
          ("sn", "bubble")]
@@ -194,6 +234,8 @@ SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
 
 DRAW_SHAPE_DIGESTS = {  # (group, method, n, count, seed, streams)
     ("o", "householder", 64, 224, 13, 2): "9a357ca9fe2fcdacf4b2f321ea4cd8aea89e2a3ce69e30fd9385fbd0b4784cc1",
+    ("o", "householder", 32, 128, 41, 1): "f66819f4445d053efd7c61f2b0f1f583d487cb5f6d7b44f54489856239e0ee6c",
+    ("u", "euler", 16, 1792, 37, 2): "58c6bda24247e09b075f44a623bcf8ca61fbd81818f2764afe2cacae1fc236e3",
     ("u", "householder", 32, 384, 17, 1): "8c1b93fea8e63f794c3f718e11849333b9e3f6f294f5ea661984d4b6ef0a2801",
     ("sn", "bubble", 64, 4096, 19, 2): "592c108ddb5634c1b0033a92cf524e450ee3dfecb90f02937479f3ff765464d4",
     ("sp", "euler", 8, 1536, 23, 2): "39861490736c91d31531b82835640eb8415d2977947fe0839291bec5e734b86d",

@@ -165,3 +165,19 @@ def test_malformed_json_raises_value_error(matrices):
                        "matrices": matrices})
     with pytest.raises(ValueError):
         fileio.json_to_matrices(text)
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[1, 2]",
+    '"x"',
+    '["permutations"]',
+    '{"group": "u", "n": 2, "method": "qr", "seed": 0}',
+    '{"group": "sn", "n": 2, "permutations": 5}',
+    '{"group": "sn", "n": 2, "permutations": [1, 2]}',
+    '{"group": "u", "n": 2, "matrices": {"re": 1.0}}',
+], ids=["empty-object", "array", "string", "array-naming-a-key", "neither-key",
+        "permutations-not-a-list", "permutations-not-words", "matrices-an-object"])
+def test_malformed_json_document_raises_value_error(text):
+    with pytest.raises(ValueError):
+        fileio.json_to_matrices(text)
