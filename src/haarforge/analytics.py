@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import exp, lgamma, log, pi
+from math import exp, inf, lgamma, log, pi
 
 import numpy as np
 
@@ -37,8 +37,8 @@ QUADRATURE_DOMAIN = {"so": range(2, 4), "u": range(1, 3)}  # volume_quadrature's
 def moment_single(n: int, p: float) -> float:
     """<|X_{NN}|^{2p}> over Haar SO(n):
     Gamma(p + 1/2) Gamma(n/2) / (Gamma(1/2) Gamma(p + n/2))."""
-    if n < 2 or p < 0:
-        raise ValueError("need n >= 2 and p >= 0")
+    if n < 2 or not 0.0 <= p < inf:
+        raise ValueError("need n >= 2 and a finite p >= 0")
     return exp(lgamma(p + 0.5) + lgamma(n / 2.0)
                - lgamma(0.5) - lgamma(p + n / 2.0))
 
@@ -50,8 +50,8 @@ def moment_joint(n: int, p: float, q: float) -> float:
     written and callers should cross-check against Monte Carlo (the
     four-angle derivation does not cover those sizes).
     """
-    if n < 2 or p < 0 or q < 0:
-        raise ValueError("need n >= 2 and p, q >= 0")
+    if n < 2 or not (0.0 <= p < inf and 0.0 <= q < inf):
+        raise ValueError("need n >= 2 and finite p, q >= 0")
     h = (n - 1) / 2.0
     return exp(lgamma(p + 0.5) + lgamma(q + 0.5) + lgamma(h + p + q)
                + lgamma(n / 2.0) + lgamma(h)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from haarforge import analytics, fileio, linalg, samplers, spectra, verify
-from haarforge.randstream import RandomStream
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -158,11 +157,8 @@ def cmd_spectra(cfg: RunConfig) -> int:
     gen = {"euler": samplers.so_euler_batch,
            "hessenberg": spectra.hessenberg_batch,
            "cmv": spectra.cmv_batch}[method]
-    phases = []
-    lanes = samplers._lane_counts(cfg.count, min(cfg.streams, cfg.count))
-    for lane, lane_count in enumerate(lanes):
-        mats = gen(RandomStream(cfg.seed, lane), cfg.n, lane_count)
-        phases.extend(linalg.eigenphases_batch(mats).ravel().tolist())
+    mats = samplers._draw_lanes(gen, cfg.n, cfg.count, cfg.seed, cfg.streams)
+    phases = linalg.eigenphases_batch(mats).ravel().tolist()
     if cfg.format == "json":
         text = json.dumps({"n": cfg.n, "method": method, "seed": cfg.seed,
                            "count": cfg.count, "phases": phases})

@@ -320,8 +320,13 @@ def extract_angles_so(v) -> dict:
 def _turn_u(w, l: int, phi, psi, alpha):
     """w <- w U_l^dagger on columns (l-1, l); U_l carries psi off the
     diagonal only for l = 1 (module docstring)."""
-    m = (su2_block(phi, psi, alpha) if l == 1 else su2_block(phi, 0.0, psi)).conj()
-    _turn(w, l, m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
+    m = np.empty((2, 2, len(phi)), dtype=complex)
+    if l == 1:
+        _su2_fill(m, phi, alpha, psi)
+    else:
+        _su2_fill(m, phi, psi)
+    np.negative(m.imag, out=m.imag)  # the conjugate, signed zeros included
+    _turn(w, l, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def extract_angles_u(v):

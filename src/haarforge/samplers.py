@@ -6,8 +6,9 @@ reflector chains), plus the weighted bubble-sort factorization for
 permutations and the symmetric / self-dual-quaternion circular ensembles.
 
 Every sampler is batched: it takes a RandomStream, n and a count and
-returns an ndarray stack.  ``SAMPLERS`` maps each (group tag, method) pair
-to its sampler; ``sample_batch`` looks the pair up and splits a batch across
+returns an ndarray stack, the (count, n) one-line stack for permutations.
+``SAMPLERS`` maps each (group tag, method) pair to its sampler;
+``sample_batch`` looks the pair up and ``_draw_lanes`` splits a batch across
 sibling streams (one stream per lane) so results are reproducible
 independent of execution order.  Within a lane the draw order is fixed and
 documented in the angle generators below.
@@ -25,28 +26,6 @@ from haarforge.linalg import _redraw, symplectic_form
 from haarforge.randstream import RandomStream
 
 TWO_PI = 2.0 * np.pi
-
-
-def _compose_word_batch(n: int, bits: dict) -> np.ndarray:
-    """(B, n) arrays of 0-based one-line permutations from (B,) bit arrays.
-
-    sigma = E_1 o E_2 o ... o E_{n-1} is accumulated left to right as
-    sigma <- sigma o E_j; each coset array E_j = T_j o ... o T_1 is built by
-    appending factors on the right, where appending T_l swaps *positions*
-    (l-1, l), done arithmetically to avoid fancy-index copies.
-    """
-    batch = len(next(iter(bits.values()))) if bits else 1
-    sigma = np.broadcast_to(np.arange(n), (batch, n)).copy()
-    e = np.empty((batch, n), dtype=np.int64)
-    for j in range(1, n):
-        e[:] = np.arange(n)
-        for l in range(j, 0, -1):
-            swap = bits[(l, j)].astype(np.int64)
-            delta = (e[:, l] - e[:, l - 1]) * swap
-            e[:, l - 1] += delta
-            e[:, l] -= delta
-        sigma = np.take_along_axis(sigma, e, axis=1)
-    return sigma
 
 
 # --- angle draws (fixed, documented order) ---------------------------------
@@ -258,15 +237,11 @@ def _index_dtype(n: int):
     return np.int16 if n <= 0x7FFF else np.int32 if n <= 0x7FFFFFFF else np.int64
 
 
-def permutation_batch(stream: RandomStream, n: int, count: int,
-                      keep_bits: bool = True):
-    """Decision bits mu_{i,j} = 1 with probability i/(i+1), composed through
-    the transposition factors on the fly.
-
-    Returns (bits, one_line_0based); bits is None when ``keep_bits`` is off
-    (large batches need not retain the O(n^2 count) bit record).  Draw
-    order: one uniform block of shape (count, j) per coset j = 1..n-1,
-    column i holding the T_i decisions.
+def _compose_cosets(clear, n: int, count: int) -> np.ndarray:
+    """(count, n) int64 0-based one-line permutations sigma = E_1 o ... o
+    E_{n-1} of the bubble-sort decisions; ``clear(j, out)`` writes coset j's
+    "mu_{i,j} = 0" flags into the (count, j) bool view ``out``, column i-1
+    for T_i, just before coset j is composed.
 
     sigma <- sigma o E_j touches only the prefix 0..j that E_j moves.  In
     closed form, E_j = T_j o ... o T_1 right-rotates each segment [a, b]
@@ -278,29 +253,35 @@ def permutation_batch(stream: RandomStream, n: int, count: int,
     masks pair them up.  The work runs in ``_index_dtype(n)`` (int16 up to
     n = 32767) and is cast to int64 once.
     """
-    bits = {} if keep_bits else None
     itype = _index_dtype(n)
     sigma = np.empty((count, n), dtype=itype)
     sigma[:] = np.arange(n, dtype=itype)
-    probs = np.arange(1, n) / np.arange(2, n + 1)
     # bound[:, x + 1] holds "bit x is clear"; with bound[:, 0] and
     # bound[:, j + 1] set, bound[:, :j + 1] marks the segment starts of
     # 0..j and bound[:, 1:j + 2] the segment ends.
     bound = np.empty((count, n + 1), dtype=bool)
     bound[:, 0] = True
     for j in range(1, n):
-        clear = bound[:, 1:j + 1]
-        np.greater_equal(stream.uniform(size=(count, j)), probs[:j], out=clear)
-        if keep_bits:
-            coset = ~clear
-            for i in range(1, j + 1):
-                bits[(i, j)] = coset[:, i - 1].astype(np.int8)
+        clear(j, bound[:, 1:j + 1])
         bound[:, j + 1] = True
         head = sigma[:, :j + 1]
         ends = head[bound[:, 1:j + 2]]
         head[:, 1:] = head[:, :-1]
         head[bound[:, :j + 1]] = ends
-    return bits, sigma.astype(np.int64)
+    return sigma.astype(np.int64)
+
+
+def permutation_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
+    """(count, n) int64 0-based one-line permutations from the decision bits
+    mu_{i,j} = 1 with probability i/(i+1), composed by ``_compose_cosets``.
+
+    Draw order: one uniform block of shape (count, j) per coset j = 1..n-1,
+    column i-1 deciding mu_{i,j}, drawn just before the coset is composed.
+    """
+    probs = np.arange(1, n) / np.arange(2, n + 1)
+    return _compose_cosets(
+        lambda j, out: np.greater_equal(stream.uniform(size=(count, j)), probs[:j], out=out),
+        n, count)
 
 
 def permutation_matrices(lines: np.ndarray) -> np.ndarray:
@@ -359,8 +340,7 @@ SAMPLERS = {
     ("sp", "euler"): Sampler(
         lambda s, n, c: sp_euler_batch(s, n, c), "complex", lambda n: 2 * n),
     ("sn", "bubble"): Sampler(
-        lambda s, n, c: permutation_batch(s, n, c, keep_bits=False)[1],
-        "permutation", _dim_n),
+        lambda s, n, c: permutation_batch(s, n, c), "permutation", _dim_n),
 }
 
 GROUP_TAGS = tuple(dict.fromkeys(tag for tag, _ in SAMPLERS))
@@ -382,8 +362,19 @@ class GroupId:
 
 
 def _lane_counts(count: int, streams: int):
-    base, rem = divmod(count, streams)
-    return [base + (1 if i < rem else 0) for i in range(streams)]
+    """``count`` split over max(1, min(streams, count)) lanes, the first
+    count % lanes of them one larger."""
+    lanes = max(1, min(streams, count))
+    base, rem = divmod(count, lanes)
+    return [base + (1 if i < rem else 0) for i in range(lanes)]
+
+
+def _draw_lanes(draw, n: int, count: int, seed: int, streams: int) -> np.ndarray:
+    """``draw(stream, n, c)`` on RandomStream(seed, lane) for each lane of
+    ``_lane_counts(count, streams)``, stacked along axis 0."""
+    return np.concatenate([draw(RandomStream(seed, lane), n, c)
+                           for lane, c in enumerate(_lane_counts(count, streams))],
+                          axis=0)
 
 
 def sample_batch(tag: str, n: int, count: int, method: str | None = None,
@@ -402,10 +393,7 @@ def sample_batch(tag: str, n: int, count: int, method: str | None = None,
         raise ValueError(f"method {method!r} is not valid for group {tag!r}")
     if count < 1:
         raise ValueError("count >= 1 required")
-    streams = max(1, min(streams, count))
-    arr = np.concatenate([sampler.draw(RandomStream(seed, stream_id=lane), n, c)
-                          for lane, c in enumerate(_lane_counts(count, streams))],
-                         axis=0)
+    arr = _draw_lanes(sampler.draw, n, count, seed, streams)
     if sampler.kind == "permutation":
         return [tuple(row) for row in (arr + 1).tolist()]
     return arr

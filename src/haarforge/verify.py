@@ -7,7 +7,10 @@ the acceptance test suite, so the CLI and pytest agree by construction.
 Oracles used here are independent of the construction they check:
 adaptive quadrature for integrals, elimination determinants for the
 recurrence, exact probability-tree enumeration for permutations, and
-cross-sampler / cross-construction two-sample tests elsewhere.
+cross-sampler / cross-construction two-sample tests elsewhere.  The
+enumeration weighs the decision bits by exact fractions and composes them
+with the draws' own ``samplers._compose_cosets``, so criterion 9 certifies
+the composition that sampling runs.
 
 scipy is imported only where a check needs it: scipy.integrate inside
 criterion 4's quadrature (_abs_diff_integral), scipy.special inside the KS
@@ -40,6 +43,7 @@ from haarforge.linalg import (
     adjoint_residual,
     charpoly_eval,
     eigenphases_batch,
+    symplectic_form,
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
@@ -322,8 +326,7 @@ def criterion_8(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
         RandomStream(seed, _SID["c8"] + 1), 500, count)
     checks.append(_from_report(_poisson1_bins(
         perm_series, level, "permutation series vs Poisson(1)")))
-    _, lines = samplers.permutation_batch(
-        RandomStream(seed, _SID["c8"] + 2), 50, count, keep_bits=False)
+    lines = samplers.permutation_batch(RandomStream(seed, _SID["c8"] + 2), 50, count)
     fixed = (lines == np.arange(50)).sum(axis=1)
     checks.append(_from_report(_poisson1_bins(
         fixed, level, "fixed points at N=50 vs Poisson(1)")))
@@ -334,10 +337,14 @@ def criterion_8(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
 
 
 def _exact_word_distribution(n: int):
-    """Probability of each permutation under the weighted bit tree, exactly."""
+    """Probability of each permutation under the weighted bit tree, exactly;
+    the bit patterns are coset-major, coset j in columns j(j-1)/2 ..
+    j(j+1)/2 - 1, and composed by the sampler's own _compose_cosets."""
     keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
     patterns = np.array(list(itertools.product((0, 1), repeat=len(keys))))
-    lines = samplers._compose_word_batch(n, dict(zip(keys, patterns.T)))
+    lines = samplers._compose_cosets(
+        lambda j, out: np.equal(patterns[:, j * (j - 1) // 2:j * (j + 1) // 2], 0, out=out),
+        n, len(patterns))
     dist = {}
     for pattern, line in zip(patterns.tolist(), map(tuple, lines.tolist())):
         prob = Fraction(1)
@@ -368,8 +375,7 @@ def criterion_9(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
                          exact_ok, f"{len(dist)} permutations, "
                          f"max dev {max(abs(float(p) - 1 / 24) for p in dist.values()):.1e}"))
     n, count = 6, 100_000
-    _, lines = samplers.permutation_batch(RandomStream(seed, _SID["c9"]), n, count,
-                                           keep_bits=False)
+    lines = samplers.permutation_batch(RandomStream(seed, _SID["c9"]), n, count)
     counts = np.bincount(_lehmer_index(lines), minlength=math.factorial(n))
     expected = np.full(math.factorial(n), count / math.factorial(n))
     checks.append(_from_report(chi_square(counts, expected, level=level,
@@ -415,7 +421,7 @@ def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
                          f"symmetry {sym:.2e}, unitary {wu:.2e}"))
     sid += 1
     cse = samplers.cse_batch(RandomStream(seed, sid), 2, count)
-    z = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    z = symplectic_form(4)
     dual = np.einsum("ij,bkj,kl->bil", -z, cse, z)  # Z^{-1} S^T Z
     self_dual = float(np.abs(dual - cse).max())
     ph = eigenphases_batch(cse[:10])
@@ -462,8 +468,7 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
         compare(f"left-invariance: {tag} {method}", mats, mats[:, :, 0] @ fixed[tag][0])
 
     sid += 1
-    _, lines = samplers.permutation_batch(RandomStream(seed, sid), 5, count,
-                                           keep_bits=False)
+    lines = samplers.permutation_batch(RandomStream(seed, sid), 5, count)
     mats = samplers.permutation_matrices(lines)
     # binary entries: compare the (1,1) hit frequencies directly at 5 sigma
     pa, pb = mats[:, 0, 0].mean(), (mats[:, :, 0] @ fixed["sn"][0]).mean()
@@ -480,7 +485,7 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     sid += 1
     cse = samplers.cse_batch(RandomStream(seed, sid), 5, count)
     w = fixed["u10"]
-    z10 = np.kron(np.eye(5), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    z10 = symplectic_form(10)
     wd = -z10 @ w.T @ z10
     compare("congruence-invariance: cse", cse, (wd[0] @ cse) @ w[:, 0])
     return _finish("11 Haar invariance under fixed elements", checks, t0)

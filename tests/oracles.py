@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: multiplication by
 triple loop, determinants by cofactor expansion, the coset bottom row by
 symbolic expansion of the rotation recursion, the Hessenberg closed form
-entry by entry, and distribution functions by black-box numerical
-quadrature on a dense grid.
+entry by entry, permutations by swapping positions one transposition at a
+time, and distribution functions by black-box numerical quadrature on a
+dense grid.
 """
 
 import numpy as np
@@ -107,6 +108,44 @@ def bin_probabilities(pdf, edges) -> np.ndarray:
         val, _ = integrate.quad(pdf, lo, hi, limit=200)
         masses.append(val / total)
     return np.asarray(masses)
+
+
+# --- bubble-sort permutations ------------------------------------------------
+
+
+def bubble_bits(stream, n: int, count: int) -> dict:
+    """The decision bits mu_{i,j} behind permutation_batch(stream, n, count),
+    replayed from its documented draw order: one (count, j) uniform block
+    per coset j = 1..n-1, column i-1 deciding mu_{i,j} = 1 (u < i/(i+1)).
+    Returns {(i, j): (count,) int8 array}."""
+    bits = {}
+    for j in range(1, n):
+        u = stream.uniform(size=(count, j))
+        for i in range(1, j + 1):
+            bits[(i, j)] = (u[:, i - 1] < i / (i + 1)).astype(np.int8)
+    return bits
+
+
+def compose_word_swaps(n: int, bits: dict) -> np.ndarray:
+    """(B, n) arrays of 0-based one-line permutations from (B,) bit arrays.
+
+    sigma = E_1 o E_2 o ... o E_{n-1} is accumulated left to right as
+    sigma <- sigma o E_j; each coset array E_j = T_j o ... o T_1 is built by
+    appending factors on the right, where appending T_l swaps *positions*
+    (l-1, l), done arithmetically to avoid fancy-index copies.
+    """
+    batch = len(next(iter(bits.values()))) if bits else 1
+    sigma = np.broadcast_to(np.arange(n), (batch, n)).copy()
+    e = np.empty((batch, n), dtype=np.int64)
+    for j in range(1, n):
+        e[:] = np.arange(n)
+        for l in range(j, 0, -1):
+            swap = bits[(l, j)].astype(np.int64)
+            delta = (e[:, l] - e[:, l - 1]) * swap
+            e[:, l - 1] += delta
+            e[:, l] -= delta
+        sigma = np.take_along_axis(sigma, e, axis=1)
+    return sigma
 
 
 # --- column-rotation composition --------------------------------------------

@@ -69,6 +69,11 @@ class TestMoments:
                      lambda: moment_joint(4, 1.0, -0.5)):
             with pytest.raises(ValueError):
                 call()
+        for bad in (math.nan, math.inf):
+            for call in (lambda: moment_single(4, bad), lambda: moment_joint(4, bad, 1.0),
+                         lambda: moment_joint(4, 1.0, bad)):
+                with pytest.raises(ValueError):
+                    call()
 
 
 class TestBetaIntegral:

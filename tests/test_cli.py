@@ -225,11 +225,15 @@ class TestMomentsCommand:
 
     @pytest.mark.parametrize("args", [["--n", "1", "--p", "1"],
                                       ["--n", "4", "--p", "-1"],
-                                      ["--n", "4", "--p", "1", "--q", "-0.5"]])
+                                      ["--n", "4", "--p", "1", "--q", "-0.5"],
+                                      ["--n", "4", "--p", "nan"],
+                                      ["--n", "4", "--p", "inf"],
+                                      ["--n", "4", "--p", "1", "--q", "nan"],
+                                      ["--n", "4", "--p", "1", "--q", "inf"]])
     def test_out_of_range_exponents_exit_2(self, capsys, args):
         code = main(["moments", "--group", "so", "--count", "10", *args])
         out, err = capsys.readouterr()
-        assert code == 2 and out == "" and "need n >= 2" in err
+        assert code == 2 and out == "" and err.startswith("error: need n >= 2")
 
 
 class TestVolumesCommand:
@@ -309,7 +313,7 @@ class TestSpectraCommand:
         err = capsys.readouterr().err
         assert "internal error: out of memory" in err and "Traceback" not in err
 
-    def test_one_batch_per_lane(self, monkeypatch, capsys):
+    def test_one_eigenphase_batch_over_all_lanes(self, monkeypatch, capsys):
         calls = []
         batch = linalg.eigenphases_batch
 
@@ -319,8 +323,24 @@ class TestSpectraCommand:
 
         monkeypatch.setattr(linalg, "eigenphases_batch", spy)
         assert main(["spectra", "--n", "5", "--count", "7", "--streams", "3"]) == 0
-        assert calls == [3, 2, 2]
+        assert calls == [7]
         assert len(json.loads(capsys.readouterr().out)["phases"]) == 35
+
+    # SHA-256 of the stdout of every run below, in order, taken when each
+    # lane's matrices went through their own eigenphase call
+    GRID_DIGEST = "de6266ba6a0784dbcf9d97ebc2bc511424ab8e1279ecdccd9a6e7235a3408ba6"
+
+    def test_stdout_over_methods_sizes_and_lanes_pinned(self, capsys):
+        h = hashlib.sha256()
+        for method in ("euler", "hessenberg", "cmv"):
+            for n in (2, 3, 6, 9, 16):
+                for count, streams in ((1, 1), (2, 1), (2, 2), (7, 3), (50, 4), (30, 1)):
+                    for fmt in ("json", "csv"):
+                        assert main(["spectra", "--method", method, "--n", str(n),
+                                     "--count", str(count), "--streams", str(streams),
+                                     "--seed", str(n), "--format", fmt]) == 0
+                        h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == self.GRID_DIGEST
 
 
 class TestVerifyPlumbing:

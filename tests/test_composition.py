@@ -242,7 +242,7 @@ DRAW_SHAPE_DIGESTS = {  # (group, method, n, count, seed, streams)
     ("sp", "euler", 16, 16, 29, 1): "fd8abb694d1f9b8c9e5ed0878a9ca1910a93fc95861eccb1e79b57aced7b1ee0",
 }
 
-PERMUTATION_DIGESTS = {  # permutation_batch(RandomStream(31, 0), 500, 50, keep_bits=True)
+PERMUTATION_DIGESTS = {  # permutation_batch / oracles.bubble_bits(RandomStream(31, 0), 500, 50)
     "lines": "f4c77e7c2157f772d6989da10188be5ccc84b6bd2f063e3b99b1cf754b9ac659",
     "bits": "e884d63d548bd3e9a6988dda2ccf7b723ca45c1820cbb4d2c1056a198ed41f8f",
 }
@@ -285,7 +285,8 @@ def test_draw_shape_digest_pinned(key):
 
 def test_permutation_lines_and_bits_digest_pinned():
     # bits as a (count, n(n-1)/2) int8 array, columns in sorted (i, j) order
-    bits, lines = samplers.permutation_batch(RandomStream(31, 0), 500, 50, keep_bits=True)
+    lines = samplers.permutation_batch(RandomStream(31, 0), 500, 50)
+    bits = oracles.bubble_bits(RandomStream(31, 0), 500, 50)
     assert _digest(lines) == PERMUTATION_DIGESTS["lines"]
     table = np.stack([bits[key] for key in sorted(bits)], axis=1)
     assert _digest(table) == PERMUTATION_DIGESTS["bits"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -385,6 +386,29 @@ class TestExtraction:
         v = samplers.u_euler_batch(s, 6, 1)
         back = compose_u_batch(*extract_angles_u(v), 6)
         assert np.abs(back - v).max() <= 1e-10
+
+    # SHA-256 of every angle array, taken when each turn conjugated a full
+    # su2_block copy
+    U_EXTRACTION_DIGEST = "02ca0deeea6ad35d5837b465b061eb0c463e042812d81b288b6f2302cff646a7"
+
+    def test_u_extraction_digest_pinned(self):
+        def stacks():
+            for n in range(1, 17):
+                yield samplers.qr_batch(RandomStream(71, n), n, 3, "complex")
+                yield samplers.householder_batch(RandomStream(72, n), n, 3, "complex")
+                yield samplers.u_euler_batch(RandomStream(73, n), n, 3)
+            for n in (1, 4, 7):
+                eye = np.eye(n, dtype=complex)
+                yield np.stack([eye, np.diag(np.exp(1j * np.arange(1, n + 1))),
+                                eye[::-1], -eye])
+
+        h = hashlib.sha256()
+        for v in stacks():
+            phi, psi, alpha = extract_angles_u(v)
+            for key in sorted(phi):
+                h.update(phi[key].tobytes() + psi[key].tobytes())
+            h.update(alpha.tobytes())
+        assert h.hexdigest() == self.U_EXTRACTION_DIGEST
 
     def test_u_non_unitary_rejected(self):
         with pytest.raises(NotUnitaryError):

@@ -15,10 +15,10 @@ from haarforge.linalg import (
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
-from haarforge import samplers
+from haarforge import samplers, verify
 from haarforge.samplers import SAMPLERS, GroupId, sample_batch
 
-from oracles import bin_probabilities
+from oracles import bin_probabilities, bubble_bits, compose_word_swaps
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,40 +219,38 @@ class TestHouseholder:
         assert stream.calls == (1 + REDRAW_ROUNDS) * (2 if kind == "complex" else 1)
 
 
-def exact_word_distribution(n):
-    keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
-    patterns = np.array(list(product((0, 1), repeat=len(keys))))
-    lines = samplers._compose_word_batch(n, dict(zip(keys, patterns.T)))
-    dist = {}
-    for pattern, line in zip(patterns.tolist(), map(tuple, lines.tolist())):
-        prob = Fraction(1)
-        for key, bit in zip(keys, pattern):
-            p1 = Fraction(key[0], key[0] + 1)
-            prob *= p1 if bit else 1 - p1
-        dist[line] = dist.get(line, Fraction(0)) + prob
-    return dist
-
-
 class TestPermutations:
     def test_n2_fair(self):
         s = RandomStream(260)
-        _, lines = samplers.permutation_batch(s, 2, 50_000)
+        lines = samplers.permutation_batch(s, 2, 50_000)
         share = (lines[:, 0] == 0).mean()
         assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / 50_000)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exact_uniformity_by_enumeration(self, n):
-        dist = exact_word_distribution(n)
+        dist = verify._exact_word_distribution(n)
         assert len(dist) == math.factorial(n)
         assert all(p == Fraction(1, math.factorial(n)) for p in dist.values())
 
     def test_bits_compose_to_one_line(self):
         for n in (1, 2, 5, 8, 64, 500):
-            bits, lines = samplers.permutation_batch(RandomStream(261), n, 50)
-            assert lines.shape == (50, n)
-            assert (lines == samplers._compose_word_batch(n, bits)).all()
+            lines = samplers.permutation_batch(RandomStream(261), n, 50)
+            bits = bubble_bits(RandomStream(261), n, 50)
+            assert lines.shape == (50, n) and lines.dtype == np.int64
+            assert (lines == compose_word_swaps(n, bits)).all()
             assert all(sorted(row) == list(range(n)) for row in lines.tolist())
             assert adjoint_residual(samplers.permutation_matrices(lines)).max() == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_coset_composition_equals_swaps_on_every_pattern(self, n):
+        keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
+        patterns = np.array(list(product((0, 1), repeat=len(keys))))
+        bits = {key: patterns[:, c] for c, key in enumerate(keys)}
+        lines = samplers._compose_cosets(
+            lambda j, out: np.logical_not(
+                np.stack([bits[(i, j)] for i in range(1, j + 1)], axis=1), out=out),
+            n, len(patterns))
+        assert (lines == compose_word_swaps(n, bits)).all()
 
     def test_index_type_is_the_narrowest_that_holds_n(self):
         assert samplers._index_dtype(2) is np.int16
@@ -262,8 +260,7 @@ class TestPermutations:
         assert samplers._index_dtype(2 ** 31) is np.int64
 
     def test_fixed_points_near_poisson(self):
-        _, lines = samplers.permutation_batch(RandomStream(262), 50, 40_000,
-                                              keep_bits=False)
+        lines = samplers.permutation_batch(RandomStream(262), 50, 40_000)
         fixed = (lines == np.arange(50)).sum(axis=1)
         kmax = 5
         counts = np.array([(fixed == k).sum() for k in range(kmax)]
