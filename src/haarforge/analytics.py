@@ -210,8 +210,9 @@ def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
     """Monte Carlo group average (1/S) sum_k f(M_k, x) with standard error.
 
     ``f(stack, x)`` maps the (S, d, d) stack of sampled matrices to its S
-    values, e.g. ``lambda m, v: (m @ v)[:, 0]`` (a scalar is broadcast; any
-    other shape raises ValueError).  For the permutation group with n <= 8,
+    real values, e.g. ``lambda m, v: np.abs((m @ v)[:, 0]) ** 2`` (a scalar
+    is broadcast; any other shape raises ValueError, and so does a value
+    with a nonzero imaginary part).  For the permutation group with n <= 8,
     ``exact=True`` replaces sampling by the stack of all n! matrices
     (standard error 0).  Averaging any f produces an invariant of the group
     action; constants are reproduced exactly.
@@ -229,7 +230,10 @@ def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
         mats = sampler.draw(stream, group.n, samples)
     if perm:
         mats = samplers.permutation_matrices(mats)
-    vals = np.asarray(f(mats, x), dtype=float)
+    vals = np.asarray(f(mats, x))
+    if np.iscomplexobj(vals) and np.any(vals.imag):
+        raise ValueError("f must return real values")
+    vals = np.asarray(vals.real, dtype=float)
     if vals.ndim and vals.shape != (len(mats),):
         raise ValueError(f"f must return a scalar or shape ({len(mats)},), not {vals.shape}")
     vals = np.broadcast_to(vals, (len(mats),))
@@ -266,18 +270,17 @@ def _report(stat, crit, n, method, label, **details):
 
 
 def ks_test(samples, cdf, level: float = DEFAULT_LEVEL, label: str = "") -> TestReport:
-    """One-sample Kolmogorov-Smirnov test against a black-box CDF."""
+    """One-sample Kolmogorov-Smirnov test against a vectorized CDF: ``cdf``
+    maps the sorted (n,) sample to its (n,) CDF values in one call (any
+    other shape raises ValueError)."""
     from scipy.special import kolmogi
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 50:
         raise ValueError("one-sample KS needs at least 50 samples")
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.asarray([cdf(v) for v in x], dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise ValueError(f"cdf must return shape {x.shape}, not {f.shape}")
     grid = np.arange(1, n + 1) / n
     d = max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
     crit = kolmogi(level) / np.sqrt(n)

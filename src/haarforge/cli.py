@@ -1,6 +1,6 @@
 """The ``haar-forge`` command line front end.
 
-Subcommands: sample (matrices to JSON/CSV), moments (closed form vs Monte
+Subcommands: sample (group elements to JSON/CSV), moments (closed form vs Monte
 Carlo), volumes (closed forms plus quadrature cross-checks), spectra
 (eigenphase dumps), verify (the full acceptance battery).
 
@@ -73,20 +73,12 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_sample(cfg: RunConfig) -> int:
     group = cfg.group
     method = cfg.method or samplers.DEFAULT_METHOD.get(group)
-    sampler = samplers.SAMPLERS.get((group, method))
-    if sampler is None:
+    if (group, method) not in samplers.SAMPLERS:
         raise UsageError(f"method {method!r} is not valid for group {group!r}")
     result = samplers.sample_batch(group, cfg.n, cfg.count, method=method,
                                    seed=cfg.seed, streams=cfg.streams)
-    if sampler.kind == "permutation":
-        text = (fileio.permutations_to_json(cfg.n, method, cfg.seed, result)
-                if cfg.format == "json"
-                else fileio.permutations_to_csv(cfg.n, method, cfg.seed, result))
-    else:
-        text = (fileio.matrices_to_json(group, cfg.n, method, cfg.seed, result)
-                if cfg.format == "json"
-                else fileio.matrices_to_csv(group, cfg.n, method, cfg.seed,
-                                            result, sampler.kind))
+    write = fileio.matrices_to_json if cfg.format == "json" else fileio.matrices_to_csv
+    text = write(group, cfg.n, method, cfg.seed, result)
     _write_out(text, cfg.out)
     return EXIT_OK
 

@@ -381,8 +381,8 @@ def sample_batch(tag: str, n: int, count: int, method: str | None = None,
                  seed: int = 0, streams: int = 1):
     """Draw ``count`` elements of group ``tag``, split across ``streams`` sibling streams.
 
-    Returns a (count, d, d) array for matrix groups, or a list of 1-based
-    one-line permutation tuples for sn.  Lane i uses
+    Returns a (count, d, d) array for matrix groups, or for sn the
+    (count, n) int64 stack of 1-based one-line permutations.  Lane i uses
     RandomStream(seed, stream_id=i), so output is reproducible for fixed
     (seed, streams) regardless of how lanes are scheduled.
     """
@@ -394,6 +394,4 @@ def sample_batch(tag: str, n: int, count: int, method: str | None = None,
     if count < 1:
         raise ValueError("count >= 1 required")
     arr = _draw_lanes(sampler.draw, n, count, seed, streams)
-    if sampler.kind == "permutation":
-        return [tuple(row) for row in (arr + 1).tolist()]
-    return arr
+    return arr + 1 if sampler.kind == "permutation" else arr

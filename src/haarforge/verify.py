@@ -13,10 +13,10 @@ with the draws' own ``samplers._compose_cosets``, so criterion 9 certifies
 the composition that sampling runs.
 
 scipy is imported only where a check needs it: scipy.integrate inside
-criterion 4's quadrature (_abs_diff_integral), scipy.special inside the KS
-and chi-square tests of analytics.  The first criterion of a process that
-needs it, criterion 4 in run_all, includes the one-time import in its
-reported seconds.
+criterion 4's quadrature (_abs_diff_integral), scipy.special inside
+criterion 8 (the normal CDF ndtr) and the KS and chi-square tests of
+analytics.  The first criterion of a process that needs it, criterion 4 in
+run_all, includes the one-time import in its reported seconds.
 """
 
 from __future__ import annotations
@@ -314,13 +314,13 @@ def _poisson1_bins(values: np.ndarray, level: float, label: str) -> TestReport:
 
 
 def criterion_8(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
+    from scipy.special import ndtr
     t0 = time.perf_counter()
     checks = []
     count = 100_000
     series = spectra.trace_series_so_batch(
         RandomStream(seed, _SID["c8"]), 200, count)
-    cdf = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
-    checks.append(_from_report(ks_test(series, cdf, level=level,
+    checks.append(_from_report(ks_test(series, ndtr, level=level,
                                        label="trace series (200 terms) vs normal")))
     perm_series = spectra.trace_series_perm_batch(
         RandomStream(seed, _SID["c8"] + 1), 500, count)
@@ -410,7 +410,7 @@ def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
                              ok, f"unitary {wu:.2e}, symplectic {ws:.2e}"))
     sid += 1
     words = samplers.sample_batch("sn", 5, count, seed=seed, streams=1)
-    perm_ok = all(sorted(w) == [1, 2, 3, 4, 5] for w in words)
+    perm_ok = bool((np.sort(words, axis=1) == np.arange(1, 6)).all())
     checks.append(_check("sn: every sample is a permutation", perm_ok, "bijections"))
     sid += 1
     coe = samplers.coe_batch(RandomStream(seed, sid), 4, count)

@@ -235,6 +235,21 @@ class TestReynolds:
             assert mean == pytest.approx(want, rel=1e-13)
             assert se == pytest.approx(math.sqrt(var / samples), rel=1e-13)
 
+    def test_complex_values_are_rejected(self):
+        x = np.array([1.0, 0.0])
+        for f in (lambda m, v: 1j * np.abs((m @ v)[:, 0]) ** 2,
+                  lambda m, v: (m @ v)[:, 0]):
+            with pytest.raises(ValueError, match="real values"):
+                reynolds_average(f, GroupId("u", 2), RandomStream(417), 50, x)
+
+    def test_complex_dtype_with_zero_imaginary_parts_is_real(self):
+        x = np.array([1.0, 0.0])
+        f = lambda m, v: np.abs((m @ v)[:, 0]) ** 2
+        want = reynolds_average(f, GroupId("u", 2), RandomStream(418), 50, x)
+        got = reynolds_average(lambda m, v: f(m, v) + 0j, GroupId("u", 2),
+                               RandomStream(418), 50, x)
+        assert got == want
+
     def test_wrong_shape_is_rejected(self):
         with pytest.raises(ValueError, match="scalar or shape"):
             reynolds_average(lambda m, v: m[:, 0, :2], GroupId("o", 3),
@@ -251,6 +266,11 @@ class TestStatPrimitives:
         shifted_cdf = lambda v: np.clip(np.asarray(v) - 0.2, 0.0, 1.0)
         rep = ks_test(draws, shifted_cdf)
         assert not rep.passed and rep.statistic >= 0.19
+
+    def test_ks_cdf_must_return_the_sample_shape(self):
+        draws = RandomStream(423).uniform(size=100)
+        with pytest.raises(ValueError, match="cdf must return"):
+            ks_test(draws, lambda v: 0.5)
 
     def test_two_sample_identical_is_zero(self):
         draws = RandomStream(422).uniform(size=500)

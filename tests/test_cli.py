@@ -71,14 +71,14 @@ class TestFileFormats:
 
     def test_csv_roundtrip_bit_exact_complex(self):
         mats = qr_batch(RandomStream(501), 3, 3, "complex")
-        text = fileio.matrices_to_csv("u", 3, "qr", 501, mats, "complex")
+        text = fileio.matrices_to_csv("u", 3, "qr", 501, mats)
         meta, back = fileio.csv_to_matrices(text)
         assert meta["kind"] == "complex" and int(meta["count"]) == 3
         assert np.array_equal(back, mats)
 
     def test_csv_roundtrip_bit_exact_real(self):
         mats = so_euler_batch(RandomStream(502), 4, 2)
-        text = fileio.matrices_to_csv("so", 4, "euler", 502, mats, "real")
+        text = fileio.matrices_to_csv("so", 4, "euler", 502, mats)
         _, back = fileio.csv_to_matrices(text)
         assert np.array_equal(back.real, mats)
         assert np.all(back.imag == 0.0)
@@ -90,8 +90,8 @@ class TestFileFormats:
                      "--out", str(out)]) == 0
         meta, words = fileio.csv_to_matrices(out.read_text())
         assert meta["kind"] == "permutation" and int(meta["count"]) == 5
-        assert words == sample_batch("sn", 7, 5, seed=9, streams=2)
-        assert all(type(x) is int for w in words for x in w)
+        assert np.array_equal(words, sample_batch("sn", 7, 5, seed=9, streams=2))
+        assert words.dtype == np.int64
 
     def test_csv_header_required(self):
         with pytest.raises(ValueError):

@@ -59,14 +59,8 @@ TEXT_DIGESTS = {  # SHA-256 of the writer's text
 def _write(group, method, case, fmt):
     n, count, seed, streams = case
     got = sample_batch(group, n, count, method=method, seed=seed, streams=streams)
-    kind = SAMPLERS[(group, method)].kind
-    if kind == "permutation":
-        text = (fileio.permutations_to_json(n, method, seed, got) if fmt == "json"
-                else fileio.permutations_to_csv(n, method, seed, got))
-    else:
-        text = (fileio.matrices_to_json(group, n, method, seed, got) if fmt == "json"
-                else fileio.matrices_to_csv(group, n, method, seed, got, kind))
-    return got, kind, text
+    write = fileio.matrices_to_json if fmt == "json" else fileio.matrices_to_csv
+    return got, SAMPLERS[(group, method)].kind, write(group, n, method, seed, got)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -78,7 +72,8 @@ def test_text_pinned_and_read_back_bit_exact(pair, case, fmt):
     reader = fileio.json_to_matrices if fmt == "json" else fileio.csv_to_matrices
     _, back = reader(text)
     if kind == "permutation":
-        assert back == got
+        assert back.dtype == np.int64 and back.shape == got.shape
+        assert back.tobytes() == got.tobytes()
     else:
         assert back.dtype == complex and back.shape == got.shape
         assert back.tobytes() == np.asarray(got, dtype=complex).tobytes()
@@ -107,7 +102,7 @@ def test_signed_zeros_survive_write_and_read(kind, fmt):
         text = fileio.matrices_to_json(group, 2, method, 0, mats)
         _, back = fileio.json_to_matrices(text)
     else:
-        text = fileio.matrices_to_csv(group, 2, method, 0, mats, kind)
+        text = fileio.matrices_to_csv(group, 2, method, 0, mats)
         _, back = fileio.csv_to_matrices(text)
     assert text == SIGNED_ZERO_TEXT[(kind, fmt)]
     assert back.tobytes() == np.asarray(mats, dtype=complex).tobytes()
@@ -123,8 +118,44 @@ def test_empty_stack_keeps_its_shape(group, method, n, d, kind, fmt):
         _, back = fileio.json_to_matrices(fileio.matrices_to_json(group, n, method, 0, mats))
     else:
         _, back = fileio.csv_to_matrices(
-            fileio.matrices_to_csv(group, n, method, 0, mats, kind))
+            fileio.matrices_to_csv(group, n, method, 0, mats))
     assert back.shape == (0, d, d) and back.dtype == complex
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_empty_permutation_file_reads_as_empty_int64_stack(fmt):
+    write = fileio.matrices_to_json if fmt == "json" else fileio.matrices_to_csv
+    read = fileio.json_to_matrices if fmt == "json" else fileio.csv_to_matrices
+    _, back = read(write("sn", 4, "bubble", 0, np.empty((0, 4), dtype=np.int64)))
+    assert back.shape == (0, 4) and back.dtype == np.int64
+
+
+@pytest.mark.parametrize("write", [fileio.matrices_to_json, fileio.matrices_to_csv])
+@pytest.mark.parametrize("group,method", [("so", "qr"), ("sn", "euler"), ("x", "euler")])
+def test_writer_refuses_a_pair_outside_the_table(write, group, method):
+    with pytest.raises(ValueError):
+        write(group, 2, method, 0, np.eye(2)[None])
+
+
+MALFORMED_WORDS = {  # rows of n = 3 that are not a (B, 3) stack of permutations of 1..3
+    "ragged-rows": [[1, 2, 3], [1, 2]],
+    "float-entry": [[1.5, 2, 3]],
+    "repeated-entry": [[1, 1, 3]],
+    "one-d-list": [1, 2, 3],
+}
+
+
+@pytest.mark.parametrize("words", list(MALFORMED_WORDS.values()), ids=list(MALFORMED_WORDS))
+def test_malformed_permutations_raise_value_error(words):
+    with pytest.raises(ValueError):
+        fileio.json_to_matrices(json.dumps({"group": "sn", "n": 3, "method": "bubble",
+                                            "seed": 0, "permutations": words}))
+    # the CSV holds one word per line, a 1-d list one entry per line
+    rows = [w if isinstance(w, list) else [w] for w in words]
+    with pytest.raises(ValueError):
+        fileio.csv_to_matrices("# haar-forge group=sn n=3 method=bubble seed=0 "
+                               f"kind=permutation count={len(rows)}\n"
+                               + "".join(",".join(map(str, r)) + "\n" for r in rows))
 
 
 @pytest.mark.parametrize("read,text", [
@@ -175,9 +206,11 @@ def test_malformed_json_raises_value_error(matrices):
     '{"group": "u", "n": 2, "method": "qr", "seed": 0}',
     '{"group": "sn", "n": 2, "permutations": 5}',
     '{"group": "sn", "n": 2, "permutations": [1, 2]}',
+    '{"group": "sn", "n": 2, "permutations": [["1", "2"]]}',
     '{"group": "u", "n": 2, "matrices": {"re": 1.0}}',
 ], ids=["empty-object", "array", "string", "array-naming-a-key", "neither-key",
-        "permutations-not-a-list", "permutations-not-words", "matrices-an-object"])
+        "permutations-not-a-list", "permutations-not-words", "permutations-of-strings",
+        "matrices-an-object"])
 def test_malformed_json_document_raises_value_error(text):
     with pytest.raises(ValueError):
         fileio.json_to_matrices(text)

@@ -331,8 +331,8 @@ class TestBatchFrontEnd:
 
     def test_permutation_batch_front_end(self):
         words = sample_batch("sn", 5, 6, seed=9, streams=2)
-        assert len(words) == 6
-        assert all(sorted(w) == [1, 2, 3, 4, 5] for w in words)
+        assert words.shape == (6, 5) and words.dtype == np.int64
+        assert (np.sort(words, axis=1) == np.arange(1, 6)).all()  # 1-based
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("tag,method", list(SAMPLERS))
@@ -341,7 +341,7 @@ class TestBatchFrontEnd:
         out = sample_batch(tag, n, 4, method=method, seed=3, streams=2)
         d = entry.matrix_dim(n)
         if entry.kind == "permutation":
-            assert len(out) == 4 and all(len(w) == d for w in out)
+            assert out.shape == (4, d) and out.dtype == np.int64
         else:
             assert out.shape == (4, d, d)
             assert out.dtype == (np.float64 if entry.kind == "real" else np.complex128)
