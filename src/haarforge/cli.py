@@ -4,9 +4,16 @@ Subcommands: sample (group elements to JSON/CSV), moments (closed form vs Monte
 Carlo), volumes (closed forms plus quadrature cross-checks), spectra
 (eigenphase dumps), verify (the full acceptance battery).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (a
-UsageError, raised for every invalid input), 3 I/O error, 4 internal error
-(a numerical precondition or certificate failed, a redraw loop gave up, any
+The argparse parser is the only declaration of each option: its default,
+its choices and its range (a ``type=`` parser that rejects, say,
+``--count 0`` with "argument --count: count >= 1 required").  Each
+subcommand reads the parsed namespace as it is.
+
+Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
+rejects an option value; a UsageError covers the checks that span options:
+the (group, method) pair, ``moments --count >= 2``, the moment formulas'
+domain and ``spectra --n >= 2``), 3 I/O error, 4 internal error (a
+numerical precondition or certificate failed, a redraw loop gave up, any
 other ValueError, or a MemoryError, reported as "out of memory").
 Every command is deterministic given (--seed, --streams).
 """
@@ -17,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +40,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation record shared by the subcommands."""
-
-    command: str
-    group: str | None = None
-    n: int | None = None
-    method: str | None = None
-    count: int = 1
-    seed: int = 0
-    streams: int = 1
-    out: str | None = None
-    format: str = "json"
-    level: float = analytics.DEFAULT_LEVEL
-    p: float | None = None
-    q: float | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise UsageError("count >= 1 required")
-        if not 0.0 < self.level <= 0.1:
-            raise UsageError("level must lie in (0, 0.1]")
-        if self.streams < 1:
-            raise UsageError("streams >= 1 required")
-        if self.n is not None and self.n < 1:
-            raise UsageError("n >= 1 required")
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -70,63 +48,58 @@ def _write_out(text: str, out: str | None) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    group = cfg.group
-    method = cfg.method or samplers.DEFAULT_METHOD.get(group)
+def cmd_sample(args: argparse.Namespace) -> int:
+    group = args.group
+    method = args.method or samplers.DEFAULT_METHOD.get(group)
     if (group, method) not in samplers.SAMPLERS:
         raise UsageError(f"method {method!r} is not valid for group {group!r}")
-    result = samplers.sample_batch(group, cfg.n, cfg.count, method=method,
-                                   seed=cfg.seed, streams=cfg.streams)
-    write = fileio.matrices_to_json if cfg.format == "json" else fileio.matrices_to_csv
-    text = write(group, cfg.n, method, cfg.seed, result)
-    _write_out(text, cfg.out)
+    result = samplers.sample_batch(group, args.n, args.count, method=method,
+                                   seed=args.seed, streams=args.streams)
+    write = fileio.matrices_to_json if args.format == "json" else fileio.matrices_to_csv
+    text = write(group, args.n, method, args.seed, result)
+    _write_out(text, args.out)
     return EXIT_OK
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    if cfg.group != "so":
-        raise UsageError("moment formulas cover the special orthogonal group; "
-                         "use --group so")
-    if cfg.count < 2:
+def cmd_moments(args: argparse.Namespace) -> int:
+    if args.count < 2:
         raise UsageError("moments need --count >= 2 for a standard error")
     try:
-        exact = (analytics.moment_single(cfg.n, cfg.p) if cfg.q is None
-                 else analytics.moment_joint(cfg.n, cfg.p, cfg.q))
+        exact = (analytics.moment_single(args.n, args.p) if args.q is None
+                 else analytics.moment_joint(args.n, args.p, args.q))
     except ValueError as exc:
         raise UsageError(str(exc))
-    mats = samplers.sample_batch("so", cfg.n, cfg.count, method="euler",
-                                 seed=cfg.seed, streams=cfg.streams)
-    vals = np.abs(mats[:, cfg.n - 1, cfg.n - 1]) ** (2.0 * cfg.p)
-    if cfg.q is not None:
-        vals = vals * np.abs(mats[:, cfg.n - 2, cfg.n - 2]) ** (2.0 * cfg.q)
+    mats = samplers.sample_batch("so", args.n, args.count, method="euler",
+                                 seed=args.seed, streams=args.streams)
+    vals = np.abs(mats[:, args.n - 1, args.n - 1]) ** (2.0 * args.p)
+    if args.q is not None:
+        vals = vals * np.abs(mats[:, args.n - 2, args.n - 2]) ** (2.0 * args.q)
     est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(cfg.count))
+    se = float(vals.std(ddof=1) / math.sqrt(args.count))
     check = analytics.moment_check(exact, est, se)
     report = {
-        "group": cfg.group, "n": cfg.n, "p": cfg.p, "q": cfg.q,
-        "count": cfg.count, "seed": cfg.seed,
+        "group": args.group, "n": args.n, "p": args.p, "q": args.q,
+        "count": args.count, "seed": args.seed,
         "exact": exact, "estimate": est, "std_error": se,
         "z_score": check.statistic, "pass": check.passed,
     }
-    if cfg.q is not None and cfg.n < 4:  # the joint form is derived for n >= 4
+    if args.q is not None and args.n < 4:  # the joint form is derived for n >= 4
         report["outside_derivation_range"] = True
-    _write_out(json.dumps(report), cfg.out)
+    _write_out(json.dumps(report), args.out)
     return EXIT_OK
 
 
-def cmd_volumes(cfg: RunConfig) -> int:
-    if cfg.group not in ("so", "o", "u"):
-        raise UsageError("volumes cover --group so, o, u")
-    n = cfg.n
-    report = {"group": cfg.group, "n": n,
-              "closed_form": analytics.volume(cfg.group, n)}
-    if cfg.group == "o":
+def cmd_volumes(args: argparse.Namespace) -> int:
+    n = args.n
+    report = {"group": args.group, "n": n,
+              "closed_form": analytics.volume(args.group, n)}
+    if args.group == "o":
         report["quotients"] = {"o/o1": analytics.volume("o/o1", n)}
-    if cfg.group == "u":
+    if args.group == "u":
         report["quotients"] = {"u/u1": analytics.volume("u/u1", n),
                                "u/o": analytics.volume("u/o", n)}
-    if n in analytics.QUADRATURE_DOMAIN.get(cfg.group, ()):
-        got, refine = analytics.volume_quadrature(cfg.group, n)
+    if n in analytics.QUADRATURE_DOMAIN.get(args.group, ()):
+        got, refine = analytics.volume_quadrature(args.group, n)
         rel = abs(got - report["closed_form"]) / report["closed_form"]
         report["quadrature"] = got
         report["quadrature_rel_error"] = rel
@@ -134,57 +107,72 @@ def cmd_volumes(cfg: RunConfig) -> int:
         report["checked"] = bool(rel <= 1e-6)
     else:
         report["checked"] = None
-    _write_out(json.dumps(report), cfg.out)
+    _write_out(json.dumps(report), args.out)
     return EXIT_OK
 
 
-def cmd_spectra(cfg: RunConfig) -> int:
-    method = cfg.method or "hessenberg"
-    if method == "full":
-        method = "euler"
-    if method not in ("euler", "hessenberg", "cmv"):
-        raise UsageError("spectra methods: euler (full product), hessenberg, cmv")
-    if cfg.n < 2:
+def cmd_spectra(args: argparse.Namespace) -> int:
+    method = "euler" if args.method == "full" else args.method
+    if args.n < 2:
         raise UsageError("need n >= 2")
     gen = {"euler": samplers.so_euler_batch,
            "hessenberg": spectra.hessenberg_batch,
            "cmv": spectra.cmv_batch}[method]
-    mats = samplers._draw_lanes(gen, cfg.n, cfg.count, cfg.seed, cfg.streams)
+    mats = samplers._draw_lanes(gen, args.n, args.count, args.seed, args.streams)
     phases = linalg.eigenphases_batch(mats).ravel().tolist()
-    if cfg.format == "json":
-        text = json.dumps({"n": cfg.n, "method": method, "seed": cfg.seed,
-                           "count": cfg.count, "phases": phases})
+    if args.format == "json":
+        text = json.dumps({"n": args.n, "method": method, "seed": args.seed,
+                           "count": args.count, "phases": phases})
     else:
-        lines = [f"# haar-forge spectra n={cfg.n} method={method} "
-                 f"seed={cfg.seed} count={cfg.count}"]
-        for i in range(0, len(phases), cfg.n):
-            lines.append(",".join(repr(p) for p in phases[i:i + cfg.n]))
+        lines = [f"# haar-forge spectra n={args.n} method={method} "
+                 f"seed={args.seed} count={args.count}"]
+        for i in range(0, len(phases), args.n):
+            lines.append(",".join(repr(p) for p in phases[i:i + args.n]))
         text = "\n".join(lines) + "\n"
-    _write_out(text, cfg.out)
+    _write_out(text, args.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results, ok = verify.run_all(seed=cfg.seed, level=cfg.level, echo=print)
-    if cfg.out:
+def cmd_verify(args: argparse.Namespace) -> int:
+    results, ok = verify.run_all(seed=args.seed, level=args.level, echo=print)
+    if args.out:
         payload = {
-            "seed": cfg.seed, "level": cfg.level, "all_passed": ok,
+            "seed": args.seed, "level": args.level, "all_passed": ok,
             "criteria": [
                 {"name": r.name, "passed": r.passed, "elapsed": r.elapsed,
                  "checks": r.checks}
                 for r in results
             ],
         }
-        _write_out(json.dumps(payload), cfg.out)
+        _write_out(json.dumps(payload), args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _add_common(p, count_default=1):
-    p.add_argument("--n", type=int, required=True, help="group dimension parameter")
-    p.add_argument("--count", type=int, default=count_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1,
-                   help="sibling streams (reproducible batch lanes)")
+def _checked(convert, ok, message):
+    """An argparse ``type=``: ``convert`` the text, then reject the value
+    with ``message`` unless ``ok(value)``."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def _at_least_one(name):
+    return _checked(int, lambda v: v >= 1, f"{name} >= 1 required")
+
+
+def _add_common(p, count_default=None):
+    """--n and --out; with a ``count_default`` also --count, --seed, --streams."""
+    p.add_argument("--n", type=_at_least_one("n"), required=True,
+                   help="group dimension parameter")
+    if count_default is not None:
+        p.add_argument("--count", type=_at_least_one("count"), default=count_default)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--streams", type=_at_least_one("streams"), default=1,
+                       help="sibling streams (reproducible batch lanes)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -203,20 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(f"{t} {m}" for t, m in samplers.SAMPLERS)
                         + " (the first listed for a group is its default)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    _add_common(p)
+    _add_common(p, count_default=1)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("moments", help="closed-form entry moments vs Monte Carlo")
-    p.add_argument("--group", required=True, choices=samplers.GROUP_TAGS)
+    p.add_argument("--group", required=True, choices=["so"])
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, default=None)
     _add_common(p, count_default=100_000)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("volumes", help="group volumes and quadrature cross-checks")
-    p.add_argument("--group", required=True, choices=samplers.GROUP_TAGS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--group", required=True, choices=["so", "o", "u"])
+    _add_common(p)
     p.set_defaults(fn=cmd_volumes)
 
     p = sub.add_parser("spectra", help="dump eigenphase samples")
@@ -228,24 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--level", type=float, default=analytics.DEFAULT_LEVEL)
+    p.add_argument("--level", default=analytics.DEFAULT_LEVEL,
+                   type=_checked(float, lambda v: 0.0 < v <= 0.1,
+                                 "level must lie in (0, 0.1]"))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        ns = vars(args).copy()
-        ns.pop("command_name", None)
-        fn = ns.pop("fn")
-        cfg = RunConfig(command=fn.__name__.removeprefix("cmd_"), **ns)
-        return fn(cfg)
+        return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

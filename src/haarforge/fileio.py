@@ -17,8 +17,9 @@ Floats are written with ``repr`` (the shortest decimal that round-trips a
 double), so write-then-read reproduces every entry bit for bit, signed
 zeros included: matrices as a complex stack, permutations as the (B, n)
 int64 stack, and a file with no samples as the empty stack of its
-header's group and n.  Malformed input, a permutation row that is not a
-permutation of 1..n among it, raises ValueError, and so does a JSON
+header's group and n.  Malformed input raises ValueError: among it a
+permutation row that is not a permutation of 1..n, a matrix that is not
+square, a CSV kind other than real, complex and permutation, and a JSON
 document that is not an object with "matrices" or "permutations".
 """
 
@@ -58,6 +59,13 @@ def _stack(meta, stack: np.ndarray) -> np.ndarray:
     return np.empty((0, d, d), dtype=complex)
 
 
+def _matrices(meta, stack: np.ndarray) -> np.ndarray:
+    """``_stack`` of a (B, r, c) stack, ValueError unless r == c."""
+    if stack.size and stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"matrices must be square, not {stack.shape[1]}x{stack.shape[2]}")
+    return _stack(meta, stack)
+
+
 def _words(meta, rows) -> np.ndarray:
     """rows as the (B, n) int64 stack of 1-based one-line permutations;
     ValueError for ragged rows, entries that are not integers, and rows
@@ -89,7 +97,7 @@ def json_to_matrices(text: str):
         raise ValueError(f"malformed JSON matrices: {exc}") from None
     if pairs.size and (pairs.ndim != 4 or pairs.shape[-1] != 2):
         raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
-    return payload, _stack(payload, pairs.view(complex).reshape(pairs.shape[:3]))
+    return payload, _matrices(payload, pairs.view(complex).reshape(pairs.shape[:3]))
 
 
 def matrices_to_csv(group: str, n: int, method: str, seed: int, stack) -> str:
@@ -113,10 +121,12 @@ def csv_to_matrices(text: str):
     meta = dict(tok.partition("=")[::2]
                 for tok in lines[0].removeprefix("# haar-forge").split())
     kind = meta.get("kind", "complex")
+    if kind not in ("real", "complex", "permutation"):
+        raise ValueError(f"unknown CSV kind {kind!r}")
     if kind == "permutation":
         return meta, _words(meta, np.array([line.split(",") for line in lines[1:]
                                             if line.strip()]).astype(np.int64))
     cols = np.array([[line.split(",") for line in block] for blank, block
                      in groupby(lines[1:], lambda line: not line.strip()) if not blank],
                     dtype=float)
-    return meta, _stack(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
+    return meta, _matrices(meta, cols.astype(complex) if kind == "real" else cols.view(complex))

@@ -371,10 +371,11 @@ def _lane_counts(count: int, streams: int):
 
 def _draw_lanes(draw, n: int, count: int, seed: int, streams: int) -> np.ndarray:
     """``draw(stream, n, c)`` on RandomStream(seed, lane) for each lane of
-    ``_lane_counts(count, streams)``, stacked along axis 0."""
-    return np.concatenate([draw(RandomStream(seed, lane), n, c)
-                           for lane, c in enumerate(_lane_counts(count, streams))],
-                          axis=0)
+    ``_lane_counts(count, streams)``, stacked along axis 0; a lone lane is
+    returned as drawn, without a copy."""
+    lanes = [draw(RandomStream(seed, lane), n, c)
+             for lane, c in enumerate(_lane_counts(count, streams))]
+    return lanes[0] if len(lanes) == 1 else np.concatenate(lanes, axis=0)
 
 
 def sample_batch(tag: str, n: int, count: int, method: str | None = None,

@@ -4,6 +4,12 @@ Each criterion function is deterministic given (seed, level) and returns a
 CriterionResult holding one or more named checks.  The same functions back
 the acceptance test suite, so the CLI and pytest agree by construction.
 
+The ``_criterion(title)`` decorator is the registry: it appends
+``criterion_<k>`` to CRITERIA, taking k from the function name, times the
+call and names the result "<k> <title>".  Criterion k draws from the stream
+ids ``100*k + lane``, so criteria stay independent under one seed; the
+fixed group elements of criteria 11 and 12 come from ``9900 + lane``.
+
 Oracles used here are independent of the construction they check:
 adaptive quadrature for integrals, elimination determinants for the
 recurrence, exact probability-tree enumeration for permutations, and
@@ -51,11 +57,9 @@ from haarforge.samplers import SAMPLERS, GroupId
 
 TWO_PI = 2.0 * np.pi
 
-# stream ids are allocated per criterion (hundreds) and lane (units) so
-# criteria stay independent and reproducible under one seed
-_SID = {"c1": 100, "c2": 200, "c3": 300, "c4": 400, "c5": 500, "c6": 600,
-        "c7": 700, "c8": 800, "c9": 900, "c10": 1000, "c11": 1100,
-        "c12": 1200, "fixed": 9900}
+_FIXED_SID = 9900  # stream-id base of the fixed group elements
+
+CRITERIA = []  # criterion_1 .. criterion_12, in order, filled by _criterion
 
 
 @dataclass
@@ -82,22 +86,39 @@ def _from_report(r: TestReport) -> dict:
                   f"{r.method} stat={r.statistic:.4g} crit={r.critical:.4g}")
 
 
-def _finish(name, checks, t0):
-    return CriterionResult(name=name, passed=all(c["passed"] for c in checks),
-                           checks=checks, elapsed=time.perf_counter() - t0)
+def _criterion(title: str):
+    """Register ``criterion_<k>(seed, level, sid, checks)`` as CRITERIA[k-1],
+    ``criterion_<k>(seed, level)``: the body gets ``sid = 100*k`` and an empty
+    ``checks`` list to fill, and the call is timed into a CriterionResult."""
+    def register(body):
+        k = int(body.__name__.removeprefix("criterion_"))
+        assert k == len(CRITERIA) + 1, f"{body.__name__} registered out of order"
+
+        def run(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
+            t0 = time.perf_counter()
+            checks = []
+            body(seed, level, 100 * k, checks)
+            return CriterionResult(name=f"{k} {title}",
+                                   passed=all(c["passed"] for c in checks),
+                                   checks=checks, elapsed=time.perf_counter() - t0)
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        CRITERIA.append(run)
+        return run
+    return register
 
 
 # --- criterion 1: single-entry moment oracle --------------------------------
 
 
-def criterion_1(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
+@_criterion("single-entry moments (beta law)")
+def criterion_1(seed, level, sid, checks):
     """<|X_NN|^{2p}> over 1e5 Haar SO(N) samples matches the gamma closed
     form within 5 standard errors, N = 2..8, p in {1/2, 1, 2, 3}; <= 60 s."""
     t0 = time.perf_counter()
-    checks = []
     count = 100_000
     for n in range(2, 9):
-        s = RandomStream(seed, _SID["c1"] + n)
+        s = RandomStream(seed, sid + n)
         mats = samplers.so_euler_batch(s, n, count)
         entry = np.abs(mats[:, n - 1, n - 1])
         for p in (0.5, 1.0, 2.0, 3.0):
@@ -109,17 +130,15 @@ def criterion_1(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
             checks.append(_from_report(rep))
     elapsed = time.perf_counter() - t0
     checks.append(_check("runtime <= 60 s", elapsed <= 60.0, f"{elapsed:.1f} s"))
-    return _finish("1 single-entry moments (beta law)", checks, t0)
 
 
 # --- criterion 2: joint moment and gamma reduction ---------------------------
 
 
-def criterion_2(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
+@_criterion("joint moments (Pfaff-Saalschutz form)")
+def criterion_2(seed, level, sid, checks):
     count, chunk = 1_000_000, 100_000
-    s = RandomStream(seed, _SID["c2"])
+    s = RandomStream(seed, sid)
     total, total_sq, seen = 0.0, 0.0, 0
     while seen < count:
         mats = samplers.so_euler_batch(s, 3, chunk)
@@ -141,15 +160,13 @@ def criterion_2(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
             worst = max(worst, abs(a - b) / abs(b))
     checks.append(_check("moment_joint(N,p,0) == moment_single (rel 1e-14)",
                          worst <= 1e-14, f"worst rel {worst:.2e}"))
-    return _finish("2 joint moments (Pfaff-Saalschutz form)", checks, t0)
 
 
 # --- criterion 3: volumes by quadrature and sphere-ratio identities ----------
 
 
-def criterion_3(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
+@_criterion("volumes and sphere-area ratios")
+def criterion_3(seed, level, sid, checks):
     for tag, n in (("so", 2), ("so", 3), ("u", 1), ("u", 2)):
         got, refine = analytics.volume_quadrature(tag, n)
         want = analytics.volume(tag, n)
@@ -165,7 +182,6 @@ def criterion_3(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
                          f"worst rel {worst_so:.2e}"))
     checks.append(_check("U sphere-area ratio identity N<=20", worst_u <= 1e-12,
                          f"worst rel {worst_u:.2e}"))
-    return _finish("3 volumes and sphere-area ratios", checks, t0)
 
 
 # --- criterion 4: circular-ensemble normalizations ---------------------------
@@ -185,9 +201,8 @@ def _abs_diff_integral(beta: float) -> float:
     return val
 
 
-def criterion_4(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
+@_criterion("COE/CUE normalization constants")
+def criterion_4(seed, level, sid, checks):
     raw1 = _abs_diff_integral(1.0)
     rel1 = abs(raw1 - 16.0 * math.pi) / (16.0 * math.pi)
     checks.append(_check("raw beta=1 integral = 16*pi", rel1 <= 1e-8,
@@ -204,7 +219,6 @@ def criterion_4(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     rel4 = abs(ct2 - raw2) / ct2
     checks.append(_check("C~_2 = 8*pi^2 raw", rel4 <= 1e-8,
                          f"stated={ct2:.12g} rel={rel4:.2e}"))
-    return _finish("4 COE/CUE normalization constants", checks, t0)
 
 
 # --- criterion 5: cross-sampler equivalence on SO(6) --------------------------
@@ -231,36 +245,33 @@ def _so_conditioned(method, seed, sid, n, count):
     return np.concatenate(out, axis=0)[:count]
 
 
-def criterion_5(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("cross-sampler equivalence SO(6)")
+def criterion_5(seed, level, sid, checks):
     n, count = 6, 10_000
     sets = [("euler", SAMPLERS[("so", "euler")].draw(
-        RandomStream(seed, _SID["c5"]), n, count))]
-    for sid, method in enumerate(("qr", "householder"), start=_SID["c5"] + 1):
-        sets.append((method, _so_conditioned(method, seed, sid, n, count)))
+        RandomStream(seed, sid), n, count))]
+    for lane, method in enumerate(("qr", "householder"), start=1):
+        sets.append((method, _so_conditioned(method, seed, sid + lane, n, count)))
     stats = {
         "tr": lambda m: np.einsum("bii->b", m).real,
         "entry11": lambda m: m[:, 0, 0].real,
     }
-    checks = []
     for sname, fn in stats.items():
         for (la, ma), (lb, mb) in itertools.combinations(sets, 2):
             rep = ks_two_sample(fn(ma), fn(mb), level=level,
                                 label=f"{sname}: {la} vs {lb}")
             checks.append(_from_report(rep))
-    return _finish("5 cross-sampler equivalence SO(6)", checks, t0)
 
 
 # --- criterion 6: spectral equivalence and zero structure ---------------------
 
 
-def criterion_6(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("spectral equivalence (Hessenberg / CMV / full)")
+def criterion_6(seed, level, sid, checks):
     n, count = 6, 10_000
-    full = samplers.so_euler_batch(RandomStream(seed, _SID["c6"]), n, count)
-    hess = spectra.hessenberg_batch(RandomStream(seed, _SID["c6"] + 1), n, count)
-    cmv = spectra.cmv_batch(RandomStream(seed, _SID["c6"] + 2), n, count)
-    checks = []
+    full = samplers.so_euler_batch(RandomStream(seed, sid), n, count)
+    hess = spectra.hessenberg_batch(RandomStream(seed, sid + 1), n, count)
+    cmv = spectra.cmv_batch(RandomStream(seed, sid + 2), n, count)
     hess_zero = max(float(np.abs(hess[:, i, j]).max())
                     for i in range(n) for j in range(n) if j > i + 1)
     checks.append(_check("Hessenberg zero pattern (<= 1e-15)",
@@ -275,15 +286,14 @@ def criterion_6(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
         rep = ks_two_sample(pa, pb, level=level,
                             label=f"min eigenphase: {la} vs {lb}")
         checks.append(_from_report(rep))
-    return _finish("6 spectral equivalence (Hessenberg / CMV / full)", checks, t0)
 
 
 # --- criterion 7: characteristic-polynomial recurrence ------------------------
 
 
-def criterion_7(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    s = RandomStream(seed, _SID["c7"])
+@_criterion("Hessenberg charpoly recurrence")
+def criterion_7(seed, level, sid, checks):
+    s = RandomStream(seed, sid)
     worst_ratio = 0.0
     for trial in range(100):
         n = 2 + trial % 9  # n in 2..10
@@ -295,10 +305,9 @@ def criterion_7(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
             det = charpoly_eval(mat, lam)
             bound = 1e-10 * (1.0 + abs(lam)) ** n
             worst_ratio = max(worst_ratio, abs(chi - det) / bound)
-    check = _check("recurrence matches elimination determinant",
-                   worst_ratio <= 1.0,
-                   f"worst |chi - det| / bound = {worst_ratio:.3g}")
-    return _finish("7 Hessenberg charpoly recurrence", [check], t0)
+    checks.append(_check("recurrence matches elimination determinant",
+                         worst_ratio <= 1.0,
+                         f"worst |chi - det| / bound = {worst_ratio:.3g}"))
 
 
 # --- criterion 8: limit laws ---------------------------------------------------
@@ -313,24 +322,22 @@ def _poisson1_bins(values: np.ndarray, level: float, label: str) -> TestReport:
     return chi_square(counts, probs * len(values), level=level, label=label)
 
 
-def criterion_8(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
+@_criterion("limit laws (normal trace, Poisson fixed points)")
+def criterion_8(seed, level, sid, checks):
     from scipy.special import ndtr
-    t0 = time.perf_counter()
-    checks = []
     count = 100_000
     series = spectra.trace_series_so_batch(
-        RandomStream(seed, _SID["c8"]), 200, count)
+        RandomStream(seed, sid), 200, count)
     checks.append(_from_report(ks_test(series, ndtr, level=level,
                                        label="trace series (200 terms) vs normal")))
     perm_series = spectra.trace_series_perm_batch(
-        RandomStream(seed, _SID["c8"] + 1), 500, count)
+        RandomStream(seed, sid + 1), 500, count)
     checks.append(_from_report(_poisson1_bins(
         perm_series, level, "permutation series vs Poisson(1)")))
-    lines = samplers.permutation_batch(RandomStream(seed, _SID["c8"] + 2), 50, count)
+    lines = samplers.permutation_batch(RandomStream(seed, sid + 2), 50, count)
     fixed = (lines == np.arange(50)).sum(axis=1)
     checks.append(_from_report(_poisson1_bins(
         fixed, level, "fixed points at N=50 vs Poisson(1)")))
-    return _finish("8 limit laws (normal trace, Poisson fixed points)", checks, t0)
 
 
 # --- criterion 9: permutation uniformity ---------------------------------------
@@ -365,9 +372,8 @@ def _lehmer_index(lines: np.ndarray) -> np.ndarray:
     return idx
 
 
-def criterion_9(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
+@_criterion("permutation uniformity")
+def criterion_9(seed, level, sid, checks):
     dist = _exact_word_distribution(4)
     exact_ok = (len(dist) == 24
                 and all(p == Fraction(1, 24) for p in dist.values()))
@@ -375,25 +381,22 @@ def criterion_9(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
                          exact_ok, f"{len(dist)} permutations, "
                          f"max dev {max(abs(float(p) - 1 / 24) for p in dist.values()):.1e}"))
     n, count = 6, 100_000
-    lines = samplers.permutation_batch(RandomStream(seed, _SID["c9"]), n, count)
+    lines = samplers.permutation_batch(RandomStream(seed, sid), n, count)
     counts = np.bincount(_lehmer_index(lines), minlength=math.factorial(n))
     expected = np.full(math.factorial(n), count / math.factorial(n))
     checks.append(_from_report(chi_square(counts, expected, level=level,
                                           label="empirical uniformity N=6")))
-    return _finish("9 permutation uniformity", checks, t0)
 
 
 # --- criterion 10: structural residuals ----------------------------------------
 
 
-def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
+@_criterion("structural residuals of every sampler")
+def criterion_10(seed, level, sid, checks):
     count = 50
     batteries = [("so", "euler", 3), ("so", "euler", 8), ("o", "qr", 6),
                  ("o", "householder", 6), ("u", "euler", 5), ("u", "qr", 5),
                  ("u", "householder", 5)]
-    sid = _SID["c10"]
     for tag, method, n in batteries:
         sid += 1
         mats = SAMPLERS[(tag, method)].draw(RandomStream(seed, sid), n, count)
@@ -429,14 +432,13 @@ def criterion_10(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     checks.append(_check("cse n=2: self-duality <= 1e-12, phases doubly degenerate",
                          self_dual <= 1e-12 and pair_ok,
                          f"self-duality {self_dual:.2e}, pairing {'ok' if pair_ok else 'BROKEN'}"))
-    return _finish("10 structural residuals of every sampler", checks, t0)
 
 
 # --- criterion 11: Haar invariance under a fixed group element ------------------
 
 
 def _fixed_elements(seed: int):
-    s = RandomStream(seed, _SID["fixed"])
+    s = RandomStream(seed, _FIXED_SID)
     return {
         "so": samplers.so_euler_batch(s, 5, 1)[0],
         "o": samplers.qr_batch(s, 5, 1, "real")[0],
@@ -447,12 +449,10 @@ def _fixed_elements(seed: int):
     }
 
 
-def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("Haar invariance under fixed elements")
+def criterion_11(seed, level, sid, checks):
     count = 10_000
     fixed = _fixed_elements(seed)
-    checks = []
-    sid = _SID["c11"]
 
     # only the (1,1) entry is tested, so only that entry of each moved
     # matrix is formed: (A M B)_{11} = A[0] @ M @ B[:, 0]
@@ -488,15 +488,13 @@ def criterion_11(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
     z10 = symplectic_form(10)
     wd = -z10 @ w.T @ z10
     compare("congruence-invariance: cse", cse, (wd[0] @ cse) @ w[:, 0])
-    return _finish("11 Haar invariance under fixed elements", checks, t0)
 
 
 # --- criterion 12: the averaging operator ---------------------------------------
 
 
-def criterion_12(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
+@_criterion("group-averaging (Reynolds) operator")
+def criterion_12(seed, level, sid, checks):
     samples = 200_000
     x = np.array([1.0, 0.0, 0.0])
 
@@ -504,26 +502,20 @@ def criterion_12(seed: int, level: float = DEFAULT_LEVEL) -> CriterionResult:
         return (m[:, 0, :] @ v) ** 4
 
     mean1, se1 = analytics.reynolds_average(
-        f, GroupId("o", 3), RandomStream(seed, _SID["c12"]), samples, x)
+        f, GroupId("o", 3), RandomStream(seed, sid), samples, x)
     target = analytics.moment_single(3, 2.0)  # = 1/5
     checks.append(_from_report(moment_check(
         target, mean1, se1, label="<x1^4> over O(3) = 1/5")))
-    q0 = samplers.so_euler_batch(RandomStream(seed, _SID["fixed"] + 1), 3, 1)[0]
+    q0 = samplers.so_euler_batch(RandomStream(seed, _FIXED_SID + 1), 3, 1)[0]
     mean2, se2 = analytics.reynolds_average(
-        f, GroupId("o", 3), RandomStream(seed, _SID["c12"] + 1), samples, q0 @ x)
+        f, GroupId("o", 3), RandomStream(seed, sid + 1), samples, q0 @ x)
     comb = math.sqrt(se1 * se1 + se2 * se2)
     checks.append(_check("rotation invariance of the average",
                          abs(mean1 - mean2) <= 5 * comb,
                          f"|{mean1:.6f} - {mean2:.6f}| <= 5*{comb:.2e}"))
-    return _finish("12 group-averaging (Reynolds) operator", checks, t0)
 
 
 # --- runner ----------------------------------------------------------------------
-
-
-CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-            criterion_11, criterion_12]
 
 
 def run_all(seed: int = 1, level: float = DEFAULT_LEVEL, echo=print):

@@ -17,6 +17,7 @@ SEED = 1
                          ids=[fn.__name__ for fn in verify.CRITERIA])
 def test_criterion(criterion):
     result = criterion(SEED)
+    assert result.name.startswith(criterion.__name__.removeprefix("criterion_") + " ")
     flag = "PASS" if result.passed else "FAIL"
     print(f"[{flag}] criterion {result.name} ({result.elapsed:.1f} s)")
     for line in result.lines():
@@ -25,6 +26,12 @@ def test_criterion(criterion):
     assert result.passed, (
         f"criterion {result.name}: "
         + "; ".join(f"{c['label']} -> {c['detail']}" for c in failing))
+
+
+def test_registry_numbers_criteria_by_name():
+    assert len(verify.CRITERIA) == 12
+    for k, fn in enumerate(verify.CRITERIA, start=1):
+        assert fn.__name__ == f"criterion_{k}" and getattr(verify, fn.__name__) is fn
 
 
 def test_so_conditioning_stops_on_a_sampler_without_rotations(monkeypatch):

@@ -75,6 +75,25 @@ class TestMoments:
                 with pytest.raises(ValueError):
                     call()
 
+    @pytest.mark.parametrize("p", [1e20, 1e308])
+    def test_exponents_past_the_bound_rejected(self, p):
+        # lgamma overflows at 1e308; at 1e20 the log-gamma difference
+        # returns 1.0 where the true value is 7.5e-41
+        for call in (lambda: moment_single(3, p), lambda: moment_single(5, p),
+                     lambda: moment_joint(5, p, 1.0), lambda: moment_joint(5, 1.0, p)):
+            with pytest.raises(ValueError, match="1e\\+06"):
+                call()
+
+    def test_exponent_bound_is_inclusive_and_accurate(self):
+        bound = analytics.MOMENT_EXPONENT_MAX
+        # Gamma(p + 1/2) / Gamma(p + 1) ~ p^(-1/2) (1 - 1/(8p)), so
+        # moment_single(2, p) = Gamma(p + 1/2) / (sqrt(pi) Gamma(p + 1))
+        want = (1.0 - 1.0 / (8.0 * bound)) / math.sqrt(math.pi * bound)
+        assert moment_single(2, bound) == pytest.approx(want, rel=1e-8)
+        assert moment_joint(5, bound, bound) > 0.0
+        with pytest.raises(ValueError):
+            moment_single(2, math.nextafter(bound, math.inf))
+
 
 class TestBetaIntegral:
     def test_endpoints(self):
@@ -290,9 +309,12 @@ class TestStatPrimitives:
             chi_square([10, 10], [2.0, 18.0])
 
     def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            TestReport(statistic=2.0, critical=1.0, n=10, passed=True,
-                       method="ks")
+        # the pass flag is derived: statistic <= critical, False for NaN
+        def passed(statistic):
+            return TestReport(statistic=statistic, critical=1.0, n=10, method="ks").passed
+
+        assert passed(1.0) is True and passed(0.5) is True
+        assert passed(2.0) is False and passed(math.nan) is False
 
     def test_chi_square_calibration(self):
         # uniform counts against their own expectation pass at the 0.1% level

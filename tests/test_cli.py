@@ -229,7 +229,10 @@ class TestMomentsCommand:
                                       ["--n", "4", "--p", "nan"],
                                       ["--n", "4", "--p", "inf"],
                                       ["--n", "4", "--p", "1", "--q", "nan"],
-                                      ["--n", "4", "--p", "1", "--q", "inf"]])
+                                      ["--n", "4", "--p", "1", "--q", "inf"],
+                                      ["--n", "3", "--p", "1e308"],
+                                      ["--n", "5", "--p", "1e20"],
+                                      ["--n", "5", "--p", "1", "--q", "1e20"]])
     def test_out_of_range_exponents_exit_2(self, capsys, args):
         code = main(["moments", "--group", "so", "--count", "10", *args])
         out, err = capsys.readouterr()
@@ -341,6 +344,24 @@ class TestSpectraCommand:
                                      "--seed", str(n), "--format", fmt]) == 0
                         h.update(capsys.readouterr().out.encode())
         assert h.hexdigest() == self.GRID_DIGEST
+
+
+SAMPLE_SO3 = ["sample", "--group", "so", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (SAMPLE_SO3 + ["--count", "0"], "argument --count: count >= 1 required"),
+    (SAMPLE_SO3 + ["--streams", "0"], "argument --streams: streams >= 1 required"),
+    (SAMPLE_SO3 + ["--n", "0"], "argument --n: n >= 1 required"),
+    (SAMPLE_SO3 + ["--count", "abc"], "argument --count: invalid int value: 'abc'"),
+    (["verify", "--level", "0"], "argument --level: level must lie in (0, 0.1]"),
+    (["verify", "--level", "0.2"], "argument --level: level must lie in (0, 0.1]"),
+], ids=["count-0", "streams-0", "n-0", "count-abc", "level-0", "level-0.2"])
+def test_option_values_rejected_by_the_parser(argv, message):
+    # argparse rejects the value itself: exit 2, no output, no traceback
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.rstrip().endswith(message)
 
 
 class TestVerifyPlumbing:

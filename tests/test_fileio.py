@@ -178,7 +178,10 @@ HEADER = "# haar-forge group=u n=2 method=qr seed=0 kind={} count=2\n"
     HEADER.format("real") + "1.0,2.0\n3.0\n",
     HEADER.format("real") + "1.0,2.0\n3.0,4.0\n\n1.0,2.0\n",
     HEADER.format("real") + "1.0,x\n3.0,4.0\n",
-], ids=["odd-columns", "ragged-rows", "ragged-blocks", "not-a-number"])
+    HEADER.format("real") + "1.0,2.0,3.0\n4.0,5.0,6.0\n",
+    HEADER.format("weird") + "1.0,2.0\n3.0,4.0\n",
+], ids=["odd-columns", "ragged-rows", "ragged-blocks", "not-a-number", "not-square",
+        "unknown-kind"])
 def test_malformed_csv_raises_value_error(text):
     with pytest.raises(ValueError):
         fileio.csv_to_matrices(text)
@@ -190,7 +193,9 @@ def test_malformed_csv_raises_value_error(text):
     [[[[1.0, 0.0, 5.0], [2.0, 0.0, 6.0]], [[3.0, 0.0, 7.0], [4.0, 0.0, 8.0]]]],
     [[[[1.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
     [[[[1.0, 0.0]]], [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
-], ids=["bare-floats", "one-triple", "all-triples", "ragged-rows", "ragged-matrices"])
+    [[[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [[4.0, 0.0], [5.0, 0.0], [6.0, 0.0]]]],
+], ids=["bare-floats", "one-triple", "all-triples", "ragged-rows", "ragged-matrices",
+        "not-square"])
 def test_malformed_json_raises_value_error(matrices):
     text = json.dumps({"group": "u", "n": 2, "method": "qr", "seed": 0,
                        "matrices": matrices})
