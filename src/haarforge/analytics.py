@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from math import exp, lgamma, log, pi
 
 import numpy as np
 
 from haarforge import samplers
-from haarforge.euler import angle_pairs, density_so, density_u
+from haarforge.euler import density_so, density_u, row_j
 from haarforge.randstream import RandomStream
 
 DEFAULT_LEVEL = 0.001
@@ -109,7 +110,11 @@ def log_volume(tag: str, n: int) -> float:
 
 
 def volume(tag: str, n: int) -> float:
-    return exp(log_volume(tag, n))
+    """exp(log_volume(tag, n)); ValueError where it underflows a normal float."""
+    value = exp(log_volume(tag, n))
+    if value < np.finfo(float).tiny:
+        raise ValueError(f"vol {tag}({n}) = exp({log_volume(tag, n):.6g}) underflows a float")
+    return value
 
 
 def sphere_area(n: int, radius: float = 1.0) -> float:
@@ -170,20 +175,16 @@ def cue_normalization(n: int) -> float:
 
 def _tensor_gl(dims, fn, nodes: int) -> float:
     """Tensor-product Gauss-Legendre integral of fn over boxes ``dims``;
-    ``fn(*columns)`` gets one flat coordinate array per axis, once per grid,
-    and returns the integrand at every node (a scalar is broadcast)."""
+    ``fn(axes)`` gets the list of flat coordinate arrays, one per axis, once
+    per grid, and returns the integrand at every node (a scalar is broadcast)."""
     pts, wts = [], []
     for lo, hi in dims:
         x, w = np.polynomial.legendre.leggauss(nodes)
         pts.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         wts.append(0.5 * (hi - lo) * w)
     grids = np.meshgrid(*pts, indexing="ij")
-    weight = np.ones_like(grids[0])
-    for axis, w in enumerate(wts):
-        shape = [1] * len(dims)
-        shape[axis] = -1
-        weight = weight * w.reshape(shape)
-    vals = np.broadcast_to(fn(*(g.ravel() for g in grids)), (weight.size,))
+    weight = reduce(np.multiply.outer, wts)
+    vals = np.broadcast_to(fn([g.ravel() for g in grids]), (weight.size,))
     return float((vals * weight.ravel()).sum())
 
 
@@ -197,20 +198,14 @@ def volume_quadrature(tag: str, n: int):
     """
     if n not in QUADRATURE_DOMAIN.get(tag, ()):
         raise ValueError("quadrature cross-check supports so (2<=n<=3), u (n<=2)")
+    density = density_so if tag == "so" else density_u
     if tag == "so":
-        pairs = angle_pairs(n)
-        dims = [(0.0, TWO_PI) if j == 1 else (0.0, pi) for (j, k) in pairs]
-
-        def fn(*theta):
-            return density_so(n, dict(zip(pairs, theta)))
-    else:
-        # U(2) axes: phi_{1,2}, psi_{1,2}, alpha_1, alpha_2; only phi enters
+        dims = [(0.0, TWO_PI) if j == 1 else (0.0, pi) for j in row_j(n)]
+    else:  # U(2) axes: phi_{1,2}, psi_{1,2}, alpha_1, alpha_2; only phi enters
         dims = [(0.0, TWO_PI)] if n == 1 else [(0.0, pi / 2.0)] + [(0.0, TWO_PI)] * 3
-
-        def fn(*angles):
-            return density_u(n, {(1, 2): angles[0]} if n == 2 else {})
-    coarse = _tensor_gl(dims, fn, QUADRATURE_NODES)
-    fine = _tensor_gl(dims, fn, QUADRATURE_NODES + QUADRATURE_NODES // 2)
+    rows = n * (n - 1) // 2  # the packed angle axes come first
+    coarse, fine = (_tensor_gl(dims, lambda axes: density(n, axes[:rows]), nodes)
+                    for nodes in (QUADRATURE_NODES, QUADRATURE_NODES + QUADRATURE_NODES // 2))
     return fine, abs(fine - coarse)
 
 

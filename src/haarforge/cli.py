@@ -12,7 +12,8 @@ subcommand reads the parsed namespace as it is.
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 rejects an option value; a UsageError covers the checks that span options:
 the (group, method) pair, ``moments --count >= 2``, the moment formulas'
-domain and ``spectra --n >= 2``), 3 I/O error, 4 internal error (a
+domain, a ``volumes`` size whose volume underflows a float and
+``spectra --n >= 2``), 3 I/O error, 4 internal error (a
 numerical precondition or certificate failed, a redraw loop gave up, any
 other ValueError, or a MemoryError, reported as "out of memory").
 Every command is deterministic given (--seed, --streams).
@@ -91,13 +92,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 def cmd_volumes(args: argparse.Namespace) -> int:
     n = args.n
-    report = {"group": args.group, "n": n,
-              "closed_form": analytics.volume(args.group, n)}
-    if args.group == "o":
-        report["quotients"] = {"o/o1": analytics.volume("o/o1", n)}
-    if args.group == "u":
-        report["quotients"] = {"u/u1": analytics.volume("u/u1", n),
-                               "u/o": analytics.volume("u/o", n)}
+    quotients = {"o": ("o/o1",), "u": ("u/u1", "u/o")}.get(args.group, ())
+    try:
+        vols = {tag: analytics.volume(tag, n) for tag in (args.group, *quotients)}
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    report = {"group": args.group, "n": n, "closed_form": vols.pop(args.group)}
+    if quotients:
+        report["quotients"] = vols
     if n in analytics.QUADRATURE_DOMAIN.get(args.group, ()):
         got, refine = analytics.volume_quadrature(args.group, n)
         rel = abs(got - report["closed_form"]) / report["closed_form"]
@@ -164,10 +166,11 @@ def _at_least_one(name):
     return _checked(int, lambda v: v >= 1, f"{name} >= 1 required")
 
 
-def _add_common(p, count_default=None):
-    """--n and --out; with a ``count_default`` also --count, --seed, --streams."""
-    p.add_argument("--n", type=_at_least_one("n"), required=True,
-                   help="group dimension parameter")
+def _add_common(p, count_default=None, n_max=None):
+    """--n (<= ``n_max``) and --out; with a ``count_default`` also --count, --seed, --streams."""
+    n_type = _at_least_one("n") if n_max is None else _checked(
+        int, lambda v: 1 <= v <= n_max, f"n must lie in [1, {n_max}]")
+    p.add_argument("--n", type=n_type, required=True, help="group dimension parameter")
     if count_default is not None:
         p.add_argument("--count", type=_at_least_one("count"), default=count_default)
         p.add_argument("--seed", type=int, default=0)
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volumes", help="group volumes and quadrature cross-checks")
     p.add_argument("--group", required=True, choices=["so", "o", "u"])
-    _add_common(p)
+    _add_common(p, n_max=100)  # every volume printed underflows from n = 86
     p.set_defaults(fn=cmd_volumes)
 
     p = sub.add_parser("spectra", help="dump eigenphase samples")

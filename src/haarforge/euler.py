@@ -30,11 +30,14 @@ invariant (before coset E_{k-1}, E_1 ... E_{k-2} is a (k-1) x (k-1) block
 Each entry gets the arithmetic of the all-rows column rotation in the same
 order, so output is bit for bit the same (up to the sign of a zero entry).
 Extraction, ``extract_angles_so`` and ``extract_angles_u``, inverts
-composition on (B, n, n) stacks in the same batch-last layout and returns
-the angle layout the compose kernels consume; one matrix is a batch of one.
+composition on (B, n, n) stacks in the same batch-last layout; one matrix
+is a batch of one.  Draws, composition, extraction and densities share one
+packed coset-major angle layout, (P, B) with P = n(n-1)/2 ((P, B, 2, 2) for
+Sp quaternions): row (k-1)(k-2)/2 + j - 1 holds angle (j, k), so coset
+E_{k-1} is the slice ``coset_rows(k)``, and ``row_j(n)`` gives each row's j.
 
 The invariant-measure densities in these coordinates, ``density_so``,
-``density_u`` and ``density_sp``, map angle dicts of floats or same-shape
+``density_u`` and ``density_sp``, map packed rows of floats or same-shape
 arrays to their broadcast product (a float64 when no array angle enters);
 all parametrizing angles are independent under Haar measure.
 """
@@ -52,9 +55,15 @@ class ReflectionError(ValueError):
     """Orthogonal input with determinant -1 (a reflection, not in SO(N))."""
 
 
-def angle_pairs(n: int):
-    """Index pairs (j, k), 1 <= j < k <= n, in coset-major order."""
-    return [(j, k) for k in range(2, n + 1) for j in range(1, k)]
+def coset_rows(k: int) -> slice:
+    """Rows of coset E_{k-1}, the angles (1, k) ... (k-1, k), in a packed array."""
+    return slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
+
+
+def row_j(n: int) -> np.ndarray:
+    """The j of each row of a packed n(n-1)/2-row array: 1, 1, 2, 1, 2, 3, ..."""
+    m = np.arange(max(n - 1, 0))
+    return np.arange(len(m) * n // 2) - np.repeat(m * (m + 1) // 2, m + 1) + 1
 
 
 # --- elementary blocks ----------------------------------------------------
@@ -145,42 +154,38 @@ def _plane_product(d: int, batch: int, dtype, blocks) -> np.ndarray:
 def _rotation_blocks(thetas: np.ndarray) -> np.ndarray:
     """(P, 2, 2, B) cores [[cos, sin], [-sin, cos]] of R_l for (P, B) angles."""
     c, s = np.cos(thetas), np.sin(thetas)
-    return np.array([[c, s], [-s, c]]).transpose(2, 0, 1, 3)
+    return np.stack((c, s, -s, c), axis=1).reshape(c.shape[:1] + (2, 2) + c.shape[1:])
 
 
-def _so_coset(theta: dict, k: int, rows: int, sl: slice) -> list:
-    """Blocks of E_{k-1} = R_{k-1} ... R_1 acting on the leading ``rows`` rows."""
-    ls = range(k - 1, 0, -1)
-    m = _rotation_blocks(np.array([theta[(l, k)][sl] for l in ls], dtype=float))
-    return [(l - 1, rows, blk) for l, blk in zip(ls, m)]
+def _so_cosets(theta: np.ndarray, n: int, sl: slice):
+    """Blocks of E_1 ... E_{n-1}; E_{k-1} = R_{k-1} ... R_1 acts on the leading k rows."""
+    for k in range(2, n + 1):
+        m = _rotation_blocks(theta[coset_rows(k)][::-1, sl])  # l = k-1 .. 1
+        yield from zip(range(k - 2, -1, -1), [k] * (k - 1), m, strict=True)
 
 
-def _u_coset(phi: dict, psi: dict, alpha_k, k: int, rows: int, sl: slice) -> list:
-    """Blocks of the U coset E_{k-1}, psi slotted as in the module docstring."""
-    ls = range(k - 1, 0, -1)
-    m = np.empty((k - 1, 2, 2, sl.stop - sl.start), dtype=complex)  # batch-last
-    if k > 2:
-        _su2_fill(m[:-1].transpose(1, 2, 0, 3),
-                  np.array([phi[(l, k)][sl] for l in ls[:-1]], dtype=float),
-                  np.array([psi[(l, k)][sl] for l in ls[:-1]], dtype=float))
-    _su2_fill(m[-1], phi[(1, k)][sl], alpha_k, psi[(1, k)][sl])
-    return [(l - 1, rows, blk) for l, blk in zip(ls, m)]
+def _u_cosets(phi: np.ndarray, psi: np.ndarray, alpha: np.ndarray, n: int, sl: slice):
+    """Blocks of the U cosets E_1 ... E_{n-1}, psi slotted as in the module docstring."""
+    for k in range(2, n + 1):
+        ph, ps = phi[coset_rows(k)][::-1, sl], psi[coset_rows(k)][::-1, sl]  # l = k-1 .. 1
+        m = np.empty((len(ph), 2, 2, ph.shape[1]), dtype=complex)  # batch-last
+        if k > 2:
+            _su2_fill(m[:-1].transpose(1, 2, 0, 3), ph[:-1], ps[:-1])
+        _su2_fill(m[-1], ph[-1], alpha[sl, k - 1], ps[-1])
+        yield from zip(range(k - 2, -1, -1), [k] * (k - 1), m, strict=True)
 
 
-def compose_so_batch(theta: dict, n: int, count: int) -> np.ndarray:
-    """(count, n, n) stack of E_1 E_2 ... E_{n-1} from per-angle arrays
-    theta[(j,k)] of shape (count,); for n = 1 (no angles) count identities."""
-    return _plane_product(n, count, float,
-                          lambda sl: (b for k in range(2, n + 1)
-                                      for b in _so_coset(theta, k, k, sl)))
+def compose_so_batch(theta, n: int, count: int) -> np.ndarray:
+    """(count, n, n) stack of E_1 E_2 ... E_{n-1} from the packed (P, count)
+    angles theta; for n = 1 (no angles) count identities."""
+    theta = np.asarray(theta, dtype=float)
+    return _plane_product(n, count, float, lambda sl: _so_cosets(theta, n, sl))
 
 
-def compose_u_batch(phi: dict, psi: dict, alpha: np.ndarray, n: int) -> np.ndarray:
-    """Stack of e^{i alpha_1} E_1 ... E_{n-1}; alpha has shape (B, n)."""
-    alpha = np.asarray(alpha, dtype=float)
-    v = _plane_product(n, alpha.shape[0], complex,
-                       lambda sl: (b for k in range(2, n + 1)
-                                   for b in _u_coset(phi, psi, alpha[sl, k - 1], k, k, sl)))
+def compose_u_batch(phi, psi, alpha, n: int) -> np.ndarray:
+    """Stack of e^{i alpha_1} E_1 ... E_{n-1} from packed (P, B) phi, psi and (B, n) alpha."""
+    phi, psi, alpha = (np.asarray(a, dtype=float) for a in (phi, psi, alpha))
+    v = _plane_product(n, alpha.shape[0], complex, lambda sl: _u_cosets(phi, psi, alpha, n, sl))
     v *= np.exp(1j * alpha[:, 0])[:, None, None]
     return v
 
@@ -210,38 +215,34 @@ def _quat_factor_batch(rho, q_blk, big_blk, twisted) -> np.ndarray:
     return out
 
 
-def _sp_coset(rho: dict, quat_blk: dict, lead_k, k: int, rows: int, sl: slice) -> list:
-    """Blocks of the Sp coset E_{k-1}; only its l = 1 factor has Q != identity.
+def _sp_cosets(rho: np.ndarray, quat: np.ndarray, lead: np.ndarray, n: int, sl: slice):
+    """Blocks of q_1 then of the Sp cosets E_1 ... E_{n-1}; only the l = 1
+    factor of a coset has Q != identity.
 
     The other k - 2 factors get q Q q^dagger as q q^dagger: q @ I is exact,
     so the product is the same bit for bit without the identity matmul.
     """
-    ls = range(k - 1, 0, -1)
-    q = np.array([quat_blk[(l, k)][sl] for l in ls[:-1]] + [lead_k])
-    big = np.array([np.broadcast_to(np.eye(2, dtype=complex), lead_k.shape)] * (k - 2)
-                   + [quat_blk[(1, k)][sl]])
-    qdag = np.conj(np.swapaxes(q, -1, -2))
-    twisted = np.empty_like(q)
-    np.matmul(q[:-1], qdag[:-1], out=twisted[:-1])
-    np.matmul(lead_k @ big[-1], qdag[-1], out=twisted[-1])
-    m = _quat_factor_batch(np.array([rho[(l, k)][sl] for l in ls], dtype=float),
-                           q, big, twisted)
-    m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
-    return [(2 * (l - 1), rows, blk) for l, blk in zip(ls, m)]
+    yield 0, 2, lead[sl, 0].transpose(1, 2, 0)
+    for k in range(2, n + 1):
+        rows, lead_k = coset_rows(k), lead[sl, k - 1]
+        q = np.concatenate((quat[rows][:0:-1, sl], lead_k[None]))  # factors l = k-1 .. 1
+        big = np.empty_like(q)
+        big[:-1], big[-1] = np.eye(2), quat[rows.start, sl]
+        qdag = np.conj(np.swapaxes(q, -1, -2))
+        twisted = np.empty_like(q)
+        np.matmul(q[:-1], qdag[:-1], out=twisted[:-1])
+        np.matmul(lead_k @ big[-1], qdag[-1], out=twisted[-1])
+        m = _quat_factor_batch(rho[rows][::-1, sl], q, big, twisted)
+        m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
+        yield from zip(range(2 * k - 4, -1, -2), [2 * k] * (k - 1), m, strict=True)
 
 
-def compose_sp_batch(rho: dict, quat_blk: dict, lead_blk: np.ndarray, n: int) -> np.ndarray:
-    """Stack of 2n x 2n symplectic unitaries.
-
-    quat_blk[(j,k)] are (B,2,2) SU(2) stacks for Q_{j,k}; lead_blk is
-    (B,n,2,2) for q_1..q_n.
-    """
-    def blocks(sl):
-        yield 0, 2, lead_blk[sl, 0].transpose(1, 2, 0)
-        for k in range(2, n + 1):
-            yield from _sp_coset(rho, quat_blk, lead_blk[sl, k - 1], k, 2 * k, sl)
-
-    return _plane_product(2 * n, lead_blk.shape[0], complex, blocks)
+def compose_sp_batch(rho, quat, lead, n: int) -> np.ndarray:
+    """Stack of 2n x 2n symplectic unitaries from packed (P, B) rho, packed
+    (P, B, 2, 2) SU(2) stacks quat (the Q_{j,k}) and (B, n, 2, 2) lead (q_1 .. q_n)."""
+    rho, quat = np.asarray(rho, dtype=float), np.asarray(quat, dtype=complex)
+    return _plane_product(2 * n, lead.shape[0], complex,
+                          lambda sl: _sp_cosets(rho, quat, lead, n, sl))
 
 
 # --- extraction ------------------------------------------------------------
@@ -272,9 +273,9 @@ def _unitary_stack(v, what: str) -> np.ndarray:
     return v
 
 
-def extract_angles_so(v) -> dict:
+def extract_angles_so(v) -> np.ndarray:
     """Euler angles of a real (B, n, n) stack of SO(n) matrices, as the
-    dict of (B,) arrays theta[(j,k)] that compose_so_batch consumes.
+    packed (P, B) array that compose_so_batch consumes.
 
     The column-sweep reduction: rows are cleared bottom-up; within row j+1
     the entries 1..j are zeroed in order by right-multiplying with
@@ -296,8 +297,9 @@ def extract_angles_so(v) -> dict:
 
     n = v.shape[-1]
     w = np.array(v.transpose(2, 1, 0), dtype=float, order="C")  # w[col, row, b]
-    theta = {}
+    theta = np.empty((n * (n - 1) // 2, v.shape[0]))
     for j in range(n - 1, 0, -1):
+        row = theta[coset_rows(j + 1)]  # row l - 1 holds angle (l, j + 1)
         for l in range(1, j + 1):
             want = -1.0 if (j - l) % 2 else 1.0  # sign propagated into slot l+1
             a, b = w[l - 1, j], w[l, j]
@@ -307,11 +309,11 @@ def extract_angles_so(v) -> dict:
             c = np.where(zero, 1.0, want * b / r)
             s = np.where(zero, 0.0, -want * a / r)
             if l == 1:
-                theta[(l, j + 1)] = _wrap(np.arctan2(s, c))
+                row[0] = _wrap(np.arctan2(s, c))
             else:
                 # s >= 0 by construction; a zero of either sign or a rounding
                 # negative becomes +0, so atan2 lands in [0, pi], not at -pi
-                theta[(l, j + 1)] = np.arctan2(np.where(s > 0.0, s, 0.0), c)
+                row[l - 1] = np.arctan2(np.where(s > 0.0, s, 0.0), c)
             # rows below j are never read again
             _turn(w[:, :j + 1], l, c, s, -s, c)
     return theta
@@ -331,7 +333,7 @@ def _turn_u(w, l: int, phi, psi, alpha):
 
 def extract_angles_u(v):
     """Euler angles (phi, psi, alpha) of a (B, n, n) stack of U(n) matrices,
-    as compose_u_batch consumes them: dicts of (B,) arrays and a (B, n)
+    as compose_u_batch consumes them: packed (P, B) arrays and a (B, n)
     array of phases, which absorb the determinant.
 
     The sweep mirrors extract_angles_so; each coset's one free joint phase
@@ -345,28 +347,27 @@ def extract_angles_u(v):
     alpha1 = np.angle(np.linalg.det(v)) / n
     alpha = np.zeros((v.shape[0], n))
     alpha[:, 0] = _wrap(alpha1)
-    phi, psi = {}, {}
+    phi, psi = np.empty((2, n * (n - 1) // 2, v.shape[0]))
     w = np.array(v.transpose(2, 1, 0), dtype=complex, order="C")  # w[col, row, b]
     for j in range(n - 1, 0, -1):
         x = w[:j + 1, j].copy()
-        ph, ps = [], []
+        ph, ps = phi[coset_rows(j + 1)], psi[coset_rows(j + 1)]  # row l - 1: (l, j + 1)
         # pass A on a row copy: canonical phases, track the residual phase
         for l in range(1, j + 1):
             a, b = np.abs(x[l - 1]), np.abs(x[l])
-            ph.append(np.arctan2(a, b))
+            ph[l - 1] = np.arctan2(a, b)
             if l == 1:
                 p = np.pi + np.angle(x[l]) - np.angle(x[l - 1])
             else:
                 p = np.angle(x[l - 1]) - np.angle(x[l]) - np.pi
-            ps.append(np.where((a == 0.0) | (b == 0.0), 0.0, p))
-            _turn_u(x, l, ph[-1], ps[-1], 0.0)
+            ps[l - 1] = np.where((a == 0.0) | (b == 0.0), 0.0, p)
+            _turn_u(x, l, ph[l - 1], ps[l - 1], 0.0)
         t = alpha1 - np.angle(x[j])
-        ps = [p + t for p in ps]
+        ps += t
         # pass B: the adjusted factors on the rows still to be swept
         for l in range(1, j + 1):
             _turn_u(w[:, :j], l, ph[l - 1], ps[l - 1], t)
-            phi[(l, j + 1)] = ph[l - 1]
-            psi[(l, j + 1)] = _wrap(ps[l - 1])
+        ps[...] = _wrap(ps)
         alpha[:, j] = _wrap(t)
     return phi, psi, alpha
 
@@ -374,30 +375,30 @@ def extract_angles_u(v):
 # --- invariant-measure densities -------------------------------------------
 
 
-def density_so(n: int, theta: dict):
-    """2^{n(n-1)/4} prod sin(theta_{j,k})^{j-1}."""
+def density_so(n: int, theta):
+    """2^{n(n-1)/4} prod sin(theta_{j,k})^{j-1} over the packed rows theta."""
     val = np.float64(2.0 ** (n * (n - 1) / 4.0))
-    for (j, k), t in theta.items():
+    for j, t in zip(row_j(n).tolist(), theta, strict=True):
         if j >= 2:
             val = val * np.sin(t) ** (j - 1)
     return val
 
 
-def density_u(n: int, phi: dict):
-    """2^{n(n-1)/2} prod cos(phi_{j,k}) sin(phi_{j,k})^{2j-1}."""
+def density_u(n: int, phi):
+    """2^{n(n-1)/2} prod cos(phi_{j,k}) sin(phi_{j,k})^{2j-1} over the packed rows phi."""
     val = np.float64(2.0 ** (n * (n - 1) / 2.0))
-    for (j, k), p in phi.items():
+    for j, p in zip(row_j(n).tolist(), phi, strict=True):
         val = val * (np.cos(p) * np.sin(p) ** (2 * j - 1))
     return val
 
 
-def density_sp(n: int, rho: dict, quat_phi: dict, lead_phi):
-    """2^{n(n-1)} prod cos^3(rho) sin(rho)^{4j-1} (1/2) sin(2 phi_{j,k})
-    times prod_j (1/2) sin(2 phi_j) over the leading quaternions' phi angles."""
+def density_sp(n: int, rho, quat_phi, lead_phi):
+    """2^{n(n-1)} prod cos^3(rho) sin(rho)^{4j-1} (1/2) sin(2 phi_{j,k}) over the
+    packed rows rho and quat_phi, times prod_j (1/2) sin(2 phi_j) over lead_phi."""
     val = np.float64(2.0 ** (n * (n - 1)))
-    for (j, k), r in rho.items():
+    for j, r, p in zip(row_j(n).tolist(), rho, quat_phi, strict=True):
         val = val * (np.cos(r) ** 3 * np.sin(r) ** (4 * j - 1))
-        val = val * (0.5 * np.sin(2.0 * quat_phi[(j, k)]))
+        val = val * (0.5 * np.sin(2.0 * p))
     for p in lead_phi:
         val = val * (0.5 * np.sin(2.0 * p))
     return val

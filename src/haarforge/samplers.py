@@ -31,32 +31,30 @@ TWO_PI = 2.0 * np.pi
 # --- angle draws (fixed, documented order) ---------------------------------
 
 
-def _so_angles(stream: RandomStream, n: int, count: int) -> dict:
-    """theta_{1,k} uniform on [0, 2*pi); arccos of cos_theta_so(j) for j >= 2.
+def _so_angles(stream: RandomStream, n: int, count: int) -> np.ndarray:
+    """Packed (P, count) theta: theta_{1,k} uniform, arccos of cos_theta_so(j) for j >= 2.
 
-    Draw order: one (n-1, count) uniform block, row k-2 holding
-    theta_{1,k}; then one cos_theta_so block over the pairs with j >= 2
-    in coset-major order (k = 3..n, j = 2..k-1 within each coset), one row
-    per pair.  Each angle is a contiguous row of one of the two blocks.
+    Draw order: one (n-1, count) uniform block, row k-2 holding theta_{1,k};
+    then one cos_theta_so block over the angles with j >= 2 in coset-major
+    order (k = 3..n, j = 2..k-1 within each coset), one row per angle.
     """
     first = stream.uniform(0.0, TWO_PI, size=(n - 1, count))
-    pairs = [(j, k) for j, k in euler.angle_pairs(n) if j >= 2]
-    rest = stream.cos_theta_so(np.array([j for j, _ in pairs])[:, None],
-                               size=(len(pairs), count))
+    j = euler.row_j(n)
+    rest = stream.cos_theta_so(j[j >= 2][:, None], size=(len(j) - len(first), count))
     np.clip(rest, -1.0, 1.0, out=rest)
     np.arccos(rest, out=rest)
-    theta = {(1, k): first[k - 2] for k in range(2, n + 1)}
-    theta.update(zip(pairs, rest))
+    theta = np.empty((len(j), count))
+    theta[j == 1], theta[j >= 2] = first, rest
     return theta
 
 
 def _u_angles(stream: RandomStream, n: int, count: int):
-    """phi via the cos(phi) sin(phi)^(2j-1) law, psi uniform; alphas last."""
-    phi, psi = {}, {}
-    for k in range(2, n + 1):
-        for j in range(1, k):
-            phi[(j, k)] = stream.phi_unitary(j, size=count)
-            psi[(j, k)] = stream.uniform(0.0, TWO_PI, size=count)
+    """Packed (P, count) phi via the cos(phi) sin(phi)^(2j-1) law and psi
+    uniform, drawn row by row (phi, then psi); the (count, n) alphas last."""
+    phi, psi = np.empty((2, n * (n - 1) // 2, count))
+    for row, j in enumerate(euler.row_j(n).tolist()):
+        phi[row] = stream.phi_unitary(j, size=count)
+        psi[row] = stream.uniform(0.0, TWO_PI, size=count)
     alpha = stream.uniform(0.0, TWO_PI, size=(count, n))
     return phi, psi, alpha
 
@@ -70,12 +68,13 @@ def _haar_su2_blocks(stream: RandomStream, count: int) -> np.ndarray:
 
 
 def _sp_angles(stream: RandomStream, n: int, count: int):
-    """rho via the cos^3 sin^{4j-1} law; quaternions Haar on SU(2)."""
-    rho, quat = {}, {}
-    for k in range(2, n + 1):
-        for j in range(1, k):
-            rho[(j, k)] = stream.rho_symplectic(j, size=count)
-            quat[(j, k)] = _haar_su2_blocks(stream, count)
+    """Packed rho via the cos^3 sin^{4j-1} law and quaternions Haar on SU(2),
+    drawn row by row (rho, then the quaternion); (count, n, 2, 2) leads last."""
+    rho = np.empty((n * (n - 1) // 2, count))
+    quat = np.empty(rho.shape + (2, 2), dtype=complex)
+    for row, j in enumerate(euler.row_j(n).tolist()):
+        rho[row] = stream.rho_symplectic(j, size=count)
+        quat[row] = _haar_su2_blocks(stream, count)
     lead = np.stack([_haar_su2_blocks(stream, count) for _ in range(n)], axis=1)
     return rho, quat, lead
 
@@ -98,13 +97,11 @@ def o_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 
 def u_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    phi, psi, alpha = _u_angles(stream, n, count)
-    return euler.compose_u_batch(phi, psi, alpha, n)
+    return euler.compose_u_batch(*_u_angles(stream, n, count), n)
 
 
 def sp_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    rho, quat, lead = _sp_angles(stream, n, count)
-    return euler.compose_sp_batch(rho, quat, lead, n)
+    return euler.compose_sp_batch(*_sp_angles(stream, n, count), n)
 
 
 def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:

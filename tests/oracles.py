@@ -8,6 +8,8 @@ time, and distribution functions by black-box numerical quadrature on a
 dense grid.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -146,6 +148,49 @@ def compose_word_swaps(n: int, bits: dict) -> np.ndarray:
             e[:, l] -= delta
         sigma = np.take_along_axis(sigma, e, axis=1)
     return sigma
+
+
+# --- packed angle arrays -----------------------------------------------------
+#
+# haarforge keeps each Euler angle set as one packed coset-major array whose
+# row (k-1)(k-2)/2 + j - 1 holds angle (j, k).  The oracles below key the
+# same angles by (j, k); these converters are the one place that owns the
+# order, so a test builds either form and hands each side its own.
+
+
+def angle_pairs(n: int) -> list:
+    """Index pairs (j, k), 1 <= j < k <= n, in packed row order."""
+    return [(j, k) for k in range(2, n + 1) for j in range(1, k)]
+
+
+def _size(rows: int) -> int:
+    """n of a packed array with n(n-1)/2 rows."""
+    n = (1 + math.isqrt(1 + 8 * rows)) // 2
+    assert n * (n - 1) // 2 == rows, f"{rows} rows is not n(n-1)/2"
+    return n
+
+
+def angle_dict(rows) -> dict:
+    """{(j, k): row} of a packed array (or any sequence of rows)."""
+    return dict(zip(angle_pairs(_size(len(rows))), rows))
+
+
+def packed(angles: dict) -> np.ndarray:
+    """The packed array of a (j, k)-keyed dict holding every angle of one n."""
+    pairs = angle_pairs(_size(len(angles)))
+    return np.array([angles[key] for key in pairs]) if pairs else np.empty(0)
+
+
+def sp_density(n: int, rho: dict, quat_phi: dict, lead_phi) -> float:
+    """The Sp(2n) Euler density at one point, one factor per (j, k) with the
+    math module, (1/2) sin(2 phi) written as sin(phi) cos(phi)."""
+    val = 2.0 ** (n * (n - 1))
+    for (j, k), r in rho.items():
+        p = quat_phi[(j, k)]
+        val *= math.cos(r) ** 3 * math.sin(r) ** (4 * j - 1) * math.sin(p) * math.cos(p)
+    for p in lead_phi:
+        val *= math.sin(p) * math.cos(p)
+    return val
 
 
 # --- column-rotation composition --------------------------------------------

@@ -169,6 +169,11 @@ class TestVolumes:
 
     def test_no_overflow_at_large_n(self):
         assert math.isfinite(log_volume("u", 60))
+        with pytest.raises(ValueError, match="underflows"):
+            volume("u", 60)
+        with pytest.raises(ValueError, match="underflows"):
+            volume("o/o1", 84)
+        assert volume("o/o1", 83) > 0.0 and volume("so", 85) > 0.0
         lhs, rhs = so_volume_sphere_ratio(20)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +258,34 @@ class TestVolumesCommand:
     def test_sp_rejected(self):
         code, _, _ = run_cli("volumes", "--group", "sp", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("group,n", [("u", 60), ("so", 90), ("o", 84), ("u", 49)])
+    def test_underflowing_volume_exits_2(self, group, n, capsys):
+        assert main(["volumes", "--group", group, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "underflows" in err
+
+    def test_huge_n_exits_2_at_once(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["volumes", "--group", "so", "--n", "1000000000"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "argument --n: n must lie in [1, 100]" in capsys.readouterr().err
+
+    def test_no_zero_or_infinite_volume_printed(self, capsys):
+        # every size up to the first underflow prints; o stops at o/o1, u at u/u1
+        for group, last in (("so", 85), ("o", 83), ("u", 48)):
+            printed = []
+            for n in range(1, 101):
+                code = main(["volumes", "--group", group, "--n", str(n)])
+                out = capsys.readouterr().out
+                if code:
+                    assert code == 2 and out == ""
+                    continue
+                rep = json.loads(out)
+                vols = [rep["closed_form"], *rep.get("quotients", {}).values()]
+                assert all(0.0 < v < math.inf for v in vols), (group, n)
+                printed.append(n)
+            assert printed == list(range(1, last + 1))
 
     # SHA-256 of the report text, taken when cmd_volumes kept its own copy
     # of the quadrature domain

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from haarforge import euler, samplers, spectra
-from haarforge.euler import angle_pairs
 from haarforge.randstream import RandomStream
 
 import oracles
@@ -36,11 +35,37 @@ def _rng(n, batch):
     return np.random.default_rng(1000 * n + batch)
 
 
-def _su2_dict(rng, n, batch):
-    return {key: oracles.su2(rng.uniform(0.0, 0.5 * np.pi, batch),
-                             rng.uniform(0.0, TWO_PI, batch),
-                             rng.uniform(0.0, TWO_PI, batch))
-            for key in angle_pairs(n)}
+def _so_theta(rng, n, batch):
+    """Packed (P, batch) SO angles: theta_{1,k} on [0, 2 pi), the rest on [0, pi)."""
+    hi = [TWO_PI if j == 1 else np.pi for j, _ in oracles.angle_pairs(n)]
+    return rng.uniform(0.0, np.array(hi)[:, None], (len(hi), batch))
+
+
+def _u_angles(rng, n, batch):
+    """Packed (P, batch) phi on [0, pi/2) and psi on [0, 2 pi), (batch, n) alpha."""
+    p = n * (n - 1) // 2
+    return (rng.uniform(0.0, 0.5 * np.pi, (p, batch)), rng.uniform(0.0, TWO_PI, (p, batch)),
+            rng.uniform(0.0, TWO_PI, (batch, n)))
+
+
+def _su2(rng, shape):
+    """SU(2) stacks of the given batch shape, phi on [0, pi/2)."""
+    return oracles.su2(rng.uniform(0.0, 0.5 * np.pi, shape), rng.uniform(0.0, TWO_PI, shape),
+                       rng.uniform(0.0, TWO_PI, shape))
+
+
+def _sp_angles(rng, n, batch):
+    """Packed (P, batch) rho and (P, batch, 2, 2) quaternions, (batch, n, 2, 2) lead."""
+    p = n * (n - 1) // 2
+    return rng.uniform(0.0, 0.5 * np.pi, (p, batch)), _su2(rng, (p, batch)), _su2(rng, (batch, n))
+
+
+def _oracle_u(phi, psi, alpha, n):
+    return oracles.column_rotation_u(oracles.angle_dict(phi), oracles.angle_dict(psi), alpha, n)
+
+
+def _oracle_sp(rho, quat, lead, n):
+    return oracles.column_rotation_sp(oracles.angle_dict(rho), oracles.angle_dict(quat), lead, n)
 
 
 def _same_bytes(got, want):
@@ -50,34 +75,21 @@ def _same_bytes(got, want):
 
 @pytest.mark.parametrize("n,batch", SIZES)
 def test_compose_so_batch_matches_oracle(n, batch):
-    rng = _rng(n, batch)
-    theta = {(j, k): rng.uniform(0.0, TWO_PI if j == 1 else np.pi, batch)
-             for j, k in angle_pairs(n)}
-    want = oracles.column_rotation_so(theta, n, batch)
+    theta = _so_theta(_rng(n, batch), n, batch)
+    want = oracles.column_rotation_so(oracles.angle_dict(theta), n, batch)
     _same_bytes(euler.compose_so_batch(theta, n, batch), want)
 
 
 @pytest.mark.parametrize("n,batch", SIZES)
 def test_compose_u_batch_matches_oracle(n, batch):
-    rng = _rng(n, batch)
-    phi = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
-    psi = {key: rng.uniform(0.0, TWO_PI, batch) for key in angle_pairs(n)}
-    alpha = rng.uniform(0.0, TWO_PI, (batch, n))
-    want = oracles.column_rotation_u(phi, psi, alpha, n)
-    _same_bytes(euler.compose_u_batch(phi, psi, alpha, n), want)
+    angles = _u_angles(_rng(n, batch), n, batch)
+    _same_bytes(euler.compose_u_batch(*angles, n), _oracle_u(*angles, n))
 
 
 @pytest.mark.parametrize("n,batch", SIZES)
 def test_compose_sp_batch_matches_oracle(n, batch):
-    rng = _rng(n, batch)
-    rho = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
-    quat = _su2_dict(rng, n, batch)
-    lead = np.stack([oracles.su2(rng.uniform(0.0, 0.5 * np.pi, batch),
-                                 rng.uniform(0.0, TWO_PI, batch),
-                                 rng.uniform(0.0, TWO_PI, batch))
-                     for _ in range(n)], axis=1)
-    want = oracles.column_rotation_sp(rho, quat, lead, n)
-    _same_bytes(euler.compose_sp_batch(rho, quat, lead, n), want)
+    angles = _sp_angles(_rng(n, batch), n, batch)
+    _same_bytes(euler.compose_sp_batch(*angles, n), _oracle_sp(*angles, n))
 
 
 ORDERS = ([(n, name) for n in (1, 2, 3, 8, 16) for name in ("hessenberg", "cmv")]
@@ -98,28 +110,18 @@ def test_batches_split_into_work_chunks_match_oracle():
     # work arrays over 1 MiB run in chunks, the last one short
     rng = np.random.default_rng(7)
     n, batch = 64, 130
-    theta = {(j, k): rng.uniform(0.0, TWO_PI if j == 1 else np.pi, batch)
-             for j, k in angle_pairs(n)}
+    theta = _so_theta(rng, n, batch)
     _same_bytes(euler.compose_so_batch(theta, n, batch),
-                oracles.column_rotation_so(theta, n, batch))
+                oracles.column_rotation_so(oracles.angle_dict(theta), n, batch))
     thetas = rng.uniform(0.0, np.pi, (batch, n - 1))
     _same_bytes(spectra.rotation_product_batch(thetas, spectra.cmv_order(n), n),
                 oracles.rotation_product(thetas, spectra.cmv_order(n), n))
     n, batch = 32, 260
-    phi = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
-    psi = {key: rng.uniform(0.0, TWO_PI, batch) for key in angle_pairs(n)}
-    alpha = rng.uniform(0.0, TWO_PI, (batch, n))
-    _same_bytes(euler.compose_u_batch(phi, psi, alpha, n),
-                oracles.column_rotation_u(phi, psi, alpha, n))
+    angles = _u_angles(rng, n, batch)
+    _same_bytes(euler.compose_u_batch(*angles, n), _oracle_u(*angles, n))
     n = 16
-    rho = {key: rng.uniform(0.0, 0.5 * np.pi, batch) for key in angle_pairs(n)}
-    quat = _su2_dict(rng, n, batch)
-    lead = np.stack([oracles.su2(rng.uniform(0.0, 0.5 * np.pi, batch),
-                                 rng.uniform(0.0, TWO_PI, batch),
-                                 rng.uniform(0.0, TWO_PI, batch))
-                     for _ in range(n)], axis=1)
-    _same_bytes(euler.compose_sp_batch(rho, quat, lead, n),
-                oracles.column_rotation_sp(rho, quat, lead, n))
+    angles = _sp_angles(rng, n, batch)
+    _same_bytes(euler.compose_sp_batch(*angles, n), _oracle_sp(*angles, n))
 
 
 def test_compose_so_batch_values_at_boundary_angles():
@@ -127,10 +129,9 @@ def test_compose_so_batch_values_at_boundary_angles():
     # may differ from the all-rows loop; the values must not
     n, batch = 5, 27
     grid = np.array([0.0, 0.5 * np.pi, np.pi])
-    theta = {key: grid[(np.arange(batch) // 3 ** (i % 3)) % 3]
-             for i, key in enumerate(angle_pairs(n))}
+    theta = grid[(np.arange(batch) // 3 ** (np.arange(n * (n - 1) // 2)[:, None] % 3)) % 3]
     got = euler.compose_so_batch(theta, n, batch)
-    assert np.array_equal(got, oracles.column_rotation_so(theta, n, batch))
+    assert np.array_equal(got, oracles.column_rotation_so(oracles.angle_dict(theta), n, batch))
 
 
 # exact zeros of either sign, quarter and half turns, the doubles next to
@@ -161,10 +162,11 @@ def test_u_coset_blocks_match_exp_form_bytes():
     # inner factors have off-diagonal phase 0, the l = 1 factor psi and alpha_k
     rng = np.random.default_rng(12)
     k, batch = 6, 5000
-    phi = {(l, k): _special_mix(rng, batch) for l in range(1, k)}
-    psi = {(l, k): _special_mix(rng, batch) for l in range(1, k)}
-    alpha_k = _special_mix(rng, batch)
-    blocks = euler._u_coset(phi, psi, alpha_k, k, k, slice(0, batch))
+    phi, psi = _special_mix(rng, (2, k * (k - 1) // 2, batch))  # packed, n = k
+    alpha = _special_mix(rng, (batch, k))
+    alpha_k = alpha[:, k - 1]
+    blocks = list(euler._u_cosets(phi, psi, alpha, k, slice(0, batch)))[-(k - 1):]
+    phi, psi = oracles.angle_dict(phi), oracles.angle_dict(psi)
     for l, (col, rows, m) in zip(range(k - 1, 0, -1), blocks):
         want = (oracles.su2(phi[(1, k)], psi[(1, k)], alpha_k) if l == 1
                 else oracles.su2(phi[(l, k)], 0.0, psi[(l, k)]))

@@ -34,8 +34,10 @@ import pytest
 from scipy import stats
 
 from haarforge import samplers, verify
-from haarforge.euler import angle_pairs, extract_angles_so, extract_angles_u
+from haarforge.euler import extract_angles_so, extract_angles_u
 from haarforge.randstream import RandomStream
+
+from oracles import angle_dict
 
 TWO_PI = 2.0 * np.pi
 SEED = 1512
@@ -52,9 +54,9 @@ def _so_variables(method, sid, n=6):
 
 
 def _so_angle_laws(theta):
-    """(label, x, cdf) per SO Euler angle in ``theta``."""
+    """(label, x, cdf) per SO Euler angle in the packed ``theta``."""
     out = []
-    for (j, k), t in theta.items():
+    for (j, k), t in angle_dict(theta).items():
         if j == 1:
             out.append((f"theta{j}{k}/2pi", t / TWO_PI, stats.uniform().cdf))
         else:
@@ -68,9 +70,9 @@ def _u_variables(sid, n=4):
         samplers.qr_batch(RandomStream(SEED, sid), n, COUNT, "complex"))
     uniform = stats.uniform(0.0, TWO_PI).cdf
     out = []
-    for j, k in angle_pairs(n):
-        out.append((f"sin^2 phi{j}{k}", np.sin(phi[(j, k)]) ** 2, stats.beta(j, 1.0).cdf))
-        out.append((f"psi{j}{k}", psi[(j, k)], uniform))
+    for ((j, k), ph), ps in zip(angle_dict(phi).items(), psi):
+        out.append((f"sin^2 phi{j}{k}", np.sin(ph) ** 2, stats.beta(j, 1.0).cdf))
+        out.append((f"psi{j}{k}", ps, uniform))
     out.append(("n alpha1 mod 2pi", np.mod(n * alpha[:, 0], TWO_PI), uniform))
     out.extend((f"alpha{i + 1}", alpha[:, i], uniform) for i in range(1, n))
     return out

@@ -8,10 +8,10 @@ from haarforge import euler
 from haarforge.euler import (
     ReflectionError,
     _quat_factor_batch,
-    angle_pairs,
     compose_so_batch,
     compose_sp_batch,
     compose_u_batch,
+    coset_rows,
     density_so,
     density_sp,
     density_u,
@@ -28,68 +28,37 @@ from haarforge.linalg import (
 from haarforge.randstream import RandomStream
 from haarforge import samplers
 
-from oracles import rotation, so_coset_bottom_row, triple_loop_multiply
+from oracles import (angle_dict, angle_pairs, packed, rotation, so_coset_bottom_row,
+                     sp_density, triple_loop_multiply)
 
 TWO_PI = 2.0 * np.pi
 
 
-def so_angles(rng, n, margin=0.0):
-    """theta[(j,k)] as (1,) arrays, a batch of one inside the documented ranges."""
-    theta = {}
-    for (j, k) in angle_pairs(n):
-        if j == 1:
-            theta[(j, k)] = rng.uniform(0.0, TWO_PI, 1)
-        else:
-            theta[(j, k)] = rng.uniform(margin, np.pi - margin, 1)
-    return theta
-
-
-def u_angles(rng, n):
-    """(phi, psi, alpha) for one U(n) matrix: (1,) arrays and a (1, n) array."""
-    pairs = angle_pairs(n)
-    phi = {p: rng.uniform(0.0, np.pi / 2.0, 1) for p in pairs}
-    psi = {p: rng.uniform(0.0, TWO_PI, 1) for p in pairs}
-    return phi, psi, rng.uniform(0.0, TWO_PI, size=(1, n))
-
-
-def sp_angles(rng, n):
-    """rho[(j,k)] as (1,) arrays plus (phi, psi, alpha) triples of the
-    quaternions Q_{j,k} and of the leading q_1..q_n."""
-    pairs = angle_pairs(n)
-    trip = lambda: (rng.uniform(0.0, np.pi / 2.0), rng.uniform(0.0, TWO_PI),
-                    rng.uniform(0.0, TWO_PI))
-    rho = {p: rng.uniform(0.0, np.pi / 2.0, 1) for p in pairs}
-    return rho, {p: trip() for p in pairs}, [trip() for _ in range(n)]
-
-
-def compose_sp(rho, quat, lead, n):
-    """One Sp(2n) matrix from sp_angles-style triples."""
-    quat_blk = {key: su2_block(*t)[None] for key, t in quat.items()}
-    lead_blk = np.stack([su2_block(*t) for t in lead])[None]
-    return compose_sp_batch(rho, quat_blk, lead_blk, n)[0]
-
-
-def first(angles):
-    """The first matrix's angles as floats."""
-    return {key: float(v[0]) for key, v in angles.items()}
-
-
-def only_column(angles, k):
-    """The angles of column k kept, every other angle set to 0."""
-    return {key: v if key[1] == k else np.zeros_like(v) for key, v in angles.items()}
+def so_theta(rng, n, margin=0.0):
+    """Packed (P, 1) SO angles, a batch of one inside the documented ranges."""
+    return packed({(j, k): rng.uniform(0.0, TWO_PI, 1) if j == 1
+                   else rng.uniform(margin, np.pi - margin, 1) for j, k in angle_pairs(n)})
 
 
 def coset_so(theta, j, n):
     """E_j = R_j(theta_{j,j+1}) ... R_1(theta_{1,j+1}): compose_so_batch with
-    only column j+1's angles nonzero."""
-    return compose_so_batch(only_column(theta, j + 1), n, 1)[0]
+    only coset E_j's angles nonzero."""
+    keep = np.zeros_like(theta)
+    keep[coset_rows(j + 1)] = theta[coset_rows(j + 1)]
+    return compose_so_batch(keep, n, 1)[0]
 
 
 def plane(j, theta, n):
     """R_j(theta) as the coset E_j whose only nonzero angle is theta_{j,j+1}."""
-    angles = {p: np.zeros(1) for p in angle_pairs(n)}
-    angles[(j, j + 1)] = np.array([theta])
-    return coset_so(angles, j, n)
+    angles = {p: [0.0] for p in angle_pairs(n)}
+    angles[(j, j + 1)] = [theta]
+    return coset_so(packed(angles), j, n)
+
+
+def su2_rows(rng, shape):
+    """Haar-angle SU(2) stacks of the given batch shape."""
+    return su2_block(rng.uniform(0.0, np.pi / 2.0, shape), rng.uniform(0.0, TWO_PI, shape),
+                     rng.uniform(0.0, TWO_PI, shape))
 
 
 class TestElementaryBlocks:
@@ -150,30 +119,30 @@ class TestElementaryBlocks:
 
 class TestCosetsAndComposition:
     def test_coset_zero_angles(self):
-        theta = {p: np.zeros(1) for p in angle_pairs(4)}
+        theta = np.zeros((6, 1))
         for j in (1, 2, 3):
             assert np.array_equal(coset_so(theta, j, 4), np.eye(4))
 
     def test_coset_single_factor(self):
         rng = np.random.default_rng(2)
-        theta = so_angles(rng, 4)
+        theta = so_theta(rng, 4)
         got = coset_so(theta, 1, 4)
-        want = rotation(1, theta[(1, 2)][0], 4)
+        want = rotation(1, angle_dict(theta)[(1, 2)][0], 4)
         assert np.abs(got - want).max() <= 1e-15
 
     def test_coset_bottom_row_matches_signed_expansion(self):
         # entrywise expansion of the rotation recursion, N=3 then up to 6
         rng = np.random.default_rng(3)
         for n in (3, 4, 5, 6):
-            theta = so_angles(rng, n)
+            theta = so_theta(rng, n)
             j = n - 1
             row = coset_so(theta, j, n)[j, :]
-            thetas = [theta[(l, n)][0] for l in range(1, n)]
+            thetas = theta[coset_rows(n), 0]
             assert np.abs(row - so_coset_bottom_row(thetas)).max() <= 1e-13
 
     def test_coset_fixes_trailing_axes_exactly(self):
         rng = np.random.default_rng(4)
-        theta = so_angles(rng, 6)
+        theta = so_theta(rng, 6)
         for j in (1, 2, 3):
             e = coset_so(theta, j, 6)
             tail = np.s_[j + 1:]
@@ -181,19 +150,17 @@ class TestCosetsAndComposition:
             assert np.all(e[tail, :j + 1] == 0.0) and np.all(e[:j + 1, tail] == 0.0)
 
     def test_compose_so_zero_and_n2(self):
-        zero = {p: np.zeros(1) for p in angle_pairs(3)}
-        assert np.array_equal(compose_so_batch(zero, 3, 1)[0], np.eye(3))
+        assert np.array_equal(compose_so_batch(np.zeros((3, 1)), 3, 1)[0], np.eye(3))
         rng = np.random.default_rng(5)
-        a2 = so_angles(rng, 2)
+        a2 = so_theta(rng, 2)
         assert np.abs(compose_so_batch(a2, 2, 1)[0]
-                      - rotation(1, a2[(1, 2)][0], 2)).max() == 0.0
+                      - rotation(1, a2[0, 0], 2)).max() == 0.0
 
     def test_compose_so_matches_displayed_three_factor_form(self):
         # V_3 = R_z(phi) * R_x(theta) * R_z(psi) with (phi, theta, psi)
         # mapped onto (theta_{1,2}, theta_{2,3}, theta_{1,3})
         phi, theta, psi = 1.1, 2.2, 4.4
-        angles = {(1, 2): np.array([phi]), (2, 3): np.array([theta]),
-                  (1, 3): np.array([psi])}
+        angles = packed({(1, 2): [phi], (2, 3): [theta], (1, 3): [psi]})
         rz = lambda a: np.array([[math.cos(a), math.sin(a), 0.0],
                                  [-math.sin(a), math.cos(a), 0.0],
                                  [0.0, 0.0, 1.0]])
@@ -207,10 +174,8 @@ class TestCosetsAndComposition:
         # 10^4 random records across sizes up to 16
         for n, count in ((2, 2000), (5, 3000), (9, 3000), (16, 2000)):
             s = RandomStream(50 + n)
-            theta = {}
-            for (j, k) in angle_pairs(n):
-                theta[(j, k)] = (s.uniform(0.0, TWO_PI, size=count) if j == 1
-                                 else s.uniform(0.0, np.pi, size=count))
+            theta = packed({(j, k): s.uniform(0.0, TWO_PI if j == 1 else np.pi, size=count)
+                            for j, k in angle_pairs(n)})
             v = euler.compose_so_batch(theta, n, count)
             gram = np.einsum("bji,bjk->bik", v, v) - np.eye(n)
             assert np.abs(gram).max() <= 1e-13 * n
@@ -218,10 +183,11 @@ class TestCosetsAndComposition:
             assert np.all(sign > 0) and np.abs(logdet).max() <= 1e-12
 
     def test_compose_u_trivial_and_scalar(self):
-        zero = {p: np.zeros(1) for p in angle_pairs(3)}
+        zero = np.zeros((3, 1))
         assert np.array_equal(compose_u_batch(zero, zero, np.zeros((1, 3)), 3)[0],
                               np.eye(3))
-        assert compose_u_batch({}, {}, np.array([[1.25]]), 1)[0, 0, 0] \
+        none = np.empty((0, 1))
+        assert compose_u_batch(none, none, np.array([[1.25]]), 1)[0, 0, 0] \
             == pytest.approx(np.exp(1.25j))
 
     def test_u_parameter_count_is_n_squared(self):
@@ -232,30 +198,44 @@ class TestCosetsAndComposition:
 
     def test_coset_E_u_unitary(self):
         rng = np.random.default_rng(7)
-        phi, psi, alpha = u_angles(rng, 5)
+        phi0, psi0 = rng.uniform(0.0, np.pi / 2.0, (10, 1)), rng.uniform(0.0, TWO_PI, (10, 1))
+        alpha = rng.uniform(0.0, TWO_PI, size=(1, 5))
         for j in (1, 2, 3, 4):
             keep = np.zeros_like(alpha)
             keep[:, j] = alpha[:, j]
-            e = compose_u_batch(only_column(phi, j + 1), only_column(psi, j + 1), keep, 5)
+            rows = coset_rows(j + 1)
+            phi, psi = np.zeros((2, 10, 1))
+            phi[rows], psi[rows] = phi0[rows], psi0[rows]
+            e = compose_u_batch(phi, psi, keep, 5)
             assert adjoint_residual(e[0]) <= 1e-13 * 5
 
     def test_compose_sp_trivial(self):
-        pairs = angle_pairs(3)
-        ident = (0.0, 0.0, 0.0)
-        got = compose_sp({p: np.zeros(1) for p in pairs}, {p: ident for p in pairs},
-                         [ident] * 3, 3)
+        ident = su2_block(np.zeros((3, 1)), 0.0, 0.0)
+        got = compose_sp_batch(np.zeros((3, 1)), ident, ident.reshape(1, 3, 2, 2), 3)[0]
         assert np.array_equal(got, np.eye(6))
 
     def test_compose_sp_n1_is_su2(self):
-        got = compose_sp({}, {}, [(0.7, 1.0, 2.0)], 1)
+        lead = su2_block(0.7, 1.0, 2.0)[None, None]
+        got = compose_sp_batch(np.empty((0, 1)), np.empty((0, 1, 2, 2)), lead, 1)[0]
         assert got.shape == (2, 2)
         assert adjoint_residual(got) <= 1e-15
         assert abs(determinant(got) - 1.0) <= 1e-14
 
+    def test_missing_packed_rows_rejected(self):
+        # n = 4 takes 6 rows; the last coset comes up one angle short
+        with pytest.raises(ValueError):
+            compose_so_batch(np.zeros((5, 1)), 4, 1)
+        with pytest.raises(ValueError):
+            compose_u_batch(np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((1, 4)), 4)
+        with pytest.raises(ValueError):
+            compose_sp_batch(np.zeros((5, 1)), np.zeros((5, 1, 2, 2)), np.zeros((1, 4, 2, 2)), 4)
+
     def test_compose_sp_residuals(self):
         rng = np.random.default_rng(8)
         for n in (2, 3):
-            v = compose_sp(*sp_angles(rng, n), n)
+            p = n * (n - 1) // 2
+            v = compose_sp_batch(rng.uniform(0.0, np.pi / 2.0, (p, 1)), su2_rows(rng, (p, 1)),
+                                 su2_rows(rng, (1, n)), n)[0]
             assert adjoint_residual(v) <= 1e-12 * n
             assert symplectic_residual(v) <= 1e-12 * n
 
@@ -270,20 +250,20 @@ def _haar_so(stream, n, count):
 class TestExtraction:
     def test_identity_gives_zero_angles(self):
         theta = extract_angles_so(np.eye(4)[None])
-        assert all(t.tolist() == [0.0] for t in theta.values())
+        assert theta.shape == (6, 1) and np.all(theta == 0.0)
 
     def test_roundtrip_idempotent_on_image(self):
         rng = np.random.default_rng(9)
         for n in (2, 3, 5, 7):
-            v = compose_so_batch(so_angles(rng, n), n, 1)
+            v = compose_so_batch(so_theta(rng, n), n, 1)
             v2 = compose_so_batch(extract_angles_so(v), n, 1)
             assert np.abs(v - v2).max() <= 1e-10
 
     def test_angle_level_roundtrip_away_from_degeneracies(self):
         rng = np.random.default_rng(10)
         for n in (3, 5, 8):
-            theta = so_angles(rng, n, margin=1e-3)
-            back = extract_angles_so(compose_so_batch(theta, n, 1))
+            theta = angle_dict(so_theta(rng, n, margin=1e-3))
+            back = angle_dict(extract_angles_so(compose_so_batch(packed(theta), n, 1)))
             for key in theta:
                 diff = abs(back[key][0] - theta[key][0])
                 if key[0] == 1:
@@ -343,34 +323,35 @@ class TestExtraction:
         theta = extract_angles_so(so)
         for i in range(9):
             one = extract_angles_so(so[i:i + 1])
-            assert all(one[key].tobytes() == theta[key][i:i + 1].tobytes() for key in theta)
+            assert one.tobytes() == theta[:, i:i + 1].tobytes()
         u = samplers.qr_batch(RandomStream(67, n), n, 9, "complex")
         phi, psi, alpha = extract_angles_u(u)
         for i in range(9):
             p1, s1, a1 = extract_angles_u(u[i:i + 1])
-            assert all(p1[key].tobytes() == phi[key][i:i + 1].tobytes() for key in phi)
-            assert all(s1[key].tobytes() == psi[key][i:i + 1].tobytes() for key in psi)
+            assert p1.tobytes() == phi[:, i:i + 1].tobytes()
+            assert s1.tobytes() == psi[:, i:i + 1].tobytes()
             assert a1.tobytes() == alpha[i:i + 1].tobytes()
 
     def test_ranges_over_2000_draws(self):
         theta = extract_angles_so(samplers.so_euler_batch(RandomStream(68), 6, 2000))
-        for (j, k), t in theta.items():
+        for (j, k), t in angle_dict(theta).items():
             hi_ok = (t < TWO_PI) if j == 1 else (t <= np.pi)
             assert t.shape == (2000,) and np.all((t >= 0.0) & hi_ok)
         phi, psi, alpha = extract_angles_u(samplers.qr_batch(RandomStream(69), 5, 2000, "complex"))
-        assert np.all([(p >= 0.0) & (p <= np.pi / 2.0) for p in phi.values()])
-        assert np.all([(p >= 0.0) & (p < TWO_PI) for p in psi.values()])
+        assert phi.shape == psi.shape == (10, 2000)
+        assert np.all((phi >= 0.0) & (phi <= np.pi / 2.0))
+        assert np.all((psi >= 0.0) & (psi < TWO_PI))
         assert alpha.shape == (2000, 5) and np.all((alpha >= 0.0) & (alpha < TWO_PI))
 
     def test_u_identity_and_pure_phase(self):
         phi, _, _ = extract_angles_u(np.eye(4, dtype=complex)[None])
-        assert all(p.tolist() == [0.0] for p in phi.values())
+        assert phi.shape == (6, 1) and np.all(phi == 0.0)
         for n in (1, 3, 4):
             beta = 0.9
             d = np.eye(n, dtype=complex)
             d[0, 0] = np.exp(1j * beta)
             phi, psi, alpha = extract_angles_u(d[None])
-            assert all(p.tolist() == [0.0] for p in phi.values())
+            assert np.all(phi == 0.0)
             back = compose_u_batch(phi, psi, alpha, n)[0]
             assert np.abs(back - d).max() <= 1e-12
 
@@ -405,10 +386,39 @@ class TestExtraction:
         h = hashlib.sha256()
         for v in stacks():
             phi, psi, alpha = extract_angles_u(v)
+            phi, psi = angle_dict(phi), angle_dict(psi)
             for key in sorted(phi):
                 h.update(phi[key].tobytes() + psi[key].tobytes())
             h.update(alpha.tobytes())
         assert h.hexdigest() == self.U_EXTRACTION_DIGEST
+
+    # SHA-256 of dtype, shape and bytes of each packed angle array, taken
+    # from the (j, k)-keyed extraction output put in coset-major order
+    EXTRACTION_DIGESTS = {
+        ("so", 2): "057646c7b9a5a8361f1782e7d7ac89ac5ee50a0c820560678b426355c3dc0c67",
+        ("so", 3): "aaca9514be60fc11a29070f82e6f5f9a8d71f3bd72420f4354c2f44d0270f839",
+        ("so", 5): "06fcb075332de12162971efe3024ab3e6f3c3afd8f820d612490cff84492fd43",
+        ("so", 8): "d44e16ad0469e3d9a5d31ee3cb4f12a873d9670d5a44e21f5bbde76d278e7437",
+        ("u", 2): "d693d778e4b421ffefb26820425e85fd7a76a2c035c1038fe3f0d63bc9a49a04",
+        ("u", 3): "3e4043e4b40bab0aaa5c39850059bcab8e677ea9c8e2fd72db5f3862f063463e",
+        ("u", 5): "affdf9bbf031107b90871d545e88506968731ec548137f87b31af26ab6c4f10f",
+        ("u", 8): "47b88d0bb4f04fe8dbed925d4d206991fec6a206a98f3d181a7ab5cdfaa1d012",
+    }
+
+    @staticmethod
+    def _digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_extraction_digest_pinned(self, n):
+        theta = extract_angles_so(samplers.so_euler_batch(RandomStream(81, n), n, 11))
+        assert self._digest(theta) == self.EXTRACTION_DIGESTS[("so", n)]
+        u = samplers.qr_batch(RandomStream(82, n), n, 11, "complex")
+        assert self._digest(*extract_angles_u(u)) == self.EXTRACTION_DIGESTS[("u", n)]
 
     def test_u_non_unitary_rejected(self):
         with pytest.raises(NotUnitaryError):
@@ -418,44 +428,66 @@ class TestExtraction:
 class TestDensities:
     def test_so_n2_constant(self):
         for t in (0.1, 3.0, 6.0):
-            assert density_so(2, {(1, 2): t}) == pytest.approx(math.sqrt(2.0))
+            assert density_so(2, [t]) == pytest.approx(math.sqrt(2.0))
 
     def test_so_vanishes_at_degenerate_angles(self):
         rng = np.random.default_rng(11)
-        angles = first(so_angles(rng, 4))
+        angles = angle_dict(so_theta(rng, 4)[:, 0].tolist())
         theta = dict(angles)
         theta[(2, 4)] = 0.0
-        assert density_so(4, theta) == 0.0
+        assert density_so(4, packed(theta)) == 0.0
         theta[(2, 4)] = np.pi  # sin(pi) is ~1e-16 in floats
-        assert density_so(4, theta) <= 1e-15
-        assert density_so(4, angles) > 0.0
+        assert density_so(4, packed(theta)) <= 1e-15
+        assert density_so(4, packed(angles)) > 0.0
 
     def test_so_independent_of_first_row_angles(self):
         rng = np.random.default_rng(12)
-        angles = first(so_angles(rng, 4))
+        angles = angle_dict(so_theta(rng, 4)[:, 0].tolist())
         shifted = dict(angles)
         for k in (2, 3, 4):
             shifted[(1, k)] = (shifted[(1, k)] + np.pi) % TWO_PI
-        assert density_so(4, shifted) == pytest.approx(density_so(4, angles))
+        assert density_so(4, packed(shifted)) == pytest.approx(density_so(4, packed(angles)))
 
     def test_u_densities(self):
-        assert density_u(1, {}) == 1.0
+        assert density_u(1, []) == 1.0
         rng = np.random.default_rng(13)
-        phi = first(u_angles(rng, 3)[0])
+        phi = angle_dict(rng.uniform(0.0, np.pi / 2.0, 3).tolist())
         phi[(1, 3)] = np.pi / 2.0
-        assert density_u(3, phi) == pytest.approx(0.0, abs=1e-15)
+        assert density_u(3, packed(phi)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sp_densities(self):
-        assert density_sp(1, {}, {}, (0.5,)) == pytest.approx(0.5 * math.sin(1.0))
+        assert density_sp(1, [], [], (0.5,)) == pytest.approx(0.5 * math.sin(1.0))
         rng = np.random.default_rng(14)
-        rho, quat, lead = sp_angles(rng, 3)
-        quat_phi = {key: t[0] for key, t in quat.items()}
-        lead_phi = [t[0] for t in lead]
-        rho = first(rho)
+        rho = angle_dict(rng.uniform(0.0, np.pi / 2.0, 3).tolist())
+        quat_phi, lead_phi = rng.uniform(0.0, np.pi / 2.0, (2, 3))
         zeroed = dict(rho)
         zeroed[(1, 2)] = 0.0
-        assert density_sp(3, zeroed, quat_phi, lead_phi) == 0.0
-        assert density_sp(3, rho, quat_phi, lead_phi) >= 0.0
+        assert density_sp(3, packed(zeroed), quat_phi, lead_phi) == 0.0
+        assert density_sp(3, packed(rho), quat_phi, lead_phi) >= 0.0
+
+    def test_wrong_row_count_rejected(self):
+        with pytest.raises(ValueError):
+            density_so(4, np.zeros(5))
+        with pytest.raises(ValueError):
+            density_sp(3, np.zeros(3), np.zeros(2), np.zeros(3))
+
+    def test_sp1_quadrature_is_the_three_sphere_area(self):
+        # Sp(2) = SU(2) = S^3: density_sp(1) over phi in [0, pi/2] and psi,
+        # alpha in [0, 2 pi), by a tensor Gauss-Legendre rule, is |S^3| = 2 pi^2
+        x, w = np.polynomial.legendre.leggauss(24)
+        (phi, wp), (_, ws), (_, wa) = [(0.5 * hi * (x + 1.0), 0.5 * hi * w)
+                                       for hi in (np.pi / 2.0, TWO_PI, TWO_PI)]
+        got = float((density_sp(1, [], [], [phi]) * wp).sum() * ws.sum() * wa.sum())
+        assert got == pytest.approx(2.0 * np.pi ** 2, rel=0.0, abs=1e-6)
+
+    def test_sp2_at_random_points_matches_the_oracle_product(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            rho, quat_phi = rng.uniform(0.0, np.pi / 2.0, (2, 1))
+            lead_phi = rng.uniform(0.0, np.pi / 2.0, 2)
+            want = sp_density(2, angle_dict(rho.tolist()), angle_dict(quat_phi.tolist()),
+                              lead_phi.tolist())
+            assert density_sp(2, rho, quat_phi, lead_phi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _oracle_so(n, theta):
@@ -472,29 +504,21 @@ def _oracle_u(n, phi):
     return val
 
 
-def _oracle_sp(n, rho, quat_phi, lead_phi):
-    # (1/2) sin(2 phi) written as sin(phi) cos(phi)
-    val = 2.0 ** (n * (n - 1))
-    for (j, k), r in rho.items():
-        p = quat_phi[(j, k)]
-        val *= math.cos(r) ** 3 * math.sin(r) ** (4 * j - 1) * math.sin(p) * math.cos(p)
-    for p in lead_phi:
-        val *= math.sin(p) * math.cos(p)
-    return val
-
-
 class TestArrayDensities:
-    """Array angles give, point by point, a scalar math-module product."""
+    """Packed rows of arrays give, point by point, a scalar math-module
+    product over the (j, k)-keyed angles."""
 
     POINTS = 100
 
     @staticmethod
-    def _angles(rng, pairs, hi):
-        return {p: rng.uniform(0.0, hi(p), size=TestArrayDensities.POINTS) for p in pairs}
+    def _angles(rng, n, hi):
+        """Packed (P, POINTS) angles, the row of (j, k) uniform on [0, hi(j))."""
+        return packed({(j, k): rng.uniform(0.0, hi(j), size=TestArrayDensities.POINTS)
+                       for j, k in angle_pairs(n)}).reshape(-1, TestArrayDensities.POINTS)
 
     @staticmethod
     def _at(angles, i):
-        return {key: float(v[i]) for key, v in angles.items()}
+        return angle_dict(angles[:, i].tolist())
 
     def _check(self, got, want_at):
         assert got.shape == (self.POINTS,)
@@ -504,35 +528,33 @@ class TestArrayDensities:
     def test_so(self):
         rng = np.random.default_rng(15)
         for n in range(2, 6):
-            theta = self._angles(rng, angle_pairs(n),
-                                 lambda p: TWO_PI if p[0] == 1 else np.pi)
+            theta = self._angles(rng, n, lambda j: TWO_PI if j == 1 else np.pi)
             got = np.broadcast_to(density_so(n, theta), (self.POINTS,))
             self._check(got, lambda i: _oracle_so(n, self._at(theta, i)))
-            scalar = density_so(n, self._at(theta, 0))
+            scalar = density_so(n, theta[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]
 
     def test_u(self):
         rng = np.random.default_rng(16)
         for n in range(1, 5):
-            phi = self._angles(rng, angle_pairs(n), lambda p: np.pi / 2.0)
+            phi = self._angles(rng, n, lambda j: np.pi / 2.0)
             got = np.broadcast_to(density_u(n, phi), (self.POINTS,))
             self._check(got, lambda i: _oracle_u(n, self._at(phi, i)))
-            scalar = density_u(n, self._at(phi, 0))
+            scalar = density_u(n, phi[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]
 
     def test_sp(self):
         rng = np.random.default_rng(17)
         for n in range(1, 4):
-            pairs = angle_pairs(n)
-            rho = self._angles(rng, pairs, lambda p: np.pi / 2.0)
-            quat_phi = self._angles(rng, pairs, lambda p: np.pi / 2.0)
+            rho = self._angles(rng, n, lambda j: np.pi / 2.0)
+            quat_phi = self._angles(rng, n, lambda j: np.pi / 2.0)
             lead_phi = rng.uniform(0.0, np.pi / 2.0, size=(n, self.POINTS))
             got = density_sp(n, rho, quat_phi, list(lead_phi))
-            self._check(got, lambda i: _oracle_sp(n, self._at(rho, i), self._at(quat_phi, i),
-                                                  [float(p) for p in lead_phi[:, i]]))
-            scalar = density_sp(n, self._at(rho, 0), self._at(quat_phi, 0),
-                                [float(p) for p in lead_phi[:, 0]])
+            self._check(got, lambda i: sp_density(n, self._at(rho, i), self._at(quat_phi, i),
+                                                  lead_phi[:, i].tolist()))
+            scalar = density_sp(n, rho[:, 0].tolist(), quat_phi[:, 0].tolist(),
+                                lead_phi[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]
