@@ -175,17 +175,18 @@ def cue_normalization(n: int) -> float:
 
 def _tensor_gl(dims, fn, nodes: int) -> float:
     """Tensor-product Gauss-Legendre integral of fn over boxes ``dims``;
-    ``fn(axes)`` gets the list of flat coordinate arrays, one per axis, once
-    per grid, and returns the integrand at every node (a scalar is broadcast)."""
+    ``fn(axes)`` gets the list of node vectors, one per axis, each shaped to
+    broadcast along its own axis of the grid, once per grid, and returns the
+    integrand broadcastable to the grid (an axis it does not read stays
+    length 1, and a scalar is broadcast)."""
     pts, wts = [], []
-    for lo, hi in dims:
+    for axis, (lo, hi) in enumerate(dims):
         x, w = np.polynomial.legendre.leggauss(nodes)
-        pts.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+        x = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        pts.append(x.reshape((nodes,) + (1,) * (len(dims) - 1 - axis)))
         wts.append(0.5 * (hi - lo) * w)
-    grids = np.meshgrid(*pts, indexing="ij")
     weight = reduce(np.multiply.outer, wts)
-    vals = np.broadcast_to(fn([g.ravel() for g in grids]), (weight.size,))
-    return float((vals * weight.ravel()).sum())
+    return float((fn(pts) * weight).sum())
 
 
 def volume_quadrature(tag: str, n: int):
@@ -204,7 +205,7 @@ def volume_quadrature(tag: str, n: int):
     else:  # U(2) axes: phi_{1,2}, psi_{1,2}, alpha_1, alpha_2; only phi enters
         dims = [(0.0, TWO_PI)] if n == 1 else [(0.0, pi / 2.0)] + [(0.0, TWO_PI)] * 3
     rows = n * (n - 1) // 2  # the packed angle axes come first
-    coarse, fine = (_tensor_gl(dims, lambda axes: density(n, axes[:rows]), nodes)
+    coarse, fine = (_tensor_gl(dims, lambda axes: density(axes[:rows]), nodes)
                     for nodes in (QUADRATURE_NODES, QUADRATURE_NODES + QUADRATURE_NODES // 2))
     return fine, abs(fine - coarse)
 
@@ -221,12 +222,14 @@ def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
     is broadcast; any other shape raises ValueError, and so does a value
     with a nonzero imaginary part).  For the permutation group with n <= 8,
     ``exact=True`` replaces sampling by the stack of all n! matrices
-    (standard error 0).  Averaging any f produces an invariant of the group
-    action; constants are reproduced exactly.
+    (standard error 0); on any other group it raises ValueError.  Averaging
+    any f produces an invariant of the group action; constants are
+    reproduced exactly.
     """
     sampler = samplers.SAMPLERS[(group.tag, samplers.DEFAULT_METHOD[group.tag])]
     perm = sampler.kind == "permutation"
-    exact = exact and perm
+    if exact and not perm:
+        raise ValueError(f"exact enumeration needs the permutation group, not {group.tag}")
     if exact:
         if group.n > 8:
             raise ValueError("exact enumeration supported for n <= 8")

@@ -35,6 +35,9 @@ is a batch of one.  Draws, composition, extraction and densities share one
 packed coset-major angle layout, (P, B) with P = n(n-1)/2 ((P, B, 2, 2) for
 Sp quaternions): row (k-1)(k-2)/2 + j - 1 holds angle (j, k), so coset
 E_{k-1} is the slice ``coset_rows(k)``, and ``row_j(n)`` gives each row's j.
+The angles fix the group, so composition and the densities read n (and B)
+from these arrays: from P, or from alpha's or lead's (B, n) for U and Sp;
+sizes that disagree raise ValueError.
 
 The invariant-measure densities in these coordinates, ``density_so``,
 ``density_u`` and ``density_sp``, map packed rows of floats or same-shape
@@ -43,6 +46,8 @@ all parametrizing angles are independent under Haar measure.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,6 +63,22 @@ class ReflectionError(ValueError):
 def coset_rows(k: int) -> slice:
     """Rows of coset E_{k-1}, the angles (1, k) ... (k-1, k), in a packed array."""
     return slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
+
+
+def _n_from_rows(p: int) -> int:
+    """The n whose packed arrays have p = n(n-1)/2 rows (1 for p = 0);
+    ValueError if no n does."""
+    n = (1 + math.isqrt(8 * p + 1)) // 2
+    if n * (n - 1) // 2 != p:
+        raise ValueError(f"{p} packed rows is n(n-1)/2 for no n")
+    return n
+
+
+def _check_shapes(**arrays) -> None:
+    """ValueError unless every ``name=(array, shape)`` array has that shape."""
+    for name, (a, shape) in arrays.items():
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
 def row_j(n: int) -> np.ndarray:
@@ -175,17 +196,23 @@ def _u_cosets(phi: np.ndarray, psi: np.ndarray, alpha: np.ndarray, n: int, sl: s
         yield from zip(range(k - 2, -1, -1), [k] * (k - 1), m, strict=True)
 
 
-def compose_so_batch(theta, n: int, count: int) -> np.ndarray:
-    """(count, n, n) stack of E_1 E_2 ... E_{n-1} from the packed (P, count)
-    angles theta; for n = 1 (no angles) count identities."""
+def compose_so_batch(theta) -> np.ndarray:
+    """(B, n, n) stack of E_1 E_2 ... E_{n-1} from the packed (P, B) angles
+    theta, n read from P = n(n-1)/2; for n = 1 (P = 0) B identities."""
     theta = np.asarray(theta, dtype=float)
-    return _plane_product(n, count, float, lambda sl: _so_cosets(theta, n, sl))
+    p, batch = theta.shape  # ValueError unless theta has two axes
+    n = _n_from_rows(p)
+    return _plane_product(n, batch, float, lambda sl: _so_cosets(theta, n, sl))
 
 
-def compose_u_batch(phi, psi, alpha, n: int) -> np.ndarray:
-    """Stack of e^{i alpha_1} E_1 ... E_{n-1} from packed (P, B) phi, psi and (B, n) alpha."""
+def compose_u_batch(phi, psi, alpha) -> np.ndarray:
+    """Stack of e^{i alpha_1} E_1 ... E_{n-1} from packed (P, B) phi, psi and
+    (B, n) alpha, B and n read from alpha."""
     phi, psi, alpha = (np.asarray(a, dtype=float) for a in (phi, psi, alpha))
-    v = _plane_product(n, alpha.shape[0], complex, lambda sl: _u_cosets(phi, psi, alpha, n, sl))
+    batch, n = alpha.shape  # ValueError unless alpha has two axes
+    p = n * (n - 1) // 2
+    _check_shapes(phi=(phi, (p, batch)), psi=(psi, (p, batch)))
+    v = _plane_product(n, batch, complex, lambda sl: _u_cosets(phi, psi, alpha, n, sl))
     v *= np.exp(1j * alpha[:, 0])[:, None, None]
     return v
 
@@ -237,11 +264,16 @@ def _sp_cosets(rho: np.ndarray, quat: np.ndarray, lead: np.ndarray, n: int, sl: 
         yield from zip(range(2 * k - 4, -1, -2), [2 * k] * (k - 1), m, strict=True)
 
 
-def compose_sp_batch(rho, quat, lead, n: int) -> np.ndarray:
+def compose_sp_batch(rho, quat, lead) -> np.ndarray:
     """Stack of 2n x 2n symplectic unitaries from packed (P, B) rho, packed
-    (P, B, 2, 2) SU(2) stacks quat (the Q_{j,k}) and (B, n, 2, 2) lead (q_1 .. q_n)."""
+    (P, B, 2, 2) SU(2) stacks quat (the Q_{j,k}) and (B, n, 2, 2) lead
+    (q_1 .. q_n), B and n read from lead."""
     rho, quat = np.asarray(rho, dtype=float), np.asarray(quat, dtype=complex)
-    return _plane_product(2 * n, lead.shape[0], complex,
+    batch, n = lead.shape[:2]  # ValueError if lead has fewer axes
+    p = n * (n - 1) // 2
+    _check_shapes(rho=(rho, (p, batch)), quat=(quat, (p, batch, 2, 2)),
+                  lead=(lead, (batch, n, 2, 2)))
+    return _plane_product(2 * n, batch, complex,
                           lambda sl: _sp_cosets(rho, quat, lead, n, sl))
 
 
@@ -375,8 +407,10 @@ def extract_angles_u(v):
 # --- invariant-measure densities -------------------------------------------
 
 
-def density_so(n: int, theta):
-    """2^{n(n-1)/4} prod sin(theta_{j,k})^{j-1} over the packed rows theta."""
+def density_so(theta):
+    """2^{n(n-1)/4} prod sin(theta_{j,k})^{j-1} over the packed rows theta,
+    n read from their count."""
+    n = _n_from_rows(len(theta))
     val = np.float64(2.0 ** (n * (n - 1) / 4.0))
     for j, t in zip(row_j(n).tolist(), theta, strict=True):
         if j >= 2:
@@ -384,17 +418,21 @@ def density_so(n: int, theta):
     return val
 
 
-def density_u(n: int, phi):
-    """2^{n(n-1)/2} prod cos(phi_{j,k}) sin(phi_{j,k})^{2j-1} over the packed rows phi."""
+def density_u(phi):
+    """2^{n(n-1)/2} prod cos(phi_{j,k}) sin(phi_{j,k})^{2j-1} over the packed
+    rows phi, n read from their count."""
+    n = _n_from_rows(len(phi))
     val = np.float64(2.0 ** (n * (n - 1) / 2.0))
     for j, p in zip(row_j(n).tolist(), phi, strict=True):
         val = val * (np.cos(p) * np.sin(p) ** (2 * j - 1))
     return val
 
 
-def density_sp(n: int, rho, quat_phi, lead_phi):
+def density_sp(rho, quat_phi, lead_phi):
     """2^{n(n-1)} prod cos^3(rho) sin(rho)^{4j-1} (1/2) sin(2 phi_{j,k}) over the
-    packed rows rho and quat_phi, times prod_j (1/2) sin(2 phi_j) over lead_phi."""
+    packed rows rho and quat_phi, times prod_j (1/2) sin(2 phi_j) over the n
+    entries of lead_phi."""
+    n = len(lead_phi)
     val = np.float64(2.0 ** (n * (n - 1)))
     for j, r, p in zip(row_j(n).tolist(), rho, quat_phi, strict=True):
         val = val * (np.cos(r) ** 3 * np.sin(r) ** (4 * j - 1))

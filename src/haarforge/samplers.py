@@ -85,7 +85,7 @@ def _sp_angles(stream: RandomStream, n: int, count: int):
 def so_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n >= 1 required")
-    return euler.compose_so_batch(_so_angles(stream, n, count), n, count)
+    return euler.compose_so_batch(_so_angles(stream, n, count))
 
 
 def o_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
@@ -97,11 +97,11 @@ def o_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 
 def u_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    return euler.compose_u_batch(*_u_angles(stream, n, count), n)
+    return euler.compose_u_batch(*_u_angles(stream, n, count))
 
 
 def sp_euler_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    return euler.compose_sp_batch(*_sp_angles(stream, n, count), n)
+    return euler.compose_sp_batch(*_sp_angles(stream, n, count))
 
 
 def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:

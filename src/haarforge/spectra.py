@@ -27,14 +27,20 @@ class ClosedFormMismatch(RuntimeError):
 # --- rotation products ------------------------------------------------------
 
 
-def rotation_product_batch(thetas: np.ndarray, order, n: int) -> np.ndarray:
-    """Stack of products of R_l(theta_l) over plane indices l in ``order``.
+def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
+    """(B, n, n) stack of products of R_l(theta_l) over plane indices l in ``order``.
 
-    thetas has shape (B, n-1); thetas[:, l-1] belongs to plane l.  The
-    product is taken left to right, i.e. order[0] is the leftmost factor.
+    thetas has shape (B, n-1), n read from it; thetas[:, l-1] belongs to
+    plane l.  The product is taken left to right, i.e. order[0] is the
+    leftmost factor.  ValueError for thetas of another rank or a plane
+    outside 1..n-1.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    m, planes = _rotation_blocks(thetas.T), [l - 1 for l in order]
+    n, planes = thetas.shape[1] + 1, [l - 1 for l in order]
+    if thetas.ndim != 2 or not all(0 <= c < n - 1 for c in planes):
+        raise ValueError(f"need (B, n-1) angles and planes in 1..n-1, not shape "
+                         f"{thetas.shape} and planes {list(order)}")
+    m = _rotation_blocks(thetas.T)
     return _plane_product(n, thetas.shape[0], float,
                           lambda sl: ((c, n, m[c, ..., sl]) for c in planes))
 
@@ -62,14 +68,12 @@ def cmv_order(n: int):
 
 def hessenberg_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """Lower-Hessenberg orthogonal matrices with the Haar SO(n) spectrum."""
-    return rotation_product_batch(
-        _spectral_thetas(stream, n, count), hessenberg_order(n), n)
+    return rotation_product_batch(_spectral_thetas(stream, n, count), hessenberg_order(n))
 
 
 def cmv_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """Five-diagonal orthogonal matrices with the Haar SO(n) spectrum."""
-    return rotation_product_batch(
-        _spectral_thetas(stream, n, count), cmv_order(n), n)
+    return rotation_product_batch(_spectral_thetas(stream, n, count), cmv_order(n))
 
 
 # --- closed-form entries and the characteristic-polynomial recurrence ------
@@ -111,7 +115,7 @@ def hessenberg_entries(c) -> np.ndarray:
         m[j - 1:, j - 1] = -alpha[j - 2] * alpha[j - 1:n] * prod
     m[np.arange(n - 1), np.arange(1, n)] = rho[:n - 1]
     thetas = np.arccos(np.asarray(c, dtype=float))
-    ref = rotation_product_batch(thetas[None, :], hessenberg_order(n), n)[0]
+    ref = rotation_product_batch(thetas[None, :], hessenberg_order(n))[0]
     err = float(np.abs(m - ref).max())
     if err > 1e-12:
         raise ClosedFormMismatch(

@@ -34,6 +34,20 @@ def test_registry_numbers_criteria_by_name():
         assert fn.__name__ == f"criterion_{k}" and getattr(verify, fn.__name__) is fn
 
 
+def test_criterion_10_draws_from_its_own_stream_ids(monkeypatch):
+    # criterion k draws from the ids 100*k + lane
+    ids = []
+    real = verify.RandomStream.__init__
+
+    def recording(self, seed, stream_id=0):
+        ids.append(stream_id)
+        real(self, seed, stream_id)
+
+    monkeypatch.setattr(verify.RandomStream, "__init__", recording)
+    verify.criterion_10(SEED)
+    assert ids and all(1000 <= i <= 1099 for i in ids), ids
+
+
 def test_so_conditioning_stops_on_a_sampler_without_rotations(monkeypatch):
     # a sampler that returns only reflections must end in an error; the
     # fake fails the test itself rather than let a missing bound hang

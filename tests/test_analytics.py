@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ class TestVolumes:
             assert got == pytest.approx(volume(tag, n), rel=1e-6)
             assert refine <= 1e-6 * volume(tag, n)
 
+    def test_quadrature_grid_is_never_materialised_per_axis(self):
+        # one dense weight grid and its product with the density (36^4
+        # doubles, 12.8 MiB each) bound the traced peak of the refined U(2)
+        # grid; per-axis coordinate grids would add four more
+        tracemalloc.start()
+        try:
+            volume_quadrature("u", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2 ** 20
+
     def test_quadrature_calls_density_once_per_grid(self, monkeypatch):
         for tag, n, name in (("so", 3, "density_so"), ("u", 2, "density_u")):
             calls = []
@@ -242,6 +255,11 @@ class TestReynolds:
         with pytest.raises(ValueError):
             reynolds_average(lambda m, x: 0.0, GroupId("o", 3),
                              RandomStream(413), 1, None)
+
+    @pytest.mark.parametrize("group", [GroupId("o", 3), GroupId("u", 2), GroupId("sp", 1)])
+    def test_exact_needs_the_permutation_group(self, group):
+        with pytest.raises(ValueError, match="permutation group"):
+            reynolds_average(lambda m, x: 1.0, group, RandomStream(414), 100, None, exact=True)
 
     def test_stack_matches_per_matrix_loop(self):
         cases = [(GroupId("o", 3), np.array([0.6, 0.0, 0.8]),

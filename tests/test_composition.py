@@ -77,19 +77,19 @@ def _same_bytes(got, want):
 def test_compose_so_batch_matches_oracle(n, batch):
     theta = _so_theta(_rng(n, batch), n, batch)
     want = oracles.column_rotation_so(oracles.angle_dict(theta), n, batch)
-    _same_bytes(euler.compose_so_batch(theta, n, batch), want)
+    _same_bytes(euler.compose_so_batch(theta), want)
 
 
 @pytest.mark.parametrize("n,batch", SIZES)
 def test_compose_u_batch_matches_oracle(n, batch):
     angles = _u_angles(_rng(n, batch), n, batch)
-    _same_bytes(euler.compose_u_batch(*angles, n), _oracle_u(*angles, n))
+    _same_bytes(euler.compose_u_batch(*angles), _oracle_u(*angles, n))
 
 
 @pytest.mark.parametrize("n,batch", SIZES)
 def test_compose_sp_batch_matches_oracle(n, batch):
     angles = _sp_angles(_rng(n, batch), n, batch)
-    _same_bytes(euler.compose_sp_batch(*angles, n), _oracle_sp(*angles, n))
+    _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
 
 
 ORDERS = ([(n, name) for n in (1, 2, 3, 8, 16) for name in ("hessenberg", "cmv")]
@@ -103,7 +103,7 @@ def test_rotation_product_batch_matches_oracle(n, name, batch):
              "shuffle": lambda n: [2, 4, 1, 5, 3]}[name](n)
     thetas = _rng(n, batch).uniform(0.0, np.pi, (batch, n - 1))
     want = oracles.rotation_product(thetas, order, n)
-    _same_bytes(spectra.rotation_product_batch(thetas, order, n), want)
+    _same_bytes(spectra.rotation_product_batch(thetas, order), want)
 
 
 def test_batches_split_into_work_chunks_match_oracle():
@@ -111,17 +111,17 @@ def test_batches_split_into_work_chunks_match_oracle():
     rng = np.random.default_rng(7)
     n, batch = 64, 130
     theta = _so_theta(rng, n, batch)
-    _same_bytes(euler.compose_so_batch(theta, n, batch),
+    _same_bytes(euler.compose_so_batch(theta),
                 oracles.column_rotation_so(oracles.angle_dict(theta), n, batch))
     thetas = rng.uniform(0.0, np.pi, (batch, n - 1))
-    _same_bytes(spectra.rotation_product_batch(thetas, spectra.cmv_order(n), n),
+    _same_bytes(spectra.rotation_product_batch(thetas, spectra.cmv_order(n)),
                 oracles.rotation_product(thetas, spectra.cmv_order(n), n))
     n, batch = 32, 260
     angles = _u_angles(rng, n, batch)
-    _same_bytes(euler.compose_u_batch(*angles, n), _oracle_u(*angles, n))
+    _same_bytes(euler.compose_u_batch(*angles), _oracle_u(*angles, n))
     n = 16
     angles = _sp_angles(rng, n, batch)
-    _same_bytes(euler.compose_sp_batch(*angles, n), _oracle_sp(*angles, n))
+    _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
 
 
 def test_compose_so_batch_values_at_boundary_angles():
@@ -130,7 +130,7 @@ def test_compose_so_batch_values_at_boundary_angles():
     n, batch = 5, 27
     grid = np.array([0.0, 0.5 * np.pi, np.pi])
     theta = grid[(np.arange(batch) // 3 ** (np.arange(n * (n - 1) // 2)[:, None] % 3)) % 3]
-    got = euler.compose_so_batch(theta, n, batch)
+    got = euler.compose_so_batch(theta)
     assert np.array_equal(got, oracles.column_rotation_so(oracles.angle_dict(theta), n, batch))
 
 

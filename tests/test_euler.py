@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from haarforge import euler
+from haarforge import euler, spectra
 from haarforge.euler import (
     ReflectionError,
     _quat_factor_batch,
@@ -45,7 +45,7 @@ def coset_so(theta, j, n):
     only coset E_j's angles nonzero."""
     keep = np.zeros_like(theta)
     keep[coset_rows(j + 1)] = theta[coset_rows(j + 1)]
-    return compose_so_batch(keep, n, 1)[0]
+    return compose_so_batch(keep)[0]
 
 
 def plane(j, theta, n):
@@ -150,10 +150,10 @@ class TestCosetsAndComposition:
             assert np.all(e[tail, :j + 1] == 0.0) and np.all(e[:j + 1, tail] == 0.0)
 
     def test_compose_so_zero_and_n2(self):
-        assert np.array_equal(compose_so_batch(np.zeros((3, 1)), 3, 1)[0], np.eye(3))
+        assert np.array_equal(compose_so_batch(np.zeros((3, 1)))[0], np.eye(3))
         rng = np.random.default_rng(5)
         a2 = so_theta(rng, 2)
-        assert np.abs(compose_so_batch(a2, 2, 1)[0]
+        assert np.abs(compose_so_batch(a2)[0]
                       - rotation(1, a2[0, 0], 2)).max() == 0.0
 
     def test_compose_so_matches_displayed_three_factor_form(self):
@@ -168,7 +168,7 @@ class TestCosetsAndComposition:
                        [0.0, math.cos(theta), math.sin(theta)],
                        [0.0, -math.sin(theta), math.cos(theta)]])
         want = rz(phi) @ rx @ rz(psi)
-        assert np.abs(compose_so_batch(angles, 3, 1)[0] - want).max() <= 1e-14
+        assert np.abs(compose_so_batch(angles)[0] - want).max() <= 1e-14
 
     def test_compose_so_residuals_over_batch(self):
         # 10^4 random records across sizes up to 16
@@ -176,7 +176,7 @@ class TestCosetsAndComposition:
             s = RandomStream(50 + n)
             theta = packed({(j, k): s.uniform(0.0, TWO_PI if j == 1 else np.pi, size=count)
                             for j, k in angle_pairs(n)})
-            v = euler.compose_so_batch(theta, n, count)
+            v = euler.compose_so_batch(theta)
             gram = np.einsum("bji,bjk->bik", v, v) - np.eye(n)
             assert np.abs(gram).max() <= 1e-13 * n
             sign, logdet = np.linalg.slogdet(v)
@@ -184,10 +184,10 @@ class TestCosetsAndComposition:
 
     def test_compose_u_trivial_and_scalar(self):
         zero = np.zeros((3, 1))
-        assert np.array_equal(compose_u_batch(zero, zero, np.zeros((1, 3)), 3)[0],
+        assert np.array_equal(compose_u_batch(zero, zero, np.zeros((1, 3)))[0],
                               np.eye(3))
         none = np.empty((0, 1))
-        assert compose_u_batch(none, none, np.array([[1.25]]), 1)[0, 0, 0] \
+        assert compose_u_batch(none, none, np.array([[1.25]]))[0, 0, 0] \
             == pytest.approx(np.exp(1.25j))
 
     def test_u_parameter_count_is_n_squared(self):
@@ -206,17 +206,17 @@ class TestCosetsAndComposition:
             rows = coset_rows(j + 1)
             phi, psi = np.zeros((2, 10, 1))
             phi[rows], psi[rows] = phi0[rows], psi0[rows]
-            e = compose_u_batch(phi, psi, keep, 5)
+            e = compose_u_batch(phi, psi, keep)
             assert adjoint_residual(e[0]) <= 1e-13 * 5
 
     def test_compose_sp_trivial(self):
         ident = su2_block(np.zeros((3, 1)), 0.0, 0.0)
-        got = compose_sp_batch(np.zeros((3, 1)), ident, ident.reshape(1, 3, 2, 2), 3)[0]
+        got = compose_sp_batch(np.zeros((3, 1)), ident, ident.reshape(1, 3, 2, 2))[0]
         assert np.array_equal(got, np.eye(6))
 
     def test_compose_sp_n1_is_su2(self):
         lead = su2_block(0.7, 1.0, 2.0)[None, None]
-        got = compose_sp_batch(np.empty((0, 1)), np.empty((0, 1, 2, 2)), lead, 1)[0]
+        got = compose_sp_batch(np.empty((0, 1)), np.empty((0, 1, 2, 2)), lead)[0]
         assert got.shape == (2, 2)
         assert adjoint_residual(got) <= 1e-15
         assert abs(determinant(got) - 1.0) <= 1e-14
@@ -224,20 +224,51 @@ class TestCosetsAndComposition:
     def test_missing_packed_rows_rejected(self):
         # n = 4 takes 6 rows; the last coset comes up one angle short
         with pytest.raises(ValueError):
-            compose_so_batch(np.zeros((5, 1)), 4, 1)
+            compose_so_batch(np.zeros((5, 1)))
         with pytest.raises(ValueError):
-            compose_u_batch(np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((1, 4)), 4)
+            compose_u_batch(np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            compose_sp_batch(np.zeros((5, 1)), np.zeros((5, 1, 2, 2)), np.zeros((1, 4, 2, 2)), 4)
+            compose_sp_batch(np.zeros((5, 1)), np.zeros((5, 1, 2, 2)), np.zeros((1, 4, 2, 2)))
+
+    def test_batch_is_read_from_theta(self):
+        # every column of a (6, 5) packed array composes: no count can drop some
+        v = compose_so_batch(np.zeros((6, 5)))
+        assert v.shape == (5, 4, 4) and np.array_equal(v, np.broadcast_to(np.eye(4), v.shape))
 
     def test_compose_sp_residuals(self):
         rng = np.random.default_rng(8)
         for n in (2, 3):
             p = n * (n - 1) // 2
             v = compose_sp_batch(rng.uniform(0.0, np.pi / 2.0, (p, 1)), su2_rows(rng, (p, 1)),
-                                 su2_rows(rng, (1, n)), n)[0]
+                                 su2_rows(rng, (1, n)))[0]
             assert adjoint_residual(v) <= 1e-12 * n
             assert symplectic_residual(v) <= 1e-12 * n
+
+
+# Angle arrays whose sizes disagree or that are not (P, B, ...); where a size
+# argument once came with them, the call composed a stack of the wrong size
+MISMATCHES = {
+    "so 7 rows": lambda: compose_so_batch(np.zeros((7, 1))),
+    "so 1-d theta": lambda: compose_so_batch(np.zeros(6)),
+    "so 3-d theta": lambda: compose_so_batch(np.zeros((6, 5, 2))),
+    "u rows for n=4, alpha for n=5": lambda: compose_u_batch(
+        np.zeros((6, 1)), np.zeros((6, 1)), np.zeros((1, 5))),
+    "u 7 rows": lambda: compose_u_batch(np.zeros((7, 1)), np.zeros((7, 1)), np.zeros((1, 4))),
+    "u psi batch": lambda: compose_u_batch(np.zeros((6, 2)), np.zeros((6, 1)), np.zeros((2, 4))),
+    "sp rows for n=3, lead for n=5": lambda: compose_sp_batch(
+        np.zeros((3, 1)), np.zeros((3, 1, 2, 2), complex), np.zeros((1, 5, 2, 2), complex)),
+    "sp quat not 2x2": lambda: compose_sp_batch(
+        np.zeros((3, 1)), np.zeros((3, 1, 2)), np.zeros((1, 3, 2, 2), complex)),
+    "rotation plane 0": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [0]),
+    "rotation plane n": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [1, 4]),
+    "rotation 3-d thetas": lambda: spectra.rotation_product_batch(np.zeros((1, 3, 2)), [1]),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_mismatched_sizes_raise(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def _haar_so(stream, n, count):
@@ -255,15 +286,15 @@ class TestExtraction:
     def test_roundtrip_idempotent_on_image(self):
         rng = np.random.default_rng(9)
         for n in (2, 3, 5, 7):
-            v = compose_so_batch(so_theta(rng, n), n, 1)
-            v2 = compose_so_batch(extract_angles_so(v), n, 1)
+            v = compose_so_batch(so_theta(rng, n))
+            v2 = compose_so_batch(extract_angles_so(v))
             assert np.abs(v - v2).max() <= 1e-10
 
     def test_angle_level_roundtrip_away_from_degeneracies(self):
         rng = np.random.default_rng(10)
         for n in (3, 5, 8):
             theta = angle_dict(so_theta(rng, n, margin=1e-3))
-            back = angle_dict(extract_angles_so(compose_so_batch(packed(theta), n, 1)))
+            back = angle_dict(extract_angles_so(compose_so_batch(packed(theta))))
             for key in theta:
                 diff = abs(back[key][0] - theta[key][0])
                 if key[0] == 1:
@@ -276,19 +307,27 @@ class TestExtraction:
             q = samplers.qr_batch(s, 3, 1, "real")[0]
             if determinant(q).real < 0.0:
                 q[0, :] *= -1.0
-            back = compose_so_batch(extract_angles_so(q[None]), 3, 1)[0]
+            back = compose_so_batch(extract_angles_so(q[None]))[0]
             assert np.abs(back - q).max() <= 1e-10
 
     def test_signed_zero_pivots_roundtrip(self):
         # a zero pivot of negative sign is a half turn, not theta = 0
         for d in ([1, -1, -1], [-1, 1, -1], [1, 1, -1, -1], [-1, -1, -1, -1]):
             v = np.diag(np.array(d, dtype=float))[None]
-            back = compose_so_batch(extract_angles_so(v), len(d), 1)
+            back = compose_so_batch(extract_angles_so(v))
             assert np.abs(back - v).max() <= 1e-15
 
+    def test_stack_roundtrips_without_sizes(self):
+        v = _haar_so(RandomStream(64), 5, 9)
+        back = compose_so_batch(extract_angles_so(v))
+        assert back.shape == v.shape and np.abs(back - v).max() <= 1e-10
+        u = samplers.qr_batch(RandomStream(65), 4, 9, "complex")
+        back = compose_u_batch(*extract_angles_u(u))
+        assert back.shape == u.shape and np.abs(back - u).max() <= 1e-10
+
     def test_so1_stack_roundtrips(self):
-        # no angles at n = 1: the batch comes from count, not from theta
-        back = compose_so_batch(extract_angles_so(np.ones((5, 1, 1))), 1, 5)
+        # no angles at n = 1: the batch comes from theta's (0, B) shape
+        back = compose_so_batch(extract_angles_so(np.ones((5, 1, 1))))
         assert back.shape == (5, 1, 1) and np.all(back == 1.0)
 
     def test_reflection_reported_not_fixed(self):
@@ -352,20 +391,20 @@ class TestExtraction:
             d[0, 0] = np.exp(1j * beta)
             phi, psi, alpha = extract_angles_u(d[None])
             assert np.all(phi == 0.0)
-            back = compose_u_batch(phi, psi, alpha, n)[0]
+            back = compose_u_batch(phi, psi, alpha)[0]
             assert np.abs(back - d).max() <= 1e-12
 
     def test_u_roundtrip_haar(self):
         s = RandomStream(61)
         for _ in range(5):
             v = samplers.qr_batch(s, 4, 1, "complex")
-            back = compose_u_batch(*extract_angles_u(v), 4)
+            back = compose_u_batch(*extract_angles_u(v))
             assert np.abs(back - v).max() <= 1e-10
 
     def test_u_roundtrip_euler_sampled(self):
         s = RandomStream(62)
         v = samplers.u_euler_batch(s, 6, 1)
-        back = compose_u_batch(*extract_angles_u(v), 6)
+        back = compose_u_batch(*extract_angles_u(v))
         assert np.abs(back - v).max() <= 1e-10
 
     # SHA-256 of every angle array, taken when each turn conjugated a full
@@ -428,17 +467,17 @@ class TestExtraction:
 class TestDensities:
     def test_so_n2_constant(self):
         for t in (0.1, 3.0, 6.0):
-            assert density_so(2, [t]) == pytest.approx(math.sqrt(2.0))
+            assert density_so([t]) == pytest.approx(math.sqrt(2.0))
 
     def test_so_vanishes_at_degenerate_angles(self):
         rng = np.random.default_rng(11)
         angles = angle_dict(so_theta(rng, 4)[:, 0].tolist())
         theta = dict(angles)
         theta[(2, 4)] = 0.0
-        assert density_so(4, packed(theta)) == 0.0
+        assert density_so(packed(theta)) == 0.0
         theta[(2, 4)] = np.pi  # sin(pi) is ~1e-16 in floats
-        assert density_so(4, packed(theta)) <= 1e-15
-        assert density_so(4, packed(angles)) > 0.0
+        assert density_so(packed(theta)) <= 1e-15
+        assert density_so(packed(angles)) > 0.0
 
     def test_so_independent_of_first_row_angles(self):
         rng = np.random.default_rng(12)
@@ -446,30 +485,30 @@ class TestDensities:
         shifted = dict(angles)
         for k in (2, 3, 4):
             shifted[(1, k)] = (shifted[(1, k)] + np.pi) % TWO_PI
-        assert density_so(4, packed(shifted)) == pytest.approx(density_so(4, packed(angles)))
+        assert density_so(packed(shifted)) == pytest.approx(density_so(packed(angles)))
 
     def test_u_densities(self):
-        assert density_u(1, []) == 1.0
+        assert density_u([]) == 1.0
         rng = np.random.default_rng(13)
         phi = angle_dict(rng.uniform(0.0, np.pi / 2.0, 3).tolist())
         phi[(1, 3)] = np.pi / 2.0
-        assert density_u(3, packed(phi)) == pytest.approx(0.0, abs=1e-15)
+        assert density_u(packed(phi)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sp_densities(self):
-        assert density_sp(1, [], [], (0.5,)) == pytest.approx(0.5 * math.sin(1.0))
+        assert density_sp([], [], (0.5,)) == pytest.approx(0.5 * math.sin(1.0))
         rng = np.random.default_rng(14)
         rho = angle_dict(rng.uniform(0.0, np.pi / 2.0, 3).tolist())
         quat_phi, lead_phi = rng.uniform(0.0, np.pi / 2.0, (2, 3))
         zeroed = dict(rho)
         zeroed[(1, 2)] = 0.0
-        assert density_sp(3, packed(zeroed), quat_phi, lead_phi) == 0.0
-        assert density_sp(3, packed(rho), quat_phi, lead_phi) >= 0.0
+        assert density_sp(packed(zeroed), quat_phi, lead_phi) == 0.0
+        assert density_sp(packed(rho), quat_phi, lead_phi) >= 0.0
 
     def test_wrong_row_count_rejected(self):
         with pytest.raises(ValueError):
-            density_so(4, np.zeros(5))
+            density_so(np.zeros(5))
         with pytest.raises(ValueError):
-            density_sp(3, np.zeros(3), np.zeros(2), np.zeros(3))
+            density_sp(np.zeros(3), np.zeros(2), np.zeros(3))
 
     def test_sp1_quadrature_is_the_three_sphere_area(self):
         # Sp(2) = SU(2) = S^3: density_sp(1) over phi in [0, pi/2] and psi,
@@ -477,7 +516,7 @@ class TestDensities:
         x, w = np.polynomial.legendre.leggauss(24)
         (phi, wp), (_, ws), (_, wa) = [(0.5 * hi * (x + 1.0), 0.5 * hi * w)
                                        for hi in (np.pi / 2.0, TWO_PI, TWO_PI)]
-        got = float((density_sp(1, [], [], [phi]) * wp).sum() * ws.sum() * wa.sum())
+        got = float((density_sp([], [], [phi]) * wp).sum() * ws.sum() * wa.sum())
         assert got == pytest.approx(2.0 * np.pi ** 2, rel=0.0, abs=1e-6)
 
     def test_sp2_at_random_points_matches_the_oracle_product(self):
@@ -487,7 +526,7 @@ class TestDensities:
             lead_phi = rng.uniform(0.0, np.pi / 2.0, 2)
             want = sp_density(2, angle_dict(rho.tolist()), angle_dict(quat_phi.tolist()),
                               lead_phi.tolist())
-            assert density_sp(2, rho, quat_phi, lead_phi) == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert density_sp(rho, quat_phi, lead_phi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _oracle_so(n, theta):
@@ -529,9 +568,9 @@ class TestArrayDensities:
         rng = np.random.default_rng(15)
         for n in range(2, 6):
             theta = self._angles(rng, n, lambda j: TWO_PI if j == 1 else np.pi)
-            got = np.broadcast_to(density_so(n, theta), (self.POINTS,))
+            got = np.broadcast_to(density_so(theta), (self.POINTS,))
             self._check(got, lambda i: _oracle_so(n, self._at(theta, i)))
-            scalar = density_so(n, theta[:, 0].tolist())
+            scalar = density_so(theta[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]
 
@@ -539,9 +578,9 @@ class TestArrayDensities:
         rng = np.random.default_rng(16)
         for n in range(1, 5):
             phi = self._angles(rng, n, lambda j: np.pi / 2.0)
-            got = np.broadcast_to(density_u(n, phi), (self.POINTS,))
+            got = np.broadcast_to(density_u(phi), (self.POINTS,))
             self._check(got, lambda i: _oracle_u(n, self._at(phi, i)))
-            scalar = density_u(n, phi[:, 0].tolist())
+            scalar = density_u(phi[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]
 
@@ -551,10 +590,10 @@ class TestArrayDensities:
             rho = self._angles(rng, n, lambda j: np.pi / 2.0)
             quat_phi = self._angles(rng, n, lambda j: np.pi / 2.0)
             lead_phi = rng.uniform(0.0, np.pi / 2.0, size=(n, self.POINTS))
-            got = density_sp(n, rho, quat_phi, list(lead_phi))
+            got = density_sp(rho, quat_phi, list(lead_phi))
             self._check(got, lambda i: sp_density(n, self._at(rho, i), self._at(quat_phi, i),
                                                   lead_phi[:, i].tolist()))
-            scalar = density_sp(n, rho[:, 0].tolist(), quat_phi[:, 0].tolist(),
+            scalar = density_sp(rho[:, 0].tolist(), quat_phi[:, 0].tolist(),
                                 lead_phi[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]

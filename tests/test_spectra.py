@@ -84,7 +84,7 @@ class TestHessenbergEntries:
             c = random_cosines(s, n)
             m = hessenberg_entries(c)
             ref = rotation_product_batch(np.arccos(c)[None, :],
-                                         spectra.hessenberg_order(n), n)[0]
+                                         spectra.hessenberg_order(n))[0]
             assert np.abs(m - ref).max() <= 1e-13
 
     def test_bit_identical_to_triple_loop_oracle(self):
@@ -167,7 +167,7 @@ class TestCMV:
         from oracles import rotation
         s = RandomStream(331)
         thetas = np.array([[s.uniform(0, np.pi), s.uniform(0, np.pi)]])
-        got = rotation_product_batch(thetas, cmv_order(3), 3)[0]
+        got = rotation_product_batch(thetas, cmv_order(3))[0]
         want = rotation(1, thetas[0, 0], 3) @ rotation(2, thetas[0, 1], 3)
         assert np.abs(got - want).max() <= 1e-15
 
@@ -186,7 +186,7 @@ class TestCMV:
         for i, order in enumerate(orders):
             thetas = spectra._spectral_thetas(RandomStream(334 + i), n, count)
             phases.append(so_min_eigenphase_batch(
-                rotation_product_batch(thetas, order, n)))
+                rotation_product_batch(thetas, order)))
         assert ks_two_sample(phases[0], phases[1]).passed
         assert ks_two_sample(phases[0], phases[2]).passed
         assert ks_two_sample(phases[1], phases[2]).passed
