@@ -3,7 +3,10 @@
 The bit source is the counter-based Philox generator keyed by
 ``(seed, stream_id)``, so sibling streams are statistically independent and
 a batch split across streams is reproducible regardless of execution order.
-Gaussians use the polar (Marsaglia) form of the Box-Muller transform; angle
+Gaussians use the polar (Marsaglia) form of the Box-Muller transform,
+worked through cache-sized sub-blocks of each chunk with the chunk's
+uniforms as the only scratch; it draws the same stream, bit for bit, as
+the form that holds every step of the chunk in its own array.  Angle
 laws are exact inverse-CDF, order-statistic or chi-square constructions,
 documented on each method (the SO law takes one Gaussian and one gamma
 variate per angle).  Every draw takes its array shape ``size``; only
@@ -43,36 +46,59 @@ class RandomStream:
         """Uniform on [lo, hi).  Raises ValueError when lo >= hi."""
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi})")
+        r = self._gen.random(size)
         if lo == 0.0 and hi == 1.0:
-            return self._gen.random(size)
-        return lo + (hi - lo) * self._gen.random(size)
+            return r
+        r *= hi - lo  # in place: the bits of lo + (hi - lo) * r
+        r += lo
+        return r
 
-    _CHUNK = 1 << 20  # bound temporary sizes; large allocations fault slowly
+    _CHUNK = 1 << 20  # variates per chunk; with m below, this defines the stream
+    _BLOCK = 1 << 14  # pairs per sub-block: its temporaries stay in L2
 
     def gaussian(self, size):
         """Standard normal variates of shape ``size``."""
         # polar Box-Muller: draw (u, v) uniform on (-1, 1)^2, accept when
         # s = u^2 + v^2 lies in (0, 1), emit u*sqrt(-2 ln s / s) followed by
-        # the matching v-components, chunk by chunk.
+        # the matching v-components, chunk by chunk.  A chunk's m u-uniforms
+        # and m v-uniforms are one random(2m) draw r, mapped in place; each
+        # sub-block of pairs writes its accepted u*f and v*f to the fronts of
+        # r's halves, so the scratch is r alone (1.4x the chunk's variates).
         k = _count(size)
         out = np.empty(k)
         filled = 0
         while filled < k:
             need = min(self._CHUNK, k - filled)
             m = max(8, int(need * 0.7) + 16)
-            u = 2.0 * self._gen.random(m) - 1.0
-            v = 2.0 * self._gen.random(m) - 1.0
-            s = u * u + v * v
-            ok = (s > 0.0) & (s < 1.0)
-            u, v, s = u[ok], v[ok], s[ok]
-            f = np.sqrt(-2.0 * np.log(s) / s)
-            take_u = min(len(s), need)
-            out[filled:filled + take_u] = (u * f)[:take_u]
+            r = self._gen.random(2 * m)
+            r *= 2.0
+            r -= 1.0
+            took = 0
+            for i in range(0, m, self._BLOCK):
+                e = min(i + self._BLOCK, m)
+                u, v = r[i:e], r[m + i:m + e]
+                s = u * u
+                s += v * v
+                ok = s < 1.0
+                ok &= s > 0.0
+                keep = np.flatnonzero(ok)  # one index array serves three gathers
+                s = s.take(keep)
+                f = np.log(s)
+                f *= -2.0
+                f /= s
+                np.sqrt(f, out=f)
+                end = took + len(f)
+                np.multiply(u.take(keep), f, out=r[took:end])
+                np.multiply(v.take(keep), f, out=r[m + took:m + end])
+                took = end
+            take_u = min(took, need)
+            out[filled:filled + take_u] = r[:take_u]
             filled += take_u
             if filled < k:
-                take_v = min(len(s), k - filled)
-                out[filled:filled + take_v] = (v * f)[:take_v]
+                take_v = min(took, k - filled)
+                out[filled:filled + take_v] = r[m:m + take_v]
                 filled += take_v
+            del r, u, v  # free this chunk's uniforms before the next draw
         return out.reshape(size)
 
     # -- angle laws --------------------------------------------------------

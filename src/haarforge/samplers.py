@@ -111,28 +111,45 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     O(n) (real) or U(n) (complex).  Rank-deficient draws are redrawn, in
     order, after the whole batch; ConvergenceError after REDRAW_ROUNDS
     rounds that leave one.
+
+    Draw order: the whole (count, n, n) Gaussian block (real parts, then
+    imaginary parts, when complex).  Q times its R-diagonal phases is
+    written back over the Gaussian block chunk by chunk (``_chunks``), so
+    the traced peak stays within 3x the returned stack.
     """
     def draw(m):
         if kind == "real":
             g = stream.gaussian(size=(m, n, n))
         else:
-            g = (stream.gaussian(size=(m, n, n))
-                 + 1j * stream.gaussian(size=(m, n, n))) / np.sqrt(2.0)
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        absd = np.abs(d)
-        return (q * (d / np.where(absd == 0.0, 1.0, absd))[:, None, :],
-                absd.min(axis=1) < 1e-12)
+            g = np.empty((m, n, n), dtype=complex)
+            g.real = stream.gaussian(size=(m, n, n))
+            g.imag = stream.gaussian(size=(m, n, n))
+            g /= np.sqrt(2.0)
+        rank_low = np.empty(m, dtype=bool)
+        for sl in _chunks(m, g.strides[0]):
+            q, r = np.linalg.qr(g[sl])
+            d = np.diagonal(r, axis1=1, axis2=2)
+            absd = np.abs(d)
+            np.multiply(q, (d / np.where(absd == 0.0, 1.0, absd))[:, None, :], out=g[sl])
+            rank_low[sl] = absd.min(axis=1) < 1e-12
+        return g, rank_low
 
     def redo(mask):
         q[mask], bad[mask] = draw(int(mask.sum()))
 
     q, bad = draw(count)
     _redraw(lambda: bad, redo, f"a rank-deficient {n} x {n} Gaussian matrix")
-    return q.real.copy() if kind == "real" else q
+    return q
 
 
-HOUSEHOLDER_CHUNK_BYTES = 1 << 19  # a chunk of the k x k block and its scratch fit L2
+CHUNK_BYTES = 1 << 19  # a batch chunk of blocks and their scratch fits L2
+
+
+def _chunks(count: int, item_bytes: int) -> list:
+    """Slices over 0..count, CHUNK_BYTES of ``item_bytes``-sized items each,
+    or an eighth of the batch when that is more."""
+    step = max(1, -(-count // 8), CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -180,8 +197,8 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
     -e^{i theta} = +-1 is not applied: the stack holds the product divided
     by a per-matrix sign ``sgn``, which is multiplied in once at the end
     (negation is exact and rounding symmetric, so the bits stay the same).
-    It runs in batch chunks of at most HOUSEHOLDER_CHUNK_BYTES of block (or
-    an eighth of the batch), so each chunk's passes stay in cache.
+    It runs in batch chunks of at most CHUNK_BYTES of block (or an eighth
+    of the batch), so each chunk's passes stay in cache.
     """
     cplx = kind == "complex"
     acc = np.zeros((count, n, n), dtype=complex if cplx else float)
@@ -189,7 +206,7 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
     sgn = np.ones(count)
     # room for the largest chunk: an eighth of the batch at k = n, or the chunk bytes
     scratch = np.empty(min(count * n * n, max(-(-count // 8) * n * n,
-                                              HOUSEHOLDER_CHUNK_BYTES // acc.itemsize)),
+                                              CHUNK_BYTES // acc.itemsize)),
                        dtype=acc.dtype)
     for k in range(1, n + 1):
         z, nz = _gaussian_vectors(stream, count, k, cplx)
@@ -211,9 +228,7 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
             acc[:, k - 1, k - 1] = sgn  # the identity entry, divided by sgn
             sgn *= -phase
         wc, w2, nph = z.conj(), 2.0 * z, (-phase)[:, None, None]
-        step = max(1, -(-count // 8), HOUSEHOLDER_CHUNK_BYTES // (k * k * acc.itemsize))
-        for start in range(0, count, step):
-            sl = slice(start, start + step)
+        for sl in _chunks(count, k * k * acc.itemsize):
             top = acc[sl, :k, :k]
             t = scratch[:top.size].reshape(top.shape)
             wx = np.einsum("bk,bkm->bm", wc[sl], top)
@@ -291,17 +306,29 @@ def permutation_matrices(lines: np.ndarray) -> np.ndarray:
 
 
 def coe_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    """S = U^T U with U Haar on U(n): symmetric unitary (COE)."""
+    """S = U^T U with U Haar on U(n): symmetric unitary (COE).
+
+    S is written over U chunk by chunk, so the traced peak stays within 3x
+    the returned stack.
+    """
     u = qr_batch(stream, n, count, "complex")
-    return np.einsum("bki,bkj->bij", u, u)
+    for sl in _chunks(count, u.strides[0]):
+        u[sl] = np.einsum("bki,bkj->bij", u[sl], u[sl])
+    return u
 
 
 def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
-    """S~ = U^D U with U Haar on U(2n), U^D = Z^{-1} U^T Z: self-dual (CSE)."""
+    """S~ = U^D U with U Haar on U(2n), U^D = Z^{-1} U^T Z: self-dual (CSE).
+
+    S~ is written over U chunk by chunk, so the traced peak stays within 3x
+    the returned stack.
+    """
     u = qr_batch(stream, 2 * n, count, "complex")
     z = symplectic_form(2 * n)
-    ud = -z @ np.swapaxes(u, 1, 2) @ z   # Z^{-1} = -Z
-    return np.einsum("bij,bjk->bik", ud, u)
+    for sl in _chunks(count, u.strides[0]):
+        ud = -z @ np.swapaxes(u[sl], 1, 2) @ z   # Z^{-1} = -Z
+        u[sl] = np.einsum("bij,bjk->bik", ud, u[sl])
+    return u
 
 
 # --- the (group, method) table and the batch front end ---------------------

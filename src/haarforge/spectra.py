@@ -157,13 +157,17 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
     """Y_1 Y_2 + ... + Y_{T-1} Y_T (+ Y_T for the finite-trace form), with
     Y_i = Z_i / sqrt(Z_1^2 + ... + Z_i^2) from independent standard normals.
     A draw with Z_1^2 = 0 (a zero first norm) is redrawn whole;
-    ConvergenceError after REDRAW_ROUNDS rounds that leave one."""
+    ConvergenceError after REDRAW_ROUNDS rounds that leave one.
+
+    Per (chunk, terms) block of Z, one scratch block holds Z^2, its running
+    sums, their roots and then Y in turn, and the neighbour products are
+    written over Z; neither block is alive during the next chunk's draw.
+    """
     if terms < 2:
         raise ValueError("terms >= 2 required")
     out = np.empty(count)
     chunk = max(1, (1 << 21) // terms)  # keep the (chunk, terms) block small
-    done = 0
-    while done < count:
+    for done in range(0, count, chunk):
         b = min(chunk, count - done)
         z = stream.gaussian(size=(b, terms))
 
@@ -171,12 +175,15 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
             z[bad] = stream.gaussian(size=(int(bad.sum()), terms))
 
         _redraw(lambda: z[:, 0] ** 2 == 0.0, redo, "a zero first term")
-        y = z / np.sqrt(np.cumsum(z * z, axis=1))
-        s = (y[:, :-1] * y[:, 1:]).sum(axis=1)
+        y = z * z
+        np.cumsum(y, axis=1, out=y)
+        np.sqrt(y, out=y)
+        np.divide(z, y, out=y)
+        np.multiply(y[:, :-1], y[:, 1:], out=z[:, :-1])
+        s = np.add.reduce(z[:, :-1], axis=1, out=out[done:done + b])
         if finite_trace:
-            s = s + y[:, -1]
-        out[done:done + b] = s
-        done += b
+            s += y[:, -1]
+        del z, y
     return out
 
 

@@ -90,6 +90,34 @@ def hessenberg_entries_triple_loop(c) -> np.ndarray:
     return m
 
 
+def polar_gaussian(gen, size) -> np.ndarray:
+    """Standard normals of shape ``size`` from the Generator ``gen``, by the
+    polar Box-Muller form written whole-chunk: chunks of 2^20 variates, two
+    random(m) draws each, every temporary the size of the chunk, the
+    accepted u*f then v*f."""
+    chunk = 1 << 20
+    k = int(np.prod(size))
+    out = np.empty(k)
+    filled = 0
+    while filled < k:
+        need = min(chunk, k - filled)
+        m = max(8, int(need * 0.7) + 16)
+        u = 2.0 * gen.random(m) - 1.0
+        v = 2.0 * gen.random(m) - 1.0
+        s = u * u + v * v
+        ok = (s > 0.0) & (s < 1.0)
+        u, v, s = u[ok], v[ok], s[ok]
+        f = np.sqrt(-2.0 * np.log(s) / s)
+        take_u = min(len(s), need)
+        out[filled:filled + take_u] = (u * f)[:take_u]
+        filled += take_u
+        if filled < k:
+            take_v = min(len(s), k - filled)
+            out[filled:filled + take_v] = (v * f)[:take_v]
+            filled += take_v
+    return out.reshape(size)
+
+
 def grid_cdf(pdf, lo: float, hi: float, nodes: int = 8192):
     """Normalized CDF of an un-normalized density by dense trapezoid sums.
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,17 +130,11 @@ class TestVolumes:
             assert got == pytest.approx(volume(tag, n), rel=1e-6)
             assert refine <= 1e-6 * volume(tag, n)
 
-    def test_quadrature_grid_is_never_materialised_per_axis(self):
+    def test_quadrature_grid_is_never_materialised_per_axis(self, traced_peak):
         # one dense weight grid and its product with the density (36^4
         # doubles, 12.8 MiB each) bound the traced peak of the refined U(2)
         # grid; per-axis coordinate grids would add four more
-        tracemalloc.start()
-        try:
-            volume_quadrature("u", 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20
+        assert traced_peak(lambda: volume_quadrature("u", 2)) <= 40 * 2 ** 20
 
     def test_quadrature_calls_density_once_per_grid(self, monkeypatch):
         for tag, n, name in (("so", 3, "density_so"), ("u", 2, "density_u")):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -229,17 +227,9 @@ class TestEigenphasesBatch:
         with pytest.raises(ConvergenceError):
             eigenphases_batch(stack)
 
-    def test_peak_memory_bounded(self):
+    def test_peak_memory_bounded(self, traced_peak):
         stack = samplers.qr_batch(RandomStream(26), 16, 512, "complex")
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            eigenphases_batch(stack)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * stack.nbytes
+        assert traced_peak(lambda: eigenphases_batch(stack)) <= 8 * stack.nbytes
 
 
 class TestSymplecticResidual:

@@ -8,7 +8,7 @@ from haarforge.analytics import ks_test
 from haarforge.linalg import REDRAW_ROUNDS, ConvergenceError
 from haarforge.randstream import RandomStream
 
-from oracles import bin_probabilities, grid_cdf
+from oracles import bin_probabilities, grid_cdf, polar_gaussian
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +53,14 @@ def test_uniform_replay_and_bounds():
         RandomStream(7).uniform(1.0, 1.0)
 
 
+@pytest.mark.parametrize("size", [None, 1, 7, (3, 4)])
+def test_scaled_uniform_bits(size):
+    # scaled in place, the draw keeps the bits of lo + (hi - lo) * r
+    r = RandomStream(101, 2)._gen.random(size)
+    got = RandomStream(101, 2).uniform(-1.5, 2.25, size=size)
+    assert np.asarray(got).tobytes() == np.asarray(-1.5 + 3.75 * r).tobytes()
+
+
 def test_distinct_streams_differ_and_interleave_independently():
     a = RandomStream(7, 0)
     b = RandomStream(7, 1)
@@ -65,7 +73,34 @@ def test_distinct_streams_differ_and_interleave_independently():
     assert not np.array_equal(np.asarray(got_a), np.asarray(got_b))
 
 
+def _size_for_pairs(m):
+    """The smallest draw whose single chunk takes m uniform pairs."""
+    need = int((m - 16) / 0.7)
+    while int(need * 0.7) + 16 < m:
+        need += 1
+    return need
+
+
+_BLOCK, _CHUNK = RandomStream._BLOCK, RandomStream._CHUNK
+
+
 class TestGaussian:
+    @pytest.mark.parametrize("size", [
+        1, 7, (2, 3, 5), _size_for_pairs(_BLOCK - 1), _size_for_pairs(_BLOCK),
+        _size_for_pairs(_BLOCK + 1), _CHUNK - 1, _CHUNK, _CHUNK + 1, int(2.5 * _CHUNK)])
+    def test_bits_equal_polar_oracle(self, size):
+        # the blocked form draws the whole-chunk form's stream: the same
+        # variates, and the stream left at the same position
+        s, ref = RandomStream(104, 3), RandomStream(104, 3)
+        got, want = s.gaussian(size), polar_gaussian(ref._gen, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert s.uniform(size=3).tobytes() == ref.uniform(size=3).tobytes()
+
+    def test_peak_memory_bounded(self, traced_peak):
+        # the uniforms are the only scratch: 2.5x the output (4.9x when
+        # every step of the chunk had its own array)
+        assert traced_peak(lambda: RandomStream(105).gaussian(10 ** 6)) <= 3 * 8 * 10 ** 6
+
     def test_moments(self):
         s = RandomStream(102)
         z = s.gaussian(size=1_000_000)

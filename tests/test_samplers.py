@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -168,6 +167,13 @@ class TestQR:
         replay.gaussian(size=(3, n, n))
         assert np.array_equal(got[1], samplers.qr_batch(replay, n, 1, "real")[0])
 
+    @pytest.mark.parametrize("kind,n,count", [("real", 64, 192), ("complex", 5, 10_000)])
+    def test_peak_memory_bounded(self, traced_peak, kind, n, count):
+        # Q is written over its Gaussian block: 2.5x / 2.3x the output
+        # (4.8x / 4.3x with whole-batch Q, R and phase products)
+        out = n * n * count * (8 if kind == "real" else 16)
+        assert traced_peak(lambda: samplers.qr_batch(RandomStream(247), n, count, kind)) <= 3 * out
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_rank_deficient_redraw_is_bounded(self, kind):
         stream = ZeroStream()
@@ -307,6 +313,14 @@ class TestCircularEnsembles:
         ph = eigenphases_batch(mats[:10])
         assert np.abs(ph[:, 1::2] - ph[:, 0::2]).max() <= 1e-8
 
+    @pytest.mark.parametrize("ensemble,dim", [("coe_batch", 5), ("cse_batch", 10)])
+    def test_peak_memory_bounded(self, traced_peak, ensemble, dim):
+        # the congruence is written over U: 2.3x / 2.2x the output (4.3x /
+        # 4.2x with whole-batch products)
+        draw = getattr(samplers, ensemble)
+        out = dim * dim * 16 * 10_000
+        assert traced_peak(lambda: draw(RandomStream(275), 5, 10_000)) <= 3 * out
+
     def test_cse_n1_is_det_times_identity(self):
         # replay the internal unitary: S~ = Z^{-1} U^T Z U = det(U) I for 2x2
         s = samplers.cse_batch(RandomStream(274), 1, 1)[0]
@@ -364,19 +378,11 @@ class TestBatchFrontEnd:
         assert calls == [(3, 3, "real"), (3, 2, "real")]
         assert out.shape == (5, 3, 3) and not out.any()
 
-    def test_single_lane_is_not_copied(self):
+    def test_single_lane_is_not_copied(self, traced_peak):
         # one lane is returned as drawn: sample_batch peaks within 5% of
         # the bare sampler on the same count (1.22x when it was stacked)
-        def peak(draw):
-            tracemalloc.start()
-            try:
-                draw()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        batch = peak(lambda: sample_batch("so", 32, 4000, seed=0, streams=1))
-        bare = peak(lambda: samplers.so_euler_batch(RandomStream(0, 0), 32, 4000))
+        batch = traced_peak(lambda: sample_batch("so", 32, 4000, seed=0, streams=1))
+        bare = traced_peak(lambda: samplers.so_euler_batch(RandomStream(0, 0), 32, 4000))
         assert batch <= 1.05 * bare
 
     def test_o_euler_det_balanced(self):

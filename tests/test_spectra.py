@@ -220,6 +220,12 @@ class TestTraceSeries:
         with pytest.raises(ValueError):
             trace_series_so_batch(RandomStream(344), 1, 10)
 
+    def test_peak_memory_bounded(self, traced_peak):
+        # one 16 MiB chunk of Z and one block for Y, neither alive during
+        # the next chunk's draw: 38 MiB (81 MiB with a block per step)
+        peak = traced_peak(lambda: trace_series_so_batch(RandomStream(345), 200, 10 ** 5))
+        assert peak <= 48 * 2 ** 20
+
     def test_zero_first_term_redraw_is_bounded(self):
         class ZeroStream:
             calls = 0
