@@ -11,7 +11,9 @@ subcommand reads the parsed namespace as it is.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 rejects an option value; a UsageError covers the checks that span options:
-the (group, method) pair, ``moments --count >= 2``, the moment formulas'
+the (group, method) pair, a ``sample`` stack of more than
+SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n`` for sn,
+refused before drawing), ``moments --count >= 2``, the moment formulas'
 domain, a ``volumes`` size whose volume underflows a float and
 ``spectra --n >= 2``), 3 I/O error, 4 internal error (a
 numerical precondition or certificate failed, a redraw loop gave up, any
@@ -25,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -36,29 +39,39 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
+SAMPLE_MAX_ENTRIES = 1 << 26  # entries in one `sample` stack: 512 MiB real, 1 GiB complex
+
 
 class UsageError(ValueError):
     pass
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+def _write_out(chunks, out: str | None) -> None:
+    """Write the text pieces ``chunks`` to ``out`` (stdout for None or "-")
+    as they come, then a newline unless the text ends with one."""
+    with (nullcontext(sys.stdout) if out is None or out == "-"
+          else open(out, "w", encoding="utf-8")) as fh:
+        last = ""
+        for last in chunks:
+            fh.write(last)
+        if not last.endswith("\n"):
+            fh.write("\n")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     group = args.group
     method = args.method or samplers.DEFAULT_METHOD.get(group)
-    if (group, method) not in samplers.SAMPLERS:
+    sampler = samplers.SAMPLERS.get((group, method))
+    if sampler is None:
         raise UsageError(f"method {method!r} is not valid for group {group!r}")
+    size = args.n if sampler.kind == "permutation" else sampler.matrix_dim(args.n) ** 2
+    if args.count * size > SAMPLE_MAX_ENTRIES:
+        raise UsageError(f"--count {args.count} samples of {size} entries each exceed "
+                         f"the limit of {SAMPLE_MAX_ENTRIES:,} entries per sample stack")
     result = samplers.sample_batch(group, args.n, args.count, method=method,
                                    seed=args.seed, streams=args.streams)
-    write = fileio.matrices_to_json if args.format == "json" else fileio.matrices_to_csv
-    text = write(group, args.n, method, args.seed, result)
-    _write_out(text, args.out)
+    write = fileio.json_chunks if args.format == "json" else fileio.csv_chunks
+    _write_out(write(group, args.n, method, args.seed, result), args.out)
     return EXIT_OK
 
 
@@ -86,7 +99,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     }
     if args.q is not None and args.n < 4:  # the joint form is derived for n >= 4
         report["outside_derivation_range"] = True
-    _write_out(json.dumps(report), args.out)
+    _write_out([json.dumps(report)], args.out)
     return EXIT_OK
 
 
@@ -109,7 +122,7 @@ def cmd_volumes(args: argparse.Namespace) -> int:
         report["checked"] = bool(rel <= 1e-6)
     else:
         report["checked"] = None
-    _write_out(json.dumps(report), args.out)
+    _write_out([json.dumps(report)], args.out)
     return EXIT_OK
 
 
@@ -131,7 +144,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
         for i in range(0, len(phases), args.n):
             lines.append(",".join(repr(p) for p in phases[i:i + args.n]))
         text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    _write_out([text], args.out)
     return EXIT_OK
 
 
@@ -146,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        _write_out(json.dumps(payload), args.out)
+        _write_out([json.dumps(payload)], args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

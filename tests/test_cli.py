@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from haarforge import fileio, linalg, samplers
+from haarforge import cli, fileio, linalg, samplers
 from haarforge.cli import EXIT_INTERNAL, main
 from haarforge.randstream import RandomStream
 from haarforge.samplers import SAMPLERS, qr_batch, sample_batch, so_euler_batch
@@ -157,6 +157,28 @@ class TestSampleCommand:
     def test_usage_error_exits_2(self):
         code, _, _ = run_cli("sample", "--group", "nope", "--n", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("group,n,size", [("so", 16, 256), ("sp", 8, 256), ("sn", 16, 16),
+                                              ("u", 10 ** 9, 10 ** 18)])
+    def test_stack_over_the_entry_limit_exits_2_before_drawing(self, monkeypatch, capsys,
+                                                              group, n, size):
+        # the refusal is tested by its check: the sampler only records its call
+        drawn = []
+
+        def record(tag, n, count, method, **kwargs):
+            drawn.append(count)
+            return np.empty((0, n) if tag == "sn" else (0, 1, 1))
+
+        monkeypatch.setattr(samplers, "sample_batch", record)
+        at_limit = cli.SAMPLE_MAX_ENTRIES // size  # 0 when one sample is over the limit
+        for count in ((at_limit, at_limit + 1) if at_limit else (1,)):
+            code = main(["sample", "--group", group, "--n", str(n), "--count", str(count)])
+            out, err = capsys.readouterr()
+            if count * size <= cli.SAMPLE_MAX_ENTRIES:
+                assert code == 0 and json.loads(out)
+            else:
+                assert code == 2 and f"limit of {cli.SAMPLE_MAX_ENTRIES:,} entries" in err
+        assert drawn == ([at_limit] if at_limit else [])
 
     def test_plain_value_error_exits_internal(self, monkeypatch, capsys):
         # only UsageError means bad input; any other ValueError is a bug

@@ -7,12 +7,13 @@ a complex array (imaginary parts +0.0 for the real kinds).
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from haarforge import fileio
-from haarforge.samplers import SAMPLERS, sample_batch
+from haarforge import cli, fileio
+from haarforge.samplers import CHUNK_BYTES, SAMPLERS, sample_batch
 
 CASES = [(2, 3, 41, 1), (5, 4, 43, 2)]  # (n, count, seed, streams)
 
@@ -194,8 +195,15 @@ def test_malformed_csv_raises_value_error(text):
     [[[[1.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
     [[[[1.0, 0.0]]], [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
     [[[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [[4.0, 0.0], [5.0, 0.0], [6.0, 0.0]]]],
+    [[[[None, 0.0]]]],
+    [[[[0.0, True]]]],
+    [[[[False, 0.0]]]],
+    [[[["1.5", 0.0]]]],
+    [[[[1.0, 0.0], [0.0, None]], [[0.0, 0.0], [1.0, 0.0]]]],
+    [[[[10 ** 400, 0.0]]]],
 ], ids=["bare-floats", "one-triple", "all-triples", "ragged-rows", "ragged-matrices",
-        "not-square"])
+        "not-square", "null-entry", "true-entry", "false-entry", "string-entry",
+        "null-among-numbers", "int-beyond-float"])
 def test_malformed_json_raises_value_error(matrices):
     text = json.dumps({"group": "u", "n": 2, "method": "qr", "seed": 0,
                        "matrices": matrices})
@@ -219,3 +227,110 @@ def test_malformed_json_raises_value_error(matrices):
 def test_malformed_json_document_raises_value_error(text):
     with pytest.raises(ValueError):
         fileio.json_to_matrices(text)
+
+
+def _old_json(group, n, method, seed, stack):
+    """The one-document writer the chunked one replaced: json.dumps of the
+    whole (B, n, n, 2) [re, im] list, or of the (B, n) words."""
+    stack = np.asarray(stack)
+    if SAMPLERS[(group, method)].kind == "permutation":
+        key, body = "permutations", stack.tolist()
+    else:
+        c = np.ascontiguousarray(stack, dtype=complex)
+        key, body = "matrices", c.view(float).reshape(c.shape + (2,)).tolist()
+    return json.dumps({"group": group, "n": n, "method": method, "seed": seed, key: body})
+
+
+def _old_csv(group, n, method, seed, stack):
+    """The one-string CSV writer the chunked one replaced: repr per entry,
+    row by row."""
+    kind = SAMPLERS[(group, method)].kind
+    stack = np.asarray(stack)
+    if kind == "complex":
+        c = np.ascontiguousarray(stack, dtype=complex)
+        blocks = c.view(float).reshape(c.shape[:-1] + (2 * c.shape[-1],))
+    else:
+        blocks = [stack] if kind == "permutation" else stack.real
+    lines = [f"# haar-forge group={group} n={n} method={method} seed={seed} "
+             f"kind={kind} count={len(stack)}"]
+    for idx, block in enumerate(blocks):
+        if idx:
+            lines.append("")
+        lines.extend(",".join(map(repr, row)) for row in block.tolist())
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e-04, -1e-04, 1e16, -1e16, 1e22,
+           0.1, -2.5, 1.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_writers_equal_the_one_document_form_on_special_floats(kind):
+    rng = np.random.default_rng(19)
+    vals = np.array(SPECIAL * 4)
+    if kind == "real":
+        group, method, stack = "so", "euler", rng.permutation(vals).reshape(4, 4, 4)
+    else:
+        group, method, stack = "u", "qr", np.empty((4, 4, 4), dtype=complex)
+        stack.real, stack.imag = (rng.permutation(vals).reshape(4, 4, 4) for _ in "ri")
+    assert fileio.matrices_to_json(group, 4, method, 3, stack) == _old_json(group, 4, method, 3, stack)
+    assert fileio.matrices_to_csv(group, 4, method, 3, stack) == _old_csv(group, 4, method, 3, stack)
+    finite = np.where(np.isfinite(stack), stack, 0.5)
+    for write, read in ((fileio.matrices_to_json, fileio.json_to_matrices),
+                        (fileio.matrices_to_csv, fileio.csv_to_matrices)):
+        _, back = read(write(group, 4, method, 3, finite))
+        assert back.tobytes() == np.asarray(finite, dtype=complex).tobytes()
+
+
+def _batch_sizes(step):
+    """0, 1, one chunk -1/0/+1 and 2.5 chunks, for chunks of ``step`` items."""
+    return [0, 1, step - 1, step, step + 1, 5 * step // 2]
+
+
+CHUNKED = {  # (group, method, n) -> items per chunk of ``samplers._chunks``
+    ("so", "euler", 16): CHUNK_BYTES // (16 * 16 * 8),
+    ("u", "qr", 8): CHUNK_BYTES // (8 * 8 * 16),
+    ("sn", "bubble", 16): CHUNK_BYTES // (16 * 8),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("spec,count", [(spec, count) for spec, step in CHUNKED.items()
+                                        for count in _batch_sizes(step)],
+                         ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_chunked_text_equals_one_document_across_chunk_boundaries(spec, count, fmt):
+    group, method, n = spec
+    step = CHUNKED[spec]
+    assert -(-count // 8) <= step  # the byte budget, not an eighth of the batch, sets the chunk
+    rng = np.random.default_rng(count)
+    if group == "sn":
+        stack = np.argsort(rng.random((count, n)), axis=1).astype(np.int64) + 1
+    elif group == "u":
+        stack = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    else:
+        stack = rng.standard_normal((count, n, n))
+    chunks = fileio.json_chunks if fmt == "json" else fileio.csv_chunks
+    old = _old_json if fmt == "json" else _old_csv
+    pieces = list(chunks(group, n, method, 5, stack))
+    assert len(pieces) == 1 + -(-count // step) + (fmt == "json")  # header, chunks, "]}"
+    assert "".join(pieces) == old(group, n, method, 5, stack)
+    read = fileio.json_to_matrices if fmt == "json" else fileio.csv_to_matrices
+    _, back = read("".join(pieces))
+    want = stack if group == "sn" else np.asarray(stack, dtype=complex)
+    assert back.shape == want.shape and back.tobytes() == want.tobytes()
+
+
+def test_writing_a_large_real_stack_holds_a_batch_chunk_not_the_text(traced_peak, tmp_path):
+    # (4000, 16, 16) float64 is 8.2 MB; the one-document writer's [re, im]
+    # lists and text peaked near 24x that
+    stack_bytes = 4000 * 16 * 16 * 8
+    argv = ["sample", "--group", "so", "--n", "16", "--count", "4000",
+            "--out", str(tmp_path / "large.json")]
+    assert traced_peak(lambda: cli.main(argv)) <= 4 * stack_bytes
+
+
+def test_json_integers_read_as_floats():
+    text = json.dumps({"group": "u", "n": 1, "method": "qr", "seed": 0,
+                       "matrices": [[[[1, -2]]], [[[0, 3.5]]]]})
+    _, back = fileio.json_to_matrices(text)
+    assert back.tobytes() == np.array([[[1 - 2j]], [[3.5j]]]).tobytes()
