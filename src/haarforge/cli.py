@@ -11,13 +11,14 @@ subcommand reads the parsed namespace as it is.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 rejects an option value; a UsageError covers the checks that span options:
-the (group, method) pair, a ``sample`` stack of more than
-SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n`` for sn,
-refused before drawing), ``moments --count >= 2``, the moment formulas'
-domain, a ``volumes`` size whose volume underflows a float and
-``spectra --n >= 2``), 3 I/O error, 4 internal error (a
-numerical precondition or certificate failed, a redraw loop gave up, any
-other ValueError, or a MemoryError, reported as "out of memory").
+the (group, method) pair, a ``sample`` or ``spectra`` stack of more than
+SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n`` for sn;
+``count * n * n`` for spectra; refused before drawing),
+``moments --count >= 2``, the moment formulas' domain, a ``volumes``
+size whose volume underflows a float and ``spectra --n >= 2``), 3 I/O
+error, 4 internal error (a numerical precondition or certificate failed,
+a redraw loop gave up, any other ValueError, or a MemoryError, reported
+as "out of memory").
 Every command is deterministic given (--seed, --streams).
 """
 
@@ -39,7 +40,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-SAMPLE_MAX_ENTRIES = 1 << 26  # entries in one `sample` stack: 512 MiB real, 1 GiB complex
+SAMPLE_MAX_ENTRIES = 1 << 26  # entries of one sample/spectra stack: 512 MiB real, 1 GiB complex
 
 
 class UsageError(ValueError):
@@ -58,16 +59,21 @@ def _write_out(chunks, out: str | None) -> None:
             fh.write("\n")
 
 
+def _bound_stack(count: int, size: int) -> None:
+    """UsageError if ``count`` samples of ``size`` entries exceed SAMPLE_MAX_ENTRIES."""
+    if count * size > SAMPLE_MAX_ENTRIES:
+        raise UsageError(f"--count {count} samples of {size} entries each exceed "
+                         f"the limit of {SAMPLE_MAX_ENTRIES:,} entries per sample stack")
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     group = args.group
     method = args.method or samplers.DEFAULT_METHOD.get(group)
     sampler = samplers.SAMPLERS.get((group, method))
     if sampler is None:
         raise UsageError(f"method {method!r} is not valid for group {group!r}")
-    size = args.n if sampler.kind == "permutation" else sampler.matrix_dim(args.n) ** 2
-    if args.count * size > SAMPLE_MAX_ENTRIES:
-        raise UsageError(f"--count {args.count} samples of {size} entries each exceed "
-                         f"the limit of {SAMPLE_MAX_ENTRIES:,} entries per sample stack")
+    _bound_stack(args.count, args.n if sampler.kind == "permutation"
+                 else sampler.matrix_dim(args.n) ** 2)
     result = samplers.sample_batch(group, args.n, args.count, method=method,
                                    seed=args.seed, streams=args.streams)
     write = fileio.json_chunks if args.format == "json" else fileio.csv_chunks
@@ -130,6 +136,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     method = "euler" if args.method == "full" else args.method
     if args.n < 2:
         raise UsageError("need n >= 2")
+    _bound_stack(args.count, args.n * args.n)
     gen = {"euler": samplers.so_euler_batch,
            "hessenberg": spectra.hessenberg_batch,
            "cmv": spectra.cmv_batch}[method]

@@ -22,7 +22,8 @@ placements):
 * Sp(2N): the same shape with 2x2 blocks promoted to unit quaternions;
   see ``_quat_factor_batch``.
 
-Batched composition runs on one kernel, ``_plane_product``: it keeps the
+Batched composition runs on one kernel, ``_plane_product``, in the batch
+chunks of ``linalg._chunks``, the one batch-chunk rule: it keeps the
 product batch-last, ``w[col, row, b]``, so a block on columns (c, c+1)
 updates two contiguous (rows, B) slabs in place, and by the active-block
 invariant (before coset E_{k-1}, E_1 ... E_{k-2} is a (k-1) x (k-1) block
@@ -51,7 +52,7 @@ import math
 
 import numpy as np
 
-from haarforge.linalg import NotUnitaryError, adjoint_residual
+from haarforge.linalg import NotUnitaryError, _chunks, adjoint_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -140,8 +141,8 @@ def _su2_fill(e, phi, alpha, psi=None) -> None:
 def _plane_product(d: int, batch: int, dtype, blocks) -> np.ndarray:
     """(B, d, d) stack of the identity right-multiplied by plane blocks.
 
-    The batch runs in chunks ``sl`` of at most 1 MiB of work array, or 1/8
-    of the batch, so the copy out adds little memory beside the output and
+    The batch runs in the chunks ``sl`` that ``linalg._chunks`` gives for
+    d x d items, so the copy out adds little memory beside the output and
     the per-chunk cost is paid at most 8 times.  ``blocks(sl)`` yields the
     chunk's blocks (c, rows, m): m is batch-last (s, s, len(sl)), s = 2 or
     4, on columns c..c+s-1 of rows 0..rows-1 (the columns are zero below);
@@ -149,11 +150,10 @@ def _plane_product(d: int, batch: int, dtype, blocks) -> np.ndarray:
     4x4 blocks go through einsum.
     """
     out = np.empty((batch, d, d), dtype=dtype)
-    step = max(1, -(-batch // 8), (1 << 20) // (d * d * out.itemsize))
-    buf = np.empty((d + 2, d, min(step, batch)), dtype=dtype)  # w and 2 scratch slabs
-    for start in range(0, batch, step):
-        sl = slice(start, min(start + step, batch))
-        w, t = buf[:d, :, :sl.stop - start], buf[d:, :, :sl.stop - start]
+    chunks = _chunks(batch, d * d * out.itemsize)  # the first is the largest
+    buf = np.empty((d + 2, d, chunks[0].stop if chunks else 0), dtype=dtype)  # w, 2 slabs
+    for sl in chunks:
+        w, t = buf[:d, :, :sl.stop - sl.start], buf[d:, :, :sl.stop - sl.start]
         w[...] = np.eye(d, dtype=dtype)[:, :, None]
         for c, rows, m in blocks(sl):
             if len(m) == 2:
@@ -268,7 +268,8 @@ def compose_sp_batch(rho, quat, lead) -> np.ndarray:
     """Stack of 2n x 2n symplectic unitaries from packed (P, B) rho, packed
     (P, B, 2, 2) SU(2) stacks quat (the Q_{j,k}) and (B, n, 2, 2) lead
     (q_1 .. q_n), B and n read from lead."""
-    rho, quat = np.asarray(rho, dtype=float), np.asarray(quat, dtype=complex)
+    rho = np.asarray(rho, dtype=float)
+    quat, lead = np.asarray(quat, dtype=complex), np.asarray(lead, dtype=complex)
     batch, n = lead.shape[:2]  # ValueError if lead has fewer axes
     p = n * (n - 1) // 2
     _check_shapes(rho=(rho, (p, batch)), quat=(quat, (p, batch, 2, 2)),

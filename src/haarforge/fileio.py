@@ -14,8 +14,8 @@ per array, never per entry:
   columns (complex kind), or one word per row (permutation kind).
 
 Each writer is a generator of text pieces (``json_chunks``, ``csv_chunks``):
-the header, then the text of successive batch chunks of the stack, sized
-as ``samplers._chunks`` sizes the samplers' work, so a caller can write a
+the header, then the text of successive batch chunks of the stack, cut by
+the one batch-chunk rule, ``linalg._chunks``, so a caller can write a
 large stack without holding its whole text.  ``matrices_to_json`` and
 ``matrices_to_csv`` are the joined pieces.  A chunk's text is one format
 template, built from the chunk's shape, filled with its entries by ``%``:
@@ -43,7 +43,8 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from haarforge.samplers import DEFAULT_METHOD, SAMPLERS, GroupId, _chunks
+from haarforge.linalg import _chunks
+from haarforge.samplers import DEFAULT_METHOD, SAMPLERS, GroupId
 
 
 def _kind(group: str, method: str) -> str:
@@ -60,7 +61,7 @@ def _float_view(mats) -> np.ndarray:
 
 
 def _batch_chunks(stack: np.ndarray):
-    """Successive batch chunks of ``stack``, sized by ``samplers._chunks``."""
+    """Successive batch chunks of ``stack``, sized by ``linalg._chunks``."""
     for sl in _chunks(len(stack), max(1, stack[:1].nbytes)):
         yield stack[sl]
 
@@ -106,7 +107,7 @@ def _nested(leaf: str, dims) -> str:
 def json_chunks(group: str, n: int, method: str, seed: int, stack):
     """The text of ``matrices_to_json`` in pieces: the document up to the
     opening bracket of its sample list, the items of each batch chunk
-    (``samplers._chunks``), and the closing brackets."""
+    (``linalg._chunks``), and the closing brackets."""
     stack = np.asarray(stack)
     if _kind(group, method) == "permutation":
         key, item = "permutations", _nested("%s", stack.shape[1:])

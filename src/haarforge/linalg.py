@@ -2,7 +2,8 @@
 
 Everything here is plain double precision on ndarrays, single matrices or
 (B, N, N) stacks; operations are pure functions, safe to call from
-multiple threads.
+multiple threads.  The shared batch policies live here too: the bounded
+redraw loop, ``_redraw``, and the one batch-chunk rule, ``_chunks``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ def _redraw(rejected, redo, what: str) -> None:
         redo(bad)
     if rejected().any():
         raise ConvergenceError(f"{REDRAW_ROUNDS} redraws left {what}")
+
+
+CHUNK_BYTES = 1 << 19  # a batch chunk of blocks and their scratch fits L2
+
+
+def _chunks(count: int, item_bytes: int) -> list:
+    """Slices over 0..count (the last may be short), CHUNK_BYTES of
+    ``item_bytes``-sized items each, or an eighth of the batch when more."""
+    step = max(1, -(-count // 8), CHUNK_BYTES // item_bytes)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def adjoint_residual(a: np.ndarray):

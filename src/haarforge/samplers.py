@@ -11,7 +11,9 @@ returns an ndarray stack, the (count, n) one-line stack for permutations.
 ``sample_batch`` looks the pair up and ``_draw_lanes`` splits a batch across
 sibling streams (one stream per lane) so results are reproducible
 independent of execution order.  Within a lane the draw order is fixed and
-documented in the angle generators below.
+documented in the angle generators below.  The QR, Householder and
+circular-ensemble loops cut their batches by ``linalg._chunks``, the one
+batch-chunk rule; no chunk size here sets a draw's size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import _redraw, symplectic_form
+from haarforge.linalg import _chunks, _redraw, symplectic_form
 from haarforge.randstream import RandomStream
 
 TWO_PI = 2.0 * np.pi
@@ -142,16 +144,6 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     return q
 
 
-CHUNK_BYTES = 1 << 19  # a batch chunk of blocks and their scratch fits L2
-
-
-def _chunks(count: int, item_bytes: int) -> list:
-    """Slices over 0..count, CHUNK_BYTES of ``item_bytes``-sized items each,
-    or an eighth of the batch when that is more."""
-    step = max(1, -(-count // 8), CHUNK_BYTES // item_bytes)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def _norms(z: np.ndarray) -> np.ndarray:
     """Row norms of a (B, k) array, computed as ``np.linalg.norm(z, axis=1)``
     computes them, without its per-call checks."""
@@ -197,16 +189,15 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
     -e^{i theta} = +-1 is not applied: the stack holds the product divided
     by a per-matrix sign ``sgn``, which is multiplied in once at the end
     (negation is exact and rounding symmetric, so the bits stay the same).
-    It runs in batch chunks of at most CHUNK_BYTES of block (or an eighth
-    of the batch), so each chunk's passes stay in cache.
+    Step k runs in the batch chunks ``linalg._chunks`` gives for k x k
+    blocks, so each chunk's passes stay in cache.
     """
     cplx = kind == "complex"
     acc = np.zeros((count, n, n), dtype=complex if cplx else float)
     acc.reshape(count, n * n)[:, ::n + 1] = 1.0
     sgn = np.ones(count)
-    # room for the largest chunk: an eighth of the batch at k = n, or the chunk bytes
-    scratch = np.empty(min(count * n * n, max(-(-count // 8) * n * n,
-                                              CHUNK_BYTES // acc.itemsize)),
+    scratch = np.empty(max([(sl.stop - sl.start) * k * k for k in range(2, n + 1)
+                            for sl in _chunks(count, k * k * acc.itemsize)], default=0),
                        dtype=acc.dtype)
     for k in range(1, n + 1):
         z, nz = _gaussian_vectors(stream, count, k, cplx)

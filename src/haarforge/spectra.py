@@ -162,6 +162,9 @@ def trace_series_so_batch(stream: RandomStream, terms: int, count: int,
     Per (chunk, terms) block of Z, one scratch block holds Z^2, its running
     sums, their roots and then Y in turn, and the neighbour products are
     written over Z; neither block is alive during the next chunk's draw.
+    The chunk of about 2^21 variates sets the size of each ``gaussian``
+    call, so it defines the stream (as ``RandomStream._CHUNK`` does); it is
+    not a ``linalg._chunks`` batch chunk, on whose size output never depends.
     """
     if terms < 2:
         raise ValueError("terms >= 2 required")

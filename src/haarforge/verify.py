@@ -137,7 +137,7 @@ def criterion_1(seed, level, sid, checks):
 
 @_criterion("joint moments (Pfaff-Saalschutz form)")
 def criterion_2(seed, level, sid, checks):
-    count, chunk = 1_000_000, 100_000
+    count, chunk = 1_000_000, 100_000  # chunk sets each draw's size: it defines the stream
     s = RandomStream(seed, sid)
     total, total_sq, seen = 0.0, 0.0, 0
     while seen < count:

@@ -368,6 +368,28 @@ class TestSpectraCommand:
         err = capsys.readouterr().err
         assert "internal error: out of memory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("n", [2, 64, 10 ** 5])
+    def test_stack_over_the_entry_limit_exits_2_before_drawing(self, monkeypatch, capsys, n):
+        # the refusal is tested by its check: the draw records its call and
+        # returns one identity, so nothing large is allocated
+        drawn = []
+
+        def record(gen, n, count, seed, streams):
+            drawn.append(count)
+            return np.eye(n)[None]
+
+        monkeypatch.setattr(samplers, "_draw_lanes", record)
+        at_limit = cli.SAMPLE_MAX_ENTRIES // (n * n)  # 0 when one matrix is over the limit
+        for count in ((at_limit, at_limit + 1) if at_limit else (1,)):
+            code = main(["spectra", "--n", str(n), "--count", str(count)])
+            out, err = capsys.readouterr()
+            if count * n * n <= cli.SAMPLE_MAX_ENTRIES:
+                assert code == 0 and json.loads(out)["count"] == count
+            else:
+                assert code == 2 and out == ""
+                assert f"limit of {cli.SAMPLE_MAX_ENTRIES:,} entries" in err
+        assert drawn == ([at_limit] if at_limit else [])
+
     def test_one_eigenphase_batch_over_all_lanes(self, monkeypatch, capsys):
         calls = []
         batch = linalg.eigenphases_batch

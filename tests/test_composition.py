@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from haarforge import euler, samplers, spectra
+from haarforge import euler, linalg, samplers, spectra
 from haarforge.randstream import RandomStream
 
 import oracles
@@ -89,7 +89,10 @@ def test_compose_u_batch_matches_oracle(n, batch):
 @pytest.mark.parametrize("n,batch", SIZES)
 def test_compose_sp_batch_matches_oracle(n, batch):
     angles = _sp_angles(_rng(n, batch), n, batch)
-    _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
+    got = euler.compose_sp_batch(*angles)
+    _same_bytes(got, _oracle_sp(*angles, n))
+    if n > 1:  # nested lists, as compose_so/u_batch take them (n = 1's empty lists lose B)
+        _same_bytes(euler.compose_sp_batch(*(a.tolist() for a in angles)), got)
 
 
 ORDERS = ([(n, name) for n in (1, 2, 3, 8, 16) for name in ("hessenberg", "cmv")]
@@ -107,7 +110,8 @@ def test_rotation_product_batch_matches_oracle(n, name, batch):
 
 
 def test_batches_split_into_work_chunks_match_oracle():
-    # work arrays over 1 MiB run in chunks, the last one short
+    # each batch runs in chunks of linalg._chunks (an eighth of the batch
+    # at these shapes), the last one short
     rng = np.random.default_rng(7)
     n, batch = 64, 130
     theta = _so_theta(rng, n, batch)
@@ -122,6 +126,32 @@ def test_batches_split_into_work_chunks_match_oracle():
     n = 16
     angles = _sp_angles(rng, n, batch)
     _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
+
+
+@pytest.mark.parametrize("batch,binds", [(200, "bytes"), (600, "eighth")])
+@pytest.mark.parametrize("name", ["so", "u", "sp", "rotation"])
+def test_kernel_cuts_batches_by_the_chunk_rule(monkeypatch, name, batch, binds):
+    # every kernel item is a 32 x 32 work matrix: 64 (real) or 32 (complex)
+    # items fill CHUNK_BYTES, so an eighth of 200 is less, of 600 more
+    kernel, seen = euler._plane_product, []
+
+    def recording(d, batch, dtype, blocks):
+        return kernel(d, batch, dtype, lambda sl: seen.append(sl) or blocks(sl))
+
+    monkeypatch.setattr(euler, "_plane_product", recording)
+    monkeypatch.setattr(spectra, "_plane_product", recording)
+    rng = np.random.default_rng(batch)
+    itemsize, compose = {
+        "so": (8, lambda: euler.compose_so_batch(_so_theta(rng, 32, batch))),
+        "u": (16, lambda: euler.compose_u_batch(*_u_angles(rng, 32, batch))),
+        "sp": (16, lambda: euler.compose_sp_batch(*_sp_angles(rng, 16, batch))),
+        "rotation": (8, lambda: spectra.rotation_product_batch(
+            rng.uniform(0.0, np.pi, (batch, 31)), spectra.cmv_order(32))),
+    }[name]
+    compose()
+    want = linalg._chunks(batch, 32 * 32 * itemsize)
+    assert seen == want and len(want) > 1
+    assert (want[0].stop == linalg.CHUNK_BYTES // (32 * 32 * itemsize)) == (binds == "bytes")
 
 
 def test_compose_so_batch_values_at_boundary_angles():
@@ -231,6 +261,9 @@ SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
     ("cmv_batch", 2, 3, 5): "6e9f1fe4e07bb94f4bc7a8ca894b9936f342047a66b3c6fcbd45e0229d6d8537",
     ("cmv_batch", 7, 10, 8): "2e17e09b05c8c640a1df9e983de0d36bf677cd427c7facdd72c7c6dd085b51c5",
     ("cmv_batch", 16, 6, 2): "a432cc01d068898bbc651a37bf01df2dfca108ed117feb6d70d0296f07df240a",
+    # (fn, terms, count, seed): two chunks of the series, whose size sets the Gaussian draws
+    ("trace_series_so_batch", 200, 20_000, 343):
+        "3f55e67a05a8c7d392f4bcc330fe412724709d61904d9b32196c97008f893b4c",
 }
 
 

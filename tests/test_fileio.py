@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from haarforge import cli, fileio
-from haarforge.samplers import CHUNK_BYTES, SAMPLERS, sample_batch
+from haarforge.linalg import CHUNK_BYTES
+from haarforge.samplers import SAMPLERS, sample_batch
 
 CASES = [(2, 3, 41, 1), (5, 4, 43, 2)]  # (n, count, seed, streams)
 
@@ -287,7 +288,7 @@ def _batch_sizes(step):
     return [0, 1, step - 1, step, step + 1, 5 * step // 2]
 
 
-CHUNKED = {  # (group, method, n) -> items per chunk of ``samplers._chunks``
+CHUNKED = {  # (group, method, n) -> items per chunk of ``linalg._chunks``
     ("so", "euler", 16): CHUNK_BYTES // (16 * 16 * 8),
     ("u", "qr", 8): CHUNK_BYTES // (8 * 8 * 16),
     ("sn", "bubble", 16): CHUNK_BYTES // (16 * 8),

@@ -1,12 +1,16 @@
-"""Property test of ``haar-forge sample`` over small requests.
+"""Property tests of ``haar-forge sample`` and ``haar-forge spectra`` over
+small requests.
 
 Every (group, method, n, count, streams, format) with n <= 6, count <= 5
 and streams <= 3, valid or not, goes through ``cli.main`` into a file.
 Only exit 0 (a valid request) and exit 2 (an option out of range or a pair
 not in ``SAMPLERS``) may occur, and a written file must read back
-``tobytes()``-equal to ``sample_batch`` of the same request.
+``tobytes()``-equal to ``sample_batch`` of the same request.  ``spectra``
+gets (method, n, count, streams, format) over the same ranges: exit 0
+writes n * count phases in [0, 2 pi), exit 2 writes no file.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -50,3 +54,30 @@ def test_sample_exits_0_or_2_and_reads_back_bit_exact(pair, n, count, streams, s
         want = np.asarray(want, dtype=complex)
     assert back.dtype == want.dtype and back.shape == want.shape
     assert back.tobytes() == want.tobytes()
+
+
+SPECTRA_METHODS = ["euler", "full", "hessenberg", "cmv"]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(method=st.sampled_from(SPECTRA_METHODS + ["qr"]), n=st.integers(0, 6),
+                  count=st.integers(0, 5), streams=st.integers(0, 3),
+                  seed=st.integers(0, 2 ** 32), fmt=st.sampled_from(["json", "csv"]))
+def test_spectra_exits_0_or_2_and_writes_phases_in_range(method, n, count, streams, seed, fmt):
+    valid = method in SPECTRA_METHODS and n >= 2 and min(count, streams) >= 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"spectra.{fmt}"
+        code = cli.main(["spectra", "--method", method, "--n", str(n), "--count", str(count),
+                         "--streams", str(streams), "--seed", str(seed), "--format", fmt,
+                         "--out", str(path)])
+        assert code == (cli.EXIT_OK if valid else cli.EXIT_USAGE)
+        if not valid:
+            assert not path.exists()
+            return
+        text = path.read_text(encoding="utf-8")
+    if fmt == "json":
+        phases = json.loads(text)["phases"]
+    else:
+        phases = [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+    assert len(phases) == n * count
+    assert all(0.0 <= p < 2.0 * np.pi for p in phases)
