@@ -13,18 +13,24 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 rejects an option value; a UsageError covers the checks that span options:
 the (group, method) pair, a ``sample`` or ``spectra`` stack of more than
 SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n`` for sn;
-``count * n * n`` for spectra; refused before drawing),
+``count * n * n`` for spectra) or of more than MAX_LANES lanes
+(``min(count, streams)``), both refused before drawing,
 ``moments --count >= 2``, the moment formulas' domain, a ``volumes``
 size whose volume underflows a float and ``spectra --n >= 2``), 3 I/O
 error, 4 internal error (a numerical precondition or certificate failed,
 a redraw loop gave up, any other ValueError, or a MemoryError, reported
 as "out of memory").
 Every command is deterministic given (--seed, --streams).
+
+``main`` can be called any number of times in one process: every call
+parses with one parser, built on the first call and shared by all later
+ones, so callers must not mutate what ``build_parser`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,6 +47,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 SAMPLE_MAX_ENTRIES = 1 << 26  # entries of one sample/spectra stack: 512 MiB real, 1 GiB complex
+MAX_LANES = 1 << 16  # --streams lanes of one sample/spectra stack, each with its own stream
 
 
 class UsageError(ValueError):
@@ -59,11 +66,15 @@ def _write_out(chunks, out: str | None) -> None:
             fh.write("\n")
 
 
-def _bound_stack(count: int, size: int) -> None:
-    """UsageError if ``count`` samples of ``size`` entries exceed SAMPLE_MAX_ENTRIES."""
+def _bound_stack(count: int, size: int, streams: int) -> None:
+    """UsageError if ``count`` samples of ``size`` entries exceed SAMPLE_MAX_ENTRIES,
+    or if ``streams`` splits them into more than MAX_LANES lanes."""
     if count * size > SAMPLE_MAX_ENTRIES:
         raise UsageError(f"--count {count} samples of {size} entries each exceed "
                          f"the limit of {SAMPLE_MAX_ENTRIES:,} entries per sample stack")
+    if min(count, streams) > MAX_LANES:
+        raise UsageError(f"--count {count} over --streams {streams} needs "
+                         f"{min(count, streams):,} lanes, above the limit of {MAX_LANES:,}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -73,7 +84,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if sampler is None:
         raise UsageError(f"method {method!r} is not valid for group {group!r}")
     _bound_stack(args.count, args.n if sampler.kind == "permutation"
-                 else sampler.matrix_dim(args.n) ** 2)
+                 else sampler.matrix_dim(args.n) ** 2, args.streams)
     result = samplers.sample_batch(group, args.n, args.count, method=method,
                                    seed=args.seed, streams=args.streams)
     write = fileio.json_chunks if args.format == "json" else fileio.csv_chunks
@@ -136,7 +147,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     method = "euler" if args.method == "full" else args.method
     if args.n < 2:
         raise UsageError("need n >= 2")
-    _bound_stack(args.count, args.n * args.n)
+    _bound_stack(args.count, args.n * args.n, args.streams)
     gen = {"euler": samplers.so_euler_batch,
            "hessenberg": spectra.hessenberg_batch,
            "cmv": spectra.cmv_batch}[method]
@@ -199,7 +210,9 @@ def _add_common(p, count_default=None, n_max=None):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one ``haar-forge`` parser of this process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="haar-forge",
         description="Sample the classical compact groups with invariant "
@@ -215,26 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
                         + " (the first listed for a group is its default)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     _add_common(p, count_default=1)
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("moments", help="closed-form entry moments vs Monte Carlo")
     p.add_argument("--group", required=True, choices=["so"])
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, default=None)
     _add_common(p, count_default=100_000)
-    p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("volumes", help="group volumes and quadrature cross-checks")
     p.add_argument("--group", required=True, choices=["so", "o", "u"])
     _add_common(p, n_max=100)  # every volume printed underflows from n = 86
-    p.set_defaults(fn=cmd_volumes)
 
     p = sub.add_parser("spectra", help="dump eigenphase samples")
     p.add_argument("--method", default="hessenberg",
                    choices=["euler", "full", "hessenberg", "cmv"])
     p.add_argument("--format", default="json", choices=["json", "csv"])
     _add_common(p, count_default=100)
-    p.set_defaults(fn=cmd_spectra)
 
     p = sub.add_parser("verify", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=1)
@@ -242,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_checked(float, lambda v: 0.0 < v <= 0.1,
                                  "level must lie in (0, 0.1]"))
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 
@@ -251,8 +259,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    # looked up per call, so a cmd_* rebound after the parser was built still runs
+    command = globals()[f"cmd_{args.command_name}"]
     try:
-        return args.fn(args)
+        return command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

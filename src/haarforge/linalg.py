@@ -160,13 +160,28 @@ def eigenphases_batch(stack) -> np.ndarray:
     """Phases of a (B, N, N) stack of unitary-class matrices, as a (B, N)
     array; each row sorted, every entry in [0, 2*pi).
 
+    The stack runs in the batch chunks of ``_chunks``, each copied to complex
+    and taken through the whole pipeline on its own, so the temporaries are
+    those of one chunk; every LAPACK call works per matrix, so the phases
+    equal those of one call on the whole stack.
+
     Raises NotUnitaryError if any matrix fails its orthogonality/unitarity
     precondition (max |m^dagger m - I| <= 1e-8*N), ConvergenceError if the
-    phases of any matrix fail the trace certificate.
+    phases of any matrix fail the trace certificate; either is raised for
+    the first chunk that fails.
     """
-    u = np.asarray(stack, dtype=complex)
-    if u.ndim != 3 or u.shape[1] != u.shape[2]:
-        raise ValueError(f"expected a (B, N, N) stack, got shape {u.shape}")
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a (B, N, N) stack, got shape {stack.shape}")
+    count, n = stack.shape[:2]
+    phases = np.empty((count, n))
+    for sl in _chunks(count, 16 * n * n or 1):
+        phases[sl] = _eigenphases_chunk(np.asarray(stack[sl], dtype=complex))
+    return phases
+
+
+def _eigenphases_chunk(u: np.ndarray) -> np.ndarray:
+    """eigenphases_batch of one complex (b, N, N) chunk."""
     n = u.shape[-1]
     eye = np.eye(n)
     if not np.all(adjoint_residual(u) <= 1e-8 * n):

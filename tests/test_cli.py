@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -436,6 +437,83 @@ def test_option_values_rejected_by_the_parser(argv, message):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize("argv,stack", [
+    (["sample", "--group", "sn", "--n", "1"], np.empty((0, 1), dtype=np.int64)),
+    (["spectra", "--n", "2"], np.eye(2)[None]),
+], ids=["sample", "spectra"])
+def test_lanes_over_the_limit_exit_2_before_drawing(monkeypatch, capsys, argv, stack):
+    # the refusal is tested by its check: the lane splitter only records its
+    # call, so no request near the limit is drawn
+    drawn = []
+
+    def record(draw, n, count, seed, streams):
+        drawn.append((count, streams))
+        return stack
+
+    monkeypatch.setattr(samplers, "_draw_lanes", record)
+    limit = cli.MAX_LANES
+    cases = [(limit, limit, 0), (limit + 1, limit, 0), (limit, 1 << 24, 0),
+             (limit + 1, limit + 1, 2), (1 << 24, 1 << 24, 2)]
+    for count, streams, want in cases:
+        code = main(argv + ["--count", str(count), "--streams", str(streams)])
+        out, err = capsys.readouterr()
+        assert code == want
+        if want:
+            assert out == "" and f"above the limit of {limit:,}" in err
+    assert drawn == [(count, streams) for count, streams, want in cases if not want]
+
+
+class TestParserReuse:
+    RUNS = [
+        ["sample", "--group", "u", "--n", "3", "--count", "2", "--streams", "2"],
+        ["spectra", "--n", "4", "--count", "3", "--method", "cmv"],
+        ["volumes", "--group", "so", "--n", "3"],
+        ["moments", "--group", "so", "--n", "3", "--p", "1", "--count", "50"],
+    ]
+
+    def outputs(self, tmp_path, capsys):
+        """(exit code, file bytes, exit code, stdout) of each run, to a file and to stdout."""
+        got = []
+        for i, argv in enumerate(self.RUNS):
+            path = tmp_path / f"run{i}.out"
+            to_file = main(argv + ["--out", str(path)])
+            to_stdout = main(argv)
+            got.append((to_file, path.read_bytes(), to_stdout, capsys.readouterr().out))
+        return got
+
+    def test_failed_and_help_calls_leave_the_shared_parser_as_it_was(self, monkeypatch,
+                                                                    tmp_path, capsys):
+        before = self.outputs(tmp_path, capsys)
+        # each failing call sets options that the runs leave at their defaults
+        assert main(SAMPLE_SO3 + ["--seed", "9", "--format", "csv", "--count", "0"]) == 2
+        assert main(["sample", "--group", "sn", "--n", "3", "--method", "qr",
+                     "--seed", "9", "--streams", "3"]) == 2
+
+        def fail(*args, **kwargs):
+            raise ValueError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(samplers, "sample_batch", fail)
+            assert main(SAMPLE_SO3 + ["--format", "csv", "--seed", "9"]) == EXIT_INTERNAL
+        assert main(["--help"]) == 0
+        assert "usage: haar-forge" in capsys.readouterr().out
+        assert self.outputs(tmp_path, capsys) == before
+
+    def test_one_parser_serves_every_call(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        codes = [main(["volumes", "--group", "so", "--n", str(n)]) for n in range(4, 14)]
+        assert codes == [0] * 10 and main(SAMPLE_SO3 + ["--count", "0"]) == 2
+        assert len(built) == 6  # the top-level parser and one per subcommand
 
 
 class TestVerifyPlumbing:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,27 @@ class TestEigenphasesBatch:
     def test_peak_memory_bounded(self, traced_peak):
         stack = samplers.qr_batch(RandomStream(26), 16, 512, "complex")
         assert traced_peak(lambda: eigenphases_batch(stack)) <= 8 * stack.nbytes
+
+    # SHA-256 of the phases, taken when one pipeline ran over the whole stack
+    WHOLE_STACK_DIGESTS = {
+        (27, 16, 4096): "b00217898c7fe737372454dd6bc42c22d296a2e8b43e0f2205c7ddebde827949",
+        (28, 64, 256): "b471eef2595ea54d477886b36afd5d30b473a6474094e2ab718ddaa5527f6549",
+    }
+
+    @pytest.mark.parametrize("seed,n,count", list(WHOLE_STACK_DIGESTS))
+    def test_chunked_stack_keeps_bytes_in_one_chunks_memory(self, traced_peak, seed, n, count):
+        # real Hessenberg stacks over several batch chunks: the same phases as
+        # one whole-stack pass, and a traced peak of at most the stack's
+        # complex bytes plus eight complex chunks of temporaries
+        stack = spectra.hessenberg_batch(RandomStream(seed), n, count)
+        chunks = linalg._chunks(count, 16 * n * n)
+        assert len(chunks) > 2
+        got = []
+        peak = traced_peak(lambda: got.append(eigenphases_batch(stack)))
+        digest = hashlib.sha256(got[0].tobytes()).hexdigest()
+        assert digest == self.WHOLE_STACK_DIGESTS[(seed, n, count)]
+        chunk_bytes = 16 * n * n * (chunks[0].stop - chunks[0].start)
+        assert peak <= 2 * stack.nbytes + 8 * chunk_bytes
 
 
 class TestSymplecticResidual:
