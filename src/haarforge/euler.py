@@ -23,13 +23,19 @@ placements):
   see ``_quat_factor_batch``.
 
 Batched composition runs on one kernel, ``_plane_product``, in the batch
-chunks of ``linalg._chunks``, the one batch-chunk rule: it keeps the
-product batch-last, ``w[col, row, b]``, so a block on columns (c, c+1)
-updates two contiguous (rows, B) slabs in place, and by the active-block
-invariant (before coset E_{k-1}, E_1 ... E_{k-2} is a (k-1) x (k-1) block
-(+) identity) coset E_{k-1} touches only the leading k rows (2k for Sp).
-Each entry gets the arithmetic of the all-rows column rotation in the same
-order, so output is bit for bit the same (up to the sign of a zero entry).
+chunks of ``linalg._chunks``, the one batch-chunk rule, and in one
+schedule, ``_waves``: each block joins the first wave after the last wave
+that touched any of its columns, so a coset product runs in 2n - 3 waves of
+adjacent column pairs (4-column groups for Sp).  The kernel keeps the
+product batch-last, ``w[col, row, b]``, applies a wave to strided views of
+all its columns, and uses the active-block invariant (before coset E_{k-1},
+E_1 ... E_{k-2} is a (k-1) x (k-1) block (+) identity): coset E_{k-1}
+touches only the leading k rows (2k for Sp), and a wave runs to the
+largest of its blocks' rows, where the rows below a block's own are exact
+zeros.  Every column meets its blocks in their order and each entry gets
+the products and sums of the all-rows column rotation in the same order, so
+output is bit for bit the same (up to the sign of a zero entry) for finite
+angles.
 Extraction, ``extract_angles_so`` and ``extract_angles_u``, inverts
 composition on (B, n, n) stacks in the same batch-last layout; one matrix
 is a batch of one.  Draws, composition, extraction and densities share one
@@ -48,11 +54,12 @@ all parametrizing angles are independent under Haar measure.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from haarforge.linalg import NotUnitaryError, _chunks, adjoint_residual
+from haarforge.linalg import CHUNK_BYTES, NotUnitaryError, _chunks, adjoint_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,6 +95,12 @@ def row_j(n: int) -> np.ndarray:
     return np.arange(len(m) * n // 2) - np.repeat(m * (m + 1) // 2, m + 1) + 1
 
 
+def j_rows(n: int, j: int) -> np.ndarray:
+    """The rows of a packed n(n-1)/2-row array that hold angles (j, j+1) .. (j, n)."""
+    k = np.arange(j + 1, n + 1)
+    return (k - 1) * (k - 2) // 2 + j - 1
+
+
 # --- elementary blocks ----------------------------------------------------
 
 
@@ -101,10 +114,12 @@ def su2_block(phi, psi, alpha) -> np.ndarray:
     return blk
 
 
-def _su2_fill(e, phi, alpha, psi=None) -> None:
+def _su2_fill(e, phi, alpha, psi=None, at=...) -> None:
     """Write su2_block(phi, psi, alpha) into a complex view e whose first two
-    axes are the block's, through its real and imaginary parts; psi=None is
-    the off-diagonal phase +0, with no cos or sin evaluated for it.
+    axes are the block's, through its real and imaginary parts.  psi is the
+    off-diagonal phase of the blocks ``at`` (a mask over e's third axis, or
+    every block); the others, or all when psi is None, take the phase +0,
+    with no cos or sin evaluated for it.
 
     Each entry p e^{+-it} gets the floats of the complex product
     (p + 0i)(cos t +- i sin t) that multiplying by np.exp(+-1j t) gives,
@@ -122,78 +137,199 @@ def _su2_fill(e, phi, alpha, psi=None) -> None:
     cs = c * np.sin(alpha)
     np.add(cs, 0.0, out=im[0, 0, ...])
     np.subtract(0.0, cs, out=im[1, 1, ...])
-    if psi is None:
+    if psi is None or at is not ...:
         re[0, 1] = s
         np.subtract(0.0, s, out=re[1, 0, ...])
         im[0, 1] = im[1, 0] = 0.0
+    if psi is None:
         return
-    cp, sp = np.cos(psi), np.sin(psi)
+    cp, sp, s = np.cos(psi), np.sin(psi), s[at]
     x = s * cp
-    np.subtract(x, 0.0 * (sp + 0.0), out=re[0, 1, ...])  # exp(1j psi) takes sin(psi + 0)
-    np.subtract(0.0 * sp, x, out=re[1, 0, ...])
-    np.add(s * sp, 0.0 * cp, out=im[0, 1, ...])
-    im[1, 0] = im[0, 1]
+    re[0, 1, at] = x - 0.0 * (sp + 0.0)  # exp(1j psi) takes sin(psi + 0)
+    re[1, 0, at] = 0.0 * sp - x
+    im[0, 1, at] = im[1, 0, at] = s * sp + 0.0 * cp
 
 
 # --- batched composition ----------------------------------------------------
 
 
-def _plane_product(d: int, batch: int, dtype, blocks) -> np.ndarray:
+def _waves(cols, rows, width: int):
+    """The wave schedule of plane blocks listed in application order.
+
+    Block i acts on columns cols[i] .. cols[i] + width - 1 of rows
+    0 .. rows[i] - 1.  It joins the first wave after the last wave that
+    touched any of its columns, so the blocks of a wave touch disjoint
+    columns and every column meets its blocks in application order.
+    Returns (order, runs): ``order`` lists the blocks by wave, then by
+    column, and a run (c, width, start, rows) is the len(rows) blocks of
+    one wave at positions start.. of that order, on columns c, c + width,
+    ..., with those row counts.
+    """
+    cols, rows = np.asarray(cols, dtype=int), np.asarray(rows, dtype=int)
+    last, wave = [-1] * (int(cols.max(initial=0)) + width), []
+    for c in cols.tolist():
+        w = max(last[c:c + width]) + 1
+        last[c:c + width] = [w] * width
+        wave.append(w)
+    order = np.lexsort((cols, wave))
+    wave, cols = np.asarray(wave, dtype=int)[order], cols[order]
+    start = np.flatnonzero(np.diff(wave, prepend=-1) | (np.diff(cols, prepend=-width) - width))
+    rows, ends = rows[order].tolist(), start.tolist() + [len(order)]
+    return order, [(c, width, a, tuple(rows[a:b]))
+                   for c, a, b in zip(cols[start].tolist(), ends, ends[1:])]
+
+
+# The two cuts of a run by shape.  A piece holds column pairs while its
+# operand slab, pairs x rows x chunk width x itemsize, stays within
+# _PIECE_BYTES: pairs too small to pay for their own calls share them, and
+# a 2x2 piece's two column and four product slabs stay within 96 KiB of
+# cache, while a pair whose slab passes half the bound runs alone.
+# The blocks are built a span at a time, at most _SPAN_BYTES of them (a
+# chunk's 2x2 blocks hold about twice its product), so that they are still
+# in cache when the pieces use them.
+_PIECE_BYTES = CHUNK_BYTES // 32
+_SPAN_BYTES = CHUNK_BYTES
+
+
+def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.ndarray:
     """(B, d, d) stack of the identity right-multiplied by plane blocks.
 
     The batch runs in the chunks ``sl`` that ``linalg._chunks`` gives for
     d x d items, so the copy out adds little memory beside the output and
-    the per-chunk cost is paid at most 8 times.  ``blocks(sl)`` yields the
-    chunk's blocks (c, rows, m): m is batch-last (s, s, len(sl)), s = 2 or
-    4, on columns c..c+s-1 of rows 0..rows-1 (the columns are zero below);
-    2x2 blocks are in-place multiply-adds a m00 + b m10, a m01 + b m11;
-    4x4 blocks go through einsum.
+    the per-chunk cost is paid at most 8 times.  ``runs`` is a ``_waves``
+    run list, all of one block width s = 2 or 4, and ``blocks(sl, at)``
+    gives the chunk's blocks at the positions ``at`` (a slice: one span) of
+    that schedule's order, batch-last (len, s, s, len(sl)).  ``lead(sl)``,
+    if given, is a (2, 2, len(sl)) block applied to columns 0 and 1 first.
+
+    The product is kept batch-last, ``w[col, row, b]``, and each piece of a
+    run applies to strided views of all its columns at once: for 2x2
+    blocks one broadcast multiply gives a m00, a m01, b m10 and b m11, and
+    one add writes back a m00 + b m10 and a m01 + b m11, the products and
+    sums of the one-block-at-a-time kernel, while a piece of one pair takes
+    them as six in-place calls through two slabs, which stream less; 4x4
+    blocks go through one einsum.  Every entry sees the same blocks in the
+    same order as in the one-block-at-a-time product, and a row below a
+    block's own rows (a piece runs to the largest of its blocks' rows)
+    holds exact zeros that stay zeros, so for finite blocks the bytes are
+    the same.  (A NaN or inf block spreads into those rows too.)  The cuts
+    of ``_plan`` and their views into the work array are made once per
+    chunk width.
     """
     out = np.empty((batch, d, d), dtype=dtype)
     chunks = _chunks(batch, d * d * out.itemsize)  # the first is the largest
-    buf = np.empty((d + 2, d, chunks[0].stop if chunks else 0), dtype=dtype)  # w, 2 slabs
+    work = np.empty(d * d * (chunks[0].stop if chunks else 0), dtype=dtype)
+    plans = {}  # per chunk width: the spans of pieces, their operands views into work
     for sl in chunks:
-        w, t = buf[:d, :, :sl.stop - sl.start], buf[d:, :, :sl.stop - sl.start]
+        bc = sl.stop - sl.start
+        w = work[:d * d * bc].reshape(d, d, bc)
         w[...] = np.eye(d, dtype=dtype)[:, :, None]
-        for c, rows, m in blocks(sl):
-            if len(m) == 2:
-                a, b = w[c, :rows], w[c + 1, :rows]
-                s1, s2 = t[:, :rows]
-                np.multiply(a, m[0, 0], out=s1)
-                np.multiply(a, m[0, 1], out=s2)
-                np.multiply(b, m[1, 0], out=a)
-                np.add(s1, a, out=a)
-                np.multiply(b, m[1, 1], out=b)
-                np.add(s2, b, out=b)
-            else:
-                cols = w[c:c + 4, :rows]
-                cols[...] = np.einsum("krb,kmb->mrb", cols, m)
+        if bc not in plans:
+            plans[bc] = _plan(w, runs, lead is not None)
+        for at, pieces in plans[bc]:
+            m = blocks(sl, at) if at is not None else lead(sl)[None]
+            spread = m[:, :, :, None]  # each (s, s, 1, bc) block spans the rows
+            for piece in pieces:
+                if len(piece) == 2:  # 4x4 blocks
+                    cols, i = piece
+                    cols[...] = np.einsum("pkrb,pkmb->pmrb", cols, m[i])
+                elif len(piece) == 5:  # one pair
+                    _turn_pair(piece[0], piece[1], m[piece[4]], piece[2], piece[3])
+                else:  # a m00, a m01 and b m10, b m11, then their two sums
+                    cols, ab, prods, a_terms, b_terms, i = piece
+                    np.multiply(ab, spread[i], out=prods)
+                    np.add(a_terms, b_terms, out=cols)
         out[sl] = w.transpose(2, 1, 0)
     return out
 
 
+def _plan(w: np.ndarray, runs, lead: bool) -> list:
+    """The runs cut for a (d, d, bc) work array w into pieces and spans (see
+    _PIECE_BYTES and _SPAN_BYTES), with the lead's piece first, positions
+    None, if ``lead``.  Returns (positions, pieces) per span; a piece is its
+    operands and the index of its blocks among the span's: the
+    (count, 4, rows, bc) columns of 4x4 blocks; a pair's (rows, bc) columns
+    a and b and two (rows, bc) scratch slabs; or the (count, 2, rows, bc)
+    columns of several pairs, the same as (count, 2, 1, rows, bc), and a
+    (count, 2, 2, rows, bc) product scratch with its two halves."""
+    d, _, bc = w.shape
+    s, row_bytes = (runs[0][1] if runs else 2), bc * w.itemsize
+    cuts = [(c, start, rows, max(1, _PIECE_BYTES // (max(rows) * row_bytes)))
+            for c, _, start, rows in runs]
+    # a piece of several pairs holds at most _PIECE_BYTES per slab
+    scratch = np.empty(max(4 * _PIECE_BYTES // w.itemsize, 2 * d * bc), dtype=w.dtype)
+    pair = scratch[:2 * d * bc].reshape(2, d, bc)
+    slabs = {}  # product scratch views by piece shape
+    grids = [w[p:p + (d - p) // s * s].reshape(-1, s, d, bc) for p in range(min(s, d))]
+    plan = [(None, [(w[0, :2], w[1, :2], pair[0, :2], pair[1, :2], 0)])] if lead else []
+    span, total = max(1, _SPAN_BYTES // (s * s * row_bytes)), sum(len(r) for _, _, r, _ in cuts)
+    end = 0
+    for c, start, rows, q in cuts:
+        grid, g = grids[c % s], c // s - start
+        for p in range(start, start + len(rows), q):
+            r = rows[p - start:p - start + q]
+            if p + len(r) > end:
+                first, end = p, min(max(p + span, p + len(r)), total)
+                plan.append((slice(first, end), []))
+            i, top = p - first, max(r)
+            if s == 4:
+                piece = grid[g + p:g + p + len(r), :, :top], slice(i, i + len(r))
+            elif len(r) == 1:
+                col = c + 2 * (p - start)
+                piece = w[col, :top], w[col + 1, :top], pair[0, :top], pair[1, :top], i
+            else:
+                if (len(r), top) not in slabs:
+                    u = scratch[:4 * len(r) * top * bc].reshape(len(r), 2, 2, top, bc)
+                    slabs[len(r), top] = u, u[:, 0], u[:, 1]
+                cols = grid[g + p:g + p + len(r), :, :top]
+                piece = (cols, cols[:, :, None]) + slabs[len(r), top] + (slice(i, i + len(r)),)
+            plan[-1][1].append(piece)
+    return plan
+
+
+def _turn_pair(a, b, m, s1, s2) -> None:
+    """a, b <- a m00 + b m10, a m01 + b m11 in place for one (2, 2, bc) block
+    m and (rows, bc) columns, through the same-shape scratch s1, s2."""
+    np.multiply(a, m[0, 0], out=s1)
+    np.multiply(a, m[0, 1], out=s2)
+    np.multiply(b, m[1, 0], out=a)
+    np.add(s1, a, out=a)
+    np.multiply(b, m[1, 1], out=b)
+    np.add(s2, b, out=b)
+
+
+@functools.lru_cache(maxsize=64)
+def _coset_schedule(n: int, width: int):
+    """The ``_waves`` schedule of E_1 ... E_{n-1}: the packed row of each
+    block in wave order, a mask of the l = 1 factors, each block's k, and
+    the runs.
+
+    Coset E_{k-1} applies angles (k-1, k) .. (1, k), and angle (j, k)'s
+    block acts on columns h(j-1) .. h(j-1) + width - 1 of rows 0 .. hk - 1,
+    h = width / 2 (2x2 blocks, or 4x4 quaternion blocks).  The arrays are
+    read-only; the cache holds a few ints per packed row for each of the
+    last 64 (n, width) pairs.
+    """
+    j = row_j(n)
+    k = np.repeat(np.arange(2, n + 1), np.arange(1, n))
+    app = np.lexsort((-j, k))
+    h = width // 2
+    order, runs = _waves(h * (j[app] - 1), h * k[app], width)
+    sel = app[order]
+    one, k = j[sel] == 1, k[sel]
+    for a in (sel, one, k):
+        a.flags.writeable = False
+    return sel, one, k, runs
+
+
 def _rotation_blocks(thetas: np.ndarray) -> np.ndarray:
     """(P, 2, 2, B) cores [[cos, sin], [-sin, cos]] of R_l for (P, B) angles."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    return np.stack((c, s, -s, c), axis=1).reshape(c.shape[:1] + (2, 2) + c.shape[1:])
-
-
-def _so_cosets(theta: np.ndarray, n: int, sl: slice):
-    """Blocks of E_1 ... E_{n-1}; E_{k-1} = R_{k-1} ... R_1 acts on the leading k rows."""
-    for k in range(2, n + 1):
-        m = _rotation_blocks(theta[coset_rows(k)][::-1, sl])  # l = k-1 .. 1
-        yield from zip(range(k - 2, -1, -1), [k] * (k - 1), m, strict=True)
-
-
-def _u_cosets(phi: np.ndarray, psi: np.ndarray, alpha: np.ndarray, n: int, sl: slice):
-    """Blocks of the U cosets E_1 ... E_{n-1}, psi slotted as in the module docstring."""
-    for k in range(2, n + 1):
-        ph, ps = phi[coset_rows(k)][::-1, sl], psi[coset_rows(k)][::-1, sl]  # l = k-1 .. 1
-        m = np.empty((len(ph), 2, 2, ph.shape[1]), dtype=complex)  # batch-last
-        if k > 2:
-            _su2_fill(m[:-1].transpose(1, 2, 0, 3), ph[:-1], ps[:-1])
-        _su2_fill(m[-1], ph[-1], alpha[sl, k - 1], ps[-1])
-        yield from zip(range(k - 2, -1, -1), [k] * (k - 1), m, strict=True)
+    m = np.empty(thetas.shape[:1] + (2, 2) + thetas.shape[1:])
+    np.cos(thetas, out=m[:, 0, 0])
+    np.sin(thetas, out=m[:, 0, 1])
+    np.negative(m[:, 0, 1], out=m[:, 1, 0])
+    m[:, 1, 1] = m[:, 0, 0]
+    return m
 
 
 def compose_so_batch(theta) -> np.ndarray:
@@ -202,7 +338,9 @@ def compose_so_batch(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     p, batch = theta.shape  # ValueError unless theta has two axes
     n = _n_from_rows(p)
-    return _plane_product(n, batch, float, lambda sl: _so_cosets(theta, n, sl))
+    sel, _, _, runs = _coset_schedule(n, 2)
+    return _plane_product(n, batch, float, runs,
+                          lambda sl, at: _rotation_blocks(theta[sel[at], sl]))
 
 
 def compose_u_batch(phi, psi, alpha) -> np.ndarray:
@@ -212,7 +350,21 @@ def compose_u_batch(phi, psi, alpha) -> np.ndarray:
     batch, n = alpha.shape  # ValueError unless alpha has two axes
     p = n * (n - 1) // 2
     _check_shapes(phi=(phi, (p, batch)), psi=(psi, (p, batch)))
-    v = _plane_product(n, batch, complex, lambda sl: _u_cosets(phi, psi, alpha, n, sl))
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    sel, one, k, runs = _coset_schedule(n, 2)
+
+    def blocks(sl, at):
+        """The inner factors U(phi, 0, psi), psi in the diagonal slot, and
+        the l = 1 factors U(phi, psi, alpha_k)."""
+        ph, ps, l1 = phi[sel[at], sl], psi[sel[at], sl], one[at]
+        diag = ps.copy()
+        diag[l1] = alpha[sl, k[at][l1] - 1].T
+        m = np.empty((len(ph), 2, 2, ph.shape[1]), dtype=complex)
+        _su2_fill(m.transpose(1, 2, 0, 3), ph, diag, ps[l1], l1)
+        return m
+
+    v = _plane_product(n, batch, complex, runs, blocks)
     v *= np.exp(1j * alpha[:, 0])[:, None, None]
     return v
 
@@ -242,28 +394,6 @@ def _quat_factor_batch(rho, q_blk, big_blk, twisted) -> np.ndarray:
     return out
 
 
-def _sp_cosets(rho: np.ndarray, quat: np.ndarray, lead: np.ndarray, n: int, sl: slice):
-    """Blocks of q_1 then of the Sp cosets E_1 ... E_{n-1}; only the l = 1
-    factor of a coset has Q != identity.
-
-    The other k - 2 factors get q Q q^dagger as q q^dagger: q @ I is exact,
-    so the product is the same bit for bit without the identity matmul.
-    """
-    yield 0, 2, lead[sl, 0].transpose(1, 2, 0)
-    for k in range(2, n + 1):
-        rows, lead_k = coset_rows(k), lead[sl, k - 1]
-        q = np.concatenate((quat[rows][:0:-1, sl], lead_k[None]))  # factors l = k-1 .. 1
-        big = np.empty_like(q)
-        big[:-1], big[-1] = np.eye(2), quat[rows.start, sl]
-        qdag = np.conj(np.swapaxes(q, -1, -2))
-        twisted = np.empty_like(q)
-        np.matmul(q[:-1], qdag[:-1], out=twisted[:-1])
-        np.matmul(lead_k @ big[-1], qdag[-1], out=twisted[-1])
-        m = _quat_factor_batch(rho[rows][::-1, sl], q, big, twisted)
-        m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))
-        yield from zip(range(2 * k - 4, -1, -2), [2 * k] * (k - 1), m, strict=True)
-
-
 def compose_sp_batch(rho, quat, lead) -> np.ndarray:
     """Stack of 2n x 2n symplectic unitaries from packed (P, B) rho, packed
     (P, B, 2, 2) SU(2) stacks quat (the Q_{j,k}) and (B, n, 2, 2) lead
@@ -274,8 +404,28 @@ def compose_sp_batch(rho, quat, lead) -> np.ndarray:
     p = n * (n - 1) // 2
     _check_shapes(rho=(rho, (p, batch)), quat=(quat, (p, batch, 2, 2)),
                   lead=(lead, (batch, n, 2, 2)))
-    return _plane_product(2 * n, batch, complex,
-                          lambda sl: _sp_cosets(rho, quat, lead, n, sl))
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    sel, one, k, runs = _coset_schedule(n, 4)
+
+    def blocks(sl, at):
+        """Q = I and q = Q_{j,k} for j > 1, so q Q q^dagger is q q^dagger
+        (q @ I is exact, so the bits are those of the identity matmul); the
+        l = 1 factor takes q = q_k and Q = Q_{1,k}."""
+        q, l1 = quat[sel[at], sl], one[at]
+        inner = ~l1
+        big = np.empty_like(q)
+        big[inner], big[l1] = np.eye(2), q[l1]
+        q[l1] = lead[sl, k[at][l1] - 1].transpose(1, 0, 2, 3)
+        twisted = np.empty_like(q)
+        q_in, q_1 = q[inner], q[l1]
+        twisted[inner] = q_in @ np.conj(np.swapaxes(q_in, -1, -2))
+        twisted[l1] = (q_1 @ big[l1]) @ np.conj(np.swapaxes(q_1, -1, -2))
+        m = _quat_factor_batch(rho[sel[at], sl], q, big, twisted)
+        return np.ascontiguousarray(m.transpose(0, 2, 3, 1))
+
+    return _plane_product(2 * n, batch, complex, runs, blocks,
+                          lead=lambda sl: lead[sl, 0].transpose(1, 2, 0))
 
 
 # --- extraction ------------------------------------------------------------

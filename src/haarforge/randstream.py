@@ -139,7 +139,7 @@ class RandomStream:
         """phi = arcsin(xi^(1/(2j))) on [0, pi/2]: density ~ cos(phi) sin(phi)^(2j-1)."""
         if j < 1:
             raise ValueError("j >= 1 required")
-        return np.arcsin(self._gen.random(size) ** (1.0 / (2.0 * j)))
+        return phi_unitary_law(self._gen.random(size), j)
 
     def rho_symplectic(self, j: int, size):
         """rho on [0, pi/2] with density ~ cos^3(rho) sin(rho)^(4j-1).
@@ -150,12 +150,35 @@ class RandomStream:
         if j < 1:
             raise ValueError("j >= 1 required")
         u = self._gen.random((_count(size), 2 * j + 1))
-        second_largest = np.partition(u, 2 * j - 1, axis=1)[:, 2 * j - 1]
-        return np.arcsin(np.sqrt(second_largest)).reshape(size)
+        return rho_symplectic_law(u, j).reshape(size)
 
     def sin2phi_quaternion(self, size):
         """phi = arcsin(sqrt(xi)) on [0, pi/2]: density ~ sin(2 phi)."""
-        return np.arcsin(np.sqrt(self._gen.random(size)))
+        return sin2phi_law(self._gen.random(size))
+
+
+# The angle laws as maps of their uniforms, for draws that take the uniforms
+# of many angles in one block.  j is a Python int, so ``**`` gets a scalar
+# exponent (u ** 0.5 takes numpy's sqrt path, an array of 0.5 does not), and
+# arcsin runs on the contiguous result: its bits differ on a negative-stride
+# view.
+
+
+def phi_unitary_law(u, j: int):
+    """The phi_unitary(j) angles of uniforms u."""
+    return np.arcsin(u ** (1.0 / (2.0 * j)))
+
+
+def rho_symplectic_law(u, j: int):
+    """The rho_symplectic(j) angles of (..., 2j+1) uniforms u, one per row of
+    the last axis; u is partitioned in place."""
+    u.partition(2 * j - 1, axis=-1)
+    return np.arcsin(np.sqrt(u[..., 2 * j - 1]))
+
+
+def sin2phi_law(u):
+    """The sin2phi_quaternion angles of uniforms u."""
+    return np.arcsin(np.sqrt(u))
 
 
 def _count(size) -> int:

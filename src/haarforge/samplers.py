@@ -24,8 +24,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import _chunks, _redraw, symplectic_form
-from haarforge.randstream import RandomStream
+from haarforge.linalg import CHUNK_BYTES, _chunks, _redraw, symplectic_form
+from haarforge.randstream import (RandomStream, phi_unitary_law, rho_symplectic_law,
+                                  sin2phi_law)
 
 TWO_PI = 2.0 * np.pi
 
@@ -52,33 +53,68 @@ def _so_angles(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 def _u_angles(stream: RandomStream, n: int, count: int):
     """Packed (P, count) phi via the cos(phi) sin(phi)^(2j-1) law and psi
-    uniform, drawn row by row (phi, then psi); the (count, n) alphas last."""
-    phi, psi = np.empty((2, n * (n - 1) // 2, count))
-    for row, j in enumerate(euler.row_j(n).tolist()):
-        phi[row] = stream.phi_unitary(j, size=count)
-        psi[row] = stream.uniform(0.0, TWO_PI, size=count)
+    uniform; the (count, n) alphas last.
+
+    Draw order: row by row, count uniforms for phi's law, then count for
+    psi, as one (P, 2, count) uniform block; then the (count, n) alphas.
+    The law runs once per j, on the rows ``euler.j_rows`` names.
+    """
+    u = stream.uniform(size=(n * (n - 1) // 2, 2, count))
+    phi, psi = np.empty(u.shape[::2]), u[:, 1] * TWO_PI  # as uniform(0, 2 pi) maps it
+    for j in range(1, n):
+        rows = euler.j_rows(n, j)
+        phi[rows] = phi_unitary_law(u[rows, 0], j)
     alpha = stream.uniform(0.0, TWO_PI, size=(count, n))
     return phi, psi, alpha
 
 
-def _haar_su2_blocks(stream: RandomStream, count: int) -> np.ndarray:
-    """(B,2,2) Haar-SU(2) stacks: phi ~ sin(2 phi)/2, psi/alpha uniform."""
-    ph = stream.sin2phi_quaternion(size=count)
-    ps = stream.uniform(0.0, TWO_PI, size=count)
-    al = stream.uniform(0.0, TWO_PI, size=count)
-    return euler.su2_block(ph, ps, al)
-
-
 def _sp_angles(stream: RandomStream, n: int, count: int):
-    """Packed rho via the cos^3 sin^{4j-1} law and quaternions Haar on SU(2),
-    drawn row by row (rho, then the quaternion); (count, n, 2, 2) leads last."""
-    rho = np.empty((n * (n - 1) // 2, count))
-    quat = np.empty(rho.shape + (2, 2), dtype=complex)
-    for row, j in enumerate(euler.row_j(n).tolist()):
-        rho[row] = stream.rho_symplectic(j, size=count)
-        quat[row] = _haar_su2_blocks(stream, count)
-    lead = np.stack([_haar_su2_blocks(stream, count) for _ in range(n)], axis=1)
+    """Packed rho via the cos^3 sin^{4j-1} law and quaternions Haar on SU(2);
+    (count, n, 2, 2) leads last.
+
+    Draw order: row by row, rho's (count, 2j+1) uniforms, then count each
+    for the quaternion's phi (the sin(2 phi) law), psi and alpha; then the
+    leads' (3, count) triples, q_1 to q_n.  The rows are drawn in uniform
+    blocks of whole rows, each starting with the first row that begins past
+    the next multiple of ``linalg.CHUNK_BYTES`` of uniforms, so that a block
+    stays in cache (one block for a stack that needs at most 2^16 of them,
+    n = 12 up to 78 elements); each block runs the rho law once per j.  The
+    blocks do not change the stream, which is the uniforms in order.
+    """
+    p = n * (n - 1) // 2
+    j = euler.row_j(n)
+    width = count * (2 * j + 4)  # uniforms per row
+    start = np.cumsum(width) - width
+    rho = np.empty((p, count))
+    quat = np.empty((p, count, 2, 2), dtype=complex)
+    lead = np.empty((count, n, 2, 2), dtype=complex)
+    block = start // (CHUNK_BYTES // 8)
+    for rows in np.split(np.arange(p), np.flatnonzero(np.diff(block)) + 1) if p else []:
+        off = start[rows] - start[rows[0]]
+        u = stream.uniform(size=int(width[rows].sum()))
+        for jj in np.unique(j[rows]).tolist():
+            at = j[rows] == jj
+            win = _windows(u, count * (2 * jj + 1))[off[at]]
+            rho[rows[at]] = rho_symplectic_law(win.reshape(len(win), count, 2 * jj + 1), jj)
+        win = _windows(u, 3 * count)[off + count * (2 * j[rows] + 1)]
+        _haar_su2(quat[rows[0]:rows[-1] + 1], win.reshape(len(rows), 3, count))
+    _haar_su2(lead.transpose(1, 0, 2, 3), stream.uniform(size=(n, 3, count)))
     return rho, quat, lead
+
+
+def _haar_su2(out: np.ndarray, u: np.ndarray) -> None:
+    """Fill the (m, count, 2, 2) view ``out`` with Haar SU(2) blocks from
+    (m, 3, count) uniforms: phi by the sin(2 phi) law, psi and alpha
+    uniform on [0, 2 pi), as ``euler.su2_block(phi, psi, alpha)``."""
+    euler._su2_fill(np.moveaxis(out, (-2, -1), (0, 1)), sin2phi_law(u[:, 0]),
+                    u[:, 2] * TWO_PI, u[:, 1] * TWO_PI)
+
+
+def _windows(u: np.ndarray, size: int) -> np.ndarray:
+    """The (len(u) - size + 1, size) view of u's length-size windows, one
+    per start offset; indexing it with offsets gathers those windows."""
+    return np.lib.stride_tricks.as_strided(u, (len(u) - size + 1, size), u.strides * 2,
+                                           writeable=False)
 
 
 # --- batched samplers -------------------------------------------------------

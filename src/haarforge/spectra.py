@@ -13,9 +13,11 @@ choice does not affect any spectral law.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from haarforge.euler import _plane_product, _rotation_blocks
+from haarforge.euler import _plane_product, _rotation_blocks, _waves
 from haarforge.linalg import _redraw
 from haarforge.randstream import RandomStream
 
@@ -40,9 +42,20 @@ def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
     if thetas.ndim != 2 or not all(0 <= c < n - 1 for c in planes):
         raise ValueError(f"need (B, n-1) angles and planes in 1..n-1, not shape "
                          f"{thetas.shape} and planes {list(order)}")
-    m = _rotation_blocks(thetas.T)
-    return _plane_product(n, thetas.shape[0], float,
-                          lambda sl: ((c, n, m[c, ..., sl]) for c in planes))
+    sel, runs = _rotation_schedule(tuple(planes), n)
+    return _plane_product(n, thetas.shape[0], float, runs,
+                          lambda sl, at: _rotation_blocks(thetas[sl, sel[at]].T))
+
+
+@functools.lru_cache(maxsize=64)
+def _rotation_schedule(planes: tuple, n: int):
+    """The ``_waves`` schedule of 0-based planes applied in turn to all n
+    rows: each block's plane in wave order (read-only), and the runs; the
+    cache keeps the last 64 (planes, n)."""
+    order, runs = _waves(planes, [n] * len(planes), 2)
+    sel = np.asarray(planes, dtype=int)[order]
+    sel.flags.writeable = False
+    return sel, runs
 
 
 def _spectral_thetas(stream: RandomStream, n: int, count: int) -> np.ndarray:

@@ -77,13 +77,20 @@ class CriterionResult:
         return out
 
 
-def _check(label: str, passed: bool, detail: str) -> dict:
-    return {"label": label, "passed": bool(passed), "detail": detail}
+def _check(label: str, passed: bool, detail: str, statistic=None, critical=None,
+           level=None) -> dict:
+    """One check line; a statistical one also carries its numbers, with
+    margin = critical - statistic (>= 0 exactly when it passes, NaN for a
+    NaN statistic), and None for checks that are no test."""
+    margin = None if statistic is None else critical - statistic
+    return {"label": label, "passed": bool(passed), "detail": detail,
+            "statistic": statistic, "critical": critical, "margin": margin, "level": level}
 
 
 def _from_report(r: TestReport) -> dict:
     return _check(r.label or r.method, r.passed,
-                  f"{r.method} stat={r.statistic:.4g} crit={r.critical:.4g}")
+                  f"{r.method} stat={r.statistic:.4g} crit={r.critical:.4g}",
+                  r.statistic, r.critical, r.details.get("level"))
 
 
 def _criterion(title: str):

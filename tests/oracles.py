@@ -221,6 +221,53 @@ def sp_density(n: int, rho: dict, quat_phi: dict, lead_phi) -> float:
     return val
 
 
+# --- Euler angle draws, row by row -------------------------------------------
+#
+# The U and Sp angle draws as loops over the packed rows, each law applied
+# to its own uniforms straight from the stream's numpy Generator ``gen``:
+# the draw order the samplers document, written without their code.
+
+
+def _turn_uniform(gen, count):
+    """count uniforms on [0, 2 pi), as r * (2 pi - 0) + 0."""
+    return gen.random(count) * (2.0 * np.pi) + 0.0
+
+
+def u_angles_rowwise(gen, n: int, count: int):
+    """Packed phi and psi, then (count, n) alpha: for each packed row (j, k),
+    phi = arcsin(u^(1/(2j))) from count uniforms, then psi from count."""
+    pairs = angle_pairs(n)
+    phi, psi = np.empty((2, len(pairs), count))
+    for row, (j, _) in enumerate(pairs):
+        phi[row] = np.arcsin(gen.random(count) ** (1.0 / (2.0 * j)))
+        psi[row] = _turn_uniform(gen, count)
+    alpha = gen.random((count, n)) * (2.0 * np.pi) + 0.0
+    return phi, psi, alpha
+
+
+def _haar_su2_rowwise(gen, count):
+    """(count, 2, 2) su2 blocks: phi = arcsin(sqrt(u)), then psi and alpha."""
+    ph = np.arcsin(np.sqrt(gen.random(count)))
+    ps = _turn_uniform(gen, count)
+    return su2(ph, ps, _turn_uniform(gen, count))
+
+
+def sp_angles_rowwise(gen, n: int, count: int):
+    """Packed rho and quaternions, then (count, n, 2, 2) leads: for each
+    packed row (j, k), rho = arcsin(sqrt(second largest of 2j + 1
+    uniforms)) from a (count, 2j + 1) block, then one su2 block; then the n
+    leads' su2 blocks."""
+    pairs = angle_pairs(n)
+    rho = np.empty((len(pairs), count))
+    quat = np.empty((len(pairs), count, 2, 2), dtype=complex)
+    for row, (j, _) in enumerate(pairs):
+        u = np.sort(gen.random((count, 2 * j + 1)), axis=1)
+        rho[row] = np.arcsin(np.sqrt(u[:, 2 * j - 1]))
+        quat[row] = _haar_su2_rowwise(gen, count)
+    lead = np.stack([_haar_su2_rowwise(gen, count) for _ in range(n)], axis=1)
+    return rho, quat, lead
+
+
 # --- column-rotation composition --------------------------------------------
 #
 # The plain (B, d, d) loop: each factor right-multiplies the whole stack,

@@ -5,6 +5,8 @@ this module are the same code path.  Each test prints its pass/fail line
 (visible under ``pytest -s`` / ``-v``).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,27 @@ def test_criterion(criterion):
     assert result.passed, (
         f"criterion {result.name}: "
         + "; ".join(f"{c['label']} -> {c['detail']}" for c in failing))
+
+
+@pytest.mark.parametrize("name", ["criterion_9", "criterion_10", "criterion_12"])
+def test_checks_carry_structured_margins(name):
+    # statistic, critical, margin = critical - statistic and the level of a
+    # statistical check as verify --out writes them, the margin >= 0 exactly
+    # when the check passes; moment-z checks have no level, and a check that
+    # is no test has null numbers.  Criterion 9 holds a chi-square test, 10
+    # only residual checks, 12 a moment-z test.
+    checks = json.loads(json.dumps(getattr(verify, name)(SEED).checks))
+    for c in checks:
+        assert set(c) == {"label", "passed", "detail", "statistic", "critical", "margin",
+                          "level"}
+        if c["statistic"] is None:
+            assert (c["critical"], c["margin"], c["level"]) == (None, None, None)
+            continue
+        assert c["margin"] == c["critical"] - c["statistic"]
+        assert (c["margin"] >= 0.0) == c["passed"]
+        assert c["level"] == (None if c["detail"].startswith("moment-z") else verify.DEFAULT_LEVEL)
+    tested = [c for c in checks if c["statistic"] is not None]
+    assert len(tested) == {"criterion_9": 1, "criterion_10": 0, "criterion_12": 1}[name]
 
 
 def test_registry_numbers_criteria_by_name():

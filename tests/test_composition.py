@@ -128,6 +128,53 @@ def test_batches_split_into_work_chunks_match_oracle():
     _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
 
 
+# Shapes where the wave schedule differs most from the one-block-at-a-time
+# product: waves of many column pairs, over batch chunks of one to three
+# items, so that pieces group many pairs.
+WIDE = [("so", 65, 1), ("so", 65, 3), ("so", 130, 1), ("so", 130, 3), ("u", 48, 2), ("sp", 24, 2)]
+
+
+@pytest.mark.parametrize("group,n,batch", WIDE)
+def test_wide_waves_match_oracle(group, n, batch):
+    rng = _rng(n, batch)
+    if group == "so":
+        theta = _so_theta(rng, n, batch)
+        want = oracles.column_rotation_so(oracles.angle_dict(theta), n, batch)
+        _same_bytes(euler.compose_so_batch(theta), want)
+    elif group == "u":
+        angles = _u_angles(rng, n, batch)
+        _same_bytes(euler.compose_u_batch(*angles), _oracle_u(*angles, n))
+    else:
+        angles = _sp_angles(rng, n, batch)
+        _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
+
+
+@pytest.mark.parametrize("name", ["hessenberg", "cmv", "shuffle"])
+def test_wide_rotation_products_match_oracle(name):
+    # the shuffle visits every plane twice, in two random orders
+    n, batch = 65, 3
+    rng = _rng(n, batch)
+    order = {"hessenberg": spectra.hessenberg_order(n), "cmv": spectra.cmv_order(n),
+             "shuffle": np.concatenate([rng.permutation(n - 1), rng.permutation(n - 1)]) + 1}[name]
+    thetas = rng.uniform(0.0, np.pi, (batch, n - 1))
+    _same_bytes(spectra.rotation_product_batch(thetas, list(order)),
+                oracles.rotation_product(thetas, order, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 65])
+def test_wave_counts(n):
+    # a coset product E_1 ... E_{n-1} runs in 2n - 3 waves of adjacent column
+    # pairs (4-column groups for Sp), CMV in 2 and Hessenberg in n - 1; each
+    # of these waves is one run
+    for width in (2, 4):
+        _, _, _, runs = euler._coset_schedule(n, width)
+        assert len(runs) == 2 * n - 3
+    for order, waves in ((spectra.cmv_order(n), min(n - 1, 2)),
+                         (spectra.hessenberg_order(n), n - 1)):
+        _, runs = spectra._rotation_schedule(tuple(l - 1 for l in order), n)
+        assert len(runs) == waves
+
+
 @pytest.mark.parametrize("batch,binds", [(200, "bytes"), (600, "eighth")])
 @pytest.mark.parametrize("name", ["so", "u", "sp", "rotation"])
 def test_kernel_cuts_batches_by_the_chunk_rule(monkeypatch, name, batch, binds):
@@ -135,8 +182,13 @@ def test_kernel_cuts_batches_by_the_chunk_rule(monkeypatch, name, batch, binds):
     # items fill CHUNK_BYTES, so an eighth of 200 is less, of 600 more
     kernel, seen = euler._plane_product, []
 
-    def recording(d, batch, dtype, blocks):
-        return kernel(d, batch, dtype, lambda sl: seen.append(sl) or blocks(sl))
+    def recording(d, batch, dtype, runs, blocks, lead=None):
+        def chunk_blocks(sl, at):  # called once per span of a chunk
+            if not seen or seen[-1] != sl:
+                seen.append(sl)
+            return blocks(sl, at)
+
+        return kernel(d, batch, dtype, runs, chunk_blocks, lead)
 
     monkeypatch.setattr(euler, "_plane_product", recording)
     monkeypatch.setattr(spectra, "_plane_product", recording)
@@ -188,20 +240,39 @@ def test_su2_block_matches_exp_form_bytes():
         _same_bytes(euler.su2_block(phi, psi, alpha), oracles.su2(phi, psi, alpha))
 
 
-def test_u_coset_blocks_match_exp_form_bytes():
-    # inner factors have off-diagonal phase 0, the l = 1 factor psi and alpha_k
+def test_u_coset_blocks_match_exp_form_bytes(monkeypatch):
+    # inner factors have off-diagonal phase 0, the l = 1 factor psi and
+    # alpha_k; the blocks are recorded as the kernel receives them, in wave
+    # order, for every coset and batch chunk
     rng = np.random.default_rng(12)
     k, batch = 6, 5000
     phi, psi = _special_mix(rng, (2, k * (k - 1) // 2, batch))  # packed, n = k
     alpha = _special_mix(rng, (batch, k))
-    alpha_k = alpha[:, k - 1]
-    blocks = list(euler._u_cosets(phi, psi, alpha, k, slice(0, batch)))[-(k - 1):]
+    kernel, seen = euler._plane_product, []
+
+    def recording(d, batch, dtype, runs, blocks, lead=None):
+        def chunk_blocks(sl, at):
+            seen.append((sl, at, blocks(sl, at)))
+            return seen[-1][2]
+
+        return kernel(d, batch, dtype, runs, chunk_blocks, lead)
+
+    monkeypatch.setattr(euler, "_plane_product", recording)
+    euler.compose_u_batch(phi, psi, alpha)
+    sel, _, _, runs = euler._coset_schedule(k, 2)
+    pairs = oracles.angle_pairs(k)
     phi, psi = oracles.angle_dict(phi), oracles.angle_dict(psi)
-    for l, (col, rows, m) in zip(range(k - 1, 0, -1), blocks):
-        want = (oracles.su2(phi[(1, k)], psi[(1, k)], alpha_k) if l == 1
-                else oracles.su2(phi[(l, k)], 0.0, psi[(l, k)]))
-        assert (col, rows) == (l - 1, k)
-        _same_bytes(m.transpose(2, 0, 1), want)
+    assert len(seen) > 1
+    for sl, at, m in seen:
+        for row, blk in zip(sel[at].tolist(), m, strict=True):
+            j, kk = pairs[row]
+            want = (oracles.su2(phi[(1, kk)], psi[(1, kk)], alpha[:, kk - 1]) if j == 1
+                    else oracles.su2(phi[(j, kk)], 0.0, psi[(j, kk)]))
+            _same_bytes(blk.transpose(2, 0, 1), want[sl])
+    for c, width, start, rows in runs:
+        for i, row in enumerate(sel[start:start + len(rows)].tolist()):
+            j, kk = pairs[row]
+            assert (c + width * i, rows[i]) == (j - 1, kk)
 
 
 PAIRS = [("so", "euler"), ("o", "euler"), ("o", "qr"), ("o", "householder"),
@@ -267,6 +338,15 @@ SPECTRA_DIGESTS = {  # (fn, n, count, seed), stream_id 0
 }
 
 
+# Euler draws whose batch chunks hold one item each, so the wave kernel runs
+# at its widest; (fn, n, count, seed), stream_id 0, taken from the
+# one-block-at-a-time kernel before the wave schedule replaced it.
+WIDE_EULER_DIGESTS = {
+    ("so_euler_batch", 256, 2, 43): "d19459286a1c967c8b14696c4d53e84884685bf8f7e9013d1a543cb69f981527",
+    ("u_euler_batch", 64, 2, 47): "97ae52a55ff8f0d67feb95ddea46aa9e817d022f669f099810045a224d0b0b7d",
+}
+
+
 DRAW_SHAPE_DIGESTS = {  # (group, method, n, count, seed, streams)
     ("o", "householder", 64, 224, 13, 2): "9a357ca9fe2fcdacf4b2f321ea4cd8aea89e2a3ce69e30fd9385fbd0b4784cc1",
     ("o", "householder", 32, 128, 41, 1): "f66819f4445d053efd7c61f2b0f1f583d487cb5f6d7b44f54489856239e0ee6c",
@@ -309,6 +389,13 @@ def test_circular_batch_digest_pinned(key):
     fn, n, count, seed = key
     out = getattr(samplers, fn)(RandomStream(seed, 0), n, count)
     assert _digest(out) == CIRCULAR_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(WIDE_EULER_DIGESTS))
+def test_wide_euler_digest_pinned(key):
+    fn, n, count, seed = key
+    out = getattr(samplers, fn)(RandomStream(seed, 0), n, count)
+    assert _digest(out) == WIDE_EULER_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", sorted(DRAW_SHAPE_DIGESTS))

@@ -230,6 +230,15 @@ class TestCosetsAndComposition:
         with pytest.raises(ValueError):
             compose_sp_batch(np.zeros((5, 1)), np.zeros((5, 1, 2, 2)), np.zeros((1, 4, 2, 2)))
 
+    def test_compose_u_with_no_columns_rejected(self):
+        # a (B, 0) alpha is n = 0, which the batch-chunk rule cannot cut
+        with pytest.raises(ValueError, match="n >= 1 required"):
+            compose_u_batch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((3, 0)))
+
+    def test_compose_sp_with_no_leads_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1 required"):
+            compose_sp_batch(np.zeros((0, 3)), np.zeros((0, 3, 2, 2)), np.zeros((3, 0, 2, 2)))
+
     def test_batch_is_read_from_theta(self):
         # every column of a (6, 5) packed array composes: no count can drop some
         v = compose_so_batch(np.zeros((6, 5)))

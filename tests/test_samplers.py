@@ -18,7 +18,8 @@ from haarforge.randstream import RandomStream
 from haarforge import samplers, verify
 from haarforge.samplers import SAMPLERS, GroupId, sample_batch
 
-from oracles import bin_probabilities, bubble_bits, compose_word_swaps
+from oracles import (bin_probabilities, bubble_bits, compose_word_swaps, sp_angles_rowwise,
+                     u_angles_rowwise)
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,6 +113,28 @@ class TestSpEuler:
         ph = eigenphases_batch(samplers.sp_euler_batch(RandomStream(236), 3, 1))[0]
         neg = np.sort((-ph) % TWO_PI)
         assert np.abs(np.sort(ph) - neg).max() <= 1e-8
+
+
+# The angle draws against their row-by-row oracles, on bytes: one uniform
+# block per stack and one law call per j give the stream of the loop over
+# packed rows.  Sp at n = 40 draws its rows in several uniform blocks.
+ANGLE_DRAWS = [(n, count) for n in (1, 2, 5, 12) for count in (1, 7, 300)]
+
+
+@pytest.mark.parametrize("n,count", ANGLE_DRAWS)
+def test_u_angles_match_rowwise_oracle(n, count):
+    got = samplers._u_angles(RandomStream(240 + n, count), n, count)
+    want = u_angles_rowwise(RandomStream(240 + n, count)._gen, n, count)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n,count", ANGLE_DRAWS + [(40, 3)])
+def test_sp_angles_match_rowwise_oracle(n, count):
+    got = samplers._sp_angles(RandomStream(250 + n, count), n, count)
+    want = sp_angles_rowwise(RandomStream(250 + n, count)._gen, n, count)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestQR:
