@@ -95,12 +95,6 @@ def row_j(n: int) -> np.ndarray:
     return np.arange(len(m) * n // 2) - np.repeat(m * (m + 1) // 2, m + 1) + 1
 
 
-def j_rows(n: int, j: int) -> np.ndarray:
-    """The rows of a packed n(n-1)/2-row array that hold angles (j, j+1) .. (j, n)."""
-    k = np.arange(j + 1, n + 1)
-    return (k - 1) * (k - 2) // 2 + j - 1
-
-
 # --- elementary blocks ----------------------------------------------------
 
 
@@ -114,12 +108,10 @@ def su2_block(phi, psi, alpha) -> np.ndarray:
     return blk
 
 
-def _su2_fill(e, phi, alpha, psi=None, at=...) -> None:
+def _su2_fill(e, phi, alpha, psi=None) -> None:
     """Write su2_block(phi, psi, alpha) into a complex view e whose first two
-    axes are the block's, through its real and imaginary parts.  psi is the
-    off-diagonal phase of the blocks ``at`` (a mask over e's third axis, or
-    every block); the others, or all when psi is None, take the phase +0,
-    with no cos or sin evaluated for it.
+    axes are the block's, through its real and imaginary parts; psi=None is
+    the off-diagonal phase +0, with no cos or sin evaluated for it.
 
     Each entry p e^{+-it} gets the floats of the complex product
     (p + 0i)(cos t +- i sin t) that multiplying by np.exp(+-1j t) gives,
@@ -137,17 +129,17 @@ def _su2_fill(e, phi, alpha, psi=None, at=...) -> None:
     cs = c * np.sin(alpha)
     np.add(cs, 0.0, out=im[0, 0, ...])
     np.subtract(0.0, cs, out=im[1, 1, ...])
-    if psi is None or at is not ...:
+    if psi is None:
         re[0, 1] = s
         np.subtract(0.0, s, out=re[1, 0, ...])
         im[0, 1] = im[1, 0] = 0.0
-    if psi is None:
         return
-    cp, sp, s = np.cos(psi), np.sin(psi), s[at]
+    cp, sp = np.cos(psi), np.sin(psi)
     x = s * cp
-    re[0, 1, at] = x - 0.0 * (sp + 0.0)  # exp(1j psi) takes sin(psi + 0)
-    re[1, 0, at] = 0.0 * sp - x
-    im[0, 1, at] = im[1, 0, at] = s * sp + 0.0 * cp
+    np.subtract(x, 0.0 * (sp + 0.0), out=re[0, 1, ...])  # exp(1j psi) takes sin(psi + 0)
+    np.subtract(0.0 * sp, x, out=re[1, 0, ...])
+    np.add(s * sp, 0.0 * cp, out=im[0, 1, ...])
+    im[1, 0] = im[0, 1]
 
 
 # --- batched composition ----------------------------------------------------
@@ -298,7 +290,7 @@ def _turn_pair(a, b, m, s1, s2) -> None:
     np.add(s2, b, out=b)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _coset_schedule(n: int, width: int):
     """The ``_waves`` schedule of E_1 ... E_{n-1}: the packed row of each
     block in wave order, a mask of the l = 1 factors, each block's k, and
@@ -307,8 +299,10 @@ def _coset_schedule(n: int, width: int):
     Coset E_{k-1} applies angles (k-1, k) .. (1, k), and angle (j, k)'s
     block acts on columns h(j-1) .. h(j-1) + width - 1 of rows 0 .. hk - 1,
     h = width / 2 (2x2 blocks, or 4x4 quaternion blocks).  The arrays are
-    read-only; the cache holds a few ints per packed row for each of the
-    last 64 (n, width) pairs.
+    read-only.  A build takes 40 us at n = 3 to 1.1 ms at n = 64, as much as
+    a small draw's composition, so the last 16 (n, width) pairs are kept:
+    a perfbench cycle composes at most 12 (draw and check), and an entry
+    holds about 50 KiB at n = 64 (6 MiB at n = 512).
     """
     j = row_j(n)
     k = np.repeat(np.arange(2, n + 1), np.arange(1, n))
@@ -356,12 +350,15 @@ def compose_u_batch(phi, psi, alpha) -> np.ndarray:
 
     def blocks(sl, at):
         """The inner factors U(phi, 0, psi), psi in the diagonal slot, and
-        the l = 1 factors U(phi, psi, alpha_k)."""
+        the l = 1 factors U(phi, psi, alpha_k), each set built apart (so no
+        angle's cos or sin is taken twice) and written to its positions."""
         ph, ps, l1 = phi[sel[at], sl], psi[sel[at], sl], one[at]
-        diag = ps.copy()
-        diag[l1] = alpha[sl, k[at][l1] - 1].T
         m = np.empty((len(ph), 2, 2, ph.shape[1]), dtype=complex)
-        _su2_fill(m.transpose(1, 2, 0, 3), ph, diag, ps[l1], l1)
+        for rows, angles in ((~l1, (ph[~l1], ps[~l1])),
+                             (l1, (ph[l1], alpha[sl, k[at][l1] - 1].T, ps[l1]))):
+            part = np.empty((len(angles[0]),) + m.shape[1:], dtype=complex)
+            _su2_fill(part.transpose(1, 2, 0, 3), *angles)
+            m[rows] = part
         return m
 
     v = _plane_product(n, batch, complex, runs, blocks)

@@ -57,13 +57,13 @@ def _u_angles(stream: RandomStream, n: int, count: int):
 
     Draw order: row by row, count uniforms for phi's law, then count for
     psi, as one (P, 2, count) uniform block; then the (count, n) alphas.
-    The law runs once per j, on the rows ``euler.j_rows`` names.
+    The law runs once per j, on the rows of that j.
     """
     u = stream.uniform(size=(n * (n - 1) // 2, 2, count))
     phi, psi = np.empty(u.shape[::2]), u[:, 1] * TWO_PI  # as uniform(0, 2 pi) maps it
-    for j in range(1, n):
-        rows = euler.j_rows(n, j)
-        phi[rows] = phi_unitary_law(u[rows, 0], j)
+    j = euler.row_j(n)
+    for jj in range(1, n):
+        phi[j == jj] = phi_unitary_law(u[j == jj, 0], jj)
     alpha = stream.uniform(0.0, TWO_PI, size=(count, n))
     return phi, psi, alpha
 

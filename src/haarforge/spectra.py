@@ -47,11 +47,13 @@ def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
                           lambda sl, at: _rotation_blocks(thetas[sl, sel[at]].T))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=32)
 def _rotation_schedule(planes: tuple, n: int):
     """The ``_waves`` schedule of 0-based planes applied in turn to all n
-    rows: each block's plane in wave order (read-only), and the runs; the
-    cache keeps the last 64 (planes, n)."""
+    rows: each block's plane in wave order (read-only), and the runs.  A
+    build takes 40-90 us for n <= 64, a third of a small stack's product,
+    so the last 32 (planes, n) are kept: a perfbench check cycle uses 18
+    Hessenberg and CMV orders, and an entry holds about 1 KiB."""
     order, runs = _waves(planes, [n] * len(planes), 2)
     sel = np.asarray(planes, dtype=int)[order]
     sel.flags.writeable = False

@@ -80,11 +80,16 @@ class CriterionResult:
 def _check(label: str, passed: bool, detail: str, statistic=None, critical=None,
            level=None) -> dict:
     """One check line; a statistical one also carries its numbers, with
-    margin = critical - statistic (>= 0 exactly when it passes, NaN for a
-    NaN statistic), and None for checks that are no test."""
+    margin = critical - statistic (>= 0 exactly when it passes), and None
+    for checks that are no test.  A number that is not finite, such as a
+    NaN statistic and its margin, is None too, so the JSON stays valid."""
     margin = None if statistic is None else critical - statistic
+
+    def finite(x):
+        return x if x is None or math.isfinite(x) else None
     return {"label": label, "passed": bool(passed), "detail": detail,
-            "statistic": statistic, "critical": critical, "margin": margin, "level": level}
+            "statistic": finite(statistic), "critical": finite(critical),
+            "margin": finite(margin), "level": level}
 
 
 def _from_report(r: TestReport) -> dict:

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from haarforge import linalg, samplers, verify
+from haarforge import analytics, linalg, samplers, verify
 
 SEED = 1
 
@@ -30,25 +30,36 @@ def test_criterion(criterion):
         + "; ".join(f"{c['label']} -> {c['detail']}" for c in failing))
 
 
-@pytest.mark.parametrize("name", ["criterion_9", "criterion_10", "criterion_12"])
+@pytest.mark.parametrize("name", ["criterion_9", "criterion_10", "criterion_12", "nan_statistic"])
 def test_checks_carry_structured_margins(name):
     # statistic, critical, margin = critical - statistic and the level of a
     # statistical check as verify --out writes them, the margin >= 0 exactly
     # when the check passes; moment-z checks have no level, and a check that
     # is no test has null numbers.  Criterion 9 holds a chi-square test, 10
-    # only residual checks, 12 a moment-z test.
-    checks = json.loads(json.dumps(getattr(verify, name)(SEED).checks))
+    # only residual checks, 12 a moment-z test; a NaN statistic fails and
+    # writes null for itself and its margin, so the JSON stays valid.
+    if name == "nan_statistic":
+        made = [verify._from_report(analytics.TestReport(
+            float("nan"), 0.3, 10, "ks", "nan", {"level": verify.DEFAULT_LEVEL}))]
+    else:
+        made = getattr(verify, name)(SEED).checks
+    checks = json.loads(json.dumps(made, allow_nan=False))
     for c in checks:
         assert set(c) == {"label", "passed", "detail", "statistic", "critical", "margin",
                           "level"}
         if c["statistic"] is None:
-            assert (c["critical"], c["margin"], c["level"]) == (None, None, None)
+            assert c["margin"] is None
+            if c["critical"] is None:
+                assert c["level"] is None
+            else:
+                assert not c["passed"] and c["detail"] == "ks stat=nan crit=0.3"
             continue
         assert c["margin"] == c["critical"] - c["statistic"]
         assert (c["margin"] >= 0.0) == c["passed"]
         assert c["level"] == (None if c["detail"].startswith("moment-z") else verify.DEFAULT_LEVEL)
-    tested = [c for c in checks if c["statistic"] is not None]
-    assert len(tested) == {"criterion_9": 1, "criterion_10": 0, "criterion_12": 1}[name]
+    tested = [c for c in checks if c["critical"] is not None]
+    assert len(tested) == {"criterion_9": 1, "criterion_10": 0, "criterion_12": 1,
+                           "nan_statistic": 1}[name]
 
 
 def test_registry_numbers_criteria_by_name():
