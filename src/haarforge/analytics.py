@@ -31,6 +31,7 @@ TWO_PI = 2.0 * pi
 
 QUADRATURE_DOMAIN = {"so": range(2, 4), "u": range(1, 3)}  # volume_quadrature's (tag, n)
 QUADRATURE_NODES = 24  # Gauss-Legendre nodes per axis of the coarse grid
+QUADRATURE_RTOL = 1e-6  # volume_quadrature's relative error against the closed form
 
 MOMENT_Z_MAX = 5.0  # moment_check passes within this many standard errors
 
@@ -247,8 +248,12 @@ def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
     if vals.ndim and vals.shape != (len(mats),):
         raise ValueError(f"f must return a scalar or shape ({len(mats)},), not {vals.shape}")
     vals = np.broadcast_to(vals, (len(mats),))
-    se = 0.0 if exact else float(vals.std(ddof=1) / np.sqrt(samples))
-    return float(vals.mean()), se
+    return (float(vals.mean()), 0.0) if exact else mean_and_error(vals)
+
+
+def mean_and_error(vals):
+    """(mean, std(ddof=1) / sqrt(len)) of the sample ``vals``, as floats."""
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
 # --- statistical test primitives ---------------------------------------------

@@ -2,7 +2,8 @@
 
 Subcommands: sample (group elements to JSON/CSV), moments (closed form vs Monte
 Carlo), volumes (closed forms plus quadrature cross-checks), spectra
-(eigenphase dumps), verify (the full acceptance battery).
+(eigenphase dumps), verify (the full acceptance battery).  sample and spectra
+write the text pieces of a ``fileio`` writer as they come.
 
 The argparse parser is the only declaration of each option: its default,
 its choices and its range (a ``type=`` parser that rejects, say,
@@ -32,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from contextlib import nullcontext
 
@@ -105,8 +105,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     vals = np.abs(mats[:, args.n - 1, args.n - 1]) ** (2.0 * args.p)
     if args.q is not None:
         vals = vals * np.abs(mats[:, args.n - 2, args.n - 2]) ** (2.0 * args.q)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(args.count))
+    est, se = analytics.mean_and_error(vals)
     check = analytics.moment_check(exact, est, se)
     report = {
         "group": args.group, "n": args.n, "p": args.p, "q": args.q,
@@ -136,11 +135,16 @@ def cmd_volumes(args: argparse.Namespace) -> int:
         report["quadrature"] = got
         report["quadrature_rel_error"] = rel
         report["quadrature_refine_delta"] = refine
-        report["checked"] = bool(rel <= 1e-6)
+        report["checked"] = bool(rel <= analytics.QUADRATURE_RTOL)
     else:
         report["checked"] = None
     _write_out([json.dumps(report)], args.out)
     return EXIT_OK
+
+
+def _spectral_models():  # built per call, so that a rebound draw function is the one run
+    return {"euler": samplers.so_euler_batch, "hessenberg": spectra.hessenberg_batch,
+            "cmv": spectra.cmv_batch}
 
 
 def cmd_spectra(args: argparse.Namespace) -> int:
@@ -148,21 +152,10 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("need n >= 2")
     _bound_stack(args.count, args.n * args.n, args.streams)
-    gen = {"euler": samplers.so_euler_batch,
-           "hessenberg": spectra.hessenberg_batch,
-           "cmv": spectra.cmv_batch}[method]
-    mats = samplers._draw_lanes(gen, args.n, args.count, args.seed, args.streams)
-    phases = linalg.eigenphases_batch(mats).ravel().tolist()
-    if args.format == "json":
-        text = json.dumps({"n": args.n, "method": method, "seed": args.seed,
-                           "count": args.count, "phases": phases})
-    else:
-        lines = [f"# haar-forge spectra n={args.n} method={method} "
-                 f"seed={args.seed} count={args.count}"]
-        for i in range(0, len(phases), args.n):
-            lines.append(",".join(repr(p) for p in phases[i:i + args.n]))
-        text = "\n".join(lines) + "\n"
-    _write_out([text], args.out)
+    phases = linalg.eigenphases_batch(samplers._draw_lanes(
+        _spectral_models()[method], args.n, args.count, args.seed, args.streams))
+    _write_out(fileio.phase_chunks(args.format, args.n, method, args.seed, args.count, phases),
+               args.out)
     return EXIT_OK
 
 
@@ -240,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, n_max=100)  # every volume printed underflows from n = 86
 
     p = sub.add_parser("spectra", help="dump eigenphase samples")
-    p.add_argument("--method", default="hessenberg",
-                   choices=["euler", "full", "hessenberg", "cmv"])
+    p.add_argument("--method", default="hessenberg", choices=[*_spectral_models(), "full"])
     p.add_argument("--format", default="json", choices=["json", "csv"])
     _add_common(p, count_default=100)
 

@@ -1,9 +1,9 @@
 """Stable sample serialization for the CLI: JSON and CSV.
 
-One writer and one reader per format serve every (group, method) pair; the
-writers take the kind from ``samplers.SAMPLERS`` (a pair not in it raises
-ValueError), and each format is one view of the sample stack, handled once
-per array, never per entry:
+One writer and one reader per format serve every (group, method) pair, and
+``phase_chunks`` writes ``haar-forge spectra`` eigenphases; the writers take
+the kind from ``samplers.SAMPLERS`` (a pair not in it raises ValueError),
+and each format is one view of the sample stack, handled once per array:
 
 * JSON ``"matrices"`` is the (B, n, n, 2) view of the stack as complex,
   i.e. lists of rows of [re, im] pairs whatever the kind, and
@@ -11,29 +11,29 @@ per array, never per entry:
 * CSV holds one leading comment line of metadata, then one
   blank-line-separated block per matrix, the rows of the (B, n, n) real
   part (real kind) or of the (B, n, 2n) view with interleaved re/im
-  columns (complex kind), or one word per row (permutation kind).
+  columns (complex kind), or one word per row (permutation kind);
+* spectra text states the request's n, method, seed and count, then the
+  (B, n) phases as one flat JSON list or one CSV row per matrix.
 
-Each writer is a generator of text pieces (``json_chunks``, ``csv_chunks``):
-the header, then the text of successive batch chunks of the stack, cut by
-the one batch-chunk rule, ``linalg._chunks``, so a caller can write a
-large stack without holding its whole text.  ``matrices_to_json`` and
-``matrices_to_csv`` are the joined pieces.  A chunk's text is one format
-template, built from the chunk's shape, filled with its entries by ``%``:
-each entry is formatted once, a float as ``float.__repr__`` (the shortest
-decimal that round-trips a double, which is also ``json.dumps``'s form;
-a chunk holding NaN or an infinity takes ``json.dumps``'s ``NaN``,
-``Infinity`` and ``-Infinity`` in JSON).  The imaginary parts of a real
-stack are the constant ``0.0`` of the JSON template.
+The writers (``json_chunks``, ``csv_chunks``, ``phase_chunks``) yield text
+pieces from one chunk loop: the header, the text of each batch chunk of the
+stack (``linalg._chunks``), the tail, so no caller holds a whole text.  A
+chunk is one ``%`` template filled with its entries, each formatted once:
+a float as ``float.__repr__``, the shortest round-trip decimal and
+``json.dumps``'s form (``NaN``, ``Infinity``, ``-Infinity`` in JSON), and
+the imaginary parts of a real stack as the template's constant ``0.0``.
 
 Write-then-read reproduces every entry bit for bit, signed zeros included:
 matrices as a complex stack, permutations as the (B, n) int64 stack, and a
 file with no samples as the empty stack of its header's group and n.
 Malformed input raises ValueError: among it a permutation row that is not
-a permutation of 1..n, a matrix that is not square, a CSV kind other than
-real, complex and permutation, a JSON document that is not an object with
-"matrices" or "permutations", and JSON matrices that do not nest as lists
-of rows of [re, im] pairs of numbers (``null``, ``true`` or a string is
-not a number).
+a permutation of 1..n, a matrix that is not square, samples that are not
+the size the header's group and n give, a CSV whose count is not the
+number of blocks read, a CSV kind other than real, complex and
+permutation, a JSON document that is not an object with "matrices" or
+"permutations", and JSON matrices that do not nest as lists of rows of
+[re, im] pairs of numbers (``null``, ``true`` or a string is not a
+number).
 """
 
 from __future__ import annotations
@@ -60,23 +60,22 @@ def _float_view(mats) -> np.ndarray:
     return c.view(float).reshape(c.shape + (2,))
 
 
-def _batch_chunks(stack: np.ndarray):
-    """Successive batch chunks of ``stack``, sized by ``linalg._chunks``."""
-    for sl in _chunks(len(stack), max(1, stack[:1].nbytes)):
-        yield stack[sl]
-
-
 def _stack(meta, stack: np.ndarray) -> np.ndarray:
-    """stack, or if it is empty the empty stack of the header's group and n:
+    """stack, ValueError unless each sample is d x d, d = ``matrix_dim(n)``
+    (a word of length n for a permutation), where the header gives group
+    and n; if stack is empty, the empty stack of the header's group and n:
     (0, d, d) complex for matrices, (0, n) int64 for permutations."""
-    if stack.size:
+    if stack.size and (meta.get("group") is None or meta.get("n") is None):
         return stack
     g = GroupId(meta.get("group"), int(meta.get("n") or 0))  # ValueError if either is missing
     sampler = SAMPLERS[(g.tag, DEFAULT_METHOD[g.tag])]
-    if sampler.kind == "permutation":
-        return np.empty((0, g.n), dtype=np.int64)
-    d = sampler.matrix_dim(g.n)
-    return np.empty((0, d, d), dtype=complex)
+    perm = sampler.kind == "permutation"
+    shape = (g.n,) if perm else (sampler.matrix_dim(g.n),) * 2
+    if not stack.size:
+        return np.empty((0, *shape), dtype=np.int64 if perm else complex)
+    if stack.shape[1:] != shape:
+        raise ValueError(f"samples of shape {stack.shape[1:]} contradict group={g.tag} n={g.n}")
+    return stack
 
 
 def _matrices(meta, stack: np.ndarray) -> np.ndarray:
@@ -104,10 +103,22 @@ def _nested(leaf: str, dims) -> str:
     return leaf
 
 
+def _pieces(head: str, stack, item: str, sep: str, *tail: str, special=None):
+    """The one chunk loop: ``head``, then per batch chunk of ``stack`` one ``item`` per
+    sample, ``sep``-joined, filled by ``%`` (``special`` maps a non-finite chunk), ``tail``."""
+    yield head
+    for idx, sl in enumerate(_chunks(len(stack), max(1, stack[:1].nbytes))):
+        chunk = stack[sl]
+        entries = chunk.ravel().tolist()
+        if special is not None and not np.isfinite(chunk).all():
+            entries = list(map(special, entries))
+        yield ((sep if idx else "") + sep.join([item] * len(chunk))) % tuple(entries)
+    yield from tail
+
+
 def json_chunks(group: str, n: int, method: str, seed: int, stack):
-    """The text of ``matrices_to_json`` in pieces: the document up to the
-    opening bracket of its sample list, the items of each batch chunk
-    (``linalg._chunks``), and the closing brackets."""
+    """The text of ``matrices_to_json`` in pieces (``_pieces``): the document
+    up to the "[" of its sample list, each batch chunk's items, then "]}"."""
     stack = np.asarray(stack)
     if _kind(group, method) == "permutation":
         key, item = "permutations", _nested("%s", stack.shape[1:])
@@ -118,14 +129,7 @@ def json_chunks(group: str, n: int, method: str, seed: int, stack):
         stack = stack.astype(float, copy=False)
         key, item = "matrices", _nested("[%s, 0.0]", stack.shape[1:])
     head = json.dumps({"group": group, "n": n, "method": method, "seed": seed, key: []})
-    yield head[:-2]  # up to the "[" of the empty list
-    for idx, chunk in enumerate(_batch_chunks(stack)):
-        entries = chunk.ravel().tolist()
-        if not np.isfinite(chunk).all():
-            entries = list(map(json.dumps, entries))  # NaN, Infinity, -Infinity
-        text = ", ".join([item] * len(chunk)) % tuple(entries)
-        yield ", " + text if idx else text
-    yield "]}"
+    return _pieces(head[:-2], stack, item, ", ", "]}", special=json.dumps)
 
 
 def matrices_to_json(group: str, n: int, method: str, seed: int, stack) -> str:
@@ -167,13 +171,12 @@ def json_to_matrices(text: str):
 
 
 def csv_chunks(group: str, n: int, method: str, seed: int, stack):
-    """The text of ``matrices_to_csv`` in pieces: the header line, then the
-    rows of each batch chunk, a blank line between two matrices."""
+    """The text of ``matrices_to_csv`` in pieces (``_pieces``): the header
+    line, then each batch chunk's rows, a blank line between two matrices."""
     kind = _kind(group, method)
     stack = np.asarray(stack)
-    yield (f"# haar-forge group={group} n={n} method={method} seed={seed} "
-           f"kind={kind} count={len(stack)}\n")
-    gap = "" if kind == "permutation" else "\n"  # a blank line between two matrices
+    head = (f"# haar-forge group={group} n={n} method={method} seed={seed} "
+            f"kind={kind} count={len(stack)}\n")
     if kind == "permutation":
         blocks = stack[:, None, :]  # each word the one row of its block
     elif kind == "real":
@@ -181,13 +184,22 @@ def csv_chunks(group: str, n: int, method: str, seed: int, stack):
     else:
         blocks = _float_view(stack).reshape(stack.shape[:-1] + (2 * stack.shape[-1],))
     block = (",".join(["%s"] * blocks.shape[2]) + "\n") * blocks.shape[1]
-    for idx, chunk in enumerate(_batch_chunks(blocks)):
-        text = gap.join([block] * len(chunk)) % tuple(chunk.ravel().tolist())
-        yield gap + text if idx else text
+    gap = "" if kind == "permutation" else "\n"  # a blank line between two matrices
+    return _pieces(head, blocks, block, gap)
 
 
 def matrices_to_csv(group: str, n: int, method: str, seed: int, stack) -> str:
     return "".join(csv_chunks(group, n, method, seed, stack))
+
+
+def phase_chunks(fmt: str, n: int, method: str, seed: int, count: int, phases):
+    """``fmt`` ("json" or "csv") text pieces of a spectra request and its (B, n) phases."""
+    row = ["%s"] * phases.shape[1]
+    if fmt == "json":
+        head = json.dumps({"n": n, "method": method, "seed": seed, "count": count, "phases": []})
+        return _pieces(head[:-2], phases, ", ".join(row), ", ", "]}", special=json.dumps)
+    head = f"# haar-forge spectra n={n} method={method} seed={seed} count={count}\n"
+    return _pieces(head, phases, ",".join(row) + "\n", "")
 
 
 def csv_to_matrices(text: str):
@@ -200,9 +212,13 @@ def csv_to_matrices(text: str):
     if kind not in ("real", "complex", "permutation"):
         raise ValueError(f"unknown CSV kind {kind!r}")
     if kind == "permutation":
-        return meta, _words(meta, np.array([line.split(",") for line in lines[1:]
-                                            if line.strip()]).astype(np.int64))
-    cols = np.array([[line.split(",") for line in block] for blank, block
-                     in groupby(lines[1:], lambda line: not line.strip()) if not blank],
-                    dtype=float)
-    return meta, _matrices(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
+        stack = _words(meta, np.array([line.split(",") for line in lines[1:]
+                                       if line.strip()]).astype(np.int64))
+    else:
+        cols = np.array([[line.split(",") for line in block] for blank, block
+                         in groupby(lines[1:], lambda line: not line.strip()) if not blank],
+                        dtype=float)
+        stack = _matrices(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
+    if "count" in meta and int(meta["count"]) != len(stack):
+        raise ValueError(f"count={meta['count']} contradicts the {len(stack)} samples read")
+    return meta, stack

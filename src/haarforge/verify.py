@@ -134,9 +134,7 @@ def criterion_1(seed, level, sid, checks):
         mats = samplers.so_euler_batch(s, n, count)
         entry = np.abs(mats[:, n - 1, n - 1])
         for p in (0.5, 1.0, 2.0, 3.0):
-            vals = entry ** (2.0 * p)
-            est = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(count))
+            est, se = analytics.mean_and_error(entry ** (2.0 * p))
             rep = moment_check(analytics.moment_single(n, p), est, se,
                                label=f"moment N={n} p={p}")
             checks.append(_from_report(rep))
@@ -184,7 +182,7 @@ def criterion_3(seed, level, sid, checks):
             got, refine = analytics.volume_quadrature(tag, n)
             want = analytics.volume(tag, n)
             rel = abs(got - want) / want
-            checks.append(_check(f"quadrature vol {tag}({n})", rel <= 1e-6,
+            checks.append(_check(f"quadrature vol {tag}({n})", rel <= analytics.QUADRATURE_RTOL,
                                  f"quad={got:.10g} closed={want:.10g} rel={rel:.2e} "
                                  f"refine-delta={refine:.2e}"))
     worst_so = max(abs(a / b - 1.0) for a, b in

@@ -335,3 +335,61 @@ def test_json_integers_read_as_floats():
                        "matrices": [[[[1, -2]]], [[[0, 3.5]]]]})
     _, back = fileio.json_to_matrices(text)
     assert back.tobytes() == np.array([[[1 - 2j]], [[3.5j]]]).tobytes()
+
+
+def _old_phases(fmt, n, method, seed, count, phases):
+    """The one-string spectra formatter the chunked writer replaced: json.dumps
+    of the flat phase list, or repr per phase, one row of n per matrix."""
+    phases = np.asarray(phases).ravel().tolist()
+    if fmt == "json":
+        return json.dumps({"n": n, "method": method, "seed": seed, "count": count,
+                           "phases": phases})
+    lines = [f"# haar-forge spectra n={n} method={method} seed={seed} count={count}"]
+    for i in range(0, len(phases), n):
+        lines.append(",".join(repr(p) for p in phases[i:i + n]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n,count", [(2, c) for c in _batch_sizes(CHUNK_BYTES // 16)]
+                         + [(4, 4), (5, 3)])
+def test_phase_text_equals_the_one_string_form(n, count, fmt):
+    # special floats at the small sizes, random phases across chunk boundaries
+    vals = np.array(SPECIAL * 2)[:n * count] if n * count <= 2 * len(SPECIAL) else (
+        np.random.default_rng(count).random(n * count) * 2.0 * math.pi)
+    phases = vals.reshape(count, n)
+    pieces = list(fileio.phase_chunks(fmt, n, "cmv", 7, count, phases))
+    assert "" not in pieces  # an empty piece would end the text without its last "\n"
+    assert "".join(pieces) == _old_phases(fmt, n, "cmv", 7, count, phases)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writing_a_phase_stack_holds_a_batch_chunk_not_the_text(traced_peak, tmp_path, fmt):
+    # (131072, 2) float64 is 2.1 MB, four batch chunks; the one-string form
+    # peaked near 9x (JSON) and 14x (CSV) that
+    phases = np.random.default_rng(3).random((131072, 2)) * 2.0 * math.pi
+    pieces = fileio.phase_chunks(fmt, 2, "hessenberg", 0, len(phases), phases)
+    path = str(tmp_path / f"phases.{fmt}")
+    assert traced_peak(lambda: cli._write_out(pieces, path)) <= 4 * phases.nbytes
+
+
+@pytest.mark.parametrize("group,method", [("so", "euler"), ("u", "qr"), ("sn", "bubble")])
+def test_csv_cut_at_a_sample_boundary_raises_value_error(group, method):
+    stack = sample_batch(group, 3, 4, method=method, seed=1)
+    fileio.csv_to_matrices(fileio.matrices_to_csv(group, 3, method, 1, stack))
+    cut = fileio.matrices_to_csv(group, 3, method, 1, stack[:2]).replace("count=2", "count=4")
+    with pytest.raises(ValueError, match="count=4"):
+        fileio.csv_to_matrices(cut)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("group,method", [("so", "euler"), ("sp", "euler"), ("sn", "bubble")])
+def test_samples_contradicting_the_header_n_raise_value_error(group, method, fmt):
+    stack = sample_batch(group, 3, 2, method=method, seed=1)
+    write, read, field = ((fileio.matrices_to_json, fileio.json_to_matrices, '"n": {}')
+                          if fmt == "json" else
+                          (fileio.matrices_to_csv, fileio.csv_to_matrices, "n={}"))
+    text = write(group, 3, method, 1, stack)
+    read(text)
+    with pytest.raises(ValueError, match="contradict"):
+        read(text.replace(field.format(3), field.format(2), 1))

@@ -7,7 +7,9 @@ Only exit 0 (a valid request) and exit 2 (an option out of range or a pair
 not in ``SAMPLERS``) may occur, and a written file must read back
 ``tobytes()``-equal to ``sample_batch`` of the same request.  ``spectra``
 gets (method, n, count, streams, format) over the same ranges: exit 0
-writes n * count phases in [0, 2 pi), exit 2 writes no file.
+writes a header that states the request and n * count phases in
+[0, 2 pi) that read back ``tobytes()``-equal to ``eigenphases_batch`` of
+the same lanes' draw, exit 2 writes no file.
 """
 
 import json
@@ -18,7 +20,10 @@ import numpy as np
 import pytest
 
 from haarforge import cli, fileio
-from haarforge.samplers import GROUP_TAGS, SAMPLERS, sample_batch
+from haarforge.linalg import eigenphases_batch
+from haarforge.randstream import RandomStream
+from haarforge.samplers import GROUP_TAGS, SAMPLERS, sample_batch, so_euler_batch
+from haarforge.spectra import cmv_batch, hessenberg_batch
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -75,9 +80,23 @@ def test_spectra_exits_0_or_2_and_writes_phases_in_range(method, n, count, strea
             assert not path.exists()
             return
         text = path.read_text(encoding="utf-8")
+    model = "euler" if method == "full" else method
     if fmt == "json":
-        phases = json.loads(text)["phases"]
+        payload = json.loads(text)
+        header = {key: payload[key] for key in ("n", "method", "seed", "count")}
+        phases = np.array(payload["phases"], dtype=float)
     else:
-        phases = [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
-    assert len(phases) == n * count
-    assert all(0.0 <= p < 2.0 * np.pi for p in phases)
+        head, *rows = text.splitlines()
+        assert head.startswith("# haar-forge spectra ")
+        header = dict(tok.partition("=")[::2] for tok in head.split()[3:])
+        header = {**header, **{key: int(header[key]) for key in ("n", "seed", "count")}}
+        phases = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert phases.shape == (count, n)
+    assert header == {"n": n, "method": model, "seed": seed, "count": count}
+    # the same lanes' draw, concatenated in lane order, and its eigenphases
+    draw = {"euler": so_euler_batch, "hessenberg": hessenberg_batch, "cmv": cmv_batch}[model]
+    lanes = np.array_split(np.arange(count), min(count, streams))
+    mats = np.concatenate([draw(RandomStream(seed, lane), n, len(idx))
+                           for lane, idx in enumerate(lanes)])
+    assert phases.ravel().tobytes() == eigenphases_batch(mats).tobytes()
+    assert ((0.0 <= phases) & (phases < 2.0 * np.pi)).all()
