@@ -1,7 +1,7 @@
 """Minimal dense matrix arithmetic for unitary-class matrices.
 
 Everything here is plain double precision on ndarrays, single matrices or
-(B, N, N) stacks; operations are pure functions, safe to call from
+(..., N, N) stacks; operations are pure functions, safe to call from
 multiple threads.  The shared batch policies live here too: the bounded
 redraw loop, ``_redraw``, and the one batch-chunk rule, ``_chunks``.
 """
@@ -55,27 +55,47 @@ def adjoint_residual(a: np.ndarray):
     return np.abs(gram).max(axis=(-2, -1))
 
 
-def determinant(m) -> complex:
-    """Determinant of one square matrix by partially pivoted Gaussian elimination."""
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    det = 1.0 + 0.0j
+def determinant(m):
+    """Determinants of a (..., n, n) stack by partially pivoted Gaussian
+    elimination, run on every matrix at once: a complex for one matrix,
+    else an array of the batch shape; ValueError for non-square input.
+
+    Step k swaps each matrix's pivot, the argmax of |column k| on and
+    below the diagonal, into row k (negating that determinant) and
+    subtracts one broadcast rank-1 update.  A zero pivot makes its own
+    determinant 0 and leaves its matrix unchanged (its column is zero), with
+    no division by zero.  The work runs on an (n, n, B) copy, batch axis
+    last, so every ufunc loop is contiguous over the batch and a matrix of
+    a stack gets the bits of its own 2-D call.
+    """
+    a = np.asarray(m)
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ValueError(f"expected a (..., n, n) stack, got shape {a.shape}")
+    t = np.array(a.reshape(-1, n * n).T, dtype=complex, order="C").reshape(n, n, -1)
+    cols = np.arange(t.shape[-1])
+    det = np.ones(t.shape[-1], dtype=complex)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) == 0.0:
-            return 0.0 + 0.0j
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
-    return complex(det)
+        p = k + np.argmax(np.abs(t[k:, k]), axis=0)
+        swap = p != k
+        if swap.any():
+            pivot_rows, row_k = t[p, :, cols], t[k].copy()
+            t[p, :, cols] = row_k.T
+            t[k] = pivot_rows.T
+            np.negative(det, out=det, where=swap)
+        piv = t[k, k]
+        det = det * piv  # not in place: numpy rounds an in-place 1-long product apart
+        mult = t[k + 1:, k] / np.where(piv == 0.0, 1.0, piv)
+        t[k + 1:, k + 1:] -= mult[:, None] * t[k, None, k + 1:]
+    return complex(det[0]) if a.ndim == 2 else det.reshape(a.shape[:-2])
 
 
-def charpoly_eval(m, lam: complex) -> complex:
-    """det(lam*I - m) by elimination."""
+def charpoly_eval(m, lam):
+    """det(lam*I - m) by elimination, for a (..., n, n) stack m and a scalar
+    or array lam that broadcasts against its batch shape."""
     m = np.asarray(m)
-    return determinant(lam * np.eye(m.shape[0]) - m)
+    lam = np.asarray(lam)[..., None, None]
+    return determinant(lam * np.eye(m.shape[-1]) - m)
 
 
 def symplectic_form(two_n: int) -> np.ndarray:

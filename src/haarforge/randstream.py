@@ -56,8 +56,10 @@ class RandomStream:
     _CHUNK = 1 << 20  # variates per chunk; with m below, this defines the stream
     _BLOCK = 1 << 14  # pairs per sub-block: its temporaries stay in L2
 
-    def gaussian(self, size):
-        """Standard normal variates of shape ``size``."""
+    def gaussian(self, size, out=None):
+        """Standard normal variates of shape ``size``; with ``out``, a 1-D
+        array (it may be strided) of that many entries, filled in place and
+        returned.  Either way the stream is the same."""
         # polar Box-Muller: draw (u, v) uniform on (-1, 1)^2, accept when
         # s = u^2 + v^2 lies in (0, 1), emit u*sqrt(-2 ln s / s) followed by
         # the matching v-components, chunk by chunk.  A chunk's m u-uniforms
@@ -65,7 +67,9 @@ class RandomStream:
         # sub-block of pairs writes its accepted u*f and v*f to the fronts of
         # r's halves, so the scratch is r alone (1.4x the chunk's variates).
         k = _count(size)
-        out = np.empty(k)
+        flat = np.empty(k) if out is None else out
+        if flat.shape != (k,):
+            raise ValueError(f"out must have shape ({k},), not {flat.shape}")
         filled = 0
         while filled < k:
             need = min(self._CHUNK, k - filled)
@@ -92,14 +96,14 @@ class RandomStream:
                 np.multiply(v.take(keep), f, out=r[m + took:m + end])
                 took = end
             take_u = min(took, need)
-            out[filled:filled + take_u] = r[:take_u]
+            flat[filled:filled + take_u] = r[:take_u]
             filled += take_u
             if filled < k:
                 take_v = min(took, k - filled)
-                out[filled:filled + take_v] = r[m:m + take_v]
+                flat[filled:filled + take_v] = r[m:m + take_v]
                 filled += take_v
             del r, u, v  # free this chunk's uniforms before the next draw
-        return out.reshape(size)
+        return flat.reshape(size) if out is None else out
 
     # -- angle laws --------------------------------------------------------
 

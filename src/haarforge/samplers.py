@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import CHUNK_BYTES, _chunks, _redraw, symplectic_form
+from haarforge.linalg import CHUNK_BYTES, _chunks, _redraw
 from haarforge.randstream import (RandomStream, phi_unitary_law, rho_symplectic_law,
                                   sin2phi_law)
 
@@ -151,7 +151,8 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     rounds that leave one.
 
     Draw order: the whole (count, n, n) Gaussian block (real parts, then
-    imaginary parts, when complex).  Q times its R-diagonal phases is
+    imaginary parts, when complex, each drawn straight into its strided
+    half of the complex block).  Q times its R-diagonal phases is
     written back over the Gaussian block chunk by chunk (``_chunks``), so
     the traced peak stays within 3x the returned stack.
     """
@@ -160,8 +161,9 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
             g = stream.gaussian(size=(m, n, n))
         else:
             g = np.empty((m, n, n), dtype=complex)
-            g.real = stream.gaussian(size=(m, n, n))
-            g.imag = stream.gaussian(size=(m, n, n))
+            parts = g.reshape(-1).view(float)  # re, im interleaved
+            stream.gaussian(size=m * n * n, out=parts[0::2])
+            stream.gaussian(size=m * n * n, out=parts[1::2])
             g /= np.sqrt(2.0)
         rank_low = np.empty(m, dtype=bool)
         for sl in _chunks(m, g.strides[0]):
@@ -347,13 +349,19 @@ def coe_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """S~ = U^D U with U Haar on U(2n), U^D = Z^{-1} U^T Z: self-dual (CSE).
 
+    Z^{-1} U^T Z = -Z U^T Z is U^T with each 2 x 2 pair of rows and of
+    columns swapped and entry (i, j) multiplied by s_i s_j, s = (-1, +1,
+    -1, ...): a gather and an exact sign product in place of two matmuls.
+
     S~ is written over U chunk by chunk, so the traced peak stays within 3x
     the returned stack.
     """
     u = qr_batch(stream, 2 * n, count, "complex")
-    z = symplectic_form(2 * n)
+    pair = np.arange(2 * n) ^ 1  # 1, 0, 3, 2, ...
+    s = np.where(pair % 2, -1.0, 1.0)  # -1, +1, -1, ...
+    sign = s[:, None] * s
     for sl in _chunks(count, u.strides[0]):
-        ud = -z @ np.swapaxes(u[sl], 1, 2) @ z   # Z^{-1} = -Z
+        ud = np.swapaxes(u[sl], 1, 2)[:, pair[:, None], pair] * sign
         u[sl] = np.einsum("bij,bjk->bik", ud, u[sl])
     return u
 

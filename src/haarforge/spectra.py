@@ -14,6 +14,7 @@ choice does not affect any spectral law.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -95,21 +96,21 @@ def cmv_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 
 def _alpha_rho(c):
-    """Arrays alpha, rho = (1 - alpha^2)^{1/2} of the n-1 cosines c_i =
-    cos(theta_{i,N}), alpha[i] = alpha_i for i = -1..n-1 (the last slot is
-    alpha_{-1} = -1): alpha_{i-1} = (-1)^{i-1} c_i, alpha_{n-1} = (-1)^{n-1}.
-    ValueError unless c is 1-d with every |c_i| <= 1."""
+    """Arrays alpha, rho = (1 - alpha^2)^{1/2} of (..., n-1) cosines c_i =
+    cos(theta_{i,N}), alpha[..., i] = alpha_i for i = -1..n-1 (the last slot
+    is alpha_{-1} = -1): alpha_{i-1} = (-1)^{i-1} c_i, alpha_{n-1} =
+    (-1)^{n-1}.  ValueError unless c has an axis and every |c_i| <= 1."""
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or not np.all(np.abs(c) <= 1.0):  # NaN fails too
-        raise ValueError("cosines must be a 1-d array with entries in [-1, 1]")
-    alpha = np.concatenate([np.where(np.arange(len(c)) % 2, -c, c),
-                            [(-1.0) ** len(c), -1.0]])
+    if c.ndim < 1 or not np.all(np.abs(c) <= 1.0):  # NaN fails too
+        raise ValueError("cosines must be a (..., n-1) array with entries in [-1, 1]")
+    ends = np.broadcast_to([(-1.0) ** c.shape[-1], -1.0], c.shape[:-1] + (2,))
+    alpha = np.concatenate([np.where(np.arange(c.shape[-1]) % 2, -c, c), ends], axis=-1)
     return alpha, np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
 
 
 def hessenberg_entries(c) -> np.ndarray:
-    """The n x n Hessenberg matrix of the n-1 cosines c, written directly
-    in terms of alpha/rho.
+    """The n x n Hessenberg matrices of (..., n-1) cosines c, written
+    directly in terms of alpha/rho, as a (..., n, n) array.
 
     Entry formula (one unified expression; the diagonal is the i = j case):
 
@@ -119,47 +120,56 @@ def hessenberg_entries(c) -> np.ndarray:
 
     The sub-diagonal product bounds here are one index lower than a naive
     reading of the usual statement suggests; the rotation product is the
-    source of truth, and this function cross-checks against it on every
-    call, raising ClosedFormMismatch on disagreement.
+    source of truth, and this function cross-checks the whole stack
+    against one rotation product on every call, raising
+    ClosedFormMismatch on disagreement.
     """
     alpha, rho = _alpha_rho(c)
-    n = len(alpha) - 1
-    m = np.zeros((n, n))
+    batch, n = alpha.shape[:-1], alpha.shape[-1] - 1
+    m = np.zeros(batch + (n, n))
+    one = np.ones(batch + (1,))
     for j in range(1, n + 1):  # column j: rows i = j..n, one running product
-        prod = np.cumprod(np.concatenate([[1.0], rho[j - 1:n - 1]]))
-        m[j - 1:, j - 1] = -alpha[j - 2] * alpha[j - 1:n] * prod
-    m[np.arange(n - 1), np.arange(1, n)] = rho[:n - 1]
-    thetas = np.arccos(np.asarray(c, dtype=float))
-    ref = rotation_product_batch(thetas[None, :], hessenberg_order(n))[0]
-    err = float(np.abs(m - ref).max())
+        prod = np.cumprod(np.concatenate([one, rho[..., j - 1:n - 1]], axis=-1), axis=-1)
+        m[..., j - 1:, j - 1] = -alpha[..., j - 2, None] * alpha[..., j - 1:n] * prod
+    m[..., np.arange(n - 1), np.arange(1, n)] = rho[..., :n - 1]
+    thetas = np.arccos(np.asarray(c, dtype=float)).reshape(math.prod(batch), n - 1)
+    ref = rotation_product_batch(thetas, hessenberg_order(n)).reshape(m.shape)
+    err = float(np.abs(m - ref).max(initial=0.0))
     if err > 1e-12:
         raise ClosedFormMismatch(
             f"closed form deviates from the rotation product by {err:.3e}")
     return m
 
 
-def recurrence_sequences(c, lam: complex):
-    """All chi_k(lam), chi~_k(lam), k = 0..n, for the n-1 cosines c, from
+def recurrence_sequences(c, lam):
+    """All chi_k(lam), chi~_k(lam), k = 0..n, for (..., n-1) cosines c and
+    a scalar or array lam that broadcasts against their batch shape, from
     the coupled recurrence
 
         chi_k  = lam * chi_{k-1} - alpha_{k-1} * chi~_{k-1}
         chi~_k = chi~_{k-1} - lam * alpha_{k-1} * chi_{k-1}
 
-    started from chi_0 = chi~_0 = 1.  chi_k is the characteristic
-    polynomial of the leading k x k block of the Hessenberg matrix.
+    started from chi_0 = chi~_0 = 1, one array step per k for every lam.
+    chi_k is the characteristic polynomial of the leading k x k block of
+    the Hessenberg matrix.  Returns two (n+1, *shape) arrays, row k
+    holding chi_k and chi~_k.
     """
     alpha, _ = _alpha_rho(c)
-    chi, chit = [1.0 + 0.0j], [1.0 + 0.0j]
-    lam = complex(lam)
-    for k in range(1, len(alpha)):
-        a = alpha[k - 1]
-        chi.append(lam * chi[k - 1] - a * chit[k - 1])
-        chit.append(chit[k - 1] - lam * a * chi[k - 1])
+    lam = np.asarray(lam, dtype=complex)
+    n = alpha.shape[-1] - 1
+    shape = (n + 1,) + np.broadcast_shapes(alpha.shape[:-1], lam.shape)
+    chi, chit = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+    for k in range(1, n + 1):
+        a = alpha[..., k - 1]
+        chi[k] = lam * chi[k - 1] - a * chit[k - 1]
+        chit[k] = chit[k - 1] - lam * a * chi[k - 1]
     return chi, chit
 
 
-def charpoly_recurrence(c, lam: complex) -> complex:
-    """chi_n(lam) = det(lam I - E) for the Hessenberg matrix E of cosines c."""
+def charpoly_recurrence(c, lam):
+    """chi_n(lam) = det(lam I - E) for the Hessenberg matrices E of
+    (..., n-1) cosines c, at a scalar or array lam as in
+    ``recurrence_sequences``."""
     chi, _ = recurrence_sequences(c, lam)
     return chi[-1]
 

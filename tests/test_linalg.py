@@ -84,6 +84,52 @@ class TestDeterminant:
             rhs = determinant(a) * determinant(b)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_stack_matches_numpy_det(self, n):
+        # Gaussian matrices swap rows at most steps; an exactly singular
+        # matrix (a zero column, so a zero pivot at step n // 2) and a pure
+        # row permutation join the stack
+        rng = np.random.default_rng(40 + n)
+        stack = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+        stack[5, :, n // 2] = 0.0
+        stack[6] = np.eye(n)[::-1]
+        got = determinant(stack)
+        assert got.shape == (64,) and got[5] == 0.0
+        want = np.linalg.det(stack)
+        keep = np.arange(64) != 5
+        assert np.all(np.abs(got - want)[keep] <= 1e-12 * np.abs(want)[keep])
+        assert got[6] == (-1.0) ** (n // 2)
+
+    def test_zero_pivot_gives_zero_without_warning(self):
+        # a zero column at step 0 and a zero pivot at step 1, beside a
+        # regular matrix; pytest makes a divide-by-zero RuntimeWarning fail
+        stack = np.array([[[0.0, 1.0], [0.0, 2.0]], np.ones((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
+        assert determinant(stack).tolist() == [0j, 0j, 5.0 + 0j]
+        assert determinant(np.zeros((3, 3))) == 0.0
+
+    def test_each_matrix_of_a_stack_gets_the_bits_of_its_own_call(self):
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(2, 3, 6, 6)) + 1j * rng.normal(size=(2, 3, 6, 6))
+        got = determinant(stack)
+        assert got.shape == (2, 3)
+        assert isinstance(determinant(stack[0, 0]), complex)
+        for idx in np.ndindex(2, 3):
+            assert got[idx].tobytes() == np.complex128(determinant(stack[idx])).tobytes()
+        assert (determinant(stack[1, 2][None])[0].tobytes()
+                == np.complex128(determinant(stack[1, 2])).tobytes())
+
+    def test_non_square_input_raises(self):
+        for shape in ((3,), (2, 3), (3, 2, 3)):
+            with pytest.raises(ValueError):
+                determinant(np.ones(shape))
+
+    def test_input_is_not_modified(self):
+        for m in (rand_matrix(np.random.default_rng(8), 4, cplx=True),
+                  rand_matrix(np.random.default_rng(9), 4, cplx=True)[None]):
+            before = m.copy()
+            determinant(m)
+            assert np.array_equal(m, before)
+
 
 class TestCharpolyEval:
     def test_identity_root(self):
@@ -98,6 +144,16 @@ class TestCharpolyEval:
         lam = 2.0
         want = cofactor_det(lam * np.eye(4) - q)
         assert abs(charpoly_eval(q, lam) - want) <= 1e-10
+
+    def test_lambda_array_equals_scalar_calls(self):
+        q = _qr(RandomStream(14), 5, "complex")
+        lams = np.array([0.3 + 0.1j, -1.2 + 0.8j, 2.0, 0.0])
+        got = charpoly_eval(q, lams)
+        assert got.shape == (4,)
+        assert got.tolist() == [charpoly_eval(q, lam) for lam in lams]
+        stack = np.stack([q, q.T, np.eye(5)])
+        assert charpoly_eval(stack[:, None], lams).tolist() == [
+            [charpoly_eval(m, lam) for lam in lams] for m in stack]
 
 
 class TestEigenphases:

@@ -126,6 +126,21 @@ class TestGaussian:
         with pytest.raises(TypeError):
             RandomStream(5).gaussian()
 
+    @pytest.mark.parametrize("size", [1, 7, _CHUNK + 1])
+    def test_out_fills_a_strided_view_with_the_same_stream(self, size):
+        s, ref = RandomStream(106, 2), RandomStream(106, 2)
+        block = np.zeros(2 * size)
+        assert s.gaussian(size, out=block[1::2]) is not None
+        assert block[1::2].tobytes() == ref.gaussian(size).tobytes()
+        assert not block[0::2].any()
+        assert s.uniform(size=3).tobytes() == ref.uniform(size=3).tobytes()
+
+    def test_out_of_another_length_raises(self):
+        with pytest.raises(ValueError):
+            RandomStream(5).gaussian(4, out=np.empty(5))
+        with pytest.raises(ValueError):
+            RandomStream(5).gaussian((2, 2), out=np.empty((2, 2)))
+
 
 class TestCosThetaSO:
     def test_j2_is_uniform(self):

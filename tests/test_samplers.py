@@ -29,10 +29,13 @@ class ZeroStream:
 
     calls = 0
 
-    def gaussian(self, size):
+    def gaussian(self, size, out=None):
         self.calls += 1
         assert self.calls <= 64, "the zero-draw redraw does not stop"
-        return np.zeros(size)
+        if out is None:
+            return np.zeros(size)
+        out[:] = 0.0
+        return out
 
 
 class TestSOEuler:
@@ -197,6 +200,13 @@ class TestQR:
         out = n * n * count * (8 if kind == "real" else 16)
         assert traced_peak(lambda: samplers.qr_batch(RandomStream(247), n, count, kind)) <= 3 * out
 
+    def test_complex_gaussians_are_drawn_into_the_block(self, traced_peak):
+        # real and imaginary parts fill strided halves of the complex block:
+        # 1.8x the output (2.3x when each part was a fresh array)
+        out = 5 * 5 * 16 * 10_000
+        assert traced_peak(lambda: samplers.qr_batch(RandomStream(247), 5, 10_000,
+                                                     "complex")) <= 2 * out
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_rank_deficient_redraw_is_bounded(self, kind):
         stream = ZeroStream()
@@ -343,6 +353,12 @@ class TestCircularEnsembles:
         draw = getattr(samplers, ensemble)
         out = dim * dim * 16 * 10_000
         assert traced_peak(lambda: draw(RandomStream(275), 5, 10_000)) <= 3 * out
+
+    def test_cse_peak_memory_within_twice_the_output(self, traced_peak):
+        # U and the complex Gaussians drawn into it: 1.7x the output (2.2x
+        # with a fresh array per Gaussian part)
+        out = 10 * 10 * 16 * 10_000
+        assert traced_peak(lambda: samplers.cse_batch(RandomStream(275), 5, 10_000)) <= 2 * out
 
     def test_cse_n1_is_det_times_identity(self):
         # replay the internal unitary: S~ = Z^{-1} U^T Z U = det(U) I for 2x2

@@ -140,6 +140,35 @@ class TestRecurrence:
                 err = abs(charpoly_recurrence(c, lam) - charpoly_eval(m, lam))
                 assert err <= 1e-10 * (1.0 + abs(lam)) ** n
 
+    def test_lambda_array_equals_per_lambda_calls(self):
+        s = RandomStream(323)
+        for n in (2, 5, 10):
+            c = random_cosines(s, n)
+            lams = s.uniform(-2.0, 2.0, size=(3, 8)).view(complex)
+            got = charpoly_recurrence(c, lams)
+            assert got.shape == (3, 4)
+            for idx in np.ndindex(got.shape):
+                want = charpoly_recurrence(c, complex(lams[idx]))
+                assert abs(got[idx] - want) <= 1e-13 * abs(want)
+            chi, chit = recurrence_sequences(c, lams)
+            assert chi.shape == chit.shape == (n + 1, 3, 4)
+
+    def test_stacked_cosines_broadcast_against_lambda(self):
+        # (T, 1, n-1) cosines against (T, L) lam: trial t's cosines meet
+        # row t of lam, as criterion 7 evaluates them
+        s = RandomStream(324)
+        c = s.uniform(-1.0, 1.0, size=(4, 6))
+        lams = s.uniform(-2.0, 2.0, size=(4, 10)).view(complex)
+        got = charpoly_recurrence(c[:, None], lams)
+        mats = hessenberg_entries(c)
+        assert mats.shape == (4, 7, 7)
+        for t in range(4):
+            assert mats[t].tobytes() == hessenberg_entries(c[t]).tobytes()
+            want = charpoly_recurrence(c[t], lams[t])
+            assert np.all(np.abs(got[t] - want) <= 1e-13 * np.abs(want))
+            det = charpoly_eval(mats[t], lams[t])
+            assert np.all(np.abs(got[t] - det) <= 1e-10 * (1.0 + np.abs(lams[t])) ** 7)
+
     def test_reversed_polynomial_identity(self):
         s = RandomStream(322)
         c = random_cosines(s, 7)
