@@ -214,9 +214,10 @@ def volume_quadrature(tag: str, n: int):
 # --- the group-averaging (Reynolds) operator ---------------------------------
 
 
-def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
+def reynolds_average(f, tag: str, n: int, stream: RandomStream,
                      samples: int, x=None, exact: bool = False):
-    """Monte Carlo group average (1/S) sum_k f(M_k, x) with standard error.
+    """Monte Carlo group average (1/S) sum_k f(M_k, x) with standard error,
+    over group ``tag`` at n, drawn by the tag's default sampler.
 
     ``f(stack, x)`` maps the (S, d, d) stack of sampled matrices to its S
     real values, e.g. ``lambda m, v: np.abs((m @ v)[:, 0]) ** 2`` (a scalar
@@ -227,18 +228,19 @@ def reynolds_average(f, group: samplers.GroupId, stream: RandomStream,
     any f produces an invariant of the group action; constants are
     reproduced exactly.
     """
-    sampler = samplers.SAMPLERS[(group.tag, samplers.DEFAULT_METHOD[group.tag])]
-    perm = sampler.kind == "permutation"
+    entry = samplers.sampler(tag)
+    entry.shape(n)  # ValueError unless n is an int >= 1
+    perm = entry.kind == "permutation"
     if exact and not perm:
-        raise ValueError(f"exact enumeration needs the permutation group, not {group.tag}")
+        raise ValueError(f"exact enumeration needs the permutation group, not {tag}")
     if exact:
-        if group.n > 8:
+        if n > 8:
             raise ValueError("exact enumeration supported for n <= 8")
-        mats = np.array(list(itertools.permutations(range(group.n))))
+        mats = np.array(list(itertools.permutations(range(n))))
     elif samples < 2:
         raise ValueError("samples >= 2 required")
     else:
-        mats = sampler.draw(stream, group.n, samples)
+        mats = entry.draw(stream, n, samples)
     if perm:
         mats = samplers.permutation_matrices(mats)
     vals = np.asarray(f(mats, x))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import nullcontext
 
@@ -79,12 +80,12 @@ def _bound_stack(count: int, size: int, streams: int) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     group = args.group
-    method = args.method or samplers.DEFAULT_METHOD.get(group)
-    sampler = samplers.SAMPLERS.get((group, method))
-    if sampler is None:
-        raise UsageError(f"method {method!r} is not valid for group {group!r}")
-    _bound_stack(args.count, args.n if sampler.kind == "permutation"
-                 else sampler.matrix_dim(args.n) ** 2, args.streams)
+    method = args.method or samplers.DEFAULT_METHOD[group]
+    try:
+        entry = samplers.sampler(group, method)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    _bound_stack(args.count, math.prod(entry.shape(args.n)), args.streams)
     result = samplers.sample_batch(group, args.n, args.count, method=method,
                                    seed=args.seed, streams=args.streams)
     write = fileio.json_chunks if args.format == "json" else fileio.csv_chunks

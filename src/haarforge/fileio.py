@@ -1,9 +1,10 @@
 """Stable sample serialization for the CLI: JSON and CSV.
 
 One writer and one reader per format serve every (group, method) pair, and
-``phase_chunks`` writes ``haar-forge spectra`` eigenphases; the writers take
-the kind from ``samplers.SAMPLERS`` (a pair not in it raises ValueError),
-and each format is one view of the sample stack, handled once per array:
+``phase_chunks`` writes ``haar-forge spectra`` eigenphases.  The sample
+writers and readers take a pair's kind and a sample's shape from
+``samplers.sampler(group, method)`` and its ``shape(n)``, and each format is
+one view of the sample stack, handled once per array:
 
 * JSON ``"matrices"`` is the (B, n, n, 2) view of the stack as complex,
   i.e. lists of rows of [re, im] pairs whatever the kind, and
@@ -26,9 +27,11 @@ the imaginary parts of a real stack as the template's constant ``0.0``.
 Write-then-read reproduces every entry bit for bit, signed zeros included:
 matrices as a complex stack, permutations as the (B, n) int64 stack, and a
 file with no samples as the empty stack of its header's group and n.
-Malformed input raises ValueError: among it a permutation row that is not
-a permutation of 1..n, a matrix that is not square, samples that are not
-the size the header's group and n give, a CSV whose count is not the
+Malformed input raises ValueError (the writers refuse a stack by the same
+check, ``_samples``): among it a permutation row that is not a permutation
+of 1..n, a group, method or n the table refuses or lacks (a JSON n of 2.7
+or true is no int), samples that are not the shape ``shape(n)`` gives, nonzero
+imaginary parts under a real kind, a CSV whose count is not the
 number of blocks read, a CSV kind other than real, complex and
 permutation, a JSON document that is not an object with "matrices" or
 "permutations", and JSON matrices that do not nest as lists of rows of
@@ -44,14 +47,7 @@ from itertools import chain, groupby
 import numpy as np
 
 from haarforge.linalg import _chunks
-from haarforge.samplers import DEFAULT_METHOD, SAMPLERS, GroupId
-
-
-def _kind(group: str, method: str) -> str:
-    sampler = SAMPLERS.get((group, method))
-    if sampler is None:
-        raise ValueError(f"({group!r}, {method!r}) is not a (group, method) pair")
-    return sampler.kind
+from haarforge.samplers import sampler
 
 
 def _float_view(mats) -> np.ndarray:
@@ -60,40 +56,36 @@ def _float_view(mats) -> np.ndarray:
     return c.view(float).reshape(c.shape + (2,))
 
 
-def _stack(meta, stack: np.ndarray) -> np.ndarray:
-    """stack, ValueError unless each sample is d x d, d = ``matrix_dim(n)``
-    (a word of length n for a permutation), where the header gives group
-    and n; if stack is empty, the empty stack of the header's group and n:
-    (0, d, d) complex for matrices, (0, n) int64 for permutations."""
-    if stack.size and (meta.get("group") is None or meta.get("n") is None):
-        return stack
-    g = GroupId(meta.get("group"), int(meta.get("n") or 0))  # ValueError if either is missing
-    sampler = SAMPLERS[(g.tag, DEFAULT_METHOD[g.tag])]
-    perm = sampler.kind == "permutation"
-    shape = (g.n,) if perm else (sampler.matrix_dim(g.n),) * 2
+def _samples(group, n, method, stack: np.ndarray):
+    """The kind of ``sampler(group, method)`` and stack (for an empty one the
+    empty stack of ``shape(n)``, int64 for permutations, else complex);
+    ValueError unless stack is (B, *shape(n)), each word a permutation of
+    1..n and each imaginary part under a real kind zero."""
+    entry = sampler(group, method)
+    shape, perm = entry.shape(n), entry.kind == "permutation"
     if not stack.size:
-        return np.empty((0, *shape), dtype=np.int64 if perm else complex)
+        return entry.kind, np.empty((0, *shape), dtype=np.int64 if perm else complex)
     if stack.shape[1:] != shape:
-        raise ValueError(f"samples of shape {stack.shape[1:]} contradict group={g.tag} n={g.n}")
-    return stack
+        raise ValueError(f"samples of shape {stack.shape[1:]} contradict group={group} n={n}")
+    if perm and (stack.dtype.kind not in "iu"
+                 or not (np.sort(stack, axis=1) == np.arange(1, n + 1)).all()):
+        raise ValueError("permutations must be rows of integers, each a permutation of 1..n")
+    if entry.kind == "real" and np.iscomplexobj(stack) and stack.imag.any():
+        raise ValueError(f"nonzero imaginary parts in real group={group} samples")
+    return entry.kind, stack
 
 
-def _matrices(meta, stack: np.ndarray) -> np.ndarray:
-    """``_stack`` of a (B, r, c) stack, ValueError unless r == c."""
-    if stack.size and stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"matrices must be square, not {stack.shape[1]}x{stack.shape[2]}")
-    return _stack(meta, stack)
+def _stack(meta, stack: np.ndarray) -> np.ndarray:
+    """stack as ``_samples`` checks it for the header's group, method and n."""
+    n = meta.get("n")  # text in a CSV header
+    return _samples(meta.get("group"), int(n) if isinstance(n, str) else n,
+                    meta.get("method"), stack)[1]
 
 
 def _words(meta, rows) -> np.ndarray:
     """rows as the (B, n) int64 stack of 1-based one-line permutations;
-    ValueError for ragged rows, entries that are not integers, and rows
-    that are not a permutation of 1..n."""
-    words = np.asarray(rows)  # ValueError if ragged
-    if words.size and (words.ndim != 2 or words.dtype.kind != "i" or not (
-            np.sort(words, axis=1) == np.arange(1, words.shape[1] + 1)).all()):
-        raise ValueError("permutations must be rows of integers, each a permutation of 1..n")
-    return _stack(meta, words.astype(np.int64, copy=False))
+    ValueError for ragged rows and for what ``_stack`` refuses."""
+    return _stack(meta, np.asarray(rows)).astype(np.int64, copy=False)  # ValueError if ragged
 
 
 def _nested(leaf: str, dims) -> str:
@@ -119,14 +111,14 @@ def _pieces(head: str, stack, item: str, sep: str, *tail: str, special=None):
 def json_chunks(group: str, n: int, method: str, seed: int, stack):
     """The text of ``matrices_to_json`` in pieces (``_pieces``): the document
     up to the "[" of its sample list, each batch chunk's items, then "]}"."""
-    stack = np.asarray(stack)
-    if _kind(group, method) == "permutation":
+    kind, stack = _samples(group, n, method, np.asarray(stack))
+    if kind == "permutation":
         key, item = "permutations", _nested("%s", stack.shape[1:])
-    elif np.iscomplexobj(stack):
+    elif kind == "complex":
         stack = _float_view(stack)
         key, item = "matrices", _nested("[%s, %s]", stack.shape[1:-1])
     else:
-        stack = stack.astype(float, copy=False)
+        stack = stack.real.astype(float, copy=False)
         key, item = "matrices", _nested("[%s, 0.0]", stack.shape[1:])
     head = json.dumps({"group": group, "n": n, "method": method, "seed": seed, key: []})
     return _pieces(head[:-2], stack, item, ", ", "]}", special=json.dumps)
@@ -137,7 +129,7 @@ def matrices_to_json(group: str, n: int, method: str, seed: int, stack) -> str:
 
 
 def _json_pairs(meta, matrices) -> np.ndarray:
-    """``_matrices`` of JSON "matrices": ValueError unless they nest as B
+    """``_stack`` of JSON "matrices": ValueError unless they nest as B
     lists of r rows of c [re, im] pairs of numbers (int or float)."""
     shape, items = [], [matrices]
     for _ in range(4):  # matrices, rows, pairs, entries
@@ -152,13 +144,11 @@ def _json_pairs(meta, matrices) -> np.ndarray:
         raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
     if {*map(type, items)} - {float, int}:
         raise ValueError("JSON matrix entries must be numbers")
-    if not items:
-        return _stack(meta, np.empty(0))
     try:
         pairs = np.fromiter(items, dtype=float, count=len(items))
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"malformed JSON matrices: {exc}") from None
-    return _matrices(meta, pairs.view(complex).reshape(shape[:3]))
+    return _stack(meta, pairs.view(complex).reshape(shape[:3]))
 
 
 def json_to_matrices(text: str):
@@ -173,8 +163,7 @@ def json_to_matrices(text: str):
 def csv_chunks(group: str, n: int, method: str, seed: int, stack):
     """The text of ``matrices_to_csv`` in pieces (``_pieces``): the header
     line, then each batch chunk's rows, a blank line between two matrices."""
-    kind = _kind(group, method)
-    stack = np.asarray(stack)
+    kind, stack = _samples(group, n, method, np.asarray(stack))
     head = (f"# haar-forge group={group} n={n} method={method} seed={seed} "
             f"kind={kind} count={len(stack)}\n")
     if kind == "permutation":
@@ -218,7 +207,7 @@ def csv_to_matrices(text: str):
         cols = np.array([[line.split(",") for line in block] for blank, block
                          in groupby(lines[1:], lambda line: not line.strip()) if not blank],
                         dtype=float)
-        stack = _matrices(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
+        stack = _stack(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
     if "count" in meta and int(meta["count"]) != len(stack):
         raise ValueError(f"count={meta['count']} contradicts the {len(stack)} samples read")
     return meta, stack

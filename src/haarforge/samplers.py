@@ -7,8 +7,9 @@ permutations and the symmetric / self-dual-quaternion circular ensembles.
 
 Every sampler is batched: it takes a RandomStream, n and a count and
 returns an ndarray stack, the (count, n) one-line stack for permutations.
-``SAMPLERS`` maps each (group tag, method) pair to its sampler;
-``sample_batch`` looks the pair up and ``_draw_lanes`` splits a batch across
+``SAMPLERS`` maps each (group tag, method) pair to its sampler, and other
+modules ask it through ``sampler(tag, method)`` and ``Sampler.shape(n)``;
+``sample_batch`` draws a batch and ``_draw_lanes`` splits it across
 sibling streams (one stream per lane) so results are reproducible
 independent of execution order.  Within a lane the draw order is fixed and
 documented in the angle generators below.  The QR, Householder and
@@ -18,7 +19,7 @@ batch-chunk rule; no chunk size here sets a draw's size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -153,8 +154,12 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     Draw order: the whole (count, n, n) Gaussian block (real parts, then
     imaginary parts, when complex, each drawn straight into its strided
     half of the complex block).  Q times its R-diagonal phases is
-    written back over the Gaussian block chunk by chunk (``_chunks``), so
-    the traced peak stays within 3x the returned stack.
+    written back over the Gaussian block chunk by chunk (``_chunks``), but
+    each chunk's ``np.linalg.qr`` holds a copy, Q and R of the chunk beside
+    the block.  So the traced peak stays within 3x the returned stack once
+    the batch spans four or more chunks (1.6-2.7x measured), and within 5x
+    when it is one chunk, a stack under ``CHUNK_BYTES`` (4.05-4.75x
+    measured at n >= 2, 0.1 MB and up; 3.0-3.9x for two or three chunks).
     """
     def draw(m):
         if kind == "real":
@@ -337,8 +342,9 @@ def permutation_matrices(lines: np.ndarray) -> np.ndarray:
 def coe_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """S = U^T U with U Haar on U(n): symmetric unitary (COE).
 
-    S is written over U chunk by chunk, so the traced peak stays within 3x
-    the returned stack.
+    S is written over U chunk by chunk, so the traced peak is that of
+    ``qr_batch``: within 3x the returned stack from four chunks on, 5x for
+    one chunk.
     """
     u = qr_batch(stream, n, count, "complex")
     for sl in _chunks(count, u.strides[0]):
@@ -353,8 +359,9 @@ def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     columns swapped and entry (i, j) multiplied by s_i s_j, s = (-1, +1,
     -1, ...): a gather and an exact sign product in place of two matmuls.
 
-    S~ is written over U chunk by chunk, so the traced peak stays within 3x
-    the returned stack.
+    S~ is written over U chunk by chunk, so the traced peak is that of
+    ``qr_batch``: within 3x the returned stack from four chunks on, 5x for
+    one chunk.
     """
     u = qr_batch(stream, 2 * n, count, "complex")
     pair = np.arange(2 * n) ^ 1  # 1, 0, 3, 2, ...
@@ -370,54 +377,51 @@ def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
 
 class Sampler(NamedTuple):
-    """``draw(stream, n, count)`` returns a (count, d, d) stack of ``kind``
-    "real" or "complex" with d = ``matrix_dim(n)``, or for kind
-    "permutation" a (count, n) array of 0-based one-line permutations."""
+    """``draw(stream, n, count)`` returns a (count, *``shape(n)``) stack of
+    ``kind`` "real" or "complex", or of 0-based one-line permutations for
+    kind "permutation"; ``dim`` is the matrix size per unit of n."""
 
     draw: Callable
     kind: str
-    matrix_dim: Callable
+    dim: int = 1
 
-
-def _dim_n(n: int) -> int:
-    return n
+    def shape(self, n) -> tuple:
+        """A sample's shape at n: the (n,) word of a permutation, else (d, d)
+        with d = dim * n; ValueError unless n is an int >= 1 (a bool is not)."""
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, not {n!r}")
+        return (n,) if self.kind == "permutation" else (self.dim * n,) * 2
 
 
 # The first method listed for a tag is its default.  Each entry calls its
 # batch function by module-global name when it runs, so a rebound name (a
 # profiler's wrapper, a test's fake) is the one called.
 SAMPLERS = {
-    ("so", "euler"): Sampler(lambda s, n, c: so_euler_batch(s, n, c), "real", _dim_n),
-    ("o", "euler"): Sampler(lambda s, n, c: o_euler_batch(s, n, c), "real", _dim_n),
-    ("o", "qr"): Sampler(lambda s, n, c: qr_batch(s, n, c, "real"), "real", _dim_n),
-    ("o", "householder"): Sampler(
-        lambda s, n, c: householder_batch(s, n, c, "real"), "real", _dim_n),
-    ("u", "euler"): Sampler(lambda s, n, c: u_euler_batch(s, n, c), "complex", _dim_n),
-    ("u", "qr"): Sampler(lambda s, n, c: qr_batch(s, n, c, "complex"), "complex", _dim_n),
+    ("so", "euler"): Sampler(lambda s, n, c: so_euler_batch(s, n, c), "real"),
+    ("o", "euler"): Sampler(lambda s, n, c: o_euler_batch(s, n, c), "real"),
+    ("o", "qr"): Sampler(lambda s, n, c: qr_batch(s, n, c, "real"), "real"),
+    ("o", "householder"): Sampler(lambda s, n, c: householder_batch(s, n, c, "real"), "real"),
+    ("u", "euler"): Sampler(lambda s, n, c: u_euler_batch(s, n, c), "complex"),
+    ("u", "qr"): Sampler(lambda s, n, c: qr_batch(s, n, c, "complex"), "complex"),
     ("u", "householder"): Sampler(
-        lambda s, n, c: householder_batch(s, n, c, "complex"), "complex", _dim_n),
-    ("sp", "euler"): Sampler(
-        lambda s, n, c: sp_euler_batch(s, n, c), "complex", lambda n: 2 * n),
-    ("sn", "bubble"): Sampler(
-        lambda s, n, c: permutation_batch(s, n, c), "permutation", _dim_n),
+        lambda s, n, c: householder_batch(s, n, c, "complex"), "complex"),
+    ("sp", "euler"): Sampler(lambda s, n, c: sp_euler_batch(s, n, c), "complex", 2),
+    ("sn", "bubble"): Sampler(lambda s, n, c: permutation_batch(s, n, c), "permutation"),
 }
 
 GROUP_TAGS = tuple(dict.fromkeys(tag for tag, _ in SAMPLERS))
 DEFAULT_METHOD = {tag: next(m for t, m in SAMPLERS if t == tag) for tag in GROUP_TAGS}
 
 
-@dataclass(frozen=True)
-class GroupId:
-    """A group tag plus its dimension parameter (matrix size 2n for sp)."""
-
-    tag: str
-    n: int
-
-    def __post_init__(self):
-        if self.tag not in GROUP_TAGS:
-            raise ValueError(f"unknown group tag {self.tag!r}")
-        if self.n < 1:
-            raise ValueError("n >= 1 required")
+def sampler(tag, method=None) -> Sampler:
+    """The table's entry for (tag, method), with the tag's default method
+    for None; ValueError for an unknown tag or a pair not in the table."""
+    if tag not in GROUP_TAGS:
+        raise ValueError(f"unknown group tag {tag!r}")
+    try:
+        return SAMPLERS[(tag, DEFAULT_METHOD[tag] if method is None else method)]
+    except (KeyError, TypeError):  # TypeError: an unhashable method, as a file may hold
+        raise ValueError(f"method {method!r} is not valid for group {tag!r}") from None
 
 
 def _lane_counts(count: int, streams: int):
@@ -441,17 +445,14 @@ def sample_batch(tag: str, n: int, count: int, method: str | None = None,
                  seed: int = 0, streams: int = 1):
     """Draw ``count`` elements of group ``tag``, split across ``streams`` sibling streams.
 
-    Returns a (count, d, d) array for matrix groups, or for sn the
-    (count, n) int64 stack of 1-based one-line permutations.  Lane i uses
+    Returns the (count, *``shape(n)``) stack of ``sampler(tag, method)``,
+    for sn the int64 stack of 1-based one-line permutations.  Lane i uses
     RandomStream(seed, stream_id=i), so output is reproducible for fixed
     (seed, streams) regardless of how lanes are scheduled.
     """
-    GroupId(tag=tag, n=n)
-    method = method or DEFAULT_METHOD[tag]
-    sampler = SAMPLERS.get((tag, method))
-    if sampler is None:
-        raise ValueError(f"method {method!r} is not valid for group {tag!r}")
+    entry = sampler(tag, method)
+    entry.shape(n)  # ValueError unless n is an int >= 1
     if count < 1:
         raise ValueError("count >= 1 required")
-    arr = _draw_lanes(sampler.draw, n, count, seed, streams)
-    return arr + 1 if sampler.kind == "permutation" else arr
+    arr = _draw_lanes(entry.draw, n, count, seed, streams)
+    return arr + 1 if entry.kind == "permutation" else arr

@@ -239,10 +239,12 @@ def so_min_eigenphase_batch(mats: np.ndarray) -> np.ndarray:
     {cos(theta_k)}; the largest cosine gives the smallest phase.  For odd
     dimension an SO matrix has a forced +1 eigenvalue (phase 0); it is
     excluded so spacing statistics are not polluted by a deterministic
-    point mass.
+    point mass.  ValueError for 1 x 1 matrices, which have no such phase.
     """
     mats = np.asarray(mats)
     n = mats.shape[-1]
+    if n < 2:
+        raise ValueError("n >= 2 required")
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2)).real
     eig = np.linalg.eigvalsh(sym)  # ascending
     col = -2 if n % 2 == 1 else -1

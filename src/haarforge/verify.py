@@ -54,7 +54,7 @@ from haarforge.linalg import (
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
-from haarforge.samplers import SAMPLERS, GroupId
+from haarforge.samplers import sampler
 
 TWO_PI = 2.0 * np.pi
 
@@ -246,7 +246,7 @@ def _so_conditioned(method, seed, sid, n, count):
     out = []
     have = 0
     while have < count:
-        draw = SAMPLERS[("o", method)].draw(s, n, int(count * 1.2) + 64)
+        draw = sampler("o", method).draw(s, n, int(count * 1.2) + 64)
         sign, _ = np.linalg.slogdet(draw)
         keep = draw[sign > 0]
         if not len(keep):
@@ -260,7 +260,7 @@ def _so_conditioned(method, seed, sid, n, count):
 @_criterion("cross-sampler equivalence SO(6)")
 def criterion_5(seed, level, sid, checks):
     n, count = 6, 10_000
-    sets = [("euler", SAMPLERS[("so", "euler")].draw(
+    sets = [("euler", sampler("so", "euler").draw(
         RandomStream(seed, sid), n, count))]
     for lane, method in enumerate(("qr", "householder"), start=1):
         sets.append((method, _so_conditioned(method, seed, sid + lane, n, count)))
@@ -414,7 +414,7 @@ def criterion_10(seed, level, sid, checks):
                  ("u", "householder", 5)]
     for tag, method, n in batteries:
         sid += 1
-        mats = SAMPLERS[(tag, method)].draw(RandomStream(seed, sid), n, count)
+        mats = sampler(tag, method).draw(RandomStream(seed, sid), n, count)
         worst = float(adjoint_residual(mats).max())
         checks.append(_check(f"{tag} {method} N={n}: unitarity <= 1e-13*N",
                              worst <= 1e-13 * n, f"max residual {worst:.2e}"))
@@ -479,7 +479,7 @@ def criterion_11(seed, level, sid, checks):
              ("u", "qr"), ("u", "householder"), ("sp", "euler")]
     for tag, method in plans:
         sid += 1
-        mats = SAMPLERS[(tag, method)].draw(RandomStream(seed, sid), 5, count)
+        mats = sampler(tag, method).draw(RandomStream(seed, sid), 5, count)
         compare(f"left-invariance: {tag} {method}", mats, mats[:, :, 0] @ fixed[tag][0])
 
     sid += 1
@@ -517,13 +517,13 @@ def criterion_12(seed, level, sid, checks):
         return (m[:, 0, :] @ v) ** 4
 
     mean1, se1 = analytics.reynolds_average(
-        f, GroupId("o", 3), RandomStream(seed, sid), samples, x)
+        f, "o", 3, RandomStream(seed, sid), samples, x)
     target = analytics.moment_single(3, 2.0)  # = 1/5
     checks.append(_from_report(moment_check(
         target, mean1, se1, label="<x1^4> over O(3) = 1/5")))
     q0 = samplers.so_euler_batch(RandomStream(seed, _FIXED_SID + 1), 3, 1)[0]
     mean2, se2 = analytics.reynolds_average(
-        f, GroupId("o", 3), RandomStream(seed, sid + 1), samples, q0 @ x)
+        f, "o", 3, RandomStream(seed, sid + 1), samples, q0 @ x)
     comb = math.sqrt(se1 * se1 + se2 * se2)
     checks.append(_check("rotation invariance of the average",
                          abs(mean1 - mean2) <= 5 * comb,

@@ -25,7 +25,7 @@ from haarforge.analytics import (
     volume_quadrature,
 )
 from haarforge.randstream import RandomStream
-from haarforge.samplers import DEFAULT_METHOD, SAMPLERS, GroupId
+from haarforge.samplers import DEFAULT_METHOD, SAMPLERS
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,14 +225,14 @@ class TestNormalizations:
 
 class TestReynolds:
     def test_constant_is_exact(self):
-        mean, se = reynolds_average(lambda m, x: 4.25, GroupId("o", 3),
+        mean, se = reynolds_average(lambda m, x: 4.25, "o", 3,
                                     RandomStream(410), 100, None)
         assert mean == 4.25 and se == 0.0
 
     def test_exact_permutation_enumeration(self):
         x = np.array([0.3, 1.4, -2.0, 0.7])
         mean, se = reynolds_average(lambda m, v: (m @ v)[:, 0],
-                                    GroupId("sn", 4), RandomStream(411), 2,
+                                    "sn", 4, RandomStream(411), 2,
                                     x, exact=True)
         assert se == 0.0
         assert mean == pytest.approx(x.mean(), rel=1e-14)
@@ -240,30 +240,33 @@ class TestReynolds:
     def test_fourth_power_over_o3(self):
         x = np.array([0.0, 1.0, 0.0])
         mean, se = reynolds_average(lambda m, v: (m @ v)[:, 0] ** 4,
-                                    GroupId("o", 3), RandomStream(412),
+                                    "o", 3, RandomStream(412),
                                     60_000, x)
         assert abs(mean - 0.2) <= 5 * se
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            reynolds_average(lambda m, x: 0.0, GroupId("o", 3),
+            reynolds_average(lambda m, x: 0.0, "o", 3,
                              RandomStream(413), 1, None)
+        for tag, n in (("x", 3), ("o", 0), ("o", 2.5), ("sn", True)):
+            with pytest.raises(ValueError):
+                reynolds_average(lambda m, x: 0.0, tag, n, RandomStream(413), 10, None)
 
-    @pytest.mark.parametrize("group", [GroupId("o", 3), GroupId("u", 2), GroupId("sp", 1)])
+    @pytest.mark.parametrize("group", [("o", 3), ("u", 2), ("sp", 1)])
     def test_exact_needs_the_permutation_group(self, group):
         with pytest.raises(ValueError, match="permutation group"):
-            reynolds_average(lambda m, x: 1.0, group, RandomStream(414), 100, None, exact=True)
+            reynolds_average(lambda m, x: 1.0, *group, RandomStream(414), 100, None, exact=True)
 
     def test_stack_matches_per_matrix_loop(self):
-        cases = [(GroupId("o", 3), np.array([0.6, 0.0, 0.8]),
+        cases = [(("o", 3), np.array([0.6, 0.0, 0.8]),
                   lambda m, v: (m @ v)[:, 0] ** 4, lambda m, v: float((m @ v)[0]) ** 4),
-                 (GroupId("u", 2), np.array([1.0, 1.0j]) / math.sqrt(2.0),
+                 (("u", 2), np.array([1.0, 1.0j]) / math.sqrt(2.0),
                   lambda m, v: np.abs((m @ v)[:, 1]) ** 2, lambda m, v: abs((m @ v)[1]) ** 2)]
         for seed, (group, x, f_stack, f_one) in enumerate(cases, start=414):
             samples = 2_000
-            mean, se = reynolds_average(f_stack, group, RandomStream(seed), samples, x)
-            mats = SAMPLERS[(group.tag, DEFAULT_METHOD[group.tag])].draw(
-                RandomStream(seed), group.n, samples)
+            mean, se = reynolds_average(f_stack, *group, RandomStream(seed), samples, x)
+            tag, n = group
+            mats = SAMPLERS[(tag, DEFAULT_METHOD[tag])].draw(RandomStream(seed), n, samples)
             vals = [f_one(m, x) for m in mats]
             want = sum(vals) / samples
             var = sum((v - want) ** 2 for v in vals) / (samples - 1)
@@ -275,19 +278,19 @@ class TestReynolds:
         for f in (lambda m, v: 1j * np.abs((m @ v)[:, 0]) ** 2,
                   lambda m, v: (m @ v)[:, 0]):
             with pytest.raises(ValueError, match="real values"):
-                reynolds_average(f, GroupId("u", 2), RandomStream(417), 50, x)
+                reynolds_average(f, "u", 2, RandomStream(417), 50, x)
 
     def test_complex_dtype_with_zero_imaginary_parts_is_real(self):
         x = np.array([1.0, 0.0])
         f = lambda m, v: np.abs((m @ v)[:, 0]) ** 2
-        want = reynolds_average(f, GroupId("u", 2), RandomStream(418), 50, x)
-        got = reynolds_average(lambda m, v: f(m, v) + 0j, GroupId("u", 2),
+        want = reynolds_average(f, "u", 2, RandomStream(418), 50, x)
+        got = reynolds_average(lambda m, v: f(m, v) + 0j, "u", 2,
                                RandomStream(418), 50, x)
         assert got == want
 
     def test_wrong_shape_is_rejected(self):
         with pytest.raises(ValueError, match="scalar or shape"):
-            reynolds_average(lambda m, v: m[:, 0, :2], GroupId("o", 3),
+            reynolds_average(lambda m, v: m[:, 0, :2], "o", 3,
                              RandomStream(416), 50, None)
 
 

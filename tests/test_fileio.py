@@ -139,6 +139,52 @@ def test_writer_refuses_a_pair_outside_the_table(write, group, method):
         write(group, 2, method, 0, np.eye(2)[None])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("pair", list(SAMPLERS), ids="/".join)
+def test_writers_refuse_what_the_readers_refuse(pair, fmt):
+    group, method = pair
+    kind = SAMPLERS[pair].kind
+    write, read = ((fileio.matrices_to_json, fileio.json_to_matrices) if fmt == "json"
+                   else (fileio.matrices_to_csv, fileio.csv_to_matrices))
+    stack = sample_batch(group, 2, 3, method=method, seed=7)
+    _, back = read(write(group, 2, method, 7, stack))
+    want = stack if kind == "permutation" else np.asarray(stack, dtype=complex)
+    assert back.dtype == want.dtype and back.tobytes() == want.tobytes()
+    # 2x2 matrices, or words of length 2, under a header that says n = 3
+    with pytest.raises(ValueError, match="contradict"):
+        write(group, 3, method, 7, stack)
+    for bad in (stack[0], stack[..., :1], stack[None]):
+        with pytest.raises(ValueError, match="contradict"):
+            write(group, 2, method, 7, bad)
+    if kind == "real":
+        with pytest.raises(ValueError, match="imaginary"):
+            write(group, 2, method, 7, stack + 1e-300j)
+        # the kind, not the dtype, makes the text: -0.0 imaginary parts are zeros
+        signed = stack.astype(complex)
+        signed.imag = -0.0
+        assert write(group, 2, method, 7, signed) == write(group, 2, method, 7, stack)
+    if kind == "permutation":
+        for words in (stack[:, ::-1] * [1, 2], stack.astype(float)):
+            with pytest.raises(ValueError, match="permutation of 1..n"):
+                write(group, 2, method, 7, words)
+    for n in (2.0, True, "2", 0):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            write(group, n, method, 7, stack)
+
+
+@pytest.mark.parametrize("n", [2.7, True])
+def test_json_header_n_must_be_an_int(n):
+    for group, key, samples in (("so", "matrices", [[[[1.0, 0.0], [0.0, 0.0]],
+                                                     [[0.0, 0.0], [1.0, 0.0]]]]),
+                                ("sn", "permutations", [[2, 1]])):
+        text = json.dumps({"group": group, "n": n, "method": None, "seed": 0, key: samples})
+        if n is True:  # n = true read as n = 1: one-entry samples matched it
+            text = text.replace("[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]",
+                                "[[[[1.0, 0.0]]]]").replace("[[2, 1]]", "[[1]]")
+        with pytest.raises(ValueError, match="integer >= 1"):
+            fileio.json_to_matrices(text)
+
+
 MALFORMED_WORDS = {  # rows of n = 3 that are not a (B, 3) stack of permutations of 1..3
     "ragged-rows": [[1, 2, 3], [1, 2]],
     "float-entry": [[1.5, 2, 3]],

@@ -7,6 +7,7 @@ import pytest
 
 from haarforge.analytics import chi_square, ks_two_sample
 from haarforge.linalg import (
+    CHUNK_BYTES,
     REDRAW_ROUNDS,
     ConvergenceError,
     adjoint_residual,
@@ -16,7 +17,7 @@ from haarforge.linalg import (
 )
 from haarforge.randstream import RandomStream
 from haarforge import samplers, verify
-from haarforge.samplers import SAMPLERS, GroupId, sample_batch
+from haarforge.samplers import SAMPLERS, Sampler, sample_batch, sampler
 
 from oracles import (bin_probabilities, bubble_bits, compose_word_swaps, sp_angles_rowwise,
                      u_angles_rowwise)
@@ -167,10 +168,10 @@ class TestQR:
         with pytest.raises(ValueError):
             sample_batch("so", 3, 1, method="qr", seed=244)
 
-    def test_group_id_is_not_a_tag(self):
-        # a GroupId carries its own n, which sample_batch would ignore
+    def test_a_tag_n_pair_is_not_a_tag(self):
+        # a (tag, n) pair carries its own n, which sample_batch would ignore
         with pytest.raises(ValueError, match="unknown group tag"):
-            sample_batch(GroupId("so", 5), 3, 2)
+            sample_batch(("so", 5), 3, 2)
 
     def test_rank_deficient_draw_is_redrawn_after_the_batch(self):
         n, seed = 4, 245
@@ -199,6 +200,20 @@ class TestQR:
         # (4.8x / 4.3x with whole-batch Q, R and phase products)
         out = n * n * count * (8 if kind == "real" else 16)
         assert traced_peak(lambda: samplers.qr_batch(RandomStream(247), n, count, kind)) <= 3 * out
+
+    @pytest.mark.parametrize("draw,n,count,d,itemsize", [
+        (lambda s, n, c: samplers.qr_batch(s, n, c, "real"), 16, 200, 16, 8),
+        (lambda s, n, c: samplers.qr_batch(s, n, c, "complex"), 33, 8, 33, 16),
+        (samplers.coe_batch, 16, 64, 16, 16),
+        (samplers.cse_batch, 17, 8, 34, 16),
+    ], ids=["qr-real", "qr-complex", "coe", "cse"])
+    def test_one_chunk_batch_peaks_within_five_stacks(self, traced_peak, draw, n, count, d,
+                                                      itemsize):
+        # one chunk's np.linalg.qr holds a copy, Q and R of the whole batch
+        # beside it: 4.09x for export's O(16) x 200, 4.1x for the others
+        out = d * d * itemsize * count
+        assert out < CHUNK_BYTES  # the batch is one chunk
+        assert traced_peak(lambda: draw(RandomStream(248), n, count)) <= 5 * out
 
     def test_complex_gaussians_are_drawn_into_the_block(self, traced_peak):
         # real and imaginary parts fill strided halves of the complex block:
@@ -391,12 +406,14 @@ class TestBatchFrontEnd:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("tag,method", list(SAMPLERS))
     def test_table_entry_shape_and_dtype(self, tag, method, n):
-        entry = SAMPLERS[(tag, method)]
+        entry = sampler(tag, method)
         out = sample_batch(tag, n, 4, method=method, seed=3, streams=2)
-        d = entry.matrix_dim(n)
+        d = 2 * n if tag == "sp" else n
         if entry.kind == "permutation":
-            assert out.shape == (4, d) and out.dtype == np.int64
+            assert entry.shape(n) == (n,)
+            assert out.shape == (4, n) and out.dtype == np.int64
         else:
+            assert entry.shape(n) == (d, d)
             assert out.shape == (4, d, d)
             assert out.dtype == (np.float64 if entry.kind == "real" else np.complex128)
 
@@ -404,6 +421,30 @@ class TestBatchFrontEnd:
         assert samplers.DEFAULT_METHOD == {"so": "euler", "o": "euler", "u": "euler",
                                            "sp": "euler", "sn": "bubble"}
         assert samplers.GROUP_TAGS == ("so", "o", "u", "sp", "sn")
+
+    def test_lookup_defaults_only_for_none(self):
+        assert sampler("sp") is SAMPLERS[("sp", "euler")]
+        assert sampler("sn", None) is SAMPLERS[("sn", "bubble")]
+        for tag, method in (("so", ""), ("so", "qr"), ("sn", "euler"), ("o", ["qr"])):
+            with pytest.raises(ValueError, match="not valid for group"):
+                sampler(tag, method)
+        with pytest.raises(ValueError, match="not valid for group"):
+            sample_batch("so", 3, 2, method="")  # the default only for None
+        for tag in ("x", None, ("so", 3), ["so"]):
+            with pytest.raises(ValueError, match="unknown group tag"):
+                sampler(tag)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.7, 3.0, True, "3", None])
+    def test_shape_needs_an_int_n_of_at_least_one(self, n):
+        for entry in SAMPLERS.values():
+            with pytest.raises(ValueError, match="integer >= 1"):
+                entry.shape(n)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            sample_batch("so", n, 2)
+
+    def test_shape_of_a_custom_entry(self):
+        assert Sampler(None, "complex", 3).shape(np.int64(2)) == (6, 6)
+        assert Sampler(None, "permutation", 2).shape(5) == (5,)
 
     def test_table_calls_rebound_batch_function(self, monkeypatch):
         calls = []

@@ -317,3 +317,8 @@ class TestMinEigenphase:
         top = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))[:, -1]
         assert np.abs(np.arccos(np.clip(top, -1.0, 1.0))).max() <= 1e-7
         assert kept.min() > 1e-4
+
+    def test_one_by_one_stack_is_refused(self):
+        # SO(1) is {1}: its one eigenphase is the excluded forced +1
+        with pytest.raises(ValueError, match="n >= 2 required"):
+            so_min_eigenphase_batch(samplers.so_euler_batch(RandomStream(362), 1, 3))
