@@ -4,7 +4,7 @@ and limit laws.
 
 Subpackages
 -----------
-linalg      dense matrix helpers: residuals, determinants, eigenphases
+linalg      dense matrix helpers: residuals, charpolys, eigenphases
 randstream  seeded counter-based randomness and the special angle laws
 euler       Euler-angle composition (SO(N), U(N), Sp(2N)) and extraction
             (SO(N), U(N)) on (B, n, n) stacks, and the invariant densities

@@ -12,10 +12,10 @@ subcommand reads the parsed namespace as it is.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
 rejects an option value; a UsageError covers the checks that span options:
-the (group, method) pair, a ``sample`` or ``spectra`` stack of more than
-SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n`` for sn;
-``count * n * n`` for spectra) or of more than MAX_LANES lanes
-(``min(count, streams)``), both refused before drawing,
+the (group, method) pair, a ``sample``, ``moments`` or ``spectra`` stack of
+more than SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n``
+for sn; ``count * n * n`` for moments and spectra) or of more than
+MAX_LANES lanes (``min(count, streams)``), both refused before drawing,
 ``moments --count >= 2``, the moment formulas' domain, a ``volumes``
 size whose volume underflows a float and ``spectra --n >= 2``), 3 I/O
 error, 4 internal error (a numerical precondition or certificate failed,
@@ -101,6 +101,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
                  else analytics.moment_joint(args.n, args.p, args.q))
     except ValueError as exc:
         raise UsageError(str(exc))
+    _bound_stack(args.count, args.n * args.n, args.streams)
     mats = samplers.sample_batch("so", args.n, args.count, method="euler",
                                  seed=args.seed, streams=args.streams)
     vals = np.abs(mats[:, args.n - 1, args.n - 1]) ** (2.0 * args.p)

@@ -55,47 +55,12 @@ def adjoint_residual(a: np.ndarray):
     return np.abs(gram).max(axis=(-2, -1))
 
 
-def determinant(m):
-    """Determinants of a (..., n, n) stack by partially pivoted Gaussian
-    elimination, run on every matrix at once: a complex for one matrix,
-    else an array of the batch shape; ValueError for non-square input.
-
-    Step k swaps each matrix's pivot, the argmax of |column k| on and
-    below the diagonal, into row k (negating that determinant) and
-    subtracts one broadcast rank-1 update.  A zero pivot makes its own
-    determinant 0 and leaves its matrix unchanged (its column is zero), with
-    no division by zero.  The work runs on an (n, n, B) copy, batch axis
-    last, so every ufunc loop is contiguous over the batch and a matrix of
-    a stack gets the bits of its own 2-D call.
-    """
-    a = np.asarray(m)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise ValueError(f"expected a (..., n, n) stack, got shape {a.shape}")
-    t = np.array(a.reshape(-1, n * n).T, dtype=complex, order="C").reshape(n, n, -1)
-    cols = np.arange(t.shape[-1])
-    det = np.ones(t.shape[-1], dtype=complex)
-    for k in range(n):
-        p = k + np.argmax(np.abs(t[k:, k]), axis=0)
-        swap = p != k
-        if swap.any():
-            pivot_rows, row_k = t[p, :, cols], t[k].copy()
-            t[p, :, cols] = row_k.T
-            t[k] = pivot_rows.T
-            np.negative(det, out=det, where=swap)
-        piv = t[k, k]
-        det = det * piv  # not in place: numpy rounds an in-place 1-long product apart
-        mult = t[k + 1:, k] / np.where(piv == 0.0, 1.0, piv)
-        t[k + 1:, k + 1:] -= mult[:, None] * t[k, None, k + 1:]
-    return complex(det[0]) if a.ndim == 2 else det.reshape(a.shape[:-2])
-
-
 def charpoly_eval(m, lam):
-    """det(lam*I - m) by elimination, for a (..., n, n) stack m and a scalar
-    or array lam that broadcasts against its batch shape."""
+    """det(lam*I - m) by LAPACK's LU (np.linalg.det), for a (..., n, n) stack
+    m and a scalar or array lam that broadcasts against its batch shape."""
     m = np.asarray(m)
     lam = np.asarray(lam)[..., None, None]
-    return determinant(lam * np.eye(m.shape[-1]) - m)
+    return np.linalg.det(lam * np.eye(m.shape[-1]) - m)
 
 
 def symplectic_form(two_n: int) -> np.ndarray:

@@ -226,6 +226,20 @@ class TestMomentsCommand:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "--count >= 2" in err
 
+    @pytest.mark.parametrize("args,message", [
+        (["--n", "9000", "--count", "2"], "entries per sample stack"),
+        (["--n", "2", "--count", "70000", "--streams", "70000"], "lanes, above the limit"),
+    ], ids=["entries", "lanes"])
+    def test_stack_over_a_limit_exits_2_before_drawing(self, monkeypatch, capsys,
+                                                       args, message):
+        def fail(*args, **kwargs):
+            pytest.fail("moments drew a stack over a limit")
+
+        monkeypatch.setattr(samplers, "sample_batch", fail)
+        code = main(["moments", "--group", "so", "--p", "1", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and message in err
+
     @pytest.mark.parametrize("args,report", [
         (["--n", "5", "--p", "1", "--count", "200", "--seed", "3"],
          '{"group": "so", "n": 5, "p": 1.0, "q": null, "count": 200, "seed": 3, '

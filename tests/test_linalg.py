@@ -9,7 +9,6 @@ from haarforge.linalg import (
     NotUnitaryError,
     adjoint_residual,
     charpoly_eval,
-    determinant,
     eigenphases_batch,
     symplectic_form,
     symplectic_residual,
@@ -25,13 +24,6 @@ TWO_PI = 2.0 * np.pi
 def _qr(stream, n, kind):
     """One Haar O(n) ("real") or U(n) ("complex") matrix from the QR sampler."""
     return samplers.qr_batch(stream, n, 1, kind)[0]
-
-
-def rand_matrix(rng, n, cplx=False):
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    if cplx:
-        m = m + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
-    return m
 
 
 def eigenphases(m):
@@ -57,78 +49,6 @@ class TestAdjointResidual:
         assert got.shape == (3,)
         assert got.tolist() == [adjoint_residual(m) for m in stack]
         assert adjoint_residual(stack.reshape(1, 3, 3, 3)).shape == (1, 3)
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(5)) == pytest.approx(1.0)
-
-    def test_rotation_blocks(self):
-        for j in (1, 2, 3):
-            assert determinant(rotation(j, 1.234, 4)).real == pytest.approx(1.0)
-
-    def test_matches_cofactor_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            m = rand_matrix(rng, 5, cplx=True)
-            assert abs(determinant(m) - cofactor_det(m)) <= 1e-10
-
-    def test_singular_returns_zero(self):
-        assert abs(determinant(np.ones((3, 3)))) <= 1e-14
-
-    def test_multiplicativity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            a, b = rand_matrix(rng, 5), rand_matrix(rng, 5)
-            lhs = determinant(a @ b)
-            rhs = determinant(a) * determinant(b)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
-    def test_stack_matches_numpy_det(self, n):
-        # Gaussian matrices swap rows at most steps; an exactly singular
-        # matrix (a zero column, so a zero pivot at step n // 2) and a pure
-        # row permutation join the stack
-        rng = np.random.default_rng(40 + n)
-        stack = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
-        stack[5, :, n // 2] = 0.0
-        stack[6] = np.eye(n)[::-1]
-        got = determinant(stack)
-        assert got.shape == (64,) and got[5] == 0.0
-        want = np.linalg.det(stack)
-        keep = np.arange(64) != 5
-        assert np.all(np.abs(got - want)[keep] <= 1e-12 * np.abs(want)[keep])
-        assert got[6] == (-1.0) ** (n // 2)
-
-    def test_zero_pivot_gives_zero_without_warning(self):
-        # a zero column at step 0 and a zero pivot at step 1, beside a
-        # regular matrix; pytest makes a divide-by-zero RuntimeWarning fail
-        stack = np.array([[[0.0, 1.0], [0.0, 2.0]], np.ones((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
-        assert determinant(stack).tolist() == [0j, 0j, 5.0 + 0j]
-        assert determinant(np.zeros((3, 3))) == 0.0
-
-    def test_each_matrix_of_a_stack_gets_the_bits_of_its_own_call(self):
-        rng = np.random.default_rng(7)
-        stack = rng.normal(size=(2, 3, 6, 6)) + 1j * rng.normal(size=(2, 3, 6, 6))
-        got = determinant(stack)
-        assert got.shape == (2, 3)
-        assert isinstance(determinant(stack[0, 0]), complex)
-        for idx in np.ndindex(2, 3):
-            assert got[idx].tobytes() == np.complex128(determinant(stack[idx])).tobytes()
-        assert (determinant(stack[1, 2][None])[0].tobytes()
-                == np.complex128(determinant(stack[1, 2])).tobytes())
-
-    def test_non_square_input_raises(self):
-        for shape in ((3,), (2, 3), (3, 2, 3)):
-            with pytest.raises(ValueError):
-                determinant(np.ones(shape))
-
-    def test_input_is_not_modified(self):
-        for m in (rand_matrix(np.random.default_rng(8), 4, cplx=True),
-                  rand_matrix(np.random.default_rng(9), 4, cplx=True)[None]):
-            before = m.copy()
-            determinant(m)
-            assert np.array_equal(m, before)
 
 
 class TestCharpolyEval:
