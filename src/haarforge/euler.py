@@ -167,8 +167,8 @@ def _waves(cols, rows, width: int):
     wave, cols = np.asarray(wave, dtype=int)[order], cols[order]
     start = np.flatnonzero(np.diff(wave, prepend=-1) | (np.diff(cols, prepend=-width) - width))
     rows, ends = rows[order].tolist(), start.tolist() + [len(order)]
-    return order, [(c, width, a, tuple(rows[a:b]))
-                   for c, a, b in zip(cols[start].tolist(), ends, ends[1:])]
+    return order, tuple((c, width, a, tuple(rows[a:b]))
+                        for c, a, b in zip(cols[start].tolist(), ends, ends[1:]))
 
 
 # The two cuts of a run by shape.  A piece holds column pairs while its
@@ -181,6 +181,7 @@ def _waves(cols, rows, width: int):
 # in cache when the pieces use them.
 _PIECE_BYTES = CHUNK_BYTES // 32
 _SPAN_BYTES = CHUNK_BYTES
+_ALL = slice(None)
 
 
 def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.ndarray:
@@ -205,8 +206,9 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
     block's own rows (a piece runs to the largest of its blocks' rows)
     holds exact zeros that stay zeros, so for finite blocks the bytes are
     the same.  (A NaN or inf block spreads into those rows too.)  The cuts
-    of ``_plan`` and their views into the work array are made once per
-    chunk width.
+    of ``_plan`` are made once per schedule, d, chunk width and itemsize and
+    kept (``_cuts``), for chunks of at most CHUNK_BYTES; their views into
+    this call's work array and scratch are made once per chunk width.
     """
     out = np.empty((batch, d, d), dtype=dtype)
     chunks = _chunks(batch, d * d * out.itemsize)  # the first is the largest
@@ -235,47 +237,80 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
     return out
 
 
-def _plan(w: np.ndarray, runs, lead: bool) -> list:
-    """The runs cut for a (d, d, bc) work array w into pieces and spans (see
-    _PIECE_BYTES and _SPAN_BYTES), with the lead's piece first, positions
-    None, if ``lead``.  Returns (positions, pieces) per span; a piece is its
-    operands and the index of its blocks among the span's: the
-    (count, 4, rows, bc) columns of 4x4 blocks; a pair's (rows, bc) columns
-    a and b and two (rows, bc) scratch slabs; or the (count, 2, rows, bc)
-    columns of several pairs, the same as (count, 2, 1, rows, bc), and a
-    (count, 2, 2, rows, bc) product scratch with its two halves."""
-    d, _, bc = w.shape
-    s, row_bytes = (runs[0][1] if runs else 2), bc * w.itemsize
-    cuts = [(c, start, rows, max(1, _PIECE_BYTES // (max(rows) * row_bytes)))
-            for c, _, start, rows in runs]
-    # a piece of several pairs holds at most _PIECE_BYTES per slab
-    scratch = np.empty(max(4 * _PIECE_BYTES // w.itemsize, 2 * d * bc), dtype=w.dtype)
-    pair = scratch[:2 * d * bc].reshape(2, d, bc)
-    slabs = {}  # product scratch views by piece shape
-    grids = [w[p:p + (d - p) // s * s].reshape(-1, s, d, bc) for p in range(min(s, d))]
-    plan = [(None, [(w[0, :2], w[1, :2], pair[0, :2], pair[1, :2], 0)])] if lead else []
-    span, total = max(1, _SPAN_BYTES // (s * s * row_bytes)), sum(len(r) for _, _, r, _ in cuts)
-    end = 0
-    for c, start, rows, q in cuts:
-        grid, g = grids[c % s], c // s - start
+@functools.lru_cache(maxsize=128)
+def _cuts(runs: tuple, d: int, bc: int, itemsize: int) -> tuple:
+    """The runs cut for a (d, d, bc) work array of ``itemsize`` entries into
+    pieces and spans (see _PIECE_BYTES and _SPAN_BYTES), in ints and slices
+    alone: per span, its positions in the schedule's order and its pieces.
+    A piece is, for 4x4 blocks, its column parity, its index into that
+    parity's (groups, 4, rows, bc) grid of columns and its blocks among the
+    span's; for one pair, its first column, rows and block; for several
+    pairs, its parity, grid index, pair count, rows and blocks.
+
+    A cut list holds no array, so every call and thread shares it.  The last
+    128 keys are kept, at about 0.3 KiB a piece: a few KiB for a spectra
+    call's stacks and at most about 1.1 MiB (d = 256, one item a chunk), since
+    ``_plan`` caches only chunks of at most CHUNK_BYTES; a perfbench check
+    cycle uses 64 keys.  A build costs 1.5-3 us a piece."""
+    s, row_bytes = (runs[0][1] if runs else 2), bc * itemsize
+    span, total = max(1, _SPAN_BYTES // (s * s * row_bytes)), sum(len(r) for *_, r in runs)
+    spans, end, tops = [], 0, {}
+    for c, _, start, rows in runs:
+        q, g = max(1, _PIECE_BYTES // (max(rows) * row_bytes)), c // s - start
         for p in range(start, start + len(rows), q):
             r = rows[p - start:p - start + q]
             if p + len(r) > end:
                 first, end = p, min(max(p + span, p + len(r)), total)
-                plan.append((slice(first, end), []))
+                spans.append((slice(first, end), []))
             i, top = p - first, max(r)
+            grid = slice(g + p, g + p + len(r)), _ALL, tops.setdefault(top, slice(top))
             if s == 4:
-                piece = grid[g + p:g + p + len(r), :, :top], slice(i, i + len(r))
+                piece = c % s, grid, slice(i, i + len(r))
             elif len(r) == 1:
-                col = c + 2 * (p - start)
-                piece = w[col, :top], w[col + 1, :top], pair[0, :top], pair[1, :top], i
+                piece = c + 2 * (p - start), top, i
             else:
-                if (len(r), top) not in slabs:
-                    u = scratch[:4 * len(r) * top * bc].reshape(len(r), 2, 2, top, bc)
-                    slabs[len(r), top] = u, u[:, 0], u[:, 1]
-                cols = grid[g + p:g + p + len(r), :, :top]
-                piece = (cols, cols[:, :, None]) + slabs[len(r), top] + (slice(i, i + len(r)),)
-            plan[-1][1].append(piece)
+                piece = c % s, grid, len(r), top, slice(i, i + len(r))
+            spans[-1][1].append(piece)
+    return tuple((at, tuple(pieces)) for at, pieces in spans)
+
+
+def _plan(w: np.ndarray, runs, lead: bool) -> list:
+    """The pieces of ``_cuts`` as operand views into a (d, d, bc) work array
+    w and one scratch array of this call, with the lead's piece first,
+    positions None, if ``lead``.  Returns (positions, pieces) per span; a
+    piece is its operands and the index of its blocks among the span's: the
+    (count, 4, rows, bc) columns of 4x4 blocks; a pair's (rows, bc) columns
+    a and b and two (rows, bc) scratch slabs; or the (count, 2, rows, bc)
+    columns of several pairs, the same as (count, 2, 1, rows, bc), and a
+    (count, 2, 2, rows, bc) product scratch with its two halves.  Scratch
+    views are made once per shape in a call."""
+    d, _, bc = w.shape
+    s = runs[0][1] if runs else 2
+    # a piece of several pairs holds at most _PIECE_BYTES per slab
+    scratch = np.empty(max(4 * _PIECE_BYTES // w.itemsize, 2 * d * bc), dtype=w.dtype)
+    pair = scratch[:2 * d * bc].reshape(2, d, bc)
+    grids = [w[p:p + (d - p) // s * s].reshape(-1, s, d, bc) for p in range(min(s, d))]
+    slabs = {}  # scratch views by pair rows, product scratch by piece shape
+    plan = [(None, [(w[0, :2], w[1, :2], pair[0, :2], pair[1, :2], 0)])] if lead else []
+    cut = _cuts if w.nbytes <= CHUNK_BYTES else _cuts.__wrapped__  # larger chunks: per call
+    for at, cuts in cut(runs, d, bc, w.itemsize):
+        pieces = []
+        for piece in cuts:
+            if s == 4:
+                pieces.append((grids[piece[0]][piece[1]], piece[2]))
+            elif len(piece) == 3:
+                col, top, i = piece
+                if top not in slabs:
+                    slabs[top] = pair[0, :top], pair[1, :top]
+                pieces.append((w[col, :top], w[col + 1, :top]) + slabs[top] + (i,))
+            else:
+                parity, grid, count, top, i = piece
+                if (count, top) not in slabs:
+                    u = scratch[:4 * count * top * bc].reshape(count, 2, 2, top, bc)
+                    slabs[count, top] = u, u[:, 0], u[:, 1]
+                cols = grids[parity][grid]
+                pieces.append((cols, cols[:, :, None]) + slabs[count, top] + (i,))
+        plan.append((at, pieces))
     return plan
 
 
@@ -302,7 +337,10 @@ def _coset_schedule(n: int, width: int):
     read-only.  A build takes 40 us at n = 3 to 1.1 ms at n = 64, as much as
     a small draw's composition, so the last 16 (n, width) pairs are kept:
     a perfbench cycle composes at most 12 (draw and check), and an entry
-    holds about 50 KiB at n = 64 (6 MiB at n = 512).
+    holds about 50 KiB at n = 64 (6 MiB at n = 512).  Cutting the runs into
+    the kernel's pieces costs about as much again per chunk width (57 us at
+    n = 12, 1.6 ms at n = 64); ``_cuts`` keeps those cuts, keyed by the
+    runs' value, so a rebuilt schedule finds them again.
     """
     j = row_j(n)
     k = np.repeat(np.arange(2, n + 1), np.arange(1, n))

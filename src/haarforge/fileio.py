@@ -18,7 +18,9 @@ one view of the sample stack, handled once per array:
 
 The writers (``json_chunks``, ``csv_chunks``, ``phase_chunks``) yield text
 pieces from one chunk loop: the header, the text of each batch chunk of the
-stack (``linalg._chunks``), the tail, so no caller holds a whole text.  A
+stack (``linalg._chunks`` without its eighth-of-the-batch term, so at most
+CHUNK_BYTES of samples), the tail, so no caller holds a whole text, and the
+text held at once does not grow with the stack.  A
 chunk is one ``%`` template filled with its entries, each formatted once:
 a float as ``float.__repr__``, the shortest round-trip decimal and
 ``json.dumps``'s form (``NaN``, ``Infinity``, ``-Infinity`` in JSON), and
@@ -99,7 +101,7 @@ def _pieces(head: str, stack, item: str, sep: str, *tail: str, special=None):
     """The one chunk loop: ``head``, then per batch chunk of ``stack`` one ``item`` per
     sample, ``sep``-joined, filled by ``%`` (``special`` maps a non-finite chunk), ``tail``."""
     yield head
-    for idx, sl in enumerate(_chunks(len(stack), max(1, stack[:1].nbytes))):
+    for idx, sl in enumerate(_chunks(len(stack), max(1, stack[:1].nbytes), eighth=False)):
         chunk = stack[sl]
         entries = chunk.ravel().tolist()
         if special is not None and not np.isfinite(chunk).all():

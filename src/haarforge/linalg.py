@@ -41,10 +41,13 @@ def _redraw(rejected, redo, what: str) -> None:
 CHUNK_BYTES = 1 << 19  # a batch chunk of blocks and their scratch fits L2
 
 
-def _chunks(count: int, item_bytes: int) -> list:
+def _chunks(count: int, item_bytes: int, eighth: bool = True) -> list:
     """Slices over 0..count (the last may be short), CHUNK_BYTES of
-    ``item_bytes``-sized items each, or an eighth of the batch when more."""
-    step = max(1, -(-count // 8), CHUNK_BYTES // item_bytes)
+    ``item_bytes``-sized items each, or with ``eighth`` an eighth of the
+    batch when that is more, so that a per-chunk cost is paid at most 8
+    times.  The text writers pass eighth=False: a chunk's text takes several
+    times its bytes, and a fixed budget bounds it at any stack size."""
+    step = max(1, -(-count // 8) if eighth else 1, CHUNK_BYTES // item_bytes)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
@@ -93,6 +96,13 @@ def symplectic_residual(a: np.ndarray):
 # theta_k = a + pi + 2*arctan(lambda_k), already in order; no nonsymmetric
 # eigensolver is needed.  The anchor is the one of 17 golden-ratio points
 # with the largest |det(e^{ia} I - m)|, which keeps M(a) well conditioned.
+# The anchors go to np.linalg.slogdet in groups, one (g, b, N, N) operand
+# e^{ia} I - m per group of g = max(1, CHUNK_BYTES // chunk bytes) points,
+# so an operand holds at most CHUNK_BYTES or one chunk, whichever is more:
+# a chunk of up to 30 KiB (one complex matrix up to N = 43, two up to
+# N = 31) takes all 17 points in one call, one above CHUNK_BYTES a call per
+# point.  LAPACK factors each matrix on its own, so the grouping changes
+# no bit.
 # Phases within 1e-9 of the first member of their run are replaced by the
 # run's mean, so exactly degenerate roots (the doubly degenerate spectra of
 # self-dual quaternion unitaries) come out exactly equal.
@@ -165,6 +175,16 @@ def eigenphases_batch(stack) -> np.ndarray:
     return phases
 
 
+def _anchor_logdets(u: np.ndarray) -> np.ndarray:
+    """(17, b) log|det(z I - m)| of each matrix m of a complex (b, N, N)
+    chunk u at each anchor point z, the anchors grouped as above."""
+    step = max(1, CHUNK_BYTES // u.nbytes)
+    eye = np.eye(u.shape[-1])
+    return np.concatenate([np.linalg.slogdet(_ANCHOR_POINTS[i:i + step, None, None, None]
+                                             * eye - u)[1]
+                           for i in range(0, len(_ANCHOR_POINTS), step)])
+
+
 def _eigenphases_chunk(u: np.ndarray) -> np.ndarray:
     """eigenphases_batch of one complex (b, N, N) chunk."""
     n = u.shape[-1]
@@ -172,7 +192,7 @@ def _eigenphases_chunk(u: np.ndarray) -> np.ndarray:
     if not np.all(adjoint_residual(u) <= 1e-8 * n):
         raise NotUnitaryError("input is not unitary within 1e-8*N")
 
-    logdet = np.array([np.linalg.slogdet(z * eye - u)[1] for z in _ANCHOR_POINTS])
+    logdet = _anchor_logdets(u)
     best = logdet.argmax(axis=0)
     if not np.all(np.isfinite(logdet[best, np.arange(len(u))])):
         raise ConvergenceError("no anchor point off the unit-circle spectrum")

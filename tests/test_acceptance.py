@@ -6,6 +6,7 @@ this module are the same code path.  Each test prints its pass/fail line
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ def test_criterion_5_fails_a_sampler_without_rotations(reflections_only):
         ("qr gives det = +1 draws", "O(6) qr sampler gave 12064 draws without det = +1")]
     assert [c["label"] for c in result.checks if c["passed"]] == [
         "tr: euler vs householder", "entry11: euler vs householder"]
+
+
+def test_criterion_5_holds_no_stack_while_its_ks_tests_run(monkeypatch):
+    # only each (10000, 6, 6) stack's two statistics outlive its draw, so the
+    # KS tests allocate with no stack alive above or below their blocks
+    traced, ks = [], verify.ks_two_sample
+
+    def spy(*args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return ks(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ks_two_sample", spy)
+    pytest.importorskip("scipy.special")  # the first KS call imports it: not traced here
+    tracemalloc.start()
+    try:
+        assert verify.criterion_5(SEED).passed
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == 6 and max(traced) < 10_000 * 6 * 6 * 8
 
 
 # Criteria 7 and 9 at seeds 1-3: name, pass flag and every check line

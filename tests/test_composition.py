@@ -18,6 +18,8 @@ Householder chain that applied the real reflector's sign at every step.
 """
 
 import hashlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -204,6 +206,59 @@ def test_kernel_cuts_batches_by_the_chunk_rule(monkeypatch, name, batch, binds):
     want = linalg._chunks(batch, 32 * 32 * itemsize)
     assert seen == want and len(want) > 1
     assert (want[0].stop == linalg.CHUNK_BYTES // (32 * 32 * itemsize)) == (binds == "bytes")
+
+
+def _holds_array(value) -> bool:
+    """Whether an ndarray sits anywhere in nested tuples, lists and slices."""
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, slice):
+        return any(map(_holds_array, (value.start, value.stop, value.step)))
+    return isinstance(value, (tuple, list)) and any(map(_holds_array, value))
+
+
+def test_cut_cache_is_bounded_and_holds_no_array():
+    # the cuts are kept per (schedule, d, chunk width, itemsize) as ints and
+    # slices, for at most maxsize keys; chunks beyond CHUNK_BYTES are cut
+    # per call and kept nowhere
+    maxsize = euler._cuts.cache_info().maxsize
+    assert maxsize is not None
+    euler._cuts.cache_clear()
+    theta = _so_theta(_rng(4, 1), 4, maxsize + 8)
+    for batch in range(1, maxsize + 9):  # one chunk width per batch size
+        euler.compose_so_batch(theta[:, :batch])
+    assert euler._cuts.cache_info().currsize == maxsize
+    keys = [(euler._coset_schedule(n, width)[3], n * width // 2, batch, itemsize)
+            for n, width, itemsize in ((4, 2, 8), (12, 2, 8), (12, 2, 16), (6, 4, 16))
+            for batch in (1, 2, 64)]
+    for key in keys:
+        assert not _holds_array(euler._cuts(*key))
+    euler._cuts.cache_clear()
+    euler.compose_so_batch(_so_theta(_rng(32, 600), 32, 600))  # 75-item chunks, 600 KiB
+    assert euler._cuts.cache_info().currsize == 0
+
+
+def test_compositions_from_four_threads_give_the_serial_bytes():
+    # the kernel's cached cuts are shared, its views and scratch are each
+    # call's own: four threads composing one shape at once get the serial bytes
+    rng, n, batch = _rng(12, 5), 12, 5
+    theta, sp, thetas = _so_theta(rng, n, batch), _sp_angles(rng, 6, batch), rng.uniform(
+        0.0, np.pi, (batch, n - 1))
+    calls = {"so": lambda: euler.compose_so_batch(theta),
+             "sp": lambda: euler.compose_sp_batch(*sp),
+             "rotation": lambda: spectra.rotation_product_batch(thetas, spectra.cmv_order(n))}
+    serial = {name: call().tobytes() for name, call in calls.items()}
+    euler._cuts.cache_clear()  # the threads build the cut lists too
+    start = threading.Barrier(4)
+
+    def work(_):
+        start.wait()
+        return [(name, call().tobytes()) for _ in range(25) for name, call in calls.items()]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = [got for part in pool.map(work, range(4)) for got in part]
+    assert len(results) == 4 * 25 * 3
+    assert all(got == serial[name] for name, got in results)
 
 
 def test_compose_so_batch_values_at_boundary_angles():

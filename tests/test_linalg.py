@@ -209,6 +209,31 @@ class TestEigenphasesBatch:
         stack = samplers.qr_batch(RandomStream(26), 16, 512, "complex")
         assert traced_peak(lambda: eigenphases_batch(stack)) <= 8 * stack.nbytes
 
+    @pytest.mark.parametrize("count,calls", [(1, 1), (25, 4), (70, 17)])
+    def test_grouped_anchors_equal_a_per_anchor_loop(self, monkeypatch, count, calls):
+        # one complex n = 16 chunk of 4096-byte matrices: the 17 anchors go
+        # to slogdet in groups of 128 (all at once), 5 and 1; the phases are
+        # the bytes of one slogdet call per anchor point
+        stack = samplers.qr_batch(RandomStream(29, count), 16, count, "complex")
+        assert len(linalg._chunks(count, 16 * 16 * 16)) == 1
+
+        def per_anchor(u):
+            eye = np.eye(u.shape[-1])
+            return np.array([np.linalg.slogdet(z * eye - u)[1] for z in linalg._ANCHOR_POINTS])
+
+        assert linalg._anchor_logdets(stack).tobytes() == per_anchor(stack).tobytes()
+        slogdet, seen = np.linalg.slogdet, []
+
+        def counted(a):
+            seen.append(a.shape)
+            return slogdet(a)
+
+        monkeypatch.setattr(linalg.np.linalg, "slogdet", counted)
+        got = eigenphases_batch(stack)
+        assert len(seen) == calls and sum(shape[0] for shape in seen) == 17
+        monkeypatch.setattr(linalg, "_anchor_logdets", per_anchor)
+        assert got.tobytes() == eigenphases_batch(stack).tobytes()
+
     # SHA-256 of the phases, taken when one pipeline ran over the whole stack
     WHOLE_STACK_DIGESTS = {
         (27, 16, 4096): "b00217898c7fe737372454dd6bc42c22d296a2e8b43e0f2205c7ddebde827949",
