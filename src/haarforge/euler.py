@@ -207,8 +207,8 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
     holds exact zeros that stay zeros, so for finite blocks the bytes are
     the same.  (A NaN or inf block spreads into those rows too.)  The cuts
     of ``_plan`` are made once per schedule, d, chunk width and itemsize and
-    kept (``_cuts``), for chunks of at most CHUNK_BYTES; their views into
-    this call's work array and scratch are made once per chunk width.
+    kept (``_cuts``), for d <= _KEPT_D; their views into this call's work
+    array and scratch are made once per chunk width.
     """
     out = np.empty((batch, d, d), dtype=dtype)
     chunks = _chunks(batch, d * d * out.itemsize)  # the first is the largest
@@ -237,6 +237,14 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
     return out
 
 
+# The largest d whose cut lists are kept: at most 233 pieces and 40 KiB with
+# the key's runs (d = 24, 56 items of 8 bytes), so the 128 keys of ``_cuts``
+# hold at most 5 MiB.  A chunk's cut list grows with d (939 pieces, 280 KiB
+# at d = 64 and 1.1 MiB at d = 256 for a chunk of CHUNK_BYTES) while its
+# arithmetic dwarfs the cutting, so larger d are cut per call.
+_KEPT_D = 24
+
+
 @functools.lru_cache(maxsize=128)
 def _cuts(runs: tuple, d: int, bc: int, itemsize: int) -> tuple:
     """The runs cut for a (d, d, bc) work array of ``itemsize`` entries into
@@ -249,9 +257,9 @@ def _cuts(runs: tuple, d: int, bc: int, itemsize: int) -> tuple:
 
     A cut list holds no array, so every call and thread shares it.  The last
     128 keys are kept, at about 0.3 KiB a piece: a few KiB for a spectra
-    call's stacks and at most about 1.1 MiB (d = 256, one item a chunk), since
-    ``_plan`` caches only chunks of at most CHUNK_BYTES; a perfbench check
-    cycle uses 64 keys.  A build costs 1.5-3 us a piece."""
+    call's stacks, at most 40 KiB with the key's runs, since ``_plan``
+    caches only d <= _KEPT_D; a perfbench check cycle uses 64 keys, about
+    0.1 MiB.  A build costs 1.5-3 us a piece."""
     s, row_bytes = (runs[0][1] if runs else 2), bc * itemsize
     span, total = max(1, _SPAN_BYTES // (s * s * row_bytes)), sum(len(r) for *_, r in runs)
     spans, end, tops = [], 0, {}
@@ -292,7 +300,7 @@ def _plan(w: np.ndarray, runs, lead: bool) -> list:
     grids = [w[p:p + (d - p) // s * s].reshape(-1, s, d, bc) for p in range(min(s, d))]
     slabs = {}  # scratch views by pair rows, product scratch by piece shape
     plan = [(None, [(w[0, :2], w[1, :2], pair[0, :2], pair[1, :2], 0)])] if lead else []
-    cut = _cuts if w.nbytes <= CHUNK_BYTES else _cuts.__wrapped__  # larger chunks: per call
+    cut = _cuts if d <= _KEPT_D else _cuts.__wrapped__  # larger d: per call
     for at, cuts in cut(runs, d, bc, w.itemsize):
         pieces = []
         for piece in cuts:
@@ -339,8 +347,8 @@ def _coset_schedule(n: int, width: int):
     a perfbench cycle composes at most 12 (draw and check), and an entry
     holds about 50 KiB at n = 64 (6 MiB at n = 512).  Cutting the runs into
     the kernel's pieces costs about as much again per chunk width (57 us at
-    n = 12, 1.6 ms at n = 64); ``_cuts`` keeps those cuts, keyed by the
-    runs' value, so a rebuilt schedule finds them again.
+    n = 12, 1.6 ms at n = 64); ``_cuts`` keeps those cuts for d <= 24,
+    keyed by the runs' value, so a rebuilt schedule finds them again.
     """
     j = row_j(n)
     k = np.repeat(np.arange(2, n + 1), np.arange(1, n))

@@ -56,7 +56,8 @@ def _rotation_schedule(planes: tuple, n: int):
     so the last 32 (planes, n) are kept: a perfbench check cycle uses 18
     Hessenberg and CMV orders, and an entry holds about 1 KiB.  Cutting
     the runs into the kernel's pieces costs as much again per chunk width,
-    and ``euler._cuts`` keeps those cuts, keyed by the runs' value."""
+    and ``euler._cuts`` keeps those cuts for n <= 24, keyed by the runs'
+    value."""
     order, runs = _waves(planes, [n] * len(planes), 2)
     sel = np.asarray(planes, dtype=int)[order]
     sel.flags.writeable = False

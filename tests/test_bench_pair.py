@@ -58,3 +58,22 @@ def test_summarize_needs_every_metric_in_every_run():
 def test_simd_target_lists_the_dispatch_targets_this_host_runs():
     got = bench_pair.simd_target()
     assert got["baseline"] and set(got["dispatch_on_host"]) <= set(got["dispatch"])
+
+
+def test_source_digest_hashes_the_sources_alone(tmp_path):
+    def tree(name, body=b"x = 1\n"):
+        root = tmp_path / name
+        for rel, data in (("src/pkg/a.py", body), ("perfbench/run.py", b"run\n"),
+                          ("scripts/bench_pair.py", b"pair\n"), ("README.md", name.encode())):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+        return root
+
+    first, second = tree("first"), tree("second")  # differ outside the sources only
+    for junk in ("src/pkg/__pycache__/a.cpython-312.pyc", "src/pkg.egg-info/PKG-INFO"):
+        (second / junk).parent.mkdir(parents=True)
+        (second / junk).write_bytes(b"built")
+    assert bench_pair.source_digest(first) == bench_pair.source_digest(second)
+    assert bench_pair.source_digest(tree("third", b"x = 2\n")) != bench_pair.source_digest(first)
+    (first / "src/pkg/a.py").rename(first / "src/pkg/b.py")  # a path is hashed too
+    assert bench_pair.source_digest(first) != bench_pair.source_digest(second)

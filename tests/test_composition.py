@@ -219,8 +219,8 @@ def _holds_array(value) -> bool:
 
 def test_cut_cache_is_bounded_and_holds_no_array():
     # the cuts are kept per (schedule, d, chunk width, itemsize) as ints and
-    # slices, for at most maxsize keys; chunks beyond CHUNK_BYTES are cut
-    # per call and kept nowhere
+    # slices, for at most maxsize keys and d <= _KEPT_D; larger d are cut
+    # per call and kept nowhere, even for a one-item chunk
     maxsize = euler._cuts.cache_info().maxsize
     assert maxsize is not None
     euler._cuts.cache_clear()
@@ -234,8 +234,12 @@ def test_cut_cache_is_bounded_and_holds_no_array():
     for key in keys:
         assert not _holds_array(euler._cuts(*key))
     euler._cuts.cache_clear()
+    for n in (euler._KEPT_D + 1, 32, 256):  # 256: one 512 KiB item a chunk
+        euler.compose_so_batch(_so_theta(_rng(n, 1), n, 1))
     euler.compose_so_batch(_so_theta(_rng(32, 600), 32, 600))  # 75-item chunks, 600 KiB
     assert euler._cuts.cache_info().currsize == 0
+    euler.compose_so_batch(_so_theta(_rng(euler._KEPT_D, 1), euler._KEPT_D, 1))
+    assert euler._cuts.cache_info().currsize == 1
 
 
 def test_compositions_from_four_threads_give_the_serial_bytes():

@@ -419,12 +419,12 @@ def test_writing_a_phase_stack_holds_a_batch_chunk_not_the_text(traced_peak, tmp
     assert traced_peak(lambda: cli._write_out(pieces, path)) <= 4 * phases.nbytes
 
 
-@pytest.mark.parametrize("count", [262144, 1048576])
+@pytest.mark.parametrize("count", [262144, 524288])
 def test_phase_writer_peak_is_one_bound_at_any_stack_size(traced_peak, tmp_path, count):
     # the writers cut CHUNK_BYTES of samples per chunk, with no eighth-of-
     # the-batch term, so the text held at once does not grow with the stack:
-    # 4.2 MB and 16.8 MB stacks both peak near 5.6 MB, about 11 CHUNK_BYTES
-    # (an eighth of the larger one peaked at 22 MB)
+    # 4.2 MB and 8.4 MB stacks both peak near 5.6 MB, about 11 CHUNK_BYTES
+    # (an eighth of the larger one peaked at 11 MB)
     phases = np.random.default_rng(5).random((count, 2)) * 2.0 * math.pi
     pieces = fileio.phase_chunks("csv", 2, "cmv", 0, count, phases)
     path = str(tmp_path / "phases.csv")
