@@ -18,7 +18,7 @@ class NotUnitaryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical procedure (root finding, a redraw loop) did not converge."""
+    """A redraw or rejection loop gave up, or computed phases failed their certificate."""
 
 
 # Redraw rounds after which a probability-zero rejection (a zero Gaussian
@@ -85,24 +85,9 @@ def symplectic_residual(a: np.ndarray):
 
 # --- eigenphases of a unitary-class matrix -------------------------------
 #
-# Each matrix is mapped through the Cayley transform anchored at a point
-# e^{ia} kept away from its spectrum:
-#
-#     M(a) = i (I - e^{-ia} m)^{-1} (I + e^{-ia} m)
-#
-# M(a) is Hermitian with eigenvalues lambda_k = -cot((theta_k - a)/2), a
-# strictly increasing function of theta_k on (a, a + 2*pi), so one batched
-# Hermitian eigensolve (np.linalg.eigvalsh) gives every phase as
-# theta_k = a + pi + 2*arctan(lambda_k), already in order; no nonsymmetric
-# eigensolver is needed.  The anchor is the one of 17 golden-ratio points
-# with the largest |det(e^{ia} I - m)|, which keeps M(a) well conditioned.
-# The anchors go to np.linalg.slogdet in groups, one (g, b, N, N) operand
-# e^{ia} I - m per group of g = max(1, CHUNK_BYTES // chunk bytes) points,
-# so an operand holds at most CHUNK_BYTES or one chunk, whichever is more:
-# a chunk of up to 30 KiB (one complex matrix up to N = 43, two up to
-# N = 31) takes all 17 points in one call, one above CHUNK_BYTES a call per
-# point.  LAPACK factors each matrix on its own, so the grouping changes
-# no bit.
+# The phases are the angles of the eigenvalues from LAPACK's nonsymmetric
+# eigensolver (np.linalg.eigvals, geev), which takes real stacks as they
+# are, in [0, 2*pi), a phase within 1e-9 below 2*pi snapped to 0.
 # Phases within 1e-9 of the first member of their run are replaced by the
 # run's mean, so exactly degenerate roots (the doubly degenerate spectra of
 # self-dual quaternion unitaries) come out exactly equal.
@@ -111,9 +96,6 @@ def symplectic_residual(a: np.ndarray):
 # sums sum_k e^{i j theta_k} must match tr(m^j) for j = 1, 2, 3 within
 # 64*N*eps, a bound that means the same at every N.
 
-_GOLDEN = 0.6180339887498949
-_ANCHORS = TWO_PI * ((np.arange(17) * _GOLDEN) % 1.0)
-_ANCHOR_POINTS = np.exp(1j * _ANCHORS)
 _MERGE = 1e-9
 _CERT_C = 64.0
 
@@ -152,13 +134,14 @@ def trace_certificate(stack: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 
 def eigenphases_batch(stack) -> np.ndarray:
-    """Phases of a (B, N, N) stack of unitary-class matrices, as a (B, N)
-    array; each row sorted, every entry in [0, 2*pi).
+    """Phases of a (B, N, N) stack of unitary-class matrices, N >= 1, as a
+    (B, N) array; each row sorted, every entry in [0, 2*pi).
 
-    The stack runs in the batch chunks of ``_chunks``, each copied to complex
-    and taken through the whole pipeline on its own, so the temporaries are
-    those of one chunk; every LAPACK call works per matrix, so the phases
-    equal those of one call on the whole stack.
+    The stack runs in the batch chunks of ``_chunks``, each taken through
+    the whole pipeline on its own in double precision (a real stack stays
+    real), so the temporaries are those of one chunk; every LAPACK call
+    works per matrix, so the phases equal those of one call on the whole
+    stack.
 
     Raises NotUnitaryError if any matrix fails its orthogonality/unitarity
     precondition (max |m^dagger m - I| <= 1e-8*N), ConvergenceError if the
@@ -166,51 +149,25 @@ def eigenphases_batch(stack) -> np.ndarray:
     the first chunk that fails.
     """
     stack = np.asarray(stack)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError(f"expected a (B, N, N) stack, got shape {stack.shape}")
     count, n = stack.shape[:2]
+    dtype = np.promote_types(stack.dtype, float)
     phases = np.empty((count, n))
-    for sl in _chunks(count, 16 * n * n or 1):
-        phases[sl] = _eigenphases_chunk(np.asarray(stack[sl], dtype=complex))
+    for sl in _chunks(count, 16 * n * n):
+        phases[sl] = _eigenphases_chunk(np.asarray(stack[sl], dtype=dtype))
     return phases
 
 
-def _anchor_logdets(u: np.ndarray) -> np.ndarray:
-    """(17, b) log|det(z I - m)| of each matrix m of a complex (b, N, N)
-    chunk u at each anchor point z, the anchors grouped as above."""
-    step = max(1, CHUNK_BYTES // u.nbytes)
-    eye = np.eye(u.shape[-1])
-    return np.concatenate([np.linalg.slogdet(_ANCHOR_POINTS[i:i + step, None, None, None]
-                                             * eye - u)[1]
-                           for i in range(0, len(_ANCHOR_POINTS), step)])
-
-
 def _eigenphases_chunk(u: np.ndarray) -> np.ndarray:
-    """eigenphases_batch of one complex (b, N, N) chunk."""
+    """eigenphases_batch of one real or complex (b, N, N) chunk."""
     n = u.shape[-1]
-    eye = np.eye(n)
     if not np.all(adjoint_residual(u) <= 1e-8 * n):
         raise NotUnitaryError("input is not unitary within 1e-8*N")
-
-    logdet = _anchor_logdets(u)
-    best = logdet.argmax(axis=0)
-    if not np.all(np.isfinite(logdet[best, np.arange(len(u))])):
-        raise ConvergenceError("no anchor point off the unit-circle spectrum")
-    a = _ANCHORS[best]
-
-    w = np.exp(-1j * a)[:, None, None] * u
-    herm = np.linalg.solve(eye - w, eye + w)
-    del w
-    herm *= 1j
-    herm += herm.conj().swapaxes(1, 2)
-    herm *= 0.5
-    raw = a[:, None] + np.pi + 2.0 * np.arctan(np.linalg.eigvalsh(herm))
-    del herm
-
-    _merge_clusters(raw)
-    phases = np.remainder(raw, TWO_PI, out=raw)
+    phases = np.remainder(np.angle(np.linalg.eigvals(u)), TWO_PI)
     phases[phases > TWO_PI - _MERGE] = 0.0
     phases.sort(axis=1)
+    _merge_clusters(phases)
     if not np.all(trace_certificate(u, phases) <= 1.0):
         raise ConvergenceError("eigenphases fail the trace certificate")
     return phases

@@ -139,11 +139,41 @@ STACKS = {
 
 def circular_distance(phases, reference):
     """Per row, the largest circular distance after pairing the two sorted
-    phase lists up to a rotation (phases near 0 may sort to either end)."""
+    phase lists up to a cyclic shift (a cluster at 0 may sort to either end)."""
     p = np.sort(np.mod(phases, TWO_PI), axis=1)
     r = np.sort(np.mod(reference, TWO_PI), axis=1)
     return np.min([np.abs(np.angle(np.exp(1j * (p - np.roll(r, k, axis=1))))).max(axis=1)
-                   for k in (-1, 0, 1)], axis=0)
+                   for k in range(p.shape[1])], axis=0)
+
+
+# The first phases of every known spectrum: exact clusters at 0 and at pi.
+# LAPACK's eigenvalues of a cluster at 0 land on both sides of the 0/2*pi
+# cut.  The real path takes them as rotation angles, R(0) = I, R(pi) = -I.
+_FORCED_PHASES = (0.0, 0.0, np.pi, np.pi, 0.0)
+_FORCED_ROTATIONS = (0.0, np.pi, 0.0)
+
+
+def _known_spectrum(q, stream):
+    """(q D q^dagger, phases of D) for a unitary stack q: complex q gets
+    D = diag(e^{i theta}); real q gets D = blockdiag(R(theta_k), -1 if the
+    size is odd), a real stack for LAPACK's real path.  The phases start
+    with the forced clusters, the rest are uniform."""
+    count, d = q.shape[:2]
+    if np.iscomplexobj(q):
+        theta = stream.uniform(0.0, TWO_PI, size=(count, d))
+        theta[:, :len(_FORCED_PHASES)] = _FORCED_PHASES[:d]
+        diag = np.zeros((count, d, d), dtype=complex)
+        diag[:, range(d), range(d)] = np.exp(1j * theta)
+        return q @ diag @ q.conj().swapaxes(1, 2), theta
+    angle = stream.uniform(0.0, np.pi, size=(count, d // 2))
+    angle[:, :len(_FORCED_ROTATIONS)] = _FORCED_ROTATIONS[:d // 2]
+    block = np.tile(-np.eye(d), (count, 1, 1))
+    i = 2 * np.arange(d // 2)
+    block[:, i, i] = block[:, i + 1, i + 1] = np.cos(angle)
+    block[:, i + 1, i] = np.sin(angle)
+    block[:, i, i + 1] = -np.sin(angle)
+    theta = np.concatenate([angle, -angle, np.full((count, d % 2), np.pi)], axis=1)
+    return q @ block @ q.swapaxes(1, 2), theta
 
 
 class TestEigenphasesBatch:
@@ -151,13 +181,14 @@ class TestEigenphasesBatch:
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 50])
     @pytest.mark.parametrize("name", list(STACKS))
     def test_matches_eigvals(self, name, n, batch):
-        stack = STACKS[name](RandomStream(20, n), n, batch)
+        # each sampled matrix q is the eigenbasis of a stack of known spectra
+        stream = RandomStream(20, n)
+        stack, theta = _known_spectrum(STACKS[name](stream, n, batch), stream)
         got = eigenphases_batch(stack)
         assert got.shape == (batch, stack.shape[-1])
         assert np.all((got >= 0.0) & (got < TWO_PI))
         assert np.all(np.diff(got, axis=1) >= 0.0)
-        ref = np.angle(np.linalg.eigvals(stack))
-        assert circular_distance(got, ref).max() <= 1e-12
+        assert circular_distance(got, theta).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 8])
     @pytest.mark.parametrize("name", list(STACKS))
@@ -184,6 +215,17 @@ class TestEigenphasesBatch:
         with pytest.raises(ValueError):
             eigenphases_batch(np.eye(3))
 
+    def test_single_precision_stack_runs_in_double(self):
+        # float32 permutation matrices: LAPACK's single-precision phases
+        # would fail the double-precision certificate
+        perms = np.eye(5)[[[1, 2, 3, 4, 0], [0, 2, 1, 4, 3]]]
+        got = eigenphases_batch(perms.astype(np.float32))
+        assert got.tobytes() == eigenphases_batch(perms).tobytes()
+
+    def test_rejects_empty_matrices(self):
+        with pytest.raises(ValueError, match=r"expected a \(B, N, N\) stack"):
+            eigenphases_batch(np.zeros((3, 0, 0)))
+
     def test_certificate_rejects_shifted_phase(self):
         stack = samplers.qr_batch(RandomStream(24), 16, 7, "complex")
         ph = eigenphases_batch(stack)
@@ -194,14 +236,14 @@ class TestEigenphasesBatch:
 
     def test_certificate_failure_raises(self, monkeypatch):
         stack = samplers.qr_batch(RandomStream(25), 8, 3, "complex")
-        eigvalsh = np.linalg.eigvalsh
+        eigvals = np.linalg.eigvals
 
-        def off(h):
-            lam = eigvalsh(h)
-            lam[1, 4] += 1e-6
+        def off(m):
+            lam = eigvals(m)
+            lam[1, 4] *= np.exp(1e-6j)
             return lam
 
-        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", off)
+        monkeypatch.setattr(linalg.np.linalg, "eigvals", off)
         with pytest.raises(ConvergenceError):
             eigenphases_batch(stack)
 
@@ -209,35 +251,10 @@ class TestEigenphasesBatch:
         stack = samplers.qr_batch(RandomStream(26), 16, 512, "complex")
         assert traced_peak(lambda: eigenphases_batch(stack)) <= 8 * stack.nbytes
 
-    @pytest.mark.parametrize("count,calls", [(1, 1), (25, 4), (70, 17)])
-    def test_grouped_anchors_equal_a_per_anchor_loop(self, monkeypatch, count, calls):
-        # one complex n = 16 chunk of 4096-byte matrices: the 17 anchors go
-        # to slogdet in groups of 128 (all at once), 5 and 1; the phases are
-        # the bytes of one slogdet call per anchor point
-        stack = samplers.qr_batch(RandomStream(29, count), 16, count, "complex")
-        assert len(linalg._chunks(count, 16 * 16 * 16)) == 1
-
-        def per_anchor(u):
-            eye = np.eye(u.shape[-1])
-            return np.array([np.linalg.slogdet(z * eye - u)[1] for z in linalg._ANCHOR_POINTS])
-
-        assert linalg._anchor_logdets(stack).tobytes() == per_anchor(stack).tobytes()
-        slogdet, seen = np.linalg.slogdet, []
-
-        def counted(a):
-            seen.append(a.shape)
-            return slogdet(a)
-
-        monkeypatch.setattr(linalg.np.linalg, "slogdet", counted)
-        got = eigenphases_batch(stack)
-        assert len(seen) == calls and sum(shape[0] for shape in seen) == 17
-        monkeypatch.setattr(linalg, "_anchor_logdets", per_anchor)
-        assert got.tobytes() == eigenphases_batch(stack).tobytes()
-
     # SHA-256 of the phases, taken when one pipeline ran over the whole stack
     WHOLE_STACK_DIGESTS = {
-        (27, 16, 4096): "b00217898c7fe737372454dd6bc42c22d296a2e8b43e0f2205c7ddebde827949",
-        (28, 64, 256): "b471eef2595ea54d477886b36afd5d30b473a6474094e2ab718ddaa5527f6549",
+        (27, 16, 4096): "dad413f8ee44a69d257432813f73e5c93126f0093ab7e055beb7e9a0dfaff408",
+        (28, 64, 256): "5a5e67282e305c2d7ec5c3c7cf926350dcf4f914f8041d66c7583816d0d26147",
     }
 
     @pytest.mark.parametrize("seed,n,count", list(WHOLE_STACK_DIGESTS))
