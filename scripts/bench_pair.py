@@ -14,8 +14,11 @@ tree did better; each pair's cycle-0 output digests; the parent's commit
 and the working tree's HEAD (and whether it had uncommitted changes); each
 side's ``source_digest``, so that the runs can be tied to any commit whose
 sources hash the same; and the numpy, scipy and OpenBLAS versions and
-numpy's SIMD target, on which those digests depend.  Run it from a quiet
-host: every process of the pairs runs on its own, one after the other.
+numpy's SIMD target, on which those digests depend.  After a workload's
+pairs, each tree runs it once more with ``--trace 1`` at seed SEED, and
+the per-layer metrics it prints are kept as printed under the workload's
+``per_layer``, parent first.  Run it from a quiet host: every process runs
+on its own, one after the other.
 """
 
 from __future__ import annotations
@@ -90,16 +93,24 @@ def source_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[dict, dict]:
     """One perfbench run of ``tree``; RuntimeError if it exits nonzero."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds)],
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     return parse_run(proc.stdout)
+
+
+def per_layer(sides: dict, workload: str, seed: int, seconds: float) -> dict:
+    """Each side's per-layer metrics from one ``--trace 1`` run of its tree,
+    as printed, stale rows included."""
+    return {side: run_once(tree, workload, seed, seconds, trace=1)[1]["metrics"]
+            for side, tree in sides.items()}
 
 
 def git(*cmd: str) -> str:
@@ -155,7 +166,8 @@ def main(argv=None) -> int:
             result["workloads"][workload] = {
                 "metrics": summarize(pairs, better), "digests": digests,
                 "digests_equal": all(d["parent"] == d["change"] for d in digests),
-                "failed": [[p["failed"], c["failed"]] for p, c in pairs]}
+                "failed": [[p["failed"], c["failed"]] for p, c in pairs],
+                "per_layer": per_layer(sides, workload, args.seed, seconds)}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

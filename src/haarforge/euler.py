@@ -59,9 +59,7 @@ import math
 
 import numpy as np
 
-from haarforge.linalg import CHUNK_BYTES, NotUnitaryError, _chunks, adjoint_residual
-
-TWO_PI = 2.0 * np.pi
+from haarforge.linalg import CHUNK_BYTES, NotUnitaryError, _chunks, _wrap, adjoint_residual
 
 
 class ReflectionError(ValueError):
@@ -472,12 +470,6 @@ def compose_sp_batch(rho, quat, lead) -> np.ndarray:
 
 
 # --- extraction ------------------------------------------------------------
-
-
-def _wrap(t):
-    """t mod 2*pi in [0, 2*pi); a remainder that rounds up to 2*pi is 0."""
-    t = np.remainder(t, TWO_PI)
-    return np.where(t < TWO_PI, t, 0.0)
 
 
 def _turn(w, l, m00, m01, m10, m11):

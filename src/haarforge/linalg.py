@@ -2,8 +2,9 @@
 
 Everything here is plain double precision on ndarrays, single matrices or
 (..., N, N) stacks; operations are pure functions, safe to call from
-multiple threads.  The shared batch policies live here too: the bounded
-redraw loop, ``_redraw``, and the one batch-chunk rule, ``_chunks``.
+multiple threads.  The shared policies live here too: the bounded redraw
+loop, ``_redraw``, the one batch-chunk rule, ``_chunks``, and the one wrap
+rule onto [0, 2*pi), ``_wrap``.
 """
 
 from __future__ import annotations
@@ -87,10 +88,12 @@ def symplectic_residual(a: np.ndarray):
 #
 # The phases are the angles of the eigenvalues from LAPACK's nonsymmetric
 # eigensolver (np.linalg.eigvals, geev), which takes real stacks as they
-# are, in [0, 2*pi), a phase within 1e-9 below 2*pi snapped to 0.
-# Phases within 1e-9 of the first member of their run are replaced by the
-# run's mean, so exactly degenerate roots (the doubly degenerate spectra of
-# self-dual quaternion unitaries) come out exactly equal.
+# are, put on [0, 2*pi) by ``_wrap``, the one wrap rule of the library.
+# Each run of sorted neighbours less than 1e-9 apart on the circle (the
+# last phase and the first + 2*pi are neighbours too) is replaced by its
+# mean, so exactly degenerate roots (the doubly degenerate spectra of
+# self-dual quaternion unitaries, a cluster at 0 that LAPACK splits across
+# the cut) come out exactly equal.
 #
 # The returned phases are certified against the matrix itself: the power
 # sums sum_k e^{i j theta_k} must match tr(m^j) for j = 1, 2, 3 within
@@ -100,23 +103,28 @@ _MERGE = 1e-9
 _CERT_C = 64.0
 
 
+def _wrap(t):
+    """t mod 2*pi in [0, 2*pi); a remainder that rounds up to 2*pi is 0."""
+    t = np.remainder(t, TWO_PI)
+    return np.where(t < TWO_PI, t, 0.0)
+
+
 def _merge_clusters(raw: np.ndarray) -> None:
-    """In place, per row of ascending phases: each run of phases within
-    _MERGE of its first member becomes the run's mean."""
-    rows = np.flatnonzero((np.diff(raw, axis=1) < _MERGE).any(axis=1))
+    """In place, per row of ascending phases in [0, 2*pi): each run of
+    neighbours less than _MERGE apart on the circle becomes the run's mean,
+    and the row is sorted again.  A run that crosses 0 is averaged on
+    unwrapped values and its mean wrapped by ``_wrap``."""
+    gap = np.diff(raw, axis=1, append=raw[:, :1] + TWO_PI)  # gap[:, k]: k to k + 1
+    rows = np.flatnonzero((gap < _MERGE).any(axis=1))
     if rows.size == 0:
         return
-    sub = raw[rows]
-    label = np.zeros(sub.shape, dtype=np.intp)
-    first = sub[:, 0]
-    for j in range(1, sub.shape[1]):
-        new = sub[:, j] - first >= _MERGE
-        first = np.where(new, sub[:, j], first)
-        label[:, j] = label[:, j - 1] + new
-    label += sub.shape[1] * np.arange(rows.size)[:, None]
-    _, run, size = np.unique(label.ravel(), return_inverse=True, return_counts=True)
-    mean = np.bincount(run, weights=sub.ravel()) / size
-    raw[rows] = mean[run].reshape(sub.shape)
+    sub, joined = raw[rows], gap[rows] < _MERGE
+    label = np.cumsum(~joined, axis=1) - ~joined  # the breaks before each phase
+    tail = joined[:, -1:] & (label == label[:, -1:])  # a run across 0: its part below 2*pi
+    sub = np.where(tail, sub - TWO_PI, sub)
+    label = (np.where(tail, 0, label) + sub.shape[1] * np.arange(rows.size)[:, None]).ravel()
+    mean = np.bincount(label, weights=sub.ravel())[label] / np.bincount(label)[label]
+    raw[rows] = np.sort(_wrap(mean).reshape(sub.shape), axis=1)
 
 
 def trace_certificate(stack: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -139,9 +147,10 @@ def eigenphases_batch(stack) -> np.ndarray:
 
     The stack runs in the batch chunks of ``_chunks``, each taken through
     the whole pipeline on its own in double precision (a real stack stays
-    real), so the temporaries are those of one chunk; every LAPACK call
-    works per matrix, so the phases equal those of one call on the whole
-    stack.
+    real): precondition, ``eigvals``, ``_wrap``, sort, ``_merge_clusters``
+    and certificate, so the temporaries are those of one chunk; every LAPACK
+    call works per matrix, so the phases equal those of one call on the
+    whole stack.
 
     Raises NotUnitaryError if any matrix fails its orthogonality/unitarity
     precondition (max |m^dagger m - I| <= 1e-8*N), ConvergenceError if the
@@ -155,19 +164,11 @@ def eigenphases_batch(stack) -> np.ndarray:
     dtype = np.promote_types(stack.dtype, float)
     phases = np.empty((count, n))
     for sl in _chunks(count, 16 * n * n):
-        phases[sl] = _eigenphases_chunk(np.asarray(stack[sl], dtype=dtype))
-    return phases
-
-
-def _eigenphases_chunk(u: np.ndarray) -> np.ndarray:
-    """eigenphases_batch of one real or complex (b, N, N) chunk."""
-    n = u.shape[-1]
-    if not np.all(adjoint_residual(u) <= 1e-8 * n):
-        raise NotUnitaryError("input is not unitary within 1e-8*N")
-    phases = np.remainder(np.angle(np.linalg.eigvals(u)), TWO_PI)
-    phases[phases > TWO_PI - _MERGE] = 0.0
-    phases.sort(axis=1)
-    _merge_clusters(phases)
-    if not np.all(trace_certificate(u, phases) <= 1.0):
-        raise ConvergenceError("eigenphases fail the trace certificate")
+        u = np.asarray(stack[sl], dtype=dtype)
+        if not np.all(adjoint_residual(u) <= 1e-8 * n):
+            raise NotUnitaryError("input is not unitary within 1e-8*N")
+        phases[sl] = np.sort(_wrap(np.angle(np.linalg.eigvals(u))), axis=1)
+        _merge_clusters(phases[sl])
+        if not np.all(trace_certificate(u, phases[sl]) <= 1.0):
+            raise ConvergenceError("eigenphases fail the trace certificate")
     return phases

@@ -36,11 +36,11 @@ def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
     thetas has shape (B, n-1), n read from it; thetas[:, l-1] belongs to
     plane l.  The product is taken left to right, i.e. order[0] is the
     leftmost factor.  ValueError for thetas of another rank or a plane
-    outside 1..n-1.
+    that is not an integer in 1..n-1.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n, planes = thetas.shape[1] + 1, [l - 1 for l in order]
-    if thetas.ndim != 2 or not all(0 <= c < n - 1 for c in planes):
+    if thetas.ndim != 2 or not all(0 <= c < n - 1 and c == int(c) for c in planes):
         raise ValueError(f"need (B, n-1) angles and planes in 1..n-1, not shape "
                          f"{thetas.shape} and planes {list(order)}")
     sel, runs = _rotation_schedule(tuple(planes), n)

@@ -77,3 +77,28 @@ def test_source_digest_hashes_the_sources_alone(tmp_path):
     assert bench_pair.source_digest(tree("third", b"x = 2\n")) != bench_pair.source_digest(first)
     (first / "src/pkg/a.py").rename(first / "src/pkg/b.py")  # a path is hashed too
     assert bench_pair.source_digest(first) != bench_pair.source_digest(second)
+
+
+def test_per_layer_keeps_each_sides_traced_rows_as_printed(monkeypatch, tmp_path):
+    rows = {"parent": {"linalg.self_s": 0.2, "fileio.write.self_s": 0.0},
+            "change": {"linalg.self_s": 0.1, "fileio.write.self_s": 0.0}}  # a stale row stays
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append(cmd)
+        side = Path(cwd).name
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "s"} for k, v in rows[side].items()}}
+        stdout = json.dumps({"report": {"trace": 1}}) + "\n" + json.dumps(result) + "\n"
+        return bench_pair.subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    got = bench_pair.per_layer(sides, "export", 3, 20)
+    assert list(got) == ["parent", "change"]
+    for side, metrics in got.items():
+        assert {k: m["value"] for k, m in metrics.items()} == rows[side]
+    assert [c[c.index("--trace") + 1] for c in calls] == ["1", "1"]
+    assert all(c[c.index("--workload") + 1:] == ["export", "--seed", "3", "--seconds", "20",
+                                                 "--trace", "1"] for c in calls)
+    assert [Path(c[1]).parts[-3] for c in calls] == ["parent", "change"]

@@ -128,6 +128,21 @@ def test_batches_split_into_work_chunks_match_oracle():
     n = 16
     angles = _sp_angles(rng, n, batch)
     _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
+    # d <= euler._KEPT_D, whose cuts are kept, over full chunks of
+    # CHUNK_BYTES and a short last one: two chunk widths, two kept cut lists
+    n, batch = 16, 1000  # 256/256/256/232
+    theta = _so_theta(rng, n, batch)
+    _same_bytes(euler.compose_so_batch(theta),
+                oracles.column_rotation_so(oracles.angle_dict(theta), n, batch))
+    thetas = rng.uniform(0.0, np.pi, (batch, n - 1))
+    _same_bytes(spectra.rotation_product_batch(thetas, spectra.cmv_order(n)),
+                oracles.rotation_product(thetas, spectra.cmv_order(n), n))
+    n, batch = 12, 700  # 227/227/227/19
+    angles = _u_angles(rng, n, batch)
+    _same_bytes(euler.compose_u_batch(*angles), _oracle_u(*angles, n))
+    n, batch = 8, 300  # 128/128/44
+    angles = _sp_angles(rng, n, batch)
+    _same_bytes(euler.compose_sp_batch(*angles), _oracle_sp(*angles, n))
 
 
 # Shapes where the wave schedule differs most from the one-block-at-a-time

@@ -269,6 +269,7 @@ MISMATCHES = {
         np.zeros((3, 1)), np.zeros((3, 1, 2)), np.zeros((1, 3, 2, 2), complex)),
     "rotation plane 0": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [0]),
     "rotation plane n": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [1, 4]),
+    "rotation plane 1.5": lambda: spectra.rotation_product_batch(np.full((1, 2), 0.3), [1.5]),
     "rotation 3-d thetas": lambda: spectra.rotation_product_batch(np.zeros((1, 3, 2)), [1]),
 }
 

@@ -202,6 +202,45 @@ class TestEigenphasesBatch:
         ph = eigenphases_batch(_cse_stack(RandomStream(22), 4, 16))
         assert np.array_equal(ph[:, 0::2], ph[:, 1::2])
 
+    def test_identity_and_minus_identity_are_exact(self):
+        assert eigenphases_batch(np.eye(3)[None]).tolist() == [[0.0, 0.0, 0.0]]
+        assert eigenphases_batch(-np.eye(3)[None]).tolist() == [[np.pi] * 3]
+
+    @pytest.mark.parametrize("delta", [1e-14, 1e-12, 1e-10])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_phase_just_below_two_pi_stays_there(self, n, delta):
+        # a lone phase within 1e-9 below 2*pi keeps its value, as the
+        # certificate requires (the mean of the cluster at pi may move by ulps)
+        m = np.diag(np.r_[np.exp(-1j * delta), -np.ones(n - 1)])
+        got = eigenphases(m)
+        assert abs(got[-1] - (TWO_PI - delta)) <= 1e-15
+        assert np.abs(got[:-1] - np.pi).max() <= 1e-14
+
+    def test_pair_across_zero_is_one_run(self):
+        # the phases +-1e-12 are neighbours on the circle: they merge to 0
+        assert eigenphases(rotation(1, 1e-12, 2)).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [6, 16, 40])
+    def test_cluster_at_zero_is_exact(self, n):
+        # LAPACK puts the double eigenvalue 1 on both sides of the 0/2*pi cut
+        q = samplers.qr_batch(RandomStream(29, n), n, 300, "complex")
+        lam = np.exp(1j * np.r_[0.0, 0.0, np.full(n - 2, 0.7)])
+        got = eigenphases_batch(q @ (lam[:, None] * q.conj().swapaxes(1, 2)))
+        pair = np.where(got[:, :1] < 0.35, got[:, :2], got[:, -2:])
+        assert np.array_equal(pair[:, 0], pair[:, 1])
+        assert np.abs(np.angle(np.exp(1j * pair))).max() <= 1e-15
+
+    def test_merge_runs_of_neighbours_on_the_circle(self):
+        rows = np.array([[0.0, 0.6e-9, 1.2e-9, 3.0],  # a chain of close neighbours
+                         [2e-10, 1.0, 2.0, TWO_PI - 6e-10],  # a run across 0, mean below 0
+                         [0.5, 1.0, 2.0, 3.0]])  # nothing to merge
+        got = rows.copy()
+        linalg._merge_clusters(got)
+        assert got[0].tolist() == [0.6e-9] * 3 + [3.0]
+        assert got[1, :2].tolist() == [1.0, 2.0]
+        assert got[1, 2] == got[1, 3] and abs(got[1, 3] - (TWO_PI - 2e-10)) <= 1e-15
+        assert got[2].tolist() == rows[2].tolist()
+
     def test_one_non_unitary_matrix_in_stack(self):
         stack = samplers.qr_batch(RandomStream(23), 4, 7, "complex")
         stack[5, 1, 2] += 1e-6
