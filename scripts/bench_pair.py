@@ -18,7 +18,9 @@ numpy's SIMD target, on which those digests depend.  After a workload's
 pairs, each tree runs it once more with ``--trace 1`` at seed SEED, and
 the per-layer metrics it prints are kept as printed under the workload's
 ``per_layer``, parent first.  Run it from a quiet host: every process runs
-on its own, one after the other.
+on its own, one after the other.  A run still going after ten times
+``run_seconds`` and a minute more is stopped, and the script fails with
+the tree, workload and seed of that run.
 """
 
 from __future__ import annotations
@@ -94,12 +96,21 @@ def source_digest(tree: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             trace: int = 0) -> tuple[dict, dict]:
-    """One perfbench run of ``tree``; RuntimeError if it exits nonzero."""
-    proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
-                           "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", str(trace)],
-                          cwd=tree, capture_output=True, text=True)
+             trace: int = 0, timeout: float | None = None) -> tuple[dict, dict]:
+    """One perfbench run of ``tree`` for ``seconds``; RuntimeError if it
+    exits nonzero or is still running after ``timeout`` seconds, by default
+    ten times ``seconds`` and a minute more (a run stops at the first cycle
+    end past ``seconds``, and a traced run is slower)."""
+    if timeout is None:
+        timeout = 10 * seconds + 60
+    try:
+        proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
+                               "--workload", workload, "--seed", str(seed),
+                               "--seconds", str(seconds), "--trace", str(trace)],
+                              cwd=tree, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"{tree} {workload} seed {seed} did not finish "
+                           f"in {timeout:g} s") from None
     if proc.returncode != 0:
         raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")

@@ -93,7 +93,8 @@ def symplectic_residual(a: np.ndarray):
 # last phase and the first + 2*pi are neighbours too) is replaced by its
 # mean, so exactly degenerate roots (the doubly degenerate spectra of
 # self-dual quaternion unitaries, a cluster at 0 that LAPACK splits across
-# the cut) come out exactly equal.
+# the cut) come out exactly equal, and a run of equal phases keeps their
+# value.
 #
 # The returned phases are certified against the matrix itself: the power
 # sums sum_k e^{i j theta_k} must match tr(m^j) for j = 1, 2, 3 within
@@ -113,7 +114,9 @@ def _merge_clusters(raw: np.ndarray) -> None:
     """In place, per row of ascending phases in [0, 2*pi): each run of
     neighbours less than _MERGE apart on the circle becomes the run's mean,
     and the row is sorted again.  A run that crosses 0 is averaged on
-    unwrapped values and its mean wrapped by ``_wrap``."""
+    unwrapped values and its mean wrapped by ``_wrap``.  The mean is the
+    run's first phase plus the mean of the offsets from it, so a run of
+    equal phases keeps their value exactly."""
     gap = np.diff(raw, axis=1, append=raw[:, :1] + TWO_PI)  # gap[:, k]: k to k + 1
     rows = np.flatnonzero((gap < _MERGE).any(axis=1))
     if rows.size == 0:
@@ -122,9 +125,12 @@ def _merge_clusters(raw: np.ndarray) -> None:
     label = np.cumsum(~joined, axis=1) - ~joined  # the breaks before each phase
     tail = joined[:, -1:] & (label == label[:, -1:])  # a run across 0: its part below 2*pi
     sub = np.where(tail, sub - TWO_PI, sub)
+    k = np.arange(sub.shape[1])
+    first = np.maximum.accumulate(np.where(np.diff(label, axis=1, prepend=-1) > 0, k, 0), axis=1)
+    anchor = np.take_along_axis(sub, np.where(tail, 0, first), axis=1).ravel()
     label = (np.where(tail, 0, label) + sub.shape[1] * np.arange(rows.size)[:, None]).ravel()
-    mean = np.bincount(label, weights=sub.ravel())[label] / np.bincount(label)[label]
-    raw[rows] = np.sort(_wrap(mean).reshape(sub.shape), axis=1)
+    off = np.bincount(label, weights=sub.ravel() - anchor)[label] / np.bincount(label)[label]
+    raw[rows] = np.sort(_wrap(anchor + off).reshape(sub.shape), axis=1)
 
 
 def trace_certificate(stack: np.ndarray, phases: np.ndarray) -> np.ndarray:

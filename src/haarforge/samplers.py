@@ -19,6 +19,8 @@ batch-chunk rule; no chunk size here sets a draw's size.
 
 from __future__ import annotations
 
+import functools
+import math
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -283,11 +285,113 @@ def _index_dtype(n: int):
     return np.int16 if n <= 0x7FFF else np.int32 if n <= 0x7FFFFFFF else np.int64
 
 
+_BAND_FLOOR = 1 << 22  # bytes of flags a wave band may hold at any stack size
+_STEP_MIN = 1 << 14  # swaps a wave step should carry, to pay for its four ufunc calls
+_WAVE_MIN_COUNT = 128  # fewer samples than this compose faster by coset rotations
+
+
 def _compose_cosets(clear, n: int, count: int) -> np.ndarray:
     """(count, n) int64 0-based one-line permutations sigma = E_1 o ... o
     E_{n-1} of the bubble-sort decisions; ``clear(j, out)`` writes coset j's
-    "mu_{i,j} = 0" flags into the (count, j) bool view ``out``, column i-1
-    for T_i, just before coset j is composed.
+    "mu_{i,j} = 0" flags into the (count, j) bool array ``out``, column i-1
+    for T_i, once per coset, in the order j = 1..n-1, whichever kernel runs.
+
+    ``_wave_cosets`` composes the cosets in bands whose flags take at most
+    max(4 (n-1) count, _BAND_FLOOR) bytes: half of coset n-1's float64
+    uniform block, which keeps the traced peak at the final int64 copy, or
+    4 MiB, which holds every stack of up to 4 MiB of flags in one band.
+    The last band holds about budget / ((n-1) count) cosets, so its steps
+    swap about budget / (n-1) pairs each.  The wave runs when that is at
+    least _STEP_MIN (n <= 257, or count >= 4096) and the batch has at least
+    _WAVE_MIN_COUNT samples; otherwise the ufunc calls of its 2n - 3 steps
+    per band cost more than they save, and ``_rotate_cosets`` composes one
+    coset at a time.  Both give the same permutations.
+    """
+    budget = max(4 * (n - 1) * count, _BAND_FLOOR)
+    if count < _WAVE_MIN_COUNT or budget < _STEP_MIN * (n - 1):
+        return _rotate_cosets(clear, n, count)
+    return _wave_cosets(clear, n, count, budget)
+
+
+def _wave_cosets(clear, n: int, count: int, budget: int = _BAND_FLOOR) -> np.ndarray:
+    """``_compose_cosets`` as a wave of conditional transpositions.
+
+    sigma <- sigma o T_x swaps positions x-1 and x of the one-line sigma,
+    and coset j applies T_j, ..., T_1 in that order.  Swap x of coset j
+    runs at step t = 2j - x: the swaps of one step touch disjoint position
+    pairs, and every pair keeps its order of updates (the order of
+    ``euler._coset_schedule(n, 2)``'s plane blocks).  The cosets run in
+    bands of consecutive cosets whose flags take at most ``budget`` bytes;
+    each band is a wave of its own (``_wave_band``).  sigma is held batch
+    last, (n, count) in ``_index_dtype(n)``, and cast to int64 once.
+    """
+    itype = _index_dtype(n)
+    sigma = np.empty((n, count), dtype=itype)
+    sigma[:] = np.arange(n, dtype=itype)[:, None]
+    j0, rows = 1, budget // count  # rows: flag rows a band may hold
+    while j0 < n:
+        # the largest j1 with j0 + ... + (j1 - 1) <= rows, at least j0 + 1
+        j1 = max(j0 + 1, min(n, (1 + math.isqrt(1 + 8 * rows + 4 * j0 * (j0 - 1))) // 2))
+        _run_band(clear, sigma, j0, j1)
+        j0 = j1
+    return sigma.T.astype(np.int64, order="C")
+
+
+def _run_band(clear, sigma: np.ndarray, j0: int, j1: int) -> None:
+    """Compose cosets j0..j1-1 into the batch-last ``sigma`` in place.
+
+    Each coset's flags are written, in the order of the steps, to a
+    (rows, count) array: step t's flags are one contiguous slab, row by
+    row the cosets from first to last.  They become masks, -1 where the
+    pair swaps and 0 where it does not, and each step swaps its strided
+    slabs a, b of sigma by d = (a ^ b) & mask, a ^= d, b ^= d.
+    """
+    count = sigma.shape[1]
+    steps, place, rows, widest = _wave_band(j0, j1)
+    flags = np.empty((rows, count), dtype=bool)
+    scratch = np.empty(count * (j1 - 1), dtype=bool)
+    for j in range(j0, j1):
+        out = scratch[:count * j].reshape(count, j)
+        clear(j, out)
+        flags[place[j:2 * j] + j] = out.T[::-1]  # column x - 1 runs at step 2j - x
+    mask = flags.view(np.int8)
+    mask -= 1
+    d = np.empty((widest, count), dtype=sigma.dtype)
+    for sa, sb, sm, q in steps:
+        a, b, m, dq = sigma[sa], sigma[sb], mask[sm], d[:q]
+        np.bitwise_xor(a, b, out=dq)
+        np.bitwise_and(dq, m, out=dq)
+        np.bitwise_xor(a, dq, out=a)
+        np.bitwise_xor(b, dq, out=b)
+
+
+@functools.lru_cache(maxsize=16)
+def _wave_band(j0: int, j1: int):
+    """The wave of cosets j0..j1-1, in closed form: per step t = j0 ..
+    2 j1 - 3, the slices of its a rows and b rows of sigma and of its flag
+    rows, and its number of swaps; the flag row of coset j's swap at step t,
+    less j, as ``place[t]``; the band's flag rows; its widest step.
+
+    At step t the cosets j = max(j0, t // 2 + 1) .. min(t, j1 - 1) swap
+    positions 2j - t - 1 and 2j - t, two apart from one coset to the next.
+    Each is O(j1) long; the last 16 bands are kept, read-only, as a call to
+    a small stack would otherwise spend as much building them as composing.
+    """
+    t = np.arange(j0, 2 * j1 - 2)
+    lo = np.maximum(j0, t // 2 + 1)
+    q = np.minimum(t, j1 - 1) - lo + 1
+    first = np.cumsum(q) - q
+    a = 2 * lo - t - 1
+    steps = tuple((slice(x, x + 2 * k, 2), slice(x + 1, x + 2 * k, 2), slice(f, f + k), k)
+                  for x, k, f in zip(a.tolist(), q.tolist(), first.tolist()))
+    place = np.zeros(2 * j1, dtype=np.intp)
+    place[j0:2 * j1 - 2] = first - lo
+    place.flags.writeable = False
+    return steps, place, int(q.sum()), int(q.max(initial=0))
+
+
+def _rotate_cosets(clear, n: int, count: int) -> np.ndarray:
+    """``_compose_cosets`` one coset at a time.
 
     sigma <- sigma o E_j touches only the prefix 0..j that E_j moves.  In
     closed form, E_j = T_j o ... o T_1 right-rotates each segment [a, b]
@@ -321,13 +425,25 @@ def permutation_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """(count, n) int64 0-based one-line permutations from the decision bits
     mu_{i,j} = 1 with probability i/(i+1), composed by ``_compose_cosets``.
 
-    Draw order: one uniform block of shape (count, j) per coset j = 1..n-1,
-    column i-1 deciding mu_{i,j}, drawn just before the coset is composed.
+    Draw order, the same whichever kernel composes the cosets: one uniform
+    block of shape (count, j) per coset j = 1..n-1, column i-1 deciding
+    mu_{i,j}.  As ``Generator.random`` gives the same stream in pieces, a
+    block larger than ``linalg.CHUNK_BYTES`` is drawn in row chunks of at
+    most that size, so that its float64 uniforms are never held whole.
     """
     probs = np.arange(1, n) / np.arange(2, n + 1)
-    return _compose_cosets(
-        lambda j, out: np.greater_equal(stream.uniform(size=(count, j)), probs[:j], out=out),
-        n, count)
+    whole = CHUNK_BYTES // (8 * count)  # the widest block drawn in one call
+
+    def clear(j, out):
+        if j <= whole:
+            np.greater_equal(stream.uniform(size=(count, j)), probs[:j], out=out)
+            return
+        rows = max(1, CHUNK_BYTES // (8 * j))
+        for r in range(0, count, rows):
+            part = out[r:r + rows]
+            np.greater_equal(stream.uniform(size=part.shape), probs[:j], out=part)
+
+    return _compose_cosets(clear, n, count)
 
 
 def permutation_matrices(lines: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ this module are the same code path.  Each test prints its pass/fail line
 (visible under ``pytest -s`` / ``-v``).
 """
 
+import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -172,3 +174,11 @@ def test_criterion_lines_pinned(key):
     name, seed = key
     result = getattr(verify, name)(seed)
     assert (result.name, result.passed, result.lines()) == CRITERION_LINES[key]
+
+
+def test_lehmer_index_ranks_permutations_in_lexicographic_order():
+    # itertools lists the permutations of range(n) in lexicographic order,
+    # which is the order of their factorial-base ranks
+    for n in (1, 2, 5):
+        lines = np.array(list(itertools.permutations(range(n))))
+        assert verify._lehmer_index(lines).tolist() == list(range(math.factorial(n)))

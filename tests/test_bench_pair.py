@@ -1,8 +1,11 @@
 """scripts/bench_pair.py: the summary of alternating parent/change runs,
-on synthetic run output (no benchmark process is started here)."""
+on synthetic run output.  No benchmark process is started here; the
+timeout test starts one Python process, a fake run that sleeps."""
 
 import importlib.util
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,29 @@ def test_per_layer_keeps_each_sides_traced_rows_as_printed(monkeypatch, tmp_path
     assert all(c[c.index("--workload") + 1:] == ["export", "--seed", "3", "--seconds", "20",
                                                  "--trace", "1"] for c in calls)
     assert [Path(c[1]).parts[-3] for c in calls] == ["parent", "change"]
+
+
+def test_a_run_past_its_timeout_names_the_tree_workload_and_seed(tmp_path):
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text("import time\ntime.sleep(60)\n")
+    start = time.monotonic()
+    message = re.escape(f"{tmp_path} draw seed 4 did not finish in 0.5 s")
+    with pytest.raises(RuntimeError, match=message):
+        bench_pair.run_once(tmp_path, "draw", 4, 20, timeout=0.5)
+    assert time.monotonic() - start < 30  # the sleeping run was stopped
+
+
+def test_the_default_timeout_follows_the_run_seconds(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append(kwargs["timeout"])
+        raise bench_pair.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    for seconds in (20, 5):
+        message = f"check seed 1 did not finish in {10 * seconds + 60} s"
+        with pytest.raises(RuntimeError, match=message):
+            bench_pair.run_once(tmp_path, "check", 1, seconds)
+    assert seen == [260, 110]

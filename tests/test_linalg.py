@@ -230,6 +230,21 @@ class TestEigenphasesBatch:
         assert np.array_equal(pair[:, 0], pair[:, 1])
         assert np.abs(np.angle(np.exp(1j * pair))).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_degenerate_clusters_keep_their_exact_value(self, n):
+        # a run is averaged as offsets from its first member, so n equal
+        # phases stay equal to their value (a sum of n copies over n was off by
+        # up to 5 ulp); a double eigenvalue 1 that LAPACK splits across the
+        # 0/2*pi cut merges to one phase within rounding of 0
+        assert eigenphases_batch(-np.eye(n)[None]).tolist() == [[np.pi] * n]
+        assert eigenphases_batch(1j * np.eye(n)[None]).tolist() == [[np.pi / 2] * n]
+        q = samplers.qr_batch(RandomStream(30, n), n, 20, "complex")
+        lam = np.exp(1j * np.r_[0.0, 0.0, np.full(n - 2, 2.0)])
+        got = eigenphases_batch(q @ (lam[:, None] * q.conj().swapaxes(1, 2)))
+        pair = np.where(got[:, :1] < 1.0, got[:, :2], got[:, -2:])
+        assert np.array_equal(pair[:, 0], pair[:, 1])
+        assert np.abs(np.angle(np.exp(1j * pair))).max() <= 1e-15
+
     def test_merge_runs_of_neighbours_on_the_circle(self):
         rows = np.array([[0.0, 0.6e-9, 1.2e-9, 3.0],  # a chain of close neighbours
                          [2e-10, 1.0, 2.0, TWO_PI - 6e-10],  # a run across 0, mean below 0

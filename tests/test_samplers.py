@@ -15,7 +15,7 @@ from haarforge.linalg import (
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
-from haarforge import samplers, verify
+from haarforge import euler, samplers, verify
 from haarforge.samplers import SAMPLERS, Sampler, sample_batch, sampler
 
 from oracles import (bin_probabilities, bubble_bits, compose_word_swaps, sp_angles_rowwise,
@@ -305,6 +305,89 @@ class TestPermutations:
                 np.stack([bits[(i, j)] for i in range(1, j + 1)], axis=1), out=out),
             n, len(patterns))
         assert (lines == compose_word_swaps(n, bits)).all()
+
+    # counts 1 and 3 compose by coset rotations, 2049 by the wave (in several
+    # bands at n = 130); (500, 2049) is left out: the oracle's bits would take
+    # 255 MB, that shape runs the rotations, and test_wave_equals_rotations_at_large_n
+    # takes n = 500 through the wave
+    @pytest.mark.parametrize("n,count", [(n, c) for n in (1, 2, 3, 9, 64, 130, 500)
+                                         for c in (1, 3, 2049) if (n, c) != (500, 2049)])
+    def test_permutations_equal_the_swap_oracle(self, n, count):
+        lines = samplers.permutation_batch(RandomStream(263, n), n, count)
+        bits = bubble_bits(RandomStream(263, n), n, count)
+        want = np.broadcast_to(compose_word_swaps(n, bits), (count, n))  # n = 1: no bits, one row
+        assert lines.dtype == np.int64 and lines.flags.c_contiguous
+        assert lines.tobytes() == want.tobytes()
+
+    def test_wave_in_several_bands_equals_the_swap_oracle(self):
+        n, count = 50, 20_000  # 1,225 flag rows of 20,000 against a band of 209
+        budget = max(4 * (n - 1) * count, samplers._BAND_FLOOR)
+        assert budget // count < n * (n - 1) // 2 and count >= samplers._WAVE_MIN_COUNT
+        lines = samplers.permutation_batch(RandomStream(264), n, count)
+        bits = bubble_bits(RandomStream(264), n, count)
+        assert lines.tobytes() == compose_word_swaps(n, bits).tobytes()
+
+    def test_lanes_equal_per_lane_oracles(self):
+        n, count = 20, 900  # three lanes of 300, each composed by the wave
+        got = sample_batch("sn", n, count, seed=265, streams=3)
+        want = [compose_word_swaps(n, bubble_bits(RandomStream(265, lane), n, 300)) + 1
+                for lane in range(3)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_each_kernel_composes_every_pattern(self, n):
+        # the wave in one band, in bands of about one coset, and the rotations
+        keys = [(i, j) for j in range(1, n) for i in range(1, j + 1)]
+        patterns = np.array(list(product((0, 1), repeat=len(keys))))
+        count, calls = len(patterns), []
+
+        def clear(j, out):
+            calls.append(j)
+            np.equal(patterns[:, j * (j - 1) // 2:j * (j + 1) // 2], 0, out=out)
+
+        want = compose_word_swaps(n, {key: patterns[:, c] for c, key in enumerate(keys)})
+        for kernel in (lambda: samplers._wave_cosets(clear, n, count, 4 * n * n * count),
+                       lambda: samplers._wave_cosets(clear, n, count, (n - 1) * count),
+                       lambda: samplers._rotate_cosets(clear, n, count)):
+            calls.clear()
+            assert kernel().tobytes() == want.tobytes()
+            assert calls == list(range(1, n))
+
+    @pytest.mark.parametrize("n,count,rows", [(500, 3, 499), (500, 3, 2000), (130, 7, 129)])
+    def test_wave_equals_rotations_at_large_n(self, n, count, rows):
+        # shapes the dispatch gives to the rotations, forced through the wave
+        u = RandomStream(266, n).uniform(size=(n, n, count)) < 0.6
+
+        def clear(j, out):
+            out[:] = u[j, :j].T
+
+        got = samplers._wave_cosets(clear, n, count, rows * count)
+        assert got.tobytes() == samplers._rotate_cosets(clear, n, count).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 33])
+    def test_wave_steps_are_the_euler_coset_waves(self, n):
+        # step t of the one-band wave swaps the position pairs of wave t of
+        # the Euler coset product's plane blocks, in the same column order
+        steps = samplers._wave_band(1, n)[0]
+        runs = euler._coset_schedule(n, 2)[3]
+        assert [(a.start, a.step, q) for a, _, _, q in steps] == [
+            (c, width, len(rows)) for c, width, _, rows in runs]
+
+    def test_dispatch_by_batch_width_and_band_width(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(samplers, "_wave_cosets", lambda *a: seen.append("wave"))
+        monkeypatch.setattr(samplers, "_rotate_cosets", lambda *a: seen.append("rotate"))
+        for n, count in ((64, 2048), (6, 10 ** 5), (50, 10 ** 5), (256, 128),  # waves
+                         (16, 64), (12, 4), (5000, 1), (500, 50), (2000, 128)):  # rotations
+            samplers._compose_cosets(None, n, count)
+        assert seen == ["wave"] * 4 + ["rotate"] * 5
+
+    def test_peak_memory_within_one_and_a_half_uniform_blocks(self, traced_peak):
+        # a coset's (count, n - 1) float64 uniforms are drawn in row chunks and
+        # the wave's flags take at most half that block (4 MiB here)
+        n, count = 50, 20_000
+        peak = traced_peak(lambda: samplers.permutation_batch(RandomStream(267), n, count))
+        assert peak <= 1.5 * 8 * (n - 1) * count
 
     def test_index_type_is_the_narrowest_that_holds_n(self):
         assert samplers._index_dtype(2) is np.int16
