@@ -17,10 +17,14 @@ sources hash the same; and the numpy, scipy and OpenBLAS versions and
 numpy's SIMD target, on which those digests depend.  After a workload's
 pairs, each tree runs it once more with ``--trace 1`` at seed SEED, and
 the per-layer metrics it prints are kept as printed under the workload's
-``per_layer``, parent first.  Run it from a quiet host: every process runs
-on its own, one after the other.  A run still going after ten times
-``run_seconds`` and a minute more is stopped, and the script fails with
-the tree, workload and seed of that run.
+``per_layer``, parent first.  Before the pairs, each tree runs
+``haar-forge verify --seed SEED`` once in a child process, parent first,
+and its wall seconds and the child's own max RSS (``ru_maxrss`` in MB of
+2^20 bytes, the unit of perfbench's ``peak_rss_mb``) are kept under
+``commands``.  Run it from a quiet host: every process runs on its own,
+one after the other.  A run still going after ten times ``run_seconds``
+and a minute more (ten minutes for verify) is stopped, and the script
+fails with the tree and the workload and seed, or command, of that run.
 """
 
 from __future__ import annotations
@@ -28,11 +32,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
+import time
 from io import BytesIO
 from pathlib import Path
 
@@ -124,6 +131,34 @@ def per_layer(sides: dict, workload: str, seed: int, seconds: float) -> dict:
             for side, tree in sides.items()}
 
 
+def run_command(tree: Path, argv, timeout: float = 600) -> dict:
+    """Wall seconds and max RSS (MB) of ``python -m haarforge *argv`` on
+    ``tree``'s sources, run once in a child process whose own rusage
+    ``os.wait4`` reads; RuntimeError if it exits nonzero or is still running
+    after ``timeout`` seconds."""
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "haarforge", *argv], cwd=tree,
+                                env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                                stdout=subprocess.DEVNULL, stderr=err)
+        watchdog = threading.Timer(timeout, proc.kill)
+        watchdog.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            watchdog.cancel()
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
+    name = f"{tree} haar-forge {' '.join(argv)}"
+    if wall >= timeout:
+        raise RuntimeError(f"{name} did not finish in {timeout:g} s")
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} exited {proc.returncode}:\n{stderr[-2000:]}")
+    return {"wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024.0}
+
+
 def git(*cmd: str) -> str:
     """The stripped output of a git command run in this repository."""
     return subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True,
@@ -158,6 +193,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": unpack(args.parent, Path(tmp)), "change": ROOT}
         result["source_digest"] = {side: source_digest(tree) for side, tree in sides.items()}
+        verify = ["verify", "--seed", str(args.seed)]
+        result["commands"] = {" ".join(verify): {side: run_command(tree, verify)
+                                                 for side, tree in sides.items()}}
         for workload, count in plan:
             pairs, digests = [], []
             for i in range(count):

@@ -340,13 +340,10 @@ def _coset_schedule(n: int, width: int):
     Coset E_{k-1} applies angles (k-1, k) .. (1, k), and angle (j, k)'s
     block acts on columns h(j-1) .. h(j-1) + width - 1 of rows 0 .. hk - 1,
     h = width / 2 (2x2 blocks, or 4x4 quaternion blocks).  The arrays are
-    read-only.  A build takes 40 us at n = 3 to 1.1 ms at n = 64, as much as
-    a small draw's composition, so the last 16 (n, width) pairs are kept:
-    a perfbench cycle composes at most 12 (draw and check), and an entry
-    holds about 50 KiB at n = 64 (6 MiB at n = 512).  Cutting the runs into
-    the kernel's pieces costs about as much again per chunk width (57 us at
-    n = 12, 1.6 ms at n = 64); ``_cuts`` keeps those cuts for d <= 24,
-    keyed by the runs' value, so a rebuilt schedule finds them again.
+    read-only.  A build costs about as much as a small draw's composition,
+    so the last 16 (n, width) pairs are kept; ``_cuts`` keeps the runs' cuts
+    for d <= 24, keyed by the runs' value, so a rebuilt schedule finds them
+    again.  CHANGES.md holds the build times and entry sizes.
     """
     j = row_j(n)
     k = np.repeat(np.arange(2, n + 1), np.arange(1, n))

@@ -229,13 +229,13 @@ def householder_batch(stream: RandomStream, n: int, count: int, kind: str) -> np
     Before step k the accumulated product is a (k-1)x(k-1) block plus the
     identity, so B_k acts on the leading k x k block ``top`` alone.  Its
     update, t = (2w) (w^dag top), top - t, then -e^{i theta} t, runs in
-    place through one reused scratch array, with the operands in the order
-    of the full-width update, so the bits are the same.  In the real case
-    -e^{i theta} = +-1 is not applied: the stack holds the product divided
-    by a per-matrix sign ``sgn``, which is multiplied in once at the end
-    (negation is exact and rounding symmetric, so the bits stay the same).
-    Step k runs in the batch chunks ``linalg._chunks`` gives for k x k
-    blocks, so each chunk's passes stay in cache.
+    place through one reused scratch array, in the batch chunks
+    ``linalg._chunks`` gives for k x k blocks, with the operands in the
+    order of the full-width update, so the bits are the same.  In the real
+    case -e^{i theta} = +-1 is not applied: the stack holds the product
+    divided by a per-matrix sign ``sgn``, multiplied in once at the end
+    (negation is exact and rounding symmetric).  CHANGES.md holds the
+    timings of these forms.
     """
     cplx = kind == "complex"
     acc = np.zeros((count, n, n), dtype=complex if cplx else float)
@@ -297,15 +297,13 @@ def _compose_cosets(clear, n: int, count: int) -> np.ndarray:
     for T_i, once per coset, in the order j = 1..n-1, whichever kernel runs.
 
     ``_wave_cosets`` composes the cosets in bands whose flags take at most
-    max(4 (n-1) count, _BAND_FLOOR) bytes: half of coset n-1's float64
-    uniform block, which keeps the traced peak at the final int64 copy, or
-    4 MiB, which holds every stack of up to 4 MiB of flags in one band.
-    The last band holds about budget / ((n-1) count) cosets, so its steps
-    swap about budget / (n-1) pairs each.  The wave runs when that is at
-    least _STEP_MIN (n <= 257, or count >= 4096) and the batch has at least
-    _WAVE_MIN_COUNT samples; otherwise the ufunc calls of its 2n - 3 steps
-    per band cost more than they save, and ``_rotate_cosets`` composes one
-    coset at a time.  Both give the same permutations.
+    budget = max(4 (n-1) count, _BAND_FLOOR) bytes, half of coset n-1's
+    float64 uniform block or 4 MiB, so its last band's steps swap about
+    budget / (n-1) pairs each.  The wave runs when that is at least
+    _STEP_MIN and the batch has at least _WAVE_MIN_COUNT samples; otherwise
+    ``_rotate_cosets`` composes one coset at a time.  Both give the same
+    permutations.  CHANGES.md holds the timings and traced peaks behind
+    these bounds.
     """
     budget = max(4 * (n - 1) * count, _BAND_FLOOR)
     if count < _WAVE_MIN_COUNT or budget < _STEP_MIN * (n - 1):
@@ -374,8 +372,8 @@ def _wave_band(j0: int, j1: int):
 
     At step t the cosets j = max(j0, t // 2 + 1) .. min(t, j1 - 1) swap
     positions 2j - t - 1 and 2j - t, two apart from one coset to the next.
-    Each is O(j1) long; the last 16 bands are kept, read-only, as a call to
-    a small stack would otherwise spend as much building them as composing.
+    Each is O(j1) long; the last 16 bands are kept, read-only, as a build
+    costs about as much as a small stack's composition (CHANGES.md).
     """
     t = np.arange(j0, 2 * j1 - 2)
     lo = np.maximum(j0, t // 2 + 1)
@@ -550,11 +548,23 @@ def _lane_counts(count: int, streams: int):
 
 def _draw_lanes(draw, n: int, count: int, seed: int, streams: int) -> np.ndarray:
     """``draw(stream, n, c)`` on RandomStream(seed, lane) for each lane of
-    ``_lane_counts(count, streams)``, stacked along axis 0; a lone lane is
-    returned as drawn, without a copy."""
-    lanes = [draw(RandomStream(seed, lane), n, c)
-             for lane, c in enumerate(_lane_counts(count, streams))]
-    return lanes[0] if len(lanes) == 1 else np.concatenate(lanes, axis=0)
+    ``_lane_counts(count, streams)``, stacked along axis 0.  A lone lane is
+    returned as drawn, without a copy.  Otherwise each lane is written into
+    its slice of one stack, allocated when the first lane gives its shape
+    and dtype, and dies before the next lane is drawn: the peak is the stack
+    plus one lane's own draw."""
+    counts = _lane_counts(count, streams)
+    if len(counts) == 1:
+        return draw(RandomStream(seed, 0), n, count)
+    stack, start = None, 0
+    for lane, c in enumerate(counts):
+        part = draw(RandomStream(seed, lane), n, c)
+        if stack is None:
+            stack = np.empty((count, *part.shape[1:]), dtype=part.dtype)
+        stack[start:start + c] = part
+        del part  # not alive while the next lane draws
+        start += c
+    return stack
 
 
 def sample_batch(tag: str, n: int, count: int, method: str | None = None,

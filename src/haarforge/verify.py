@@ -10,6 +10,10 @@ call and names the result "<k> <title>".  Criterion k draws from the stream
 ids ``100*k + lane``, so criteria stay independent under one seed; the
 fixed group elements of criteria 11 and 12 come from ``9900 + lane``.
 
+Only a draw's statistics outlive it: each sample stack is reduced to the
+arrays or numbers its checks read before the next draw is made, so a
+criterion's peak memory is one draw's own peak, not the sum of its stacks.
+
 Oracles used here are independent of the construction they check:
 adaptive quadrature for integrals, LAPACK determinants for the recurrence
 (``linalg.charpoly_eval``, one ``np.linalg.det`` call on the stack of all
@@ -131,9 +135,8 @@ def criterion_1(seed, level, sid, checks):
     t0 = time.perf_counter()
     count = 100_000
     for n in range(2, 9):
-        s = RandomStream(seed, sid + n)
-        mats = samplers.so_euler_batch(s, n, count)
-        entry = np.abs(mats[:, n - 1, n - 1])
+        entry = np.abs(samplers.so_euler_batch(RandomStream(seed, sid + n), n, count)
+                       [:, n - 1, n - 1])
         for p in (0.5, 1.0, 2.0, 3.0):
             est, se = analytics.mean_and_error(entry ** (2.0 * p))
             rep = moment_check(analytics.moment_single(n, p), est, se,
@@ -150,13 +153,15 @@ def criterion_1(seed, level, sid, checks):
 def criterion_2(seed, level, sid, checks):
     count, chunk = 1_000_000, 100_000  # chunk sets each draw's size: it defines the stream
     s = RandomStream(seed, sid)
-    total, total_sq, seen = 0.0, 0.0, 0
-    while seen < count:
-        mats = samplers.so_euler_batch(s, 3, chunk)
-        vals = (mats[:, 2, 2] ** 2) * (mats[:, 1, 1] ** 2)
+
+    def reduced(stack):  # only the statistic outlives a draw, not its stack
+        return (stack[:, 2, 2] ** 2) * (stack[:, 1, 1] ** 2)
+
+    total, total_sq = 0.0, 0.0
+    for _ in range(count // chunk):
+        vals = reduced(samplers.so_euler_batch(s, 3, chunk))
         total += vals.sum()
         total_sq += (vals * vals).sum()
-        seen += chunk
     est = total / count
     var = total_sq / count - est * est
     se = math.sqrt(var / count)
@@ -483,23 +488,27 @@ def criterion_11(seed, level, sid, checks):
     fixed = _fixed_elements(seed)
 
     # only the (1,1) entry is tested, so only that entry of each moved
-    # matrix is formed: (A M B)_{11} = A[0] @ M @ B[:, 0]
-    def compare(label, mats, moved11):
-        rep = ks_two_sample(mats[:, 0, 0].real, moved11.real, level=level, label=label)
+    # matrix is formed, by move(stack): (A M B)_{11} = A[0] @ M @ B[:, 0].
+    # Each draw is passed in, so only its check outlives it.
+    def compare(label, stack, move):
+        rep = ks_two_sample(stack[:, 0, 0].real, move(stack).real, level=level, label=label)
         checks.append(_from_report(rep))
 
     plans = [("so", "euler"), ("o", "qr"), ("o", "householder"), ("u", "euler"),
              ("u", "qr"), ("u", "householder"), ("sp", "euler")]
     for tag, method in plans:
         sid += 1
-        mats = sampler(tag, method).draw(RandomStream(seed, sid), 5, count)
-        compare(f"left-invariance: {tag} {method}", mats, mats[:, :, 0] @ fixed[tag][0])
+        compare(f"left-invariance: {tag} {method}",
+                sampler(tag, method).draw(RandomStream(seed, sid), 5, count),
+                lambda m: m[:, :, 0] @ fixed[tag][0])
+
+    # binary entries: compare the (1,1) hit frequencies directly at 5 sigma
+    def frequencies(stack):
+        return stack[:, 0, 0].mean(), (stack[:, :, 0] @ fixed["sn"][0]).mean()
 
     sid += 1
-    lines = samplers.permutation_batch(RandomStream(seed, sid), 5, count)
-    mats = samplers.permutation_matrices(lines)
-    # binary entries: compare the (1,1) hit frequencies directly at 5 sigma
-    pa, pb = mats[:, 0, 0].mean(), (mats[:, :, 0] @ fixed["sn"][0]).mean()
+    pa, pb = frequencies(samplers.permutation_matrices(
+        samplers.permutation_batch(RandomStream(seed, sid), 5, count)))
     se = math.sqrt(2 * 0.2 * 0.8 / count)
     checks.append(_check("left-invariance: sn (entry frequency, 5 sigma)",
                          abs(pa - pb) <= 5 * se, f"|{pa:.4f} - {pb:.4f}|"))
@@ -507,15 +516,15 @@ def criterion_11(seed, level, sid, checks):
     # circular ensembles transform by congruence, the action preserving
     # their symmetry class: S -> W^T S W (COE), S -> W^D S W (CSE)
     sid += 1
-    coe = samplers.coe_batch(RandomStream(seed, sid), 5, count)
     w = fixed["u"]
-    compare("congruence-invariance: coe", coe, (w[:, 0] @ coe) @ w[:, 0])
+    compare("congruence-invariance: coe", samplers.coe_batch(RandomStream(seed, sid), 5, count),
+            lambda m: (w[:, 0] @ m) @ w[:, 0])
     sid += 1
-    cse = samplers.cse_batch(RandomStream(seed, sid), 5, count)
     w = fixed["u10"]
     z10 = symplectic_form(10)
     wd = -z10 @ w.T @ z10
-    compare("congruence-invariance: cse", cse, (wd[0] @ cse) @ w[:, 0])
+    compare("congruence-invariance: cse", samplers.cse_batch(RandomStream(seed, sid), 5, count),
+            lambda m: (wd[0] @ m) @ w[:, 0])
 
 
 # --- criterion 12: the averaging operator ---------------------------------------

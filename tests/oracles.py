@@ -156,15 +156,15 @@ def bubble_bits(stream, n: int, count: int) -> dict:
     return bits
 
 
-def compose_word_swaps(n: int, bits: dict) -> np.ndarray:
-    """(B, n) arrays of 0-based one-line permutations from (B,) bit arrays.
+def compose_word_swaps(n: int, batch: int, bits: dict) -> np.ndarray:
+    """(batch, n) arrays of 0-based one-line permutations from (batch,) bit
+    arrays; the batch is given, as n = 1 has no bits to read it from.
 
     sigma = E_1 o E_2 o ... o E_{n-1} is accumulated left to right as
     sigma <- sigma o E_j; each coset array E_j = T_j o ... o T_1 is built by
     appending factors on the right, where appending T_l swaps *positions*
     (l-1, l), done arithmetically to avoid fancy-index copies.
     """
-    batch = len(next(iter(bits.values()))) if bits else 1
     sigma = np.broadcast_to(np.arange(n), (batch, n)).copy()
     e = np.empty((batch, n), dtype=np.int64)
     for j in range(1, n):

@@ -14,14 +14,36 @@ import numpy as np
 import pytest
 
 from haarforge import analytics, linalg, samplers, verify
+from haarforge.randstream import RandomStream
 
 SEED = 1
+
+# The largest draw of each criterion that draws stacks of several MiB.
+# Only a draw's statistics outlive it, so the criterion's traced peak is
+# that draw's own peak with at most 2 MiB of statistics and Python objects
+# beside it (criterion 1 peaked at 1.5x its SO(8) draw, criterion 2 at
+# 1.7x its SO(3) chunk and criterion 11 at 1.14x its Sp(5) draw while the
+# previous stack stayed alive).
+LARGEST_DRAW = {
+    "criterion_1": lambda: samplers.so_euler_batch(RandomStream(0), 8, 100_000),
+    "criterion_2": lambda: samplers.so_euler_batch(RandomStream(0), 3, 100_000),
+    "criterion_11": lambda: samplers.sp_euler_batch(RandomStream(0), 5, 10_000),
+}
 
 
 @pytest.mark.parametrize("criterion", verify.CRITERIA,
                          ids=[fn.__name__ for fn in verify.CRITERIA])
-def test_criterion(criterion):
-    result = criterion(SEED)
+def test_criterion(criterion, traced_peak):
+    largest = LARGEST_DRAW.get(criterion.__name__)
+    if largest is None:
+        result = criterion(SEED)
+    else:
+        pytest.importorskip("scipy.special")  # the first KS call imports it: not traced here
+        bound = traced_peak(largest) + 2 * 2 ** 20
+        results = []
+        peak = traced_peak(lambda: results.append(criterion(SEED)))
+        assert peak <= bound, f"traced peak {peak / 2 ** 20:.1f} MiB > {bound / 2 ** 20:.1f} MiB"
+        result, = results
     assert result.name.startswith(criterion.__name__.removeprefix("criterion_") + " ")
     flag = "PASS" if result.passed else "FAIL"
     print(f"[{flag}] criterion {result.name} ({result.elapsed:.1f} s)")

@@ -131,3 +131,27 @@ def test_the_default_timeout_follows_the_run_seconds(monkeypatch, tmp_path):
         with pytest.raises(RuntimeError, match=message):
             bench_pair.run_once(tmp_path, "check", 1, seconds)
     assert seen == [260, 110]
+
+
+def _fake_tree(root: Path, body: str) -> Path:
+    (root / "src" / "haarforge").mkdir(parents=True)
+    (root / "src" / "haarforge" / "__main__.py").write_text(body)
+    return root
+
+
+def test_a_command_reports_its_childs_wall_time_and_own_max_rss(tmp_path):
+    # the fake haar-forge records its argv and holds 64 MiB it has written to
+    tree = _fake_tree(tmp_path / "tree", "import sys\n"
+                      "open('argv.txt', 'w').write(' '.join(sys.argv[1:]))\n"
+                      "held = bytearray(64 << 20)\nheld[::4096] = b'x' * (16 << 10)\n")
+    got = bench_pair.run_command(tree, ["verify", "--seed", "3"])
+    assert (tree / "argv.txt").read_text() == "verify --seed 3"
+    assert set(got) == {"wall_s", "max_rss_mb"} and got["wall_s"] > 0
+    assert 64 <= got["max_rss_mb"] < 1024
+
+
+def test_a_failing_command_names_the_tree_and_its_exit_code(tmp_path):
+    tree = _fake_tree(tmp_path / "tree", "import sys\nsys.exit('no battery here')\n")
+    message = re.escape(f"{tree} haar-forge verify --seed 1 exited 1:\nno battery here")
+    with pytest.raises(RuntimeError, match=message):
+        bench_pair.run_command(tree, ["verify", "--seed", "1"])

@@ -291,7 +291,7 @@ class TestPermutations:
             lines = samplers.permutation_batch(RandomStream(261), n, 50)
             bits = bubble_bits(RandomStream(261), n, 50)
             assert lines.shape == (50, n) and lines.dtype == np.int64
-            assert (lines == compose_word_swaps(n, bits)).all()
+            assert (lines == compose_word_swaps(n, 50, bits)).all()
             assert all(sorted(row) == list(range(n)) for row in lines.tolist())
             assert adjoint_residual(samplers.permutation_matrices(lines)).max() == 0.0
 
@@ -304,7 +304,7 @@ class TestPermutations:
             lambda j, out: np.logical_not(
                 np.stack([bits[(i, j)] for i in range(1, j + 1)], axis=1), out=out),
             n, len(patterns))
-        assert (lines == compose_word_swaps(n, bits)).all()
+        assert (lines == compose_word_swaps(n, len(patterns), bits)).all()
 
     # counts 1 and 3 compose by coset rotations, 2049 by the wave (in several
     # bands at n = 130); (500, 2049) is left out: the oracle's bits would take
@@ -315,7 +315,7 @@ class TestPermutations:
     def test_permutations_equal_the_swap_oracle(self, n, count):
         lines = samplers.permutation_batch(RandomStream(263, n), n, count)
         bits = bubble_bits(RandomStream(263, n), n, count)
-        want = np.broadcast_to(compose_word_swaps(n, bits), (count, n))  # n = 1: no bits, one row
+        want = compose_word_swaps(n, count, bits)
         assert lines.dtype == np.int64 and lines.flags.c_contiguous
         assert lines.tobytes() == want.tobytes()
 
@@ -325,12 +325,12 @@ class TestPermutations:
         assert budget // count < n * (n - 1) // 2 and count >= samplers._WAVE_MIN_COUNT
         lines = samplers.permutation_batch(RandomStream(264), n, count)
         bits = bubble_bits(RandomStream(264), n, count)
-        assert lines.tobytes() == compose_word_swaps(n, bits).tobytes()
+        assert lines.tobytes() == compose_word_swaps(n, count, bits).tobytes()
 
     def test_lanes_equal_per_lane_oracles(self):
         n, count = 20, 900  # three lanes of 300, each composed by the wave
         got = sample_batch("sn", n, count, seed=265, streams=3)
-        want = [compose_word_swaps(n, bubble_bits(RandomStream(265, lane), n, 300)) + 1
+        want = [compose_word_swaps(n, 300, bubble_bits(RandomStream(265, lane), n, 300)) + 1
                 for lane in range(3)]
         assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -345,7 +345,7 @@ class TestPermutations:
             calls.append(j)
             np.equal(patterns[:, j * (j - 1) // 2:j * (j + 1) // 2], 0, out=out)
 
-        want = compose_word_swaps(n, {key: patterns[:, c] for c, key in enumerate(keys)})
+        want = compose_word_swaps(n, count, {key: patterns[:, c] for c, key in enumerate(keys)})
         for kernel in (lambda: samplers._wave_cosets(clear, n, count, 4 * n * n * count),
                        lambda: samplers._wave_cosets(clear, n, count, (n - 1) * count),
                        lambda: samplers._rotate_cosets(clear, n, count)):
@@ -546,6 +546,26 @@ class TestBatchFrontEnd:
         batch = traced_peak(lambda: sample_batch("so", 32, 4000, seed=0, streams=1))
         bare = traced_peak(lambda: samplers.so_euler_batch(RandomStream(0, 0), 32, 4000))
         assert batch <= 1.05 * bare
+
+    @pytest.mark.parametrize("count,streams", [(7, 3), (2, 3)])
+    @pytest.mark.parametrize("tag,method", list(SAMPLERS))
+    def test_lanes_equal_their_concatenation(self, tag, method, count, streams):
+        draw = sampler(tag, method).draw
+        sizes = map(len, np.array_split(np.arange(count), min(count, streams)))
+        want = np.concatenate([draw(RandomStream(12, lane), 3, c)
+                               for lane, c in enumerate(sizes)])
+        got = samplers._draw_lanes(draw, 3, count, 12, streams)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    def test_lanes_peak_at_the_stack_and_one_lanes_draw(self, traced_peak):
+        # each lane is written into its slice and dies before the next is
+        # drawn (the stack and its three lanes, 2x the stack, when the
+        # lanes were concatenated); 64 KiB covers the Python objects
+        draw = sampler("o", "householder").draw
+        one = max(traced_peak(lambda: draw(RandomStream(0, lane), 16, 1000)) for lane in range(3))
+        peak = traced_peak(lambda: samplers._draw_lanes(draw, 16, 3000, 0, 3))
+        assert peak <= 3000 * 16 * 16 * 8 + one + 64 * 1024
 
     def test_o_euler_det_balanced(self):
         mats = samplers.o_euler_batch(RandomStream(280), 3, 60_000)
