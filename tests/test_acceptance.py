@@ -21,9 +21,7 @@ SEED = 1
 # The largest draw of each criterion that draws stacks of several MiB.
 # Only a draw's statistics outlive it, so the criterion's traced peak is
 # that draw's own peak with at most 2 MiB of statistics and Python objects
-# beside it (criterion 1 peaked at 1.5x its SO(8) draw, criterion 2 at
-# 1.7x its SO(3) chunk and criterion 11 at 1.14x its Sp(5) draw while the
-# previous stack stayed alive).
+# beside it.
 LARGEST_DRAW = {
     "criterion_1": lambda: samplers.so_euler_batch(RandomStream(0), 8, 100_000),
     "criterion_2": lambda: samplers.so_euler_batch(RandomStream(0), 3, 100_000),

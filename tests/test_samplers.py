@@ -560,8 +560,7 @@ class TestBatchFrontEnd:
 
     def test_lanes_peak_at_the_stack_and_one_lanes_draw(self, traced_peak):
         # each lane is written into its slice and dies before the next is
-        # drawn (the stack and its three lanes, 2x the stack, when the
-        # lanes were concatenated); 64 KiB covers the Python objects
+        # drawn; 64 KiB covers the Python objects
         draw = sampler("o", "householder").draw
         one = max(traced_peak(lambda: draw(RandomStream(0, lane), 16, 1000)) for lane in range(3))
         peak = traced_peak(lambda: samplers._draw_lanes(draw, 16, 3000, 0, 3))
