@@ -151,17 +151,11 @@ def u_volume_sphere_ratio(n: int):
 
 def coe_normalization(n: int) -> float:
     """Gamma(n/2 + 1) / Gamma(3/2)^n: the eigenvalue-density normalization
-    of symmetric unitary matrices, with the raw angle integral divided by
-    (2*pi)^n (see coe_normalization_raw for the undivided integral)."""
+    of symmetric unitary matrices: the integral over [0, 2*pi)^n of
+    prod_{j<k} |e^{i t_k} - e^{i t_j}|, divided by (2*pi)^n."""
     if n < 1:
         raise ValueError("n >= 1 required")
     return exp(lgamma(n / 2.0 + 1.0) - n * lgamma(1.5))
-
-
-def coe_normalization_raw(n: int) -> float:
-    """int over [0, 2*pi)^n of prod_{j<k} |e^{i t_k} - e^{i t_j}|,
-    equal to (2*pi)^n * coe_normalization(n)."""
-    return exp(n * log(TWO_PI) + lgamma(n / 2.0 + 1.0) - n * lgamma(1.5))
 
 
 def cue_normalization(n: int) -> float:

@@ -1,27 +1,13 @@
 """The ``haar-forge`` command line front end.
 
-Subcommands: sample (group elements to JSON/CSV), moments (closed form vs Monte
-Carlo), volumes (closed forms plus quadrature cross-checks), spectra
-(eigenphase dumps), verify (the full acceptance battery).  sample and spectra
-write the text pieces of a ``fileio`` writer as they come.
+Subcommands: sample, moments, volumes, spectra and verify; README's
+"Command line" gives them, their bounds and the exit codes (``EXIT_*``).
+sample and spectra write the text pieces of a ``fileio`` writer as they
+come.  Every command is deterministic given (--seed, --streams).
 
 The argparse parser is the only declaration of each option: its default,
-its choices and its range (a ``type=`` parser that rejects, say,
-``--count 0`` with "argument --count: count >= 1 required").  Each
-subcommand reads the parsed namespace as it is.
-
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
-rejects an option value; a UsageError covers the checks that span options:
-the (group, method) pair, a ``sample``, ``moments`` or ``spectra`` stack of
-more than SAMPLE_MAX_ENTRIES entries (``count * d * d``, or ``count * n``
-for sn; ``count * n * n`` for moments and spectra) or of more than
-MAX_LANES lanes (``min(count, streams)``), both refused before drawing,
-``moments --count >= 2``, the moment formulas' domain, a ``volumes``
-size whose volume underflows a float and ``spectra --n >= 2``), 3 I/O
-error, 4 internal error (a numerical precondition or certificate failed,
-a redraw loop gave up, any other ValueError, or a MemoryError, reported
-as "out of memory").
-Every command is deterministic given (--seed, --streams).
+its choices and its range (a ``type=`` parser).  A UsageError covers the
+checks that span options, made before anything is drawn.
 
 ``main`` can be called any number of times in one process: every call
 parses with one parser, built on the first call and shared by all later

@@ -22,32 +22,15 @@ placements):
 * Sp(2N): the same shape with 2x2 blocks promoted to unit quaternions;
   see ``_quat_factor_batch``.
 
-Batched composition runs on one kernel, ``_plane_product``, in the batch
-chunks of ``linalg._chunks``, the one batch-chunk rule, and in one
-schedule, ``_waves``: each block joins the first wave after the last wave
-that touched any of its columns, so a coset product runs in 2n - 3 waves of
-adjacent column pairs (4-column groups for Sp).  The kernel keeps the
-product batch-last, ``w[col, row, b]``, applies a wave to strided views of
-all its columns, and uses the active-block invariant (before coset E_{k-1},
-E_1 ... E_{k-2} is a (k-1) x (k-1) block (+) identity): coset E_{k-1}
-touches only the leading k rows (2k for Sp), and a wave runs to the
-largest of its blocks' rows, where the rows below a block's own are exact
-zeros.  Every column meets its blocks in their order and each entry gets
-the products and sums of the all-rows column rotation in the same order, so
-output is bit for bit the same (up to the sign of a zero entry) for finite
-angles.
-Extraction, ``extract_angles_so`` and ``extract_angles_u``, inverts
-composition on (B, n, n) stacks in the same batch-last layout; one matrix
-is a batch of one.  Draws, composition, extraction and densities share one
-packed coset-major angle layout, (P, B) with P = n(n-1)/2 ((P, B, 2, 2) for
-Sp quaternions): row (k-1)(k-2)/2 + j - 1 holds angle (j, k), so coset
-E_{k-1} is the slice ``coset_rows(k)``, and ``row_j(n)`` gives each row's j.
-The angles fix the group, so composition and the densities read n (and B)
-from these arrays: from P, or from alpha's or lead's (B, n) for U and Sp;
-sizes that disagree raise ValueError.
-
-The invariant-measure densities in these coordinates, ``density_so``,
-``density_u`` and ``density_sp``, map packed rows of floats or same-shape
+README ("Euler angles" and the kernel paragraph after "Library layout")
+describes the packed coset-major angle layout, (P, B) with P = n(n-1)/2,
+that draws, composition, extraction and densities share, and the one
+composition kernel, ``_plane_product``, run in the wave schedule of
+``_waves``.  The kernel gives every entry the products and sums of the
+all-rows column rotation in the same order, so output is bit for bit the
+same (up to the sign of a zero entry) for finite angles.  Composition and
+the densities read n (and B) from their angle arrays; sizes that disagree
+raise ValueError.  The densities map packed rows of floats or same-shape
 arrays to their broadcast product (a float64 when no array angle enters);
 all parametrizing angles are independent under Haar measure.
 """
@@ -235,11 +218,8 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
     return out
 
 
-# The largest d whose cut lists are kept: at most 233 pieces and 40 KiB with
-# the key's runs (d = 24, 56 items of 8 bytes), so the 128 keys of ``_cuts``
-# hold at most 5 MiB.  A chunk's cut list grows with d (939 pieces, 280 KiB
-# at d = 64 and 1.1 MiB at d = 256 for a chunk of CHUNK_BYTES) while its
-# arithmetic dwarfs the cutting, so larger d are cut per call.
+# The largest d whose cut lists are kept, so that the 128 keys of ``_cuts``
+# hold at most 5 MiB; larger d are cut per call (sizes in CHANGES.md).
 _KEPT_D = 24
 
 
@@ -251,13 +231,9 @@ def _cuts(runs: tuple, d: int, bc: int, itemsize: int) -> tuple:
     A piece is, for 4x4 blocks, its column parity, its index into that
     parity's (groups, 4, rows, bc) grid of columns and its blocks among the
     span's; for one pair, its first column, rows and block; for several
-    pairs, its parity, grid index, pair count, rows and blocks.
-
-    A cut list holds no array, so every call and thread shares it.  The last
-    128 keys are kept, at about 0.3 KiB a piece: a few KiB for a spectra
-    call's stacks, at most 40 KiB with the key's runs, since ``_plan``
-    caches only d <= _KEPT_D; a perfbench check cycle uses 64 keys, about
-    0.1 MiB.  A build costs 1.5-3 us a piece."""
+    pairs, its parity, grid index, pair count, rows and blocks.  A cut list
+    holds no array, so every call and thread shares it; ``_plan`` keeps
+    them for d <= _KEPT_D alone."""
     s, row_bytes = (runs[0][1] if runs else 2), bc * itemsize
     span, total = max(1, _SPAN_BYTES // (s * s * row_bytes)), sum(len(r) for *_, r in runs)
     spans, end, tops = [], 0, {}
@@ -340,10 +316,8 @@ def _coset_schedule(n: int, width: int):
     Coset E_{k-1} applies angles (k-1, k) .. (1, k), and angle (j, k)'s
     block acts on columns h(j-1) .. h(j-1) + width - 1 of rows 0 .. hk - 1,
     h = width / 2 (2x2 blocks, or 4x4 quaternion blocks).  The arrays are
-    read-only.  A build costs about as much as a small draw's composition,
-    so the last 16 (n, width) pairs are kept; ``_cuts`` keeps the runs' cuts
-    for d <= 24, keyed by the runs' value, so a rebuilt schedule finds them
-    again.  CHANGES.md holds the build times and entry sizes.
+    read-only, and the last 16 (n, width) pairs are kept (CHANGES.md holds
+    the build times and entry sizes).
     """
     j = row_j(n)
     k = np.repeat(np.arange(2, n + 1), np.arange(1, n))

@@ -1,44 +1,18 @@
 """Stable sample serialization for the CLI: JSON and CSV.
 
-One writer and one reader per format serve every (group, method) pair, and
-``phase_chunks`` writes ``haar-forge spectra`` eigenphases.  The sample
-writers and readers take a pair's kind and a sample's shape from
-``samplers.sampler(group, method)`` and its ``shape(n)``, and each format is
-one view of the sample stack, handled once per array:
+One writer and one reader per format serve every (group, method) pair,
+with the kind and shape of ``samplers.sampler(group, method)``;
+``phase_chunks`` writes ``haar-forge spectra`` eigenphases.  README's
+"File formats" gives the layouts and the malformed input that raises
+ValueError.
 
-* JSON ``"matrices"`` is the (B, n, n, 2) view of the stack as complex,
-  i.e. lists of rows of [re, im] pairs whatever the kind, and
-  ``"permutations"`` the (B, n) stack of 1-based one-line words;
-* CSV holds one leading comment line of metadata, then one
-  blank-line-separated block per matrix, the rows of the (B, n, n) real
-  part (real kind) or of the (B, n, 2n) view with interleaved re/im
-  columns (complex kind), or one word per row (permutation kind);
-* spectra text states the request's n, method, seed and count, then the
-  (B, n) phases as one flat JSON list or one CSV row per matrix.
-
-The writers (``json_chunks``, ``csv_chunks``, ``phase_chunks``) yield text
-pieces from one chunk loop: the header, the text of each batch chunk of the
-stack (``linalg._chunks`` without its eighth-of-the-batch term, so at most
-CHUNK_BYTES of samples), the tail, so no caller holds a whole text, and the
-text held at once does not grow with the stack.  A
-chunk is one ``%`` template filled with its entries, each formatted once:
-a float as ``float.__repr__``, the shortest round-trip decimal and
-``json.dumps``'s form (``NaN``, ``Infinity``, ``-Infinity`` in JSON), and
-the imaginary parts of a real stack as the template's constant ``0.0``.
-
-Write-then-read reproduces every entry bit for bit, signed zeros included:
-matrices as a complex stack, permutations as the (B, n) int64 stack, and a
-file with no samples as the empty stack of its header's group and n.
-Malformed input raises ValueError (the writers refuse a stack by the same
-check, ``_samples``): among it a permutation row that is not a permutation
-of 1..n, a group, method or n the table refuses or lacks (a JSON n of 2.7
-or true is no int), samples that are not the shape ``shape(n)`` gives, nonzero
-imaginary parts under a real kind, a CSV whose count is not the
-number of blocks read, a CSV kind other than real, complex and
-permutation, a JSON document that is not an object with "matrices" or
-"permutations", and JSON matrices that do not nest as lists of rows of
-[re, im] pairs of numbers (``null``, ``true`` or a string is not a
-number).
+The writers yield the header, the text of one batch chunk at a time
+(``linalg._chunks`` without its eighth-of-the-batch term) and the tail, so
+the text held at once does not grow with the stack.  Each float is written
+as ``float.__repr__`` (``json.dumps``'s form), so write-then-read gives
+every entry back bit for bit, signed zeros included.  The writers refuse a
+stack by the readers' own check, ``_samples``, so no writer emits a file
+that its reader refuses.
 """
 
 from __future__ import annotations

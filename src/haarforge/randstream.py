@@ -1,18 +1,10 @@
 """Seeded, reproducible randomness plus the special angle distributions.
 
-The bit source is the counter-based Philox generator keyed by
-``(seed, stream_id)``, so sibling streams are statistically independent and
-a batch split across streams is reproducible regardless of execution order.
-Gaussians use the polar (Marsaglia) form of the Box-Muller transform,
-worked through cache-sized sub-blocks of each chunk with the chunk's
-uniforms as the only scratch; it draws the same stream, bit for bit, as
-the form that holds every step of the chunk in its own array.  Angle
-laws are exact inverse-CDF, order-statistic or chi-square constructions,
-documented on each method (the SO law takes one Gaussian and one gamma
-variate per angle).  Every draw takes its array shape ``size``; only
+The bit source is Philox keyed by ``(seed, stream_id)``: replaying an
+identical call sequence on an identical key reproduces every output bit for
+bit, and distinct stream ids give independent lanes.  Each method gives
+its law and draw order; every draw takes its array shape ``size``, and only
 ``uniform`` also has a scalar form (``size`` None returns a float).
-Replaying an identical call sequence on an identical ``(seed, stream_id)``
-reproduces every output bit for bit.
 
 A stream is single-owner: do not share one instance across concurrent
 tasks; create siblings with distinct ``stream_id`` instead.

@@ -1,20 +1,12 @@
 """Haar / invariant-measure samplers for the classical compact groups.
 
-Three independent constructions are provided for the continuous groups
-(Euler angles, QR with the positive-diagonal convention, Householder
-reflector chains), plus the weighted bubble-sort factorization for
-permutations and the symmetric / self-dual-quaternion circular ensembles.
-
-Every sampler is batched: it takes a RandomStream, n and a count and
-returns an ndarray stack, the (count, n) one-line stack for permutations.
-``SAMPLERS`` maps each (group tag, method) pair to its sampler, and other
-modules ask it through ``sampler(tag, method)`` and ``Sampler.shape(n)``;
-``sample_batch`` draws a batch and ``_draw_lanes`` splits it across
-sibling streams (one stream per lane) so results are reproducible
-independent of execution order.  Within a lane the draw order is fixed and
-documented in the angle generators below.  The QR, Householder and
-circular-ensemble loops cut their batches by ``linalg._chunks``, the one
-batch-chunk rule; no chunk size here sets a draw's size.
+Every sampler takes a RandomStream, n and a count and returns an ndarray
+stack, the (count, n) one-line stack for permutations; ``SAMPLERS`` maps
+each (group tag, method) pair to its sampler (README's "Command line").
+Within a stream the draw order is fixed and documented on each draw
+below, and ``_draw_lanes`` gives lane i its own RandomStream(seed, i), so
+output does not depend on the order lanes run in.  No chunk size here sets
+a draw's size: the loops cut their batches by ``linalg._chunks``.
 """
 
 from __future__ import annotations
@@ -158,10 +150,8 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     half of the complex block).  Q times its R-diagonal phases is
     written back over the Gaussian block chunk by chunk (``_chunks``), but
     each chunk's ``np.linalg.qr`` holds a copy, Q and R of the chunk beside
-    the block.  So the traced peak stays within 3x the returned stack once
-    the batch spans four or more chunks (1.6-2.7x measured), and within 5x
-    when it is one chunk, a stack under ``CHUNK_BYTES`` (4.05-4.75x
-    measured at n >= 2, 0.1 MB and up; 3.0-3.9x for two or three chunks).
+    the block: the traced peak is within 3x the returned stack from four
+    chunks on, 5x for one (CHANGES.md holds the measured ratios).
     """
     def draw(m):
         if kind == "real":
@@ -425,17 +415,13 @@ def permutation_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
 
     Draw order, the same whichever kernel composes the cosets: one uniform
     block of shape (count, j) per coset j = 1..n-1, column i-1 deciding
-    mu_{i,j}.  As ``Generator.random`` gives the same stream in pieces, a
-    block larger than ``linalg.CHUNK_BYTES`` is drawn in row chunks of at
-    most that size, so that its float64 uniforms are never held whole.
+    mu_{i,j}.  As ``Generator.random`` gives the same stream in pieces, each
+    block is drawn in row chunks of at most ``linalg.CHUNK_BYTES``, one
+    chunk for a block that fits, so no larger float64 block is ever held.
     """
     probs = np.arange(1, n) / np.arange(2, n + 1)
-    whole = CHUNK_BYTES // (8 * count)  # the widest block drawn in one call
 
     def clear(j, out):
-        if j <= whole:
-            np.greater_equal(stream.uniform(size=(count, j)), probs[:j], out=out)
-            return
         rows = max(1, CHUNK_BYTES // (8 * j))
         for r in range(0, count, rows):
             part = out[r:r + rows]
@@ -581,4 +567,6 @@ def sample_batch(tag: str, n: int, count: int, method: str | None = None,
     if count < 1:
         raise ValueError("count >= 1 required")
     arr = _draw_lanes(entry.draw, n, count, seed, streams)
-    return arr + 1 if entry.kind == "permutation" else arr
+    if entry.kind == "permutation":
+        arr += 1  # in place: the stack is this call's own
+    return arr

@@ -51,13 +51,9 @@ def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _rotation_schedule(planes: tuple, n: int):
     """The ``_waves`` schedule of 0-based planes applied in turn to all n
-    rows: each block's plane in wave order (read-only), and the runs.  A
-    build takes 40-90 us for n <= 64, a third of a small stack's product,
-    so the last 32 (planes, n) are kept: a perfbench check cycle uses 18
-    Hessenberg and CMV orders, and an entry holds about 1 KiB.  Cutting
-    the runs into the kernel's pieces costs as much again per chunk width,
-    and ``euler._cuts`` keeps those cuts for n <= 24, keyed by the runs'
-    value."""
+    rows: each block's plane in wave order (read-only), and the runs.  The
+    last 32 (planes, n) are kept; CHANGES.md holds the build times and key
+    counts behind that size."""
     order, runs = _waves(planes, [n] * len(planes), 2)
     sel = np.asarray(planes, dtype=int)[order]
     sel.flags.writeable = False

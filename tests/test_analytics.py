@@ -10,7 +10,6 @@ from haarforge.analytics import (
     beta_integral_T,
     chi_square,
     coe_normalization,
-    coe_normalization_raw,
     cue_normalization,
     ks_test,
     ks_two_sample,
@@ -190,7 +189,7 @@ class TestNormalizations:
         assert coe_normalization(1) == pytest.approx(1.0, rel=1e-14)
         assert cue_normalization(2) == pytest.approx(8.0 * math.pi ** 2, rel=1e-14)
         assert coe_normalization(2) == pytest.approx(4.0 / math.pi, rel=1e-14)
-        assert coe_normalization_raw(2) == pytest.approx(16.0 * math.pi, rel=1e-13)
+        assert TWO_PI ** 2 * coe_normalization(2) == pytest.approx(16.0 * math.pi, rel=1e-13)
 
     def test_volume_identity(self):
         # C_N = N! vol(U/O) / vol(O/O1^N) / (2 pi)^N
@@ -217,7 +216,7 @@ class TestNormalizations:
         got2 = raw3(2.0, 256)
         assert got2 == pytest.approx(cue_normalization(3), rel=1e-10)
         got1a, got1b = raw3(1.0, 256), raw3(1.0, 512)
-        want1 = coe_normalization_raw(3)  # = (2 pi)^3 * 6/pi = 48 pi^2
+        want1 = TWO_PI ** 3 * coe_normalization(3)  # = (2 pi)^3 * 6/pi = 48 pi^2
         assert want1 == pytest.approx(48.0 * math.pi ** 2, rel=1e-12)
         assert got1b == pytest.approx(want1, rel=5e-3)
         assert abs(got1b - want1) < abs(got1a - want1)  # converging

@@ -309,9 +309,12 @@ class TestPermutations:
     # counts 1 and 3 compose by coset rotations, 2049 by the wave (in several
     # bands at n = 130); (500, 2049) is left out: the oracle's bits would take
     # 255 MB, that shape runs the rotations, and test_wave_equals_rotations_at_large_n
-    # takes n = 500 through the wave
+    # takes n = 500 through the wave.  At n = 17 the last coset's uniform
+    # block, 8 * 16 * count bytes, is just below, at and just above CHUNK_BYTES,
+    # so it is drawn in one row chunk, one and two.
     @pytest.mark.parametrize("n,count", [(n, c) for n in (1, 2, 3, 9, 64, 130, 500)
-                                         for c in (1, 3, 2049) if (n, c) != (500, 2049)])
+                                         for c in (1, 3, 2049) if (n, c) != (500, 2049)]
+                             + [(17, CHUNK_BYTES // (8 * 16) + d) for d in (-1, 0, 1)])
     def test_permutations_equal_the_swap_oracle(self, n, count):
         lines = samplers.permutation_batch(RandomStream(263, n), n, count)
         bits = bubble_bits(RandomStream(263, n), n, count)
@@ -545,6 +548,13 @@ class TestBatchFrontEnd:
         # the bare sampler on the same count (1.22x when it was stacked)
         batch = traced_peak(lambda: sample_batch("so", 32, 4000, seed=0, streams=1))
         bare = traced_peak(lambda: samplers.so_euler_batch(RandomStream(0, 0), 32, 4000))
+        assert batch <= 1.05 * bare
+
+    def test_permutations_are_made_one_based_in_place(self, traced_peak):
+        # the one is added to the drawn stack, not to a second int64 stack:
+        # sample_batch peaks within 5% of the bare sampler (1.6x with a copy)
+        batch = traced_peak(lambda: sample_batch("sn", 64, 50_000, seed=0, streams=1))
+        bare = traced_peak(lambda: samplers.permutation_batch(RandomStream(0, 0), 64, 50_000))
         assert batch <= 1.05 * bare
 
     @pytest.mark.parametrize("count,streams", [(7, 3), (2, 3)])
