@@ -7,9 +7,8 @@ level; the library-wide default level is 0.001 so a suite of many tests
 keeps a small false-failure probability.
 
 The KS and chi-square tests take their critical values from
-scipy.special (kolmogi, chdtri), imported inside ks_test, ks_two_sample and
-chi_square: importing this module loads no scipy, and the first such call
-in a process pays the one-time import.
+scipy.special (kolmogi, chdtri), imported inside the calls (README,
+"Install and test").
 """
 
 from __future__ import annotations
@@ -70,15 +69,6 @@ def moment_joint(n: int, p: float, q: float) -> float:
                + lgamma(n / 2.0) + lgamma(h)
                - 2.0 * lgamma(0.5) - lgamma(h + p) - lgamma(h + q)
                - lgamma(n / 2.0 + p + q))
-
-
-def beta_integral_T(alpha: float, beta: float) -> float:
-    """T(a, b) = int_0^pi |sin t|^a |cos t|^b dt
-    = Gamma((a+1)/2) Gamma((b+1)/2) / Gamma((a+b)/2 + 1)."""
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("need alpha, beta > -1")
-    return exp(lgamma((alpha + 1.0) / 2.0) + lgamma((beta + 1.0) / 2.0)
-               - lgamma((alpha + beta) / 2.0 + 1.0))
 
 
 # --- volumes and normalizations ---------------------------------------------

@@ -82,11 +82,14 @@ def row_j(n: int) -> np.ndarray:
 def su2_block(phi, psi, alpha) -> np.ndarray:
     """[[cos(phi) e^{i alpha}, sin(phi) e^{i psi}],
         [-sin(phi) e^{-i psi}, cos(phi) e^{-i alpha}]], broadcasting."""
-    phi, psi, alpha = np.broadcast_arrays(
-        np.asarray(phi, float), np.asarray(psi, float), np.asarray(alpha, float))
-    blk = np.empty(phi.shape + (2, 2), dtype=complex)
-    _su2_fill(np.moveaxis(blk, (-2, -1), (0, 1)), phi, alpha, psi)
-    return blk
+    return _su2_stack(np.array(np.broadcast_arrays(phi, psi, alpha), dtype=float))
+
+
+def _su2_stack(angles) -> np.ndarray:
+    """(..., 2, 2) su2_block stack of the (3, ...) angles (phi, psi, alpha)."""
+    e = np.empty(angles.shape[1:] + (2, 2), dtype=complex)
+    _su2_fill(e.transpose(-2, -1, *range(e.ndim - 2)), angles[0], angles[2], angles[1])
+    return e
 
 
 def _su2_fill(e, phi, alpha, psi=None) -> None:
@@ -407,15 +410,14 @@ def _quat_factor_batch(rho, q_blk, big_blk, twisted) -> np.ndarray:
 
 
 def compose_sp_batch(rho, quat, lead) -> np.ndarray:
-    """Stack of 2n x 2n symplectic unitaries from packed (P, B) rho, packed
-    (P, B, 2, 2) SU(2) stacks quat (the Q_{j,k}) and (B, n, 2, 2) lead
-    (q_1 .. q_n), B and n read from lead."""
-    rho = np.asarray(rho, dtype=float)
-    quat, lead = np.asarray(quat, dtype=complex), np.asarray(lead, dtype=complex)
-    batch, n = lead.shape[:2]  # ValueError if lead has fewer axes
+    """Stack of 2n x 2n symplectic unitaries from packed (P, B) rho, the
+    (3, P, B) angles (phi, psi, alpha) of the SU(2) blocks Q_{j,k} and the
+    (3, B, n) angles of the leads q_1 .. q_n, B and n read from lead."""
+    rho, quat, lead = (np.asarray(a, dtype=float) for a in (rho, quat, lead))
+    _, batch, n = lead.shape  # ValueError unless lead has three axes
     p = n * (n - 1) // 2
-    _check_shapes(rho=(rho, (p, batch)), quat=(quat, (p, batch, 2, 2)),
-                  lead=(lead, (batch, n, 2, 2)))
+    _check_shapes(rho=(rho, (p, batch)), quat=(quat, (3, p, batch)),
+                  lead=(lead, (3, batch, n)))
     if n < 1:
         raise ValueError("n >= 1 required")
     sel, one, k, runs = _coset_schedule(n, 4)
@@ -423,12 +425,15 @@ def compose_sp_batch(rho, quat, lead) -> np.ndarray:
     def blocks(sl, at):
         """Q = I and q = Q_{j,k} for j > 1, so q Q q^dagger is q q^dagger
         (q @ I is exact, so the bits are those of the identity matmul); the
-        l = 1 factor takes q = q_k and Q = Q_{1,k}."""
-        q, l1 = quat[sel[at], sl], one[at]
-        inner = ~l1
+        l = 1 factor takes q = q_k and Q = Q_{1,k}.  One fill builds the
+        span's Q_{j,k}, then its q_k, from their angles."""
+        l1 = one[at]
+        e = _su2_stack(np.concatenate(
+            (quat[:, sel[at], sl], lead[:, sl, k[at][l1] - 1].transpose(0, 2, 1)), axis=1))
+        q, inner = e[:len(l1)], ~l1
         big = np.empty_like(q)
         big[inner], big[l1] = np.eye(2), q[l1]
-        q[l1] = lead[sl, k[at][l1] - 1].transpose(1, 0, 2, 3)
+        q[l1] = e[len(l1):]
         twisted = np.empty_like(q)
         q_in, q_1 = q[inner], q[l1]
         twisted[inner] = q_in @ np.conj(np.swapaxes(q_in, -1, -2))
@@ -437,7 +442,7 @@ def compose_sp_batch(rho, quat, lead) -> np.ndarray:
         return np.ascontiguousarray(m.transpose(0, 2, 3, 1))
 
     return _plane_product(2 * n, batch, complex, runs, blocks,
-                          lead=lambda sl: lead[sl, 0].transpose(1, 2, 0))
+                          lead=lambda sl: _su2_stack(lead[:, sl, 0]).transpose(1, 2, 0))
 
 
 # --- extraction ------------------------------------------------------------

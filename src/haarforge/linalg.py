@@ -86,19 +86,9 @@ def symplectic_residual(a: np.ndarray):
 
 # --- eigenphases of a unitary-class matrix -------------------------------
 #
-# The phases are the angles of the eigenvalues from LAPACK's nonsymmetric
-# eigensolver (np.linalg.eigvals, geev), which takes real stacks as they
-# are, put on [0, 2*pi) by ``_wrap``, the one wrap rule of the library.
-# Each run of sorted neighbours less than 1e-9 apart on the circle (the
-# last phase and the first + 2*pi are neighbours too) is replaced by its
-# mean, so exactly degenerate roots (the doubly degenerate spectra of
-# self-dual quaternion unitaries, a cluster at 0 that LAPACK splits across
-# the cut) come out exactly equal, and a run of equal phases keeps their
-# value.
-#
-# The returned phases are certified against the matrix itself: the power
-# sums sum_k e^{i j theta_k} must match tr(m^j) for j = 1, 2, 3 within
-# 64*N*eps, a bound that means the same at every N.
+# README's eigenphase paragraph gives the pipeline: LAPACK's eigenvalues,
+# ``_wrap``, runs within _MERGE merged, and the power-sum certificate of
+# _CERT_C * N * eps.
 
 _MERGE = 1e-9
 _CERT_C = 64.0

@@ -64,25 +64,26 @@ def _u_angles(stream: RandomStream, n: int, count: int):
 
 
 def _sp_angles(stream: RandomStream, n: int, count: int):
-    """Packed rho via the cos^3 sin^{4j-1} law and quaternions Haar on SU(2);
-    (count, n, 2, 2) leads last.
+    """Packed (P, count) rho via the cos^3 sin^{4j-1} law and the (3, P,
+    count) angles (phi, psi, alpha) of quaternions Haar on SU(2): phi by the
+    sin(2 phi) law, psi and alpha uniform on [0, 2 pi).  The leads' (3,
+    count, n) angles last.
 
     Draw order: row by row, rho's (count, 2j+1) uniforms, then count each
-    for the quaternion's phi (the sin(2 phi) law), psi and alpha; then the
-    leads' (3, count) triples, q_1 to q_n.  The rows are drawn in uniform
-    blocks of whole rows, each starting with the first row that begins past
-    the next multiple of ``linalg.CHUNK_BYTES`` of uniforms, so that a block
-    stays in cache (one block for a stack that needs at most 2^16 of them,
-    n = 12 up to 78 elements); each block runs the rho law once per j.  The
-    blocks do not change the stream, which is the uniforms in order.
+    for the quaternion's phi, psi and alpha; then the leads' (3, count)
+    triples, q_1 to q_n.  The rows are drawn in uniform blocks of whole
+    rows, each starting with the first row that begins past the next
+    multiple of ``linalg.CHUNK_BYTES`` of uniforms, so that a block stays
+    in cache (one block for a stack that needs at most 2^16 of them, n = 12
+    up to 78 elements); each block runs the rho law once per j.  The blocks
+    do not change the stream, which is the uniforms in order.
     """
     p = n * (n - 1) // 2
     j = euler.row_j(n)
     width = count * (2 * j + 4)  # uniforms per row
     start = np.cumsum(width) - width
     rho = np.empty((p, count))
-    quat = np.empty((p, count, 2, 2), dtype=complex)
-    lead = np.empty((count, n, 2, 2), dtype=complex)
+    quat = np.empty((3, p, count))
     block = start // (CHUNK_BYTES // 8)
     for rows in np.split(np.arange(p), np.flatnonzero(np.diff(block)) + 1) if p else []:
         off = start[rows] - start[rows[0]]
@@ -92,17 +93,14 @@ def _sp_angles(stream: RandomStream, n: int, count: int):
             win = _windows(u, count * (2 * jj + 1))[off[at]]
             rho[rows[at]] = rho_symplectic_law(win.reshape(len(win), count, 2 * jj + 1), jj)
         win = _windows(u, 3 * count)[off + count * (2 * j[rows] + 1)]
-        _haar_su2(quat[rows[0]:rows[-1] + 1], win.reshape(len(rows), 3, count))
-    _haar_su2(lead.transpose(1, 0, 2, 3), stream.uniform(size=(n, 3, count)))
+        win = win.reshape(len(rows), 3, count).transpose(1, 0, 2)
+        out = quat[:, rows[0]:rows[-1] + 1]
+        out[0] = sin2phi_law(win[0])
+        np.multiply(win[1:], TWO_PI, out=out[1:])
+    lead = stream.uniform(size=(n, 3, count)).transpose(1, 2, 0)  # mapped in its own memory
+    lead[0] = sin2phi_law(lead[0])
+    lead[1:] *= TWO_PI
     return rho, quat, lead
-
-
-def _haar_su2(out: np.ndarray, u: np.ndarray) -> None:
-    """Fill the (m, count, 2, 2) view ``out`` with Haar SU(2) blocks from
-    (m, 3, count) uniforms: phi by the sin(2 phi) law, psi and alpha
-    uniform on [0, 2 pi), as ``euler.su2_block(phi, psi, alpha)``."""
-    euler._su2_fill(np.moveaxis(out, (-2, -1), (0, 1)), sin2phi_law(u[:, 0]),
-                    u[:, 2] * TWO_PI, u[:, 1] * TWO_PI)
 
 
 def _windows(u: np.ndarray, size: int) -> np.ndarray:
@@ -145,22 +143,16 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     order, after the whole batch; ConvergenceError after REDRAW_ROUNDS
     rounds that leave one.
 
-    Draw order: the whole (count, n, n) Gaussian block (real parts, then
-    imaginary parts, when complex, each drawn straight into its strided
-    half of the complex block).  Q times its R-diagonal phases is
-    written back over the Gaussian block chunk by chunk (``_chunks``), but
-    each chunk's ``np.linalg.qr`` holds a copy, Q and R of the chunk beside
-    the block: the traced peak is within 3x the returned stack from four
-    chunks on, 5x for one (CHANGES.md holds the measured ratios).
+    Draw order: the whole (count, n, n) Gaussian block, by ``_gaussians``.
+    Q times its R-diagonal phases is written back over the Gaussian block
+    chunk by chunk (``_chunks``), but each chunk's ``np.linalg.qr`` holds a
+    copy, Q and R of the chunk beside the block: the traced peak is within
+    3x the returned stack from four chunks on, 5x for one (CHANGES.md holds
+    the measured ratios).
     """
     def draw(m):
-        if kind == "real":
-            g = stream.gaussian(size=(m, n, n))
-        else:
-            g = np.empty((m, n, n), dtype=complex)
-            parts = g.reshape(-1).view(float)  # re, im interleaved
-            stream.gaussian(size=m * n * n, out=parts[0::2])
-            stream.gaussian(size=m * n * n, out=parts[1::2])
+        g = _gaussians(stream, (m, n, n), kind == "complex")
+        if kind == "complex":
             g /= np.sqrt(2.0)
         rank_low = np.empty(m, dtype=bool)
         for sl in _chunks(m, g.strides[0]):
@@ -179,6 +171,19 @@ def qr_batch(stream: RandomStream, n: int, count: int, kind: str) -> np.ndarray:
     return q
 
 
+def _gaussians(stream: RandomStream, shape, cplx: bool) -> np.ndarray:
+    """Standard normals of ``shape``, or with ``cplx`` the unscaled re + i im:
+    all the real parts, then all the imaginary parts, each drawn straight
+    into its strided half of one complex array."""
+    if not cplx:
+        return stream.gaussian(size=shape)
+    z = np.empty(shape, dtype=complex)
+    parts = z.reshape(-1).view(float)  # re, im interleaved
+    stream.gaussian(size=z.size, out=parts[0::2])
+    stream.gaussian(size=z.size, out=parts[1::2])
+    return z
+
+
 def _norms(z: np.ndarray) -> np.ndarray:
     """Row norms of a (B, k) array, computed as ``np.linalg.norm(z, axis=1)``
     computes them, without its per-call checks."""
@@ -189,15 +194,11 @@ def _gaussian_vectors(stream: RandomStream, count: int, k: int, cplx: bool):
     """(count, k) Gaussian vectors (real, or re + i im) with nonzero norms,
     and those norms.  A zero vector is redrawn in place; ConvergenceError
     after REDRAW_ROUNDS rounds that leave one."""
-    def draw(m):
-        g = stream.gaussian(size=(m, k))
-        return g + 1j * stream.gaussian(size=(m, k)) if cplx else g
-
     def redo(bad):
-        z[bad] = draw(int(bad.sum()))
+        z[bad] = _gaussians(stream, (int(bad.sum()), k), cplx)
         nz[bad] = _norms(z[bad])
 
-    z = draw(count)
+    z = _gaussians(stream, (count, k), cplx)
     nz = _norms(z)
     _redraw(lambda: nz == 0.0, redo, f"a zero Gaussian vector of length {k}")
     return z, nz

@@ -23,11 +23,8 @@ enumeration weighs the decision bits by exact fractions and composes them
 with each kernel of the draws' own ``samplers._compose_cosets``, so
 criterion 9 certifies the composition that sampling runs.
 
-scipy is imported only where a check needs it: scipy.integrate inside
-criterion 4's quadrature (_abs_diff_integral), scipy.special inside
-criterion 8 (the normal CDF ndtr) and the KS and chi-square tests of
-analytics.  The first criterion of a process that needs it, criterion 4 in
-run_all, includes the one-time import in its reported seconds.
+scipy is imported inside the calls that need it (README, "Install and
+test").
 """
 
 from __future__ import annotations

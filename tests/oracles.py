@@ -245,26 +245,27 @@ def u_angles_rowwise(gen, n: int, count: int):
     return phi, psi, alpha
 
 
-def _haar_su2_rowwise(gen, count):
-    """(count, 2, 2) su2 blocks: phi = arcsin(sqrt(u)), then psi and alpha."""
+def _su2_angles_rowwise(gen, count):
+    """(3, count) angles of Haar su2 blocks: phi = arcsin(sqrt(u)), then psi
+    and alpha."""
     ph = np.arcsin(np.sqrt(gen.random(count)))
     ps = _turn_uniform(gen, count)
-    return su2(ph, ps, _turn_uniform(gen, count))
+    return np.stack([ph, ps, _turn_uniform(gen, count)])
 
 
 def sp_angles_rowwise(gen, n: int, count: int):
-    """Packed rho and quaternions, then (count, n, 2, 2) leads: for each
-    packed row (j, k), rho = arcsin(sqrt(second largest of 2j + 1
-    uniforms)) from a (count, 2j + 1) block, then one su2 block; then the n
-    leads' su2 blocks."""
+    """Packed rho, (3, P, count) quaternion angles (phi, psi, alpha), then
+    the (3, count, n) angles of the leads: for each packed row (j, k), rho =
+    arcsin(sqrt(second largest of 2j + 1 uniforms)) from a (count, 2j + 1)
+    block, then one su2 block's angles; then the n leads' angles."""
     pairs = angle_pairs(n)
     rho = np.empty((len(pairs), count))
-    quat = np.empty((len(pairs), count, 2, 2), dtype=complex)
+    quat = np.empty((3, len(pairs), count))
     for row, (j, _) in enumerate(pairs):
         u = np.sort(gen.random((count, 2 * j + 1)), axis=1)
         rho[row] = np.arcsin(np.sqrt(u[:, 2 * j - 1]))
-        quat[row] = _haar_su2_rowwise(gen, count)
-    lead = np.stack([_haar_su2_rowwise(gen, count) for _ in range(n)], axis=1)
+        quat[:, row] = _su2_angles_rowwise(gen, count)
+    lead = np.stack([_su2_angles_rowwise(gen, count) for _ in range(n)], axis=2)
     return rho, quat, lead
 
 

@@ -7,7 +7,6 @@ from scipy import integrate
 from haarforge import analytics
 from haarforge.analytics import (
     TestReport,
-    beta_integral_T,
     chi_square,
     coe_normalization,
     cue_normalization,
@@ -43,6 +42,18 @@ class TestMoments:
         den, _ = integrate.quad(math.sin, 0, math.pi)
         assert num / den == pytest.approx(0.2, rel=1e-12)
         assert moment_single(3, 2.0) == pytest.approx(num / den, rel=1e-12)
+
+    def test_random_pairs_vs_quadrature(self):
+        # X_NN = cos t with density ~ sin^{n-2} t on [0, pi]: the moment is
+        # int |cos t|^{2p} sin^{n-2} t dt / int sin^{n-2} t dt; eight (n, p)
+        # pairs from a fixed generator, p on [0, 4)
+        rng = np.random.default_rng(400)
+        for n, p in zip(rng.integers(2, 10, size=8).tolist(), rng.uniform(0.0, 4.0, size=8)):
+            num, _ = integrate.quad(
+                lambda t: abs(math.cos(t)) ** (2.0 * p) * math.sin(t) ** (n - 2),
+                0, math.pi, limit=300, points=[math.pi / 2])
+            den, _ = integrate.quad(lambda t: math.sin(t) ** (n - 2), 0, math.pi)
+            assert moment_single(n, p) == pytest.approx(num / den, rel=1e-8)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -92,28 +103,6 @@ class TestMoments:
         assert moment_joint(5, bound, bound) > 0.0
         with pytest.raises(ValueError):
             moment_single(2, math.nextafter(bound, math.inf))
-
-
-class TestBetaIntegral:
-    def test_endpoints(self):
-        assert beta_integral_T(0.0, 0.0) == pytest.approx(math.pi, rel=1e-15)
-        val, _ = integrate.quad(lambda t: abs(math.sin(t)) * abs(math.cos(t)),
-                                0, math.pi)
-        assert val == pytest.approx(1.0, rel=1e-12)
-        assert beta_integral_T(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_random_pairs_vs_quadrature(self):
-        rng = np.random.default_rng(400)
-        for _ in range(8):
-            a, b = rng.uniform(0.0, 4.0, size=2)
-            want, _ = integrate.quad(
-                lambda t: abs(math.sin(t)) ** a * abs(math.cos(t)) ** b,
-                0, math.pi, limit=300, points=[math.pi / 2])
-            assert beta_integral_T(a, b) == pytest.approx(want, rel=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            beta_integral_T(-1.0, 0.0)
 
 
 class TestVolumes:

@@ -50,16 +50,14 @@ def _u_angles(rng, n, batch):
             rng.uniform(0.0, TWO_PI, (batch, n)))
 
 
-def _su2(rng, shape):
-    """SU(2) stacks of the given batch shape, phi on [0, pi/2)."""
-    return oracles.su2(rng.uniform(0.0, 0.5 * np.pi, shape), rng.uniform(0.0, TWO_PI, shape),
-                       rng.uniform(0.0, TWO_PI, shape))
-
-
 def _sp_angles(rng, n, batch):
-    """Packed (P, batch) rho and (P, batch, 2, 2) quaternions, (batch, n, 2, 2) lead."""
+    """Packed (P, batch) rho on [0, pi/2), (3, P, batch) quaternion angles
+    and (3, batch, n) lead angles (phi, psi, alpha), phi on [0, pi/2)."""
     p = n * (n - 1) // 2
-    return rng.uniform(0.0, 0.5 * np.pi, (p, batch)), _su2(rng, (p, batch)), _su2(rng, (batch, n))
+    hi = np.array([0.5 * np.pi, TWO_PI, TWO_PI])
+    return (rng.uniform(0.0, 0.5 * np.pi, (p, batch)),
+            rng.uniform(0.0, hi[:, None, None], (3, p, batch)),
+            rng.uniform(0.0, hi[:, None, None], (3, batch, n)))
 
 
 def _oracle_u(phi, psi, alpha, n):
@@ -67,7 +65,9 @@ def _oracle_u(phi, psi, alpha, n):
 
 
 def _oracle_sp(rho, quat, lead, n):
-    return oracles.column_rotation_sp(oracles.angle_dict(rho), oracles.angle_dict(quat), lead, n)
+    """The column rotation of blocks built by oracles.su2 from the same angles."""
+    return oracles.column_rotation_sp(oracles.angle_dict(rho),
+                                      oracles.angle_dict(oracles.su2(*quat)), oracles.su2(*lead), n)
 
 
 def _same_bytes(got, want):
@@ -347,6 +347,17 @@ def test_u_coset_blocks_match_exp_form_bytes(monkeypatch):
         for i, row in enumerate(sel[start:start + len(rows)].tolist()):
             j, kk = pairs[row]
             assert (c + width * i, rows[i]) == (j - 1, kk)
+
+
+def test_sp_blocks_from_special_angles_match_oracle():
+    # the kernel builds the SU(2) blocks from their angles: exact zeros,
+    # quarter turns and the doubles next to pi and 2 pi give the bytes of
+    # oracles.su2's np.exp form, over several batch chunks
+    rng = np.random.default_rng(13)
+    n, batch = 5, 2000
+    rho = _special_mix(rng, (n * (n - 1) // 2, batch))
+    quat, lead = _special_mix(rng, (3,) + rho.shape), _special_mix(rng, (3, batch, n))
+    _same_bytes(euler.compose_sp_batch(rho, quat, lead), _oracle_sp(rho, quat, lead, n))
 
 
 PAIRS = [("so", "euler"), ("o", "euler"), ("o", "qr"), ("o", "householder"),

@@ -54,10 +54,10 @@ def plane(j, theta, n):
     return coset_so(packed(angles), j, n)
 
 
-def su2_rows(rng, shape):
-    """Haar-angle SU(2) stacks of the given batch shape."""
-    return su2_block(rng.uniform(0.0, np.pi / 2.0, shape), rng.uniform(0.0, TWO_PI, shape),
-                     rng.uniform(0.0, TWO_PI, shape))
+def su2_angles(rng, shape):
+    """(3, *shape) SU(2) angles (phi, psi, alpha), phi on [0, pi/2)."""
+    return np.stack([rng.uniform(0.0, np.pi / 2.0, shape), rng.uniform(0.0, TWO_PI, shape),
+                     rng.uniform(0.0, TWO_PI, shape)])
 
 
 class TestElementaryBlocks:
@@ -209,14 +209,14 @@ class TestCosetsAndComposition:
             assert adjoint_residual(e[0]) <= 1e-13 * 5
 
     def test_compose_sp_trivial(self):
-        ident = su2_block(np.zeros((3, 1)), 0.0, 0.0)
-        got = compose_sp_batch(np.zeros((3, 1)), ident, ident.reshape(1, 3, 2, 2))[0]
+        got = compose_sp_batch(np.zeros((3, 1)), np.zeros((3, 3, 1)), np.zeros((3, 1, 3)))[0]
         assert np.array_equal(got, np.eye(6))
 
     def test_compose_sp_n1_is_su2(self):
-        lead = su2_block(0.7, 1.0, 2.0)[None, None]
-        got = compose_sp_batch(np.empty((0, 1)), np.empty((0, 1, 2, 2)), lead)[0]
+        lead = np.array([0.7, 1.0, 2.0]).reshape(3, 1, 1)
+        got = compose_sp_batch(np.empty((0, 1)), np.empty((3, 0, 1)), lead)[0]
         assert got.shape == (2, 2)
+        assert np.array_equal(got, su2_block(0.7, 1.0, 2.0))
         assert adjoint_residual(got) <= 1e-15
         assert abs(np.linalg.det(got) - 1.0) <= 1e-14
 
@@ -227,7 +227,7 @@ class TestCosetsAndComposition:
         with pytest.raises(ValueError):
             compose_u_batch(np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            compose_sp_batch(np.zeros((5, 1)), np.zeros((5, 1, 2, 2)), np.zeros((1, 4, 2, 2)))
+            compose_sp_batch(np.zeros((5, 1)), np.zeros((3, 5, 1)), np.zeros((3, 1, 4)))
 
     def test_compose_u_with_no_columns_rejected(self):
         # a (B, 0) alpha is n = 0, which the batch-chunk rule cannot cut
@@ -236,7 +236,7 @@ class TestCosetsAndComposition:
 
     def test_compose_sp_with_no_leads_rejected(self):
         with pytest.raises(ValueError, match="n >= 1 required"):
-            compose_sp_batch(np.zeros((0, 3)), np.zeros((0, 3, 2, 2)), np.zeros((3, 0, 2, 2)))
+            compose_sp_batch(np.zeros((0, 3)), np.zeros((3, 0, 3)), np.zeros((3, 3, 0)))
 
     def test_batch_is_read_from_theta(self):
         # every column of a (6, 5) packed array composes: no count can drop some
@@ -247,8 +247,8 @@ class TestCosetsAndComposition:
         rng = np.random.default_rng(8)
         for n in (2, 3):
             p = n * (n - 1) // 2
-            v = compose_sp_batch(rng.uniform(0.0, np.pi / 2.0, (p, 1)), su2_rows(rng, (p, 1)),
-                                 su2_rows(rng, (1, n)))[0]
+            v = compose_sp_batch(rng.uniform(0.0, np.pi / 2.0, (p, 1)), su2_angles(rng, (p, 1)),
+                                 su2_angles(rng, (1, n)))[0]
             assert adjoint_residual(v) <= 1e-12 * n
             assert symplectic_residual(v) <= 1e-12 * n
 
@@ -264,9 +264,9 @@ MISMATCHES = {
     "u 7 rows": lambda: compose_u_batch(np.zeros((7, 1)), np.zeros((7, 1)), np.zeros((1, 4))),
     "u psi batch": lambda: compose_u_batch(np.zeros((6, 2)), np.zeros((6, 1)), np.zeros((2, 4))),
     "sp rows for n=3, lead for n=5": lambda: compose_sp_batch(
-        np.zeros((3, 1)), np.zeros((3, 1, 2, 2), complex), np.zeros((1, 5, 2, 2), complex)),
-    "sp quat not 2x2": lambda: compose_sp_batch(
-        np.zeros((3, 1)), np.zeros((3, 1, 2)), np.zeros((1, 3, 2, 2), complex)),
+        np.zeros((3, 1)), np.zeros((3, 3, 1)), np.zeros((3, 1, 5))),
+    "sp quat not three angles": lambda: compose_sp_batch(
+        np.zeros((3, 1)), np.zeros((2, 3, 1)), np.zeros((3, 1, 3))),
     "rotation plane 0": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [0]),
     "rotation plane n": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [1, 4]),
     "rotation plane 1.5": lambda: spectra.rotation_product_batch(np.full((1, 2), 0.3), [1.5]),
@@ -606,3 +606,11 @@ class TestArrayDensities:
                                 lead_phi[:, 0].tolist())
             assert isinstance(scalar, float)
             assert scalar == got[0]
+
+    def test_sp_reads_the_draws_own_arrays(self):
+        # the (P, B) rows quat[0] and the (n, B) leads lead[0].T of one draw
+        n = 3
+        rho, quat, lead = samplers._sp_angles(RandomStream(19), n, self.POINTS)
+        got = density_sp(rho, quat[0], lead[0].T)
+        self._check(got, lambda i: sp_density(n, self._at(rho, i), self._at(quat[0], i),
+                                              lead[0, i].tolist()))

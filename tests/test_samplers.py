@@ -117,6 +117,13 @@ class TestSpEuler:
         neg = np.sort((-ph) % TWO_PI)
         assert np.abs(np.sort(ph) - neg).max() <= 1e-8
 
+    def test_peak_memory_bounded(self, traced_peak):
+        # the draw holds angles, and the kernel builds each span's SU(2)
+        # blocks: 1.51x the output (1.88x with SU(2) blocks held from the draw)
+        out = 10 * 10 * 16 * 10_000
+        peak = traced_peak(lambda: samplers.sp_euler_batch(RandomStream(0), 5, 10_000))
+        assert peak <= 1.6 * out
+
 
 # The angle draws against their row-by-row oracles, on bytes: one uniform
 # block per stack and one law call per j give the stream of the loop over
