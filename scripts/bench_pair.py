@@ -15,9 +15,11 @@ and the working tree's HEAD (and whether it had uncommitted changes); each
 side's ``source_digest``, so that the runs can be tied to any commit whose
 sources hash the same; and the numpy, scipy and OpenBLAS versions and
 numpy's SIMD target, on which those digests depend.  After a workload's
-pairs, each tree runs it once more with ``--trace 1`` at seed SEED, and
-the per-layer metrics it prints are kept as printed under the workload's
-``per_layer``, parent first.  Before the pairs, each tree runs
+pairs, each tree runs it three more times with ``--trace 1`` at seed SEED,
+in alternating order, and the per-layer metrics they print are kept under
+the workload's ``per_layer``, parent first: each row as printed, its
+``value`` the median of the three runs and ``values`` all three, in run
+order.  Before the pairs, each tree runs
 ``haar-forge verify --seed SEED`` once in a child process, parent first,
 and its wall seconds and the child's own max RSS (``ru_maxrss`` in MB of
 2^20 bytes, the unit of perfbench's ``peak_rss_mb``) are kept under
@@ -46,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the files whose bytes decide what a pair runs and how it is summarised
 SOURCES = ("src", "perfbench", "scripts/bench_pair.py")
+TRACED_PASSES = 3  # --trace 1 runs per side and workload
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -125,10 +128,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
 
 
 def per_layer(sides: dict, workload: str, seed: int, seconds: float) -> dict:
-    """Each side's per-layer metrics from one ``--trace 1`` run of its tree,
-    as printed, stale rows included."""
-    return {side: run_once(tree, workload, seed, seconds, trace=1)[1]["metrics"]
-            for side, tree in sides.items()}
+    """Each side's per-layer metrics from TRACED_PASSES ``--trace 1`` runs
+    of its tree, the sides taking turns to go first: every row as printed,
+    stale rows included, with ``value`` the median of its runs' values and
+    ``values`` those values in run order."""
+    order = list(sides)
+    runs = {side: [] for side in order}
+    for i in range(TRACED_PASSES):
+        for side in (order if i % 2 == 0 else order[::-1]):
+            runs[side].append(run_once(sides[side], workload, seed, seconds, trace=1)[1]["metrics"])
+    out = {}
+    for side, passes in runs.items():
+        out[side] = {}
+        for name, row in passes[0].items():
+            values = [metrics[name]["value"] for metrics in passes]
+            out[side][name] = {**row, "value": statistics.median(values), "values": values}
+    return out
 
 
 def run_command(tree: Path, argv, timeout: float = 600) -> dict:

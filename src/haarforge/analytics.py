@@ -6,17 +6,16 @@ TestReport records with asymptotic critical values at a configurable
 level; the library-wide default level is 0.001 so a suite of many tests
 keeps a small false-failure probability.
 
-The KS and chi-square tests take their critical values from
-scipy.special (kolmogi, chdtri), imported inside the calls (README,
-"Install and test").
+The KS and chi-square tests solve for their critical values with numpy
+and math alone, once per level (and dof), so they load no scipy module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
-from math import exp, lgamma, log, pi
+from functools import lru_cache, reduce
+from math import erfc, exp, inf, lgamma, log, pi, sqrt
 
 import numpy as np
 
@@ -268,11 +267,80 @@ def _report(stat, crit, n, method, label, **details):
                       method=method, label=label, details=details)
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:  # a NaN level fails too
+        raise ValueError(f"level must lie in (0, 1), not {level!r}")
+
+
+def _upper_quantile(sf_pdf, level: float, lo: float, hi: float) -> float:
+    """The x in (lo, hi] at which a decreasing survival function falls to
+    ``level``, where ``sf_pdf(x)`` gives (sf, density) and sf(hi) <= level.
+    Newton steps on log sf start at hi (log sf has derivative -density/sf);
+    a step that would leave the bracket halves it instead."""
+    x = hi
+    for _ in range(200):
+        sf, pdf = sf_pdf(x)
+        if sf > level:
+            lo = x
+        else:
+            hi = x
+        step = log(sf / level) * sf / pdf if sf > 0.0 and pdf > 0.0 else inf
+        if abs(step) <= 1e-9 * x:  # quadratic convergence: x + step is the root
+            return x + step
+        if hi - lo <= 1e-15 * hi:
+            return x
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise ArithmeticError(f"no upper quantile found at level {level!r}")
+
+
+def _kolmogorov_sf_pdf(x: float):
+    """Kolmogorov's limit law of sqrt(n) D_n: its survival function
+    2 sum_k (-1)^(k-1) exp(-2 k^2 x^2) and density, to double precision
+    for x >= 0.1 (Marsaglia, Tsang & Wang, J. Stat. Softw. 8, 2003)."""
+    k = np.arange(1.0, 2.0 + 5.0 / x)
+    terms = np.exp(-2.0 * (k * x) ** 2)
+    terms[1::2] *= -1.0
+    return 2.0 * float(terms.sum()), 8.0 * x * float((k * k * terms).sum())
+
+
+@lru_cache
+def _kolmogorov_quantile(level: float) -> float:
+    """Upper ``level`` quantile of Kolmogorov's law, from x0 with
+    2 exp(-2 x0^2) = level, which bounds it from above.  Every level
+    below 1 puts it above 0.1, where the series has its accuracy."""
+    _check_level(level)
+    return _upper_quantile(_kolmogorov_sf_pdf, level, 0.1, sqrt(0.5 * (log(2.0) - log(level))))
+
+
+def _chi2_sf_pdf(x: float, dof: int):
+    """Survival function and density of chi-square with integer ``dof``.
+    With a = dof/2 and y = x/2, sf is erfc(sqrt y) for odd dof, plus the
+    sum over e = a-1, a-2, ... > -1/2 of exp(e log y - y - lgamma(e+1)).
+    The first term (twice the density) is taken in log space, each later
+    one from it by the ratio e/y."""
+    y, a = 0.5 * x, 0.5 * dof
+    top = exp((a - 1.0) * log(y) - y - lgamma(a))
+    sf = erfc(sqrt(y)) if dof % 2 else 0.0
+    if dof > 1:
+        sf += top * (1.0 + float(np.cumprod(np.arange(a - 1.0, 0.75, -1.0) / y).sum()))
+    return sf, 0.5 * top
+
+
+@lru_cache
+def _chi2_quantile(level: float, dof: int) -> float:
+    """Upper ``level`` quantile of chi-square with ``dof`` >= 1, from
+    dof + 2 sqrt(dof t) + 2t, t = -log(level), which bounds it from above
+    (Laurent & Massart, Ann. Statist. 28, 2000, Lemma 1)."""
+    _check_level(level)
+    t = -log(level)
+    return _upper_quantile(lambda x: _chi2_sf_pdf(x, dof), level, 0.0,
+                           dof + 2.0 * sqrt(dof * t) + 2.0 * t)
+
+
 def ks_test(samples, cdf, level: float = DEFAULT_LEVEL, label: str = "") -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a vectorized CDF: ``cdf``
     maps the sorted (n,) sample to its (n,) CDF values in one call (any
     other shape raises ValueError)."""
-    from scipy.special import kolmogi
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 50:
@@ -282,13 +350,12 @@ def ks_test(samples, cdf, level: float = DEFAULT_LEVEL, label: str = "") -> Test
         raise ValueError(f"cdf must return shape {x.shape}, not {f.shape}")
     grid = np.arange(1, n + 1) / n
     d = max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
-    crit = kolmogi(level) / np.sqrt(n)
+    crit = _kolmogorov_quantile(level) / np.sqrt(n)
     return _report(d, crit, n, "ks", label, level=level)
 
 
 def ks_two_sample(a, b, level: float = DEFAULT_LEVEL, label: str = "") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test."""
-    from scipy.special import kolmogi
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     na, nb = len(a), len(b)
@@ -298,25 +365,27 @@ def ks_two_sample(a, b, level: float = DEFAULT_LEVEL, label: str = "") -> TestRe
     cdf_a = np.searchsorted(a, allv, side="right") / na
     cdf_b = np.searchsorted(b, allv, side="right") / nb
     d = float(np.abs(cdf_a - cdf_b).max())
-    crit = kolmogi(level) * np.sqrt(1.0 / na + 1.0 / nb)
+    crit = _kolmogorov_quantile(level) * np.sqrt(1.0 / na + 1.0 / nb)
     return _report(d, crit, na + nb, "ks", label, level=level, n_a=na, n_b=nb)
 
 
 def chi_square(counts, expected, level: float = DEFAULT_LEVEL,
                label: str = "") -> TestReport:
-    """Chi-square goodness of fit against fully specified expected counts."""
-    from scipy.special import chdtri
+    """Chi-square goodness of fit against fully specified expected counts,
+    in at least two bins."""
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if counts.shape != expected.shape or counts.ndim != 1:
         raise ValueError("counts and expected must be equal-length vectors")
+    if len(counts) < 2:
+        raise ValueError("chi-square needs at least two bins")
     if np.any(expected <= 0.0):
         raise ValueError("expected counts must be positive")
     if np.any(expected < 5.0):
         raise ValueError("expected counts below 5: merge bins first")
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = len(counts) - 1
-    crit = float(chdtri(dof, level))
+    crit = _chi2_quantile(level, dof)
     return _report(stat, crit, int(counts.sum()), "chi-square", label,
                    level=level, dof=dof)
 

@@ -79,23 +79,20 @@ def row_j(n: int) -> np.ndarray:
 # --- elementary blocks ----------------------------------------------------
 
 
-def su2_block(phi, psi, alpha) -> np.ndarray:
-    """[[cos(phi) e^{i alpha}, sin(phi) e^{i psi}],
-        [-sin(phi) e^{-i psi}, cos(phi) e^{-i alpha}]], broadcasting."""
-    return _su2_stack(np.array(np.broadcast_arrays(phi, psi, alpha), dtype=float))
-
-
 def _su2_stack(angles) -> np.ndarray:
-    """(..., 2, 2) su2_block stack of the (3, ...) angles (phi, psi, alpha)."""
+    """(..., 2, 2) SU(2) blocks [[cos(phi) e^{i alpha}, sin(phi) e^{i psi}],
+    [-sin(phi) e^{-i psi}, cos(phi) e^{-i alpha}]] of the (3, ...) angles
+    (phi, psi, alpha)."""
     e = np.empty(angles.shape[1:] + (2, 2), dtype=complex)
     _su2_fill(e.transpose(-2, -1, *range(e.ndim - 2)), angles[0], angles[2], angles[1])
     return e
 
 
 def _su2_fill(e, phi, alpha, psi=None) -> None:
-    """Write su2_block(phi, psi, alpha) into a complex view e whose first two
-    axes are the block's, through its real and imaginary parts; psi=None is
-    the off-diagonal phase +0, with no cos or sin evaluated for it.
+    """Write the SU(2) block of (phi, psi, alpha) into a complex view e
+    whose first two axes are the block's, through its real and imaginary
+    parts; psi=None is the off-diagonal phase +0, with no cos or sin
+    evaluated for it.
 
     Each entry p e^{+-it} gets the floats of the complex product
     (p + 0i)(cos t +- i sin t) that multiplying by np.exp(+-1j t) gives,

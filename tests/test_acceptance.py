@@ -38,7 +38,6 @@ def test_criterion(criterion, traced_peak):
     if largest is None:
         result = criterion(SEED)
     else:
-        pytest.importorskip("scipy.special")  # the first KS call imports it: not traced here
         bound = traced_peak(largest) + 2 * 2 ** 20
         results = []
         peak = traced_peak(lambda: results.append(criterion(SEED)))
@@ -153,7 +152,6 @@ def test_criterion_5_holds_no_stack_while_its_ks_tests_run(monkeypatch):
         return ks(*args, **kwargs)
 
     monkeypatch.setattr(verify, "ks_two_sample", spy)
-    pytest.importorskip("scipy.special")  # the first KS call imports it: not traced here
     tracemalloc.start()
     try:
         assert verify.criterion_5(SEED).passed

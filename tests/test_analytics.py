@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import chdtri, kolmogi
 
 from haarforge import analytics
 from haarforge.analytics import (
@@ -329,3 +330,58 @@ class TestStatPrimitives:
         counts = np.histogram(draws, bins=np.linspace(0, 1, 11))[0]
         rep = chi_square(counts, np.full(10, 5000.0))
         assert rep.passed
+
+    @pytest.mark.parametrize("level", [math.nan, 0.0, -0.1, 1.0, 1.5, math.inf])
+    def test_a_level_outside_the_open_unit_interval_is_rejected(self, level):
+        draws = RandomStream(424).uniform(size=200)
+        with pytest.raises(ValueError, match="level must lie in"):
+            ks_test(draws, lambda v: v, level=level)
+        with pytest.raises(ValueError, match="level must lie in"):
+            ks_two_sample(draws[:100], draws[100:], level=level)
+        with pytest.raises(ValueError, match="level must lie in"):
+            chi_square([10, 10], [10.0, 10.0], level=level)
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_chi_square_needs_two_bins(self, bins):
+        with pytest.raises(ValueError, match="at least two bins"):
+            chi_square([10] * bins, [10.0] * bins)
+
+
+class TestCriticalValues:
+    """The KS and chi-square critical values, solved in numpy and math,
+    against scipy.special's kolmogi and chdtri."""
+
+    @pytest.mark.parametrize("level", np.logspace(-12, math.log10(0.5), 25))
+    def test_kolmogorov_quantile_matches_kolmogi(self, level):
+        got = analytics._kolmogorov_quantile(level)
+        assert got == pytest.approx(kolmogi(level), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("dof", [*range(1, 61), 100, 719, 1000, 5039])
+    def test_chi2_quantile_matches_chdtri(self, dof):
+        for level in (1e-6, 1e-3, 0.01, 0.05, 0.1):
+            got = analytics._chi2_quantile(level, dof)
+            assert got == pytest.approx(chdtri(dof, level), rel=1e-13, abs=0.0), level
+
+    def test_a_value_is_solved_once_per_level_and_dof(self, monkeypatch):
+        solved, solve = [], analytics._upper_quantile
+
+        def spy(sf_pdf, level, lo, hi):
+            solved.append(level)
+            return solve(sf_pdf, level, lo, hi)
+
+        monkeypatch.setattr(analytics, "_upper_quantile", spy)
+        analytics._kolmogorov_quantile.cache_clear()
+        analytics._chi2_quantile.cache_clear()
+        draws = RandomStream(425).uniform(size=400)
+
+        def run(level, bins):
+            return (ks_test(draws, lambda v: v, level=level).critical,
+                    ks_two_sample(draws[:200], draws[200:], level=level).critical,
+                    chi_square(np.full(bins, 20.0), np.full(bins, 20.0), level=level).critical)
+
+        first = run(0.02, 4)
+        assert solved == [0.02, 0.02]  # one Kolmogorov and one chi-square solve
+        assert run(0.02, 4) == first and len(solved) == 2
+        run(0.02, 5)  # a new dof is a new chi-square solve, the KS value is kept
+        run(0.03, 4)
+        assert solved == [0.02, 0.02, 0.02, 0.03, 0.03]

@@ -83,15 +83,17 @@ def test_source_digest_hashes_the_sources_alone(tmp_path):
 
 
 def test_per_layer_keeps_each_sides_traced_rows_as_printed(monkeypatch, tmp_path):
-    rows = {"parent": {"linalg.self_s": 0.2, "fileio.write.self_s": 0.0},
-            "change": {"linalg.self_s": 0.1, "fileio.write.self_s": 0.0}}  # a stale row stays
+    # three alternating traced runs per side; each row's value is their median
+    rows = {"parent": [{"linalg.self_s": v, "fileio.write.self_s": 0.0} for v in (0.3, 0.1, 0.2)],
+            "change": [{"linalg.self_s": v, "fileio.write.self_s": 0.0} for v in (0.1, 0.5, 0.2)]}
     calls = []
 
     def fake_run(cmd, cwd, **kwargs):
-        calls.append(cmd)
         side = Path(cwd).name
+        calls.append(cmd)
+        metrics = rows[side][sum(Path(c[1]).parts[-3] == side for c in calls) - 1]
         result = {"correct": True, "attempted": 3, "failed": 0,
-                  "metrics": {k: {"value": v, "unit": "s"} for k, v in rows[side].items()}}
+                  "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}
         stdout = json.dumps({"report": {"trace": 1}}) + "\n" + json.dumps(result) + "\n"
         return bench_pair.subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
@@ -99,12 +101,13 @@ def test_per_layer_keeps_each_sides_traced_rows_as_printed(monkeypatch, tmp_path
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     got = bench_pair.per_layer(sides, "export", 3, 20)
     assert list(got) == ["parent", "change"]
-    for side, metrics in got.items():
-        assert {k: m["value"] for k, m in metrics.items()} == rows[side]
-    assert [c[c.index("--trace") + 1] for c in calls] == ["1", "1"]
+    assert got["parent"]["linalg.self_s"] == {"value": 0.2, "unit": "s", "values": [0.3, 0.1, 0.2]}
+    assert got["change"]["linalg.self_s"] == {"value": 0.2, "unit": "s", "values": [0.1, 0.5, 0.2]}
+    assert got["change"]["fileio.write.self_s"]["values"] == [0.0] * 3  # a stale row stays
     assert all(c[c.index("--workload") + 1:] == ["export", "--seed", "3", "--seconds", "20",
                                                  "--trace", "1"] for c in calls)
-    assert [Path(c[1]).parts[-3] for c in calls] == ["parent", "change"]
+    assert [Path(c[1]).parts[-3] for c in calls] == ["parent", "change", "change", "parent",
+                                                     "parent", "change"]
 
 
 def test_a_run_past_its_timeout_names_the_tree_workload_and_seed(tmp_path):

@@ -29,8 +29,9 @@ def run_cli(*args):
 
 IMPORT_CONTRACT = """
 import contextlib, importlib, io, json, pkgutil, sys
+import numpy as np
 import haarforge
-from haarforge import cli, verify
+from haarforge import analytics, cli, verify
 
 for mod in pkgutil.iter_modules(haarforge.__path__):
     if mod.name != "__main__":
@@ -44,15 +45,18 @@ with contextlib.redirect_stdout(io.StringIO()):
     )]
 before = sorted(m for m in sys.modules if m.startswith("scipy"))
 verify.criterion_9(1)
+u = np.linspace(0.0, 1.0, 200)
+analytics.ks_test(u, lambda v: v)
+analytics.ks_two_sample(u[::2], u[1::2])
 print(json.dumps({"codes": codes, "before": before,
                   "after": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
 def test_scipy_loads_only_for_a_test_statistic():
-    # the library and the sample/spectra/volumes/moments commands load no
-    # scipy module; criterion 9's chi-square loads scipy.special, and only
-    # criterion 4's quadrature would load scipy.integrate
+    # the library, the sample/spectra/volumes/moments commands, criterion
+    # 9's chi-square and the two KS tests load no scipy module; only
+    # criterion 4's quadrature and criterion 8's normal CDF would
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT],
@@ -60,8 +64,7 @@ def test_scipy_loads_only_for_a_test_statistic():
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0, 0, 0]
     assert got["before"] == []
-    assert "scipy.special" in got["after"]
-    assert "scipy.integrate" not in got["after"]
+    assert got["after"] == []
 
 
 class TestFileFormats:

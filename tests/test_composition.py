@@ -13,7 +13,7 @@ product used before it became two matmuls.  The draw-shape digests were
 taken from the full-width Householder update and the running-minimum
 bubble-sort composition, before either was restricted to the block or
 prefix its factor moves, from the Sp cosets that still multiplied
-q I q^dagger, and from the np.exp form of su2_block (oracles.su2) and the
+q I q^dagger, and from the np.exp form of an SU(2) block (oracles.su2) and the
 Householder chain that applied the real reflector's sign at every step.
 """
 
@@ -310,8 +310,8 @@ def test_su2_block_matches_exp_form_bytes():
     # every SPECIAL_ANGLES triple, then 10^5 mixed triples
     grid = np.array(np.meshgrid(SPECIAL_ANGLES, SPECIAL_ANGLES, SPECIAL_ANGLES)).reshape(3, -1)
     mixed = _special_mix(np.random.default_rng(11), (3, 100_000))
-    for phi, psi, alpha in (grid, mixed):
-        _same_bytes(euler.su2_block(phi, psi, alpha), oracles.su2(phi, psi, alpha))
+    for angles in (grid, mixed):
+        _same_bytes(euler._su2_stack(angles), oracles.su2(*angles))
 
 
 def test_u_coset_blocks_match_exp_form_bytes(monkeypatch):

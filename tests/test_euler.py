@@ -8,6 +8,7 @@ from haarforge import euler, spectra
 from haarforge.euler import (
     ReflectionError,
     _quat_factor_batch,
+    _su2_stack,
     compose_so_batch,
     compose_sp_batch,
     compose_u_batch,
@@ -17,7 +18,6 @@ from haarforge.euler import (
     density_u,
     extract_angles_so,
     extract_angles_u,
-    su2_block,
 )
 from haarforge.linalg import (
     NotUnitaryError,
@@ -54,6 +54,11 @@ def plane(j, theta, n):
     return coset_so(packed(angles), j, n)
 
 
+def su2(phi, psi, alpha):
+    """The SU(2) block of one angle triple, built as the Sp kernel builds it."""
+    return _su2_stack(np.array([phi, psi, alpha], dtype=float))
+
+
 def su2_angles(rng, shape):
     """(3, *shape) SU(2) angles (phi, psi, alpha), phi on [0, pi/2)."""
     return np.stack([rng.uniform(0.0, np.pi / 2.0, shape), rng.uniform(0.0, TWO_PI, shape),
@@ -77,26 +82,26 @@ class TestElementaryBlocks:
             assert np.linalg.det(r).real == pytest.approx(1.0)
 
     def test_unitary_identity_case(self):
-        assert np.array_equal(su2_block(0.0, 1.3, 0.0), np.eye(2))
+        assert np.array_equal(su2(0.0, 1.3, 0.0), np.eye(2))
 
     def test_unitary_reduces_to_rotation(self):
         phi = 0.77
-        u = su2_block(phi, 0.0, 0.0)
+        u = su2(phi, 0.0, 0.0)
         assert np.abs(u - rotation(1, phi, 2)).max() <= 1e-15
 
     def test_unitary_special(self):
-        u = su2_block(0.9, 2.1, 4.4)
+        u = su2(0.9, 2.1, 4.4)
         assert abs(np.linalg.det(u) - 1.0) <= 1e-14
         assert adjoint_residual(u) <= 1e-14
 
     def test_quaternion_block_identity(self):
-        ident = su2_block(0.0, 0.0, 0.0)
+        ident = su2(0.0, 0.0, 0.0)
         blk = _quat_factor_batch(0.0, ident, ident, ident)
         assert np.array_equal(blk, np.eye(4))
 
     def test_quaternion_block_quarter(self):
-        q = su2_block(0.4, 1.0, 2.0)
-        blk = _quat_factor_batch(np.pi / 2.0, q, su2_block(0.0, 0.0, 0.0),
+        q = su2(0.4, 1.0, 2.0)
+        blk = _quat_factor_batch(np.pi / 2.0, q, su2(0.0, 0.0, 0.0),
                                  q @ q.conj().T)
         want = np.block([[np.zeros((2, 2)), np.eye(2)],
                          [-np.eye(2), np.zeros((2, 2))]])
@@ -108,7 +113,7 @@ class TestElementaryBlocks:
             trip = lambda: (rng.uniform(0, np.pi / 2), rng.uniform(0, TWO_PI),
                             rng.uniform(0, TWO_PI))
             rho = rng.uniform(0, np.pi / 2)
-            q, big = su2_block(*trip()), su2_block(*trip())
+            q, big = su2(*trip()), su2(*trip())
             blk = _quat_factor_batch(rho, q, big, q @ big @ q.conj().T)
             # oracle: direct multiplication
             prod = triple_loop_multiply(blk.conj().T, blk)
@@ -216,7 +221,7 @@ class TestCosetsAndComposition:
         lead = np.array([0.7, 1.0, 2.0]).reshape(3, 1, 1)
         got = compose_sp_batch(np.empty((0, 1)), np.empty((3, 0, 1)), lead)[0]
         assert got.shape == (2, 2)
-        assert np.array_equal(got, su2_block(0.7, 1.0, 2.0))
+        assert np.array_equal(got, su2(0.7, 1.0, 2.0))
         assert adjoint_residual(got) <= 1e-15
         assert abs(np.linalg.det(got) - 1.0) <= 1e-14
 
@@ -417,7 +422,7 @@ class TestExtraction:
         assert np.abs(back - v).max() <= 1e-10
 
     # SHA-256 of every angle array, taken when each turn conjugated a full
-    # su2_block copy
+    # SU(2) block copy
     U_EXTRACTION_DIGEST = "02ca0deeea6ad35d5837b465b061eb0c463e042812d81b288b6f2302cff646a7"
 
     def test_u_extraction_digest_pinned(self):
