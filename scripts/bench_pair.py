@@ -19,14 +19,17 @@ pairs, each tree runs it three more times with ``--trace 1`` at seed SEED,
 in alternating order, and the per-layer metrics they print are kept under
 the workload's ``per_layer``, parent first: each row as printed, its
 ``value`` the median of the three runs and ``values`` all three, in run
-order.  Before the pairs, each tree runs
-``haar-forge verify --seed SEED`` once in a child process, parent first,
-and its wall seconds and the child's own max RSS (``ru_maxrss`` in MB of
-2^20 bytes, the unit of perfbench's ``peak_rss_mb``) are kept under
-``commands``.  Run it from a quiet host: every process runs on its own,
-one after the other.  A run still going after ten times ``run_seconds``
-and a minute more (ten minutes for verify) is stopped, and the script
-fails with the tree and the workload and seed, or command, of that run.
+order.  Before the pairs, each tree runs two commands once each in a
+child process, parent first (``commands``): ``haar-forge verify --seed
+SEED``, and a read of one 2,000-matrix O(16) JSON file, written once by
+the parent's ``haar-forge sample``, through its own
+``fileio.json_to_matrices``.  Each command's wall seconds and the child's
+own max RSS (``ru_maxrss`` in MB of 2^20 bytes, the unit of perfbench's
+``peak_rss_mb``) are kept under ``commands``.  Run it from a quiet host:
+every process runs on its own, one after the other.  A run still going
+after ten times ``run_seconds`` and a minute more (ten minutes for a
+command) is stopped, and the script fails with the tree and the workload
+and seed, or command, of that run.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # the files whose bytes decide what a pair runs and how it is summarised
 SOURCES = ("src", "perfbench", "scripts/bench_pair.py")
 TRACED_PASSES = 3  # --trace 1 runs per side and workload
+READ_SAMPLE = ["--group", "o", "--method", "qr", "--n", "16", "--count", "2000"]
+READ_BACK = ("import sys; from haarforge import fileio; "
+             "fileio.json_to_matrices(open(sys.argv[1], encoding='utf-8').read())")
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -146,14 +152,14 @@ def per_layer(sides: dict, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def run_command(tree: Path, argv, timeout: float = 600) -> dict:
-    """Wall seconds and max RSS (MB) of ``python -m haarforge *argv`` on
-    ``tree``'s sources, run once in a child process whose own rusage
-    ``os.wait4`` reads; RuntimeError if it exits nonzero or is still running
-    after ``timeout`` seconds."""
+def run_command(tree: Path, args, timeout: float = 600) -> dict:
+    """Wall seconds and max RSS (MB) of ``python *args`` on ``tree``'s
+    sources, run once in a child process whose own rusage ``os.wait4``
+    reads; RuntimeError if it exits nonzero or is still running after
+    ``timeout`` seconds."""
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "haarforge", *argv], cwd=tree,
+        proc = subprocess.Popen([sys.executable, *args], cwd=tree,
                                 env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                                 stdout=subprocess.DEVNULL, stderr=err)
         watchdog = threading.Timer(timeout, proc.kill)
@@ -166,12 +172,28 @@ def run_command(tree: Path, argv, timeout: float = 600) -> dict:
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         stderr = err.read().decode(errors="replace")
-    name = f"{tree} haar-forge {' '.join(argv)}"
+    name = f"{tree} python {' '.join(args)}"
     if wall >= timeout:
         raise RuntimeError(f"{name} did not finish in {timeout:g} s")
     if proc.returncode != 0:
         raise RuntimeError(f"{name} exited {proc.returncode}:\n{stderr[-2000:]}")
     return {"wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def commands(sides: dict, seed: int, tmp: Path) -> dict:
+    """``run_command`` of each row, each side in turn: ``haar-forge verify
+    --seed SEED``, then a read of the READ_SAMPLE file at SEED (written
+    into ``tmp`` once, by the first side) through the side's own
+    ``fileio.json_to_matrices``."""
+    first = next(iter(sides.values()))
+    path = str(tmp / "read_back.json")
+    run_command(first, ["-m", "haarforge", "sample", *READ_SAMPLE, "--seed", str(seed),
+                        "--out", path])
+    rows = {f"verify --seed {seed}": ["-m", "haarforge", "verify", "--seed", str(seed)],
+            f"json_to_matrices of sample {' '.join(READ_SAMPLE)} --seed {seed}":
+                ["-c", READ_BACK, path]}
+    return {name: {side: run_command(tree, args) for side, tree in sides.items()}
+            for name, args in rows.items()}
 
 
 def git(*cmd: str) -> str:
@@ -205,12 +227,10 @@ def main(argv=None) -> int:
         change += " with uncommitted changes"
     result = {"parent": git("rev-parse", args.parent), "change": change, "seconds": seconds,
               "simd": simd_target(), "workloads": {}}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as files:
         sides = {"parent": unpack(args.parent, Path(tmp)), "change": ROOT}
         result["source_digest"] = {side: source_digest(tree) for side, tree in sides.items()}
-        verify = ["verify", "--seed", str(args.seed)]
-        result["commands"] = {" ".join(verify): {side: run_command(tree, verify)
-                                                 for side, tree in sides.items()}}
+        result["commands"] = commands(sides, args.seed, Path(files))
         for workload, count in plan:
             pairs, digests = [], []
             for i in range(count):

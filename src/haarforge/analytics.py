@@ -303,12 +303,28 @@ def _kolmogorov_sf_pdf(x: float):
     return 2.0 * float(terms.sum()), 8.0 * x * float((k * k * terms).sum())
 
 
+def _kolmogorov_cdf_pdf(u: float):
+    """Kolmogorov's CDF at x = 1/u, which falls as u grows, by Jacobi's form
+    sqrt(2 pi) u sum_k exp(-(2k-1)^2 pi^2 u^2 / 8), and minus its derivative
+    in u, to double precision for x <= 1.5 (six terms): a sum of positive
+    terms, where the survival series cancels near 1."""
+    a = (np.arange(1.0, 12.0, 2.0) * (pi * u)) ** 2 / 8.0
+    terms = np.exp(-a)
+    return (sqrt(2.0 * pi) * u * float(terms.sum()),
+            sqrt(2.0 * pi) * float(((2.0 * a - 1.0) * terms).sum()))
+
+
 @lru_cache
 def _kolmogorov_quantile(level: float) -> float:
-    """Upper ``level`` quantile of Kolmogorov's law, from x0 with
-    2 exp(-2 x0^2) = level, which bounds it from above.  Every level
-    below 1 puts it above 0.1, where the series has its accuracy."""
+    """Upper ``level`` quantile of Kolmogorov's law.  Up to level 0.5 it is
+    solved on the survival series from x0 with 2 exp(-2 x0^2) = level,
+    which bounds it from above.  Above 0.5 the quantile lies below the
+    median 0.828, and 1/x is solved on Jacobi's form of the CDF, at
+    1 - level (exact there).  Every level below 1 puts it above 0.1,
+    where both forms have their accuracy."""
     _check_level(level)
+    if level > 0.5:
+        return 1.0 / _upper_quantile(_kolmogorov_cdf_pdf, 1.0 - level, 1.0 / 0.83, 10.0)
     return _upper_quantile(_kolmogorov_sf_pdf, level, 0.1, sqrt(0.5 * (log(2.0) - log(level))))
 
 

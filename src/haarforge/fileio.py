@@ -12,12 +12,16 @@ the text held at once does not grow with the stack.  Each float is written
 as ``float.__repr__`` (``json.dumps``'s form), so write-then-read gives
 every entry back bit for bit, signed zeros included.  The writers refuse a
 stack by the readers' own check, ``_samples``, so no writer emits a file
-that its reader refuses.
+that its reader refuses.  The JSON reader decodes its sample list one
+sample at a time, so a read's memory also follows the stack, not the
+text; the header it returns holds every key but the sample list.
 """
 
 from __future__ import annotations
 
 import json
+import json.decoder
+import json.scanner
 from itertools import chain, groupby
 
 import numpy as np
@@ -104,36 +108,143 @@ def matrices_to_json(group: str, n: int, method: str, seed: int, stack) -> str:
     return "".join(json_chunks(group, n, method, seed, stack))
 
 
-def _json_pairs(meta, matrices) -> np.ndarray:
-    """``_stack`` of JSON "matrices": ValueError unless they nest as B
-    lists of r rows of c [re, im] pairs of numbers (int or float)."""
-    shape, items = [], [matrices]
-    for _ in range(4):  # matrices, rows, pairs, entries
+def _nesting(batch, depth: int, leaves: set, refusal: str) -> tuple:
+    """The lengths below the batch and the flat leaves of a list of samples
+    nested ``depth`` lists deep, the batch outermost: ValueError(refusal)
+    unless each level holds lists and each leaf's type is in ``leaves``,
+    and ValueError if a level's lists differ in length (an empty level
+    counting 0)."""
+    shape, items = [], [batch]
+    for _ in range(depth):
         if {*map(type, items)} - {list}:
-            raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
+            raise ValueError(refusal)
         lengths = {*map(len, items)}
         if len(lengths) > 1:
-            raise ValueError("JSON matrices must not be ragged")
+            raise ValueError("JSON samples must not be ragged")
         shape.append(lengths.pop() if lengths else 0)
         items = list(chain.from_iterable(items))
-    if items and shape[3] != 2:
-        raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
-    if {*map(type, items)} - {float, int}:
-        raise ValueError("JSON matrix entries must be numbers")
+    if {*map(type, items)} - leaves:
+        raise ValueError(refusal)
+    return tuple(shape[1:]), items
+
+
+def _pairs(batch) -> tuple:
+    """(r, c, 2) and the flat float array of a batch of JSON matrices, each
+    r rows of c [re, im] pairs of numbers (int or float); (r, c, 0) if
+    empty."""
+    refusal = "JSON matrices must be lists of rows of [re, im] pairs of numbers"
+    shape, items = _nesting(batch, 4, {float, int}, refusal)
+    if items and shape[2] != 2:
+        raise ValueError(refusal)
+    return shape, np.fromiter(items, dtype=float, count=len(items))
+
+
+def _words_flat(batch) -> tuple:
+    """(n,) and the flat int64 array of a batch of JSON permutation words,
+    each a list of n integers (a boolean is none)."""
+    shape, items = _nesting(batch, 2, {int}, "permutations must be rows of integers, "
+                            "each a permutation of 1..n")
+    return shape, np.fromiter(items, dtype=np.int64, count=len(items))
+
+
+SAMPLE_KEYS = {"matrices": _pairs, "permutations": _words_flat}
+NO_SAMPLES = 'JSON input must be an object with "matrices" or "permutations"'
+BATCH_ENTRIES = 1 << 12  # numbers per batch of decoded samples held as Python objects
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+_space = json.decoder.WHITESPACE.match
+
+
+def _value(text: str, idx: int):
+    """(value, end) of the JSON value after the whitespace at ``idx``, by
+    json's C scanner."""
     try:
-        pairs = np.fromiter(items, dtype=float, count=len(items))
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"malformed JSON matrices: {exc}") from None
-    return _stack(meta, pairs.view(complex).reshape(shape[:3]))
+        return _scan(text, _space(text, idx).end())
+    except StopIteration as stop:
+        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+
+
+def _token(text: str, idx: int, allowed: str) -> tuple:
+    """The first character at or after ``idx`` that is not whitespace, and
+    the index past it; JSONDecodeError unless it is one of ``allowed``."""
+    idx = _space(text, idx).end()
+    if idx == len(text) or text[idx] not in allowed:
+        raise json.JSONDecodeError(f"Expecting one of {allowed!r}", text, idx)
+    return text[idx], idx + 1
+
+
+def _sample_list(text: str, idx: int, parse) -> tuple:
+    """(samples, end) of the JSON list after the whitespace at ``idx``,
+    decoded one element at a time.  ``parse`` turns each batch of elements
+    (the first alone, then about BATCH_ENTRIES numbers each) into its shape
+    below the batch and flat array, and samples is (those parts, the
+    number of elements), or a ValueError for the first batch that ``parse``
+    refuses (an integer beyond the float or int64 range included) or whose
+    shape is not the first one's.  The error is returned, not raised, as a
+    later key of the same name, or "permutations" beside "matrices",
+    overrides this list; the rest of the list is still scanned, so
+    malformed JSON raises here."""
+    idx = _space(text, idx).end()
+    if text[idx:idx + 1] != "[":
+        return ValueError("JSON samples must be a list"), _value(text, idx)[1]
+    idx = _space(text, idx + 1).end()
+    if text[idx:idx + 1] == "]":
+        return ([], 0), idx + 1
+    parts, batch, count, step, sep = [], [], 0, 1, ","
+    while sep == ",":
+        element, idx = _value(text, idx)
+        batch.append(element)
+        sep = text[idx:idx + 1]
+        if sep in (",", "]"):  # the writers put no whitespace before a separator
+            idx += 1
+        else:
+            sep, idx = _token(text, idx, ",]")
+        if len(batch) < step and sep == ",":
+            continue
+        count += len(batch)
+        if not isinstance(parts, ValueError):
+            try:
+                parts.append(parse(batch))
+                if parts[-1][0] != parts[0][0]:
+                    raise ValueError("JSON samples must not be ragged")
+            except (ValueError, OverflowError) as exc:
+                parts = ValueError(f"malformed JSON samples: {exc}")
+            else:
+                step = max(1, BATCH_ENTRIES // max(1, parts[0][1].size))
+        batch = []
+    return (parts if isinstance(parts, ValueError) else (parts, count)), idx
 
 
 def json_to_matrices(text: str):
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or not payload.keys() & {"matrices", "permutations"}:
-        raise ValueError('JSON input must be an object with "matrices" or "permutations"')
-    if "permutations" in payload:
-        return payload, _words(payload, payload["permutations"])
-    return payload, _json_pairs(payload, payload["matrices"])
+    """(header, stack) of a JSON sample document.  The header holds every
+    key but the sample lists, whose elements json's C scanner decodes one
+    at a time; only each batch's array is kept (``_sample_list``)."""
+    idx = _space(text, 0).end()
+    if text[idx:idx + 1] != "{":
+        raise ValueError(NO_SAMPLES)
+    header, samples = {}, {}
+    sep, idx = _token(text, idx + 1, '"}')
+    while sep != "}":
+        if sep == ",":
+            _, idx = _token(text, idx, '"')
+        key, idx = json.decoder.scanstring(text, idx)
+        _, idx = _token(text, idx, ":")
+        if key in SAMPLE_KEYS:
+            samples[key], idx = _sample_list(text, idx, SAMPLE_KEYS[key])
+        else:
+            header[key], idx = _value(text, idx)
+        sep, idx = _token(text, idx, ",}")
+    if _space(text, idx).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, idx)
+    key = "permutations" if "permutations" in samples else "matrices"
+    got = samples.get(key, ValueError(NO_SAMPLES))
+    if isinstance(got, ValueError):
+        raise got
+    parts, count = got
+    shape = parts[0][0] if parts else ()
+    flat = np.concatenate([array for _, array in parts]) if parts else np.empty(0)
+    if key == "permutations":
+        return header, _words(header, flat.reshape(count, *shape))
+    return header, _stack(header, flat.view(complex).reshape(count, *shape[:2]))
 
 
 def csv_chunks(group: str, n: int, method: str, seed: int, stack):

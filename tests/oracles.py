@@ -4,14 +4,18 @@ These deliberately avoid the code paths they check: multiplication by
 triple loop, determinants by cofactor expansion, the coset bottom row by
 symbolic expansion of the rotation recursion, the Hessenberg closed form
 entry by entry, permutations by swapping positions one transposition at a
-time, and distribution functions by black-box numerical quadrature on a
-dense grid.
+time, distribution functions by black-box numerical quadrature on a
+dense grid, and JSON sample documents by ``json.loads`` of the whole text.
 """
 
+import json
 import math
+from itertools import chain
 
 import numpy as np
 from scipy import integrate
+
+from haarforge.fileio import _stack
 
 
 def triple_loop_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -370,3 +374,45 @@ def column_rotation_sp(rho: dict, quat_blk: dict, lead_blk: np.ndarray,
             c0 = 2 * (l - 1)
             v[:, :, c0:c0 + 4] = np.einsum("bnk,bkm->bnm", v[:, :, c0:c0 + 4], blk)
     return v
+
+
+# The whole-document JSON reader that ``fileio.json_to_matrices`` replaced,
+# kept verbatim as its reference: ``json.loads`` builds every sample as
+# Python lists first.  Only the header check ``fileio._stack`` is shared.
+
+def _words(meta, rows) -> np.ndarray:
+    """rows as the (B, n) int64 stack of 1-based one-line permutations;
+    ValueError for ragged rows and for what ``_stack`` refuses."""
+    return _stack(meta, np.asarray(rows)).astype(np.int64, copy=False)  # ValueError if ragged
+
+
+def _json_pairs(meta, matrices) -> np.ndarray:
+    """``_stack`` of JSON "matrices": ValueError unless they nest as B
+    lists of r rows of c [re, im] pairs of numbers (int or float)."""
+    shape, items = [], [matrices]
+    for _ in range(4):  # matrices, rows, pairs, entries
+        if {*map(type, items)} - {list}:
+            raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
+        lengths = {*map(len, items)}
+        if len(lengths) > 1:
+            raise ValueError("JSON matrices must not be ragged")
+        shape.append(lengths.pop() if lengths else 0)
+        items = list(chain.from_iterable(items))
+    if items and shape[3] != 2:
+        raise ValueError("JSON matrices must be lists of rows of [re, im] pairs")
+    if {*map(type, items)} - {float, int}:
+        raise ValueError("JSON matrix entries must be numbers")
+    try:
+        pairs = np.fromiter(items, dtype=float, count=len(items))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"malformed JSON matrices: {exc}") from None
+    return _stack(meta, pairs.view(complex).reshape(shape[:3]))
+
+
+def json_to_matrices(text: str):
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or not payload.keys() & {"matrices", "permutations"}:
+        raise ValueError('JSON input must be an object with "matrices" or "permutations"')
+    if "permutations" in payload:
+        return payload, _words(payload, payload["permutations"])
+    return payload, _json_pairs(payload, payload["matrices"])

@@ -356,6 +356,12 @@ class TestCriticalValues:
         got = analytics._kolmogorov_quantile(level)
         assert got == pytest.approx(kolmogi(level), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("level", 1.0 - np.logspace(math.log10(0.5), -15, 21)[1:])
+    def test_kolmogorov_quantile_near_level_one_matches_kolmogi(self, level):
+        # above 0.5 the survival series cancels; Jacobi's CDF form does not
+        got = analytics._kolmogorov_quantile(level)
+        assert got == pytest.approx(kolmogi(level), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("dof", [*range(1, 61), 100, 719, 1000, 5039])
     def test_chi2_quantile_matches_chdtri(self, dof):
         for level in (1e-6, 1e-3, 0.01, 0.05, 0.1):

@@ -147,7 +147,7 @@ def test_a_command_reports_its_childs_wall_time_and_own_max_rss(tmp_path):
     tree = _fake_tree(tmp_path / "tree", "import sys\n"
                       "open('argv.txt', 'w').write(' '.join(sys.argv[1:]))\n"
                       "held = bytearray(64 << 20)\nheld[::4096] = b'x' * (16 << 10)\n")
-    got = bench_pair.run_command(tree, ["verify", "--seed", "3"])
+    got = bench_pair.run_command(tree, ["-m", "haarforge", "verify", "--seed", "3"])
     assert (tree / "argv.txt").read_text() == "verify --seed 3"
     assert set(got) == {"wall_s", "max_rss_mb"} and got["wall_s"] > 0
     assert 64 <= got["max_rss_mb"] < 1024
@@ -155,6 +155,30 @@ def test_a_command_reports_its_childs_wall_time_and_own_max_rss(tmp_path):
 
 def test_a_failing_command_names_the_tree_and_its_exit_code(tmp_path):
     tree = _fake_tree(tmp_path / "tree", "import sys\nsys.exit('no battery here')\n")
-    message = re.escape(f"{tree} haar-forge verify --seed 1 exited 1:\nno battery here")
+    message = re.escape(f"{tree} python -m haarforge verify --seed 1 exited 1:\nno battery here")
     with pytest.raises(RuntimeError, match=message):
-        bench_pair.run_command(tree, ["verify", "--seed", "1"])
+        bench_pair.run_command(tree, ["-m", "haarforge", "verify", "--seed", "1"])
+
+
+def test_the_read_back_row_reads_one_file_through_each_sides_own_reader(tmp_path):
+    # the fake haar-forge writes its argv to --out, and verify writes nothing;
+    # each fake fileio records which tree read which text
+    main = ("import sys\nargv = sys.argv[1:]\n"
+            "if argv[0] == 'sample':\n"
+            "    open(argv[argv.index('--out') + 1], 'w').write(' '.join(argv))\n")
+    reader = ("import pathlib\ndef json_to_matrices(text):\n"
+              "    pathlib.Path('read.txt').write_text(text)\n")
+    sides = {}
+    for side in ("parent", "change"):
+        tree = sides[side] = _fake_tree(tmp_path / side, main)
+        (tree / "src" / "haarforge" / "fileio.py").write_text(reader)
+    files = tmp_path / "files"
+    files.mkdir()
+    got = bench_pair.commands(sides, 4, files)
+    sample = "sample --group o --method qr --n 16 --count 2000 --seed 4"
+    assert list(got) == ["verify --seed 4", f"json_to_matrices of {sample}"]
+    for row in got.values():
+        assert list(row) == ["parent", "change"]
+        assert all(set(v) == {"wall_s", "max_rss_mb"} for v in row.values())
+    for tree in sides.values():
+        assert (tree / "read.txt").read_text() == f"{sample} --out {files / 'read_back.json'}"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from haarforge import cli, fileio
 from haarforge.linalg import CHUNK_BYTES
 from haarforge.samplers import SAMPLERS, sample_batch
@@ -172,8 +173,8 @@ def test_writers_refuse_what_the_readers_refuse(pair, fmt):
             write(group, n, method, 7, stack)
 
 
-@pytest.mark.parametrize("n", [2.7, True])
-def test_json_header_n_must_be_an_int(n):
+def _header_n_texts(n):
+    """A matrix and a permutation document whose header "n" is ``n``."""
     for group, key, samples in (("so", "matrices", [[[[1.0, 0.0], [0.0, 0.0]],
                                                      [[0.0, 0.0], [1.0, 0.0]]]]),
                                 ("sn", "permutations", [[2, 1]])):
@@ -181,13 +182,29 @@ def test_json_header_n_must_be_an_int(n):
         if n is True:  # n = true read as n = 1: one-entry samples matched it
             text = text.replace("[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]",
                                 "[[[[1.0, 0.0]]]]").replace("[[2, 1]]", "[[1]]")
+        yield text
+
+
+@pytest.mark.parametrize("n", [2.7, True])
+def test_json_header_n_must_be_an_int(n):
+    for text in _header_n_texts(n):
         with pytest.raises(ValueError, match="integer >= 1"):
             fileio.json_to_matrices(text)
+
+
+def _words_text(words):
+    return json.dumps({"group": "sn", "n": 3, "method": "bubble", "seed": 0,
+                       "permutations": words})
+
+
+def _matrices_text(matrices):
+    return json.dumps({"group": "u", "n": 2, "method": "qr", "seed": 0, "matrices": matrices})
 
 
 MALFORMED_WORDS = {  # rows of n = 3 that are not a (B, 3) stack of permutations of 1..3
     "ragged-rows": [[1, 2, 3], [1, 2]],
     "float-entry": [[1.5, 2, 3]],
+    "bool-entry": [[True, 2, 3]],
     "repeated-entry": [[1, 1, 3]],
     "one-d-list": [1, 2, 3],
 }
@@ -196,8 +213,7 @@ MALFORMED_WORDS = {  # rows of n = 3 that are not a (B, 3) stack of permutations
 @pytest.mark.parametrize("words", list(MALFORMED_WORDS.values()), ids=list(MALFORMED_WORDS))
 def test_malformed_permutations_raise_value_error(words):
     with pytest.raises(ValueError):
-        fileio.json_to_matrices(json.dumps({"group": "sn", "n": 3, "method": "bubble",
-                                            "seed": 0, "permutations": words}))
+        fileio.json_to_matrices(_words_text(words))
     # the CSV holds one word per line, a 1-d list one entry per line
     rows = [w if isinstance(w, list) else [w] for w in words]
     with pytest.raises(ValueError):
@@ -206,13 +222,21 @@ def test_malformed_permutations_raise_value_error(words):
                                + "".join(",".join(map(str, r)) + "\n" for r in rows))
 
 
-@pytest.mark.parametrize("read,text", [
-    (fileio.json_to_matrices, '{"group": "so", "method": "euler", "seed": 0, "matrices": []}'),
-    (fileio.json_to_matrices, '{"n": 2, "method": "euler", "seed": 0, "matrices": []}'),
-    (fileio.json_to_matrices, '{"group": "so", "n": null, "method": "euler", "matrices": []}'),
-    (fileio.csv_to_matrices, "# haar-forge group=so method=euler seed=0 kind=real count=0\n"),
-    (fileio.csv_to_matrices, "# haar-forge n=2 method=euler seed=0 kind=real count=0\n"),
-], ids=["json-no-n", "json-no-group", "json-null-n", "csv-no-n", "csv-no-group"])
+NO_GROUP_OR_N = {  # empty stacks whose header lacks the group or n
+    "json-no-n": (fileio.json_to_matrices,
+                  '{"group": "so", "method": "euler", "seed": 0, "matrices": []}'),
+    "json-no-group": (fileio.json_to_matrices,
+                      '{"n": 2, "method": "euler", "seed": 0, "matrices": []}'),
+    "json-null-n": (fileio.json_to_matrices,
+                    '{"group": "so", "n": null, "method": "euler", "matrices": []}'),
+    "csv-no-n": (fileio.csv_to_matrices,
+                 "# haar-forge group=so method=euler seed=0 kind=real count=0\n"),
+    "csv-no-group": (fileio.csv_to_matrices,
+                     "# haar-forge n=2 method=euler seed=0 kind=real count=0\n"),
+}
+
+
+@pytest.mark.parametrize("read,text", list(NO_GROUP_OR_N.values()), ids=list(NO_GROUP_OR_N))
 def test_empty_stack_without_group_or_n_raises_value_error(read, text):
     with pytest.raises(ValueError):
         read(text)
@@ -235,12 +259,17 @@ def test_malformed_csv_raises_value_error(text):
         fileio.csv_to_matrices(text)
 
 
-@pytest.mark.parametrize("matrices", [
+MALFORMED_MATRICES = dict(zip([
+    "bare-floats", "one-triple", "all-triples", "ragged-rows", "ragged-matrices",
+    "reshaped-matrices", "not-square", "null-entry", "true-entry", "false-entry", "string-entry",
+    "null-among-numbers", "int-beyond-float"], [
     [[[1.0, 2.0], [3.0, 4.0]]],
     [[[[1.0, 0.0], [2.0, 0.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
     [[[[1.0, 0.0, 5.0], [2.0, 0.0, 6.0]], [[3.0, 0.0, 7.0], [4.0, 0.0, 8.0]]]],
     [[[[1.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
     [[[[1.0, 0.0]]], [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]],
+    [[[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]],
+     [[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]]],
     [[[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [[4.0, 0.0], [5.0, 0.0], [6.0, 0.0]]]],
     [[[[None, 0.0]]]],
     [[[[0.0, True]]]],
@@ -248,17 +277,19 @@ def test_malformed_csv_raises_value_error(text):
     [[[["1.5", 0.0]]]],
     [[[[1.0, 0.0], [0.0, None]], [[0.0, 0.0], [1.0, 0.0]]]],
     [[[[10 ** 400, 0.0]]]],
-], ids=["bare-floats", "one-triple", "all-triples", "ragged-rows", "ragged-matrices",
-        "not-square", "null-entry", "true-entry", "false-entry", "string-entry",
-        "null-among-numbers", "int-beyond-float"])
+]))
+
+
+@pytest.mark.parametrize("matrices", list(MALFORMED_MATRICES.values()), ids=list(MALFORMED_MATRICES))
 def test_malformed_json_raises_value_error(matrices):
-    text = json.dumps({"group": "u", "n": 2, "method": "qr", "seed": 0,
-                       "matrices": matrices})
     with pytest.raises(ValueError):
-        fileio.json_to_matrices(text)
+        fileio.json_to_matrices(_matrices_text(matrices))
 
 
-@pytest.mark.parametrize("text", [
+MALFORMED_DOCUMENTS = dict(zip([
+    "empty-object", "array", "string", "array-naming-a-key", "neither-key",
+    "permutations-not-a-list", "permutations-not-words", "permutations-of-strings",
+    "matrices-an-object"], [
     "{}",
     "[1, 2]",
     '"x"',
@@ -268,9 +299,10 @@ def test_malformed_json_raises_value_error(matrices):
     '{"group": "sn", "n": 2, "permutations": [1, 2]}',
     '{"group": "sn", "n": 2, "permutations": [["1", "2"]]}',
     '{"group": "u", "n": 2, "matrices": {"re": 1.0}}',
-], ids=["empty-object", "array", "string", "array-naming-a-key", "neither-key",
-        "permutations-not-a-list", "permutations-not-words", "permutations-of-strings",
-        "matrices-an-object"])
+]))
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS))
 def test_malformed_json_document_raises_value_error(text):
     with pytest.raises(ValueError):
         fileio.json_to_matrices(text)
@@ -451,3 +483,90 @@ def test_samples_contradicting_the_header_n_raise_value_error(group, method, fmt
     read(text)
     with pytest.raises(ValueError, match="contradict"):
         read(text.replace(field.format(3), field.format(2), 1))
+
+
+def _edits(text):
+    """A writer's JSON text re-serialized and edited in ways the format allows."""
+    doc = json.loads(text)
+    key = "permutations" if "permutations" in doc else "matrices"
+    header = {k: v for k, v in doc.items() if k != key}
+    yield "as-written", text
+    yield "indent", json.dumps(doc, indent=2)
+    yield "compact", json.dumps(doc, separators=(",", ":"))
+    yield "samples-first", json.dumps({key: doc[key], **header})
+    yield "seed-twice", '{"seed": -1, ' + text[1:]  # the last one wins
+    yield "samples-twice", '{"%s": [[null]], ' % key + text[1:]
+    if key == "permutations":  # "permutations" wins over "matrices"
+        yield "beside-matrices", '{"matrices": [], ' + text[1:]
+    yield "empty", json.dumps({**header, key: []})
+    yield "whitespace", " \n\t" + text + "\r\n "
+    if key == "matrices":
+        first = doc[key][0]
+        first[0][0][0], first[0][-1][0], first[-1][0][0] = math.nan, math.inf, -0.0
+        first[-1][-1] = [2, 0]  # int entries
+        yield "special-entries", json.dumps(doc)
+
+
+def _same_reading(text):
+    """Whether the reference reader accepts ``text``; if it does, the header
+    (less the sample lists) and stack bytes of ``json_to_matrices`` equal its
+    own, and if not, ``json_to_matrices`` raises ValueError as well."""
+    try:
+        meta, want = oracles.json_to_matrices(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fileio.json_to_matrices(text)
+        return False
+    header, got = fileio.json_to_matrices(text)
+    assert header == {k: v for k, v in meta.items() if k not in ("matrices", "permutations")}
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c[0]}-count{c[1]}")
+@pytest.mark.parametrize("pair", list(SAMPLERS), ids="/".join)
+def test_json_reader_equals_the_whole_document_reader(pair, case):
+    _, _, text = _write(*pair, case, "json")
+    for name, edited in _edits(text):
+        assert _same_reading(edited), name
+
+
+MALFORMED_JSON = {
+    **{f"words-{k}": _words_text(w) for k, w in MALFORMED_WORDS.items()},
+    **{f"matrices-{k}": _matrices_text(m) for k, m in MALFORMED_MATRICES.items()},
+    **{f"document-{k}": text for k, text in MALFORMED_DOCUMENTS.items()},
+    **{k: text for k, (read, text) in NO_GROUP_OR_N.items() if read is fileio.json_to_matrices},
+    **{f"header-n-{n}-{i}": text for n in (2.7, True) for i, text in enumerate(_header_n_texts(n))},
+}
+
+
+NEWLY_REFUSED = {  # read by the whole-document reader; each word must be a flat list of ints
+    "words-bool-entry": [[1, 2, 3]],  # true read as 1
+    "nested-empty-word": [],  # [[[]]] read as the empty stack
+    "matrix-words": [[[1, 2], [3, 4]]],  # "permutations" under a matrix group
+}
+MALFORMED_JSON["nested-empty-word"] = _words_text([[[]]])
+MALFORMED_JSON["matrix-words"] = json.dumps({"group": "u", "n": 2, "method": "qr", "seed": 0,
+                                             "permutations": [[[1, 2], [3, 4]]]})
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_JSON))
+def test_json_reader_refuses_what_the_whole_document_reader_refuses(name):
+    text = MALFORMED_JSON[name]
+    if name in NEWLY_REFUSED:
+        assert oracles.json_to_matrices(text)[1].tolist() == NEWLY_REFUSED[name]
+        with pytest.raises(ValueError, match="rows of integers"):
+            fileio.json_to_matrices(text)
+    else:
+        assert not _same_reading(text)
+
+
+def test_reading_a_large_json_stack_holds_about_two_stacks_not_the_text(traced_peak):
+    # (2000, 16, 16) complex is 8.2 MB in 14.5 MB of text; json.loads of the
+    # whole document peaked near 11x the stack, reading one sample at a time
+    # near 2x: the per-sample arrays and their join
+    text = fileio.matrices_to_json("o", 16, "qr", 1, sample_batch("o", 16, 2000, method="qr", seed=1))
+    read = []
+    peak = traced_peak(lambda: read.append(fileio.json_to_matrices(text)[1]))
+    assert read[0].shape == (2000, 16, 16) and peak <= 2.5 * read[0].nbytes
