@@ -19,11 +19,13 @@ pairs, each tree runs it three more times with ``--trace 1`` at seed SEED,
 in alternating order, and the per-layer metrics they print are kept under
 the workload's ``per_layer``, parent first: each row as printed, its
 ``value`` the median of the three runs and ``values`` all three, in run
-order.  Before the pairs, each tree runs two commands once each in a
+order.  Before the pairs, each tree runs these commands once each in a
 child process, parent first (``commands``): ``haar-forge verify --seed
-SEED``, and a read of one 2,000-matrix O(16) JSON file, written once by
-the parent's ``haar-forge sample``, through its own
-``fileio.json_to_matrices``.  Each command's wall seconds and the child's
+SEED``; each criterion alone, ``verify.CRITERIA[k-1](SEED)`` for k = 1
+.. 12, so that the criterion that sets the battery's peak shows; and a
+read of one 2,000-matrix O(16) JSON file, written once by the parent's
+``haar-forge sample``, through its own ``fileio.json_to_matrices``.
+Each command's wall seconds and the child's
 own max RSS (``ru_maxrss`` in MB of 2^20 bytes, the unit of perfbench's
 ``peak_rss_mb``) are kept under ``commands``.  Run it from a quiet host:
 every process runs on its own, one after the other.  A run still going
@@ -55,6 +57,9 @@ TRACED_PASSES = 3  # --trace 1 runs per side and workload
 READ_SAMPLE = ["--group", "o", "--method", "qr", "--n", "16", "--count", "2000"]
 READ_BACK = ("import sys; from haarforge import fileio; "
              "fileio.json_to_matrices(open(sys.argv[1], encoding='utf-8').read())")
+CRITERIA = 12  # the length of verify.CRITERIA: one command row per criterion
+RUN_CRITERION = ("import sys; from haarforge import verify; "
+                 "verify.CRITERIA[int(sys.argv[1]) - 1](int(sys.argv[2]))")
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -182,14 +187,16 @@ def run_command(tree: Path, args, timeout: float = 600) -> dict:
 
 def commands(sides: dict, seed: int, tmp: Path) -> dict:
     """``run_command`` of each row, each side in turn: ``haar-forge verify
-    --seed SEED``, then a read of the READ_SAMPLE file at SEED (written
-    into ``tmp`` once, by the first side) through the side's own
-    ``fileio.json_to_matrices``."""
+    --seed SEED``, each criterion k alone at SEED, then a read of the
+    READ_SAMPLE file at SEED (written into ``tmp`` once, by the first side)
+    through the side's own ``fileio.json_to_matrices``."""
     first = next(iter(sides.values()))
     path = str(tmp / "read_back.json")
     run_command(first, ["-m", "haarforge", "sample", *READ_SAMPLE, "--seed", str(seed),
                         "--out", path])
     rows = {f"verify --seed {seed}": ["-m", "haarforge", "verify", "--seed", str(seed)],
+            **{f"criterion {k} --seed {seed}": ["-c", RUN_CRITERION, str(k), str(seed)]
+               for k in range(1, CRITERIA + 1)},
             f"json_to_matrices of sample {' '.join(READ_SAMPLE)} --seed {seed}":
                 ["-c", READ_BACK, path]}
     return {name: {side: run_command(tree, args) for side, tree in sides.items()}

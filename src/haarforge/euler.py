@@ -25,14 +25,14 @@ placements):
 README ("Euler angles" and the kernel paragraph after "Library layout")
 describes the packed coset-major angle layout, (P, B) with P = n(n-1)/2,
 that draws, composition, extraction and densities share, and the one
-composition kernel, ``_plane_product``, run in the wave schedule of
-``_waves``.  The kernel gives every entry the products and sums of the
-all-rows column rotation in the same order, so output is bit for bit the
-same (up to the sign of a zero entry) for finite angles.  Composition and
-the densities read n (and B) from their angle arrays; sizes that disagree
-raise ValueError.  The densities map packed rows of floats or same-shape
-arrays to their broadcast product (a float64 when no array angle enters);
-all parametrizing angles are independent under Haar measure.
+composition kernel, ``_plane_product``, run in the closed-form coset wave
+``_coset_wave`` (``spectra._waves``: arbitrary plane orders).  Every entry
+gets the products and sums of the all-rows column rotation in the same
+order: the same bits (up to the sign of a zero entry) for finite angles.
+Composition and densities read n (and B) from their angles; sizes that
+disagree raise ValueError.  The densities map packed rows of floats or
+same-shape arrays to their broadcast product (a float64 when no array angle
+enters); all parametrizing angles are independent under Haar measure.
 """
 
 from __future__ import annotations
@@ -126,32 +126,6 @@ def _su2_fill(e, phi, alpha, psi=None) -> None:
 # --- batched composition ----------------------------------------------------
 
 
-def _waves(cols, rows, width: int):
-    """The wave schedule of plane blocks listed in application order.
-
-    Block i acts on columns cols[i] .. cols[i] + width - 1 of rows
-    0 .. rows[i] - 1.  It joins the first wave after the last wave that
-    touched any of its columns, so the blocks of a wave touch disjoint
-    columns and every column meets its blocks in application order.
-    Returns (order, runs): ``order`` lists the blocks by wave, then by
-    column, and a run (c, width, start, rows) is the len(rows) blocks of
-    one wave at positions start.. of that order, on columns c, c + width,
-    ..., with those row counts.
-    """
-    cols, rows = np.asarray(cols, dtype=int), np.asarray(rows, dtype=int)
-    last, wave = [-1] * (int(cols.max(initial=0)) + width), []
-    for c in cols.tolist():
-        w = max(last[c:c + width]) + 1
-        last[c:c + width] = [w] * width
-        wave.append(w)
-    order = np.lexsort((cols, wave))
-    wave, cols = np.asarray(wave, dtype=int)[order], cols[order]
-    start = np.flatnonzero(np.diff(wave, prepend=-1) | (np.diff(cols, prepend=-width) - width))
-    rows, ends = rows[order].tolist(), start.tolist() + [len(order)]
-    return order, tuple((c, width, a, tuple(rows[a:b]))
-                        for c, a, b in zip(cols[start].tolist(), ends, ends[1:]))
-
-
 # The two cuts of a run by shape.  A piece holds column pairs while its
 # operand slab, pairs x rows x chunk width x itemsize, stays within
 # _PIECE_BYTES: pairs too small to pay for their own calls share them, and
@@ -170,11 +144,13 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
 
     The batch runs in the chunks ``sl`` that ``linalg._chunks`` gives for
     d x d items, so the copy out adds little memory beside the output and
-    the per-chunk cost is paid at most 8 times.  ``runs`` is a ``_waves``
-    run list, all of one block width s = 2 or 4, and ``blocks(sl, at)``
-    gives the chunk's blocks at the positions ``at`` (a slice: one span) of
-    that schedule's order, batch-last (len, s, s, len(sl)).  ``lead(sl)``,
-    if given, is a (2, 2, len(sl)) block applied to columns 0 and 1 first.
+    the per-chunk cost is paid at most 8 times.  A run (c, s, start, rows)
+    of ``runs`` holds block i = 0 .. len(rows) - 1 at position start + i
+    of the schedule's order, on columns c + s i .. c + s i + s - 1 and rows
+    0 .. rows[i] - 1, with s = 2 or 4 in every run.  ``blocks(sl, at)`` is
+    the chunk's blocks at the positions ``at`` (one span), batch-last (len,
+    s, s, len(sl)); ``lead(sl)``, if given, a (2, 2, len(sl)) block that
+    columns 0 and 1 take first.
 
     The product is kept batch-last, ``w[col, row, b]``, and each piece of a
     run applies to strided views of all its columns at once: for 2x2
@@ -182,14 +158,13 @@ def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.nda
     one add writes back a m00 + b m10 and a m01 + b m11, the products and
     sums of the one-block-at-a-time kernel, while a piece of one pair takes
     them as six in-place calls through two slabs, which stream less; 4x4
-    blocks go through one einsum.  Every entry sees the same blocks in the
-    same order as in the one-block-at-a-time product, and a row below a
-    block's own rows (a piece runs to the largest of its blocks' rows)
-    holds exact zeros that stay zeros, so for finite blocks the bytes are
-    the same.  (A NaN or inf block spreads into those rows too.)  The cuts
-    of ``_plan`` are made once per schedule, d, chunk width and itemsize and
-    kept (``_cuts``), for d <= _KEPT_D; their views into this call's work
-    array and scratch are made once per chunk width.
+    blocks go through one einsum.  Every entry sees the blocks in the order
+    of one block at a time, and rows below a block's own (a piece runs to
+    its blocks' largest rows) hold zeros that stay zeros, so for finite
+    blocks the bytes are the same.  (A NaN or inf block spreads into those
+    rows too.)  The cuts of ``_plan`` are made once per schedule, d, chunk
+    width and itemsize and kept (``_cuts``), for d <= _KEPT_D; their views
+    into this call's work array and scratch are made once per chunk width.
     """
     out = np.empty((batch, d, d), dtype=dtype)
     chunks = _chunks(batch, d * d * out.itemsize)  # the first is the largest
@@ -307,28 +282,39 @@ def _turn_pair(a, b, m, s1, s2) -> None:
     np.add(s2, b, out=b)
 
 
+def _coset_wave(j0: int, j1: int):
+    """The wave of cosets j0..j1-1 in closed form, per step t = j0 ..
+    2 j1 - 3: t, the step's first coset lo, its number of cosets q, and
+    ``first``, the moves before it.  Move x of coset j (angle (x, j + 1)'s
+    block, or bubble sort's T_x) acts on places x - 1 and x at step 2j - x,
+    the first after the last move on them: each place sees its moves in turn."""
+    t = np.arange(j0, 2 * j1 - 2)
+    lo = np.maximum(j0, t // 2 + 1)
+    q = np.minimum(t, j1 - 1) - lo + 1
+    return t, lo, q, np.cumsum(q) - q
+
+
 @functools.lru_cache(maxsize=16)
 def _coset_schedule(n: int, width: int):
-    """The ``_waves`` schedule of E_1 ... E_{n-1}: the packed row of each
-    block in wave order, a mask of the l = 1 factors, each block's k, and
-    the runs.
-
-    Coset E_{k-1} applies angles (k-1, k) .. (1, k), and angle (j, k)'s
-    block acts on columns h(j-1) .. h(j-1) + width - 1 of rows 0 .. hk - 1,
-    h = width / 2 (2x2 blocks, or 4x4 quaternion blocks).  The arrays are
-    read-only, and the last 16 (n, width) pairs are kept (CHANGES.md holds
-    the build times and entry sizes).
-    """
-    j = row_j(n)
-    k = np.repeat(np.arange(2, n + 1), np.arange(1, n))
-    app = np.lexsort((-j, k))
-    h = width // 2
-    order, runs = _waves(h * (j[app] - 1), h * k[app], width)
-    sel = app[order]
-    one, k = j[sel] == 1, k[sel]
+    """The ``_coset_wave`` of E_1 ... E_{n-1} as blocks: each block's packed
+    row in wave order, a mask of the l = 1 factors, each block's k, and one
+    run per wave.  Angle (j, k) of coset E_{k-1} runs at step 2k - j - 2 on
+    columns h(j-1) .. h(j-1) + width - 1 of rows 0 .. hk - 1, h = width / 2
+    (2x2 blocks, or 4x4 quaternion blocks).  The arrays are read-only; the
+    last 16 (n, width) pairs are kept, as a build costs about a one-matrix
+    composition at n <= 4 (CHANGES.md)."""
+    t, lo, q, first = _coset_wave(1, n)
+    k = np.repeat(lo + 1 - first, q)  # a step's blocks are of E_lo, E_lo+1, ...
+    k += np.arange(len(k))
+    sel = k * (k + 1) // 2 - np.repeat(t + 2, q)  # angle (2k - 2 - t, k)'s row
+    col, h = 2 * lo - t - 1, width // 2  # a step's first angle, less one
+    one = np.zeros(len(k), dtype=bool)
+    one[first[col == 0]] = True
     for a in (sel, one, k):
         a.flags.writeable = False
-    return sel, one, k, runs
+    hk = tuple(range(0, h * n + 1, h))  # a wave's rows are a slice of it
+    return sel, one, k, tuple((c, width, f, hk[a:b]) for c, f, a, b in zip(
+        (h * col).tolist(), first.tolist(), (lo + 1).tolist(), (lo + q + 1).tolist()))
 
 
 def _rotation_blocks(thetas: np.ndarray) -> np.ndarray:

@@ -62,10 +62,12 @@ def _stack(meta, stack: np.ndarray) -> np.ndarray:
                     meta.get("method"), stack)[1]
 
 
-def _words(meta, rows) -> np.ndarray:
-    """rows as the (B, n) int64 stack of 1-based one-line permutations;
-    ValueError for ragged rows and for what ``_stack`` refuses."""
-    return _stack(meta, np.asarray(rows)).astype(np.int64, copy=False)  # ValueError if ragged
+def _fits(meta, perm: bool, source: str) -> None:
+    """ValueError unless the header's group samples permutations exactly
+    when ``perm``, for samples read under ``source``, a JSON key or CSV kind;
+    so ``_stack`` gives an int64 stack under sn and a complex one elsewhere."""
+    if (sampler(meta.get("group"), meta.get("method")).kind == "permutation") != perm:
+        raise ValueError(f"{source} samples do not fit group={meta.get('group')}")
 
 
 def _nested(leaf: str, dims) -> str:
@@ -240,11 +242,12 @@ def json_to_matrices(text: str):
     if isinstance(got, ValueError):
         raise got
     parts, count = got
+    _fits(header, key == "permutations", f'JSON "{key}"')
     shape = parts[0][0] if parts else ()
     flat = np.concatenate([array for _, array in parts]) if parts else np.empty(0)
-    if key == "permutations":
-        return header, _words(header, flat.reshape(count, *shape))
-    return header, _stack(header, flat.view(complex).reshape(count, *shape[:2]))
+    if key == "matrices":
+        flat, shape = flat.view(complex), shape[:2]
+    return header, _stack(header, flat.reshape(count, *shape))
 
 
 def csv_chunks(group: str, n: int, method: str, seed: int, stack):
@@ -287,8 +290,9 @@ def csv_to_matrices(text: str):
     kind = meta.get("kind", "complex")
     if kind not in ("real", "complex", "permutation"):
         raise ValueError(f"unknown CSV kind {kind!r}")
+    _fits(meta, kind == "permutation", f"CSV kind={kind}")
     if kind == "permutation":
-        stack = _words(meta, np.array([line.split(",") for line in lines[1:]
+        stack = _stack(meta, np.array([line.split(",") for line in lines[1:]
                                        if line.strip()]).astype(np.int64))
     else:
         cols = np.array([[line.split(",") for line in block] for blank, block

@@ -306,13 +306,12 @@ def _wave_cosets(clear, n: int, count: int, budget: int = _BAND_FLOOR) -> np.nda
     """``_compose_cosets`` as a wave of conditional transpositions.
 
     sigma <- sigma o T_x swaps positions x-1 and x of the one-line sigma,
-    and coset j applies T_j, ..., T_1 in that order.  Swap x of coset j
-    runs at step t = 2j - x: the swaps of one step touch disjoint position
-    pairs, and every pair keeps its order of updates (the order of
-    ``euler._coset_schedule(n, 2)``'s plane blocks).  The cosets run in
-    bands of consecutive cosets whose flags take at most ``budget`` bytes;
-    each band is a wave of its own (``_wave_band``).  sigma is held batch
-    last, (n, count) in ``_index_dtype(n)``, and cast to int64 once.
+    and coset j applies T_j, ..., T_1 in that order, at the steps of
+    ``euler._coset_wave`` (those of an Euler coset product's blocks).  The
+    cosets run in bands of consecutive cosets whose flags take at most
+    ``budget`` bytes; each band is a wave of its own (``_wave_band``).
+    sigma is held batch last, (n, count) in ``_index_dtype(n)``, and cast
+    to int64 once.
     """
     itype = _index_dtype(n)
     sigma = np.empty((n, count), dtype=itype)
@@ -356,23 +355,15 @@ def _run_band(clear, sigma: np.ndarray, j0: int, j1: int) -> None:
 
 @functools.lru_cache(maxsize=16)
 def _wave_band(j0: int, j1: int):
-    """The wave of cosets j0..j1-1, in closed form: per step t = j0 ..
-    2 j1 - 3, the slices of its a rows and b rows of sigma and of its flag
-    rows, and its number of swaps; the flag row of coset j's swap at step t,
-    less j, as ``place[t]``; the band's flag rows; its widest step.
-
-    At step t the cosets j = max(j0, t // 2 + 1) .. min(t, j1 - 1) swap
-    positions 2j - t - 1 and 2j - t, two apart from one coset to the next.
-    Each is O(j1) long; the last 16 bands are kept, read-only, as a build
-    costs about as much as a small stack's composition (CHANGES.md).
-    """
-    t = np.arange(j0, 2 * j1 - 2)
-    lo = np.maximum(j0, t // 2 + 1)
-    q = np.minimum(t, j1 - 1) - lo + 1
-    first = np.cumsum(q) - q
-    a = 2 * lo - t - 1
+    """The ``euler._coset_wave`` of cosets j0..j1-1 as swaps: per step t,
+    the slices of its a rows and b rows of sigma and of its flag rows, and
+    its swap count; the flag row of coset j's swap at step t, less j, as
+    ``place[t]``; the band's flag rows; its widest step.  The last 16 bands
+    are kept, read-only, as a build costs a quarter of a 128-sample draw at
+    n = 4 (CHANGES.md)."""
+    t, lo, q, first = euler._coset_wave(j0, j1)
     steps = tuple((slice(x, x + 2 * k, 2), slice(x + 1, x + 2 * k, 2), slice(f, f + k), k)
-                  for x, k, f in zip(a.tolist(), q.tolist(), first.tolist()))
+                  for x, k, f in zip((2 * lo - t - 1).tolist(), q.tolist(), first.tolist()))
     place = np.zeros(2 * j1, dtype=np.intp)
     place[j0:2 * j1 - 2] = first - lo
     place.flags.writeable = False

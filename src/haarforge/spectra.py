@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from haarforge.euler import _plane_product, _rotation_blocks, _waves
+from haarforge.euler import _plane_product, _rotation_blocks
 from haarforge.linalg import _redraw
 from haarforge.randstream import RandomStream
 
@@ -50,14 +50,30 @@ def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _rotation_schedule(planes: tuple, n: int):
-    """The ``_waves`` schedule of 0-based planes applied in turn to all n
-    rows: each block's plane in wave order (read-only), and the runs.  The
-    last 32 (planes, n) are kept; CHANGES.md holds the build times and key
-    counts behind that size."""
-    order, runs = _waves(planes, [n] * len(planes), 2)
-    sel = np.asarray(planes, dtype=int)[order]
+    """``_waves(planes, n)``, its planes read-only.  The last 32 (planes, n)
+    are kept; CHANGES.md has the build times and key counts behind that."""
+    sel, runs = _waves(planes, n)
     sel.flags.writeable = False
     return sel, runs
+
+
+def _waves(planes, n: int):
+    """The wave schedule of 0-based planes applied in turn to all n rows:
+    plane c's block, on columns c and c + 1, joins the first wave after the
+    last one that touched either, so a wave's blocks touch disjoint columns
+    and each column meets its blocks in turn.  Returns the planes by wave,
+    then by column, and their ``euler._plane_product`` runs."""
+    cols = np.asarray(planes, dtype=int)
+    last, wave = [-1] * (int(cols.max(initial=0)) + 2), []
+    for c in cols.tolist():
+        last[c] = last[c + 1] = max(last[c], last[c + 1]) + 1
+        wave.append(last[c])
+    order = np.lexsort((cols, wave))
+    wave, cols = np.asarray(wave, dtype=int)[order], cols[order]
+    start = np.flatnonzero(np.diff(wave, prepend=-1) | (np.diff(cols, prepend=-2) - 2))
+    ends = start.tolist() + [len(order)]
+    return cols, tuple((c, 2, a, (n,) * (b - a))
+                       for c, a, b in zip(cols[start].tolist(), ends, ends[1:]))
 
 
 def _spectral_thetas(stream: RandomStream, n: int, count: int) -> np.ndarray:

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: multiplication by
 triple loop, determinants by cofactor expansion, the coset bottom row by
 symbolic expansion of the rotation recursion, the Hessenberg closed form
 entry by entry, permutations by swapping positions one transposition at a
-time, distribution functions by black-box numerical quadrature on a
-dense grid, and JSON sample documents by ``json.loads`` of the whole text.
+time, the coset wave by placing one move at a time, distribution
+functions by black-box numerical quadrature on a dense grid, and JSON
+sample documents by ``json.loads`` of the whole text.
 """
 
 import json
@@ -180,6 +181,65 @@ def compose_word_swaps(n: int, batch: int, bits: dict) -> np.ndarray:
             e[:, l] -= delta
         sigma = np.take_along_axis(sigma, e, axis=1)
     return sigma
+
+
+# --- the coset wave ------------------------------------------------------------
+
+
+def coset_waves(j0: int, j1: int, width: int = 2) -> list:
+    """The waves of cosets j0..j1-1, one move at a time.  Coset j makes its
+    moves x = j, ..., 1 in turn; move x acts on places h(x-1) ..
+    h(x-1) + width - 1, h = width / 2, and joins the first wave after the
+    last one that touched any of those places.  Returns each wave's moves
+    as (first place, j, x), sorted by place."""
+    h, last, waves = width // 2, {}, []
+    for j in range(j0, j1):
+        for x in range(j, 0, -1):
+            places = range(h * (x - 1), h * (x - 1) + width)
+            w = max(last.get(p, -1) for p in places) + 1
+            for p in places:
+                last[p] = w
+            if w == len(waves):
+                waves.append([])
+            waves[w].append((h * (x - 1), j, x))
+    return [sorted(wave) for wave in waves]
+
+
+def coset_schedule(n: int, width: int):
+    """``euler._coset_schedule(n, width)`` from ``coset_waves(1, n, width)``:
+    move x of coset j is angle (x, j + 1), packed row j(j-1)/2 + x - 1, on
+    rows 0 .. h(j+1) - 1, and a run is a wave's moves at places ``width``
+    apart, as (first place, width, its first position, its rows)."""
+    h, sel, one, k, runs = width // 2, [], [], [], []
+    for wave in coset_waves(1, n, width):
+        prev = None
+        for place, j, x in wave:
+            if prev is None or place != prev + width:
+                runs.append((place, width, len(sel), []))
+            runs[-1][3].append(h * (j + 1))
+            sel.append(j * (j - 1) // 2 + x - 1)
+            one.append(x == 1)
+            k.append(j + 1)
+            prev = place
+    return (np.array(sel, dtype=int), np.array(one, dtype=bool), np.array(k, dtype=int),
+            tuple((c, w, start, tuple(rows)) for c, w, start, rows in runs))
+
+
+def wave_band(j0: int, j1: int):
+    """``samplers._wave_band(j0, j1)`` from ``coset_waves(j0, j1)``, its step
+    slices as lists: per wave its a places, b places, flag rows and move
+    count; the flag row of coset j's move x, less j, at index 2j - x (the
+    step at which ``samplers._run_band`` writes it); the flag rows; the
+    widest wave.  Flag rows number the moves wave by wave."""
+    steps, place, row = [], [None] * (2 * j1), 0
+    for wave in coset_waves(j0, j1):
+        steps.append(([p for p, _, _ in wave], [p + 1 for p, _, _ in wave],
+                      list(range(row, row + len(wave))), len(wave)))
+        for p, j, x in wave:
+            assert place[2 * j - x] in (None, row - j), "a step's cosets need one offset"
+            place[2 * j - x], row = row - j, row + 1
+    place = np.array([0 if p is None else p for p in place], dtype=np.intp)
+    return steps, place, row, max((q for *_, q in steps), default=0)
 
 
 # --- packed angle arrays -----------------------------------------------------

@@ -162,23 +162,31 @@ def test_a_failing_command_names_the_tree_and_its_exit_code(tmp_path):
 
 def test_the_read_back_row_reads_one_file_through_each_sides_own_reader(tmp_path):
     # the fake haar-forge writes its argv to --out, and verify writes nothing;
-    # each fake fileio records which tree read which text
+    # each fake fileio records which tree read which text, and each fake
+    # criterion the seed it ran at, in a file of its own
     main = ("import sys\nargv = sys.argv[1:]\n"
             "if argv[0] == 'sample':\n"
             "    open(argv[argv.index('--out') + 1], 'w').write(' '.join(argv))\n")
     reader = ("import pathlib\ndef json_to_matrices(text):\n"
               "    pathlib.Path('read.txt').write_text(text)\n")
+    battery = ("import pathlib\nCRITERIA = [lambda seed, k=k: pathlib.Path(f'criterion_{k}.txt')"
+               ".write_text(str(seed)) for k in range(1, 13)]\n")
     sides = {}
     for side in ("parent", "change"):
         tree = sides[side] = _fake_tree(tmp_path / side, main)
         (tree / "src" / "haarforge" / "fileio.py").write_text(reader)
+        (tree / "src" / "haarforge" / "verify.py").write_text(battery)
     files = tmp_path / "files"
     files.mkdir()
     got = bench_pair.commands(sides, 4, files)
     sample = "sample --group o --method qr --n 16 --count 2000 --seed 4"
-    assert list(got) == ["verify --seed 4", f"json_to_matrices of {sample}"]
+    assert list(got) == ["verify --seed 4", *(f"criterion {k} --seed 4" for k in range(1, 13)),
+                         f"json_to_matrices of {sample}"]
     for row in got.values():
         assert list(row) == ["parent", "change"]
         assert all(set(v) == {"wall_s", "max_rss_mb"} for v in row.values())
     for tree in sides.values():
         assert (tree / "read.txt").read_text() == f"{sample} --out {files / 'read_back.json'}"
+        assert sorted(p.name for p in tree.glob("criterion_*.txt")) == sorted(
+            f"criterion_{k}.txt" for k in range(1, 13))
+        assert {p.read_text() for p in tree.glob("criterion_*.txt")} == {"4"}

@@ -192,6 +192,17 @@ def test_wave_counts(n):
         assert len(runs) == waves
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_coset_schedule_equals_the_one_move_at_a_time_oracle(width):
+    # runs is the key of _cuts' cache, so it must be equal, not just alike
+    for n in [*range(1, 65), 128, 256, 512]:
+        sel, one, k, runs = euler._coset_schedule(n, width)
+        want = oracles.coset_schedule(n, width)
+        for got, expected in zip((sel, one, k), want):
+            assert np.array_equal(got, expected), n
+        assert runs == want[3], n
+
+
 @pytest.mark.parametrize("batch,binds", [(200, "bytes"), (600, "eighth")])
 @pytest.mark.parametrize("name", ["so", "u", "sp", "rotation"])
 def test_kernel_cuts_batches_by_the_chunk_rule(monkeypatch, name, batch, binds):

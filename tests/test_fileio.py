@@ -242,6 +242,37 @@ def test_empty_stack_without_group_or_n_raises_value_error(read, text):
         read(text)
 
 
+MISMATCHED_KIND = {  # a sample key or CSV kind that names the other kind of group
+    "json-permutations-under-u": (fileio.json_to_matrices, 'JSON "permutations".*group=u',
+                                  '{"group": "u", "n": 2, "method": "qr", "permutations": []}'),
+    "json-matrices-under-sn": (fileio.json_to_matrices, 'JSON "matrices".*group=sn',
+                               '{"group": "sn", "n": 2, "matrices": []}'),
+    "json-words-under-o": (fileio.json_to_matrices, 'JSON "permutations".*group=o',
+                           '{"group": "o", "n": 2, "method": "qr", "permutations": [[2, 1]]}'),
+    "csv-permutation-under-u": (fileio.csv_to_matrices, "CSV kind=permutation.*group=u",
+                                "# haar-forge group=u n=2 method=qr kind=permutation count=0\n"),
+    "csv-real-under-sn": (fileio.csv_to_matrices, "CSV kind=real.*group=sn",
+                          "# haar-forge group=sn n=2 method=bubble kind=real count=0\n"),
+    "csv-complex-under-sn": (fileio.csv_to_matrices, "CSV kind=complex.*group=sn",
+                             "# haar-forge group=sn n=2 method=bubble kind=complex count=0\n"),
+}
+
+
+@pytest.mark.parametrize("read,message,text", list(MISMATCHED_KIND.values()),
+                         ids=list(MISMATCHED_KIND))
+def test_a_sample_kind_the_group_does_not_have_raises_value_error(read, message, text):
+    with pytest.raises(ValueError, match=message):
+        read(text)
+
+
+@pytest.mark.parametrize("group,method", [("u", "qr"), ("so", "euler")])
+def test_real_and_complex_csv_kinds_read_alike_under_a_matrix_group(group, method):
+    rows = {"real": "1.0,0.0\n0.0,1.0\n", "complex": "1.0,0.0,0.0,0.0\n0.0,0.0,1.0,0.0\n"}
+    got = [fileio.csv_to_matrices(f"# haar-forge group={group} n=2 method={method} "
+                                  f"kind={kind} count=1\n" + text)[1] for kind, text in rows.items()]
+    assert got[0].tobytes() == got[1].tobytes() == np.eye(2, dtype=complex)[None].tobytes()
+
+
 HEADER = "# haar-forge group=u n=2 method=qr seed=0 kind={} count=2\n"
 
 

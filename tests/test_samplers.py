@@ -19,7 +19,7 @@ from haarforge import euler, samplers, verify
 from haarforge.samplers import SAMPLERS, Sampler, sample_batch, sampler
 
 from oracles import (bin_probabilities, bubble_bits, compose_word_swaps, sp_angles_rowwise,
-                     u_angles_rowwise)
+                     u_angles_rowwise, wave_band)
 
 TWO_PI = 2.0 * np.pi
 
@@ -382,6 +382,23 @@ class TestPermutations:
         runs = euler._coset_schedule(n, 2)[3]
         assert [(a.start, a.step, q) for a, _, _, q in steps] == [
             (c, width, len(rows)) for c, width, _, rows in runs]
+
+    def test_wave_bands_equal_the_one_move_at_a_time_oracle(self, monkeypatch):
+        # every band the wave forms at two shapes, and the one-band wave of
+        # each n the coset schedule is checked at
+        formed = []
+        monkeypatch.setattr(samplers, "_run_band", lambda clear, sigma, j0, j1:
+                            formed.append((j0, j1)))
+        for n, count in ((50, 20_000), (130, 2049)):
+            samplers._wave_cosets(None, n, count, max(4 * (n - 1) * count, samplers._BAND_FLOOR))
+        assert len(formed) > 2 and formed[0][0] == 1 and formed[-1][1] == 130
+        for j0, j1 in formed + [(1, n) for n in (*range(2, 65), 128, 256, 512)]:
+            steps, place, rows, widest = samplers._wave_band(j0, j1)
+            a, m = range(2 * j1), range(rows)
+            got = [(list(a[sa]), list(a[sb]), list(m[sm]), q) for sa, sb, sm, q in steps]
+            want = wave_band(j0, j1)
+            assert got == want[0] and (rows, widest) == want[2:], (j0, j1)
+            assert np.array_equal(place, want[1]), (j0, j1)
 
     def test_dispatch_by_batch_width_and_band_width(self, monkeypatch):
         seen = []
