@@ -183,7 +183,7 @@ def compose_word_swaps(n: int, batch: int, bits: dict) -> np.ndarray:
     return sigma
 
 
-# --- the coset wave ------------------------------------------------------------
+# --- the coset wave ----------------------------------------------------------
 
 
 def coset_waves(j0: int, j1: int, width: int = 2) -> list:
