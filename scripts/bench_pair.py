@@ -19,15 +19,17 @@ pairs, each tree runs it three more times with ``--trace 1`` at seed SEED,
 in alternating order, and the per-layer metrics they print are kept under
 the workload's ``per_layer``, parent first: each row as printed, its
 ``value`` the median of the three runs and ``values`` all three, in run
-order.  Before the pairs, each tree runs these commands once each in a
-child process, parent first (``commands``): ``haar-forge verify --seed
-SEED``; each criterion alone, ``verify.CRITERIA[k-1](SEED)`` for k = 1
-.. 12, so that the criterion that sets the battery's peak shows; and a
-read of one 2,000-matrix O(16) JSON file, written once by the parent's
-``haar-forge sample``, through its own ``fileio.json_to_matrices``.
-Each command's wall seconds and the child's
-own max RSS (``ru_maxrss`` in MB of 2^20 bytes, the unit of perfbench's
-``peak_rss_mb``) are kept under ``commands``.  Run it from a quiet host:
+order.  Before the pairs, each tree runs these commands three times each
+in a child process, the trees taking turns to go first, parent first
+(``commands``): ``haar-forge verify --seed SEED``; each criterion alone,
+``verify.CRITERIA[k-1](SEED)`` for k = 1 .. 12, so that the criterion
+that sets the battery's peak shows; and a read of one 2,000-matrix O(16)
+JSON file, written once by the parent's ``haar-forge sample``, through
+its own ``fileio.json_to_matrices``.  Each command's wall seconds and the
+child's own max RSS (``ru_maxrss`` in MB of 2^20 bytes, the unit of
+perfbench's ``peak_rss_mb``) are kept under ``commands``, per side and
+metric: ``value`` the median of the three runs and ``values`` all three,
+in run order.  Run it from a quiet host:
 every process runs on its own, one after the other.  A run still going
 after ten times ``run_seconds`` and a minute more (ten minutes for a
 command) is stopped, and the script fails with the tree and the workload
@@ -54,6 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the files whose bytes decide what a pair runs and how it is summarised
 SOURCES = ("src", "perfbench", "scripts/bench_pair.py")
 TRACED_PASSES = 3  # --trace 1 runs per side and workload
+COMMAND_PASSES = 3  # runs per side of each commands row
 READ_SAMPLE = ["--group", "o", "--method", "qr", "--n", "16", "--count", "2000"]
 READ_BACK = ("import sys; from haarforge import fileio; "
              "fileio.json_to_matrices(open(sys.argv[1], encoding='utf-8').read())")
@@ -138,22 +141,39 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     return parse_run(proc.stdout)
 
 
+def alternating(sides: dict, passes: int, run) -> dict:
+    """``run(tree)`` of each side's tree ``passes`` times, the sides taking
+    turns to go first; each side's results in run order."""
+    order = list(sides)
+    runs = {side: [] for side in order}
+    for i in range(passes):
+        for side in (order if i % 2 == 0 else order[::-1]):
+            runs[side].append(run(sides[side]))
+    return runs
+
+
+def medians(passes) -> dict:
+    """Per name of the first of ``passes`` (dicts of name -> value), the
+    median of its values and the values in run order."""
+    out = {}
+    for name in passes[0]:
+        values = [run[name] for run in passes]
+        out[name] = {"value": statistics.median(values), "values": values}
+    return out
+
+
 def per_layer(sides: dict, workload: str, seed: int, seconds: float) -> dict:
     """Each side's per-layer metrics from TRACED_PASSES ``--trace 1`` runs
     of its tree, the sides taking turns to go first: every row as printed,
     stale rows included, with ``value`` the median of its runs' values and
     ``values`` those values in run order."""
-    order = list(sides)
-    runs = {side: [] for side in order}
-    for i in range(TRACED_PASSES):
-        for side in (order if i % 2 == 0 else order[::-1]):
-            runs[side].append(run_once(sides[side], workload, seed, seconds, trace=1)[1]["metrics"])
+    runs = alternating(sides, TRACED_PASSES, lambda tree: run_once(
+        tree, workload, seed, seconds, trace=1)[1]["metrics"])
     out = {}
     for side, passes in runs.items():
-        out[side] = {}
-        for name, row in passes[0].items():
-            values = [metrics[name]["value"] for metrics in passes]
-            out[side][name] = {**row, "value": statistics.median(values), "values": values}
+        values = medians([{name: row["value"] for name, row in metrics.items()}
+                          for metrics in passes])
+        out[side] = {name: {**passes[0][name], **row} for name, row in values.items()}
     return out
 
 
@@ -186,10 +206,12 @@ def run_command(tree: Path, args, timeout: float = 600) -> dict:
 
 
 def commands(sides: dict, seed: int, tmp: Path) -> dict:
-    """``run_command`` of each row, each side in turn: ``haar-forge verify
-    --seed SEED``, each criterion k alone at SEED, then a read of the
-    READ_SAMPLE file at SEED (written into ``tmp`` once, by the first side)
-    through the side's own ``fileio.json_to_matrices``."""
+    """``run_command`` of each row, COMMAND_PASSES times per side, the sides
+    taking turns to go first: ``haar-forge verify --seed SEED``, each
+    criterion k alone at SEED, then a read of the READ_SAMPLE file at SEED
+    (written into ``tmp`` once, by the first side) through the side's own
+    ``fileio.json_to_matrices``.  Per row, side and metric: the median of
+    the runs as ``value``, and the runs as ``values``."""
     first = next(iter(sides.values()))
     path = str(tmp / "read_back.json")
     run_command(first, ["-m", "haarforge", "sample", *READ_SAMPLE, "--seed", str(seed),
@@ -199,8 +221,9 @@ def commands(sides: dict, seed: int, tmp: Path) -> dict:
                for k in range(1, CRITERIA + 1)},
             f"json_to_matrices of sample {' '.join(READ_SAMPLE)} --seed {seed}":
                 ["-c", READ_BACK, path]}
-    return {name: {side: run_command(tree, args) for side, tree in sides.items()}
-            for name, args in rows.items()}
+    return {name: {side: medians(runs) for side, runs in alternating(
+        sides, COMMAND_PASSES, lambda tree: run_command(tree, args)).items()}
+        for name, args in rows.items()}
 
 
 def git(*cmd: str) -> str:

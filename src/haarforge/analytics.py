@@ -7,7 +7,7 @@ level; the library-wide default level is 0.001 so a suite of many tests
 keeps a small false-failure probability.
 
 The KS and chi-square tests solve for their critical values with numpy
-and math alone, once per level (and dof), so they load no scipy module.
+and math alone, once per level (and dof).
 """
 
 from __future__ import annotations

@@ -15,16 +15,15 @@ arrays or numbers its checks read before the next draw is made, so a
 criterion's peak memory is one draw's own peak, not the sum of its stacks.
 
 Oracles used here are independent of the construction they check:
-adaptive quadrature for integrals, LAPACK determinants for the recurrence
-(``linalg.charpoly_eval``, one ``np.linalg.det`` call on the stack of all
-trials of one n), exact probability-tree enumeration for permutations, and
-cross-sampler / cross-construction two-sample tests elsewhere.  The
-enumeration weighs the decision bits by exact fractions and composes them
-with each kernel of the draws' own ``samplers._compose_cosets``, so
-criterion 9 certifies the composition that sampling runs.
-
-scipy is imported inside the calls that need it (README, "Install and
-test").
+Gauss-Legendre quadrature on the two analytic halves of the square for
+criterion 4, checked against the exact 16 pi and 8 pi^2; LAPACK
+determinants for the recurrence (``linalg.charpoly_eval``, one
+``np.linalg.det`` call on the stack of all trials of one n); exact
+probability-tree enumeration for permutations; and cross-sampler /
+cross-construction two-sample tests elsewhere.  The enumeration weighs the
+decision bits by exact fractions and composes them with each kernel of the
+draws' own ``samplers._compose_cosets``, so criterion 9 certifies the
+composition that sampling runs.
 """
 
 from __future__ import annotations
@@ -202,17 +201,14 @@ def criterion_3(seed, level, sid, checks):
 
 
 def _abs_diff_integral(beta: float) -> float:
-    """int over [0,2pi)^2 of |e^{i a} - e^{i b}|^beta by nested quadrature."""
-    from scipy import integrate
-
-    def inner(b):
-        val, _ = integrate.quad(
-            lambda a: (2.0 * abs(math.sin(0.5 * (a - b)))) ** beta,
-            0.0, TWO_PI, points=[b], limit=200, epsabs=1e-11, epsrel=1e-11)
-        return val
-    val, _ = integrate.quad(inner, 0.0, TWO_PI, limit=200,
-                            epsabs=1e-9, epsrel=1e-9)
-    return val
+    """int over [0,2pi)^2 of |e^{i a} - e^{i b}|^beta by Gauss-Legendre in (b, s)
+    on the square's analytic halves: a = b + s(2pi - b) above the diagonal, a = s b below."""
+    def halves(axes):
+        b, s = axes
+        up, down = TWO_PI - b, b
+        return (up * (2.0 * np.sin(0.5 * s * up)) ** beta
+                + down * (2.0 * np.sin(0.5 * (1.0 - s) * down)) ** beta)
+    return analytics._tensor_gl([(0.0, TWO_PI), (0.0, 1.0)], halves, analytics.QUADRATURE_NODES)
 
 
 @_criterion("COE/CUE normalization constants")
@@ -344,13 +340,17 @@ def _poisson1_bins(values: np.ndarray, level: float, label: str) -> TestReport:
     return chi_square(counts, probs * len(values), level=level, label=label)
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = erfc(-x / sqrt 2) / 2 of each value of the (n,) array x."""
+    return 0.5 * np.fromiter(map(math.erfc, (x * -math.sqrt(0.5)).tolist()), float, len(x))
+
+
 @_criterion("limit laws (normal trace, Poisson fixed points)")
 def criterion_8(seed, level, sid, checks):
-    from scipy.special import ndtr
     count = 100_000
     series = spectra.trace_series_so_batch(
         RandomStream(seed, sid), 200, count)
-    checks.append(_from_report(ks_test(series, ndtr, level=level,
+    checks.append(_from_report(ks_test(series, _normal_cdf, level=level,
                                        label="trace series (200 terms) vs normal")))
     perm_series = spectra.trace_series_perm_batch(
         RandomStream(seed, sid + 1), 500, count)

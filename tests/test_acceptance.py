@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from haarforge import analytics, linalg, samplers, verify
 from haarforge.randstream import RandomStream
@@ -194,6 +195,26 @@ def test_criterion_lines_pinned(key):
     name, seed = key
     result = getattr(verify, name)(seed)
     assert (result.name, result.passed, result.lines()) == CRITERION_LINES[key]
+
+
+@pytest.mark.parametrize("nodes", [analytics.QUADRATURE_NODES, 36])
+def test_criterion_4_rule_gives_the_closed_forms(nodes, monkeypatch):
+    # Gauss-Legendre on the two halves of the square, against Dyson's
+    # integrals 16 pi (beta = 1) and 8 pi^2 (beta = 2)
+    monkeypatch.setattr(analytics, "QUADRATURE_NODES", nodes)
+    for beta, exact in ((1.0, 16.0 * math.pi), (2.0, 8.0 * math.pi ** 2)):
+        assert abs(verify._abs_diff_integral(beta) - exact) <= 1e-13 * exact
+
+
+def test_criterion_8_cdf_matches_ndtr():
+    # scipy's ndtr is the oracle, on a grid over [-8, 8] and on sorted draws
+    draws = np.sort(RandomStream(SEED, 800).gaussian(100_000))
+    for x in (np.linspace(-8.0, 8.0, 4001), draws):
+        got = verify._normal_cdf(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, ndtr(x), rtol=1e-14, atol=0.0)
+    report = analytics.ks_test(draws, verify._normal_cdf)  # its (n,) contract
+    assert report.passed and report.n == len(draws)
 
 
 def test_lehmer_index_ranks_permutations_in_lexicographic_order():

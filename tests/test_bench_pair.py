@@ -185,8 +185,34 @@ def test_the_read_back_row_reads_one_file_through_each_sides_own_reader(tmp_path
     for row in got.values():
         assert list(row) == ["parent", "change"]
         assert all(set(v) == {"wall_s", "max_rss_mb"} for v in row.values())
+        assert all(len(m["values"]) == bench_pair.COMMAND_PASSES
+                   for v in row.values() for m in v.values())
     for tree in sides.values():
         assert (tree / "read.txt").read_text() == f"{sample} --out {files / 'read_back.json'}"
         assert sorted(p.name for p in tree.glob("criterion_*.txt")) == sorted(
             f"criterion_{k}.txt" for k in range(1, 13))
         assert {p.read_text() for p in tree.glob("criterion_*.txt")} == {"4"}
+
+
+def test_each_command_row_is_the_median_of_alternating_runs(monkeypatch, tmp_path):
+    # the k-th run of a row on a side reads k seconds and rss[k - 1] MB
+    rss = [150.0, 140.0, 160.0]
+    calls = []
+
+    def fake_run_command(tree, args, timeout=600):
+        calls.append((tree.name, tuple(args)))
+        k = calls.count(calls[-1])
+        return {"wall_s": float(k), "max_rss_mb": rss[k - 1]}
+
+    monkeypatch.setattr(bench_pair, "run_command", fake_run_command)
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    got = bench_pair.commands(sides, 2, tmp_path)
+    assert bench_pair.COMMAND_PASSES == 3
+    for row in got.values():
+        for side in ("parent", "change"):
+            assert row[side] == {"wall_s": {"value": 2.0, "values": [1.0, 2.0, 3.0]},
+                                 "max_rss_mb": {"value": 150.0, "values": rss}}
+    verify = ("-m", "haarforge", "verify", "--seed", "2")
+    assert [tree for tree, args in calls if args == verify] == [
+        "parent", "change", "change", "parent", "parent", "change"]
+    assert len(calls) == 1 + 2 * 3 * len(got)  # the sample file is written once
