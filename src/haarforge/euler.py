@@ -26,7 +26,7 @@ README ("Euler angles" and the kernel paragraph after "Library layout")
 describes the packed coset-major angle layout, (P, B) with P = n(n-1)/2,
 that draws, composition, extraction and densities share, and the one
 composition kernel, ``_plane_product``, run in the closed-form coset wave
-``_coset_wave`` (``spectra._waves``: arbitrary plane orders).  Every entry
+``_coset_wave`` (``spectra._rotation_schedule``: any plane order).  Every entry
 gets the products and sums of the all-rows column rotation in the same
 order: the same bits (up to the sign of a zero entry) for finite angles.
 Composition and densities read n (and B) from their angles; sizes that
@@ -88,20 +88,21 @@ def _su2_stack(angles) -> np.ndarray:
     return e
 
 
-def _su2_fill(e, phi, alpha, psi=None) -> None:
+def _su2_fill(e, phi, alpha, psi) -> None:
     """Write the SU(2) block of (phi, psi, alpha) into a complex view e
     whose first two axes are the block's, through its real and imaginary
-    parts; psi=None is the off-diagonal phase +0, with no cos or sin
-    evaluated for it.
+    parts.
 
     Each entry p e^{+-it} gets the floats of the complex product
     (p + 0i)(cos t +- i sin t) that multiplying by np.exp(+-1j t) gives,
     signed zeros included: p cos t - 0 sin t and +-p sin t + 0 cos t.  On
     the diagonal p cos t never vanishes for finite angles and a vanishing
     p sin t has cos t > 0, so only the off-diagonal entries keep the zero
-    terms.  (A nonzero product that underflows to zero, which takes angles
-    of about 1e-160 or less, may get the other sign: numpy's complex
-    product rounds such a zero one way or the other depending on the array.)
+    terms.  psi = +0 writes the real block [[c, s], [-s, c]] with +0
+    imaginary parts, as cos 0 = 1 and sin 0 = +0 exactly.  (A nonzero
+    product that underflows to zero, which takes angles of about 1e-160 or
+    less, may get the other sign: numpy's complex product rounds such a
+    zero one way or the other depending on the array.)
     """
     c, s = np.cos(phi), np.sin(phi)
     re, im = e.real, e.imag
@@ -110,11 +111,6 @@ def _su2_fill(e, phi, alpha, psi=None) -> None:
     cs = c * np.sin(alpha)
     np.add(cs, 0.0, out=im[0, 0, ...])
     np.subtract(0.0, cs, out=im[1, 1, ...])
-    if psi is None:
-        re[0, 1] = s
-        np.subtract(0.0, s, out=re[1, 0, ...])
-        im[0, 1] = im[1, 0] = 0.0
-        return
     cp, sp = np.cos(psi), np.sin(psi)
     x = s * cp
     np.subtract(x, 0.0 * (sp + 0.0), out=re[0, 1, ...])  # exp(1j psi) takes sin(psi + 0)
@@ -350,16 +346,13 @@ def compose_u_batch(phi, psi, alpha) -> np.ndarray:
     sel, one, k, runs = _coset_schedule(n, 2)
 
     def blocks(sl, at):
-        """The inner factors U(phi, 0, psi), psi in the diagonal slot, and
-        the l = 1 factors U(phi, psi, alpha_k), each set built apart (so no
-        angle's cos or sin is taken twice) and written to its positions."""
+        """The span's blocks in one fill: the inner factors U(phi, 0, psi),
+        psi in the diagonal slot, and the l = 1 factors U(phi, psi, alpha_k)."""
         ph, ps, l1 = phi[sel[at], sl], psi[sel[at], sl], one[at]
+        off = np.zeros_like(ps)
+        off[l1], ps[l1] = ps[l1], alpha[sl, k[at][l1] - 1].T
         m = np.empty((len(ph), 2, 2, ph.shape[1]), dtype=complex)
-        for rows, angles in ((~l1, (ph[~l1], ps[~l1])),
-                             (l1, (ph[l1], alpha[sl, k[at][l1] - 1].T, ps[l1]))):
-            part = np.empty((len(angles[0]),) + m.shape[1:], dtype=complex)
-            _su2_fill(part.transpose(1, 2, 0, 3), *angles)
-            m[rows] = part
+        _su2_fill(m.transpose(1, 2, 0, 3), ph, ps, off)
         return m
 
     v = _plane_product(n, batch, complex, runs, blocks)
@@ -500,10 +493,7 @@ def _turn_u(w, l: int, phi, psi, alpha):
     """w <- w U_l^dagger on columns (l-1, l); U_l carries psi off the
     diagonal only for l = 1 (module docstring)."""
     m = np.empty((2, 2, len(phi)), dtype=complex)
-    if l == 1:
-        _su2_fill(m, phi, alpha, psi)
-    else:
-        _su2_fill(m, phi, psi)
+    _su2_fill(m, phi, *((alpha, psi) if l == 1 else (psi, 0.0)))
     np.negative(m.imag, out=m.imag)  # the conjugate, signed zeros included
     _turn(w, l, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -36,44 +37,37 @@ def rotation_product_batch(thetas: np.ndarray, order) -> np.ndarray:
     thetas has shape (B, n-1), n read from it; thetas[:, l-1] belongs to
     plane l.  The product is taken left to right, i.e. order[0] is the
     leftmost factor.  ValueError for thetas of another rank or a plane
-    that is not an integer in 1..n-1.
+    that is not an integer in 1..n-1 (a bool is not).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n, planes = thetas.shape[1] + 1, [l - 1 for l in order]
-    if thetas.ndim != 2 or not all(0 <= c < n - 1 and c == int(c) for c in planes):
+    n, order = thetas.shape[1] + 1, list(order)
+    if thetas.ndim != 2 or not all(_is_plane(l, n) for l in order):
         raise ValueError(f"need (B, n-1) angles and planes in 1..n-1, not shape "
-                         f"{thetas.shape} and planes {list(order)}")
-    sel, runs = _rotation_schedule(tuple(planes), n)
+                         f"{thetas.shape} and planes {order}")
+    sel, runs = _rotation_schedule(tuple(int(l) - 1 for l in order), n)
     return _plane_product(n, thetas.shape[0], float, runs,
                           lambda sl, at: _rotation_blocks(thetas[sl, sel[at]].T))
 
 
+def _is_plane(l, n: int) -> bool:
+    """Whether l is a plane index of n x n rotations: a real number, not a
+    bool, equal to an integer in 1..n-1."""
+    return isinstance(l, Real) and not isinstance(l, bool) and 1 <= l < n and l == int(l)
+
+
 @functools.lru_cache(maxsize=32)
 def _rotation_schedule(planes: tuple, n: int):
-    """``_waves(planes, n)``, its planes read-only.  The last 32 (planes, n)
-    are kept; CHANGES.md has the build times and key counts behind that."""
-    sel, runs = _waves(planes, n)
-    sel.flags.writeable = False
-    return sel, runs
-
-
-def _waves(planes, n: int):
-    """The wave schedule of 0-based planes applied in turn to all n rows:
-    plane c's block, on columns c and c + 1, joins the first wave after the
-    last one that touched either, so a wave's blocks touch disjoint columns
-    and each column meets its blocks in turn.  Returns the planes by wave,
-    then by column, and their ``euler._plane_product`` runs."""
-    cols = np.asarray(planes, dtype=int)
-    last, wave = [-1] * (int(cols.max(initial=0)) + 2), []
-    for c in cols.tolist():
-        last[c] = last[c + 1] = max(last[c], last[c + 1]) + 1
-        wave.append(last[c])
-    order = np.lexsort((cols, wave))
-    wave, cols = np.asarray(wave, dtype=int)[order], cols[order]
-    start = np.flatnonzero(np.diff(wave, prepend=-1) | (np.diff(cols, prepend=-2) - 2))
-    ends = start.tolist() + [len(order)]
-    return cols, tuple((c, 2, a, (n,) * (b - a))
-                       for c, a, b in zip(cols[start].tolist(), ends, ends[1:]))
+    """The 0-based planes, read-only, and their ``euler._plane_product``
+    runs: a run of blocks on columns c, c + 2, ... of all n rows, a new one
+    wherever a plane is not two above the one before it.  The kernel takes
+    the blocks in the order given, so the product is the same for any order.
+    Hessenberg's order runs one plane at a time, CMV's in two runs, its odd
+    planes and its even ones.  The last 32 (planes, n) are kept; CHANGES.md
+    has the build times and key counts behind that."""
+    cols = np.array(planes, dtype=int)
+    cols.flags.writeable = False
+    ends = np.flatnonzero(np.diff(cols, prepend=-3) != 2).tolist() + [len(cols)]
+    return cols, tuple((planes[a], 2, a, (n,) * (b - a)) for a, b in zip(ends, ends[1:]))
 
 
 def _spectral_thetas(stream: RandomStream, n: int, count: int) -> np.ndarray:

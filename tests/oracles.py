@@ -225,6 +225,27 @@ def coset_schedule(n: int, width: int):
             tuple((c, w, start, tuple(rows)) for c, w, start, rows in runs))
 
 
+def plane_waves(planes, n: int):
+    """``spectra._rotation_schedule(planes, n)`` as a wavefront, one plane
+    at a time: 0-based plane c's block, on columns c and c + 1, joins the
+    first wave after the last one that touched either, so a wave's blocks
+    touch disjoint columns and each column meets its blocks in turn.
+    Returns the planes by wave, then by column, and their runs: a wave's
+    blocks at columns two apart, as (first column, 2, its first position,
+    its rows)."""
+    cols = np.asarray(planes, dtype=int)
+    last, wave = [-1] * (int(cols.max(initial=0)) + 2), []
+    for c in cols.tolist():
+        last[c] = last[c + 1] = max(last[c], last[c + 1]) + 1
+        wave.append(last[c])
+    order = np.lexsort((cols, wave))
+    wave, cols = np.asarray(wave, dtype=int)[order], cols[order]
+    start = np.flatnonzero(np.diff(wave, prepend=-1) | (np.diff(cols, prepend=-2) - 2))
+    ends = start.tolist() + [len(order)]
+    return cols, tuple((c, 2, a, (n,) * (b - a))
+                       for c, a, b in zip(cols[start].tolist(), ends, ends[1:]))
+
+
 def wave_band(j0: int, j1: int):
     """``samplers._wave_band(j0, j1)`` from ``coset_waves(j0, j1)``, its step
     slices as lists: per wave its a places, b places, flag rows and move

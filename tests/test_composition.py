@@ -18,6 +18,7 @@ Householder chain that applied the real reflector's sign at every step.
 """
 
 import hashlib
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -86,6 +87,22 @@ def test_compose_so_batch_matches_oracle(n, batch):
 def test_compose_u_batch_matches_oracle(n, batch):
     angles = _u_angles(_rng(n, batch), n, batch)
     _same_bytes(euler.compose_u_batch(*angles), _oracle_u(*angles, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compose_u_batch_matches_oracle_at_edge_angles(n):
+    # every combination of block angles where cos or sin vanishes, psi of
+    # either zero sign or pi, and alpha at 0 or just below 2 pi: an inner
+    # factor's off-diagonal phase 0 must give the bytes of np.exp(0j)
+    p = n * (n - 1) // 2
+    grid = itertools.product(*[(0.0, 0.5 * np.pi)] * p, *[(0.0, -0.0, np.pi)] * p,
+                             *[(0.0, np.nextafter(TWO_PI, 0.0))] * n)
+    flat = np.array(list(grid)).T
+    phi, psi, alpha = flat[:p], flat[p:2 * p], np.ascontiguousarray(flat[2 * p:].T)
+    v = euler.compose_u_batch(phi, psi, alpha)
+    _same_bytes(v, _oracle_u(phi, psi, alpha, n))
+    back = euler.compose_u_batch(*euler.extract_angles_u(v))
+    assert back.shape == v.shape and np.abs(back - v).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,batch", SIZES)
@@ -201,6 +218,18 @@ def test_coset_schedule_equals_the_one_move_at_a_time_oracle(width):
         for got, expected in zip((sel, one, k), want):
             assert np.array_equal(got, expected), n
         assert runs == want[3], n
+
+
+@pytest.mark.parametrize("name", ["hessenberg", "cmv"])
+def test_rotation_schedule_equals_the_wavefront_oracle(name):
+    # runs is the key of _cuts' cache, so it must be equal, not just alike
+    order = {"hessenberg": spectra.hessenberg_order, "cmv": spectra.cmv_order}[name]
+    for n in range(1, 130):
+        planes = tuple(l - 1 for l in order(n))
+        cols, runs = spectra._rotation_schedule(planes, n)
+        want = oracles.plane_waves(planes, n)
+        assert np.array_equal(cols, want[0]), n
+        assert runs == want[1], n
 
 
 @pytest.mark.parametrize("batch,binds", [(200, "bytes"), (600, "eighth")])

@@ -276,6 +276,9 @@ MISMATCHES = {
     "rotation plane n": lambda: spectra.rotation_product_batch(np.zeros((1, 3)), [1, 4]),
     "rotation plane 1.5": lambda: spectra.rotation_product_batch(np.full((1, 2), 0.3), [1.5]),
     "rotation 3-d thetas": lambda: spectra.rotation_product_batch(np.zeros((1, 3, 2)), [1]),
+    "rotation plane '1'": lambda: spectra.rotation_product_batch(np.zeros((1, 2)), ['1']),
+    "rotation plane None": lambda: spectra.rotation_product_batch(np.zeros((1, 2)), [None]),
+    "rotation plane True": lambda: spectra.rotation_product_batch(np.zeros((1, 2)), [True]),
 }
 
 
