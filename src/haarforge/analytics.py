@@ -15,17 +15,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import erfc, exp, inf, lgamma, log, pi, sqrt
+from math import erfc, exp, inf, lgamma, log, nan, pi, sqrt
 
 import numpy as np
 
 from haarforge import samplers
 from haarforge.euler import density_so, density_u, row_j
+from haarforge.linalg import TWO_PI
 from haarforge.randstream import RandomStream
 
 DEFAULT_LEVEL = 0.001
-
-TWO_PI = 2.0 * pi
 
 QUADRATURE_DOMAIN = {"so": range(2, 4), "u": range(1, 3)}  # volume_quadrature's (tag, n)
 QUADRATURE_NODES = 24  # Gauss-Legendre nodes per axis of the coarse grid
@@ -371,7 +370,8 @@ def ks_test(samples, cdf, level: float = DEFAULT_LEVEL, label: str = "") -> Test
 
 
 def ks_two_sample(a, b, level: float = DEFAULT_LEVEL, label: str = "") -> TestReport:
-    """Two-sample Kolmogorov-Smirnov test."""
+    """Two-sample Kolmogorov-Smirnov test; a NaN in either sample makes the
+    statistic NaN, so the test fails."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     na, nb = len(a), len(b)
@@ -380,7 +380,7 @@ def ks_two_sample(a, b, level: float = DEFAULT_LEVEL, label: str = "") -> TestRe
     allv = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, allv, side="right") / na
     cdf_b = np.searchsorted(b, allv, side="right") / nb
-    d = float(np.abs(cdf_a - cdf_b).max())
+    d = nan if np.isnan(a[-1]) or np.isnan(b[-1]) else float(np.abs(cdf_a - cdf_b).max())
     crit = _kolmogorov_quantile(level) * np.sqrt(1.0 / na + 1.0 / nb)
     return _report(d, crit, na + nb, "ks", label, level=level, n_a=na, n_b=nb)
 
@@ -409,8 +409,13 @@ def chi_square(counts, expected, level: float = DEFAULT_LEVEL,
 def moment_check(exact: float, estimate: float, se: float,
                  label: str = "") -> TestReport:
     """|z|-score check of a Monte Carlo estimate against an exact value,
-    passing within MOMENT_Z_MAX standard errors."""
-    z = 0.0 if se == 0.0 and estimate == exact else \
-        abs(estimate - exact) / (se if se > 0.0 else 1e-300)
+    passing within MOMENT_Z_MAX standard errors; z is NaN, and the check
+    fails, unless the standard error is finite and >= 0."""
+    if not 0.0 <= se < inf:  # a NaN se fails this too
+        z = nan
+    elif se == 0.0 and estimate == exact:
+        z = 0.0
+    else:
+        z = abs(estimate - exact) / (se or 1e-300)
     return _report(z, MOMENT_Z_MAX, 0, "moment-z", label,
                    exact=exact, estimate=estimate, std_error=se)

@@ -122,14 +122,10 @@ def _su2_fill(e, phi, alpha, psi) -> None:
 # --- batched composition ----------------------------------------------------
 
 
-# The two cuts of a run by shape.  A piece holds column pairs while its
-# operand slab, pairs x rows x chunk width x itemsize, stays within
-# _PIECE_BYTES: pairs too small to pay for their own calls share them, and
-# a 2x2 piece's two column and four product slabs stay within 96 KiB of
-# cache, while a pair whose slab passes half the bound runs alone.
-# The blocks are built a span at a time, at most _SPAN_BYTES of them (a
-# chunk's 2x2 blocks hold about twice its product), so that they are still
-# in cache when the pieces use them.
+# The two cuts of a run by shape (README's kernel paragraph): a piece's
+# operand slab stays within _PIECE_BYTES, so that a 2x2 piece's two column
+# and four product slabs stay within 96 KiB of cache, and a span's blocks
+# within _SPAN_BYTES, so that they are still in cache when its pieces run.
 _PIECE_BYTES = CHUNK_BYTES // 32
 _SPAN_BYTES = CHUNK_BYTES
 _ALL = slice(None)
@@ -138,29 +134,15 @@ _ALL = slice(None)
 def _plane_product(d: int, batch: int, dtype, runs, blocks, lead=None) -> np.ndarray:
     """(B, d, d) stack of the identity right-multiplied by plane blocks.
 
-    The batch runs in the chunks ``sl`` that ``linalg._chunks`` gives for
-    d x d items, so the copy out adds little memory beside the output and
-    the per-chunk cost is paid at most 8 times.  A run (c, s, start, rows)
-    of ``runs`` holds block i = 0 .. len(rows) - 1 at position start + i
-    of the schedule's order, on columns c + s i .. c + s i + s - 1 and rows
-    0 .. rows[i] - 1, with s = 2 or 4 in every run.  ``blocks(sl, at)`` is
-    the chunk's blocks at the positions ``at`` (one span), batch-last (len,
-    s, s, len(sl)); ``lead(sl)``, if given, a (2, 2, len(sl)) block that
-    columns 0 and 1 take first.
-
-    The product is kept batch-last, ``w[col, row, b]``, and each piece of a
-    run applies to strided views of all its columns at once: for 2x2
-    blocks one broadcast multiply gives a m00, a m01, b m10 and b m11, and
-    one add writes back a m00 + b m10 and a m01 + b m11, the products and
-    sums of the one-block-at-a-time kernel, while a piece of one pair takes
-    them as six in-place calls through two slabs, which stream less; 4x4
-    blocks go through one einsum.  Every entry sees the blocks in the order
-    of one block at a time, and rows below a block's own (a piece runs to
-    its blocks' largest rows) hold zeros that stay zeros, so for finite
-    blocks the bytes are the same.  (A NaN or inf block spreads into those
-    rows too.)  The cuts of ``_plan`` are made once per schedule, d, chunk
-    width and itemsize and kept (``_cuts``), for d <= _KEPT_D; their views
-    into this call's work array and scratch are made once per chunk width.
+    A run (c, s, start, rows) of ``runs`` holds block i = 0 .. len(rows) - 1
+    at position start + i of the schedule's order, on columns c + s i ..
+    c + s i + s - 1 and rows 0 .. rows[i] - 1, with s = 2 or 4 in every run.
+    ``blocks(sl, at)`` is batch chunk ``sl``'s blocks at the positions ``at``
+    (one span), batch-last (len, s, s, len(sl)); ``lead(sl)``, if given, a
+    (2, 2, len(sl)) block that columns 0 and 1 take first.  README's kernel
+    paragraph gives the batch-last product, its chunks (``linalg._chunks``),
+    pieces and spans, and why every entry gets the bytes of one block at a
+    time for finite blocks; a NaN or inf block spreads into the zero rows.
     """
     out = np.empty((batch, d, d), dtype=dtype)
     chunks = _chunks(batch, d * d * out.itemsize)  # the first is the largest

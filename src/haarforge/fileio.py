@@ -3,18 +3,11 @@
 One writer and one reader per format serve every (group, method) pair,
 with the kind and shape of ``samplers.sampler(group, method)``;
 ``phase_chunks`` writes ``haar-forge spectra`` eigenphases.  README's
-"File formats" gives the layouts and the malformed input that raises
-ValueError.
-
-The writers yield the header, the text of one batch chunk at a time
-(``linalg._chunks`` without its eighth-of-the-batch term) and the tail, so
-the text held at once does not grow with the stack.  Each float is written
-as ``float.__repr__`` (``json.dumps``'s form), so write-then-read gives
-every entry back bit for bit, signed zeros included.  The writers refuse a
-stack by the readers' own check, ``_samples``, so no writer emits a file
-that its reader refuses.  The JSON reader decodes its sample list one
-sample at a time, so a read's memory also follows the stack, not the
-text; the header it returns holds every key but the sample list.
+"File formats" gives the layouts, the chunked writers, the streaming JSON
+reader and the malformed input that raises ValueError.  Write-then-read
+gives every entry back bit for bit, and the writers refuse a stack by the
+readers' own check, ``_samples``, so no writer emits a file that its
+reader refuses.
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from haarforge.linalg import _chunks
+from haarforge.linalg import CHUNK_BYTES
 from haarforge.samplers import sampler
 
 
@@ -36,13 +29,17 @@ def _float_view(mats) -> np.ndarray:
     return c.view(float).reshape(c.shape + (2,))
 
 
-def _samples(group, n, method, stack: np.ndarray):
+def _samples(group, n, method, stack: np.ndarray, source=None):
     """The kind of ``sampler(group, method)`` and stack (for an empty one the
     empty stack of ``shape(n)``, int64 for permutations, else complex);
     ValueError unless stack is (B, *shape(n)), each word a permutation of
-    1..n and each imaginary part under a real kind zero."""
+    1..n and each imaginary part under a real kind zero.  A stack read under
+    ``source``, a JSON key or CSV kind, must first be an integer one exactly
+    when the group samples permutations."""
     entry = sampler(group, method)
     shape, perm = entry.shape(n), entry.kind == "permutation"
+    if source is not None and (stack.dtype.kind in "iu") != perm:
+        raise ValueError(f"{source} samples do not fit group={group}")
     if not stack.size:
         return entry.kind, np.empty((0, *shape), dtype=np.int64 if perm else complex)
     if stack.shape[1:] != shape:
@@ -55,19 +52,12 @@ def _samples(group, n, method, stack: np.ndarray):
     return entry.kind, stack
 
 
-def _stack(meta, stack: np.ndarray) -> np.ndarray:
-    """stack as ``_samples`` checks it for the header's group, method and n."""
+def _stack(meta, stack: np.ndarray, source=None) -> np.ndarray:
+    """stack, read under ``source``, as ``_samples`` checks it for the
+    header's group, method and n."""
     n = meta.get("n")  # text in a CSV header
     return _samples(meta.get("group"), int(n) if isinstance(n, str) else n,
-                    meta.get("method"), stack)[1]
-
-
-def _fits(meta, perm: bool, source: str) -> None:
-    """ValueError unless the header's group samples permutations exactly
-    when ``perm``, for samples read under ``source``, a JSON key or CSV kind;
-    so ``_stack`` gives an int64 stack under sn and a complex one elsewhere."""
-    if (sampler(meta.get("group"), meta.get("method")).kind == "permutation") != perm:
-        raise ValueError(f"{source} samples do not fit group={meta.get('group')}")
+                    meta.get("method"), stack, source)[1]
 
 
 def _nested(leaf: str, dims) -> str:
@@ -78,15 +68,17 @@ def _nested(leaf: str, dims) -> str:
 
 
 def _pieces(head: str, stack, item: str, sep: str, *tail: str, special=None):
-    """The one chunk loop: ``head``, then per batch chunk of ``stack`` one ``item`` per
-    sample, ``sep``-joined, filled by ``%`` (``special`` maps a non-finite chunk), ``tail``."""
+    """The one chunk loop: ``head``, then per CHUNK_BYTES of samples of ``stack`` (at any
+    stack size: a chunk's text takes several times its bytes) one ``item`` per sample,
+    ``sep``-joined, filled by ``%`` (``special`` maps a non-finite chunk), ``tail``."""
     yield head
-    for idx, sl in enumerate(_chunks(len(stack), max(1, stack[:1].nbytes), eighth=False)):
-        chunk = stack[sl]
+    step = max(1, CHUNK_BYTES // max(1, stack[:1].nbytes))
+    for start in range(0, len(stack), step):
+        chunk = stack[start:start + step]
         entries = chunk.ravel().tolist()
         if special is not None and not np.isfinite(chunk).all():
             entries = list(map(special, entries))
-        yield ((sep if idx else "") + sep.join([item] * len(chunk))) % tuple(entries)
+        yield ((sep if start else "") + sep.join([item] * len(chunk))) % tuple(entries)
     yield from tail
 
 
@@ -177,11 +169,11 @@ def _token(text: str, idx: int, allowed: str) -> tuple:
 def _sample_list(text: str, idx: int, parse) -> tuple:
     """(samples, end) of the JSON list after the whitespace at ``idx``,
     decoded one element at a time.  ``parse`` turns each batch of elements
-    (the first alone, then about BATCH_ENTRIES numbers each) into its shape
-    below the batch and flat array, and samples is (those parts, the
-    number of elements), or a ValueError for the first batch that ``parse``
-    refuses (an integer beyond the float or int64 range included) or whose
-    shape is not the first one's.  The error is returned, not raised, as a
+    (the first alone, then about BATCH_ENTRIES numbers each; an empty list
+    is one empty batch) into its shape below the batch and flat array, and
+    samples is (those parts, the number of elements), or a ValueError for
+    the first batch that ``parse`` refuses (an integer beyond the float or
+    int64 range included) or whose shape is not the first one's.  The error is returned, not raised, as a
     later key of the same name, or "permutations" beside "matrices",
     overrides this list; the rest of the list is still scanned, so
     malformed JSON raises here."""
@@ -190,7 +182,7 @@ def _sample_list(text: str, idx: int, parse) -> tuple:
         return ValueError("JSON samples must be a list"), _value(text, idx)[1]
     idx = _space(text, idx + 1).end()
     if text[idx:idx + 1] == "]":
-        return ([], 0), idx + 1
+        return ([parse([])], 0), idx + 1
     parts, batch, count, step, sep = [], [], 0, 1, ","
     while sep == ",":
         element, idx = _value(text, idx)
@@ -242,12 +234,11 @@ def json_to_matrices(text: str):
     if isinstance(got, ValueError):
         raise got
     parts, count = got
-    _fits(header, key == "permutations", f'JSON "{key}"')
-    shape = parts[0][0] if parts else ()
-    flat = np.concatenate([array for _, array in parts]) if parts else np.empty(0)
+    shape = parts[0][0]
+    flat = np.concatenate([array for _, array in parts])
     if key == "matrices":
         flat, shape = flat.view(complex), shape[:2]
-    return header, _stack(header, flat.reshape(count, *shape))
+    return header, _stack(header, flat.reshape(count, *shape), f'JSON "{key}"')
 
 
 def csv_chunks(group: str, n: int, method: str, seed: int, stack):
@@ -290,15 +281,14 @@ def csv_to_matrices(text: str):
     kind = meta.get("kind", "complex")
     if kind not in ("real", "complex", "permutation"):
         raise ValueError(f"unknown CSV kind {kind!r}")
-    _fits(meta, kind == "permutation", f"CSV kind={kind}")
     if kind == "permutation":
-        stack = _stack(meta, np.array([line.split(",") for line in lines[1:]
-                                       if line.strip()]).astype(np.int64))
+        stack = np.array([line.split(",") for line in lines[1:] if line.strip()]).astype(np.int64)
     else:
         cols = np.array([[line.split(",") for line in block] for blank, block
                          in groupby(lines[1:], lambda line: not line.strip()) if not blank],
                         dtype=float)
-        stack = _stack(meta, cols.astype(complex) if kind == "real" else cols.view(complex))
+        stack = cols.astype(complex) if kind == "real" else cols.view(complex)
+    stack = _stack(meta, stack, f"CSV kind={kind}")
     if "count" in meta and int(meta["count"]) != len(stack):
         raise ValueError(f"count={meta['count']} contradicts the {len(stack)} samples read")
     return meta, stack

@@ -42,13 +42,12 @@ def _redraw(rejected, redo, what: str) -> None:
 CHUNK_BYTES = 1 << 19  # a batch chunk of blocks and their scratch fits L2
 
 
-def _chunks(count: int, item_bytes: int, eighth: bool = True) -> list:
+def _chunks(count: int, item_bytes: int) -> list:
     """Slices over 0..count (the last may be short), CHUNK_BYTES of
-    ``item_bytes``-sized items each, or with ``eighth`` an eighth of the
-    batch when that is more, so that a per-chunk cost is paid at most 8
-    times.  The text writers pass eighth=False: a chunk's text takes several
-    times its bytes, and a fixed budget bounds it at any stack size."""
-    step = max(1, -(-count // 8) if eighth else 1, CHUNK_BYTES // item_bytes)
+    ``item_bytes``-sized items each, or an eighth of the batch when that is
+    more, so that a per-chunk cost is paid at most 8 times.  An item size of
+    0 (the strides numpy gives an empty stack) counts as 1."""
+    step = max(1, -(-count // 8), CHUNK_BYTES // max(1, item_bytes))
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 

@@ -11,7 +11,6 @@ a draw's size: the loops cut their batches by ``linalg._chunks``.
 
 from __future__ import annotations
 
-import functools
 import math
 from numbers import Integral
 from typing import Callable, NamedTuple
@@ -19,11 +18,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from haarforge import euler
-from haarforge.linalg import CHUNK_BYTES, _chunks, _redraw
+from haarforge.linalg import CHUNK_BYTES, TWO_PI, _chunks, _redraw
 from haarforge.randstream import (RandomStream, phi_unitary_law, rho_symplectic_law,
                                   sin2phi_law)
-
-TWO_PI = 2.0 * np.pi
 
 
 # --- angle draws (fixed, documented order) ---------------------------------
@@ -71,12 +68,10 @@ def _sp_angles(stream: RandomStream, n: int, count: int):
 
     Draw order: row by row, rho's (count, 2j+1) uniforms, then count each
     for the quaternion's phi, psi and alpha; then the leads' (3, count)
-    triples, q_1 to q_n.  The rows are drawn in uniform blocks of whole
-    rows, each starting with the first row that begins past the next
-    multiple of ``linalg.CHUNK_BYTES`` of uniforms, so that a block stays
-    in cache (one block for a stack that needs at most 2^16 of them, n = 12
-    up to 78 elements); each block runs the rho law once per j.  The blocks
-    do not change the stream, which is the uniforms in order.
+    triples, q_1 to q_n.  The rows are drawn in cache-sized blocks of whole
+    rows, each from the first row past the next multiple of
+    ``linalg.CHUNK_BYTES`` of uniforms (README's kernel paragraph); they
+    leave the stream, the uniforms in order, unchanged.
     """
     p = n * (n - 1) // 2
     j = euler.row_j(n)
@@ -287,14 +282,11 @@ def _compose_cosets(clear, n: int, count: int) -> np.ndarray:
     "mu_{i,j} = 0" flags into the (count, j) bool array ``out``, column i-1
     for T_i, once per coset, in the order j = 1..n-1, whichever kernel runs.
 
-    ``_wave_cosets`` composes the cosets in bands whose flags take at most
-    budget = max(4 (n-1) count, _BAND_FLOOR) bytes, half of coset n-1's
-    float64 uniform block or 4 MiB, so its last band's steps swap about
-    budget / (n-1) pairs each.  The wave runs when that is at least
-    _STEP_MIN and the batch has at least _WAVE_MIN_COUNT samples; otherwise
-    ``_rotate_cosets`` composes one coset at a time.  Both give the same
-    permutations.  CHANGES.md holds the timings and traced peaks behind
-    these bounds.
+    ``_wave_cosets`` runs in bands of at most ``budget`` bytes of flags
+    (README's samplers row), when its last band's steps swap at least
+    _STEP_MIN pairs each and the batch has at least _WAVE_MIN_COUNT samples;
+    otherwise ``_rotate_cosets`` composes one coset at a time.  Both give
+    the same permutations.  CHANGES.md holds the timings behind the bounds.
     """
     budget = max(4 * (n - 1) * count, _BAND_FLOOR)
     if count < _WAVE_MIN_COUNT or budget < _STEP_MIN * (n - 1):
@@ -353,20 +345,16 @@ def _run_band(clear, sigma: np.ndarray, j0: int, j1: int) -> None:
         np.bitwise_xor(b, dq, out=b)
 
 
-@functools.lru_cache(maxsize=16)
 def _wave_band(j0: int, j1: int):
     """The ``euler._coset_wave`` of cosets j0..j1-1 as swaps: per step t,
     the slices of its a rows and b rows of sigma and of its flag rows, and
     its swap count; the flag row of coset j's swap at step t, less j, as
-    ``place[t]``; the band's flag rows; its widest step.  The last 16 bands
-    are kept, read-only, as a build costs a quarter of a 128-sample draw at
-    n = 4 (CHANGES.md)."""
+    ``place[t]``; the band's flag rows; its widest step."""
     t, lo, q, first = euler._coset_wave(j0, j1)
     steps = tuple((slice(x, x + 2 * k, 2), slice(x + 1, x + 2 * k, 2), slice(f, f + k), k)
                   for x, k, f in zip((2 * lo - t - 1).tolist(), q.tolist(), first.tolist()))
     place = np.zeros(2 * j1, dtype=np.intp)
     place[j0:2 * j1 - 2] = first - lo
-    place.flags.writeable = False
     return steps, place, int(q.sum()), int(q.max(initial=0))
 
 
@@ -434,9 +422,7 @@ def permutation_matrices(lines: np.ndarray) -> np.ndarray:
 def coe_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     """S = U^T U with U Haar on U(n): symmetric unitary (COE).
 
-    S is written over U chunk by chunk, so the traced peak is that of
-    ``qr_batch``: within 3x the returned stack from four chunks on, 5x for
-    one chunk.
+    S is written over U chunk by chunk, so the traced peak is ``qr_batch``'s.
     """
     u = qr_batch(stream, n, count, "complex")
     for sl in _chunks(count, u.strides[0]):
@@ -451,9 +437,7 @@ def cse_batch(stream: RandomStream, n: int, count: int) -> np.ndarray:
     columns swapped and entry (i, j) multiplied by s_i s_j, s = (-1, +1,
     -1, ...): a gather and an exact sign product in place of two matmuls.
 
-    S~ is written over U chunk by chunk, so the traced peak is that of
-    ``qr_batch``: within 3x the returned stack from four chunks on, 5x for
-    one chunk.
+    S~ is written over U chunk by chunk, so the traced peak is ``qr_batch``'s.
     """
     u = qr_batch(stream, 2 * n, count, "complex")
     pair = np.arange(2 * n) ^ 1  # 1, 0, 3, 2, ...
@@ -479,10 +463,15 @@ class Sampler(NamedTuple):
 
     def shape(self, n) -> tuple:
         """A sample's shape at n: the (n,) word of a permutation, else (d, d)
-        with d = dim * n; ValueError unless n is an int >= 1 (a bool is not)."""
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, not {n!r}")
+        with d = dim * n; ValueError unless n is an int >= 1 (``_positive``)."""
+        _positive("n", n)
         return (n,) if self.kind == "permutation" else (self.dim * n,) * 2
+
+
+def _positive(name: str, value) -> None:
+    """ValueError unless ``value`` is an int >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 
 # The first method listed for a tag is its default.  Each entry calls its
@@ -552,12 +541,13 @@ def sample_batch(tag: str, n: int, count: int, method: str | None = None,
     Returns the (count, *``shape(n)``) stack of ``sampler(tag, method)``,
     for sn the int64 stack of 1-based one-line permutations.  Lane i uses
     RandomStream(seed, stream_id=i), so output is reproducible for fixed
-    (seed, streams) regardless of how lanes are scheduled.
+    (seed, streams) regardless of how lanes are scheduled.  ValueError
+    unless n, count and streams are ints >= 1 (a bool is not).
     """
     entry = sampler(tag, method)
-    entry.shape(n)  # ValueError unless n is an int >= 1
-    if count < 1:
-        raise ValueError("count >= 1 required")
+    entry.shape(n)
+    _positive("count", count)
+    _positive("streams", streams)
     arr = _draw_lanes(entry.draw, n, count, seed, streams)
     if entry.kind == "permutation":
         arr += 1  # in place: the stack is this call's own

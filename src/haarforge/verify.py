@@ -46,6 +46,7 @@ from haarforge.analytics import (
     moment_check,
 )
 from haarforge.linalg import (
+    TWO_PI,
     ConvergenceError,
     adjoint_residual,
     charpoly_eval,
@@ -55,8 +56,6 @@ from haarforge.linalg import (
 )
 from haarforge.randstream import RandomStream
 from haarforge.samplers import sampler
-
-TWO_PI = 2.0 * np.pi
 
 _FIXED_SID = 9900  # stream-id base of the fixed group elements
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import chdtri, kolmogi
 
-from haarforge import analytics
+from haarforge import analytics, verify
 from haarforge.analytics import (
     TestReport,
     chi_square,
@@ -14,6 +14,7 @@ from haarforge.analytics import (
     ks_test,
     ks_two_sample,
     log_volume,
+    moment_check,
     moment_joint,
     moment_single,
     reynolds_average,
@@ -303,6 +304,35 @@ class TestStatPrimitives:
         draws = RandomStream(422).uniform(size=500)
         rep = ks_two_sample(draws, draws)
         assert rep.statistic == 0.0 and rep.passed
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_two_sample_fails_on_one_nan_in_either_sample(self, side):
+        # NaN sorts last, so as a value it would widen D by its share alone
+        draws = [RandomStream(425).uniform(size=10_000), RandomStream(426).uniform(size=10_000)]
+        draws[side][123] = math.nan
+        rep = ks_two_sample(*draws)
+        assert math.isnan(rep.statistic) and not rep.passed
+        check = verify._from_report(rep)
+        assert check["statistic"] is None and check["margin"] is None and not check["passed"]
+
+    @pytest.mark.parametrize("estimate,se", [(0.9, math.inf), (0.2, math.inf), (0.2, math.nan),
+                                             (0.9, math.nan), (0.2, -1.0)])
+    def test_moment_check_needs_a_finite_nonnegative_error(self, estimate, se):
+        rep = moment_check(0.2, estimate, se)
+        assert math.isnan(rep.statistic) and not rep.passed
+
+    def test_moment_check_of_an_exact_estimate(self):
+        rep = moment_check(0.25, 0.25, 0.0)
+        assert rep.statistic == 0.0 and rep.passed
+        assert not moment_check(0.25, 0.5, 0.0).passed
+
+    def test_an_overflowing_variance_fails_any_exact_value(self):
+        with np.errstate(over="ignore"):  # the variance of values near 1e200 overflows
+            est, se = reynolds_average(lambda m, x: 1e200 * m[:, 0, 0], "so", 3,
+                                       RandomStream(427), 100)
+        assert se == math.inf
+        for exact in (est, 0.0, 1e300):
+            assert not moment_check(exact, est, se).passed
 
     def test_sample_size_guards(self):
         with pytest.raises(ValueError):

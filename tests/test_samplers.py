@@ -15,7 +15,7 @@ from haarforge.linalg import (
     symplectic_residual,
 )
 from haarforge.randstream import RandomStream
-from haarforge import euler, samplers, verify
+from haarforge import euler, samplers, spectra, verify
 from haarforge.samplers import SAMPLERS, Sampler, sample_batch, sampler
 
 from oracles import (bin_probabilities, bubble_bits, compose_word_swaps, sp_angles_rowwise,
@@ -492,6 +492,31 @@ class TestCircularEnsembles:
         assert np.abs(s - want).max() <= 1e-13
 
 
+EMPTY_DRAWS = {  # every batch function, as draw(stream, n, count)
+    "so_euler": samplers.so_euler_batch,
+    "o_euler": samplers.o_euler_batch,
+    "u_euler": samplers.u_euler_batch,
+    "sp_euler": samplers.sp_euler_batch,
+    "qr-real": lambda s, n, c: samplers.qr_batch(s, n, c, "real"),
+    "qr-complex": lambda s, n, c: samplers.qr_batch(s, n, c, "complex"),
+    "householder-real": lambda s, n, c: samplers.householder_batch(s, n, c, "real"),
+    "householder-complex": lambda s, n, c: samplers.householder_batch(s, n, c, "complex"),
+    "permutation": samplers.permutation_batch,
+    "coe": samplers.coe_batch,
+    "cse": samplers.cse_batch,
+    "hessenberg": spectra.hessenberg_batch,
+    "cmv": spectra.cmv_batch,
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_DRAWS))
+def test_count_zero_gives_the_empty_stack_of_count_one(name):
+    # numpy gives an empty stack zero strides, which must not cut its chunks
+    draw = EMPTY_DRAWS[name]
+    one, empty = draw(RandomStream(7), 3, 1), draw(RandomStream(7), 3, 0)
+    assert empty.shape == (0, *one.shape[1:]) and empty.dtype == one.dtype
+
+
 class TestBatchFrontEnd:
     def test_deterministic_and_lane_split(self):
         a = sample_batch("so", 4, 7, seed=5, streams=3)
@@ -550,6 +575,13 @@ class TestBatchFrontEnd:
                 entry.shape(n)
         with pytest.raises(ValueError, match="integer >= 1"):
             sample_batch("so", n, 2)
+
+    @pytest.mark.parametrize("name,value", [
+        ("count", 0), ("count", -1), ("count", True), ("count", 2.5), ("count", 2.0),
+        ("streams", 0), ("streams", -1), ("streams", True), ("streams", 1.5), ("streams", None)])
+    def test_count_and_streams_need_an_int_of_at_least_one(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            sample_batch("so", 3, **{"count": 2, "streams": 1, name: value})
 
     def test_shape_of_a_custom_entry(self):
         assert Sampler(None, "complex", 3).shape(np.int64(2)) == (6, 6)
